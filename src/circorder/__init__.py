@@ -7,7 +7,7 @@ homogeneous-cocycle forms; central extensions, integral second cohomology
 out the toolkit.  Everything is integer-exact.
 """
 
-from .errors import AxiomError, BoundExceeded, InvalidGroupError
+from .errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from .groups import (FiniteGroup, GroupHom, all_subgroups, closure,
                      cyclic_group, dihedral_group, direct_product,
                      dump_group, find_isomorphism, group_from_json,

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import AxiomError, BoundExceeded, InvalidGroupError
+from .errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from .groups import cyclic_group, direct_product, load_group
 from .orders import (ENUMERATION_ORDER_LIMIT, arrangement_to_inhom,
                      enumerate_circular_orders)
@@ -21,8 +21,9 @@ from .obstruction import (VERDICT_ALL_MULTIPLES, exponent_facts,
 from . import promislow as prom
 
 
-class MathCheckFailed(Exception):
-    """An internal cross-check disagreed; the computation is not trustworthy."""
+# the CLI's own cross-checks raise the library's CheckFailed, so every
+# failed check, in the CLI or below it, exits 1
+MathCheckFailed = CheckFailed
 
 
 def _spectrum_payload(spectrum, max_n: int) -> dict:

@@ -2,22 +2,28 @@
 
 Everything runs over arbitrary-precision integers: normalized bar-resolution
 coboundary matrices, a Smith-normal-form engine with unimodular transforms
-(deterministic pivoting: smallest absolute value, then lowest index), and the
-divisibility tests on cohomology classes of circular orderings.  Cochains are
-normalized (they vanish when any argument is the identity), so degree-k
-cochains on a group of order m live in Z^((m-1)^k).
+(deterministic first-nonzero pivoting), and the divisibility tests on
+cohomology classes of circular orderings.  Cochains are normalized (they
+vanish when any argument is the identity), so degree-k cochains on a group of
+order m live in Z^((m-1)^k).
 
-Z/n-coefficient computations are reduced to integer Smith normal form on
-augmented systems rather than ring-specific elimination: one exact engine,
-fewer correctness surfaces.
+One Smith normal form of d2 per group serves every coefficient ring.  With
+U d2 V = diag(d_1..d_r, 0..) and y = V^-1 f, the cocycle condition mod n
+reads d_i y_i = 0 mod n on the rank block and leaves the kernel block free,
+while im d1 lies in the kernel block.  So H^2(G; Z/n) splits as
+(+) Z/gcd(d_i, n) (+) (+) Z/gcd(a_j, n), with a_j the integral invariant
+factors of the kernel block modulo im d1; that is the universal coefficient
+theorem (Brown, Cohomology of Groups, III.1).  H^2(G; Z) is the same
+projection with an empty rank block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import AxiomError, BoundExceeded
+from .errors import AxiomError, BoundExceeded, require
 from .groups import FiniteGroup
 from .orders import InhomCircularOrder
 
@@ -146,17 +152,17 @@ class SNFResult:
         return D
 
     def verify(self, check_determinants: bool = True) -> None:
-        """Assert the postconditions exactly; raises AssertionError on failure."""
-        assert self.U @ self.matrix @ self.V == self.diagonal_matrix(), "U M V != diag"
+        """Check the postconditions exactly; raises CheckFailed on failure."""
+        require(self.U @ self.matrix @ self.V == self.diagonal_matrix(), "U M V != diag")
         nz = [d for d in self.diagonal if d]
-        assert all(d > 0 for d in nz), "diagonal not nonnegative"
-        assert list(self.diagonal[:len(nz)]) == nz, "zero entries not trailing"
-        assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1)), "divisibility chain"
+        require(all(d > 0 for d in nz), "diagonal not nonnegative")
+        require(list(self.diagonal[:len(nz)]) == nz, "zero entries not trailing")
+        require(all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1)), "divisibility chain")
         if self.Vinv is not None:
-            assert self.V @ self.Vinv == IntMatrix.identity(self.V.rows), "Vinv wrong"
+            require(self.V @ self.Vinv == IntMatrix.identity(self.V.rows), "Vinv wrong")
         if check_determinants:
-            assert self.U.determinant() in (1, -1), "det U not a unit"
-            assert self.V.determinant() in (1, -1), "det V not a unit"
+            require(self.U.determinant() in (1, -1), "det U not a unit")
+            require(self.V.determinant() in (1, -1), "det V not a unit")
 
 
 def _gcdext(a: int, b: int) -> tuple[int, int, int]:
@@ -483,7 +489,8 @@ def cochain_matrix(G: FiniteGroup, vec: Sequence[int]) -> list[list[int]]:
 
 
 class _Complex:
-    """Cached per-group data: d1, d2, and the integer cocycle lattice."""
+    """Cached per-group data: d1, d2, the Smith normal form of d2, the
+    integer cocycle lattice, and the H^2 structures and solvers built on them."""
 
     def __init__(self, G: FiniteGroup, max_order: int):
         self.group = G
@@ -492,9 +499,10 @@ class _Complex:
         self.c2 = self.d1.rows
         snf2 = smith_normal_form(self.d2, want_u=False, want_vinv=True)
         self.rank2 = snf2.rank
+        self.d2_factors = snf2.diagonal[:self.rank2]
         self.kernel = kernel_basis(snf2)          # c2 x k
         self.kernel_dim = self.kernel.cols
-        self._vinv = snf2.Vinv
+        self.vinv = snf2.Vinv
         # d1 columns in kernel coordinates (d2 @ d1 = 0 guarantees they fit)
         cols = []
         for j in range(self.c1):
@@ -502,9 +510,16 @@ class _Complex:
         self.d1_in_kernel = IntMatrix([[cols[j][i] for j in range(self.c1)]
                                        for i in range(self.kernel_dim)],
                                       cols=self.c1)
+        # Z^k / im d1 = (+) Z/a_j in the coordinates rel_U @ (kernel coords);
+        # a_j = 0 past the rank of d1_in_kernel marks a free summand
+        rel = smith_normal_form(self.d1_in_kernel)
+        self.rel_U = rel.U
+        self.rel_factors = (rel.diagonal + (0,) * self.kernel_dim)[:self.kernel_dim]
+        self.structures: dict = {}    # modulus (None for Z) -> H2Structure
+        self.solvers: dict = {}       # ("triv" | "div", n) -> SNFResult
 
     def kernel_coords(self, vec: Sequence[int]) -> list[int]:
-        y = self._vinv.mul_vector(list(vec))
+        y = self.vinv.mul_vector(list(vec))
         if any(y[i] != 0 for i in range(self.rank2)):
             raise AxiomError("cocycle", (), "vector is not in the kernel of d2")
         return y[self.rank2:]
@@ -517,11 +532,11 @@ class _Complex:
 
 
 _complex_cache: dict = {}
-_structure_cache: dict = {}
-_solver_cache: dict = {}
 
 
 def _complex_for(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT) -> _Complex:
+    if G.order > max_order:
+        raise BoundExceeded(f"cohomology: order {G.order} > limit {max_order}")
     got = _complex_cache.get(G)
     if got is None:
         got = _complex_cache[G] = _Complex(G, max_order)
@@ -535,29 +550,34 @@ class H2Structure:
     `invariant_factors` lists the nonunit factors in divisibility order,
     with 0 marking free summands (none occur for Z/n coefficients).
     The projection sends a cocycle vector to coordinates that are killed
-    exactly on the coboundary lattice, additively.
+    exactly on the coboundary lattice, additively: y = V^-1 f from the d2
+    Smith normal form, the rank block of y divided exactly by its steps
+    n / gcd(d_i, n) (over Z the block is zero and dropped), then the fixed
+    integer matrix `_coords`, reduced mod each factor.
     """
     group: FiniteGroup
     modulus: Optional[int]
     invariant_factors: tuple
-    _basis_snf: SNFResult
-    _relations_snf: SNFResult
-    _positions: tuple
+    _complex: _Complex = field(repr=False)
+    _steps: tuple = field(repr=False)
+    _coords: IntMatrix = field(repr=False)
 
     def project(self, f) -> "CohomologyClass":
-        G = self.group
-        comp = _complex_for(G)
-        vec = cocycle_vector(G, f)
+        comp = self._complex
+        vec = cocycle_vector(self.group, f)
         if not comp.is_cocycle(vec, self.modulus):
             raise AxiomError("cocycle", (), "d2 f != 0 over the coefficient ring")
-        y = solve_int(self._basis_snf, vec)
-        if y is None:
-            raise AxiomError("cocycle", (), "cocycle vector not in the cocycle lattice")
-        t = self._relations_snf.U.mul_vector(y)
-        coords = []
-        for pos, e in zip(self._positions, self.invariant_factors):
-            coords.append(t[pos] % e if e else t[pos])
-        return CohomologyClass(self, tuple(coords))
+        y = comp.vinv.mul_vector(vec)
+        head, x = y[:comp.rank2], y[comp.rank2:]
+        if self.modulus is None:
+            require(not any(head), "d2 f = 0 but V^-1 f has a nonzero rank block")
+        else:
+            require(all(v % step == 0 for v, step in zip(head, self._steps)),
+                    "d2 f = 0 mod n but the rank block of V^-1 f is off its steps")
+            x = [v // step for v, step in zip(head, self._steps)] + x
+        coords = self._coords.mul_vector(x)
+        return CohomologyClass(self, tuple(
+            c % e if e else c for c, e in zip(coords, self.invariant_factors)))
 
     def zero_class(self) -> "CohomologyClass":
         return CohomologyClass(self, tuple(0 for _ in self.invariant_factors))
@@ -591,59 +611,34 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
                  max_order: int = H2_ORDER_LIMIT) -> H2Structure:
     """H^2(G; Z) for modulus None, else H^2(G; Z/modulus).
 
-    Over Z the ambient lattice is ker(d2) and the relations are im(d1); over
-    Z/n the ambient is {f : d2 f = 0 mod n} (computed as a projection of
-    ker[d2 | -nI]) and the relations gain the n-multiples of every basis
-    vector.  Either way the quotient is read off one integer SNF.
+    Both are read off the group's one cached Smith normal form of d2 (see the
+    module docstring): the summands are Z/gcd(d_i, n) on the rank block of d2
+    (Z/n only) and Z/gcd(a_j, n) on its kernel block modulo im d1 (Z/a_j over
+    Z).  One Smith normal form of the diagonal of nonunit orders puts them in
+    divisibility order.
     """
-    key = (G, modulus)
-    got = _structure_cache.get(key)
-    if got is not None:
-        return got
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus {modulus} < 2")
     comp = _complex_for(G, max_order=max_order)
-    if modulus is None:
-        basis_snf = smith_normal_form(comp.kernel)
-        relations = comp.d1_in_kernel
-    else:
-        c2, c3 = comp.c2, comp.d2.rows
-        stacked = IntMatrix([row + [-modulus if i == j else 0 for j in range(c3)]
-                             for i, row in enumerate(comp.d2.data)], cols=c2 + c3)
-        kb = kernel_basis(smith_normal_form(stacked, want_u=False))
-        basis = IntMatrix(kb.data[:c2], cols=kb.cols)  # project onto the f-block
-        if basis.cols != c2:
-            raise RuntimeError("mod-n cocycle lattice has unexpected rank")
-        basis_snf = smith_normal_form(basis)
-        rel_cols = []
-        for j in range(comp.c1):
-            rel_cols.append(_coords_or_bug(basis_snf, comp.d1.col(j), "d1 column"))
-        for i in range(c2):
-            unit = [0] * c2
-            unit[i] = modulus
-            rel_cols.append(_coords_or_bug(basis_snf, unit, "n-multiple"))
-        relations = IntMatrix([[col[i] for col in rel_cols] for i in range(c2)],
-                              cols=len(rel_cols))
-    rel_snf = smith_normal_form(relations)
-    factors, positions = _quotient_factors(rel_snf, basis_snf.matrix.cols)
-    got = H2Structure(G, modulus, factors, basis_snf, rel_snf, positions)
-    _structure_cache[key] = got
+    got = comp.structures.get(modulus)
+    if got is not None:
+        return got
+    steps = () if modulus is None else tuple(
+        modulus // gcd(d, modulus) for d in comp.d2_factors)
+    r, k = len(steps), comp.kernel_dim
+    orders = ([modulus // step for step in steps]
+              + [gcd(a, modulus or 0) for a in comp.rel_factors])
+    block = ([[int(i == j) for j in range(r)] + [0] * k for i in range(r)]
+             + [[0] * r + row for row in comp.rel_U.data])
+    # block maps (rank quotients, kernel coords) to coordinates mod `orders`
+    keep = [i for i, o in enumerate(orders) if o != 1]
+    snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
+    selected = IntMatrix([block[i] for i in keep], cols=r + k)
+    rows = [j for j, e in enumerate(snf.diagonal) if e != 1]
+    coords = IntMatrix([snf.U.data[j] for j in rows], cols=len(keep)) @ selected
+    got = H2Structure(G, modulus, tuple(snf.diagonal[j] for j in rows), comp, steps, coords)
+    comp.structures[modulus] = got
     return got
-
-
-def _coords_or_bug(basis_snf: SNFResult, vec, what: str) -> list[int]:
-    y = solve_int(basis_snf, vec)
-    if y is None:
-        raise RuntimeError(f"{what} escapes the mod-n cocycle lattice")
-    return y
-
-
-def _quotient_factors(rel_snf: SNFResult, ambient_rank: int):
-    diag = list(rel_snf.diagonal) + [0] * (ambient_rank - len(rel_snf.diagonal))
-    diag = diag[:ambient_rank]
-    positions = tuple(j for j, e in enumerate(diag) if e != 1)
-    factors = tuple(diag[j] for j in positions)
-    return factors, positions
 
 
 def class_of(G: FiniteGroup, f) -> CohomologyClass:
@@ -674,19 +669,18 @@ def is_trivial_mod_n(G: FiniteGroup, f, n: int) -> bool:
         raise ValueError(f"n = {n} < 2")
     comp = _complex_for(G)
     vec = _as_vector(G, f)
-    key = ("triv", G, n)
-    snf = _solver_cache.get(key)
+    snf = comp.solvers.get(("triv", n))
     if snf is None:
         aug = IntMatrix([row + [n if i == j else 0 for j in range(comp.c2)]
                          for i, row in enumerate(comp.d1.data)], cols=comp.c1 + comp.c2)
-        snf = _solver_cache[key] = smith_normal_form(aug)
+        snf = comp.solvers["triv", n] = smith_normal_form(aug)
     sol = solve_int(snf, vec)
     if sol is None:
         return False
     u, w = sol[:comp.c1], sol[comp.c1:]
     got = comp.d1.mul_vector(u)
-    assert all(g + n * wi == v for g, wi, v in zip(got, w, vec)), \
-        "solver returned a bad coboundary witness"
+    require(all(g + n * wi == v for g, wi, v in zip(got, w, vec)),
+            "solver returned a bad coboundary witness")
     return True
 
 
@@ -702,20 +696,19 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     vec = _as_vector(G, f)
     wf = comp.kernel_coords(vec)
     k = comp.kernel_dim
-    key = ("div", G, n)
-    snf = _solver_cache.get(key)
+    snf = comp.solvers.get(("div", n))
     if snf is None:
         aug = IntMatrix([[n if i == j else 0 for j in range(k)] + comp.d1_in_kernel.data[i]
                          for i in range(k)], cols=k + comp.c1)
-        snf = _solver_cache[key] = smith_normal_form(aug)
+        snf = comp.solvers["div", n] = smith_normal_form(aug)
     sol = solve_int(snf, wf)
     if sol is None:
         return DivisibilityWitness(False, None, None)
     y, u = sol[:k], sol[k:]
     mu_vec = comp.kernel.mul_vector(y)
     # direct substitution: d2 mu = 0 and f = n*mu + d1 u, exactly
-    assert all(v == 0 for v in comp.d2.mul_vector(mu_vec)), "witness mu is not a cocycle"
+    require(all(v == 0 for v in comp.d2.mul_vector(mu_vec)), "witness mu is not a cocycle")
     d1u = comp.d1.mul_vector(u)
-    assert all(fv == n * m + c for fv, m, c in zip(vec, mu_vec, d1u)), \
-        "witness fails direct substitution"
+    require(all(fv == n * m + c for fv, m, c in zip(vec, mu_vec, d1u)),
+            "witness fails direct substitution")
     return DivisibilityWitness(True, cochain_matrix(G, mu_vec), list(u))

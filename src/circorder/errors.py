@@ -11,6 +11,17 @@ class BoundExceeded(ValueError):
     """A resource bound (group order, search radius, matrix size) was exceeded."""
 
 
+class CheckFailed(Exception):
+    """An internal cross-check or witness check failed: the result is not
+    trustworthy.  Raised explicitly, so it still fires under `python -O`."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise CheckFailed(message) unless `condition` holds."""
+    if not condition:
+        raise CheckFailed(message)
+
+
 class AxiomError(ValueError):
     """An ordering/cocycle axiom failed.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import AxiomError, BoundExceeded, InvalidGroupError
+from .errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from .groups import (FiniteGroup, GroupHom, group_from_json, group_to_json,
                      is_normal, is_subgroup, quotient, subgroup_generated,
                      ASSOCIATIVITY_CHECK_LIMIT)
@@ -364,8 +364,8 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
     by the positive generator of the preimage of K, and pull the
     minimal-representative section back to G.  The returned section nu
     satisfies p_n(fbar) = f_nu elementwise, with iota([1]) the minimal
-    generator of (K, f restricted to K); both facts are asserted before
-    returning.
+    generator of (K, f restricted to K); both facts are checked before
+    returning, and a failure raises CheckFailed.
     """
     f = _as_order(G, f)
     K = frozenset(K)
@@ -412,7 +412,8 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
                              f"{len(found)} candidates in the cone window")
         section_lifts.append(found[0])
     nu = NormalizedSection(Q, G, tuple(x.g for x in section_lifts))
-    assert nu(0) == 0 and all(proj(nu(q)) == q for q in range(Q.order))
+    require(nu(0) == 0 and all(proj(nu(q)) == q for q in range(Q.order)),
+            "minimal-representative section is not a normalized section of the projection")
 
     power_index = {}
     for j in range(-(2 * n + 2), 2 * n + 3):

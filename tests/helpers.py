@@ -7,6 +7,8 @@ sharing its machinery.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations, permutations
 from math import gcd
 
@@ -25,6 +27,30 @@ def library_groups() -> list[FiniteGroup]:
     groups.append(symmetric_group(3))
     groups.append(dihedral_group(4))
     return groups
+
+
+def relabeled(G: FiniteGroup, perm) -> FiniteGroup:
+    """G with each element g renamed perm[g]; perm[0] must be 0."""
+    n = G.order
+    inv = [0] * n
+    for g, p in enumerate(perm):
+        inv[p] = g
+    return FiniteGroup([[perm[G.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)],
+                       name=f"{G.name}~")
+
+
+@contextmanager
+def time_budget(seconds: float):
+    """Raise TimeoutError inside the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def euler_phi(n: int) -> int:
@@ -221,6 +247,25 @@ def seeded_random_matrices(seed: int, count: int = 100, max_dim: int = 50) -> li
 
 # -- brute-force cohomology over Z/n ------------------------------------------
 
+def is_cocycle_mod(G: FiniteGroup, f, n) -> bool:
+    """The 2-cocycle identity for the cochain matrix f, checked on every
+    triple mod n (exactly over Z for n None)."""
+    m = G.order
+    for g in range(m):
+        for h in range(m):
+            gh = G.table[g][h]
+            for k in range(m):
+                v = f[h][k] - f[gh][k] + f[g][G.table[h][k]] - f[g][h]
+                if v % n if n else v:
+                    return False
+    return True
+
+
+def invariant_factors_of_sum(orders) -> tuple:
+    """Nonunit invariant factors of the direct sum of the cyclic groups Z/o."""
+    return tuple(d for d in invariant_factors_from_diagonal(list(orders)) if d != 1)
+
+
 def brute_h2_order_modn(G: FiniteGroup, n: int, limit: int = 20000) -> int:
     """|H^2(G; Z/n)| counted by enumerating all normalized 2-cochains mod n.
 
@@ -239,16 +284,7 @@ def brute_h2_order_modn(G: FiniteGroup, n: int, limit: int = 20000) -> int:
             r //= n
         return f
 
-    def is_cocycle(f):
-        for g in range(m):
-            for h in range(m):
-                gh = G.table[g][h]
-                for k in range(m):
-                    if (f[h][k] - f[gh][k] + f[g][G.table[h][k]] - f[g][h]) % n:
-                        return False
-        return True
-
-    cocycles = sum(1 for r in range(total) if is_cocycle(unrank(r)))
+    cocycles = sum(1 for r in range(total) if is_cocycle_mod(G, unrank(r), n))
     coboundaries = set()
     for r in range(n ** (m - 1)):
         u = [0] * m

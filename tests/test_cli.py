@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circorder
 from circorder.cli import main
 from circorder.groups import cyclic_group, direct_product, dump_group
 
@@ -127,3 +132,45 @@ def test_human_readable_output(capsys, group_file):
     rc = main(["enumerate", "--group", group_file(cyclic_group(4))])
     out = capsys.readouterr().out
     assert rc == 0 and "2 circular ordering" in out
+
+
+# Runs under `python -O`, where bare asserts vanish: a corrupted SNF and
+# solvers that return wrong witnesses must still raise CheckFailed, and the
+# CLI must still exit 1 on it.
+_CORRUPTED_CHECKS = r"""
+import json, sys
+from circorder import (CheckFailed, cli, cohomology, cyclic_group, dump_group,
+                       standard_order_zn)
+
+def raises_check_failed(call):
+    try:
+        call()
+    except CheckFailed:
+        return True
+    return False
+
+snf = cohomology.smith_normal_form([[2, 0], [0, 3]])
+snf.diagonal = (1, 5)
+results = {"optimized": not __debug__, "verify": raises_check_failed(snf.verify)}
+cohomology.solve_int = lambda snf, b: [1] * snf.matrix.cols
+G, f = cyclic_group(4), standard_order_zn(4)
+results["is_trivial_mod_n"] = raises_check_failed(lambda: cohomology.is_trivial_mod_n(G, f, 3))
+results["is_n_divisible"] = raises_check_failed(lambda: cohomology.is_n_divisible(G, f, 3))
+dump_group(G, sys.argv[1])
+results["cli_exit"] = cli.main(["product-co", "--group", sys.argv[1], "--n", "3"])
+print(json.dumps(results))
+"""
+
+
+def test_checks_survive_python_O(tmp_path):
+    src = str(Path(circorder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_CHECKS,
+                           str(tmp_path / "z4.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"optimized": True, "verify": True,
+                                       "is_trivial_mod_n": True,
+                                       "is_n_divisible": True, "cli_exit": 1}
+    assert "check failed" in proc.stderr

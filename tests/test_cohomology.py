@@ -1,10 +1,13 @@
 import random
-from math import gcd
+from functools import lru_cache
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circorder.errors import AxiomError, BoundExceeded
-from circorder.groups import cyclic_group, direct_product, symmetric_group, trivial_group
+from circorder.groups import (cyclic_group, dihedral_group, direct_product,
+                              symmetric_group, trivial_group)
 from circorder.orders import (arrangement_to_inhom, enumerate_circular_orders,
                               standard_order_zn)
 from circorder.cohomology import (IntMatrix, class_of, coboundary_matrices,
@@ -13,12 +16,35 @@ from circorder.cohomology import (IntMatrix, class_of, coboundary_matrices,
                                   kernel_basis, smith_normal_form, solve_int)
 
 from helpers import (brute_h2_order_modn, invariant_factors_from_diagonal,
+                     invariant_factors_of_sum, is_cocycle_mod,
                      minors_gcd_invariant_factors, naive_diagonalize,
-                     seeded_random_matrices)
+                     relabeled, seeded_random_matrices, time_budget)
 
 
 def klein():
     return direct_product(cyclic_group(2), cyclic_group(2)).group
+
+
+def product(*groups):
+    out = groups[0]
+    for G in groups[1:]:
+        out = direct_product(out, G).group
+    return out
+
+
+# Non-cyclic groups of order <= 10 with H_1 = G^ab and H_2 = H_2(G; Z) as
+# cyclic decompositions (H_2 is the wedge square for abelian groups, Z/2 for
+# D4 and 0 for the odd dihedral groups).
+NONCYCLIC_HOMOLOGY = [
+    (klein(), (2, 2), (2,)),
+    (product(cyclic_group(2), cyclic_group(4)), (2, 4), (2,)),
+    (product(cyclic_group(3), cyclic_group(3)), (3, 3), (3,)),
+    (product(cyclic_group(2), cyclic_group(2), cyclic_group(2)), (2, 2, 2), (2, 2, 2)),
+    (symmetric_group(3), (2,), ()),
+    (dihedral_group(4), (2, 2), (2,)),
+    (dihedral_group(5), (2,), ()),
+]
+SMALL_GROUPS = [cyclic_group(k) for k in range(2, 11)] + [G for G, _, _ in NONCYCLIC_HOMOLOGY]
 
 
 # -- Smith normal form ----------------------------------------------------------
@@ -124,7 +150,8 @@ def test_h2_of_klein_group():
 
 def test_h2_mod_n_matches_brute_force_counts():
     cases = [(cyclic_group(2), 2), (cyclic_group(2), 3), (cyclic_group(2), 4),
-             (cyclic_group(3), 2), (cyclic_group(3), 3), (klein(), 2)]
+             (cyclic_group(2), 6), (cyclic_group(3), 2), (cyclic_group(3), 3),
+             (cyclic_group(3), 6), (cyclic_group(4), 2), (klein(), 2)]
     for G, n in cases:
         factors = h2_structure(G, modulus=n).invariant_factors
         size = 1
@@ -135,11 +162,33 @@ def test_h2_mod_n_matches_brute_force_counts():
 
 
 def test_h2_mod_n_cyclic_gcd_pattern():
-    for k in (2, 3, 4, 5, 6):
-        for n in (2, 3, 4, 5):
+    for k in range(2, 11):
+        for n in range(2, 13):
             factors = h2_structure(cyclic_group(k), modulus=n).invariant_factors
             g = gcd(k, n)
             assert factors == (() if g == 1 else (g,)), (k, n, factors)
+
+
+def test_h2_mod_n_matches_uct():
+    # universal coefficients: H^2(G; Z/n) = Hom(H_2, Z/n) + Ext(H_1, Z/n),
+    # the sum of Z/gcd(m, n) over the cyclic summands m of H_1 and H_2; every
+    # case is inside the documented order limit, so none may take long
+    with time_budget(30):
+        for G, h1, h2 in NONCYCLIC_HOMOLOGY:
+            assert h2_structure(G).invariant_factors == invariant_factors_of_sum(h1), G.name
+            for n in range(2, 13):
+                want = invariant_factors_of_sum(gcd(m, n) for m in h1 + h2)
+                assert h2_structure(G, n).invariant_factors == want, (G.name, n)
+
+
+def test_order_bound_is_checked_on_cache_hits():
+    G = relabeled(cyclic_group(8), [0, 2, 1, 3, 4, 5, 6, 7])
+    for modulus in (None, 2):
+        with pytest.raises(BoundExceeded):
+            h2_structure(G, modulus, max_order=4)
+        h2_structure(G, modulus)
+        with pytest.raises(BoundExceeded):
+            h2_structure(G, modulus, max_order=4)
 
 
 # -- classes -----------------------------------------------------------------------
@@ -226,7 +275,122 @@ def test_long_exact_sequence_consistency():
         orderings = [arrangement_to_inhom(a) for a in enumerate_circular_orders(G)]
         for f in orderings:
             for n in range(2, 9):
-                assert is_trivial_mod_n(G, f, n) == is_n_divisible(G, f, n).divisible
+                trivial = is_trivial_mod_n(G, f, n)
+                assert trivial == is_n_divisible(G, f, n).divisible
+                assert trivial == h2_structure(G, n).project(f).is_zero()
+
+
+# -- properties of the class projection on relabeled groups -------------------
+
+@lru_cache(maxsize=None)
+def _d2_snf(index):
+    return smith_normal_form(coboundary_matrices(SMALL_GROUPS[index])[1], want_u=False)
+
+
+def _cocycle_basis(index, n):
+    """Vectors spanning {f : d2 f = 0 mod n} on SMALL_GROUPS[index] (over Z
+    for n None): the columns of V, scaled on the rank block of d2."""
+    snf = _d2_snf(index)
+    out = []
+    for j in range(snf.V.cols):
+        d = snf.diagonal[j] if j < len(snf.diagonal) else 0
+        if not d:
+            out.append(snf.V.col(j))
+        elif n is not None:
+            out.append([v * (n // gcd(d, n)) for v in snf.V.col(j)])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _coboundary_solver(index, n):
+    """SNF of [d1 | nI] on SMALL_GROUPS[index] (of d1 for n None): f is a
+    coboundary over the coefficient ring iff f = d1 u + n w is solvable."""
+    d1 = coboundary_matrices(SMALL_GROUPS[index])[0]
+    if n is None:
+        return smith_normal_form(d1)
+    return smith_normal_form([row + [n * (i == j) for j in range(d1.rows)]
+                              for i, row in enumerate(d1.data)])
+
+
+@st.composite
+def relabelings(draw, groups):
+    index = draw(st.integers(0, len(groups) - 1))
+    G = groups[index]
+    perm = [0] + draw(st.permutations(range(1, G.order)))
+    return index, perm, relabeled(G, perm)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_projection_is_faithful_additive_and_kills_relations(data):
+    index, perm, G = data.draw(relabelings(SMALL_GROUPS))
+    n = data.draw(st.sampled_from([None] + list(range(2, 13))))
+    basis = _cocycle_basis(index, n)
+    m = G.order
+    small = st.integers(-3, 3)
+
+    def draw_cocycle():
+        """A cocycle mod n on the base group's labels, and its copy on G."""
+        coeffs = data.draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+        vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range((m - 1) ** 2)]
+        base = cochain_matrix(SMALL_GROUPS[index], vec)
+        f = [[0] * m for _ in range(m)]
+        for g in range(m):
+            for h in range(m):
+                f[perm[g]][perm[h]] = base[g][h]
+        assert is_cocycle_mod(G, f, n)
+        return vec, f
+
+    (fvec, f), (_, g) = draw_cocycle(), draw_cocycle()
+    u = [0] + data.draw(st.lists(small, min_size=m - 1, max_size=m - 1))
+    w = data.draw(st.lists(small, min_size=m * m, max_size=m * m)) if n else [0] * (m * m)
+    shifted = [[f[a][b] + u[a] + u[b] - u[G.table[a][b]] + (n or 0) * w[a * m + b]
+                if a and b else 0 for b in range(m)] for a in range(m)]
+    H = h2_structure(G, n)
+    pf = H.project(f)
+    assert pf.is_zero() == (solve_int(_coboundary_solver(index, n), fvec) is not None)
+    assert H.project(shifted).coords == pf.coords
+    total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(f, g)]
+    assert H.project(total).coords == (pf + H.project(g)).coords
+
+
+def _span(generators, moduli):
+    """The subgroup of (+) Z/e (e in moduli) that the generators generate."""
+    seen = {tuple(0 for _ in moduli)}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = tuple((a + b) % e for a, b, e in zip(x, g, moduli))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def test_projection_is_onto():
+    # with the relations killed (property test above) and |H^2| matching the
+    # closed forms, a projection onto the whole group is an isomorphism; the
+    # groups with H_2 != 0 are the ones whose classes reach the rank block
+    for G, _, h2 in NONCYCLIC_HOMOLOGY:
+        if not h2:
+            continue
+        index = SMALL_GROUPS.index(G)
+        for n in [None] + list(range(2, 13)):
+            H = h2_structure(G, n)
+            images = [H.project(cochain_matrix(G, b)).coords for b in _cocycle_basis(index, n)]
+            assert len(_span(images, H.invariant_factors)) == prod(H.invariant_factors), (G.name, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_projection_is_zero_iff_trivial_mod_n_on_orderings(data):
+    _, _, G = data.draw(relabelings(SMALL_GROUPS[:9]))   # Z/2 .. Z/10
+    n = data.draw(st.integers(2, 12))
+    H = h2_structure(G, n)
+    for arr in enumerate_circular_orders(G):
+        f = arrangement_to_inhom(arr)
+        assert H.project(f).is_zero() == is_trivial_mod_n(G, f, n)
 
 
 def test_divisibility_matches_gcd_rule_for_cyclic():
