@@ -36,7 +36,7 @@ from .obstruction import (MAPPING_CLASS_GROUP_SPECTRUM, ObstructionSpectrum,
                           TorsionProfile, bico_product_decision,
                           cyclic_quotient_stats, exponent_facts,
                           iterated_nonco_bound, spectrum_finite,
-                          spectrum_membership, spectrum_torsion_part)
+                          spectrum_torsion_part)
 from .promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
                         PromElement, abelianization_image, ball,
                         evaluate_word, kernel_is_positive, phi,

@@ -21,11 +21,6 @@ from .obstruction import (VERDICT_ALL_MULTIPLES, exponent_facts,
 from . import promislow as prom
 
 
-# the CLI's own cross-checks raise the library's CheckFailed, so every
-# failed check, in the CLI or below it, exits 1
-MathCheckFailed = CheckFailed
-
-
 def _spectrum_payload(spectrum, max_n: int) -> dict:
     return {
         "minimal_elements": list(spectrum.minimal),
@@ -76,7 +71,7 @@ def cmd_product_co(args) -> tuple[dict, str]:
         product = direct_product(G, cyclic_group(n)).group
         direct = bool(enumerate_circular_orders(product))
         if direct != verdict:
-            raise MathCheckFailed(
+            raise CheckFailed(
                 f"divisibility verdict {verdict} but direct search found "
                 f"{'an ordering' if direct else 'none'} on the product")
         cross = "agrees"
@@ -117,7 +112,7 @@ def cmd_obstruction(args) -> tuple[dict, str]:
 def cmd_promislow(args) -> tuple[dict, str]:
     report = prom.demo(seed=args.seed, radius=args.radius, samples=args.samples)
     if not report["ok"]:
-        raise MathCheckFailed("promislow self-checks failed; see the JSON report")
+        raise CheckFailed("promislow self-checks failed; see the JSON report")
     summary = (f"promislow: relators ok, cone ok, "
                f"{report['axioms_exhaustive_ball2']['checked']} exhaustive + "
                f"{report['axioms_sampled']['checked']} sampled axiom checks ok "
@@ -174,7 +169,7 @@ def main(argv=None) -> int:
     except (InvalidGroupError, AxiomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MathCheckFailed as exc:
+    except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     if args.json:

@@ -15,11 +15,18 @@ while im d1 lies in the kernel block.  So H^2(G; Z/n) splits as
 factors of the kernel block modulo im d1; that is the universal coefficient
 theorem (Brown, Cohomology of Groups, III.1).  H^2(G; Z) is the same
 projection with an empty rank block.
+
+The divisibility tests read the same cached data: n-divisibility of [f] is
+solved in the Smith basis of im d1 inside the cocycle lattice, and mod-n
+triviality of an integral cocycle is the same question.  So no Smith normal
+form depends on n; the only ones computed are those of d2 and of d1 in
+kernel coordinates, once per group, and a diagonal one per H^2 structure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -468,8 +475,11 @@ def coboundary_matrices(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT):
 
 def cocycle_vector(G: FiniteGroup, f) -> list[int]:
     """Flatten a normalized 2-cochain matrix to nonidentity-pair coordinates."""
+    return _flatten(G.order, f)
+
+
+def _flatten(n: int, f) -> list[int]:
     values = f.values if isinstance(f, InhomCircularOrder) else f
-    n = G.order
     for g in range(n):
         if values[g][0] != 0 or values[0][g] != 0:
             raise AxiomError("normalization", (g,), "cochain not normalized")
@@ -488,15 +498,16 @@ def cochain_matrix(G: FiniteGroup, vec: Sequence[int]) -> list[list[int]]:
     return out
 
 
+@lru_cache(maxsize=None)
 class _Complex:
     """Cached per-group data: d1, d2, the Smith normal form of d2, the
-    integer cocycle lattice, and the H^2 structures and solvers built on them."""
+    integer cocycle lattice, im d1 in its Smith basis, and the H^2 structures
+    built on them.  Cached by multiplication table (`cache_clear` and
+    `cache_info` clear and size the cache); nothing here depends on names."""
 
-    def __init__(self, G: FiniteGroup, max_order: int):
-        self.group = G
-        self.d1, self.d2 = coboundary_matrices(G, max_order=max_order)
-        self.c1 = self.d1.cols
-        self.c2 = self.d1.rows
+    def __init__(self, G: FiniteGroup):
+        self.order = G.order
+        self.d1, self.d2 = coboundary_matrices(G, max_order=G.order)
         snf2 = smith_normal_form(self.d2, want_u=False, want_vinv=True)
         self.rank2 = snf2.rank
         self.d2_factors = snf2.diagonal[:self.rank2]
@@ -504,19 +515,17 @@ class _Complex:
         self.kernel_dim = self.kernel.cols
         self.vinv = snf2.Vinv
         # d1 columns in kernel coordinates (d2 @ d1 = 0 guarantees they fit)
-        cols = []
-        for j in range(self.c1):
-            cols.append(self.kernel_coords(self.d1.col(j)))
-        self.d1_in_kernel = IntMatrix([[cols[j][i] for j in range(self.c1)]
-                                       for i in range(self.kernel_dim)],
-                                      cols=self.c1)
-        # Z^k / im d1 = (+) Z/a_j in the coordinates rel_U @ (kernel coords);
-        # a_j = 0 past the rank of d1_in_kernel marks a free summand
+        c1 = self.d1.cols
+        cols = [self.kernel_coords(self.d1.col(j)) for j in range(c1)]
+        self.d1_in_kernel = IntMatrix([[cols[j][i] for j in range(c1)]
+                                       for i in range(self.kernel_dim)], cols=c1)
+        # rel_U @ d1_in_kernel @ rel_V = diag(a_j), so Z^k / im d1 = (+) Z/a_j
+        # in the coordinates rel_U @ (kernel coords); a_j = 0 past the rank of
+        # d1_in_kernel marks a free summand
         rel = smith_normal_form(self.d1_in_kernel)
-        self.rel_U = rel.U
+        self.rel_U, self.rel_V = rel.U, rel.V
         self.rel_factors = (rel.diagonal + (0,) * self.kernel_dim)[:self.kernel_dim]
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
-        self.solvers: dict = {}       # ("triv" | "div", n) -> SNFResult
 
     def kernel_coords(self, vec: Sequence[int]) -> list[int]:
         y = self.vinv.mul_vector(list(vec))
@@ -524,23 +533,19 @@ class _Complex:
             raise AxiomError("cocycle", (), "vector is not in the kernel of d2")
         return y[self.rank2:]
 
-    def is_cocycle(self, vec: Sequence[int], modulus: Optional[int]) -> bool:
-        image = self.d2.mul_vector(list(vec))
-        if modulus is None:
-            return all(v == 0 for v in image)
-        return all(v % modulus == 0 for v in image)
-
-
-_complex_cache: dict = {}
+    def cocycle(self, f, modulus: Optional[int]) -> list[int]:
+        """f as a vector, checked to satisfy d2 f = 0 over Z (modulus None)
+        or Z/modulus."""
+        vec = _flatten(self.order, f)
+        if any(v % modulus if modulus else v for v in self.d2.mul_vector(vec)):
+            raise AxiomError("cocycle", (), "d2 f != 0 over the coefficient ring")
+        return vec
 
 
 def _complex_for(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT) -> _Complex:
     if G.order > max_order:
         raise BoundExceeded(f"cohomology: order {G.order} > limit {max_order}")
-    got = _complex_cache.get(G)
-    if got is None:
-        got = _complex_cache[G] = _Complex(G, max_order)
-    return got
+    return _Complex(G)
 
 
 @dataclass
@@ -555,7 +560,6 @@ class H2Structure:
     n / gcd(d_i, n) (over Z the block is zero and dropped), then the fixed
     integer matrix `_coords`, reduced mod each factor.
     """
-    group: FiniteGroup
     modulus: Optional[int]
     invariant_factors: tuple
     _complex: _Complex = field(repr=False)
@@ -564,10 +568,7 @@ class H2Structure:
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
-        vec = cocycle_vector(self.group, f)
-        if not comp.is_cocycle(vec, self.modulus):
-            raise AxiomError("cocycle", (), "d2 f != 0 over the coefficient ring")
-        y = comp.vinv.mul_vector(vec)
+        y = comp.vinv.mul_vector(comp.cocycle(f, self.modulus))
         head, x = y[:comp.rank2], y[comp.rank2:]
         if self.modulus is None:
             require(not any(head), "d2 f = 0 but V^-1 f has a nonzero rank block")
@@ -636,7 +637,7 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
     selected = IntMatrix([block[i] for i in keep], cols=r + k)
     rows = [j for j, e in enumerate(snf.diagonal) if e != 1]
     coords = IntMatrix([snf.U.data[j] for j in rows], cols=len(keep)) @ selected
-    got = H2Structure(G, modulus, tuple(snf.diagonal[j] for j in rows), comp, steps, coords)
+    got = H2Structure(modulus, tuple(snf.diagonal[j] for j in rows), comp, steps, coords)
     comp.structures[modulus] = got
     return got
 
@@ -652,60 +653,42 @@ class DivisibilityWitness(NamedTuple):
     coboundary_of: Optional[list]  # 1-cochain u with f = n*mu + d1 u
 
 
-def _as_vector(G: FiniteGroup, f) -> list[int]:
-    comp = _complex_for(G)
-    vec = cocycle_vector(G, f)
-    if not comp.is_cocycle(vec, None):
-        raise AxiomError("cocycle", (), "d2 f != 0 over Z")
-    return vec
-
-
 def is_trivial_mod_n(G: FiniteGroup, f, n: int) -> bool:
-    """Whether the mod-n reduction of f is a coboundary over Z/n coefficients.
+    """Whether the mod-n reduction of the integral cocycle f is a coboundary
+    over Z/n coefficients, i.e. f = d1 u + n w for integer u, w.
 
-    Solved exactly: f = d1 u + n w for integer u, w.
+    For integral f that is exactly n-divisibility of [f] (d2 w = 0 follows
+    from d2 f = 0), so this is `is_n_divisible`, witness check included.
     """
-    if n < 2:
-        raise ValueError(f"n = {n} < 2")
-    comp = _complex_for(G)
-    vec = _as_vector(G, f)
-    snf = comp.solvers.get(("triv", n))
-    if snf is None:
-        aug = IntMatrix([row + [n if i == j else 0 for j in range(comp.c2)]
-                         for i, row in enumerate(comp.d1.data)], cols=comp.c1 + comp.c2)
-        snf = comp.solvers["triv", n] = smith_normal_form(aug)
-    sol = solve_int(snf, vec)
-    if sol is None:
-        return False
-    u, w = sol[:comp.c1], sol[comp.c1:]
-    got = comp.d1.mul_vector(u)
-    require(all(g + n * wi == v for g, wi, v in zip(got, w, vec)),
-            "solver returned a bad coboundary witness")
-    return True
+    return is_n_divisible(G, f, n).divisible
 
 
 def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     """Whether [f] = n*mu for some mu in H^2(G; Z), with a re-verified witness.
 
-    The linear system f = n*mu + d1 u is solved over the integer cocycle
-    lattice; any returned witness is checked by direct substitution.
+    Read off the group's cached complex, so no Smith normal form depends on
+    n.  In kernel coordinates x of f, f = n*mu + d1 u reads x = n y + A u with
+    A = d1 in kernel coordinates; with U A V = diag(a_j) and z = U x it splits
+    into z_j = n y'_j + a_j u'_j, solvable iff gcd(n, a_j) | z_j for every j.
+    The witness u = V u', y = (x - A u) / n is checked by exact division and
+    then by direct substitution.
     """
     if n < 2:
         raise ValueError(f"n = {n} < 2")
     comp = _complex_for(G)
-    vec = _as_vector(G, f)
-    wf = comp.kernel_coords(vec)
-    k = comp.kernel_dim
-    snf = comp.solvers.get(("div", n))
-    if snf is None:
-        aug = IntMatrix([[n if i == j else 0 for j in range(k)] + comp.d1_in_kernel.data[i]
-                         for i in range(k)], cols=k + comp.c1)
-        snf = comp.solvers["div", n] = smith_normal_form(aug)
-    sol = solve_int(snf, wf)
-    if sol is None:
-        return DivisibilityWitness(False, None, None)
-    y, u = sol[:k], sol[k:]
-    mu_vec = comp.kernel.mul_vector(y)
+    vec = comp.cocycle(f, None)
+    x = comp.kernel_coords(vec)
+    u_smith = [0] * comp.d1.cols
+    for j, (z, a) in enumerate(zip(comp.rel_U.mul_vector(x), comp.rel_factors)):
+        g, _, t = _gcdext(n, a)
+        if z % g:
+            return DivisibilityWitness(False, None, None)
+        if j < len(u_smith):
+            u_smith[j] = t * (z // g)
+    u = comp.rel_V.mul_vector(u_smith)
+    rest = [xi - ai for xi, ai in zip(x, comp.d1_in_kernel.mul_vector(u))]
+    require(all(v % n == 0 for v in rest), "x - A u is not divisible by n")
+    mu_vec = comp.kernel.mul_vector([v // n for v in rest])
     # direct substitution: d2 mu = 0 and f = n*mu + d1 u, exactly
     require(all(v == 0 for v in comp.d2.mul_vector(mu_vec)), "witness mu is not a cocycle")
     d1u = comp.d1.mul_vector(u)

@@ -26,7 +26,7 @@ from .errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from .groups import (FiniteGroup, GroupHom, group_from_json, group_to_json,
                      is_normal, is_subgroup, quotient, subgroup_generated,
                      ASSOCIATIVITY_CHECK_LIMIT)
-from .orders import InhomCircularOrder, validate_inhom
+from .orders import InhomCircularOrder, inhom_failures, validate_inhom
 
 MATERIALIZATION_LIMIT = 1024
 
@@ -115,24 +115,6 @@ class CentralExtensionGroup:
         return self._materialized
 
 
-def _check_cocycle_table(G: FiniteGroup, values) -> tuple:
-    values = tuple(tuple(row) for row in values)
-    n = G.order
-    if len(values) != n or any(len(r) != n for r in values):
-        raise AxiomError("shape", (len(values),), f"want {n} x {n}")
-    for g in range(n):
-        if values[0][g] != 0 or values[g][0] != 0:
-            raise AxiomError("normalization", (g,))
-    table = G.table
-    for g in range(n):
-        for h in range(n):
-            gh = table[g][h]
-            for k in range(n):
-                if values[h][k] - values[gh][k] + values[g][table[h][k]] - values[g][h]:
-                    raise AxiomError("cocycle", (g, h, k))
-    return values
-
-
 def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> CentralExtensionGroup:
     """Central extension of G by Z (modulus None) or Z/modulus from cocycle f.
 
@@ -145,11 +127,11 @@ def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> Central
         if f.group != G:
             raise InvalidGroupError("cocycle lives on a different group")
         return CentralExtensionGroup(G, f.values, modulus, is_order=True)
-    values = _check_cocycle_table(G, f)
-    try:
-        validate_inhom(G, values)
-        is_order = True
-    except AxiomError:
+    values = tuple(tuple(row) for row in f)
+    is_order = True
+    for failure in inhom_failures(G, values):
+        if failure.kind not in ("value-range", "inverse-pair"):
+            raise failure
         is_order = False
     return CentralExtensionGroup(G, values, modulus, is_order=is_order)
 

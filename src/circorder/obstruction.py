@@ -112,10 +112,6 @@ class ObstructionSpectrum:
         return " u ".join(f"{m}N" for m in self.minimal)
 
 
-def spectrum_membership(spectrum: ObstructionSpectrum, n: int) -> bool:
-    return spectrum.membership(n)
-
-
 # The spectrum of the mapping class group of a once-punctured genus >= 2
 # surface is everything: by the Mann-Wolff rigidity theorem every circular
 # ordering of it represents the (primitive) Euler class, which is never

@@ -106,28 +106,37 @@ def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
     Distinct kinds: "shape", "value-range", "normalization", "inverse-pair",
     "cocycle".
     """
-    n = G.order
     values = tuple(tuple(row) for row in values)
+    for failure in inhom_failures(G, values):
+        raise failure
+    return InhomCircularOrder(G, values)
+
+
+def inhom_failures(G: FiniteGroup, values):
+    """Lazily yield an AxiomError for the first failure of each inhomogeneous
+    axiom, in the order validate_inhom reports them: "shape" (and nothing
+    after it), "value-range", "normalization", "inverse-pair", "cocycle"."""
+    n = G.order
     if len(values) != n or any(len(row) != n for row in values):
-        raise AxiomError("shape", (len(values),), f"want {n} x {n}")
-    for g in range(n):
-        for h in range(n):
-            if values[g][h] not in (0, 1):
-                raise AxiomError("value-range", (g, h), f"value {values[g][h]}")
-    for g in range(n):
-        if values[0][g] != 0 or values[g][0] != 0:
-            raise AxiomError("normalization", (g,))
-    for g in range(1, n):
-        if values[g][G.inverse[g]] != 1:
-            raise AxiomError("inverse-pair", (g,))
+        yield AxiomError("shape", (len(values),), f"want {n} x {n}")
+        return
+    bad = next(((g, h) for g in range(n) for h in range(n) if values[g][h] not in (0, 1)), None)
+    if bad is not None:
+        yield AxiomError("value-range", bad, f"value {values[bad[0]][bad[1]]}")
+    bad = next((g for g in range(n) if values[0][g] != 0 or values[g][0] != 0), None)
+    if bad is not None:
+        yield AxiomError("normalization", (bad,))
+    bad = next((g for g in range(1, n) if values[g][G.inverse[g]] != 1), None)
+    if bad is not None:
+        yield AxiomError("inverse-pair", (bad,))
     table = G.table
     for g in range(n):
         for h in range(n):
             gh = table[g][h]
             for k in range(n):
                 if values[h][k] - values[gh][k] + values[g][table[h][k]] - values[g][h] != 0:
-                    raise AxiomError("cocycle", (g, h, k))
-    return InhomCircularOrder(G, values)
+                    yield AxiomError("cocycle", (g, h, k))
+                    return
 
 
 def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
@@ -272,7 +281,15 @@ def hom_to_arrangement(c: HomCircularOrder) -> Arrangement:
 
 
 def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
-    return hom_to_inhom(arrangement_to_hom(a))
+    """The carry bit f(g, h) = [pos g + pos h >= |G|]: an arrangement is an
+    isomorphism onto Z/|G| by position, and this is standard_order_zn pulled
+    back along it."""
+    G = a.group
+    n = G.order
+    pos = [0] * n
+    for p, g in enumerate(a.sequence):
+        pos[g] = p
+    return validate_inhom(G, [[int(pos[g] + pos[h] >= n) for h in range(n)] for g in range(n)])
 
 
 # -- enumeration -----------------------------------------------------------

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import signal
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
+from circorder.cohomology import (coboundary_matrices, cocycle_vector,
+                                  smith_normal_form, solve_int)
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group,
                               direct_product, symmetric_group, trivial_group)
 
@@ -296,3 +299,23 @@ def brute_h2_order_modn(G: FiniteGroup, n: int, limit: int = 20000) -> int:
         coboundaries.add(key)
     assert cocycles % len(coboundaries) == 0
     return cocycles // len(coboundaries)
+
+
+@lru_cache(maxsize=None)
+def coboundary_solver(G: FiniteGroup, n):
+    """SNF of [d1 | nI] on G (of d1 for n None): f is a coboundary over the
+    coefficient ring iff f = d1 u + n w is solvable over Z.
+
+    This is the direct route the library does not take: it shares the Smith
+    normal form engine, but solves on the whole cochain space with an SNF per
+    modulus, not on the cocycle lattice of the cached d2 SNF."""
+    d1 = coboundary_matrices(G)[0]
+    if n is None:
+        return smith_normal_form(d1)
+    return smith_normal_form([row + [n * (i == j) for j in range(d1.rows)]
+                              for i, row in enumerate(d1.data)])
+
+
+def is_coboundary_mod(G: FiniteGroup, f, n) -> bool:
+    """Whether f = d1 u + n w for integer u, w (f = d1 u for n None)."""
+    return solve_int(coboundary_solver(G, n), cocycle_vector(G, f)) is not None

@@ -134,13 +134,13 @@ def test_human_readable_output(capsys, group_file):
     assert rc == 0 and "2 circular ordering" in out
 
 
-# Runs under `python -O`, where bare asserts vanish: a corrupted SNF and
-# solvers that return wrong witnesses must still raise CheckFailed, and the
-# CLI must still exit 1 on it.
+# Runs under `python -O`, where bare asserts vanish: a corrupted SNF, and a
+# corrupted cached Smith basis of im d1 that yields wrong witnesses, must still
+# raise CheckFailed, and the CLI must still exit 1 on it.
 _CORRUPTED_CHECKS = r"""
 import json, sys
-from circorder import (CheckFailed, cli, cohomology, cyclic_group, dump_group,
-                       standard_order_zn)
+from circorder import (CheckFailed, IntMatrix, cli, cohomology, cyclic_group,
+                       dump_group, standard_order_zn)
 
 def raises_check_failed(call):
     try:
@@ -152,8 +152,9 @@ def raises_check_failed(call):
 snf = cohomology.smith_normal_form([[2, 0], [0, 3]])
 snf.diagonal = (1, 5)
 results = {"optimized": not __debug__, "verify": raises_check_failed(snf.verify)}
-cohomology.solve_int = lambda snf, b: [1] * snf.matrix.cols
 G, f = cyclic_group(4), standard_order_zn(4)
+comp = cohomology._Complex(G)
+comp.rel_V = IntMatrix([[-v for v in row] for row in comp.rel_V.data])
 results["is_trivial_mod_n"] = raises_check_failed(lambda: cohomology.is_trivial_mod_n(G, f, 3))
 results["is_n_divisible"] = raises_check_failed(lambda: cohomology.is_n_divisible(G, f, 3))
 dump_group(G, sys.argv[1])

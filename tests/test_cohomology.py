@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circorder.errors import AxiomError, BoundExceeded
-from circorder.groups import (cyclic_group, dihedral_group, direct_product,
+from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
                               symmetric_group, trivial_group)
 from circorder.orders import (arrangement_to_inhom, enumerate_circular_orders,
                               standard_order_zn)
-from circorder.cohomology import (IntMatrix, class_of, coboundary_matrices,
+from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
                                   cochain_matrix, cocycle_vector, h2_structure,
                                   is_n_divisible, is_trivial_mod_n,
                                   kernel_basis, smith_normal_form, solve_int)
 
 from helpers import (brute_h2_order_modn, invariant_factors_from_diagonal,
-                     invariant_factors_of_sum, is_cocycle_mod,
+                     invariant_factors_of_sum, is_coboundary_mod, is_cocycle_mod,
                      minors_gcd_invariant_factors, naive_diagonalize,
                      relabeled, seeded_random_matrices, time_budget)
 
@@ -181,6 +181,19 @@ def test_h2_mod_n_matches_uct():
                 assert h2_structure(G, n).invariant_factors == want, (G.name, n)
 
 
+def test_cache_is_keyed_by_table_and_carries_no_names():
+    A = cyclic_group(4)
+    B = FiniteGroup(A.table, names=["e", "x", "x^2", "x^3"], name="C4")
+    _Complex.cache_clear()
+    HA = h2_structure(A)
+    assert h2_structure(B) is HA and not hasattr(HA, "group")
+    assert _Complex.cache_info().currsize == 1
+    mu = is_n_divisible(B, standard_order_zn(4).values, 3).mu
+    assert class_of(B, mu).scale(3).coords == class_of(A, standard_order_zn(4)).coords
+    _Complex.cache_clear()
+    assert _Complex.cache_info().currsize == 0
+
+
 def test_order_bound_is_checked_on_cache_hits():
     G = relabeled(cyclic_group(8), [0, 2, 1, 3, 4, 5, 6, 7])
     for modulus in (None, 2):
@@ -301,17 +314,6 @@ def _cocycle_basis(index, n):
     return out
 
 
-@lru_cache(maxsize=None)
-def _coboundary_solver(index, n):
-    """SNF of [d1 | nI] on SMALL_GROUPS[index] (of d1 for n None): f is a
-    coboundary over the coefficient ring iff f = d1 u + n w is solvable."""
-    d1 = coboundary_matrices(SMALL_GROUPS[index])[0]
-    if n is None:
-        return smith_normal_form(d1)
-    return smith_normal_form([row + [n * (i == j) for j in range(d1.rows)]
-                              for i, row in enumerate(d1.data)])
-
-
 @st.composite
 def relabelings(draw, groups):
     index = draw(st.integers(0, len(groups) - 1))
@@ -320,35 +322,39 @@ def relabelings(draw, groups):
     return index, perm, relabeled(G, perm)
 
 
+SMALL = st.integers(-3, 3)
+
+
+def _draw_cocycle(data, index, perm, n):
+    """A random combination of the cocycle basis mod n on SMALL_GROUPS[index]
+    (over Z for n None), and its copy on the relabeled group."""
+    basis = _cocycle_basis(index, n)
+    m = SMALL_GROUPS[index].order
+    coeffs = data.draw(st.lists(SMALL, min_size=len(basis), max_size=len(basis)))
+    vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range((m - 1) ** 2)]
+    base = cochain_matrix(SMALL_GROUPS[index], vec)
+    f = [[0] * m for _ in range(m)]
+    for g in range(m):
+        for h in range(m):
+            f[perm[g]][perm[h]] = base[g][h]
+    return base, f
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_projection_is_faithful_additive_and_kills_relations(data):
     index, perm, G = data.draw(relabelings(SMALL_GROUPS))
     n = data.draw(st.sampled_from([None] + list(range(2, 13))))
-    basis = _cocycle_basis(index, n)
     m = G.order
-    small = st.integers(-3, 3)
-
-    def draw_cocycle():
-        """A cocycle mod n on the base group's labels, and its copy on G."""
-        coeffs = data.draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
-        vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range((m - 1) ** 2)]
-        base = cochain_matrix(SMALL_GROUPS[index], vec)
-        f = [[0] * m for _ in range(m)]
-        for g in range(m):
-            for h in range(m):
-                f[perm[g]][perm[h]] = base[g][h]
-        assert is_cocycle_mod(G, f, n)
-        return vec, f
-
-    (fvec, f), (_, g) = draw_cocycle(), draw_cocycle()
-    u = [0] + data.draw(st.lists(small, min_size=m - 1, max_size=m - 1))
-    w = data.draw(st.lists(small, min_size=m * m, max_size=m * m)) if n else [0] * (m * m)
+    (base, f), (_, g) = _draw_cocycle(data, index, perm, n), _draw_cocycle(data, index, perm, n)
+    assert is_cocycle_mod(G, f, n) and is_cocycle_mod(G, g, n)
+    u = [0] + data.draw(st.lists(SMALL, min_size=m - 1, max_size=m - 1))
+    w = data.draw(st.lists(SMALL, min_size=m * m, max_size=m * m)) if n else [0] * (m * m)
     shifted = [[f[a][b] + u[a] + u[b] - u[G.table[a][b]] + (n or 0) * w[a * m + b]
                 if a and b else 0 for b in range(m)] for a in range(m)]
     H = h2_structure(G, n)
     pf = H.project(f)
-    assert pf.is_zero() == (solve_int(_coboundary_solver(index, n), fvec) is not None)
+    assert pf.is_zero() == is_coboundary_mod(SMALL_GROUPS[index], base, n)
     assert H.project(shifted).coords == pf.coords
     total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(f, g)]
     assert H.project(total).coords == (pf + H.project(g)).coords
@@ -391,6 +397,27 @@ def test_projection_is_zero_iff_trivial_mod_n_on_orderings(data):
     for arr in enumerate_circular_orders(G):
         f = arrangement_to_inhom(arr)
         assert H.project(f).is_zero() == is_trivial_mod_n(G, f, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_divisibility_matches_the_coboundary_oracle(data):
+    index, perm, G = data.draw(relabelings(SMALL_GROUPS))
+    n = data.draw(st.integers(2, 12))
+    scale = data.draw(st.sampled_from([1, n]))    # n times a cocycle is always divisible
+    base, f = (
+        [[scale * v for v in row] for row in matrix]
+        for matrix in _draw_cocycle(data, index, perm, None))
+    divisible = is_coboundary_mod(SMALL_GROUPS[index], base, n)
+    assert divisible or scale == 1
+    result = is_n_divisible(G, f, n)
+    assert result.divisible == is_trivial_mod_n(G, f, n) == divisible
+    if divisible:
+        d1, _ = coboundary_matrices(G)
+        d1u = d1.mul_vector(result.coboundary_of)
+        assert is_cocycle_mod(G, result.mu, None)
+        assert cocycle_vector(G, f) == [n * m + c for m, c in
+                                        zip(cocycle_vector(G, result.mu), d1u)]
 
 
 def test_divisibility_matches_gcd_rule_for_cyclic():

@@ -7,8 +7,7 @@ from circorder.obstruction import (MAPPING_CLASS_GROUP_SPECTRUM,
                                    bico_product_decision, cyclic_quotient_stats,
                                    exponent_facts, is_prime,
                                    iterated_nonco_bound, prime_factors,
-                                   spectrum_finite, spectrum_membership,
-                                   spectrum_torsion_part)
+                                   spectrum_finite, spectrum_torsion_part)
 
 from helpers import primes_dividing
 
@@ -158,9 +157,9 @@ def test_cyclic_quotient_stats_brute_force_cross_check():
 
 def test_membership_helper_and_promislow_spectrum_shape():
     s = ObstructionSpectrum.from_elements([4])
-    assert spectrum_membership(s, 4) and spectrum_membership(s, 12)
-    assert not spectrum_membership(s, 2) and not spectrum_membership(s, 6)
-    assert spectrum_membership(ObstructionSpectrum.from_elements([2, 3]), 9)
+    assert s.membership(4) and 12 in s
+    assert not s.membership(2) and 6 not in s
+    assert 9 in ObstructionSpectrum.from_elements([2, 3])
     assert MAPPING_CLASS_GROUP_SPECTRUM.is_all
 
 

@@ -113,6 +113,7 @@ def test_round_trips_all_orderings_up_to_order_8():
             assert inhom_to_hom(f).values == c.values
             assert hom_to_inhom(inhom_to_hom(f)).values == f.values
             assert hom_to_arrangement(c).sequence == arr.sequence
+            assert arrangement_to_inhom(arr).values == f.values
 
 
 def test_antisymmetry_property():
