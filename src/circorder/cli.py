@@ -31,6 +31,19 @@ def _spectrum_payload(spectrum, max_n: int) -> dict:
     }
 
 
+def integer_ge_2(text: str) -> int:
+    """argparse type: an integer >= 2 (argparse reports int()'s ValueError)."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{value} is not an integer >= 2")
+    return value
+
+
+def torsion_orders(text: str) -> list[int]:
+    """argparse type: comma or space separated integers >= 2."""
+    return [integer_ge_2(tok) for tok in text.replace(",", " ").split()]
+
+
 def cmd_enumerate(args) -> tuple[dict, str]:
     G = load_group(args.group)
     arrangements = enumerate_circular_orders(G, max_order=args.max_order)
@@ -92,7 +105,7 @@ def cmd_obstruction(args) -> tuple[dict, str]:
                    **_spectrum_payload(spectrum, max_n)}
         return payload, f"Ob({G.name}) = {spectrum.describe()}"
     if args.torsion_orders:
-        orders = [int(tok) for tok in args.torsion_orders.replace(",", " ").split()]
+        orders = args.torsion_orders
         spectrum = spectrum_torsion_part(orders)
         payload = {"mode": "torsion", "orders": orders,
                    **_spectrum_payload(spectrum, max_n)}
@@ -142,8 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstruction", help="obstruction spectrum report")
     p.add_argument("--group")
-    p.add_argument("--torsion-orders", help="comma or space separated torsion orders")
-    p.add_argument("--exponent", type=int, help="exponent of H^2(G;Z)")
+    p.add_argument("--torsion-orders", type=torsion_orders,
+                   help="comma or space separated torsion orders")
+    p.add_argument("--exponent", type=integer_ge_2, help="exponent of H^2(G;Z)")
     p.add_argument("--not-lo", action="store_true",
                    help="assert the group is not left-orderable")
     p.add_argument("--max-n", type=int, default=12)

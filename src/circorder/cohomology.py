@@ -7,26 +7,30 @@ cohomology classes of circular orderings.  Cochains are normalized (they
 vanish when any argument is the identity), so degree-k cochains on a group of
 order m live in Z^((m-1)^k).
 
-One Smith normal form of d2 per group serves every coefficient ring.  With
-U d2 V = diag(d_1..d_r, 0..) and y = V^-1 f, the cocycle condition mod n
-reads d_i y_i = 0 mod n on the rank block and leaves the kernel block free,
-while im d1 lies in the kernel block.  So H^2(G; Z/n) splits as
-(+) Z/gcd(d_i, n) (+) (+) Z/gcd(a_j, n), with a_j the integral invariant
-factors of the kernel block modulo im d1; that is the universal coefficient
-theorem (Brown, Cohomology of Groups, III.1).  H^2(G; Z) is the same
-projection with an empty rank block.
+Integral classes come from the Smith normal form of d1, which is
+(|G|-1)^2 x (|G|-1) and injective (H^1(G; Z) = Hom(G, Z) = 0).  With
+U d1 V = diag(e_1..e_m), m = |G| - 1, the cokernel of d1 is
+(+) Z/e_j (+) Z^(m^2 - m), and H^2(G; Z) = ker d2 / im d1 is exactly its
+torsion subgroup: it is finite, and C^2 / ker d2 embeds in the free group
+C^3 (Brown, Cohomology of Groups, III.1).  So the class of an integral
+cocycle f has coordinates (U f)_j mod e_j for j < m, and (U f)_j = 0 past m.
+n-divisibility of [f] is solved in the same Smith basis, and mod-n
+triviality of an integral cocycle is the same question, so no Smith normal
+form depends on n.
 
-The divisibility tests read the same cached data: n-divisibility of [f] is
-solved in the Smith basis of im d1 inside the cocycle lattice, and mod-n
-triviality of an integral cocycle is the same question.  So no Smith normal
-form depends on n; the only ones computed are those of d2 and of d1 in
-kernel coordinates, once per group, and a diagonal one per H^2 structure.
+The Smith normal form of d2, (|G|-1)^3 x (|G|-1)^2, is computed only for
+Z/n coefficients, once per group.  With U' d2 V' = diag(d_1..d_r, 0..) and
+y = V'^-1 f, the cocycle condition mod n reads d_i y_i = 0 mod n on the rank
+block and leaves the kernel block free, while im d1 lies in the kernel
+block.  So H^2(G; Z/n) splits as (+) Z/gcd(d_i, n) (+) (+) Z/gcd(e_j, n),
+the kernel block read in the class coordinates above; that is the universal
+coefficient theorem (Brown, III.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -61,17 +65,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def column(cls, entries: Sequence[int]) -> "IntMatrix":
-        return cls([[v] for v in entries], cols=1)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.data, cols=self.cols)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -98,13 +91,6 @@ class IntMatrix:
 
     def col(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.col(j) for j in range(self.cols)], cols=self.rows)
-
-    def is_diagonal(self) -> bool:
-        return all(v == 0 for i, row in enumerate(self.data)
-                   for j, v in enumerate(row) if i != j)
 
     def determinant(self) -> int:
         """Bareiss fraction-free elimination (square matrices)."""
@@ -498,40 +484,40 @@ def cochain_matrix(G: FiniteGroup, vec: Sequence[int]) -> list[list[int]]:
     return out
 
 
+class _D2Smith(NamedTuple):
+    """The Smith normal form data of d2 that Z/n coefficients need."""
+    rank: int
+    factors: tuple              # d_1 .. d_rank
+    vinv: IntMatrix             # V^-1 of U d2 V = diag(d_i)
+    kernel_classes: IntMatrix   # ker d2 basis (trailing columns of V) in class coordinates
+
+
 @lru_cache(maxsize=None)
 class _Complex:
-    """Cached per-group data: d1, d2, the Smith normal form of d2, the
-    integer cocycle lattice, im d1 in its Smith basis, and the H^2 structures
-    built on them.  Cached by multiplication table (`cache_clear` and
-    `cache_info` clear and size the cache); nothing here depends on names."""
+    """Cached per-group data: d1, d2, the Smith normal form of d1 and the
+    H^2 structures built on them.  With U d1 V = diag(e_1..e_m), m = |G| - 1,
+    `U` keeps the first m rows of U (the class coordinates), `V` and
+    `factors` = (e_j) are kept whole; every e_j is nonzero because d1 is
+    injective (H^1(G; Z) = 0).  The Smith normal form of d2 is computed on
+    first use (`d2_smith`), which only Z/n coefficients make.  Cached by
+    multiplication table (`cache_clear` and `cache_info` clear and size the
+    cache); nothing here depends on names."""
 
     def __init__(self, G: FiniteGroup):
         self.order = G.order
         self.d1, self.d2 = coboundary_matrices(G, max_order=G.order)
-        snf2 = smith_normal_form(self.d2, want_u=False, want_vinv=True)
-        self.rank2 = snf2.rank
-        self.d2_factors = snf2.diagonal[:self.rank2]
-        self.kernel = kernel_basis(snf2)          # c2 x k
-        self.kernel_dim = self.kernel.cols
-        self.vinv = snf2.Vinv
-        # d1 columns in kernel coordinates (d2 @ d1 = 0 guarantees they fit)
-        c1 = self.d1.cols
-        cols = [self.kernel_coords(self.d1.col(j)) for j in range(c1)]
-        self.d1_in_kernel = IntMatrix([[cols[j][i] for j in range(c1)]
-                                       for i in range(self.kernel_dim)], cols=c1)
-        # rel_U @ d1_in_kernel @ rel_V = diag(a_j), so Z^k / im d1 = (+) Z/a_j
-        # in the coordinates rel_U @ (kernel coords); a_j = 0 past the rank of
-        # d1_in_kernel marks a free summand
-        rel = smith_normal_form(self.d1_in_kernel)
-        self.rel_U, self.rel_V = rel.U, rel.V
-        self.rel_factors = (rel.diagonal + (0,) * self.kernel_dim)[:self.kernel_dim]
+        snf1 = smith_normal_form(self.d1)
+        m = self.d1.cols
+        self.U = IntMatrix(snf1.U.data[:m], cols=self.d1.rows)
+        self.V = snf1.V
+        self.factors = snf1.diagonal
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
 
-    def kernel_coords(self, vec: Sequence[int]) -> list[int]:
-        y = self.vinv.mul_vector(list(vec))
-        if any(y[i] != 0 for i in range(self.rank2)):
-            raise AxiomError("cocycle", (), "vector is not in the kernel of d2")
-        return y[self.rank2:]
+    @cached_property
+    def d2_smith(self) -> _D2Smith:
+        snf2 = smith_normal_form(self.d2, want_u=False, want_vinv=True)
+        return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
+                        self.U @ kernel_basis(snf2))
 
     def cocycle(self, f, modulus: Optional[int]) -> list[int]:
         """f as a vector, checked to satisfy d2 f = 0 over Z (modulus None)
@@ -552,13 +538,14 @@ def _complex_for(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT) -> _Complex:
 class H2Structure:
     """Invariant factors of H^2(G; A) plus the class-projection data.
 
-    `invariant_factors` lists the nonunit factors in divisibility order,
-    with 0 marking free summands (none occur for Z/n coefficients).
-    The projection sends a cocycle vector to coordinates that are killed
-    exactly on the coboundary lattice, additively: y = V^-1 f from the d2
-    Smith normal form, the rank block of y divided exactly by its steps
-    n / gcd(d_i, n) (over Z the block is zero and dropped), then the fixed
-    integer matrix `_coords`, reduced mod each factor.
+    `invariant_factors` lists the nonunit factors in divisibility order; all
+    are nonzero, since H^2(G; Z) and H^2(G; Z/n) are finite.  The projection
+    sends a cocycle vector to coordinates that are killed exactly on the
+    coboundary lattice, additively.  Over Z it is the fixed integer matrix
+    `_coords` (rows of U from the d1 Smith normal form) applied to f.  Over
+    Z/n it first takes y = V^-1 f from the d2 Smith normal form and divides
+    the rank block of y exactly by its steps n / gcd(d_i, n), then applies
+    `_coords`.  Coordinates are reduced mod each factor.
     """
     modulus: Optional[int]
     invariant_factors: tuple
@@ -568,17 +555,17 @@ class H2Structure:
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
-        y = comp.vinv.mul_vector(comp.cocycle(f, self.modulus))
-        head, x = y[:comp.rank2], y[comp.rank2:]
-        if self.modulus is None:
-            require(not any(head), "d2 f = 0 but V^-1 f has a nonzero rank block")
-        else:
+        x = comp.cocycle(f, self.modulus)
+        if self.modulus is not None:
+            d2 = comp.d2_smith
+            y = d2.vinv.mul_vector(x)
+            head = y[:d2.rank]
             require(all(v % step == 0 for v, step in zip(head, self._steps)),
                     "d2 f = 0 mod n but the rank block of V^-1 f is off its steps")
-            x = [v // step for v, step in zip(head, self._steps)] + x
+            x = [v // step for v, step in zip(head, self._steps)] + y[d2.rank:]
         coords = self._coords.mul_vector(x)
         return CohomologyClass(self, tuple(
-            c % e if e else c for c, e in zip(coords, self.invariant_factors)))
+            c % e for c, e in zip(coords, self.invariant_factors)))
 
     def zero_class(self) -> "CohomologyClass":
         return CohomologyClass(self, tuple(0 for _ in self.invariant_factors))
@@ -595,28 +582,24 @@ class CohomologyClass:
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         if other.structure is not self.structure:
             raise ValueError("classes live in different structures")
-        return self._combine(other.coords, 1)
+        return CohomologyClass(self.structure, tuple(
+            (a + b) % e
+            for a, b, e in zip(self.coords, other.coords, self.structure.invariant_factors)))
 
     def scale(self, k: int) -> "CohomologyClass":
         return CohomologyClass(self.structure, tuple(
-            (c * k) % e if e else c * k
-            for c, e in zip(self.coords, self.structure.invariant_factors)))
-
-    def _combine(self, coords, sign):
-        return CohomologyClass(self.structure, tuple(
-            (a + sign * b) % e if e else a + sign * b
-            for a, b, e in zip(self.coords, coords, self.structure.invariant_factors)))
+            (c * k) % e for c, e in zip(self.coords, self.structure.invariant_factors)))
 
 
 def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
                  max_order: int = H2_ORDER_LIMIT) -> H2Structure:
     """H^2(G; Z) for modulus None, else H^2(G; Z/modulus).
 
-    Both are read off the group's one cached Smith normal form of d2 (see the
-    module docstring): the summands are Z/gcd(d_i, n) on the rank block of d2
-    (Z/n only) and Z/gcd(a_j, n) on its kernel block modulo im d1 (Z/a_j over
-    Z).  One Smith normal form of the diagonal of nonunit orders puts them in
-    divisibility order.
+    Over Z the summands are Z/e_j from the group's cached Smith normal form
+    of d1 (see the module docstring).  Over Z/n they are Z/gcd(d_i, n) on the
+    rank block of d2 and Z/gcd(e_j, n) on its kernel block, in the class
+    coordinates of the kernel basis.  One Smith normal form of the diagonal
+    of nonunit orders puts them in divisibility order.
     """
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus {modulus} < 2")
@@ -624,17 +607,20 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
     got = comp.structures.get(modulus)
     if got is not None:
         return got
-    steps = () if modulus is None else tuple(
-        modulus // gcd(d, modulus) for d in comp.d2_factors)
-    r, k = len(steps), comp.kernel_dim
-    orders = ([modulus // step for step in steps]
-              + [gcd(a, modulus or 0) for a in comp.rel_factors])
-    block = ([[int(i == j) for j in range(r)] + [0] * k for i in range(r)]
-             + [[0] * r + row for row in comp.rel_U.data])
-    # block maps (rank quotients, kernel coords) to coordinates mod `orders`
+    if modulus is None:
+        steps, orders, block = (), comp.factors, comp.U
+    else:
+        d2 = comp.d2_smith
+        steps = tuple(modulus // gcd(d, modulus) for d in d2.factors)
+        r, k = len(steps), d2.kernel_classes.cols
+        orders = ([modulus // step for step in steps]
+                  + [gcd(e, modulus) for e in comp.factors])
+        # maps (rank quotients, kernel coords) to coordinates mod `orders`
+        block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k for i in range(r)]
+                          + [[0] * r + row for row in d2.kernel_classes.data], cols=r + k)
     keep = [i for i, o in enumerate(orders) if o != 1]
     snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
-    selected = IntMatrix([block[i] for i in keep], cols=r + k)
+    selected = IntMatrix([block.data[i] for i in keep], cols=block.cols)
     rows = [j for j, e in enumerate(snf.diagonal) if e != 1]
     coords = IntMatrix([snf.U.data[j] for j in rows], cols=len(keep)) @ selected
     got = H2Structure(modulus, tuple(snf.diagonal[j] for j in rows), comp, steps, coords)
@@ -666,32 +652,30 @@ def is_trivial_mod_n(G: FiniteGroup, f, n: int) -> bool:
 def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     """Whether [f] = n*mu for some mu in H^2(G; Z), with a re-verified witness.
 
-    Read off the group's cached complex, so no Smith normal form depends on
-    n.  In kernel coordinates x of f, f = n*mu + d1 u reads x = n y + A u with
-    A = d1 in kernel coordinates; with U A V = diag(a_j) and z = U x it splits
-    into z_j = n y'_j + a_j u'_j, solvable iff gcd(n, a_j) | z_j for every j.
-    The witness u = V u', y = (x - A u) / n is checked by exact division and
-    then by direct substitution.
+    Read off the group's cached Smith normal form U d1 V = diag(e_j), so no
+    Smith normal form depends on n.  With z = U f (its first m entries; the
+    rest vanish on a cocycle), f = n*mu + d1 u splits into
+    z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff gcd(n, e_j) | z_j
+    for every j.  The witness mu = (f - d1 u) / n is checked by exact
+    division and then by direct substitution.
     """
     if n < 2:
         raise ValueError(f"n = {n} < 2")
     comp = _complex_for(G)
     vec = comp.cocycle(f, None)
-    x = comp.kernel_coords(vec)
-    u_smith = [0] * comp.d1.cols
-    for j, (z, a) in enumerate(zip(comp.rel_U.mul_vector(x), comp.rel_factors)):
-        g, _, t = _gcdext(n, a)
+    u_smith = []
+    for z, e in zip(comp.U.mul_vector(vec), comp.factors):
+        g, _, t = _gcdext(n, e)
         if z % g:
             return DivisibilityWitness(False, None, None)
-        if j < len(u_smith):
-            u_smith[j] = t * (z // g)
-    u = comp.rel_V.mul_vector(u_smith)
-    rest = [xi - ai for xi, ai in zip(x, comp.d1_in_kernel.mul_vector(u))]
-    require(all(v % n == 0 for v in rest), "x - A u is not divisible by n")
-    mu_vec = comp.kernel.mul_vector([v // n for v in rest])
+        u_smith.append(t * (z // g))
+    u = comp.V.mul_vector(u_smith)
+    d1u = comp.d1.mul_vector(u)
+    rest = [fv - c for fv, c in zip(vec, d1u)]
+    require(all(v % n == 0 for v in rest), "f - d1 u is not divisible by n")
+    mu_vec = [v // n for v in rest]
     # direct substitution: d2 mu = 0 and f = n*mu + d1 u, exactly
     require(all(v == 0 for v in comp.d2.mul_vector(mu_vec)), "witness mu is not a cocycle")
-    d1u = comp.d1.mul_vector(u)
     require(all(fv == n * m + c for fv, m, c in zip(vec, mu_vec, d1u)),
             "witness fails direct substitution")
     return DivisibilityWitness(True, cochain_matrix(G, mu_vec), list(u))

@@ -215,15 +215,13 @@ def minimal_generator(G: FiniteGroup, f) -> int:
     candidates = [z for z in range(1, G.order)
                   if all(f.values[z][g] == 0
                          for g in range(G.order) if g != G.inverse[z])]
-    if len(candidates) != 1:
-        raise AxiomError("minimal-generator", tuple(candidates),
-                         "not exactly one candidate (invalid ordering?)")
+    require(len(candidates) == 1,
+            f"minimal generator: candidates {candidates}, want exactly one")
     z = candidates[0]
     E = build_extension(G, f)
     lift = CentralExtElement(0, z)
-    if G.element_order(z) != G.order or E.power(lift, G.order) != E.iota(1):
-        raise AxiomError("minimal-generator", (z,),
-                         "lift (0, z) does not generate the Z-extension")
+    require(G.element_order(z) == G.order and E.power(lift, G.order) == E.iota(1),
+            f"minimal generator: lift (0, {z}) does not generate the Z-extension")
     return z
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import AxiomError, InvalidGroupError
+from .errors import InvalidGroupError, require
 from .groups import FiniteGroup, all_subgroups, quotient
 from .orders import arrangement_to_inhom, enumerate_circular_orders
 from .cohomology import is_n_divisible
@@ -168,9 +168,8 @@ def spectrum_finite(G: FiniteGroup,
         orderings = [arrangement_to_inhom(a) for a in enumerate_circular_orders(G)]
         for n in range(2, max(k, 8) + 1):
             divisible = any(is_n_divisible(G, f, n).divisible for f in orderings)
-            if divisible == spectrum.membership(n):
-                raise AxiomError("spectrum", (k, n),
-                                 "divisibility pipeline disagrees with the gcd rule")
+            require(divisible != spectrum.membership(n),
+                    f"Z/{k} x Z/{n}: divisibility pipeline disagrees with the gcd rule")
     return spectrum
 
 

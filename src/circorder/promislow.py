@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .errors import BoundExceeded, InvalidGroupError
+from .errors import BoundExceeded, CheckFailed, InvalidGroupError
 from .obstruction import ObstructionSpectrum
 from .orders import LeftOrderOracle, lexicographic_circular_order
 
@@ -157,7 +157,7 @@ def abelianization_image(p: PromElement) -> tuple[int, int]:
         p = prom_mul(_LETTERS["B"], p)
         b_exp = 1
     if p.m != 0:
-        raise AssertionError(f"stripping failed on {p}")
+        raise CheckFailed(f"abelianization: stripping failed on {p}")
     x, y, z = p.w
     return ((a_exp + x - z) % 4, (b_exp + y - z) % 4)
 

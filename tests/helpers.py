@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
-from circorder.cohomology import (coboundary_matrices, cocycle_vector,
+from circorder.cohomology import (IntMatrix, coboundary_matrices, cocycle_vector,
                                   smith_normal_form, solve_int)
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group,
                               direct_product, symmetric_group, trivial_group)
@@ -319,3 +319,34 @@ def coboundary_solver(G: FiniteGroup, n):
 def is_coboundary_mod(G: FiniteGroup, f, n) -> bool:
     """Whether f = d1 u + n w for integer u, w (f = d1 u for n None)."""
     return solve_int(coboundary_solver(G, n), cocycle_vector(G, f)) is not None
+
+
+@lru_cache(maxsize=None)
+def kernel_route(G: FiniteGroup):
+    """H^2(G; Z) through the cocycle lattice: the SNF of d2 gives coordinates
+    x = (V^-1 f)[r:] in a basis of ker d2, and the SNF of d1 in those
+    coordinates gives Z^k / im d1 = (+) Z/a_j in the coordinates U x.
+
+    This is the route the library no longer takes for integral classes: it
+    needs the cubic-size SNF of d2.  Returns (Vinv, r, U, (a_j)), with a_j = 0
+    past the rank of d1 marking a free summand."""
+    d1, d2 = coboundary_matrices(G)
+    snf2 = smith_normal_form(d2, want_u=False, want_vinv=True)
+    r = snf2.rank
+    k = d2.cols - r
+    d1_in_kernel = IntMatrix(snf2.Vinv.data[r:], cols=d2.cols) @ d1
+    rel = smith_normal_form(d1_in_kernel)
+    return snf2.Vinv, r, rel.U, (rel.diagonal + (0,) * k)[:k]
+
+
+def kernel_route_factors(G: FiniteGroup) -> tuple:
+    """Nonunit invariant factors of H^2(G; Z) by the kernel route."""
+    return tuple(a for a in kernel_route(G)[3] if a != 1)
+
+
+def kernel_route_class(G: FiniteGroup, f) -> tuple:
+    """Coordinates of the integral cocycle f in (+) Z/a_j by the kernel route."""
+    vinv, r, U, factors = kernel_route(G)
+    y = vinv.mul_vector(cocycle_vector(G, f))
+    assert not any(y[:r]), "f is not an integral cocycle"
+    return tuple(z % a if a else z for z, a in zip(U.mul_vector(y[r:]), factors))

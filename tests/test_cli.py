@@ -112,6 +112,27 @@ def test_obstruction_requires_a_mode(capsys):
     assert main(["obstruction"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["--torsion-orders", "x"], ["--torsion-orders", "1"],
+                                  ["--torsion-orders", "4, 1"], ["--exponent", "1"]])
+def test_obstruction_rejects_bad_numbers_as_usage_errors(capsys, argv):
+    # exit 2 (invalid input) with a usage message, not exit 1 with a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruction", *argv])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_obstruction_reports_a_failed_cross_check(capsys, group_file, monkeypatch):
+    # spectrum_finite re-derives the gcd rule from the divisibility pipeline;
+    # a pipeline that calls every class divisible must make it exit 1
+    from circorder import obstruction
+    from circorder.cohomology import DivisibilityWitness
+    monkeypatch.setattr(obstruction, "is_n_divisible",
+                        lambda G, f, n: DivisibilityWitness(True, None, None))
+    assert main(["obstruction", "--group", group_file(cyclic_group(6))]) == 1
+    assert "check failed" in capsys.readouterr().err
+
+
 def test_promislow_demo(capsys):
     rc, payload = run_json(capsys, ["promislow", "--samples", "2000", "--seed", "7"])
     assert rc == 0
@@ -135,8 +156,8 @@ def test_human_readable_output(capsys, group_file):
 
 
 # Runs under `python -O`, where bare asserts vanish: a corrupted SNF, and a
-# corrupted cached Smith basis of im d1 that yields wrong witnesses, must still
-# raise CheckFailed, and the CLI must still exit 1 on it.
+# corrupted cached V of the d1 Smith normal form that yields wrong witnesses,
+# must still raise CheckFailed, and the CLI must still exit 1 on it.
 _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (CheckFailed, IntMatrix, cli, cohomology, cyclic_group,
@@ -154,7 +175,7 @@ snf.diagonal = (1, 5)
 results = {"optimized": not __debug__, "verify": raises_check_failed(snf.verify)}
 G, f = cyclic_group(4), standard_order_zn(4)
 comp = cohomology._Complex(G)
-comp.rel_V = IntMatrix([[-v for v in row] for row in comp.rel_V.data])
+comp.V = IntMatrix([[-v for v in row] for row in comp.V.data])
 results["is_trivial_mod_n"] = raises_check_failed(lambda: cohomology.is_trivial_mod_n(G, f, 3))
 results["is_n_divisible"] = raises_check_failed(lambda: cohomology.is_n_divisible(G, f, 3))
 dump_group(G, sys.argv[1])

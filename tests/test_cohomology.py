@@ -5,6 +5,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circorder import cohomology
 from circorder.errors import AxiomError, BoundExceeded
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
                               symmetric_group, trivial_group)
@@ -17,6 +18,7 @@ from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matr
 
 from helpers import (brute_h2_order_modn, invariant_factors_from_diagonal,
                      invariant_factors_of_sum, is_coboundary_mod, is_cocycle_mod,
+                     kernel_route_class, kernel_route_factors,
                      minors_gcd_invariant_factors, naive_diagonalize,
                      relabeled, seeded_random_matrices, time_budget)
 
@@ -194,6 +196,34 @@ def test_cache_is_keyed_by_table_and_carries_no_names():
     assert _Complex.cache_info().currsize == 0
 
 
+def test_integral_questions_never_reduce_d2(monkeypatch):
+    G = dihedral_group(5)
+    m = G.order - 1
+    shapes = []
+
+    def recording(M, *args, **kwargs):
+        result = smith_normal_form(M, *args, **kwargs)
+        shapes.append((result.matrix.rows, result.matrix.cols))
+        return result
+
+    monkeypatch.setattr(cohomology, "smith_normal_form", recording)
+    _Complex.cache_clear()
+    # the pullback of the Z/2 ordering cocycle along the sign map of D5,
+    # whose reflections are its elements of order 2
+    reflection = [G.element_order(g) == 2 for g in range(G.order)]
+    f = [[int(a and b) for b in reflection] for a in reflection]
+    assert h2_structure(G).invariant_factors == (2,)
+    assert class_of(G, f).coords == (1,)
+    assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
+    assert is_trivial_mod_n(G, f, 3) and not is_trivial_mod_n(G, f, 4)
+    assert shapes and all(rows < m ** 3 for rows, _ in shapes), shapes
+    shapes.clear()
+    h2_structure(G, 4)
+    h2_structure(G, 3)
+    assert [rows for rows, _ in shapes].count(m ** 3) == 1, shapes
+    _Complex.cache_clear()
+
+
 def test_order_bound_is_checked_on_cache_hits():
     G = relabeled(cyclic_group(8), [0, 2, 1, 3, 4, 5, 6, 7])
     for modulus in (None, 2):
@@ -325,6 +355,15 @@ def relabelings(draw, groups):
 SMALL = st.integers(-3, 3)
 
 
+def _relabel_cochain(base, perm):
+    m = len(base)
+    f = [[0] * m for _ in range(m)]
+    for g in range(m):
+        for h in range(m):
+            f[perm[g]][perm[h]] = base[g][h]
+    return f
+
+
 def _draw_cocycle(data, index, perm, n):
     """A random combination of the cocycle basis mod n on SMALL_GROUPS[index]
     (over Z for n None), and its copy on the relabeled group."""
@@ -333,11 +372,28 @@ def _draw_cocycle(data, index, perm, n):
     coeffs = data.draw(st.lists(SMALL, min_size=len(basis), max_size=len(basis)))
     vec = [sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range((m - 1) ** 2)]
     base = cochain_matrix(SMALL_GROUPS[index], vec)
-    f = [[0] * m for _ in range(m)]
-    for g in range(m):
-        for h in range(m):
-            f[perm[g]][perm[h]] = base[g][h]
-    return base, f
+    return base, _relabel_cochain(base, perm)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_integral_classes_match_the_kernel_route(data):
+    # the kernel route (SNF of d2, then of d1 in kernel coordinates) is the
+    # independent oracle for the library's d1-only route
+    index, perm, G = data.draw(relabelings(SMALL_GROUPS))
+    B = SMALL_GROUPS[index]
+    m = B.order
+    assert h2_structure(G).invariant_factors == kernel_route_factors(B)
+    (f_base, f), (h_base, _) = (_draw_cocycle(data, index, perm, None),
+                                _draw_cocycle(data, index, perm, None))
+    k = data.draw(st.sampled_from([0, 1, m]))       # |G| kills H^2(G; Z)
+    u = [0] + data.draw(st.lists(SMALL, min_size=m - 1, max_size=m - 1))
+    g_base = [[f_base[a][b] + k * h_base[a][b] + u[a] + u[b] - u[B.table[a][b]]
+               if a and b else 0 for b in range(m)] for a in range(m)]
+    difference = [[x - y for x, y in zip(rf, rg)] for rf, rg in zip(f_base, g_base)]
+    same = class_of(G, f).coords == class_of(G, _relabel_cochain(g_base, perm)).coords
+    assert same == (not any(kernel_route_class(B, difference)))
+    assert same or k == 1
 
 
 @settings(max_examples=30, deadline=None)
