@@ -31,6 +31,13 @@ def _spectrum_payload(spectrum, max_n: int) -> dict:
     }
 
 
+def integer_ge_0(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer >= 0")
+    return int(text)
+
+
 def integer_ge_2(text: str) -> int:
     """argparse type: an integer >= 2 (argparse reports int()'s ValueError)."""
     value = int(text)
@@ -68,8 +75,6 @@ def cmd_enumerate(args) -> tuple[dict, str]:
 def cmd_product_co(args) -> tuple[dict, str]:
     G = load_group(args.group)
     n = args.n
-    if n < 2:
-        raise InvalidGroupError(f"--n must be >= 2, got {n}")
     arrangements = enumerate_circular_orders(G, max_order=args.max_order)
     witness = None
     for arr in arrangements:
@@ -148,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product-co",
                        help="decide circular orderability of G x Z/n with witness")
     p.add_argument("--group", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer_ge_2, required=True)
     p.add_argument("--max-order", type=int, default=ENUMERATION_ORDER_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_product_co)
@@ -166,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("promislow", help="run the Promislow group self-check demo")
     p.add_argument("--seed", type=int, default=prom.DEFAULT_SEED)
-    p.add_argument("--radius", type=int, default=5)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--radius", type=integer_ge_0, default=5)
+    p.add_argument("--samples", type=integer_ge_0, default=100_000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_promislow)
     return parser

@@ -18,13 +18,13 @@ n-divisibility of [f] is solved in the same Smith basis, and mod-n
 triviality of an integral cocycle is the same question, so no Smith normal
 form depends on n.
 
-The Smith normal form of d2, (|G|-1)^3 x (|G|-1)^2, is computed only for
-Z/n coefficients, once per group.  With U' d2 V' = diag(d_1..d_r, 0..) and
-y = V'^-1 f, the cocycle condition mod n reads d_i y_i = 0 mod n on the rank
-block and leaves the kernel block free, while im d1 lies in the kernel
-block.  So H^2(G; Z/n) splits as (+) Z/gcd(d_i, n) (+) (+) Z/gcd(e_j, n),
-the kernel block read in the class coordinates above; that is the universal
-coefficient theorem (Brown, III.1).
+Cocycles are checked on the table (orders.cocycle_failure); d2, which is
+(|G|-1)^3 x (|G|-1)^2, is built and reduced only for Z/n coefficients, once
+per group.  With U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the
+cocycle condition mod n reads d_i y_i = 0 mod n on the rank block and leaves
+the kernel block free, while im d1 lies in the kernel block.  So H^2(G; Z/n)
+splits as (+) Z/gcd(d_i, n) (+) (+) Z/gcd(e_j, n), the kernel block read in
+the class coordinates above (the universal coefficient theorem, Brown III.1).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import AxiomError, BoundExceeded, require
 from .groups import FiniteGroup
-from .orders import InhomCircularOrder
+from .orders import InhomCircularOrder, cocycle_failure
 
 H2_ORDER_LIMIT = 10
 
@@ -461,11 +461,10 @@ def coboundary_matrices(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT):
 
 def cocycle_vector(G: FiniteGroup, f) -> list[int]:
     """Flatten a normalized 2-cochain matrix to nonidentity-pair coordinates."""
-    return _flatten(G.order, f)
+    return _flatten(G.order, f.values if isinstance(f, InhomCircularOrder) else f)
 
 
-def _flatten(n: int, f) -> list[int]:
-    values = f.values if isinstance(f, InhomCircularOrder) else f
+def _flatten(n: int, values) -> list[int]:
     for g in range(n):
         if values[g][0] != 0 or values[0][g] != 0:
             raise AxiomError("normalization", (g,), "cochain not normalized")
@@ -494,18 +493,18 @@ class _D2Smith(NamedTuple):
 
 @lru_cache(maxsize=None)
 class _Complex:
-    """Cached per-group data: d1, d2, the Smith normal form of d1 and the
+    """Cached per-group data: the table, d1, its Smith normal form and the
     H^2 structures built on them.  With U d1 V = diag(e_1..e_m), m = |G| - 1,
     `U` keeps the first m rows of U (the class coordinates), `V` and
     `factors` = (e_j) are kept whole; every e_j is nonzero because d1 is
-    injective (H^1(G; Z) = 0).  The Smith normal form of d2 is computed on
-    first use (`d2_smith`), which only Z/n coefficients make.  Cached by
+    injective (H^1(G; Z) = 0).  Cocycles are checked on the table, so d2 is
+    only built and reduced on first use (`d2_smith`), for Z/n.  Cached by
     multiplication table (`cache_clear` and `cache_info` clear and size the
     cache); nothing here depends on names."""
 
     def __init__(self, G: FiniteGroup):
-        self.order = G.order
-        self.d1, self.d2 = coboundary_matrices(G, max_order=G.order)
+        self.table = G.table
+        self.d1 = coboundary_matrices(G, max_order=G.order)[0]
         snf1 = smith_normal_form(self.d1)
         m = self.d1.cols
         self.U = IntMatrix(snf1.U.data[:m], cols=self.d1.rows)
@@ -515,17 +514,18 @@ class _Complex:
 
     @cached_property
     def d2_smith(self) -> _D2Smith:
-        snf2 = smith_normal_form(self.d2, want_u=False, want_vinv=True)
+        d2 = coboundary_matrices(FiniteGroup(self.table, validate=False), len(self.table))[1]
+        snf2 = smith_normal_form(d2, want_u=False, want_vinv=True)
         return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
                         self.U @ kernel_basis(snf2))
 
     def cocycle(self, f, modulus: Optional[int]) -> list[int]:
-        """f as a vector, checked to satisfy d2 f = 0 over Z (modulus None)
-        or Z/modulus."""
-        vec = _flatten(self.order, f)
-        if any(v % modulus if modulus else v for v in self.d2.mul_vector(vec)):
-            raise AxiomError("cocycle", (), "d2 f != 0 over the coefficient ring")
-        return vec
+        """f as a vector, checked by orders.cocycle_failure over Z or Z/modulus."""
+        values = f.values if isinstance(f, InhomCircularOrder) else f
+        failure = cocycle_failure(self.table, values, modulus)
+        if failure is not None:
+            raise failure
+        return _flatten(len(self.table), values)
 
 
 def _complex_for(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT) -> _Complex:
@@ -566,9 +566,6 @@ class H2Structure:
         coords = self._coords.mul_vector(x)
         return CohomologyClass(self, tuple(
             c % e for c, e in zip(coords, self.invariant_factors)))
-
-    def zero_class(self) -> "CohomologyClass":
-        return CohomologyClass(self, tuple(0 for _ in self.invariant_factors))
 
 
 @dataclass(frozen=True)
@@ -674,8 +671,9 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     rest = [fv - c for fv, c in zip(vec, d1u)]
     require(all(v % n == 0 for v in rest), "f - d1 u is not divisible by n")
     mu_vec = [v // n for v in rest]
-    # direct substitution: d2 mu = 0 and f = n*mu + d1 u, exactly
-    require(all(v == 0 for v in comp.d2.mul_vector(mu_vec)), "witness mu is not a cocycle")
+    # direct substitution: mu is a cocycle and f = n*mu + d1 u, exactly
+    mu = cochain_matrix(G, mu_vec)
+    require(cocycle_failure(comp.table, mu) is None, "witness mu is not a cocycle")
     require(all(fv == n * m + c for fv, m, c in zip(vec, mu_vec, d1u)),
             "witness fails direct substitution")
-    return DivisibilityWitness(True, cochain_matrix(G, mu_vec), list(u))
+    return DivisibilityWitness(True, mu, list(u))

@@ -103,7 +103,7 @@ def left_order_from_cone(G: FiniteGroup, positive: Iterable[int]) -> LeftOrderOr
 def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
     """Check the inhomogeneous axioms; raise AxiomError with a witness tuple.
 
-    Distinct kinds: "shape", "value-range", "normalization", "inverse-pair",
+    Distinct kinds: "shape", "value-range", "inverse-pair", "normalization",
     "cocycle".
     """
     values = tuple(tuple(row) for row in values)
@@ -113,9 +113,9 @@ def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
 
 
 def inhom_failures(G: FiniteGroup, values):
-    """Lazily yield an AxiomError for the first failure of each inhomogeneous
-    axiom, in the order validate_inhom reports them: "shape" (and nothing
-    after it), "value-range", "normalization", "inverse-pair", "cocycle"."""
+    """Lazily yield an AxiomError for the first failure of each axiom in the
+    order validate_inhom reports them: "shape" (and nothing after it),
+    "value-range", "inverse-pair", and last cocycle_failure's kinds."""
     n = G.order
     if len(values) != n or any(len(row) != n for row in values):
         yield AxiomError("shape", (len(values),), f"want {n} x {n}")
@@ -123,20 +123,32 @@ def inhom_failures(G: FiniteGroup, values):
     bad = next(((g, h) for g in range(n) for h in range(n) if values[g][h] not in (0, 1)), None)
     if bad is not None:
         yield AxiomError("value-range", bad, f"value {values[bad[0]][bad[1]]}")
-    bad = next((g for g in range(n) if values[0][g] != 0 or values[g][0] != 0), None)
-    if bad is not None:
-        yield AxiomError("normalization", (bad,))
     bad = next((g for g in range(1, n) if values[g][G.inverse[g]] != 1), None)
     if bad is not None:
         yield AxiomError("inverse-pair", (bad,))
-    table = G.table
-    for g in range(n):
-        for h in range(n):
-            gh = table[g][h]
-            for k in range(n):
-                if values[h][k] - values[gh][k] + values[g][table[h][k]] - values[g][h] != 0:
-                    yield AxiomError("cocycle", (g, h, k))
-                    return
+    failure = cocycle_failure(G.table, values)   # subtracts entries: after value-range
+    if failure is not None:
+        yield failure
+
+
+def cocycle_failure(table, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
+    """The package's one check of the 2-cocycle identity: the first failure of
+    `values` to be a normalized cocycle over Z (modulus None) or Z/modulus on
+    the group with multiplication table `table` ("shape", "normalization", or
+    "cocycle" at the first (g, h, k) with f(h,k) - f(gh,k) + f(g,hk) != f(g,h))."""
+    n = len(table)
+    if len(values) != n or any(len(row) != n for row in values):
+        return AxiomError("shape", (len(values),), f"want {n} x {n}")
+    bad = next((g for g in range(n) if values[0][g] != 0 or values[g][0] != 0), None)
+    if bad is not None:
+        return AxiomError("normalization", (bad,))
+    for g in range(1, n):   # triples with the identity hold once f is normalized
+        for h in range(1, n):
+            fg, fh, fgh, th = values[g], values[h], values[table[g][h]], table[h]
+            for k in range(1, n):
+                v = fh[k] - fgh[k] + fg[th[k]] - fg[h]
+                if v % modulus if modulus else v:
+                    return AxiomError("cocycle", (g, h, k), f"the identity gives {v}")
 
 
 def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:

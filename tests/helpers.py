@@ -264,6 +264,14 @@ def is_cocycle_mod(G: FiniteGroup, f, n) -> bool:
     return True
 
 
+def d2_annihilates(G: FiniteGroup, f, n) -> bool:
+    """Whether d2 f = 0 over Z (n None) or mod n, by the dense product with
+    d2 from coboundary_matrices: the oracle for orders.cocycle_failure, which
+    the library checks on the multiplication table instead."""
+    d2 = coboundary_matrices(G)[1]
+    return not any(v % n if n else v for v in d2.mul_vector(cocycle_vector(G, f)))
+
+
 def invariant_factors_of_sum(orders) -> tuple:
     """Nonunit invariant factors of the direct sum of the cyclic groups Z/o."""
     return tuple(d for d in invariant_factors_from_diagonal(list(orders)) if d != 1)

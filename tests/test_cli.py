@@ -122,6 +122,19 @@ def test_obstruction_rejects_bad_numbers_as_usage_errors(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["promislow", "--radius", "-1"],
+                                  ["promislow", "--samples", "-3"],
+                                  ["product-co", "--group", "g.json", "--n", "1"],
+                                  ["product-co", "--group", "g.json", "--n", "x"]])
+def test_bad_counts_are_usage_errors(capsys, argv):
+    # a negative radius is bad input (exit 2), not an exceeded bound (exit 3),
+    # and a negative sample count must not pass as a run with no checks
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_obstruction_reports_a_failed_cross_check(capsys, group_file, monkeypatch):
     # spectrum_finite re-derives the gcd rule from the divisibility pipeline;
     # a pipeline that calls every class divisible must make it exit 1

@@ -9,14 +9,14 @@ from circorder import cohomology
 from circorder.errors import AxiomError, BoundExceeded
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
                               symmetric_group, trivial_group)
-from circorder.orders import (arrangement_to_inhom, enumerate_circular_orders,
-                              standard_order_zn)
+from circorder.orders import (arrangement_to_inhom, cocycle_failure,
+                              enumerate_circular_orders, standard_order_zn)
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
                                   cochain_matrix, cocycle_vector, h2_structure,
                                   is_n_divisible, is_trivial_mod_n,
                                   kernel_basis, smith_normal_form, solve_int)
 
-from helpers import (brute_h2_order_modn, invariant_factors_from_diagonal,
+from helpers import (brute_h2_order_modn, d2_annihilates, invariant_factors_from_diagonal,
                      invariant_factors_of_sum, is_coboundary_mod, is_cocycle_mod,
                      kernel_route_class, kernel_route_factors,
                      minors_gcd_invariant_factors, naive_diagonalize,
@@ -217,6 +217,9 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
     assert is_trivial_mod_n(G, f, 3) and not is_trivial_mod_n(G, f, 4)
     assert shapes and all(rows < m ** 3 for rows, _ in shapes), shapes
+    held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
+    assert held and all(M.rows < m ** 3 for M in held), held
+    assert "d2_smith" not in vars(_Complex(G))
     shapes.clear()
     h2_structure(G, 4)
     h2_structure(G, 3)
@@ -271,8 +274,24 @@ def test_class_of_is_coboundary_invariant_and_additive():
 def test_class_of_rejects_non_cocycles():
     G = cyclic_group(3)
     bad = [[0, 0, 0], [0, 1, 1], [0, 1, 1]]
-    with pytest.raises(AxiomError):
+    with pytest.raises(AxiomError) as err:
         class_of(G, bad)
+    assert err.value.kind == "cocycle" and len(err.value.witness) == 3
+    g, h, k = err.value.witness
+    assert bad[h][k] - bad[G.table[g][h]][k] + bad[g][G.table[h][k]] - bad[g][h] != 0
+
+
+def test_cochains_of_the_wrong_shape_are_rejected():
+    # a 4 x 4 matrix whose top-left block is a Z/3 ordering, and a 3 x 2 one
+    G = cyclic_group(3)
+    padded = [list(row) + [0] for row in standard_order_zn(3).values] + [[0] * 4]
+    short = [[0, 0], [0, 0], [0, 1]]
+    for f in (padded, short):
+        for ask in (lambda: class_of(G, f), lambda: is_n_divisible(G, f, 2),
+                    lambda: h2_structure(G, 3).project(f)):
+            with pytest.raises(AxiomError) as err:
+                ask()
+            assert err.value.kind == "shape"
 
 
 def test_enumerated_orderings_never_have_zero_class():
@@ -394,6 +413,27 @@ def test_integral_classes_match_the_kernel_route(data):
     same = class_of(G, f).coords == class_of(G, _relabel_cochain(g_base, perm)).coords
     assert same == (not any(kernel_route_class(B, difference)))
     assert same or k == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cocycle_check_matches_the_dense_d2_oracle(data):
+    # cochains that are cocycles mod n (over Z for n None), half of them with
+    # one nonidentity entry moved; the table check must agree with d2 f = 0
+    # over both rings, and name a triple on which the identity fails
+    index, perm, G = data.draw(relabelings(SMALL_GROUPS))
+    n = data.draw(st.sampled_from([None] + list(range(2, 13))))
+    _, f = _draw_cocycle(data, index, perm, n)
+    if data.draw(st.booleans()):
+        g, h = (data.draw(st.integers(1, G.order - 1)) for _ in range(2))
+        f[g][h] += data.draw(st.integers(1, 12))
+    for modulus in (n, None):
+        failure = cocycle_failure(G.table, f, modulus)
+        assert (failure is None) == d2_annihilates(G, f, modulus)
+        if failure is not None:
+            g, h, k = failure.witness
+            v = f[h][k] - f[G.table[g][h]][k] + f[g][G.table[h][k]] - f[g][h]
+            assert failure.kind == "cocycle" and (v % modulus if modulus else v)
 
 
 @settings(max_examples=30, deadline=None)
