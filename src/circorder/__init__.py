@@ -29,9 +29,9 @@ from .extensions import (CentralExtElement, CentralExtensionGroup,
                          minimal_generator, quotient_by_cyclic_central,
                          quotient_by_power)
 from .cohomology import (CohomologyClass, H2Structure, IntMatrix, SNFResult,
-                         class_of, coboundary_matrices, h2_structure,
-                         is_n_divisible, is_trivial_mod_n, kernel_basis,
-                         smith_normal_form, solve_int)
+                         class_of, coboundary_matrices, coboundary_matrix,
+                         h2_structure, is_n_divisible, is_trivial_mod_n,
+                         kernel_basis, smith_normal_form)
 from .obstruction import (MAPPING_CLASS_GROUP_SPECTRUM, ObstructionSpectrum,
                           TorsionProfile, bico_product_decision,
                           cyclic_quotient_stats, exponent_facts,
@@ -40,6 +40,7 @@ from .obstruction import (MAPPING_CLASS_GROUP_SPECTRUM, ObstructionSpectrum,
 from .promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
                         PromElement, abelianization_image, ball,
                         evaluate_word, kernel_is_positive, phi,
-                        prom_inv, prom_mul, promislow_circular_order)
+                        prom_inv, prom_mul, promislow_circular_order,
+                        promislow_lexicographic_order)
 
 __version__ = "0.1.0"

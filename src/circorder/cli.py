@@ -133,8 +133,9 @@ def cmd_promislow(args) -> tuple[dict, str]:
         raise CheckFailed("promislow self-checks failed; see the JSON report")
     summary = (f"promislow: relators ok, cone ok, "
                f"{report['axioms_exhaustive_ball2']['checked']} exhaustive + "
-               f"{report['axioms_sampled']['checked']} sampled axiom checks ok "
-               f"(seed {report['seed']})")
+               f"{report['axioms_sampled']['checked']} sampled axiom checks ok, "
+               f"{report['fast_vs_generic']['agree']} triples agree with the "
+               f"lexicographic construction (seed {report['seed']})")
     return report, summary
 
 

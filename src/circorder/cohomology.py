@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import AxiomError, BoundExceeded, require
+from .errors import BoundExceeded, require
 from .groups import FiniteGroup
 from .orders import InhomCircularOrder, cocycle_failure
 
@@ -63,7 +64,10 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        M = cls.__new__(cls)  # fresh rows: no copy, no length check
+        M.data = [[0] * cols for _ in range(rows)]
+        M.rows, M.cols = rows, cols
+        return M
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -92,30 +96,6 @@ class IntMatrix:
     def col(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
-    def determinant(self) -> int:
-        """Bareiss fraction-free elimination (square matrices)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [row[:] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot_row is None:
-                    return 0
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
@@ -137,25 +117,6 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
-
-    def diagonal_matrix(self) -> IntMatrix:
-        D = IntMatrix.zeros(self.matrix.rows, self.matrix.cols)
-        for i, d in enumerate(self.diagonal):
-            D.data[i][i] = d
-        return D
-
-    def verify(self, check_determinants: bool = True) -> None:
-        """Check the postconditions exactly; raises CheckFailed on failure."""
-        require(self.U @ self.matrix @ self.V == self.diagonal_matrix(), "U M V != diag")
-        nz = [d for d in self.diagonal if d]
-        require(all(d > 0 for d in nz), "diagonal not nonnegative")
-        require(list(self.diagonal[:len(nz)]) == nz, "zero entries not trailing")
-        require(all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1)), "divisibility chain")
-        if self.Vinv is not None:
-            require(self.V @ self.Vinv == IntMatrix.identity(self.V.rows), "Vinv wrong")
-        if check_determinants:
-            require(self.U.determinant() in (1, -1), "det U not a unit")
-            require(self.V.determinant() in (1, -1), "det V not a unit")
 
 
 def _gcdext(a: int, b: int) -> tuple[int, int, int]:
@@ -390,25 +351,6 @@ def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]],
     return SNFResult(M, diagonal, U, V, Vinv)
 
 
-def solve_int(snf: SNFResult, b: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution x of (matrix) x = b using a precomputed SNF, or None."""
-    m, n = snf.matrix.rows, snf.matrix.cols
-    if len(b) != m:
-        raise ValueError(f"rhs has length {len(b)}, want {m}")
-    ub = snf.U.mul_vector(list(b))
-    y = [0] * n
-    for i in range(m):
-        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-    return snf.V.mul_vector(y)
-
-
 def kernel_basis(snf: SNFResult) -> IntMatrix:
     """Columns spanning the integer kernel of snf.matrix (a saturated lattice)."""
     n = snf.matrix.cols
@@ -419,60 +361,46 @@ def kernel_basis(snf: SNFResult) -> IntMatrix:
 
 # -- normalized cochain complex ---------------------------------------------
 
-def _pair_index(n: int, g: int, h: int) -> int:
-    return (g - 1) * (n - 1) + (h - 1)
+def coboundary_matrix(G: FiniteGroup, degree: int,
+                      max_order: int = H2_ORDER_LIMIT) -> IntMatrix:
+    """The coboundary C^degree -> C^(degree+1) on normalized cochains.
 
-
-def coboundary_matrices(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT):
-    """(d1, d2) on normalized cochains indexed by tuples of nonidentity elements.
-
-    d1: C^1 -> C^2, (d1 u)(g,h) = u(g) - u(gh) + u(h);
-    d2: C^2 -> C^3, (d2 f)(g,h,k) = f(h,k) - f(gh,k) + f(g,hk) - f(g,h);
-    terms hitting the identity drop out.  d2 @ d1 = 0.
+    Rows and columns are indexed by tuples of nonidentity elements in
+    lexicographic order, so a cochain matrix f reads f(g,h) at column
+    (g-1)(|G|-1) + (h-1).  The bar coboundary
+    (d f)(g_0..g_k) = f(g_1..g_k) + sum_i (-1)^(i+1) f(.., g_i g_(i+1), ..)
+                      + (-1)^(k+1) f(g_0..g_(k-1)),
+    with k = degree, drops the terms whose argument hits the identity:
+    (d1 u)(g,h) = u(h) - u(gh) + u(g) and
+    (d2 f)(g,h,k) = f(h,k) - f(gh,k) + f(g,hk) - f(g,h).
     """
     n = G.order
     if n > max_order:
-        raise BoundExceeded(f"coboundary_matrices: order {n} > limit {max_order}")
-    m = n - 1
-    d1 = IntMatrix.zeros(m * m, m)
-    for g in range(1, n):
-        for h in range(1, n):
-            row = d1.data[_pair_index(n, g, h)]
-            row[g - 1] += 1
-            row[h - 1] += 1
-            gh = G.table[g][h]
-            if gh != 0:
-                row[gh - 1] -= 1
-    d2 = IntMatrix.zeros(m * m * m, m * m)
-    for g in range(1, n):
-        for h in range(1, n):
-            gh = G.table[g][h]
-            for k in range(1, n):
-                row = d2.data[(_pair_index(n, g, h)) * m + (k - 1)]
-                row[_pair_index(n, h, k)] += 1
-                if gh != 0:
-                    row[_pair_index(n, gh, k)] -= 1
-                hk = G.table[h][k]
-                if hk != 0:
-                    row[_pair_index(n, g, hk)] += 1
-                row[_pair_index(n, g, h)] -= 1
-    return d1, d2
+        raise BoundExceeded(f"coboundary_matrix: order {n} > limit {max_order}")
+    m, table = n - 1, G.table
+    d = IntMatrix.zeros(m ** (degree + 1), m ** degree)
+    for row, cell in zip(d.data, product(range(1, n), repeat=degree + 1)):
+        faces = [cell[1:]]
+        faces += [cell[:i] + (table[cell[i]][cell[i + 1]],) + cell[i + 2:]
+                  for i in range(degree)]
+        faces.append(cell[:-1])
+        for i, face in enumerate(faces):
+            if 0 not in face:
+                col = 0
+                for g in face:
+                    col = col * m + g - 1
+                row[col] += -1 if i % 2 else 1
+    return d
 
 
-def cocycle_vector(G: FiniteGroup, f) -> list[int]:
-    """Flatten a normalized 2-cochain matrix to nonidentity-pair coordinates."""
-    return _flatten(G.order, f.values if isinstance(f, InhomCircularOrder) else f)
-
-
-def _flatten(n: int, values) -> list[int]:
-    for g in range(n):
-        if values[g][0] != 0 or values[0][g] != 0:
-            raise AxiomError("normalization", (g,), "cochain not normalized")
-    return [values[g][h] for g in range(1, n) for h in range(1, n)]
+def coboundary_matrices(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT):
+    """(d1, d2) from `coboundary_matrix`; d2 @ d1 = 0."""
+    return coboundary_matrix(G, 1, max_order), coboundary_matrix(G, 2, max_order)
 
 
 def cochain_matrix(G: FiniteGroup, vec: Sequence[int]) -> list[list[int]]:
-    """Inverse of cocycle_vector: rebuild the full matrix with identity zeros."""
+    """Rebuild the full cochain matrix, with identity zeros, from its entries at
+    nonidentity pairs (g, h) in lexicographic order."""
     n = G.order
     out = [[0] * n for _ in range(n)]
     i = 0
@@ -504,7 +432,7 @@ class _Complex:
 
     def __init__(self, G: FiniteGroup):
         self.table = G.table
-        self.d1 = coboundary_matrices(G, max_order=G.order)[0]
+        self.d1 = coboundary_matrix(G, 1, max_order=G.order)
         snf1 = smith_normal_form(self.d1)
         m = self.d1.cols
         self.U = IntMatrix(snf1.U.data[:m], cols=self.d1.rows)
@@ -514,7 +442,7 @@ class _Complex:
 
     @cached_property
     def d2_smith(self) -> _D2Smith:
-        d2 = coboundary_matrices(FiniteGroup(self.table, validate=False), len(self.table))[1]
+        d2 = coboundary_matrix(FiniteGroup(self.table, validate=False), 2, len(self.table))
         snf2 = smith_normal_form(d2, want_u=False, want_vinv=True)
         return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
                         self.U @ kernel_basis(snf2))
@@ -525,7 +453,8 @@ class _Complex:
         failure = cocycle_failure(self.table, values, modulus)
         if failure is not None:
             raise failure
-        return _flatten(len(self.table), values)
+        n = len(self.table)
+        return [values[g][h] for g in range(1, n) for h in range(1, n)]
 
 
 def _complex_for(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT) -> _Complex:

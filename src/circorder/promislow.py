@@ -12,9 +12,16 @@ AB -> (1,0,1).
 It is circularly orderable but not left-orderable: the homomorphism to Z/2
 killing b has left-orderable kernel (translations along y survive), and the
 lexicographic construction glues a left order on that kernel to the unique
-circular ordering of Z/2.  This module provides that circular ordering as an
-evaluation oracle, plus word evaluation, balls, the abelianization onto
-Z/4 x Z/4, and a seeded self-check suite.
+circular ordering of Z/2.  That construction is kept as
+`promislow_lexicographic_order`.  The oracle the module evaluates,
+`promislow_circular_order`, is the same ordering in closed form: cutting the
+circle at the identity leaves a linear order on the other elements (the
+positive kernel cone, then the coset aK, then the negative cone), so
+c(g1, g2, g3) compares the keys of g1^-1 g2 and g1^-1 g3, computed from raw
+coordinates.  The seeded self-check suite (`demo`) checks the axioms on the
+closed form and its agreement with the construction on every triple of
+ball(2).  The module also provides word evaluation, balls and the
+abelianization onto Z/4 x Z/4.
 """
 
 from __future__ import annotations
@@ -112,9 +119,45 @@ def _z2_order(a, b, c):  # pragma: no cover
     raise RuntimeError("unreachable: distinct triple in Z/2")
 
 
-promislow_circular_order = lexicographic_circular_order(
+promislow_lexicographic_order = lexicographic_circular_order(
     phi, KERNEL_ORDER, _z2_order, prom_mul, prom_inv)
-"""Circular-ordering oracle on the whole group; values in {0, +1, -1}."""
+"""The paper's construction of the ordering; the check on the closed form."""
+
+
+def _cut_key(m: int, x: int, y: int, z: int) -> tuple:
+    """Key of the element (m, (x, y, z)) in the linear order that cutting the
+    circle at the identity leaves: the positive kernel cone (class 0), then
+    the coset aK (class 1), then the negative cone (class 2).  Within a class
+    g comes before g' when g^-1 g' = (m ^ m', S (w' - w)), S = SIGNS[m], is
+    in the kernel cone: y decides (sigma_y = -1 on aK reverses it), and a tie
+    in y forces m == m' by parity, so sigma_x x and then sigma_z z break it."""
+    sx, _, sz = SIGNS[m]
+    if m & 1:
+        return (1, -y, sx * x, sz * z)
+    if y:
+        cone = 0 if y > 0 else 2
+    else:
+        cone = 0 if x > 0 or (x == 0 and z > 0) else 2
+    return (cone, y, sx * x, sz * z)
+
+
+def promislow_circular_order(g1: PromElement, g2: PromElement, g3: PromElement) -> int:
+    """Circular-ordering oracle on the whole group; values in {0, +1, -1}.
+
+    +1 exactly when g1^-1 g2 comes before g1^-1 g3 in the cut-at-identity
+    order.  g1^-1 (m, w) = (m1 ^ m, S1 (w - w1)) with S1 = SIGNS[m1], so the
+    keys come from coordinate differences and no element is built.
+    """
+    if g1 == g2 or g2 == g3 or g1 == g3:
+        return 0
+    m1, (x1, y1, z1) = g1
+    sx, sy, sz = SIGNS[m1]
+    m2, (x2, y2, z2) = g2
+    m3, (x3, y3, z3) = g3
+    if _cut_key(m1 ^ m2, sx * (x2 - x1), sy * (y2 - y1), sz * (z2 - z1)) \
+            < _cut_key(m1 ^ m3, sx * (x3 - x1), sy * (y3 - y1), sz * (z3 - z1)):
+        return 1
+    return -1
 
 
 # Known obstruction spectrum of the group: exactly the multiples of 4.
@@ -126,8 +169,10 @@ PROMISLOW_SPECTRUM = ObstructionSpectrum.from_elements([4])
 def ball(radius: int, max_radius: int = BALL_RADIUS_LIMIT) -> list[PromElement]:
     """All elements expressible as words of length <= radius, sorted by
     (point-group index, translation) for deterministic output."""
-    if radius < 0 or radius > max_radius:
-        raise BoundExceeded(f"ball: radius {radius} outside 0..{max_radius}")
+    if radius < 0:
+        raise InvalidGroupError(f"ball: negative radius {radius}")
+    if radius > max_radius:
+        raise BoundExceeded(f"ball: radius {radius} > limit {max_radius}")
     seen = {IDENTITY}
     frontier = [IDENTITY]
     steps = [GEN_A, prom_inv(GEN_A), GEN_B, prom_inv(GEN_B)]
@@ -180,7 +225,10 @@ RELATORS = ("abbAbb", "baaBaa")
 
 
 def _axiom_counts(triples_and_h) -> dict:
-    """Run all four circular-ordering axioms over (g1, g2, g3, h) quadruples."""
+    """Run all four circular-ordering axioms over (g1, g2, g3, h) quadruples.
+
+    Reads `promislow_circular_order` from the module at call time, so a
+    wrapped or replaced oracle is the one checked."""
     c = promislow_circular_order
     checked = 0
     failures = {"vanishing": 0, "antisymmetry": 0, "invariance": 0, "cocycle": 0}
@@ -203,7 +251,10 @@ def _axiom_counts(triples_and_h) -> dict:
 
 
 def demo(seed: int = DEFAULT_SEED, radius: int = 5, samples: int = 100_000) -> dict:
-    """Relator, cone, ordering-axiom, and abelianization checks; JSON-able.
+    """Relator, cone, ordering-axiom, agreement, and abelianization checks;
+    JSON-able.  The axioms are checked on `promislow_circular_order`, and
+    `fast_vs_generic` counts the ball(2) triples on which it agrees with
+    `promislow_lexicographic_order`; `ok` needs every one.
 
     Deterministic given (seed, radius, samples); the seed is recorded in the
     report.  `radius` controls the sampling ball (cone checks stay on their
@@ -243,6 +294,13 @@ def demo(seed: int = DEFAULT_SEED, radius: int = 5, samples: int = 100_000) -> d
                for _ in range(samples))
     report["axioms_sampled"] = _axiom_counts(sampled)
 
+    # The closed form is left-invariant by construction, so the invariance
+    # count cannot catch a wrong key; agreement with the construction can.
+    agree = sum(promislow_circular_order(g1, g2, g3)
+                == promislow_lexicographic_order(g1, g2, g3)
+                for g1 in small for g2 in small for g3 in small)
+    report["fast_vs_generic"] = {"agree": agree, "triples": len(small) ** 3}
+
     images = {abelianization_image(p) for p in ball(4)}
     hom_bad = 0
     for _ in range(2000):
@@ -264,5 +322,6 @@ def demo(seed: int = DEFAULT_SEED, radius: int = 5, samples: int = 100_000) -> d
                     and report["kernel_cone"]["ok"]
                     and report["axioms_exhaustive_ball2"]["ok"]
                     and report["axioms_sampled"]["ok"]
+                    and agree == len(small) ** 3
                     and report["abelianization"]["ok"])
     return report

@@ -13,10 +13,12 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
-from circorder.cohomology import (IntMatrix, coboundary_matrices, cocycle_vector,
-                                  smith_normal_form, solve_int)
+from circorder.cohomology import (IntMatrix, coboundary_matrices, coboundary_matrix,
+                                  smith_normal_form)
+from circorder.errors import require
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group,
                               direct_product, symmetric_group, trivial_group)
+from circorder.orders import InhomCircularOrder, cocycle_failure
 
 
 def library_groups() -> list[FiniteGroup]:
@@ -248,6 +250,82 @@ def seeded_random_matrices(seed: int, count: int = 100, max_dim: int = 50) -> li
     return out
 
 
+def determinant(M: IntMatrix) -> int:
+    """Bareiss fraction-free elimination (square matrices)."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    a = [row[:] for row in M.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def verify_snf(snf, check_determinants: bool = True) -> None:
+    """Check the postconditions of a SNFResult exactly: U M V = diag, the
+    diagonal's signs, trailing zeros and divisibility chain, V Vinv = I, and
+    unit determinants.  Raises CheckFailed, so it also runs under python -O."""
+    D = IntMatrix.zeros(snf.matrix.rows, snf.matrix.cols)
+    for i, d in enumerate(snf.diagonal):
+        D.data[i][i] = d
+    require(snf.U @ snf.matrix @ snf.V == D, "U M V != diag")
+    nz = [d for d in snf.diagonal if d]
+    require(all(d > 0 for d in nz), "diagonal not nonnegative")
+    require(list(snf.diagonal[:len(nz)]) == nz, "zero entries not trailing")
+    require(all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1)), "divisibility chain")
+    if snf.Vinv is not None:
+        require(snf.V @ snf.Vinv == IntMatrix.identity(snf.V.rows), "Vinv wrong")
+    if check_determinants:
+        require(determinant(snf.U) in (1, -1), "det U not a unit")
+        require(determinant(snf.V) in (1, -1), "det V not a unit")
+
+
+def solve_int(snf, b) -> list[int] | None:
+    """One integer solution x of (snf.matrix) x = b, or None."""
+    m, n = snf.matrix.rows, snf.matrix.cols
+    if len(b) != m:
+        raise ValueError(f"rhs has length {len(b)}, want {m}")
+    ub = snf.U.mul_vector(list(b))
+    y = [0] * n
+    for i in range(m):
+        d = snf.diagonal[i] if i < len(snf.diagonal) else 0
+        if d == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
+    return snf.V.mul_vector(y)
+
+
+def cocycle_vector(G: FiniteGroup, f) -> list[int]:
+    """A normalized 2-cochain matrix (not necessarily a cocycle) as its entries
+    at nonidentity pairs, in the column order of coboundary_matrices.  A matrix
+    of the wrong shape or not normalized raises orders.cocycle_failure's
+    AxiomError ("shape" or "normalization")."""
+    values = f.values if isinstance(f, InhomCircularOrder) else f
+    failure = cocycle_failure(G.table, values)
+    if failure is not None and failure.kind in ("shape", "normalization"):
+        raise failure
+    n = G.order
+    return [values[g][h] for g in range(1, n) for h in range(1, n)]
+
+
 # -- brute-force cohomology over Z/n ------------------------------------------
 
 def is_cocycle_mod(G: FiniteGroup, f, n) -> bool:
@@ -268,7 +346,7 @@ def d2_annihilates(G: FiniteGroup, f, n) -> bool:
     """Whether d2 f = 0 over Z (n None) or mod n, by the dense product with
     d2 from coboundary_matrices: the oracle for orders.cocycle_failure, which
     the library checks on the multiplication table instead."""
-    d2 = coboundary_matrices(G)[1]
+    d2 = coboundary_matrix(G, 2)
     return not any(v % n if n else v for v in d2.mul_vector(cocycle_vector(G, f)))
 
 
@@ -317,7 +395,7 @@ def coboundary_solver(G: FiniteGroup, n):
     This is the direct route the library does not take: it shares the Smith
     normal form engine, but solves on the whole cochain space with an SNF per
     modulus, not on the cocycle lattice of the cached d2 SNF."""
-    d1 = coboundary_matrices(G)[0]
+    d1 = coboundary_matrix(G, 1)
     if n is None:
         return smith_normal_form(d1)
     return smith_normal_form([row + [n * (i == j) for j in range(d1.rows)]

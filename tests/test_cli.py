@@ -168,13 +168,15 @@ def test_human_readable_output(capsys, group_file):
     assert rc == 0 and "2 circular ordering" in out
 
 
-# Runs under `python -O`, where bare asserts vanish: a corrupted SNF, and a
-# corrupted cached V of the d1 Smith normal form that yields wrong witnesses,
-# must still raise CheckFailed, and the CLI must still exit 1 on it.
+# Runs under `python -O`, where bare asserts vanish: a corrupted SNF (caught
+# by the tests' verify_snf), and a corrupted cached V of the d1 Smith normal
+# form that yields wrong witnesses, must still raise CheckFailed, and the CLI
+# must still exit 1 on it.
 _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (CheckFailed, IntMatrix, cli, cohomology, cyclic_group,
                        dump_group, standard_order_zn)
+from helpers import verify_snf
 
 def raises_check_failed(call):
     try:
@@ -185,7 +187,8 @@ def raises_check_failed(call):
 
 snf = cohomology.smith_normal_form([[2, 0], [0, 3]])
 snf.diagonal = (1, 5)
-results = {"optimized": not __debug__, "verify": raises_check_failed(snf.verify)}
+results = {"optimized": not __debug__,
+           "verify": raises_check_failed(lambda: verify_snf(snf))}
 G, f = cyclic_group(4), standard_order_zn(4)
 comp = cohomology._Complex(G)
 comp.V = IntMatrix([[-v for v in row] for row in comp.V.data])
@@ -199,8 +202,9 @@ print(json.dumps(results))
 
 def test_checks_survive_python_O(tmp_path):
     src = str(Path(circorder.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_CHECKS,
                            str(tmp_path / "z4.json")],
                           env=env, capture_output=True, text=True, timeout=120)

@@ -12,15 +12,15 @@ from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn)
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
-                                  cochain_matrix, cocycle_vector, h2_structure,
-                                  is_n_divisible, is_trivial_mod_n,
-                                  kernel_basis, smith_normal_form, solve_int)
+                                  cochain_matrix, h2_structure, is_n_divisible,
+                                  is_trivial_mod_n, kernel_basis, smith_normal_form)
 
-from helpers import (brute_h2_order_modn, d2_annihilates, invariant_factors_from_diagonal,
-                     invariant_factors_of_sum, is_coboundary_mod, is_cocycle_mod,
-                     kernel_route_class, kernel_route_factors,
-                     minors_gcd_invariant_factors, naive_diagonalize,
-                     relabeled, seeded_random_matrices, time_budget)
+from helpers import (brute_h2_order_modn, cocycle_vector, d2_annihilates,
+                     invariant_factors_from_diagonal, invariant_factors_of_sum,
+                     is_coboundary_mod, is_cocycle_mod, kernel_route_class,
+                     kernel_route_factors, minors_gcd_invariant_factors,
+                     naive_diagonalize, relabeled, seeded_random_matrices,
+                     solve_int, time_budget, verify_snf)
 
 
 def klein():
@@ -54,7 +54,7 @@ SMALL_GROUPS = [cyclic_group(k) for k in range(2, 11)] + [G for G, _, _ in NONCY
 def test_snf_worked_examples():
     r = smith_normal_form([[2, 0], [0, 3]], want_vinv=True)
     assert r.diagonal == (1, 6)
-    r.verify()
+    verify_snf(r)
     assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
     assert smith_normal_form([[1]]).diagonal == (1,)
     assert smith_normal_form([[4, 6], [6, 9]]).diagonal == (1, 0)  # rank 1
@@ -87,7 +87,7 @@ def test_snf_against_independent_elimination():
 def test_snf_postconditions_on_seeded_random_matrices():
     for M in seeded_random_matrices(20230815, count=100, max_dim=50):
         r = smith_normal_form(M, want_vinv=True)
-        r.verify(check_determinants=True)
+        verify_snf(r, check_determinants=True)
 
 
 def test_snf_deterministic():
@@ -200,13 +200,25 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     G = dihedral_group(5)
     m = G.order - 1
     shapes = []
+    built = []  # row counts of every IntMatrix constructed
+    init, zeros = IntMatrix.__init__, IntMatrix.zeros
 
     def recording(M, *args, **kwargs):
         result = smith_normal_form(M, *args, **kwargs)
         shapes.append((result.matrix.rows, result.matrix.cols))
         return result
 
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.rows)
+
+    def recording_zeros(cls, rows, cols):
+        built.append(rows)
+        return zeros(rows, cols)
+
     monkeypatch.setattr(cohomology, "smith_normal_form", recording)
+    monkeypatch.setattr(IntMatrix, "__init__", recording_init)
+    monkeypatch.setattr(IntMatrix, "zeros", classmethod(recording_zeros))
     _Complex.cache_clear()
     # the pullback of the Z/2 ordering cocycle along the sign map of D5,
     # whose reflections are its elements of order 2
@@ -217,6 +229,7 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
     assert is_trivial_mod_n(G, f, 3) and not is_trivial_mod_n(G, f, 4)
     assert shapes and all(rows < m ** 3 for rows, _ in shapes), shapes
+    assert built and m ** 3 not in built, sorted(set(built))
     held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
     assert held and all(M.rows < m ** 3 for M in held), held
     assert "d2_smith" not in vars(_Complex(G))
@@ -288,7 +301,8 @@ def test_cochains_of_the_wrong_shape_are_rejected():
     short = [[0, 0], [0, 0], [0, 1]]
     for f in (padded, short):
         for ask in (lambda: class_of(G, f), lambda: is_n_divisible(G, f, 2),
-                    lambda: h2_structure(G, 3).project(f)):
+                    lambda: h2_structure(G, 3).project(f),
+                    lambda: cocycle_vector(G, f)):
             with pytest.raises(AxiomError) as err:
                 ask()
             assert err.value.kind == "shape"

@@ -1,14 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from circorder import promislow
+from circorder.cli import main
 from circorder.errors import BoundExceeded, InvalidGroupError
 from circorder.promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
-                                 RELATORS, PromElement, abelianization_image,
-                                 ball, demo, element_from_json,
-                                 element_to_json, evaluate_word,
-                                 kernel_is_positive, make_element, phi,
-                                 prom_inv, prom_mul, promislow_circular_order)
+                                 RELATORS, SIGNS, PromElement,
+                                 abelianization_image, ball, demo,
+                                 element_from_json, element_to_json,
+                                 evaluate_word, kernel_is_positive,
+                                 make_element, phi, prom_inv, prom_mul,
+                                 promislow_circular_order,
+                                 promislow_lexicographic_order)
+
+BALL5, BALL8 = ball(5), ball(8)
 
 
 def test_generator_data():
@@ -94,6 +101,34 @@ def test_circular_order_axioms_on_ball2():
                     assert c(g2, g3, g1) == v
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(BALL8),
+       st.lists(st.sampled_from(BALL5), min_size=3, max_size=3, unique=True))
+def test_closed_form_matches_the_construction_off_ball5(h, gs):
+    # translating by h takes the triple outside ball(5), where the key's
+    # coordinates are larger than any the demo's ball(2) agreement sees;
+    # distinct triples, since repeats give 0 on both sides
+    g1, g2, g3 = (prom_mul(h, g) for g in gs)
+    assert promislow_circular_order(g1, g2, g3) == \
+        promislow_lexicographic_order(g1, g2, g3)
+
+
+def test_a_wrong_key_fails_the_demo(monkeypatch, capsys):
+    # dropping sigma_x gives a wrong ordering that is still left-invariant
+    # (every key gives one), so the invariance count stays 0 and the
+    # agreement count with the construction must catch it
+    key = promislow._cut_key
+    monkeypatch.setattr(promislow, "_cut_key",
+                        lambda m, x, y, z: key(m, SIGNS[m][0] * x, y, z))
+    report = demo(samples=200)
+    assert report["fast_vs_generic"]["triples"] == 17 ** 3
+    assert report["fast_vs_generic"]["agree"] < 17 ** 3
+    assert report["axioms_exhaustive_ball2"]["failures"]["invariance"] == 0
+    assert report["ok"] is False
+    assert main(["promislow", "--samples", "200"]) == 1
+    assert "check failed" in capsys.readouterr().err
+
+
 def test_circular_order_invariance_and_cocycle_sampled():
     c = promislow_circular_order
     rng = random.Random(99)
@@ -110,6 +145,11 @@ def test_ball_sizes_and_bound():
     assert PromElement(0, (2, 0, 0)) in ball(2)
     with pytest.raises(BoundExceeded):
         ball(9)
+    # a negative radius is bad input, not an exceeded bound
+    with pytest.raises(InvalidGroupError):
+        ball(-1)
+    with pytest.raises(InvalidGroupError):
+        demo(radius=-1)
 
 
 def test_torsion_free_sample():
