@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponent", type=integer_ge_2, help="exponent of H^2(G;Z)")
     p.add_argument("--not-lo", action="store_true",
                    help="assert the group is not left-orderable")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=integer_ge_2, default=12)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_obstruction)
 

@@ -427,8 +427,10 @@ class _Complex:
     `factors` = (e_j) are kept whole; every e_j is nonzero because d1 is
     injective (H^1(G; Z) = 0).  Cocycles are checked on the table, so d2 is
     only built and reduced on first use (`d2_smith`), for Z/n.  Cached by
-    multiplication table (`cache_clear` and `cache_info` clear and size the
-    cache); nothing here depends on names."""
+    multiplication table; nothing here depends on names.  The cache is
+    unbounded by design: it holds one entry per distinct table asked about,
+    each at most one d1 and one d2 SNF of a group within the order limit,
+    and `cache_clear()` releases it all (`cache_info()` sizes it)."""
 
     def __init__(self, G: FiniteGroup):
         self.table = G.table

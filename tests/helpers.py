@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
+from circorder import promislow
 from circorder.cohomology import (IntMatrix, coboundary_matrices, coboundary_matrix,
                                   smith_normal_form)
 from circorder.errors import require
@@ -436,3 +437,33 @@ def kernel_route_class(G: FiniteGroup, f) -> tuple:
     y = vinv.mul_vector(cocycle_vector(G, f))
     assert not any(y[:r]), "f is not an integral cocycle"
     return tuple(z % a if a else z for z, a in zip(U.mul_vector(y[r:]), factors))
+
+
+# -- the Promislow axioms, one quadruple at a time ------------------------------
+
+def axiom_counts(quadruples) -> dict:
+    """All four circular-ordering axioms on each (g1, g2, g3, h), calling
+    `promislow.promislow_circular_order` (read at call time, so a patched
+    oracle is the one checked) for every value: 10 calls per nondegenerate
+    quadruple.  This is the route `promislow.demo` no longer takes on
+    ball(2)^4, where it reads one table of oracle values."""
+    c = promislow.promislow_circular_order
+    mul = promislow.prom_mul
+    checked = 0
+    failures = {"vanishing": 0, "antisymmetry": 0, "invariance": 0, "cocycle": 0}
+    for g1, g2, g3, h in quadruples:
+        checked += 1
+        v = c(g1, g2, g3)
+        degenerate = g1 == g2 or g2 == g3 or g1 == g3
+        if (v == 0) != degenerate:
+            failures["vanishing"] += 1
+        if not degenerate:
+            if c(g2, g1, g3) != -v or c(g1, g3, g2) != -v or c(g3, g2, g1) != -v \
+                    or c(g2, g3, g1) != v or c(g3, g1, g2) != v:
+                failures["antisymmetry"] += 1
+        if c(mul(h, g1), mul(h, g2), mul(h, g3)) != v:
+            failures["invariance"] += 1
+        if c(g2, g3, h) - c(g1, g3, h) + c(g1, g2, h) - v != 0:
+            failures["cocycle"] += 1
+    return {"checked": checked, "failures": failures,
+            "ok": not any(failures.values())}

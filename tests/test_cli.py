@@ -113,9 +113,12 @@ def test_obstruction_requires_a_mode(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--torsion-orders", "x"], ["--torsion-orders", "1"],
-                                  ["--torsion-orders", "4, 1"], ["--exponent", "1"]])
+                                  ["--torsion-orders", "4, 1"], ["--exponent", "1"],
+                                  ["--exponent", "4", "--max-n", "0"],
+                                  ["--exponent", "4", "--max-n", "-3"]])
 def test_obstruction_rejects_bad_numbers_as_usage_errors(capsys, argv):
-    # exit 2 (invalid input) with a usage message, not exit 1 with a traceback
+    # exit 2 (invalid input) with a usage message, not exit 1 with a traceback,
+    # nor exit 0 with an empty verdict table
     with pytest.raises(SystemExit) as exc:
         main(["obstruction", *argv])
     assert exc.value.code == 2

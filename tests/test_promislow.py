@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from circorder import promislow
 from circorder.cli import main
 from circorder.errors import BoundExceeded, InvalidGroupError
+from helpers import axiom_counts
 from circorder.promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
                                  RELATORS, SIGNS, PromElement,
                                  abelianization_image, ball, demo,
@@ -129,6 +130,79 @@ def test_a_wrong_key_fails_the_demo(monkeypatch, capsys):
     assert "check failed" in capsys.readouterr().err
 
 
+def _negated_at_a(g1, g2, g3):
+    v = promislow_circular_order(g1, g2, g3)
+    return -v if GEN_A in (g1, g2, g3) else v
+
+
+def _zero_on_one_triple(g1, g2, g3):
+    if (g1, g2, g3) == (IDENTITY, GEN_A, GEN_B):
+        return 0
+    return promislow_circular_order(g1, g2, g3)
+
+
+def _abs_when_increasing(g1, g2, g3):
+    v = promislow_circular_order(g1, g2, g3)
+    return abs(v) if g1 < g2 else v
+
+
+def test_corrupted_oracles_are_counted_per_quadruple(monkeypatch):
+    # the demo reads one table of oracle values on ball(2); under a wrong
+    # oracle its exhaustive counts must still be those of the check that
+    # calls the oracle on every quadruple
+    small = ball(2)
+    quadruples = [(g1, g2, g3, h) for g1 in small for g2 in small
+                  for g3 in small for h in small]
+    seen = set()
+    for oracle in (_negated_at_a, _zero_on_one_triple, _abs_when_increasing):
+        monkeypatch.setattr(promislow, "promislow_circular_order", oracle)
+        want = axiom_counts(quadruples)
+        assert want["checked"] == 17 ** 4 and not want["ok"]
+        assert demo(samples=0)["axioms_exhaustive_ball2"] == want
+        seen |= {kind for kind, count in want["failures"].items() if count}
+    assert seen == {"vanishing", "antisymmetry", "invariance", "cocycle"}
+
+
+# the report of demo() at the default arguments, pinned from the route that
+# called the oracle on every quadruple; only the seed differs between seeds
+_DEFAULT_REPORT = {
+    "radius": 5, "samples": 100_000,
+    "relators": {"abbAbb": True, "baaBaa": True},
+    "kernel_cone": {"kernel_ball5_size": 77, "trichotomy_failures": 0,
+                    "closure_pairs_checked": 484, "closure_failures": 0, "ok": True},
+    "axioms_exhaustive_ball2": {
+        "checked": 83521,
+        "failures": {"vanishing": 0, "antisymmetry": 0, "invariance": 0, "cocycle": 0},
+        "ok": True},
+    "ball_sizes": {"0": 1, "1": 5, "2": 17, "3": 41, "4": 83, "5": 147},
+    "axioms_sampled": {
+        "checked": 100000,
+        "failures": {"vanishing": 0, "antisymmetry": 0, "invariance": 0, "cocycle": 0},
+        "ok": True},
+    "fast_vs_generic": {"agree": 4913, "triples": 4913},
+    "abelianization": {"image_size": 16, "relators_die": True, "hom_failures": 0,
+                       "ok": True},
+    "ok": True,
+}
+
+
+def test_demo_oracle_calls_and_reports(monkeypatch):
+    # one table of the 17^3 ball(2) values, plus one invariance call per
+    # quadruple of ball(2)^4; the sampled pass makes none at samples=0
+    calls = 0
+
+    def counted(g1, g2, g3):
+        nonlocal calls
+        calls += 1
+        return promislow_circular_order(g1, g2, g3)
+    monkeypatch.setattr(promislow, "promislow_circular_order", counted)
+    demo(samples=0)
+    assert calls == 17 ** 3 + 17 ** 4
+    monkeypatch.undo()
+    for seed in (1729, 7, 8):
+        assert demo(seed=seed) == {"seed": seed, **_DEFAULT_REPORT}
+
+
 def test_circular_order_invariance_and_cocycle_sampled():
     c = promislow_circular_order
     rng = random.Random(99)
@@ -150,6 +224,10 @@ def test_ball_sizes_and_bound():
         ball(-1)
     with pytest.raises(InvalidGroupError):
         demo(radius=-1)
+    # a negative sample count is bad input, not a run with no sampled checks
+    with pytest.raises(InvalidGroupError):
+        demo(samples=-5)
+    assert demo(samples=0)["axioms_sampled"]["checked"] == 0
 
 
 def test_torsion_free_sample():
