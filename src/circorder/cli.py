@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all circular orderings of a finite group")
     p.add_argument("--group", required=True, help="group JSON file")
-    p.add_argument("--max-order", type=int, default=ENUMERATION_ORDER_LIMIT)
+    p.add_argument("--max-order", type=integer_ge_0, default=ENUMERATION_ORDER_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide circular orderability of G x Z/n with witness")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=integer_ge_2, required=True)
-    p.add_argument("--max-order", type=int, default=ENUMERATION_ORDER_LIMIT)
+    p.add_argument("--max-order", type=integer_ge_0, default=ENUMERATION_ORDER_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_product_co)
 

@@ -14,6 +14,10 @@ U d1 V = diag(e_1..e_m), m = |G| - 1, the cokernel of d1 is
 torsion subgroup: it is finite, and C^2 / ker d2 embeds in the free group
 C^3 (Brown, Cohomology of Groups, III.1).  So the class of an integral
 cocycle f has coordinates (U f)_j mod e_j for j < m, and (U f)_j = 0 past m.
+The square U is never built: summing the cocycle identity
+f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 over k gives |G| f = d1 S with
+S(g) = sum_h f(g,h), so U f = D V^-1 S / |G| and
+(U f)_j = e_j (V^-1 S)_j / |G|, an exact division.
 n-divisibility of [f] is solved in the same Smith basis, and mod-n
 triviality of an integral cocycle is the same question, so no Smith normal
 form depends on n.
@@ -105,12 +109,13 @@ class SNFResult:
     """U @ matrix @ V == diag(diagonal), with U, V unimodular.
 
     `diagonal` has length min(rows, cols); nonzero entries are positive, come
-    first, and satisfy the divisibility chain d1 | d2 | ...  `Vinv` is tracked
-    on request (it gives coordinates in the column space of V).
+    first, and satisfy the divisibility chain d1 | d2 | ...  `U` (None unless
+    requested with want_u) and `Vinv` (on request with want_vinv; it gives
+    coordinates in the column space of V) are tracked only when asked for.
     """
     matrix: IntMatrix
     diagonal: tuple
-    U: IntMatrix
+    U: Optional[IntMatrix]
     V: IntMatrix
     Vinv: Optional[IntMatrix]
 
@@ -345,7 +350,7 @@ def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]],
     a = [row[:] for row in M.data]
     s, t, tinv = _snf_in_place(a, m, n, want_u, want_vinv)
     diagonal = tuple(a[i][i] for i in range(min(m, n)))
-    U = IntMatrix(s, cols=m) if want_u else IntMatrix.identity(m)
+    U = IntMatrix(s, cols=m) if want_u else None
     V = IntMatrix(t, cols=n)
     Vinv = IntMatrix(tinv, cols=n) if want_vinv else None
     return SNFResult(M, diagonal, U, V, Vinv)
@@ -423,10 +428,11 @@ class _D2Smith(NamedTuple):
 class _Complex:
     """Cached per-group data: the table, d1, its Smith normal form and the
     H^2 structures built on them.  With U d1 V = diag(e_1..e_m), m = |G| - 1,
-    `U` keeps the first m rows of U (the class coordinates), `V` and
-    `factors` = (e_j) are kept whole; every e_j is nonzero because d1 is
-    injective (H^1(G; Z) = 0).  Cocycles are checked on the table, so d2 is
-    only built and reduced on first use (`d2_smith`), for Z/n.  Cached by
+    `V`, `Vinv` and `factors` = (e_j) are kept; every e_j is nonzero because
+    d1 is injective (H^1(G; Z) = 0).  The (m^2 x m^2) U is not built (the
+    SNF runs with want_u=False): `smith_coordinates` reads (U f)_j off the
+    row sums of f.  Cocycles are checked on the table, so d2 is only built
+    and reduced on first use (`d2_smith`), for Z/n.  Cached by
     multiplication table; nothing here depends on names.  The cache is
     unbounded by design: it holds one entry per distinct table asked about,
     each at most one d1 and one d2 SNF of a group within the order limit,
@@ -435,19 +441,32 @@ class _Complex:
     def __init__(self, G: FiniteGroup):
         self.table = G.table
         self.d1 = coboundary_matrix(G, 1, max_order=G.order)
-        snf1 = smith_normal_form(self.d1)
-        m = self.d1.cols
-        self.U = IntMatrix(snf1.U.data[:m], cols=self.d1.rows)
+        snf1 = smith_normal_form(self.d1, want_u=False, want_vinv=True)
         self.V = snf1.V
+        self.Vinv = snf1.Vinv
         self.factors = snf1.diagonal
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
+
+    def smith_coordinates(self, vec: Sequence[int]) -> list[int]:
+        """(U f)_j for j < m of the integral cocycle vector f, from its row
+        sums S(g) = sum_h f(g,h): |G| f = d1 S gives (U f)_j =
+        e_j (V^-1 S)_j / |G|, and a remainder fails the check."""
+        n = len(self.table)
+        m = n - 1
+        sums = [sum(vec[g * m:(g + 1) * m]) for g in range(m)]
+        scaled = [e * w for e, w in zip(self.factors, self.Vinv.mul_vector(sums))]
+        require(all(v % n == 0 for v in scaled),
+                "e_j (V^-1 S)_j is not divisible by |G| on a cocycle's row sums S")
+        return [v // n for v in scaled]
 
     @cached_property
     def d2_smith(self) -> _D2Smith:
         d2 = coboundary_matrix(FiniteGroup(self.table, validate=False), 2, len(self.table))
         snf2 = smith_normal_form(d2, want_u=False, want_vinv=True)
+        basis = kernel_basis(snf2)
+        classes = [self.smith_coordinates(basis.col(j)) for j in range(basis.cols)]
         return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
-                        self.U @ kernel_basis(snf2))
+                        IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
 
     def cocycle(self, f, modulus: Optional[int]) -> list[int]:
         """f as a vector, checked by orders.cocycle_failure over Z or Z/modulus."""
@@ -472,11 +491,13 @@ class H2Structure:
     `invariant_factors` lists the nonunit factors in divisibility order; all
     are nonzero, since H^2(G; Z) and H^2(G; Z/n) are finite.  The projection
     sends a cocycle vector to coordinates that are killed exactly on the
-    coboundary lattice, additively.  Over Z it is the fixed integer matrix
-    `_coords` (rows of U from the d1 Smith normal form) applied to f.  Over
-    Z/n it first takes y = V^-1 f from the d2 Smith normal form and divides
-    the rank block of y exactly by its steps n / gcd(d_i, n), then applies
-    `_coords`.  Coordinates are reduced mod each factor.
+    coboundary lattice, additively.  Over Z it takes the class coordinates
+    (U f)_j of the d1 Smith normal form from their row sums
+    (`_Complex.smith_coordinates`; U itself is never built) and applies
+    `_coords`, the small matrix that moves them to the invariant factors.
+    Over Z/n it first takes y = V^-1 f from the d2 Smith normal form and
+    divides the rank block of y exactly by its steps n / gcd(d_i, n), then
+    applies `_coords`.  Coordinates are reduced mod each factor.
     """
     modulus: Optional[int]
     invariant_factors: tuple
@@ -494,6 +515,8 @@ class H2Structure:
             require(all(v % step == 0 for v, step in zip(head, self._steps)),
                     "d2 f = 0 mod n but the rank block of V^-1 f is off its steps")
             x = [v // step for v, step in zip(head, self._steps)] + y[d2.rank:]
+        else:
+            x = comp.smith_coordinates(x)
         coords = self._coords.mul_vector(x)
         return CohomologyClass(self, tuple(
             c % e for c, e in zip(coords, self.invariant_factors)))
@@ -536,7 +559,7 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
     if got is not None:
         return got
     if modulus is None:
-        steps, orders, block = (), comp.factors, comp.U
+        steps, orders, block = (), comp.factors, IntMatrix.identity(len(comp.factors))
     else:
         d2 = comp.d2_smith
         steps = tuple(modulus // gcd(d, modulus) for d in d2.factors)
@@ -581,8 +604,9 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     """Whether [f] = n*mu for some mu in H^2(G; Z), with a re-verified witness.
 
     Read off the group's cached Smith normal form U d1 V = diag(e_j), so no
-    Smith normal form depends on n.  With z = U f (its first m entries; the
-    rest vanish on a cocycle), f = n*mu + d1 u splits into
+    Smith normal form depends on n.  With z = U f (its first m entries, read
+    off the row sums of f; the rest vanish on a cocycle), f = n*mu + d1 u
+    splits into
     z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff gcd(n, e_j) | z_j
     for every j.  The witness mu = (f - d1 u) / n is checked by exact
     division and then by direct substitution.
@@ -592,7 +616,7 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     comp = _complex_for(G)
     vec = comp.cocycle(f, None)
     u_smith = []
-    for z, e in zip(comp.U.mul_vector(vec), comp.factors):
+    for z, e in zip(comp.smith_coordinates(vec), comp.factors):
         g, _, t = _gcdext(n, e)
         if z % g:
             return DivisibilityWitness(False, None, None)

@@ -15,7 +15,7 @@ from math import gcd
 
 from circorder import promislow
 from circorder.cohomology import (IntMatrix, coboundary_matrices, coboundary_matrix,
-                                  smith_normal_form)
+                                  kernel_basis, smith_normal_form)
 from circorder.errors import require
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group,
                               direct_product, symmetric_group, trivial_group)
@@ -406,6 +406,27 @@ def coboundary_solver(G: FiniteGroup, n):
 def is_coboundary_mod(G: FiniteGroup, f, n) -> bool:
     """Whether f = d1 u + n w for integer u, w (f = d1 u for n None)."""
     return solve_int(coboundary_solver(G, n), cocycle_vector(G, f)) is not None
+
+
+@lru_cache(maxsize=None)
+def _full_u_head(G: FiniteGroup) -> IntMatrix:
+    """The first m = |G| - 1 rows of the square row transform U of the Smith
+    normal form U d1 V = diag(e_j): the class-coordinate rows the library
+    no longer builds, since it reads U f off the row sums of f."""
+    U = smith_normal_form(coboundary_matrix(G, 1)).U
+    return IntMatrix(U.data[:G.order - 1], cols=U.cols)
+
+
+def full_u_coordinates(G: FiniteGroup, f) -> list[int]:
+    """(U f)_j for j < m, through the square U."""
+    return _full_u_head(G).mul_vector(cocycle_vector(G, f))
+
+
+def full_u_kernel_classes(G: FiniteGroup) -> IntMatrix:
+    """U[:m] @ kernel_basis(SNF of d2): the ker d2 basis of the library's
+    d2 Smith normal form in class coordinates, through the square U."""
+    snf2 = smith_normal_form(coboundary_matrix(G, 2), want_u=False)
+    return _full_u_head(G) @ kernel_basis(snf2)
 
 
 @lru_cache(maxsize=None)

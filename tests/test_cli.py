@@ -128,10 +128,14 @@ def test_obstruction_rejects_bad_numbers_as_usage_errors(capsys, argv):
 @pytest.mark.parametrize("argv", [["promislow", "--radius", "-1"],
                                   ["promislow", "--samples", "-3"],
                                   ["product-co", "--group", "g.json", "--n", "1"],
-                                  ["product-co", "--group", "g.json", "--n", "x"]])
+                                  ["product-co", "--group", "g.json", "--n", "x"],
+                                  ["enumerate", "--group", "g.json", "--max-order", "-1"],
+                                  ["product-co", "--group", "g.json", "--n", "3",
+                                   "--max-order", "-1"]])
 def test_bad_counts_are_usage_errors(capsys, argv):
-    # a negative radius is bad input (exit 2), not an exceeded bound (exit 3),
-    # and a negative sample count must not pass as a run with no checks
+    # a negative radius or order limit is bad input (exit 2), not an exceeded
+    # bound (exit 3), and a negative sample count must not pass as a run with
+    # no checks
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -172,20 +176,21 @@ def test_human_readable_output(capsys, group_file):
 
 
 # Runs under `python -O`, where bare asserts vanish: a corrupted SNF (caught
-# by the tests' verify_snf), and a corrupted cached V of the d1 Smith normal
-# form that yields wrong witnesses, must still raise CheckFailed, and the CLI
-# must still exit 1 on it.
+# by the tests' verify_snf), a corrupted cached V of the d1 Smith normal
+# form that yields wrong witnesses, and a corrupted cached V^-1 that breaks
+# the exact division of the row-sum class coordinates, must still raise
+# CheckFailed, and the CLI must still exit 1 on it.
 _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (CheckFailed, IntMatrix, cli, cohomology, cyclic_group,
                        dump_group, standard_order_zn)
 from helpers import verify_snf
 
-def raises_check_failed(call):
+def raises_check_failed(call, match=""):
     try:
         call()
-    except CheckFailed:
-        return True
+    except CheckFailed as exc:
+        return match in str(exc)
     return False
 
 snf = cohomology.smith_normal_form([[2, 0], [0, 3]])
@@ -199,6 +204,14 @@ results["is_trivial_mod_n"] = raises_check_failed(lambda: cohomology.is_trivial_
 results["is_n_divisible"] = raises_check_failed(lambda: cohomology.is_n_divisible(G, f, 3))
 dump_group(G, sys.argv[1])
 results["cli_exit"] = cli.main(["product-co", "--group", sys.argv[1], "--n", "3"])
+cohomology._Complex.cache_clear()
+comp = cohomology._Complex(G)
+results["e_0"] = comp.factors[0]
+comp.Vinv.data[0][0] += 1
+exact = "not divisible by |G|"
+results["class_of_vinv"] = raises_check_failed(lambda: cohomology.class_of(G, f), exact)
+results["is_n_divisible_vinv"] = raises_check_failed(
+    lambda: cohomology.is_n_divisible(G, f, 3), exact)
 print(json.dumps(results))
 """
 
@@ -214,5 +227,7 @@ def test_checks_survive_python_O(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"optimized": True, "verify": True,
                                        "is_trivial_mod_n": True,
-                                       "is_n_divisible": True, "cli_exit": 1}
+                                       "is_n_divisible": True, "cli_exit": 1,
+                                       "e_0": 1, "class_of_vinv": True,
+                                       "is_n_divisible_vinv": True}
     assert "check failed" in proc.stderr

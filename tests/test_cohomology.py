@@ -16,6 +16,7 @@ from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matr
                                   is_trivial_mod_n, kernel_basis, smith_normal_form)
 
 from helpers import (brute_h2_order_modn, cocycle_vector, d2_annihilates,
+                     full_u_coordinates, full_u_kernel_classes,
                      invariant_factors_from_diagonal, invariant_factors_of_sum,
                      is_coboundary_mod, is_cocycle_mod, kernel_route_class,
                      kernel_route_factors, minors_gcd_invariant_factors,
@@ -200,12 +201,17 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     G = dihedral_group(5)
     m = G.order - 1
     shapes = []
+    transforms = []  # (rows, want_u, diagonal input) of every SNF
     built = []  # row counts of every IntMatrix constructed
     init, zeros = IntMatrix.__init__, IntMatrix.zeros
 
     def recording(M, *args, **kwargs):
         result = smith_normal_form(M, *args, **kwargs)
+        want_u = args[0] if args else kwargs.get("want_u", True)
+        diagonal = not any(v for i, row in enumerate(result.matrix.data)
+                           for j, v in enumerate(row) if i != j)
         shapes.append((result.matrix.rows, result.matrix.cols))
+        transforms.append((result.matrix.rows, want_u, diagonal))
         return result
 
     def recording_init(self, *args, **kwargs):
@@ -229,10 +235,15 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
     assert is_trivial_mod_n(G, f, 3) and not is_trivial_mod_n(G, f, 4)
     assert shapes and all(rows < m ** 3 for rows, _ in shapes), shapes
+    # no square U of d1's m^2 rows: a row transform is only ever asked for
+    # on the small invariant-factor diagonal
+    assert all(not want_u or (diagonal and rows <= m)
+               for rows, want_u, diagonal in transforms), transforms
     assert built and m ** 3 not in built, sorted(set(built))
     held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
     assert held and all(M.rows < m ** 3 for M in held), held
     assert "d2_smith" not in vars(_Complex(G))
+    assert not hasattr(_Complex(G), "U")
     shapes.clear()
     h2_structure(G, 4)
     h2_structure(G, 3)
@@ -427,6 +438,21 @@ def test_integral_classes_match_the_kernel_route(data):
     same = class_of(G, f).coords == class_of(G, _relabel_cochain(g_base, perm)).coords
     assert same == (not any(kernel_route_class(B, difference)))
     assert same or k == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_row_sum_coordinates_match_the_full_u_oracle(data):
+    # (U f)_j read off the row sums of f must equal U[:m] f from the square U
+    # of the d1 Smith normal form exactly, not only mod e_j, on every ordering
+    # and on a sum of cocycle basis columns; so must the ker d2 basis columns
+    index, perm, G = data.draw(relabelings(SMALL_GROUPS))
+    comp = _Complex(G)
+    cocycles = [arrangement_to_inhom(a).values for a in enumerate_circular_orders(G)]
+    cocycles.append(_draw_cocycle(data, index, perm, None)[1])
+    for f in cocycles:
+        assert comp.smith_coordinates(cocycle_vector(G, f)) == full_u_coordinates(G, f)
+    assert comp.d2_smith.kernel_classes == full_u_kernel_classes(G)
 
 
 @settings(max_examples=40, deadline=None)
