@@ -80,17 +80,7 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
-        od = other.data
-        out = []
-        for row in self.data:
-            acc = [0] * other.cols
-            for aik, orow in zip(row, od):
-                if aik:
-                    for j, v in enumerate(orow):
-                        if v:
-                            acc[j] += aik * v
-            out.append(acc)
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix(_mul_lists(self.data, other.data, other.cols), cols=other.cols)
 
     def mul_vector(self, vec: Sequence[int]) -> list[int]:
         if self.cols != len(vec):
@@ -494,7 +484,7 @@ class H2Structure:
     coboundary lattice, additively.  Over Z it takes the class coordinates
     (U f)_j of the d1 Smith normal form from their row sums
     (`_Complex.smith_coordinates`; U itself is never built) and applies
-    `_coords`, the small matrix that moves them to the invariant factors.
+    `_coords`, which selects those of the nonunit e_j.
     Over Z/n it first takes y = V^-1 f from the d2 Smith normal form and
     divides the rank block of y exactly by its steps n / gcd(d_i, n), then
     applies `_coords`.  Coordinates are reduced mod each factor.
@@ -546,11 +536,12 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
                  max_order: int = H2_ORDER_LIMIT) -> H2Structure:
     """H^2(G; Z) for modulus None, else H^2(G; Z/modulus).
 
-    Over Z the summands are Z/e_j from the group's cached Smith normal form
-    of d1 (see the module docstring).  Over Z/n they are Z/gcd(d_i, n) on the
-    rank block of d2 and Z/gcd(e_j, n) on its kernel block, in the class
-    coordinates of the kernel basis.  One Smith normal form of the diagonal
-    of nonunit orders puts them in divisibility order.
+    Over Z the summands are the nonunit Z/e_j from the group's cached Smith
+    normal form of d1 (see the module docstring), already in divisibility
+    order.  Over Z/n they are Z/gcd(d_i, n) on the rank block of d2 and
+    Z/gcd(e_j, n) on its kernel block, in the class coordinates of the
+    kernel basis; one Smith normal form of the diagonal of nonunit orders
+    puts them in divisibility order.
     """
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus {modulus} < 2")
@@ -559,7 +550,12 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
     if got is not None:
         return got
     if modulus is None:
-        steps, orders, block = (), comp.factors, IntMatrix.identity(len(comp.factors))
+        # the d1 diagonal is already a divisibility chain: its nonunit
+        # entries are the invariant factors, and _coords selects them
+        m = len(comp.factors)
+        keep = [j for j, e in enumerate(comp.factors) if e != 1]
+        got = H2Structure(None, tuple(comp.factors[j] for j in keep), comp, (),
+                          IntMatrix([[int(i == j) for i in range(m)] for j in keep], cols=m))
     else:
         d2 = comp.d2_smith
         steps = tuple(modulus // gcd(d, modulus) for d in d2.factors)
@@ -569,12 +565,12 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
         # maps (rank quotients, kernel coords) to coordinates mod `orders`
         block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k for i in range(r)]
                           + [[0] * r + row for row in d2.kernel_classes.data], cols=r + k)
-    keep = [i for i, o in enumerate(orders) if o != 1]
-    snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
-    selected = IntMatrix([block.data[i] for i in keep], cols=block.cols)
-    rows = [j for j, e in enumerate(snf.diagonal) if e != 1]
-    coords = IntMatrix([snf.U.data[j] for j in rows], cols=len(keep)) @ selected
-    got = H2Structure(modulus, tuple(snf.diagonal[j] for j in rows), comp, steps, coords)
+        keep = [i for i, o in enumerate(orders) if o != 1]
+        snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
+        selected = IntMatrix([block.data[i] for i in keep], cols=block.cols)
+        rows = [j for j, e in enumerate(snf.diagonal) if e != 1]
+        coords = IntMatrix([snf.U.data[j] for j in rows], cols=len(keep)) @ selected
+        got = H2Structure(modulus, tuple(snf.diagonal[j] for j in rows), comp, steps, coords)
     comp.structures[modulus] = got
     return got
 

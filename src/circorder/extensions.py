@@ -6,13 +6,14 @@ From a circularly-ordered finite group (G, f) this module builds:
   {(a, g) : a >= 0} minus the identity, together with cone comparison and
   cofinality probes;
 * the finite extensions of G by Z/n, materialized as table groups;
-* the explicit two-case circular ordering on those finite extensions, and the
-  same ordering recovered the slow way, by quotienting the Z-extension by the
-  n-th power of its canonical central element and reading off the cocycle of
-  the minimal-representative section;
-* minimal generators of finite cyclic ordered groups, and quotients by
-  central cyclic subgroups with the section that matches the quotient
-  ordering mod n.
+* the explicit two-case circular ordering on those finite extensions;
+* minimal generators of finite cyclic ordered groups;
+* one cone quotient (`_cone_quotient`): the Z-extension modulo a positive
+  cofinal central element c, with the cocycle of the section that picks each
+  coset's element in [id, c).  Cut at z^n it recovers the two-case ordering
+  the slow way (`quotient_by_power`); cut at the lift of the minimal
+  generator of a central cyclic K it gives the quotient ordering on G/K and
+  the section that matches it mod |K| (`quotient_by_cyclic_central`).
 
 Coefficients are arbitrary-precision integers throughout.
 """
@@ -24,8 +25,7 @@ from typing import NamedTuple, Optional
 
 from .errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from .groups import (FiniteGroup, GroupHom, group_from_json, group_to_json,
-                     is_normal, is_subgroup, quotient, subgroup_generated,
-                     ASSOCIATIVITY_CHECK_LIMIT)
+                     quotient, subgroup_generated, ASSOCIATIVITY_CHECK_LIMIT)
 from .orders import InhomCircularOrder, inhom_failures, validate_inhom
 
 MATERIALIZATION_LIMIT = 1024
@@ -227,6 +227,41 @@ def minimal_generator(G: FiniteGroup, f) -> int:
 
 # -- quotient constructions ---------------------------------------------------
 
+def _cone_quotient(E: CentralExtensionGroup, c: CentralExtElement, candidates,
+                   coset_of) -> tuple:
+    """Quotient the Z-extension E by the positive cofinal central element c.
+
+    candidates[i] lists elements of the i-th coset of <c> wide enough to hold
+    its representative, the unique one with id <= r < c in the cone order,
+    and coset_of maps an element of E to its coset index.  The quotient
+    multiplies representatives, and its cocycle at (i1, i2) is the j with
+    r_i1 r_i2 = c^j r_(i1 i2).  Returns (reps, table, cocycle).
+    """
+    reps = []
+    for i, coset in enumerate(candidates):
+        found = [x for x in coset if cone_compare(E, E.identity, x) <= 0
+                 and cone_compare(E, x, c) == -1]
+        if len(found) != 1:
+            raise AxiomError("minimal-representative", (i,),
+                             f"{len(found)} candidates in the cone window")
+        reps.append(found[0])
+    # a circular ordering takes only the values 0 and 1, so a small window of
+    # powers reads every defect that validate_inhom could accept
+    exponent = {E.power(c, j): j for j in range(-2, 3)}
+    table = [[0] * len(reps) for _ in reps]
+    cocycle = [[0] * len(reps) for _ in reps]
+    for i1, r1 in enumerate(reps):
+        for i2, r2 in enumerate(reps):
+            product = E.multiply(r1, r2)
+            i12 = table[i1][i2] = coset_of(product)
+            defect = E.multiply(product, E.inverse(reps[i12]))
+            if defect not in exponent:
+                raise AxiomError("minimal-representative", (i1, i2),
+                                 "section defect is not a small power of c")
+            cocycle[i1][i2] = exponent[defect]
+    return reps, table, cocycle
+
+
 class QuotientPowerResult(NamedTuple):
     group: FiniteGroup
     ordering: InhomCircularOrder
@@ -238,55 +273,23 @@ def quotient_by_power(G: FiniteGroup, f, n: int) -> QuotientPowerResult:
     minimal-representative section.
 
     Every step is carried out by cone search in the Z-extension (no closed
-    forms): coset representatives are the unique elements between id
-    (inclusive) and z^n, and the quotient cocycle counts how many copies of
-    z^n the section products overshoot by.
+    forms, see `_cone_quotient`): the coset of (a, g) has index
+    (a mod n)|G| + g, and its representative is its unique element between
+    id (inclusive) and z^n.
     """
     if n < 2:
         raise InvalidGroupError(f"quotient_by_power: n = {n} < 2")
     f = _as_order(G, f)
     E = build_extension(G, f)
-    zn = E.iota(n)
-
-    def at_most_id(x):  # id <= x
-        return x == E.identity or cone_compare(E, E.identity, x) == -1
-
-    reps = {}
-    for g in range(G.order):
-        for residue in range(n):
-            found = [CentralExtElement(c, g)
-                     for c in range(residue - 2 * n, residue + 2 * n + 1, n)
-                     if at_most_id(CentralExtElement(c, g))
-                     and cone_compare(E, CentralExtElement(c, g), zn) == -1]
-            if len(found) != 1:
-                raise AxiomError("minimal-representative", (residue, g),
-                                 f"{len(found)} candidates in the cone window")
-            reps[(residue, g)] = found[0]
-    keys = sorted(reps, key=lambda key: key[0] * G.order + key[1])
-    index_of = {key: i for i, key in enumerate(keys)}
-
-    def coset_key(x: CentralExtElement):
-        return (x.a % n, x.g)
-
-    order = n * G.order
-    table = [[0] * order for _ in range(order)]
-    cocycle = [[0] * order for _ in range(order)]
-    for key1 in keys:
-        i1 = index_of[key1]
-        r1 = reps[key1]
-        for key2 in keys:
-            i2 = index_of[key2]
-            product = E.multiply(r1, reps[key2])
-            key12 = coset_key(product)
-            table[i1][i2] = index_of[key12]
-            overshoot = E.multiply(product, E.inverse(reps[key12]))
-            if overshoot.g != 0 or overshoot.a % n != 0:
-                raise AxiomError("minimal-representative", (key1, key2),
-                                 "section defect is not a power of z^n")
-            cocycle[i1][i2] = overshoot.a // n
-    names = [f"({a}, {G.names[g]})" for (a, g) in keys]
+    m = G.order
+    _, table, cocycle = _cone_quotient(
+        E, E.iota(n),
+        [[CentralExtElement(a, g) for a in range(residue - 2 * n, residue + 2 * n + 1, n)]
+         for residue in range(n) for g in range(m)],
+        lambda x: x.a % n * m + x.g)
+    names = [f"({a}, {G.names[g]})" for a in range(n) for g in range(m)]
     Q = FiniteGroup(table, names=names, name=f"{G.name}~/{n}",
-                    validate=order <= ASSOCIATIVITY_CHECK_LIMIT)
+                    validate=n * m <= ASSOCIATIVITY_CHECK_LIMIT)
     return QuotientPowerResult(Q, validate_inhom(Q, cocycle))
 
 
@@ -341,20 +344,19 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
     """Quotient a circularly-ordered group by a central cyclic subgroup.
 
     Follows the cone construction literally: lift to the Z-extension, quotient
-    by the positive generator of the preimage of K, and pull the
-    minimal-representative section back to G.  The returned section nu
-    satisfies p_n(fbar) = f_nu elementwise, with iota([1]) the minimal
-    generator of (K, f restricted to K); both facts are checked before
-    returning, and a failure raises CheckFailed.
+    by the positive generator of the preimage of K (`_cone_quotient`, cosets
+    indexed as in `groups.quotient`), and pull the minimal-representative
+    section back to G.  The returned section nu satisfies p_n(fbar) = f_nu
+    elementwise, with iota([1]) the minimal generator of (K, f restricted to
+    K); both facts are checked before returning, and a failure raises
+    CheckFailed or AxiomError.
     """
     f = _as_order(G, f)
     K = frozenset(K)
-    if not is_subgroup(G, K):
-        raise InvalidGroupError("quotient_by_cyclic_central: K is not a subgroup")
+    quot = quotient(G, K)  # InvalidGroupError unless K is a normal subgroup
+    Q, proj = quot.group, quot.projection
     if len(K) < 2:
         raise InvalidGroupError("quotient_by_cyclic_central: |K| must be >= 2")
-    if not is_normal(G, K):
-        raise InvalidGroupError("quotient_by_cyclic_central: K is not normal")
     sub = subgroup_generated(G, K)
     if not sub.group.is_cyclic():
         raise InvalidGroupError("quotient_by_cyclic_central: K is not cyclic")
@@ -375,39 +377,16 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
                 E.multiply(CentralExtElement(0, h), z_lift):
             raise AxiomError("centrality", (z, h), "lift of the generator is not central")
 
-    quot = quotient(G, K)
-    Q, proj = quot.group, quot.projection
-
-    def at_most_id(x):
-        return x == E.identity or cone_compare(E, E.identity, x) == -1
-
-    section_lifts = []
-    for q in range(Q.order):
-        fiber = [g for g in range(G.order) if proj(g) == q]
-        found = [CentralExtElement(c, g) for g in fiber for c in range(-2, 3)
-                 if at_most_id(CentralExtElement(c, g))
-                 and cone_compare(E, CentralExtElement(c, g), z_lift) == -1]
-        if len(found) != 1:
-            raise AxiomError("minimal-representative", (q,),
-                             f"{len(found)} candidates in the cone window")
-        section_lifts.append(found[0])
+    section_lifts, table, fbar = _cone_quotient(
+        E, z_lift,
+        [[CentralExtElement(c, g) for g in range(G.order) if proj(g) == q for c in range(-2, 3)]
+         for q in range(Q.order)],
+        lambda x: proj(x.g))
     nu = NormalizedSection(Q, G, tuple(x.g for x in section_lifts))
     require(nu(0) == 0 and all(proj(nu(q)) == q for q in range(Q.order)),
             "minimal-representative section is not a normalized section of the projection")
-
-    power_index = {}
-    for j in range(-(2 * n + 2), 2 * n + 3):
-        power_index.setdefault(E.power(z_lift, j), j)
-
-    fbar = [[0] * Q.order for _ in range(Q.order)]
-    for q1 in range(Q.order):
-        for q2 in range(Q.order):
-            d = E.multiply(E.multiply(section_lifts[q1], section_lifts[q2]),
-                           E.inverse(section_lifts[Q.table[q1][q2]]))
-            if d not in power_index:
-                raise AxiomError("minimal-representative", (q1, q2),
-                                 "section defect is not a power of the lifted generator")
-            fbar[q1][q2] = power_index[d]
+    require([list(row) for row in Q.table] == table,
+            "the cone quotient's table is not the table of G/K")
     ordering = validate_inhom(Q, fbar)
 
     # p_n(fbar) = f_nu, with K coordinatized by iota([1]) = z

@@ -43,8 +43,8 @@ class FiniteGroup:
             if len(row) != order:
                 raise InvalidGroupError(f"table[{g}]: row length {len(row)} != order {order}")
             for h, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < order:
-                    raise InvalidGroupError(f"table[{g}][{h}] = {v!r} out of range 0..{order - 1}")
+                if type(v) is not int or not 0 <= v < order:  # bool is not an index
+                    raise InvalidGroupError(f"table[{g}][{h}] = {v!r} is not an index in 0..{order - 1}")
         self.order = order
         self.table = table
         if names is None:

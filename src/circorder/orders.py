@@ -230,7 +230,7 @@ def inhom_to_hom(f: InhomCircularOrder) -> HomCircularOrder:
 def arrangement_from_sequence(G: FiniteGroup, sequence: Sequence[int],
                               validate: bool = True) -> Arrangement:
     seq = tuple(sequence)
-    if sorted(seq) != list(range(G.order)):
+    if any(type(g) is not int for g in seq) or sorted(seq) != list(range(G.order)):
         raise AxiomError("shape", seq, "not a permutation of the elements")
     if seq[0] != 0:
         raise AxiomError("normalization", seq, "arrangement must start at the identity")

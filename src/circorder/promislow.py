@@ -60,7 +60,7 @@ GEN_B = PromElement(2, (0, 1, 1))
 def make_element(m: int, w) -> PromElement:
     """Validated constructor; rejects parity-violating (corrupt) data."""
     w = tuple(w)
-    if m not in (0, 1, 2, 3) or len(w) != 3 or not all(isinstance(v, int) for v in w):
+    if m not in (0, 1, 2, 3) or len(w) != 3 or not all(type(v) is int for v in w):
         raise InvalidGroupError(f"bad element data ({m!r}, {w!r})")
     if tuple(v % 2 for v in w) != PARITY[m]:
         raise InvalidGroupError(

@@ -52,6 +52,8 @@ def test_enumerate_exit_codes(tmp_path, group_file):
     bad = tmp_path / "bad.json"
     bad.write_text('{"table": [[0,1],[1,1]]}')
     assert main(["enumerate", "--group", str(bad)]) == 2
+    bad.write_text('{"table": [[0,true],[true,false]]}')
+    assert main(["enumerate", "--group", str(bad)]) == 2
     assert main(["enumerate", "--group", group_file(cyclic_group(13))]) == 3
 
 

@@ -231,6 +231,9 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     reflection = [G.element_order(g) == 2 for g in range(G.order)]
     f = [[int(a and b) for b in reflection] for a in reflection]
     assert h2_structure(G).invariant_factors == (2,)
+    # a cold H^2(G; Z) is one SNF, of d1: its diagonal is already a
+    # divisibility chain, so the invariant factors need no second SNF
+    assert shapes == [(m * m, m)], shapes
     assert class_of(G, f).coords == (1,)
     assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
     assert is_trivial_mod_n(G, f, 3) and not is_trivial_mod_n(G, f, 4)

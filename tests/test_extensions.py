@@ -272,6 +272,24 @@ def test_quotient_by_cyclic_central_all_subgroups_of_cyclics():
                 assert res.group.order == k // d
 
 
+def test_the_two_quotients_invert_each_other():
+    # cutting the Z-extension of (G, f) at z^n gives a Z/n-extension whose
+    # central Z/n = {(a, id)} = {a |G|}; cutting that at its minimal generator
+    # must give back G and f exactly, on the same indices
+    cases = 0
+    for k in range(2, 7):
+        G = cyclic_group(k)
+        for f in orderings_of(G):
+            for n in range(2, 24 // k + 1):
+                qp = quotient_by_power(G, f, n)
+                res = quotient_by_cyclic_central(qp.group, qp.ordering,
+                                                 {a * k for a in range(n)})
+                assert res.group.table == G.table
+                assert res.ordering.values == f.values
+                cases += 1
+    assert cases == 53
+
+
 def test_normal_cyclic_subgroups_of_ordered_groups_are_central():
     # every normal cyclic subgroup of a circularly-orderable library group
     # must land in the center (finite circularly orderable means cyclic)

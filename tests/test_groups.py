@@ -184,6 +184,9 @@ def test_group_json_diagnostics(tmp_path):
         group_from_json({"order": 3, "table": [[0, 1], [1, 0]]})
     with pytest.raises(InvalidGroupError, match=r"table\[1\]\[1\]"):
         group_from_json({"table": [[0, 1], [1, 7]]})
+    # JSON true equals 1 in Python, but a boolean is not an element index
+    with pytest.raises(InvalidGroupError, match=r"table\[0\]\[1\] = True"):
+        group_from_json({"table": [[0, True], [True, False]]})
     with pytest.raises(InvalidGroupError, match="identity"):
         group_from_json({"table": [[1, 0], [0, 1]]})
     with pytest.raises(InvalidGroupError, match="names"):

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from circorder.errors import AxiomError, BoundExceeded
-from circorder.groups import (cyclic_group, direct_product, GroupHom,
+from circorder.groups import (cyclic_group, direct_product, GroupHom, group_to_json,
                               symmetric_group, trivial_group)
 from circorder.orders import (arrangement_from_sequence,
                               arrangement_to_hom, arrangement_to_inhom,
@@ -275,3 +275,12 @@ def test_ordering_json_round_trip():
     named["group"] = "Z/4"
     resolved = ordering_from_json(named, resolve_group=lambda name: c4)
     assert resolved.sequence == arr.sequence
+
+
+def test_ordering_json_rejects_boolean_elements():
+    # [0, true, 2] sorts equal to [0, 1, 2], but true is not an element index
+    data = {"group": group_to_json(cyclic_group(3)), "kind": "arrangement",
+            "data": [0, True, 2]}
+    with pytest.raises(AxiomError) as exc:
+        ordering_from_json(data)
+    assert exc.value.kind == "shape"

@@ -276,6 +276,8 @@ def test_element_json():
         element_from_json({"M": "A", "w": [0, 0, 0]})
     with pytest.raises(InvalidGroupError):
         element_from_json({"M": "Q", "w": [0, 0, 0]})
+    with pytest.raises(InvalidGroupError, match="bad element data"):
+        element_from_json({"M": "I", "w": [False, False, False]})
 
 
 def test_demo_quick_run_is_deterministic():
