@@ -120,7 +120,8 @@ def inhom_failures(G: FiniteGroup, values):
     if len(values) != n or any(len(row) != n for row in values):
         yield AxiomError("shape", (len(values),), f"want {n} x {n}")
         return
-    bad = next(((g, h) for g in range(n) for h in range(n) if values[g][h] not in (0, 1)), None)
+    bad = next(((g, h) for g, row in enumerate(values) for h, v in enumerate(row)
+                if type(v) is not int or v not in (0, 1)), None)   # not 1.0 or True
     if bad is not None:
         yield AxiomError("value-range", bad, f"value {values[bad[0]][bad[1]]}")
     bad = next((g for g in range(1, n) if values[g][G.inverse[g]] != 1), None)
@@ -164,6 +165,8 @@ def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
             for g3 in range(n):
                 v = values[g1][g2][g3]
                 degenerate = g1 == g2 or g2 == g3 or g1 == g3
+                if type(v) is not int:   # not 1.0 or True, which compare equal
+                    raise AxiomError("vanishing", (g1, g2, g3), f"value {v!r} is not an int")
                 if degenerate and v != 0:
                     raise AxiomError("vanishing", (g1, g2, g3), f"value {v} on repeat")
                 if not degenerate and v not in (1, -1):

@@ -17,13 +17,16 @@ circular ordering of Z/2.  That construction is kept as
 `promislow_circular_order`, is the same ordering in closed form: cutting the
 circle at the identity leaves a linear order on the other elements (the
 positive kernel cone, then the coset aK, then the negative cone), so
-c(g1, g2, g3) compares the keys of g1^-1 g2 and g1^-1 g3, computed from raw
-coordinates.  The seeded self-check suite (`demo`) checks the axioms on the
-closed form and its agreement with the construction on every triple of
-ball(2).  It evaluates the closed form once on each of the 17^3 triples of
-ball(2) into a table: the agreement count and the exhaustive axioms read
-it, and only the invariance check calls the oracle again, on the
-translated triples.  The sampled axioms call the oracle for every value.
+c(g1, g2, g3) compares g1^-1 g2 with g1^-1 g3 in that order.  It reads
+their class, y, x and z fields off coordinate differences and stops at the
+first field that differs, which is the lexicographic comparison of their
+keys (class, +-y, sigma_x x, sigma_z z) without building the keys.  The
+seeded self-check suite (`demo`) checks the axioms on the closed form and
+its agreement with the construction on every triple of ball(2).  It
+evaluates the closed form once on each of the 17^3 triples of ball(2) into
+a table: the agreement count and the exhaustive axioms read it, and only
+the invariance check calls the oracle again, on the translated triples.
+The sampled axioms call the oracle for every value.
 The module also provides word evaluation, balls and the abelianization onto
 Z/4 x Z/4.
 """
@@ -69,10 +72,11 @@ def make_element(m: int, w) -> PromElement:
 
 
 def prom_mul(p: PromElement, q: PromElement) -> PromElement:
-    sx, sy, sz = SIGNS[p.m]
-    px, py, pz = p.w
-    qx, qy, qz = q.w
-    return PromElement(p.m ^ q.m, (px + sx * qx, py + sy * qy, pz + sz * qz))
+    pm, (px, py, pz) = p
+    qm, (qx, qy, qz) = q
+    sx, sy, sz = SIGNS[pm]
+    # tuple.__new__ skips the namedtuple's Python-level __new__
+    return tuple.__new__(PromElement, (pm ^ qm, (px + sx * qx, py + sy * qy, pz + sz * qz)))
 
 
 def prom_inv(p: PromElement) -> PromElement:
@@ -128,40 +132,55 @@ promislow_lexicographic_order = lexicographic_circular_order(
 """The paper's construction of the ordering; the check on the closed form."""
 
 
-def _cut_key(m: int, x: int, y: int, z: int) -> tuple:
-    """Key of the element (m, (x, y, z)) in the linear order that cutting the
-    circle at the identity leaves: the positive kernel cone (class 0), then
-    the coset aK (class 1), then the negative cone (class 2).  Within a class
-    g comes before g' when g^-1 g' = (m ^ m', S (w' - w)), S = SIGNS[m], is
-    in the kernel cone: y decides (sigma_y = -1 on aK reverses it), and a tie
-    in y forces m == m' by parity, so sigma_x x and then sigma_z z break it."""
-    sx, _, sz = SIGNS[m]
-    if m & 1:
-        return (1, -y, sx * x, sz * z)
-    if y:
-        cone = 0 if y > 0 else 2
-    else:
-        cone = 0 if x > 0 or (x == 0 and z > 0) else 2
-    return (cone, y, sx * x, sz * z)
-
-
 def promislow_circular_order(g1: PromElement, g2: PromElement, g3: PromElement) -> int:
     """Circular-ordering oracle on the whole group; values in {0, +1, -1}.
 
-    +1 exactly when g1^-1 g2 comes before g1^-1 g3 in the cut-at-identity
-    order.  g1^-1 (m, w) = (m1 ^ m, S1 (w - w1)) with S1 = SIGNS[m1], so the
-    keys come from coordinate differences and no element is built.
+    +1 exactly when g1^-1 g2 comes before g1^-1 g3 in the linear order that
+    cutting the circle at the identity leaves: the positive kernel cone
+    (class 0), then the coset aK (class 1), then the negative cone (class 2).
+    g1^-1 (m, w) = (m1 ^ m, S1 (w - w1)) with S1 = SIGNS[m1], so everything
+    is read off coordinate differences and no element is built.  The class
+    decides first.  Within a class g comes before g' when g^-1 g' is in the
+    kernel cone: y decides (sigma_y = -1 on aK reverses it), and a tie in y
+    forces the same point-group part m2 == m3 by parity, so with
+    (sx, _, sz) = SIGNS[m2] (the product SIGNS[m1] SIGNS[m1 ^ m2]) sx x and
+    then sz z break it.  The comparison stops at the first field that
+    differs, which is the lexicographic order on the keys
+    (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.
     """
     if g1 == g2 or g2 == g3 or g1 == g3:
         return 0
     m1, (x1, y1, z1) = g1
-    sx, sy, sz = SIGNS[m1]
     m2, (x2, y2, z2) = g2
     m3, (x3, y3, z3) = g3
-    if _cut_key(m1 ^ m2, sx * (x2 - x1), sy * (y2 - y1), sz * (z2 - z1)) \
-            < _cut_key(m1 ^ m3, sx * (x3 - x1), sy * (y3 - y1), sz * (z3 - z1)):
-        return 1
-    return -1
+    odd = m1 & 1                          # g1 in aK, where sigma_y = -1
+    if odd:
+        dy2, dy3 = y1 - y2, y1 - y3
+    else:
+        dy2, dy3 = y2 - y1, y3 - y1
+    if (m2 & 1) != odd:
+        c2 = 1
+    elif dy2:
+        c2 = 0 if dy2 > 0 else 2
+    else:                                 # a pure translation: x, then z
+        sx, _, sz = SIGNS[m1]
+        dx = sx * (x2 - x1)
+        c2 = 0 if dx > 0 or (dx == 0 and sz * (z2 - z1) > 0) else 2
+    if (m3 & 1) != odd:
+        c3 = 1
+    elif dy3:
+        c3 = 0 if dy3 > 0 else 2
+    else:
+        sx, _, sz = SIGNS[m1]
+        dx = sx * (x3 - x1)
+        c3 = 0 if dx > 0 or (dx == 0 and sz * (z3 - z1) > 0) else 2
+    if c2 != c3:
+        return 1 if c2 < c3 else -1
+    if dy2 != dy3:
+        return 1 if (dy2 > dy3) == (c2 == 1) else -1
+    sx, _, sz = SIGNS[m2]
+    d = sx * (x3 - x2) or sz * (z3 - z2)
+    return 1 if d > 0 else -1
 
 
 # Known obstruction spectrum of the group: exactly the multiples of 4.
@@ -265,11 +284,10 @@ def _sampled_axiom_counts(c, big, rng, samples) -> dict:
     """The four circular-ordering axioms on `samples` quadruples
     (g1, g2, g3, h) drawn from `big` by `rng`, calling the oracle `c` for
     every value: 10 calls per nondegenerate quadruple."""
-    size = len(big)
+    choice = rng.choice   # one _randbelow(len(big)) per draw, as randrange
     failures = {"vanishing": 0, "antisymmetry": 0, "invariance": 0, "cocycle": 0}
     for _ in range(samples):
-        g1, g2, g3, h = (big[rng.randrange(size)], big[rng.randrange(size)],
-                         big[rng.randrange(size)], big[rng.randrange(size)])
+        g1, g2, g3, h = choice(big), choice(big), choice(big), choice(big)
         v = c(g1, g2, g3)
         degenerate = g1 == g2 or g2 == g3 or g1 == g3
         if (v == 0) != degenerate:

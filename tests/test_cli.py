@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import circorder
+from circorder import cli
 from circorder.cli import main
 from circorder.groups import cyclic_group, direct_product, dump_group
+from circorder.orders import (arrangement_from_sequence, arrangement_to_inhom,
+                              ordering_from_json, ordering_to_json)
 
 
 @pytest.fixture()
@@ -55,6 +58,23 @@ def test_enumerate_exit_codes(tmp_path, group_file):
     bad.write_text('{"table": [[0,true],[true,false]]}')
     assert main(["enumerate", "--group", str(bad)]) == 2
     assert main(["enumerate", "--group", group_file(cyclic_group(13))]) == 3
+
+
+def test_ordering_file_values_must_be_ints(tmp_path, monkeypatch, capsys):
+    # No subcommand reads an ordering file, so a stand-in command loads one
+    # as load_group loads a group file.  A float or boolean value must exit
+    # like an out-of-range integer: 2, bad input.
+    monkeypatch.setattr(cli, "cmd_enumerate", lambda args: (
+        ordering_to_json(ordering_from_json(json.loads(Path(args.group).read_text()))), ""))
+    data = ordering_to_json(arrangement_to_inhom(
+        arrangement_from_sequence(cyclic_group(3), (0, 1, 2))))
+    path = tmp_path / "ordering.json"
+    path.write_text(json.dumps(data))
+    assert main(["enumerate", "--group", str(path)]) == 0
+    for text in ("2", "1.0", "true"):
+        path.write_text(json.dumps(data).replace("[0, 1, 1]]", f"[0, 1, {text}]]"))
+        assert main(["enumerate", "--group", str(path)]) == 2, text
+        assert "value-range" in capsys.readouterr().err
 
 
 def test_product_co(capsys, group_file):

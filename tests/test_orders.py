@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -284,3 +285,29 @@ def test_ordering_json_rejects_boolean_elements():
     with pytest.raises(AxiomError) as exc:
         ordering_from_json(data)
     assert exc.value.kind == "shape"
+
+
+
+def test_ordering_values_must_be_ints():
+    # 1.0 and true compare equal to 1 (0.0 and false to 0), so a scan for
+    # values in (0, 1) let them through and stored them in the ordering;
+    # they get the kind an out-of-range integer gets
+    with pytest.raises(AxiomError) as err:
+        validate_inhom(cyclic_group(3), [[0.0, 0, 0], [0, 0, 1.0], [0, True, 1]])
+    assert err.value.kind == "value-range" and err.value.witness == (0, 0)
+    arr = arrangement_from_sequence(cyclic_group(3), (0, 1, 2))
+    for obj, witness, kind, out_of_range in (
+            (arrangement_to_inhom(arr), (1, 2), "value-range", 2),
+            (arrangement_to_inhom(arr), (0, 1), "value-range", -1),
+            (arrangement_to_hom(arr), (0, 1, 2), "vanishing", 2),
+            (arrangement_to_hom(arr), (0, 0, 1), "vanishing", -1)):
+        data = json.loads(json.dumps(ordering_to_json(obj)))   # lists, as read from a file
+        *head, last = witness
+        row = data["data"]
+        for i in head:
+            row = row[i]
+        for value in (out_of_range, float(row[last]), bool(row[last])):
+            row[last] = value
+            with pytest.raises(AxiomError) as err:
+                ordering_from_json(data)
+            assert (err.value.kind, err.value.witness) == (kind, witness), value

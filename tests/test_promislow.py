@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from circorder import promislow
 from circorder.cli import main
 from circorder.errors import BoundExceeded, InvalidGroupError
-from helpers import axiom_counts
+import helpers
+from helpers import axiom_counts, key_circular_order
 from circorder.promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
                                  RELATORS, SIGNS, PromElement,
                                  abelianization_image, ball, demo,
@@ -114,13 +115,48 @@ def test_closed_form_matches_the_construction_off_ball5(h, gs):
         promislow_lexicographic_order(g1, g2, g3)
 
 
+# repeat patterns for three draws: all distinct, and every way to repeat
+_REPEATS = ((0, 1, 2), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 0, 0))
+# pure x- or z-translations by up to 6 lattice steps (doubled coordinates)
+_TRANSLATIONS = st.builds(
+    lambda axis, k: make_element(0, (2 * k, 0, 0) if axis == "x" else (0, 0, 2 * k)),
+    st.sampled_from("xz"), st.integers(-6, 6))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(BALL8), min_size=3, max_size=3),
+       st.sampled_from(_REPEATS), st.sampled_from(BALL8))
+def test_field_by_field_oracle_matches_the_key_tuples(draws, repeat, h):
+    triple = tuple(draws[i] for i in repeat)
+    for g1, g2, g3 in (triple, tuple(prom_mul(h, g) for g in triple)):
+        assert promislow_circular_order(g1, g2, g3) == key_circular_order(g1, g2, g3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(BALL8), st.sampled_from(BALL8) | _TRANSLATIONS,
+       _TRANSLATIONS, st.booleans(), st.sampled_from(BALL8))
+def test_field_by_field_oracle_matches_the_key_tuples_on_y_ties(g1, g2, t, swap, h):
+    # g3 = g2 t ties g1^-1 g2 and g1^-1 g3 in class and y, so the x and z
+    # fields decide; a translation g2 puts g1^-1 g2 in the kernel with
+    # y = 0, where x and z also decide the cone class
+    if g2.m == 0 and g2.w[1] == 0:
+        g2 = prom_mul(g1, g2)
+    g3 = prom_mul(g2, t)
+    if swap:
+        g2, g3 = g3, g2
+    for a, b, c in ((g1, g2, g3), (prom_mul(h, g1), prom_mul(h, g2), prom_mul(h, g3))):
+        assert promislow_circular_order(a, b, c) == key_circular_order(a, b, c)
+
+
 def test_a_wrong_key_fails_the_demo(monkeypatch, capsys):
-    # dropping sigma_x gives a wrong ordering that is still left-invariant
-    # (every key gives one), so the invariance count stays 0 and the
-    # agreement count with the construction must catch it
-    key = promislow._cut_key
-    monkeypatch.setattr(promislow, "_cut_key",
+    # the key-tuple route with sigma_x dropped from the key stands in for
+    # the oracle: a wrong ordering that is still left-invariant (every key
+    # gives one), so the invariance count stays 0 and the agreement count
+    # with the construction must catch it
+    key = helpers._cut_key
+    monkeypatch.setattr(helpers, "_cut_key",
                         lambda m, x, y, z: key(m, SIGNS[m][0] * x, y, z))
+    monkeypatch.setattr(promislow, "promislow_circular_order", key_circular_order)
     report = demo(samples=200)
     assert report["fast_vs_generic"]["triples"] == 17 ** 3
     assert report["fast_vs_generic"]["agree"] < 17 ** 3
@@ -188,7 +224,10 @@ _DEFAULT_REPORT = {
 
 def test_demo_oracle_calls_and_reports(monkeypatch):
     # one table of the 17^3 ball(2) values, plus one invariance call per
-    # quadruple of ball(2)^4; the sampled pass makes none at samples=0
+    # quadruple of ball(2)^4; the sampled pass makes none at samples=0.
+    # The sampled counts were taken from the route that drew with
+    # rng.randrange and compared whole key tuples: a cheaper call must not
+    # change how many calls the demo makes.
     calls = 0
 
     def counted(g1, g2, g3):
@@ -196,10 +235,15 @@ def test_demo_oracle_calls_and_reports(monkeypatch):
         calls += 1
         return promislow_circular_order(g1, g2, g3)
     monkeypatch.setattr(promislow, "promislow_circular_order", counted)
-    demo(samples=0)
-    assert calls == 17 ** 3 + 17 ** 4
+    for samples, want in ((0, 17 ** 3 + 17 ** 4), (2000, 108_244)):
+        calls = 0
+        demo(samples=samples)
+        assert calls == want
+    calls = 0
+    assert demo() == {"seed": 1729, **_DEFAULT_REPORT}
+    assert calls == 1_078_684
     monkeypatch.undo()
-    for seed in (1729, 7, 8):
+    for seed in (7, 8):   # seed 1729 is the counted run above
         assert demo(seed=seed) == {"seed": seed, **_DEFAULT_REPORT}
 
 
