@@ -12,13 +12,12 @@ import sys
 
 from .errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from .groups import cyclic_group, direct_product, load_group
-from .orders import (ENUMERATION_ORDER_LIMIT, arrangement_to_inhom,
-                     enumerate_circular_orders)
-from .cohomology import H2_ORDER_LIMIT, class_of, h2_structure, is_n_divisible
+from .orders import arrangement_to_inhom, enumerate_circular_orders
+from .cohomology import class_of, h2_structure, is_n_divisible
 from .extensions import minimal_generator
 from .obstruction import (VERDICT_ALL_MULTIPLES, exponent_facts,
                           spectrum_finite, spectrum_torsion_part)
-from . import promislow as prom
+from . import cohomology, orders, promislow as prom
 
 
 def _spectrum_payload(spectrum, max_n: int) -> dict:
@@ -54,7 +53,7 @@ def torsion_orders(text: str) -> list[int]:
 def cmd_enumerate(args) -> tuple[dict, str]:
     G = load_group(args.group)
     arrangements = enumerate_circular_orders(G, max_order=args.max_order)
-    with_classes = G.order <= H2_ORDER_LIMIT
+    with_classes = G.order <= cohomology.H2_ORDER_LIMIT  # exactly when class_of answers
     orderings = []
     for arr in arrangements:
         f = arrangement_to_inhom(arr)
@@ -85,7 +84,7 @@ def cmd_product_co(args) -> tuple[dict, str]:
             break
     verdict = witness is not None
     cross = "skipped"
-    if n * G.order <= ENUMERATION_ORDER_LIMIT:
+    if n * G.order <= orders.ENUMERATION_ORDER_LIMIT:
         product = direct_product(G, cyclic_group(n)).group
         direct = bool(enumerate_circular_orders(product))
         if direct != verdict:
@@ -110,9 +109,9 @@ def cmd_obstruction(args) -> tuple[dict, str]:
                    **_spectrum_payload(spectrum, max_n)}
         return payload, f"Ob({G.name}) = {spectrum.describe()}"
     if args.torsion_orders:
-        orders = args.torsion_orders
-        spectrum = spectrum_torsion_part(orders)
-        payload = {"mode": "torsion", "orders": orders,
+        torsion = args.torsion_orders
+        spectrum = spectrum_torsion_part(torsion)
+        payload = {"mode": "torsion", "orders": torsion,
                    **_spectrum_payload(spectrum, max_n)}
         return payload, f"Ob_T = {spectrum.describe()}"
     if args.exponent is not None:
@@ -147,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all circular orderings of a finite group")
     p.add_argument("--group", required=True, help="group JSON file")
-    p.add_argument("--max-order", type=integer_ge_0, default=ENUMERATION_ORDER_LIMIT)
+    p.add_argument("--max-order", type=integer_ge_0, default=orders.ENUMERATION_ORDER_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide circular orderability of G x Z/n with witness")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=integer_ge_2, required=True)
-    p.add_argument("--max-order", type=integer_ge_0, default=ENUMERATION_ORDER_LIMIT)
+    p.add_argument("--max-order", type=integer_ge_0, default=orders.ENUMERATION_ORDER_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_product_co)
 

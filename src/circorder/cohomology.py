@@ -356,8 +356,7 @@ def kernel_basis(snf: SNFResult) -> IntMatrix:
 
 # -- normalized cochain complex ---------------------------------------------
 
-def coboundary_matrix(G: FiniteGroup, degree: int,
-                      max_order: int = H2_ORDER_LIMIT) -> IntMatrix:
+def coboundary_matrix(G: FiniteGroup, degree: int) -> IntMatrix:
     """The coboundary C^degree -> C^(degree+1) on normalized cochains.
 
     Rows and columns are indexed by tuples of nonidentity elements in
@@ -370,8 +369,8 @@ def coboundary_matrix(G: FiniteGroup, degree: int,
     (d2 f)(g,h,k) = f(h,k) - f(gh,k) + f(g,hk) - f(g,h).
     """
     n = G.order
-    if n > max_order:
-        raise BoundExceeded(f"coboundary_matrix: order {n} > limit {max_order}")
+    if n > H2_ORDER_LIMIT:
+        raise BoundExceeded(f"coboundary_matrix: order {n} > limit {H2_ORDER_LIMIT}")
     m, table = n - 1, G.table
     d = IntMatrix.zeros(m ** (degree + 1), m ** degree)
     for row, cell in zip(d.data, product(range(1, n), repeat=degree + 1)):
@@ -388,9 +387,9 @@ def coboundary_matrix(G: FiniteGroup, degree: int,
     return d
 
 
-def coboundary_matrices(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT):
+def coboundary_matrices(G: FiniteGroup):
     """(d1, d2) from `coboundary_matrix`; d2 @ d1 = 0."""
-    return coboundary_matrix(G, 1, max_order), coboundary_matrix(G, 2, max_order)
+    return coboundary_matrix(G, 1), coboundary_matrix(G, 2)
 
 
 def cochain_matrix(G: FiniteGroup, vec: Sequence[int]) -> list[list[int]]:
@@ -430,7 +429,7 @@ class _Complex:
 
     def __init__(self, G: FiniteGroup):
         self.table = G.table
-        self.d1 = coboundary_matrix(G, 1, max_order=G.order)
+        self.d1 = coboundary_matrix(G, 1)
         snf1 = smith_normal_form(self.d1, want_u=False, want_vinv=True)
         self.V = snf1.V
         self.Vinv = snf1.Vinv
@@ -451,7 +450,7 @@ class _Complex:
 
     @cached_property
     def d2_smith(self) -> _D2Smith:
-        d2 = coboundary_matrix(FiniteGroup(self.table, validate=False), 2, len(self.table))
+        d2 = coboundary_matrix(FiniteGroup(self.table, validate=False), 2)
         snf2 = smith_normal_form(d2, want_u=False, want_vinv=True)
         basis = kernel_basis(snf2)
         classes = [self.smith_coordinates(basis.col(j)) for j in range(basis.cols)]
@@ -468,9 +467,9 @@ class _Complex:
         return [values[g][h] for g in range(1, n) for h in range(1, n)]
 
 
-def _complex_for(G: FiniteGroup, max_order: int = H2_ORDER_LIMIT) -> _Complex:
-    if G.order > max_order:
-        raise BoundExceeded(f"cohomology: order {G.order} > limit {max_order}")
+def _complex_for(G: FiniteGroup) -> _Complex:
+    if G.order > H2_ORDER_LIMIT:
+        raise BoundExceeded(f"cohomology: order {G.order} > limit {H2_ORDER_LIMIT}")
     return _Complex(G)
 
 
@@ -532,9 +531,8 @@ class CohomologyClass:
             (c * k) % e for c, e in zip(self.coords, self.structure.invariant_factors)))
 
 
-def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
-                 max_order: int = H2_ORDER_LIMIT) -> H2Structure:
-    """H^2(G; Z) for modulus None, else H^2(G; Z/modulus).
+def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
+    """H^2(G; Z) for modulus None, else H^2(G; Z/modulus); |G| <= H2_ORDER_LIMIT.
 
     Over Z the summands are the nonunit Z/e_j from the group's cached Smith
     normal form of d1 (see the module docstring), already in divisibility
@@ -545,7 +543,7 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None,
     """
     if modulus is not None and modulus < 2:
         raise ValueError(f"modulus {modulus} < 2")
-    comp = _complex_for(G, max_order=max_order)
+    comp = _complex_for(G)
     got = comp.structures.get(modulus)
     if got is not None:
         return got

@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from . import groups
 from .errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from .groups import (FiniteGroup, GroupHom, group_from_json, group_to_json,
-                     quotient, subgroup_generated, ASSOCIATIVITY_CHECK_LIMIT)
+                     quotient, subgroup_generated)
 from .orders import InhomCircularOrder, inhom_failures, validate_inhom
 
 MATERIALIZATION_LIMIT = 1024
@@ -50,7 +51,7 @@ class CentralExtensionGroup:
     operations).
     """
 
-    __slots__ = ("base", "cocycle", "modulus", "is_order", "_materialized")
+    __slots__ = ("base", "cocycle", "modulus", "is_order")
 
     def __init__(self, base: FiniteGroup, cocycle, modulus: Optional[int],
                  is_order: bool):
@@ -58,7 +59,6 @@ class CentralExtensionGroup:
         self.cocycle = tuple(tuple(row) for row in cocycle)
         self.modulus = modulus
         self.is_order = is_order
-        self._materialized = None
 
     @property
     def identity(self) -> CentralExtElement:
@@ -93,16 +93,15 @@ class CentralExtensionGroup:
     def element_name(self, x: CentralExtElement) -> str:
         return f"({x.a}, {self.base.names[x.g]})"
 
-    def materialize(self, max_order: int = MATERIALIZATION_LIMIT) -> MaterializedExtension:
-        """Full table group of order n*|G| for Z/n coefficients, identity at 0."""
+    def materialize(self) -> MaterializedExtension:
+        """Full table group of order n*|G| for Z/n coefficients, identity at 0;
+        BoundExceeded above MATERIALIZATION_LIMIT."""
         if self.modulus is None:
             raise InvalidGroupError("cannot materialize a Z-coefficient extension")
-        if self._materialized is not None:
-            return self._materialized
         n, m = self.modulus, self.base.order
         order = n * m
-        if order > max_order:
-            raise BoundExceeded(f"materialize: order {order} > limit {max_order}")
+        if order > MATERIALIZATION_LIMIT:
+            raise BoundExceeded(f"materialize: order {order} > limit {MATERIALIZATION_LIMIT}")
         elements = tuple(CentralExtElement(a, g) for a in range(n) for g in range(m))
         index_of = {e: i for i, e in enumerate(elements)}
         table = [[index_of[self.multiply(x, y)] for y in elements] for x in elements]
@@ -110,9 +109,8 @@ class CentralExtensionGroup:
         # associativity follows from the verified cocycle identity; the full
         # cubic check is only affordable for small tables
         group = FiniteGroup(table, names=names, name=f"ext({self.base.name},Z/{n})",
-                            validate=order <= ASSOCIATIVITY_CHECK_LIMIT)
-        self._materialized = MaterializedExtension(group, index_of, elements)
-        return self._materialized
+                            validate=order <= groups.ASSOCIATIVITY_CHECK_LIMIT)
+        return MaterializedExtension(group, index_of, elements)
 
 
 def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> CentralExtensionGroup:
@@ -289,7 +287,7 @@ def quotient_by_power(G: FiniteGroup, f, n: int) -> QuotientPowerResult:
         lambda x: x.a % n * m + x.g)
     names = [f"({a}, {G.names[g]})" for a in range(n) for g in range(m)]
     Q = FiniteGroup(table, names=names, name=f"{G.name}~/{n}",
-                    validate=n * m <= ASSOCIATIVITY_CHECK_LIMIT)
+                    validate=n * m <= groups.ASSOCIATIVITY_CHECK_LIMIT)
     return QuotientPowerResult(Q, validate_inhom(Q, cocycle))
 
 

@@ -159,7 +159,7 @@ class GroupHom:
 
     __slots__ = ("source", "target", "map")
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, map, validate: bool = True):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, map):
         self.source = source
         self.target = target
         self.map = tuple(map)
@@ -168,14 +168,13 @@ class GroupHom:
         for g, v in enumerate(self.map):
             if not 0 <= v < target.order:
                 raise InvalidGroupError(f"hom map[{g}] = {v} out of target range")
-        if validate:
-            if self.map[0] != 0:
-                raise InvalidGroupError("hom map[0] != 0: identity not preserved")
-            for g in range(source.order):
-                for h in range(source.order):
-                    if self.map[source.table[g][h]] != target.table[self.map[g]][self.map[h]]:
-                        raise InvalidGroupError(
-                            f"hom fails at ({g},{h}): map[g*h] != map[g]*map[h]")
+        if self.map[0] != 0:
+            raise InvalidGroupError("hom map[0] != 0: identity not preserved")
+        for g in range(source.order):
+            for h in range(source.order):
+                if self.map[source.table[g][h]] != target.table[self.map[g]][self.map[h]]:
+                    raise InvalidGroupError(
+                        f"hom fails at ({g},{h}): map[g*h] != map[g]*map[h]")
 
     def __call__(self, g: int) -> int:
         return self.map[g]
@@ -393,14 +392,13 @@ def _generating_sequence(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup,
-                     max_order: int = ISOMORPHISM_ORDER_LIMIT) -> Optional[GroupHom]:
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     """First isomorphism G -> H in lexicographic generator-image order, or None.
 
     Plain backtracking on generator images, pruned by element order.
     """
-    if G.order > max_order or H.order > max_order:
-        raise BoundExceeded(f"find_isomorphism: order exceeds limit {max_order}")
+    if G.order > ISOMORPHISM_ORDER_LIMIT or H.order > ISOMORPHISM_ORDER_LIMIT:
+        raise BoundExceeded(f"find_isomorphism: order exceeds limit {ISOMORPHISM_ORDER_LIMIT}")
     if G.order != H.order:
         return None
     if sorted(G.element_order(g) for g in range(G.order)) != \

@@ -146,16 +146,15 @@ def spectrum_torsion_part(profile) -> ObstructionSpectrum:
     return ObstructionSpectrum.from_elements(primes)
 
 
-def spectrum_finite(G: FiniteGroup,
-                    verify_limit: int = SPECTRUM_VERIFY_LIMIT) -> ObstructionSpectrum:
+def spectrum_finite(G: FiniteGroup) -> ObstructionSpectrum:
     """Exact obstruction spectrum of a finite group.
 
     Trivial group: empty (it is left-orderable).  Non-cyclic: the full set,
     since the group itself is not circularly orderable and subgroup products
     only get worse.  Cyclic of order k: minimal elements are the primes
-    dividing k; for k within `verify_limit` that answer is re-derived from
-    the divisibility pipeline (no enumerated ordering has an n-divisible
-    class) and any disagreement raises.
+    dividing k; for k up to SPECTRUM_VERIFY_LIMIT that answer is re-derived
+    from the divisibility pipeline (no enumerated ordering has an
+    n-divisible class) and any disagreement raises.
     """
     if G.order == 1:
         return ObstructionSpectrum.empty()
@@ -164,7 +163,7 @@ def spectrum_finite(G: FiniteGroup,
     k = G.order
     primes = prime_factors(k)
     spectrum = ObstructionSpectrum.from_elements(primes)
-    if k <= verify_limit:
+    if k <= SPECTRUM_VERIFY_LIMIT:
         orderings = [arrangement_to_inhom(a) for a in enumerate_circular_orders(G)]
         for n in range(2, max(k, 8) + 1):
             divisible = any(is_n_divisible(G, f, n).divisible for f in orderings)

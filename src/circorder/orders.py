@@ -135,11 +135,16 @@ def inhom_failures(G: FiniteGroup, values):
 def cocycle_failure(table, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
     """The package's one check of the 2-cocycle identity: the first failure of
     `values` to be a normalized cocycle over Z (modulus None) or Z/modulus on
-    the group with multiplication table `table` ("shape", "normalization", or
-    "cocycle" at the first (g, h, k) with f(h,k) - f(gh,k) + f(g,hk) != f(g,h))."""
+    the group with multiplication table `table` ("shape", "value-type" at the
+    first entry whose type is not exactly int, "normalization", or "cocycle"
+    at the first (g, h, k) with f(h,k) - f(gh,k) + f(g,hk) != f(g,h))."""
     n = len(table)
     if len(values) != n or any(len(row) != n for row in values):
         return AxiomError("shape", (len(values),), f"want {n} x {n}")
+    bad = next(((g, h) for g, row in enumerate(values) for h, v in enumerate(row)
+                if type(v) is not int), None)   # 1.0 and True would pass as 1
+    if bad is not None:
+        return AxiomError("value-type", bad, f"value {values[bad[0]][bad[1]]!r} is not an int")
     bad = next((g for g in range(n) if values[0][g] != 0 or values[g][0] != 0), None)
     if bad is not None:
         return AxiomError("normalization", (bad,))
@@ -230,15 +235,14 @@ def inhom_to_hom(f: InhomCircularOrder) -> HomCircularOrder:
 
 # -- arrangements ----------------------------------------------------------
 
-def arrangement_from_sequence(G: FiniteGroup, sequence: Sequence[int],
-                              validate: bool = True) -> Arrangement:
+def arrangement_from_sequence(G: FiniteGroup, sequence: Sequence[int]) -> Arrangement:
     seq = tuple(sequence)
     if any(type(g) is not int for g in seq) or sorted(seq) != list(range(G.order)):
         raise AxiomError("shape", seq, "not a permutation of the elements")
     if seq[0] != 0:
         raise AxiomError("normalization", seq, "arrangement must start at the identity")
     arr = Arrangement(G, seq)
-    if validate and not _positions_form_hom(arr):
+    if not _positions_form_hom(arr):
         raise AxiomError("invariance", seq, "induced triple function is not left-invariant")
     return arr
 
@@ -310,16 +314,18 @@ def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
 # -- enumeration -----------------------------------------------------------
 
 def enumerate_circular_orders(G: FiniteGroup,
-                              max_order: int = ENUMERATION_ORDER_LIMIT) -> list[Arrangement]:
-    """All left-invariant arrangements of G, lexicographically by sequence.
+                              max_order: Optional[int] = None) -> list[Arrangement]:
+    """All left-invariant arrangements of G, lexicographically by sequence,
+    for G up to max_order (default ENUMERATION_ORDER_LIMIT, read per call).
 
     Strategy: anchor the identity, pick the element z following it; requiring
     invariance under z alone already forces the candidate permutation
     (id, z, z*z, ...), which is then verified in full.  Empty exactly when G
     admits no circular ordering.
     """
-    if G.order > max_order:
-        raise BoundExceeded(f"enumerate_circular_orders: order {G.order} > limit {max_order}")
+    limit = ENUMERATION_ORDER_LIMIT if max_order is None else max_order
+    if G.order > limit:
+        raise BoundExceeded(f"enumerate_circular_orders: order {G.order} > limit {limit}")
     if G.order == 1:
         return [Arrangement(G, (0,))]
     found = []

@@ -189,13 +189,13 @@ def promislow_circular_order(g1: PromElement, g2: PromElement, g3: PromElement) 
 PROMISLOW_SPECTRUM = ObstructionSpectrum.from_elements([4])
 
 
-def ball(radius: int, max_radius: int = BALL_RADIUS_LIMIT) -> list[PromElement]:
-    """All elements expressible as words of length <= radius, sorted by
-    (point-group index, translation) for deterministic output."""
+def ball(radius: int) -> list[PromElement]:
+    """All elements expressible as words of length <= radius (at most
+    BALL_RADIUS_LIMIT), sorted by (point-group index, translation)."""
     if radius < 0:
         raise InvalidGroupError(f"ball: negative radius {radius}")
-    if radius > max_radius:
-        raise BoundExceeded(f"ball: radius {radius} > limit {max_radius}")
+    if radius > BALL_RADIUS_LIMIT:
+        raise BoundExceeded(f"ball: radius {radius} > limit {BALL_RADIUS_LIMIT}")
     seen = {IDENTITY}
     frontier = [IDENTITY]
     steps = [GEN_A, prom_inv(GEN_A), GEN_B, prom_inv(GEN_B)]

@@ -1,17 +1,23 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import circorder
-from circorder import cli
+from circorder import (cli, cohomology, extensions, groups, obstruction, orders,
+                       promislow)
 from circorder.cli import main
+from circorder.cohomology import _Complex, class_of, h2_structure, is_n_divisible
+from circorder.errors import BoundExceeded
 from circorder.groups import cyclic_group, direct_product, dump_group
 from circorder.orders import (arrangement_from_sequence, arrangement_to_inhom,
-                              ordering_from_json, ordering_to_json)
+                              enumerate_circular_orders, ordering_from_json,
+                              ordering_to_json, standard_order_zn)
 
 
 @pytest.fixture()
@@ -75,6 +81,81 @@ def test_ordering_file_values_must_be_ints(tmp_path, monkeypatch, capsys):
         path.write_text(json.dumps(data).replace("[0, 1, 1]]", f"[0, 1, {text}]]"))
         assert main(["enumerate", "--group", str(path)]) == 2, text
         assert "value-range" in capsys.readouterr().err
+
+
+def test_cohomology_bound_is_the_module_constant(monkeypatch, capsys, group_file):
+    # one assignment to cohomology.H2_ORDER_LIMIT moves H^2 over Z and Z/n,
+    # class_of, is_n_divisible and the classes `enumerate` prints, before
+    # the group's complex is cached and after
+    G, f = cyclic_group(12), standard_order_zn(12)
+    path = group_file(G)
+    asks = (lambda: h2_structure(G), lambda: h2_structure(G, 2),
+            lambda: class_of(G, f), lambda: is_n_divisible(G, f, 5))
+    _Complex.cache_clear()
+    for _cold_then_warm in range(2):
+        monkeypatch.setattr(cohomology, "H2_ORDER_LIMIT", 4)
+        for ask in asks:
+            with pytest.raises(BoundExceeded):
+                ask()
+        rc, payload = run_json(capsys, ["enumerate", "--group", path])
+        assert rc == 0 and payload["count"] == 4
+        assert "h2_invariant_factors" not in payload
+        assert not any("class" in o for o in payload["orderings"])
+        monkeypatch.setattr(cohomology, "H2_ORDER_LIMIT", 12)
+        assert h2_structure(G).invariant_factors == (12,)
+        assert h2_structure(G, 2).invariant_factors == (2,)
+        assert gcd(class_of(G, f).coords[0], 12) == 1
+        assert is_n_divisible(G, f, 5).divisible and not is_n_divisible(G, f, 2).divisible
+        rc, payload = run_json(capsys, ["enumerate", "--group", path])
+        assert rc == 0 and payload["h2_invariant_factors"] == [12]
+        assert sorted(o["class"][0] for o in payload["orderings"]) == [1, 5, 7, 11]
+    _Complex.cache_clear()
+
+
+def test_enumeration_bound_is_the_module_constant(monkeypatch, capsys, group_file):
+    z5 = group_file(cyclic_group(5))
+    z2 = group_file(cyclic_group(2), "z2.json")
+    rc, payload = run_json(capsys, ["product-co", "--group", z2, "--n", "3"])
+    assert rc == 0 and payload["cross_check"] == "agrees"
+    monkeypatch.setattr(orders, "ENUMERATION_ORDER_LIMIT", 4)
+    with pytest.raises(BoundExceeded):
+        enumerate_circular_orders(cyclic_group(5))
+    assert main(["enumerate", "--group", z5]) == 3
+    assert "limit 4" in capsys.readouterr().err
+    rc, payload = run_json(capsys, ["enumerate", "--group", z5, "--max-order", "5"])
+    assert rc == 0 and payload["count"] == 4
+    rc, payload = run_json(capsys, ["product-co", "--group", z2, "--n", "3"])
+    assert rc == 0 and payload["cross_check"] == "skipped"
+
+
+def test_bounds_have_no_per_call_overrides():
+    # each bound lives in its module constant alone
+    for fn, option in ((cohomology.coboundary_matrix, "max_order"),
+                       (cohomology.coboundary_matrices, "max_order"),
+                       (cohomology._complex_for, "max_order"),
+                       (cohomology.h2_structure, "max_order"),
+                       (extensions.CentralExtensionGroup.materialize, "max_order"),
+                       (groups.find_isomorphism, "max_order"),
+                       (promislow.ball, "max_radius"),
+                       (obstruction.spectrum_finite, "verify_limit"),
+                       (groups.GroupHom, "validate"),
+                       (orders.arrangement_from_sequence, "validate")):
+        assert option not in inspect.signature(fn).parameters, fn
+
+
+@pytest.mark.parametrize("text", ["1.0", "1.5", "true"])
+def test_product_co_cochain_values_must_be_ints(tmp_path, monkeypatch, capsys,
+                                                group_file, text):
+    # product-co takes its cochains from enumeration; a stand-in reads the
+    # cochain from a file, as load_group reads a group file
+    path = tmp_path / "cochain.json"
+    monkeypatch.setattr(cli, "arrangement_to_inhom", lambda arr: json.loads(path.read_text()))
+    argv = ["product-co", "--group", group_file(cyclic_group(2)), "--n", "2"]
+    path.write_text("[[0, 0], [0, 1]]")
+    assert main(argv) == 0
+    path.write_text(f"[[0, 0], [0, {text}]]")
+    assert main(argv) == 2
+    assert "value-type" in capsys.readouterr().err
 
 
 def test_product_co(capsys, group_file):

@@ -254,14 +254,35 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     _Complex.cache_clear()
 
 
-def test_order_bound_is_checked_on_cache_hits():
+def test_order_bound_is_checked_on_cache_hits(monkeypatch):
+    # the bound is the module constant, read on every call: lowering it
+    # refuses a group before and after its complex is cached
     G = relabeled(cyclic_group(8), [0, 2, 1, 3, 4, 5, 6, 7])
+    _Complex.cache_clear()
     for modulus in (None, 2):
+        monkeypatch.setattr(cohomology, "H2_ORDER_LIMIT", 4)
         with pytest.raises(BoundExceeded):
-            h2_structure(G, modulus, max_order=4)
+            h2_structure(G, modulus)
+        monkeypatch.undo()
         h2_structure(G, modulus)
+        monkeypatch.setattr(cohomology, "H2_ORDER_LIMIT", 4)
         with pytest.raises(BoundExceeded):
-            h2_structure(G, modulus, max_order=4)
+            h2_structure(G, modulus)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, True])
+def test_cochain_entries_must_be_ints(value):
+    # 1.0 and True compare equal to 1, and 1.5 broke the class arithmetic:
+    # every cocycle entry point reports bad input at the entry's position
+    G = cyclic_group(2)
+    f = [[0, 0], [0, value]]
+    for ask in (lambda: class_of(G, f), lambda: is_n_divisible(G, f, 2),
+                lambda: h2_structure(G, 2).project(f)):
+        with pytest.raises(AxiomError) as exc:
+            ask()
+        assert exc.value.kind == "value-type" and exc.value.witness == (1, 1)
+    assert class_of(G, [[0, 0], [0, 1]]).coords == (1,)
 
 
 # -- classes -----------------------------------------------------------------------

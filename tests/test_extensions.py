@@ -1,5 +1,6 @@
 import pytest
 
+from circorder import extensions
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
 from circorder.groups import (cyclic_group, find_isomorphism, symmetric_group,
                               trivial_group, subgroup_generated)
@@ -52,6 +53,17 @@ def test_extension_rejects_non_cocycle():
     assert err.value.kind == "cocycle"
 
 
+@pytest.mark.parametrize("value", [1.0, 1.5, True])
+def test_extension_cocycle_entries_must_be_ints(value):
+    # a non-int entry is not a tolerated non-ordering value ("value-range")
+    bad = [[0, 0], [0, value]]
+    for modulus in (None, 2):
+        with pytest.raises(AxiomError) as err:
+            build_extension(cyclic_group(2), bad, modulus)
+        assert err.value.kind == "value-type" and err.value.witness == (1, 1)
+    assert not build_extension(cyclic_group(2), [[0, 0], [0, 2]]).is_order
+
+
 def test_extension_center_and_iota():
     G = symmetric_group(3)
     f = [[0] * 6 for _ in range(6)]
@@ -74,6 +86,20 @@ def test_materialization():
     big = build_extension(cyclic_group(2), standard_order_zn(2), modulus=1000)
     with pytest.raises(BoundExceeded):
         big.materialize()
+
+
+def test_materialization_bound_is_the_module_constant(monkeypatch):
+    assert build_extension(cyclic_group(2), standard_order_zn(2),
+                           modulus=512).materialize().group.order == 1024
+    with pytest.raises(BoundExceeded):
+        build_extension(cyclic_group(5), standard_order_zn(5), modulus=205).materialize()
+    monkeypatch.setattr(extensions, "MATERIALIZATION_LIMIT", 6)
+    assert build_extension(cyclic_group(3), standard_order_zn(3),
+                           modulus=2).materialize().group.order == 6
+    with pytest.raises(BoundExceeded):
+        build_extension(cyclic_group(3), standard_order_zn(3), modulus=3).materialize()
+    with pytest.raises(BoundExceeded):   # hat_ordering materializes its extension
+        hat_ordering(cyclic_group(3), standard_order_zn(3), 3)
 
 
 # -- cone ----------------------------------------------------------------------

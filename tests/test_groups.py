@@ -1,5 +1,6 @@
 import pytest
 
+from circorder import groups
 from circorder.errors import BoundExceeded, InvalidGroupError
 from circorder.groups import (FiniteGroup, GroupHom, all_subgroups, closure,
                               cyclic_group, dihedral_group, direct_product,
@@ -133,6 +134,17 @@ def test_find_isomorphism():
         find_isomorphism(cyclic_group(30), cyclic_group(30))
     # S3 and Z/6 have equal order but are not isomorphic
     assert find_isomorphism(s3, cyclic_group(6)) is None
+
+
+def test_isomorphism_bound_is_the_module_constant(monkeypatch):
+    assert find_isomorphism(cyclic_group(24), cyclic_group(24)) is not None
+    for G, H in ((cyclic_group(25), cyclic_group(25)), (cyclic_group(2), cyclic_group(25))):
+        with pytest.raises(BoundExceeded):
+            find_isomorphism(G, H)
+    monkeypatch.setattr(groups, "ISOMORPHISM_ORDER_LIMIT", 5)
+    assert find_isomorphism(cyclic_group(5), cyclic_group(5)) is not None
+    with pytest.raises(BoundExceeded):
+        find_isomorphism(cyclic_group(6), cyclic_group(6))
 
 
 def test_find_isomorphism_respects_structure():

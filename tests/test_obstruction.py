@@ -1,6 +1,8 @@
 import pytest
 
-from circorder.errors import InvalidGroupError
+from circorder import obstruction
+from circorder.cohomology import DivisibilityWitness
+from circorder.errors import CheckFailed, InvalidGroupError
 from circorder.groups import cyclic_group, direct_product, symmetric_group, trivial_group
 from circorder.obstruction import (MAPPING_CLASS_GROUP_SPECTRUM,
                                    ObstructionSpectrum, TorsionProfile,
@@ -47,6 +49,27 @@ def test_spectrum_finite_cyclic_groups():
         s = spectrum_finite(cyclic_group(k))
         assert s.minimal == tuple(primes_dividing(k)), k
     assert spectrum_finite(cyclic_group(6)).minimal == (2, 3)
+
+
+def test_spectrum_verification_bound_is_the_module_constant(monkeypatch):
+    # a pipeline that calls every class divisible fails the cross-check
+    # exactly for the cyclic groups the verification bound covers
+    calls = []
+
+    def everything_divisible(G, f, n):
+        calls.append(G.order)
+        return DivisibilityWitness(True, None, None)
+
+    monkeypatch.setattr(obstruction, "is_n_divisible", everything_divisible)
+    with pytest.raises(CheckFailed):
+        spectrum_finite(cyclic_group(8))
+    assert spectrum_finite(cyclic_group(9)).minimal == (3,)
+    assert calls == [8]
+    monkeypatch.setattr(obstruction, "SPECTRUM_VERIFY_LIMIT", 5)
+    assert spectrum_finite(cyclic_group(6)).minimal == (2, 3)
+    with pytest.raises(CheckFailed):
+        spectrum_finite(cyclic_group(5))
+    assert set(calls) == {8, 5}
 
 
 def test_spectrum_finite_special_cases():

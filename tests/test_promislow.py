@@ -261,6 +261,7 @@ def test_circular_order_invariance_and_cocycle_sampled():
 def test_ball_sizes_and_bound():
     assert [len(ball(r)) for r in range(4)] == [1, 5, 17, 41]
     assert PromElement(0, (2, 0, 0)) in ball(2)
+    assert len(BALL8) == 525
     with pytest.raises(BoundExceeded):
         ball(9)
     # a negative radius is bad input, not an exceeded bound
@@ -272,6 +273,16 @@ def test_ball_sizes_and_bound():
     with pytest.raises(InvalidGroupError):
         demo(samples=-5)
     assert demo(samples=0)["axioms_sampled"]["checked"] == 0
+
+
+def test_ball_bound_is_the_module_constant(monkeypatch, capsys):
+    monkeypatch.setattr(promislow, "BALL_RADIUS_LIMIT", 3)
+    assert len(ball(3)) == 41
+    with pytest.raises(BoundExceeded):
+        ball(4)
+    # the demo's cone checks use ball(4), so the CLI hits the same bound
+    assert main(["promislow", "--radius", "3", "--samples", "0"]) == 3
+    assert "ball: radius 4 > limit 3" in capsys.readouterr().err
 
 
 def test_torsion_free_sample():
