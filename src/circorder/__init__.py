@@ -23,11 +23,10 @@ from .orders import (Arrangement, HomCircularOrder, InhomCircularOrder,
                      ordering_from_json, ordering_to_json, standard_order_zn,
                      validate_hom, validate_inhom)
 from .extensions import (CentralExtElement, CentralExtensionGroup,
-                         NormalizedSection, build_extension, cone_compare,
-                         cone_positive, extension_from_json,
-                         extension_to_json, hat_ordering, is_cofinal_central,
-                         minimal_generator, quotient_by_cyclic_central,
-                         quotient_by_power)
+                         build_extension, cone_compare, cone_positive,
+                         extension_from_json, extension_to_json, hat_ordering,
+                         is_cofinal_central, minimal_generator,
+                         quotient_by_cyclic_central, quotient_by_power)
 from .cohomology import (CohomologyClass, H2Structure, IntMatrix, SNFResult,
                          class_of, coboundary_matrices, coboundary_matrix,
                          h2_structure, is_n_divisible, is_trivial_mod_n,

@@ -85,7 +85,7 @@ def cmd_product_co(args) -> tuple[dict, str]:
     verdict = witness is not None
     cross = "skipped"
     if n * G.order <= orders.ENUMERATION_ORDER_LIMIT:
-        product = direct_product(G, cyclic_group(n)).group
+        product = direct_product(G, cyclic_group(n))
         direct = bool(enumerate_circular_orders(product))
         if direct != verdict:
             raise CheckFailed(

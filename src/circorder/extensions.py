@@ -5,7 +5,8 @@ From a circularly-ordered finite group (G, f) this module builds:
 * the left-ordered extension of G by Z with positive cone
   {(a, g) : a >= 0} minus the identity, together with cone comparison and
   cofinality probes;
-* the finite extensions of G by Z/n, materialized as table groups;
+* the finite extensions of G by Z/n, materialized as table groups with
+  (a, g) at index a*|G| + g;
 * the explicit two-case circular ordering on those finite extensions;
 * minimal generators of finite cyclic ordered groups;
 * one cone quotient (`_cone_quotient`): the Z-extension modulo a positive
@@ -20,7 +21,6 @@ Coefficients are arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import groups
@@ -35,12 +35,6 @@ MATERIALIZATION_LIMIT = 1024
 class CentralExtElement(NamedTuple):
     a: int  # coefficient (integer, or residue 0..n-1 for Z/n extensions)
     g: int  # base-group element index
-
-
-class MaterializedExtension(NamedTuple):
-    group: FiniteGroup
-    index_of: dict          # CentralExtElement -> index (a*|G| + g)
-    element_of: tuple       # index -> CentralExtElement
 
 
 class CentralExtensionGroup:
@@ -93,24 +87,23 @@ class CentralExtensionGroup:
     def element_name(self, x: CentralExtElement) -> str:
         return f"({x.a}, {self.base.names[x.g]})"
 
-    def materialize(self) -> MaterializedExtension:
-        """Full table group of order n*|G| for Z/n coefficients, identity at 0;
-        BoundExceeded above MATERIALIZATION_LIMIT."""
+    def materialize(self) -> FiniteGroup:
+        """Full table group of order n*|G| for Z/n coefficients, (a, g) at
+        index a*|G| + g; BoundExceeded above MATERIALIZATION_LIMIT."""
         if self.modulus is None:
             raise InvalidGroupError("cannot materialize a Z-coefficient extension")
         n, m = self.modulus, self.base.order
         order = n * m
         if order > MATERIALIZATION_LIMIT:
             raise BoundExceeded(f"materialize: order {order} > limit {MATERIALIZATION_LIMIT}")
-        elements = tuple(CentralExtElement(a, g) for a in range(n) for g in range(m))
-        index_of = {e: i for i, e in enumerate(elements)}
-        table = [[index_of[self.multiply(x, y)] for y in elements] for x in elements]
-        names = [self.element_name(x) for x in elements]
+        steps = [tuple(zip(f, row)) for f, row in zip(self.cocycle, self.base.table)]
+        table = [[(a + b + c) % n * m + gh for b in range(n) for c, gh in steps[g]]
+                 for a in range(n) for g in range(m)]
+        names = [self.element_name(CentralExtElement(a, g)) for a in range(n) for g in range(m)]
         # associativity follows from the verified cocycle identity; the full
         # cubic check is only affordable for small tables
-        group = FiniteGroup(table, names=names, name=f"ext({self.base.name},Z/{n})",
-                            validate=order <= groups.ASSOCIATIVITY_CHECK_LIMIT)
-        return MaterializedExtension(group, index_of, elements)
+        return FiniteGroup(table, names=names, name=f"ext({self.base.name},Z/{n})",
+                           validate=order <= groups.ASSOCIATIVITY_CHECK_LIMIT)
 
 
 def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> CentralExtensionGroup:
@@ -163,6 +156,8 @@ def is_cofinal_central(E: CentralExtensionGroup, z: CentralExtElement,
     """
     if E.modulus is not None:
         raise InvalidGroupError("cofinality probes need Z coefficients")
+    if probe_bound < 0:
+        raise InvalidGroupError(f"is_cofinal_central: negative probe_bound {probe_bound}")
     if not cone_positive(E, z):
         raise InvalidGroupError(f"z = {z} is not positive")
     for h in range(E.base.order):
@@ -303,7 +298,7 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
         raise InvalidGroupError(f"hat_ordering: n = {n} < 2")
     f = _as_order(G, f)
     E = build_extension(G, f, modulus=n)
-    mat = E.materialize()
+    group = E.materialize()  # BoundExceeded before the order^2 value table
     m = G.order
     order = n * m
     values = [[0] * order for _ in range(order)]
@@ -315,25 +310,13 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
                 values[i1][i2] = 1 if a1 + a2 >= n else 0
             else:
                 values[i1][i2] = f.values[g1][g2]
-    return validate_inhom(mat.group, values)
-
-
-@dataclass(frozen=True)
-class NormalizedSection:
-    """A set-theoretic section of a quotient map, sending the identity to the
-    identity; values[q] is the chosen preimage of quotient element q."""
-    quotient: FiniteGroup
-    total: FiniteGroup
-    values: tuple
-
-    def __call__(self, q: int) -> int:
-        return self.values[q]
+    return validate_inhom(group, values)
 
 
 class CentralQuotientResult(NamedTuple):
     group: FiniteGroup                # G/K
     ordering: InhomCircularOrder      # the quotient circular ordering
-    section: NormalizedSection        # nu: G/K -> G with p_n(ordering) = f_nu
+    section: tuple                    # nu: nu[q] in coset q, p_n(ordering) = f_nu
     projection: GroupHom              # G -> G/K
     generator: int                    # minimal generator of (K, f|K), = iota([1])
 
@@ -344,10 +327,10 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
     Follows the cone construction literally: lift to the Z-extension, quotient
     by the positive generator of the preimage of K (`_cone_quotient`, cosets
     indexed as in `groups.quotient`), and pull the minimal-representative
-    section back to G.  The returned section nu satisfies p_n(fbar) = f_nu
-    elementwise, with iota([1]) the minimal generator of (K, f restricted to
-    K); both facts are checked before returning, and a failure raises
-    CheckFailed or AxiomError.
+    section back to G.  The returned section, the tuple nu with nu[q] in the
+    coset q and nu[0] = 0, satisfies p_n(fbar) = f_nu elementwise, with
+    iota([1]) the minimal generator of (K, f restricted to K); both facts are
+    checked before returning, and a failure raises CheckFailed or AxiomError.
     """
     f = _as_order(G, f)
     K = frozenset(K)
@@ -380,8 +363,8 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
         [[CentralExtElement(c, g) for g in range(G.order) if proj(g) == q for c in range(-2, 3)]
          for q in range(Q.order)],
         lambda x: proj(x.g))
-    nu = NormalizedSection(Q, G, tuple(x.g for x in section_lifts))
-    require(nu(0) == 0 and all(proj(nu(q)) == q for q in range(Q.order)),
+    nu = tuple(x.g for x in section_lifts)
+    require(nu[0] == 0 and all(proj(nu[q]) == q for q in range(Q.order)),
             "minimal-representative section is not a normalized section of the projection")
     require([list(row) for row in Q.table] == table,
             "the cone quotient's table is not the table of G/K")
@@ -391,7 +374,7 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
     dlog = {G.power(z, j): j for j in range(n)}
     for q1 in range(Q.order):
         for q2 in range(Q.order):
-            defect = G.table[G.table[nu(q1)][nu(q2)]][G.inverse[nu(Q.table[q1][q2])]]
+            defect = G.table[G.table[nu[q1]][nu[q2]]][G.inverse[nu[Q.table[q1][q2]]]]
             if defect not in dlog:
                 raise AxiomError("section", (q1, q2), "section defect escapes K")
             if dlog[defect] != fbar[q1][q2] % n:

@@ -2,7 +2,7 @@
 
 Every finite computation in the package runs over these tables.  Constructors
 re-index so that the identity is always element 0; all values are immutable
-tuples and safe to share.
+tuples and safe to share.  `direct_product(G, H)` puts (g, h) at g*|H| + h.
 """
 
 from __future__ import annotations
@@ -141,9 +141,6 @@ class FiniteGroup:
     def is_central(self, g: int) -> bool:
         return all(self.table[g][h] == self.table[h][g] for h in range(self.order))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -192,14 +189,6 @@ class GroupHom:
         return f"GroupHom({self.source.name} -> {self.target.name})"
 
 
-class DirectProductResult(NamedTuple):
-    group: FiniteGroup
-    proj_left: GroupHom
-    proj_right: GroupHom
-    incl_left: GroupHom
-    incl_right: GroupHom
-
-
 class QuotientResult(NamedTuple):
     group: FiniteGroup
     projection: GroupHom
@@ -224,8 +213,8 @@ def trivial_group() -> FiniteGroup:
     return cyclic_group(1)
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup) -> DirectProductResult:
-    """G x H with (g,h) at index g*|H| + h, plus projections and inclusions."""
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
+    """G x H with (g,h) at index g*|H| + h."""
     n, m = G.order, H.order
     if n * m > MAX_TABLE_ORDER:
         raise BoundExceeded(f"direct_product: order {n}*{m} exceeds table limit {MAX_TABLE_ORDER}")
@@ -239,13 +228,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> DirectProductResult:
                 for h2 in range(m):
                     row[g2 * m + h2] = grow * m + H.table[h1][h2]
     names = [f"({G.names[g]},{H.names[h]})" for g in range(n) for h in range(m)]
-    P = FiniteGroup(table, names=names, name=f"{G.name}x{H.name}",
-                    validate=n * m <= ASSOCIATIVITY_CHECK_LIMIT)
-    proj_left = GroupHom(P, G, [i // m for i in range(n * m)])
-    proj_right = GroupHom(P, H, [i % m for i in range(n * m)])
-    incl_left = GroupHom(G, P, [g * m for g in range(n)])
-    incl_right = GroupHom(H, P, list(range(m)))
-    return DirectProductResult(P, proj_left, proj_right, incl_left, incl_right)
+    return FiniteGroup(table, names=names, name=f"{G.name}x{H.name}",
+                       validate=n * m <= ASSOCIATIVITY_CHECK_LIMIT)
 
 
 def closure(G: FiniteGroup, gens: Iterable[int]) -> frozenset:

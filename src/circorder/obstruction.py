@@ -65,6 +65,8 @@ class ObstructionSpectrum:
         for m in self.minimal:
             if not isinstance(m, int) or m < 2:
                 raise ValueError(f"minimal element {m!r} is not an integer >= 2")
+        if len(set(self.minimal)) != len(self.minimal):
+            raise ValueError(f"minimal elements {self.minimal} repeat a value")
         for m in self.minimal:
             for d in self.minimal:
                 if d != m and m % d == 0:

@@ -56,9 +56,6 @@ class Arrangement:
     group: FiniteGroup
     sequence: tuple
 
-    def position(self, g: int) -> int:
-        return self.sequence.index(g)
-
 
 @dataclass(frozen=True)
 class LeftOrderOracle:

@@ -26,10 +26,10 @@ def library_groups() -> list[FiniteGroup]:
     groups = [trivial_group()]
     groups += [cyclic_group(k) for k in range(2, 13)]
     c2, c3, c4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
-    groups.append(direct_product(c2, c2).group)          # Klein
-    groups.append(direct_product(c2, c4).group)
-    groups.append(direct_product(c2, direct_product(c2, c2).group).group)
-    groups.append(direct_product(c3, c3).group)
+    groups.append(direct_product(c2, c2))          # Klein
+    groups.append(direct_product(c2, c4))
+    groups.append(direct_product(c2, direct_product(c2, c2)))
+    groups.append(direct_product(c3, c3))
     groups.append(symmetric_group(3))
     groups.append(dihedral_group(4))
     return groups

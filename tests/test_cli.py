@@ -47,7 +47,7 @@ def test_enumerate_z4(capsys, group_file):
 
 
 def test_enumerate_klein_and_trivial(capsys, group_file):
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     rc, payload = run_json(capsys, ["enumerate", "--group", group_file(klein)])
     assert rc == 0 and payload["count"] == 0
 

@@ -25,13 +25,13 @@ from helpers import (brute_h2_order_modn, cocycle_vector, d2_annihilates,
 
 
 def klein():
-    return direct_product(cyclic_group(2), cyclic_group(2)).group
+    return direct_product(cyclic_group(2), cyclic_group(2))
 
 
 def product(*groups):
     out = groups[0]
     for G in groups[1:]:
-        out = direct_product(out, G).group
+        out = direct_product(out, G)
     return out
 
 

@@ -77,10 +77,10 @@ def test_extension_center_and_iota():
 def test_materialization():
     E = build_extension(cyclic_group(3), standard_order_zn(3), modulus=2)
     mat = E.materialize()
-    assert mat.group.order == 6
-    assert mat.group.names[0] == "(0, 0)"       # elements print as "(a, name)"
-    assert mat.group.names[4] == "(1, 1)"
-    assert find_isomorphism(mat.group, cyclic_group(6)) is not None
+    assert mat.order == 6
+    assert mat.names[0] == "(0, 0)"       # elements print as "(a, name)"
+    assert mat.names[4] == "(1, 1)"
+    assert find_isomorphism(mat, cyclic_group(6)) is not None
     with pytest.raises(InvalidGroupError):
         build_extension(cyclic_group(3), standard_order_zn(3)).materialize()
     big = build_extension(cyclic_group(2), standard_order_zn(2), modulus=1000)
@@ -88,14 +88,36 @@ def test_materialization():
         big.materialize()
 
 
+def test_materialization_layout():
+    # (a,g)(b,h) = (a + b + f(g,h) mod n, gh) with (a, g) at index a*|G| + g,
+    # for an ordering and for a cocycle that is not one: the coboundary of
+    # g -> g on the non-abelian S3, with negative values
+    G = symmetric_group(3)
+    ordering = standard_order_zn(3).values
+    coboundary = [[g + h - G.table[g][h] for h in range(G.order)] for g in range(G.order)]
+    for base, f, n in ((cyclic_group(3), ordering, 4), (G, coboundary, 3)):
+        E = build_extension(base, f, modulus=n)
+        assert E.is_order is (f is ordering)
+        k = base.order
+        group = E.materialize()
+        assert group.order == n * k
+        for a in range(n):
+            for g in range(k):
+                assert group.names[a * k + g] == f"({a}, {base.names[g]})"
+                for b in range(n):
+                    for h in range(k):
+                        want = (a + b + f[g][h]) % n * k + base.table[g][h]
+                        assert group.table[a * k + g][b * k + h] == want
+
+
 def test_materialization_bound_is_the_module_constant(monkeypatch):
     assert build_extension(cyclic_group(2), standard_order_zn(2),
-                           modulus=512).materialize().group.order == 1024
+                           modulus=512).materialize().order == 1024
     with pytest.raises(BoundExceeded):
         build_extension(cyclic_group(5), standard_order_zn(5), modulus=205).materialize()
     monkeypatch.setattr(extensions, "MATERIALIZATION_LIMIT", 6)
     assert build_extension(cyclic_group(3), standard_order_zn(3),
-                           modulus=2).materialize().group.order == 6
+                           modulus=2).materialize().order == 6
     with pytest.raises(BoundExceeded):
         build_extension(cyclic_group(3), standard_order_zn(3), modulus=3).materialize()
     with pytest.raises(BoundExceeded):   # hat_ordering materializes its extension
@@ -149,6 +171,13 @@ def test_cofinality_requires_positive_z():
         is_cofinal_central(E, E.identity, probe_bound=3)
 
 
+def test_cofinality_rejects_negative_probe_bound():
+    E = build_extension(cyclic_group(3), standard_order_zn(3))
+    with pytest.raises(InvalidGroupError):
+        is_cofinal_central(E, E.iota(1), -5)
+    assert is_cofinal_central(E, E.iota(1), 0) is True
+
+
 def test_minimal_generator_lift_is_cofinal():
     G = cyclic_group(4)
     f = standard_order_zn(4)
@@ -179,7 +208,7 @@ def test_minimal_generator_is_arrangement_successor():
 
 def test_minimal_generator_rejects_non_cyclic():
     from circorder.groups import direct_product
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     with pytest.raises(InvalidGroupError):
         minimal_generator(klein, [[0] * 4 for _ in range(4)])
 
@@ -266,14 +295,14 @@ def test_quotient_by_cyclic_central():
     res = quotient_by_cyclic_central(cyclic_group(4), standard_order_zn(4), {0, 2})
     assert res.group.order == 2
     assert res.generator == 2
-    assert res.section(0) == 0
+    assert res.section[0] == 0
     # p_n fbar = f_nu is asserted inside; re-check here independently
     G, nu, proj = cyclic_group(4), res.section, res.projection
     z, n = res.generator, 2
     dlog = {G.power(z, j): j for j in range(n)}
     for q1 in range(2):
         for q2 in range(2):
-            defect = G.mul(G.mul(nu(q1), nu(q2)), G.inv(nu(res.group.table[q1][q2])))
+            defect = G.mul(G.mul(nu[q1], nu[q2]), G.inv(nu[res.group.table[q1][q2]]))
             assert dlog[defect] == res.ordering.values[q1][q2] % n
 
     res6 = quotient_by_cyclic_central(cyclic_group(6), standard_order_zn(6), {0, 3})

@@ -29,21 +29,26 @@ def test_every_library_group_passes_exhaustive_axioms():
             assert G.table[g][G.inverse[g]] == 0
 
 
-def test_direct_product_order_and_projections():
-    c2, c3 = cyclic_group(2), cyclic_group(3)
-    res = direct_product(c2, c3)
-    assert res.group.order == 6
-    assert find_isomorphism(res.group, cyclic_group(6)) is not None
-    for g in range(res.group.order):
-        for h in range(res.group.order):
-            p = res.group.table[g][h]
-            assert res.proj_left(p) == c2.table[res.proj_left(g)][res.proj_left(h)]
-            assert res.proj_right(p) == c3.table[res.proj_right(g)][res.proj_right(h)]
-    assert res.incl_left.is_injective() and res.incl_right.is_injective()
+def test_direct_product_layout():
+    # (g, h) sits at index g*|H| + h, checked entry by entry with a
+    # non-abelian left factor so that a swapped layout cannot pass
+    G, H = symmetric_group(3), cyclic_group(4)
+    m = H.order
+    P = direct_product(G, H)
+    assert P.order == G.order * m
+    for g1 in range(G.order):
+        for h1 in range(m):
+            assert P.names[g1 * m + h1] == f"({G.names[g1]},{H.names[h1]})"
+            for g2 in range(G.order):
+                for h2 in range(m):
+                    assert P.table[g1 * m + h1][g2 * m + h2] == \
+                        G.table[g1][g2] * m + H.table[h1][h2]
 
-    klein = direct_product(c2, c2).group
+    c2, c3 = cyclic_group(2), cyclic_group(3)
+    assert find_isomorphism(direct_product(c2, c3), cyclic_group(6)) is not None
+    klein = direct_product(c2, c2)
     assert klein.exponent() == 2
-    triv = direct_product(trivial_group(), c3).group
+    triv = direct_product(trivial_group(), c3)
     assert triv.table == c3.table
 
 
@@ -61,11 +66,11 @@ def test_quotient_examples():
     res_triv = quotient(c6, {0})
     assert find_isomorphism(res_triv.group, c6) is not None
 
-    c4xc2 = direct_product(cyclic_group(4), cyclic_group(2)).group
+    c4xc2 = direct_product(cyclic_group(4), cyclic_group(2))
     # <(2,0)> has index 0-based element 2*2+0 = 4
     res2 = quotient(c4xc2, closure(c4xc2, {4}))
     assert res2.group.order == 4
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert find_isomorphism(res2.group, klein) is not None
 
 
@@ -87,7 +92,7 @@ def test_subgroup_generated():
     assert res.group.order == 3
     assert res.embedding.is_injective()
     assert subgroup_generated(c6, set()).group.order == 1
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert subgroup_generated(klein, {1, 2}).group.order == 4
     # quotient/embedding composition contracts
     for G in library_groups():
@@ -114,17 +119,17 @@ def test_quotient_and_embedding_hom_properties_across_library():
 
 def test_element_order_and_exponent():
     assert cyclic_group(6).element_order(4) == 3
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert klein.exponent() == 2
     assert cyclic_group(12).exponent() == 12
 
 
 def test_find_isomorphism():
     c2, c3 = cyclic_group(2), cyclic_group(3)
-    iso = find_isomorphism(direct_product(c2, c3).group, cyclic_group(6))
+    iso = find_isomorphism(direct_product(c2, c3), cyclic_group(6))
     assert iso is not None and iso.is_bijective()
     assert find_isomorphism(cyclic_group(4),
-                            direct_product(c2, c2).group) is None
+                            direct_product(c2, c2)) is None
     s3 = symmetric_group(3)
     ident = find_isomorphism(s3, s3)
     assert ident is not None
@@ -149,7 +154,7 @@ def test_isomorphism_bound_is_the_module_constant(monkeypatch):
 
 def test_find_isomorphism_respects_structure():
     d4 = dihedral_group(4)
-    q_ish = direct_product(cyclic_group(4), cyclic_group(2)).group
+    q_ish = direct_product(cyclic_group(4), cyclic_group(2))
     assert find_isomorphism(d4, q_ish) is None
 
 
@@ -175,9 +180,9 @@ def test_find_isomorphism_against_brute_force():
 
 def test_all_subgroups_counts():
     assert len(all_subgroups(cyclic_group(12))) == 6  # one per divisor
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert len(all_subgroups(klein)) == 5
-    z4z4 = direct_product(cyclic_group(4), cyclic_group(4)).group
+    z4z4 = direct_product(cyclic_group(4), cyclic_group(4))
     assert len(all_subgroups(z4z4)) == 15
 
 

@@ -28,6 +28,12 @@ def test_spectrum_normalization_and_membership():
         ObstructionSpectrum(minimal=(2, 4))  # not an antichain
 
 
+def test_spectrum_rejects_repeated_minimal_elements():
+    with pytest.raises(ValueError):
+        ObstructionSpectrum((3, 3))
+    assert ObstructionSpectrum.from_elements([3, 3]) == ObstructionSpectrum((3,))
+
+
 def test_spectrum_flags():
     assert ObstructionSpectrum.all_naturals().membership(17)
     assert ObstructionSpectrum.empty().is_empty
@@ -74,7 +80,7 @@ def test_spectrum_verification_bound_is_the_module_constant(monkeypatch):
 
 def test_spectrum_finite_special_cases():
     assert spectrum_finite(trivial_group()).is_empty
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert spectrum_finite(klein).is_all
     assert spectrum_finite(symmetric_group(3)).is_all
 
@@ -83,7 +89,7 @@ def test_spectrum_finite_agrees_with_direct_product_search():
     # Ob(Z/6) membership vs direct cyclicity of Z/6 x Z/n for n <= 10
     s = spectrum_finite(cyclic_group(6))
     for n in range(2, 11):
-        product = direct_product(cyclic_group(6), cyclic_group(n)).group
+        product = direct_product(cyclic_group(6), cyclic_group(n))
         assert s.membership(n) == (not product.is_cyclic())
 
 
@@ -146,17 +152,17 @@ def test_bico_decision_consistent_with_cyclic_products():
     s5 = spectrum_finite(cyclic_group(5))
     assert bico_product_decision(set(s6.minimal), set(s5.minimal)) == \
         "circularly_orderable"
-    assert direct_product(cyclic_group(6), cyclic_group(5)).group.is_cyclic()
+    assert direct_product(cyclic_group(6), cyclic_group(5)).is_cyclic()
     s4 = spectrum_finite(cyclic_group(4))
     assert bico_product_decision(set(s6.minimal), set(s4.minimal)) == \
         "not_circularly_orderable"
-    assert not direct_product(cyclic_group(6), cyclic_group(4)).group.is_cyclic()
+    assert not direct_product(cyclic_group(6), cyclic_group(4)).is_cyclic()
 
 
 def test_iterated_bound_examples():
     assert iterated_nonco_bound(cyclic_group(2)) == 4
     assert iterated_nonco_bound(trivial_group()) == 1
-    z44 = direct_product(cyclic_group(4), cyclic_group(4)).group
+    z44 = direct_product(cyclic_group(4), cyclic_group(4))
     m, e = cyclic_quotient_stats(z44)
     assert e == 4
     assert m == 10
@@ -168,7 +174,7 @@ def test_iterated_bound_examples():
 def test_cyclic_quotient_stats_brute_force_cross_check():
     # independent count: subgroups of Z/4 x Z/4 as closures of element pairs
     from circorder.groups import closure, quotient
-    z44 = direct_product(cyclic_group(4), cyclic_group(4)).group
+    z44 = direct_product(cyclic_group(4), cyclic_group(4))
     subgroups = set()
     for g in range(z44.order):
         for h in range(z44.order):

@@ -70,7 +70,7 @@ def test_validate_hom_error_kinds():
 
     # a total non-invariant function on the Klein group: no circular ordering
     # exists there, so any arrangement-induced triple function must fail
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     pos = {g: g for g in range(4)}
     values = [[[0] * 4 for _ in range(4)] for _ in range(4)]
     for g1 in range(4):
@@ -187,10 +187,10 @@ def test_enumeration_counts_are_totients():
 
 
 def test_enumeration_of_non_cyclic_groups_is_empty():
-    klein = direct_product(cyclic_group(2), cyclic_group(2)).group
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert enumerate_circular_orders(klein) == []
     assert enumerate_circular_orders(symmetric_group(3)) == []
-    z3z3 = direct_product(cyclic_group(3), cyclic_group(3)).group
+    z3z3 = direct_product(cyclic_group(3), cyclic_group(3))
     assert enumerate_circular_orders(z3z3) == []
 
 
