@@ -146,17 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all circular orderings of a finite group")
     p.add_argument("--group", required=True, help="group JSON file")
-    p.add_argument("--max-order", type=integer_ge_0, default=orders.ENUMERATION_ORDER_LIMIT)
+    p.add_argument("--max-order", type=integer_ge_0)  # None: the enumeration limit
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("product-co",
                        help="decide circular orderability of G x Z/n with witness")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=integer_ge_2, required=True)
-    p.add_argument("--max-order", type=integer_ge_0, default=orders.ENUMERATION_ORDER_LIMIT)
+    p.add_argument("--max-order", type=integer_ge_0)  # None: the enumeration limit
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_product_co)
 
     p = sub.add_parser("obstruction", help="obstruction spectrum report")
     p.add_argument("--group")
@@ -167,21 +165,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assert the group is not left-orderable")
     p.add_argument("--max-n", type=integer_ge_2, default=12)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_obstruction)
 
     p = sub.add_parser("promislow", help="run the Promislow group self-check demo")
     p.add_argument("--seed", type=int, default=prom.DEFAULT_SEED)
     p.add_argument("--radius", type=integer_ge_0, default=5)
     p.add_argument("--samples", type=integer_ge_0, default=100_000)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_promislow)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call
     try:
-        payload, summary = args.func(args)
+        payload, summary = command(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -64,6 +65,20 @@ def test_enumerate_exit_codes(tmp_path, group_file):
     bad.write_text('{"table": [[0,true],[true,false]]}')
     assert main(["enumerate", "--group", str(bad)]) == 2
     assert main(["enumerate", "--group", group_file(cyclic_group(13))]) == 3
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys, group_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    z3 = group_file(cyclic_group(3))
+    assert main(["enumerate", "--group", z3]) == 0
+    assert main(["product-co", "--group", z3, "--n", "2"]) == 0
+    assert built == []
+    assert capsys.readouterr().out.splitlines() == [
+        "Z/3: 2 circular ordering(s)",
+        "Z/3 x Z/2: circularly orderable (direct search agrees)"]
 
 
 def test_ordering_file_values_must_be_ints(tmp_path, monkeypatch, capsys):

@@ -97,6 +97,29 @@ def test_snf_deterministic():
     b = smith_normal_form(M)
     assert a.diagonal == b.diagonal
     assert a.U == b.U and a.V == b.V
+    # The exact transforms, not only their shape: the CLI prints class
+    # coordinates read through V^-1, so reordering any elementary operation
+    # would change its output.
+    r = smith_normal_form(M, want_vinv=True)
+    assert r.diagonal == (1, 1, 90)
+    assert r.U.data == [[0, 1, 0], [-3, -11, 10], [133, 487, -443]]
+    assert r.V.data == [[1, 159, 323], [0, -30, -61], [0, -1, -2]]
+    assert r.Vinv.data == [[1, 5, 9], [0, 2, -61], [0, -1, 30]]
+    d1 = coboundary_matrices(symmetric_group(3))[0]
+    r = smith_normal_form(d1, want_u=False, want_vinv=True)
+    assert r.diagonal == (1, 1, 1, 1, 2) and r.U is None
+    assert r.V.data == [[1, -1, -1, -1, 1], [0, 1, 1, 2, -1], [0, 0, 1, 1, 0],
+                        [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+    assert r.Vinv.data == [[1, 1, 0, -1, 0], [0, 1, -1, -1, 1], [0, 0, 1, -1, 0],
+                           [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
+
+
+def test_snf_depth_is_not_bounded_by_the_stack():
+    # 1024 is the column count of d2 at order 33; one pivot per position
+    # must neither recurse nor redo work per position.
+    with time_budget(10):
+        r = smith_normal_form(IntMatrix.identity(1024), want_u=False)
+    assert r.diagonal == (1,) * 1024
 
 
 def test_solve_and_kernel():
