@@ -20,13 +20,15 @@ S(g) = sum_h f(g,h), so U f = D V^-1 S / |G| and
 (U f)_j = e_j (V^-1 S)_j / |G|, an exact division.
 n-divisibility of [f] is solved in the same Smith basis, and mod-n
 triviality of an integral cocycle is the same question, so no Smith normal
-form depends on n.
+form depends on n.  d1 is reduced once per group and not kept: the integral
+route works on the cocycle matrix, and reads d1 u off the table.
 
 Cocycles are checked on the table (orders.cocycle_failure); d2, which is
 (|G|-1)^3 x (|G|-1)^2, is built and reduced only for Z/n coefficients, once
-per group.  With U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the
-cocycle condition mod n reads d_i y_i = 0 mod n on the rank block and leaves
-the kernel block free, while im d1 lies in the kernel block.  So H^2(G; Z/n)
+per group; only there is a cocycle flattened to a vector.  With
+U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the cocycle condition mod n
+reads d_i y_i = 0 mod n on the rank block and leaves the kernel block free,
+while im d1 lies in the kernel block.  So H^2(G; Z/n)
 splits as (+) Z/gcd(d_i, n) (+) (+) Z/gcd(e_j, n), the kernel block read in
 the class coordinates above (the universal coefficient theorem, Brown III.1).
 """
@@ -99,15 +101,15 @@ class SNFResult:
     """U @ matrix @ V == diag(diagonal), with U, V unimodular.
 
     `diagonal` has length min(rows, cols); nonzero entries are positive, come
-    first, and satisfy the divisibility chain d1 | d2 | ...  `U` (None unless
-    requested with want_u) and `Vinv` (on request with want_vinv; it gives
-    coordinates in the column space of V) are tracked only when asked for.
+    first, and satisfy the divisibility chain d1 | d2 | ...  `U` is None
+    unless requested with want_u; `V` and `Vinv` (which gives coordinates in
+    the column space of V) are always returned.
     """
     matrix: IntMatrix
     diagonal: tuple
     U: Optional[IntMatrix]
     V: IntMatrix
-    Vinv: Optional[IntMatrix]
+    Vinv: IntMatrix
 
     @property
     def rank(self) -> int:
@@ -151,7 +153,7 @@ def _identity_lists(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def _snf_in_place(a, m, n, want_u, want_vinv):
+def _snf_in_place(a, m, n, want_u):
     """Diagonalize `a` in place; return (s, t, tinv) transform lists with
     s @ a_original @ t = a_final.  One pass over the pivot positions k, each
     elementary operation applied to `a` and, in the same step, to the whole
@@ -160,7 +162,7 @@ def _snf_in_place(a, m, n, want_u, want_vinv):
     operations leave the finished part of `a` unchanged."""
     s = _identity_lists(m) if want_u else None
     t = _identity_lists(n)
-    tinv = _identity_lists(n) if want_vinv else None
+    tinv = _identity_lists(n)
     by_rows = (a, s) if want_u else (a,)  # row operations act on a and s alike
 
     def swap_rows(i, j):
@@ -193,8 +195,7 @@ def _snf_in_place(a, m, n, want_u, want_vinv):
         for rows in (a, t):
             for row in rows:
                 row[i], row[j] = row[j], row[i]
-        if tinv is not None:
-            tinv[i], tinv[j] = tinv[j], tinv[i]
+        tinv[i], tinv[j] = tinv[j], tinv[i]
 
     def add_col(src, dst, q):
         # col dst -= q * col src; V^-1 gets the inverse row operation
@@ -202,11 +203,10 @@ def _snf_in_place(a, m, n, want_u, want_vinv):
             for row in rows:
                 if row[src]:
                     row[dst] -= q * row[src]
-        if tinv is not None:
-            rs = tinv[src]
-            for j, v in enumerate(tinv[dst]):
-                if v:
-                    rs[j] += q * v
+        rs = tinv[src]
+        for j, v in enumerate(tinv[dst]):
+            if v:
+                rs[j] += q * v
 
     def rotate_cols(i, j, p, q, r, w):
         # (col_i, col_j) <- (p*col_i + q*col_j, r*col_i + w*col_j)
@@ -215,12 +215,11 @@ def _snf_in_place(a, m, n, want_u, want_vinv):
                 e, f = row[i], row[j]
                 row[i] = p * e + q * f
                 row[j] = r * e + w * f
-        if tinv is not None:
-            det = p * w - q * r  # +-1
-            ri, rj = tinv[i], tinv[j]
-            for c, (e, f) in enumerate(zip(ri, rj)):
-                ri[c] = det * (w * e - r * f)
-                rj[c] = det * (-q * e + p * f)
+        det = p * w - q * r  # +-1
+        ri, rj = tinv[i], tinv[j]
+        for c, (e, f) in enumerate(zip(ri, rj)):
+            ri[c] = det * (w * e - r * f)
+            rj[c] = det * (-q * e + p * f)
 
     for k in range(min(m, n)):
         # pivot: first nonzero entry of the block in row-major order
@@ -276,7 +275,7 @@ def _snf_in_place(a, m, n, want_u, want_vinv):
 
 
 def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]],
-                      want_u: bool = True, want_vinv: bool = False) -> SNFResult:
+                      want_u: bool = True) -> SNFResult:
     """Exact Smith normal form with unimodular transforms.
 
     One pass over the pivot positions, with no recursion.  Each off-pivot
@@ -298,12 +297,10 @@ def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]],
         M = IntMatrix(M)
     m, n = M.rows, M.cols
     a = [row[:] for row in M.data]
-    s, t, tinv = _snf_in_place(a, m, n, want_u, want_vinv)
+    s, t, tinv = _snf_in_place(a, m, n, want_u)
     diagonal = tuple(a[i][i] for i in range(min(m, n)))
     U = IntMatrix(s, cols=m) if want_u else None
-    V = IntMatrix(t, cols=n)
-    Vinv = IntMatrix(tinv, cols=n) if want_vinv else None
-    return SNFResult(M, diagonal, U, V, Vinv)
+    return SNFResult(M, diagonal, U, IntMatrix(t, cols=n), IntMatrix(tinv, cols=n))
 
 
 def kernel_basis(snf: SNFResult) -> IntMatrix:
@@ -352,19 +349,6 @@ def coboundary_matrices(G: FiniteGroup):
     return coboundary_matrix(G, 1), coboundary_matrix(G, 2)
 
 
-def cochain_matrix(G: FiniteGroup, vec: Sequence[int]) -> list[list[int]]:
-    """Rebuild the full cochain matrix, with identity zeros, from its entries at
-    nonidentity pairs (g, h) in lexicographic order."""
-    n = G.order
-    out = [[0] * n for _ in range(n)]
-    i = 0
-    for g in range(1, n):
-        for h in range(1, n):
-            out[g][h] = vec[i]
-            i += 1
-    return out
-
-
 class _D2Smith(NamedTuple):
     """The Smith normal form data of d2 that Z/n coefficients need."""
     rank: int
@@ -375,12 +359,12 @@ class _D2Smith(NamedTuple):
 
 @lru_cache(maxsize=None)
 class _Complex:
-    """Cached per-group data: the table, d1, its Smith normal form and the
-    H^2 structures built on them.  With U d1 V = diag(e_1..e_m), m = |G| - 1,
-    `V`, `Vinv` and `factors` = (e_j) are kept; every e_j is nonzero because
-    d1 is injective (H^1(G; Z) = 0).  The (m^2 x m^2) U is not built (the
-    SNF runs with want_u=False): `smith_coordinates` reads (U f)_j off the
-    row sums of f.  Cocycles are checked on the table, so d2 is only built
+    """Cached per-group data: the table, the Smith data of d1 and the H^2
+    structures built on them.  With U d1 V = diag(e_1..e_m), m = |G| - 1,
+    only `V`, `Vinv` and `factors` = (e_j) are kept, each e_j nonzero as d1
+    is injective (H^1(G; Z) = 0).  Neither d1 (m^2 x m) nor U (m^2 x m^2,
+    never built) is kept: `smith_coordinates` reads (U f)_j off the row sums
+    of f, and `is_n_divisible` applies d1 on the table.  d2 is only built
     and reduced on first use (`d2_smith`), for Z/n.  Cached by
     multiplication table; nothing here depends on names.  The cache is
     unbounded by design: it holds one entry per distinct table asked about,
@@ -389,20 +373,17 @@ class _Complex:
 
     def __init__(self, G: FiniteGroup):
         self.table = G.table
-        self.d1 = coboundary_matrix(G, 1)
-        snf1 = smith_normal_form(self.d1, want_u=False, want_vinv=True)
+        snf1 = smith_normal_form(coboundary_matrix(G, 1), want_u=False)
         self.V = snf1.V
         self.Vinv = snf1.Vinv
         self.factors = snf1.diagonal
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
 
-    def smith_coordinates(self, vec: Sequence[int]) -> list[int]:
-        """(U f)_j for j < m of the integral cocycle vector f, from its row
-        sums S(g) = sum_h f(g,h): |G| f = d1 S gives (U f)_j =
+    def smith_coordinates(self, sums: Sequence[int]) -> list[int]:
+        """(U f)_j for j < m of an integral cocycle f from its row sums
+        S(g) = sum_h f(g,h), g != identity: |G| f = d1 S gives (U f)_j =
         e_j (V^-1 S)_j / |G|, and a remainder fails the check."""
         n = len(self.table)
-        m = n - 1
-        sums = [sum(vec[g * m:(g + 1) * m]) for g in range(m)]
         scaled = [e * w for e, w in zip(self.factors, self.Vinv.mul_vector(sums))]
         require(all(v % n == 0 for v in scaled),
                 "e_j (V^-1 S)_j is not divisible by |G| on a cocycle's row sums S")
@@ -411,20 +392,21 @@ class _Complex:
     @cached_property
     def d2_smith(self) -> _D2Smith:
         d2 = coboundary_matrix(FiniteGroup(self.table, validate=False), 2)
-        snf2 = smith_normal_form(d2, want_u=False, want_vinv=True)
+        snf2 = smith_normal_form(d2, want_u=False)
         basis = kernel_basis(snf2)
-        classes = [self.smith_coordinates(basis.col(j)) for j in range(basis.cols)]
+        m = len(self.table) - 1
+        classes = [self.smith_coordinates([sum(col[i:i + m]) for i in range(0, m * m, m)])
+                   for col in map(basis.col, range(basis.cols))]
         return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
                         IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
 
-    def cocycle(self, f, modulus: Optional[int]) -> list[int]:
-        """f as a vector, checked by orders.cocycle_failure over Z or Z/modulus."""
+    def cocycle(self, f, modulus: Optional[int]):
+        """f's matrix, checked by orders.cocycle_failure over Z or Z/modulus."""
         values = f.values if isinstance(f, InhomCircularOrder) else f
         failure = cocycle_failure(self.table, values, modulus)
         if failure is not None:
             raise failure
-        n = len(self.table)
-        return [values[g][h] for g in range(1, n) for h in range(1, n)]
+        return values
 
 
 def _complex_for(G: FiniteGroup) -> _Complex:
@@ -439,12 +421,12 @@ class H2Structure:
 
     `invariant_factors` lists the nonunit factors in divisibility order; all
     are nonzero, since H^2(G; Z) and H^2(G; Z/n) are finite.  The projection
-    sends a cocycle vector to coordinates that are killed exactly on the
-    coboundary lattice, additively.  Over Z it takes the class coordinates
-    (U f)_j of the d1 Smith normal form from their row sums
-    (`_Complex.smith_coordinates`; U itself is never built) and applies
-    `_coords`, which selects those of the nonunit e_j.
-    Over Z/n it first takes y = V^-1 f from the d2 Smith normal form and
+    sends a cocycle matrix to coordinates that are killed exactly on the
+    coboundary lattice, additively.  Over Z it reads the class coordinates
+    (U f)_j of the d1 Smith normal form off the matrix's row sums
+    (`_Complex.smith_coordinates`) and applies `_coords`, which selects
+    those of the nonunit e_j.  Over Z/n it flattens f to its entries at
+    nonidentity pairs, takes y = V^-1 f from the d2 Smith normal form and
     divides the rank block of y exactly by its steps n / gcd(d_i, n), then
     applies `_coords`.  Coordinates are reduced mod each factor.
     """
@@ -456,16 +438,16 @@ class H2Structure:
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
-        x = comp.cocycle(f, self.modulus)
+        values = comp.cocycle(f, self.modulus)
         if self.modulus is not None:
             d2 = comp.d2_smith
-            y = d2.vinv.mul_vector(x)
+            y = d2.vinv.mul_vector([v for row in values[1:] for v in row[1:]])
             head = y[:d2.rank]
             require(all(v % step == 0 for v, step in zip(head, self._steps)),
                     "d2 f = 0 mod n but the rank block of V^-1 f is off its steps")
             x = [v // step for v, step in zip(head, self._steps)] + y[d2.rank:]
         else:
-            x = comp.smith_coordinates(x)
+            x = comp.smith_coordinates([sum(row) for row in values[1:]])
         coords = self._coords.mul_vector(x)
         return CohomologyClass(self, tuple(
             c % e for c, e in zip(coords, self.invariant_factors)))
@@ -562,27 +544,28 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     off the row sums of f; the rest vanish on a cocycle), f = n*mu + d1 u
     splits into
     z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff gcd(n, e_j) | z_j
-    for every j.  The witness mu = (f - d1 u) / n is checked by exact
-    division and then by direct substitution.
+    for every j.  d1 u is read off the table as
+    (d1 u)(g,h) = u(g) + u(h) - u(gh) with u(identity) = 0.  The witness
+    mu = (f - d1 u) / n is checked by exact division, then as a cocycle and
+    by direct substitution.
     """
     if n < 2:
         raise ValueError(f"n = {n} < 2")
     comp = _complex_for(G)
-    vec = comp.cocycle(f, None)
+    f = comp.cocycle(f, None)
     u_smith = []
-    for z, e in zip(comp.smith_coordinates(vec), comp.factors):
+    for z, e in zip(comp.smith_coordinates([sum(row) for row in f[1:]]), comp.factors):
         g, _, t = _gcdext(n, e)
         if z % g:
             return DivisibilityWitness(False, None, None)
         u_smith.append(t * (z // g))
-    u = comp.V.mul_vector(u_smith)
-    d1u = comp.d1.mul_vector(u)
-    rest = [fv - c for fv, c in zip(vec, d1u)]
-    require(all(v % n == 0 for v in rest), "f - d1 u is not divisible by n")
-    mu_vec = [v // n for v in rest]
+    u = [0, *comp.V.mul_vector(u_smith)]
+    d1u = [[ug + uh - u[gh] for gh, uh in zip(row, u)] for row, ug in zip(comp.table, u)]
+    rest = [[fv - c for fv, c in zip(fg, cg)] for fg, cg in zip(f, d1u)]
+    require(all(v % n == 0 for row in rest for v in row), "f - d1 u is not divisible by n")
+    mu = [[v // n for v in row] for row in rest]
     # direct substitution: mu is a cocycle and f = n*mu + d1 u, exactly
-    mu = cochain_matrix(G, mu_vec)
     require(cocycle_failure(comp.table, mu) is None, "witness mu is not a cocycle")
-    require(all(fv == n * m + c for fv, m, c in zip(vec, mu_vec, d1u)),
-            "witness fails direct substitution")
-    return DivisibilityWitness(True, mu, list(u))
+    require(all(fv == n * mv + c for fg, mg, cg in zip(f, mu, d1u)
+                for fv, mv, c in zip(fg, mg, cg)), "witness fails direct substitution")
+    return DivisibilityWitness(True, mu, u[1:])

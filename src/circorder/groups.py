@@ -232,8 +232,35 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
                        validate=n * m <= ASSOCIATIVITY_CHECK_LIMIT)
 
 
+def _check_range(G: FiniteGroup, elems, what: str) -> None:
+    """Raise InvalidGroupError at the first element that is not an index of G."""
+    for g in elems:
+        if not 0 <= g < G.order:
+            raise InvalidGroupError(f"{what} {g} out of range for {G.name}")
+
+
+def _subgroup_failure(G: FiniteGroup, s: frozenset, normal: bool, who: str) -> Optional[str]:
+    """The first reason s is not a subgroup (if `normal`, a normal one) of G."""
+    _check_range(G, s, f"{who}: element")
+    if 0 not in s:
+        return "not a subgroup (identity 0 missing)"
+    for a in s:
+        if G.inverse[a] not in s:
+            return f"not a subgroup (inverse of {a} missing)"
+        for b in s:
+            if G.table[a][b] not in s:
+                return f"not a subgroup ({a}*{b} escapes)"
+    if normal:
+        for a in s:
+            for g in range(G.order):
+                if G.conjugate(a, g) not in s:
+                    return f"not normal ({g}*{a}*{g}^-1 escapes)"
+
+
 def closure(G: FiniteGroup, gens: Iterable[int]) -> frozenset:
     """Smallest subgroup of G containing gens."""
+    gens = list(gens)
+    _check_range(G, gens, "generator")
     step = sorted({*gens, *(G.inverse[g] for g in gens)})
     elems = {0}
     frontier = [0]
@@ -250,23 +277,17 @@ def closure(G: FiniteGroup, gens: Iterable[int]) -> frozenset:
 
 
 def is_subgroup(G: FiniteGroup, subset: Iterable[int]) -> bool:
-    s = frozenset(subset)
-    if 0 not in s:
-        return False
-    return all(G.table[a][b] in s for a in s for b in s) and all(G.inverse[a] in s for a in s)
+    return _subgroup_failure(G, frozenset(subset), False, "is_subgroup") is None
 
 
 def is_normal(G: FiniteGroup, subset: Iterable[int]) -> bool:
-    s = frozenset(subset)
-    return all(G.conjugate(a, g) in s for a in s for g in range(G.order))
+    """Whether subset is a normal subgroup of G."""
+    return _subgroup_failure(G, frozenset(subset), True, "is_normal") is None
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> SubgroupResult:
     """Closure of gens as its own FiniteGroup plus the embedding into G."""
     gens = list(gens)
-    for g in gens:
-        if not 0 <= g < G.order:
-            raise InvalidGroupError(f"generator {g} out of range for {G.name}")
     elems = sorted(closure(G, gens))
     index = {g: i for i, g in enumerate(elems)}
     table = [[index[G.table[a][b]] for b in elems] for a in elems]
@@ -281,21 +302,9 @@ def quotient(G: FiniteGroup, normal_subset: Iterable[int]) -> QuotientResult:
     Raises InvalidGroupError distinctly for "not a subgroup" and "not normal".
     """
     N = frozenset(normal_subset)
-    for a in N:
-        if not 0 <= a < G.order:
-            raise InvalidGroupError(f"quotient: element {a} out of range for {G.name}")
-    if 0 not in N:
-        raise InvalidGroupError("quotient: not a subgroup (identity 0 missing)")
-    for a in N:
-        if G.inverse[a] not in N:
-            raise InvalidGroupError(f"quotient: not a subgroup (inverse of {a} missing)")
-        for b in N:
-            if G.table[a][b] not in N:
-                raise InvalidGroupError(f"quotient: not a subgroup ({a}*{b} escapes)")
-    for a in N:
-        for g in range(G.order):
-            if G.conjugate(a, g) not in N:
-                raise InvalidGroupError(f"quotient: not normal ({g}*{a}*{g}^-1 escapes)")
+    failure = _subgroup_failure(G, N, True, "quotient")
+    if failure is not None:
+        raise InvalidGroupError(f"quotient: {failure}")
     coset_of = [-1] * G.order
     reps = []
     for g in range(G.order):

@@ -121,10 +121,11 @@ def inhom_failures(G: FiniteGroup, values):
                 if type(v) is not int or v not in (0, 1)), None)   # not 1.0 or True
     if bad is not None:
         yield AxiomError("value-range", bad, f"value {values[bad[0]][bad[1]]}")
+    check = _identity_failure if bad is None else cocycle_failure   # 0/1 ints skip the type scan
     bad = next((g for g in range(1, n) if values[g][G.inverse[g]] != 1), None)
     if bad is not None:
         yield AxiomError("inverse-pair", (bad,))
-    failure = cocycle_failure(G.table, values)   # subtracts entries: after value-range
+    failure = check(G.table, values)   # subtracts entries: after value-range
     if failure is not None:
         yield failure
 
@@ -142,6 +143,12 @@ def cocycle_failure(table, values, modulus: Optional[int] = None) -> Optional[Ax
                 if type(v) is not int), None)   # 1.0 and True would pass as 1
     if bad is not None:
         return AxiomError("value-type", bad, f"value {values[bad[0]][bad[1]]!r} is not an int")
+    return _identity_failure(table, values, modulus)
+
+
+def _identity_failure(table, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
+    """cocycle_failure past its shape and type scans."""
+    n = len(table)
     bad = next((g for g in range(n) if values[0][g] != 0 or values[g][0] != 0), None)
     if bad is not None:
         return AxiomError("normalization", (bad,))

@@ -288,8 +288,7 @@ def verify_snf(snf, check_determinants: bool = True) -> None:
     require(all(d > 0 for d in nz), "diagonal not nonnegative")
     require(list(snf.diagonal[:len(nz)]) == nz, "zero entries not trailing")
     require(all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1)), "divisibility chain")
-    if snf.Vinv is not None:
-        require(snf.V @ snf.Vinv == IntMatrix.identity(snf.V.rows), "Vinv wrong")
+    require(snf.V @ snf.Vinv == IntMatrix.identity(snf.V.rows), "Vinv wrong")
     if check_determinants:
         require(determinant(snf.U) in (1, -1), "det U not a unit")
         require(determinant(snf.V) in (1, -1), "det V not a unit")
@@ -312,6 +311,15 @@ def solve_int(snf, b) -> list[int] | None:
                 return None
             y[i] = ub[i] // d
     return snf.V.mul_vector(y)
+
+
+def cochain_matrix(G: FiniteGroup, vec) -> list[list[int]]:
+    """The full cochain matrix, with identity zeros, from its entries at
+    nonidentity pairs (g, h) in lexicographic order: the inverse of
+    cocycle_vector."""
+    n = G.order
+    it = iter(vec)
+    return [[next(it) if g and h else 0 for h in range(n)] for g in range(n)]
 
 
 def cocycle_vector(G: FiniteGroup, f) -> list[int]:
@@ -439,7 +447,7 @@ def kernel_route(G: FiniteGroup):
     needs the cubic-size SNF of d2.  Returns (Vinv, r, U, (a_j)), with a_j = 0
     past the rank of d1 marking a free summand."""
     d1, d2 = coboundary_matrices(G)
-    snf2 = smith_normal_form(d2, want_u=False, want_vinv=True)
+    snf2 = smith_normal_form(d2, want_u=False)
     r = snf2.rank
     k = d2.cols - r
     d1_in_kernel = IntMatrix(snf2.Vinv.data[r:], cols=d2.cols) @ d1

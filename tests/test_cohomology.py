@@ -12,10 +12,10 @@ from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn)
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
-                                  cochain_matrix, h2_structure, is_n_divisible,
-                                  is_trivial_mod_n, kernel_basis, smith_normal_form)
+                                  h2_structure, is_n_divisible, is_trivial_mod_n,
+                                  kernel_basis, smith_normal_form)
 
-from helpers import (brute_h2_order_modn, cocycle_vector, d2_annihilates,
+from helpers import (brute_h2_order_modn, cochain_matrix, cocycle_vector, d2_annihilates,
                      full_u_coordinates, full_u_kernel_classes,
                      invariant_factors_from_diagonal, invariant_factors_of_sum,
                      is_coboundary_mod, is_cocycle_mod, kernel_route_class,
@@ -53,7 +53,7 @@ SMALL_GROUPS = [cyclic_group(k) for k in range(2, 11)] + [G for G, _, _ in NONCY
 # -- Smith normal form ----------------------------------------------------------
 
 def test_snf_worked_examples():
-    r = smith_normal_form([[2, 0], [0, 3]], want_vinv=True)
+    r = smith_normal_form([[2, 0], [0, 3]])
     assert r.diagonal == (1, 6)
     verify_snf(r)
     assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
@@ -87,7 +87,7 @@ def test_snf_against_independent_elimination():
 
 def test_snf_postconditions_on_seeded_random_matrices():
     for M in seeded_random_matrices(20230815, count=100, max_dim=50):
-        r = smith_normal_form(M, want_vinv=True)
+        r = smith_normal_form(M)
         verify_snf(r, check_determinants=True)
 
 
@@ -96,17 +96,16 @@ def test_snf_deterministic():
     a = smith_normal_form(M)
     b = smith_normal_form(M)
     assert a.diagonal == b.diagonal
-    assert a.U == b.U and a.V == b.V
+    assert a.U == b.U and a.V == b.V and a.Vinv == b.Vinv
     # The exact transforms, not only their shape: the CLI prints class
     # coordinates read through V^-1, so reordering any elementary operation
     # would change its output.
-    r = smith_normal_form(M, want_vinv=True)
-    assert r.diagonal == (1, 1, 90)
-    assert r.U.data == [[0, 1, 0], [-3, -11, 10], [133, 487, -443]]
-    assert r.V.data == [[1, 159, 323], [0, -30, -61], [0, -1, -2]]
-    assert r.Vinv.data == [[1, 5, 9], [0, 2, -61], [0, -1, 30]]
+    assert a.diagonal == (1, 1, 90)
+    assert a.U.data == [[0, 1, 0], [-3, -11, 10], [133, 487, -443]]
+    assert a.V.data == [[1, 159, 323], [0, -30, -61], [0, -1, -2]]
+    assert a.Vinv.data == [[1, 5, 9], [0, 2, -61], [0, -1, 30]]
     d1 = coboundary_matrices(symmetric_group(3))[0]
-    r = smith_normal_form(d1, want_u=False, want_vinv=True)
+    r = smith_normal_form(d1, want_u=False)
     assert r.diagonal == (1, 1, 1, 1, 2) and r.U is None
     assert r.V.data == [[1, -1, -1, -1, 1], [0, 1, 1, 2, -1], [0, 0, 1, 1, 0],
                         [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
@@ -266,8 +265,10 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert all(not want_u or (diagonal and rows <= m)
                for rows, want_u, diagonal in transforms), transforms
     assert built and m ** 3 not in built, sorted(set(built))
+    # d1 (m^2 rows) is reduced but not kept: is_n_divisible reads d1 u off
+    # the table
     held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
-    assert held and all(M.rows < m ** 3 for M in held), held
+    assert held and all(M.rows < m * m for M in held), held
     assert "d2_smith" not in vars(_Complex(G))
     assert not hasattr(_Complex(G), "U")
     shapes.clear()
@@ -498,7 +499,8 @@ def test_row_sum_coordinates_match_the_full_u_oracle(data):
     cocycles = [arrangement_to_inhom(a).values for a in enumerate_circular_orders(G)]
     cocycles.append(_draw_cocycle(data, index, perm, None)[1])
     for f in cocycles:
-        assert comp.smith_coordinates(cocycle_vector(G, f)) == full_u_coordinates(G, f)
+        sums = [sum(row) for row in f[1:]]
+        assert comp.smith_coordinates(sums) == full_u_coordinates(G, f)
     assert comp.d2_smith.kernel_classes == full_u_kernel_classes(G)
 
 
@@ -601,6 +603,15 @@ def test_divisibility_matches_the_coboundary_oracle(data):
         assert is_cocycle_mod(G, result.mu, None)
         assert cocycle_vector(G, f) == [n * m + c for m, c in
                                         zip(cocycle_vector(G, result.mu), d1u)]
+
+
+def test_divisibility_witness_is_pinned():
+    # the exact witness, recorded when d1 u was still a product with the
+    # dense d1: reading d1 u off the table must not change it
+    got = is_n_divisible(cyclic_group(4), standard_order_zn(4), 3)
+    assert got.divisible
+    assert got.mu == [[0, 0, 0, 0], [0, 3, 0, 0], [0, 0, -3, -3], [0, 0, -3, 0]]
+    assert got.coboundary_of == [-2, 5, 3]
 
 
 def test_divisibility_matches_gcd_rule_for_cyclic():

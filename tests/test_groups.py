@@ -86,6 +86,25 @@ def test_quotient_error_kinds_are_distinct():
         quotient(s3, sub)
 
 
+def test_subset_elements_are_range_checked():
+    # -1 used to pass as the last row, and 9 escaped as an IndexError
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    for G, subset in ((c2, [0, 1, -1]), (c4, [0, 9]), (c4, [9]), (c4, [0, 2, -2])):
+        for check in (is_subgroup, is_normal, closure, subgroup_generated, quotient):
+            with pytest.raises(InvalidGroupError, match="out of range"):
+                check(G, subset)
+    with pytest.raises(InvalidGroupError, match="^quotient: element 9 out of range"):
+        quotient(c4, [0, 9])
+    assert closure(c4, iter([1])) == frozenset(range(4))   # gens read once
+
+
+def test_is_normal_needs_a_subgroup():
+    # {0, 1} is closed under conjugation in Z/4 but is not a subgroup
+    c4 = cyclic_group(4)
+    assert not is_subgroup(c4, {0, 1}) and not is_normal(c4, {0, 1})
+    assert not is_normal(c4, {1}) and is_normal(c4, {0, 2})
+
+
 def test_subgroup_generated():
     c6 = cyclic_group(6)
     res = subgroup_generated(c6, {2})
