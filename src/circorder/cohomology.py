@@ -41,7 +41,7 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import BoundExceeded, require
+from .errors import BoundExceeded, InvalidGroupError, require
 from .groups import FiniteGroup
 from .orders import InhomCircularOrder, cocycle_failure
 
@@ -401,8 +401,13 @@ class _Complex:
                         IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
 
     def cocycle(self, f, modulus: Optional[int]):
-        """f's matrix, checked by orders.cocycle_failure over Z or Z/modulus."""
-        values = f.values if isinstance(f, InhomCircularOrder) else f
+        """f's matrix, checked by orders.cocycle_failure over Z or Z/modulus;
+        an ordering must live on this table's group."""
+        values = f
+        if isinstance(f, InhomCircularOrder):
+            if f.group.table != self.table:
+                raise InvalidGroupError("ordering lives on a different group")
+            values = f.values
         failure = cocycle_failure(self.table, values, modulus)
         if failure is not None:
             raise failure

@@ -8,7 +8,7 @@ tuples and safe to share.  `direct_product(G, H)` puts (g, h) at g*|H| + h.
 from __future__ import annotations
 
 import json
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
@@ -233,10 +233,10 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 
 def _check_range(G: FiniteGroup, elems, what: str) -> None:
-    """Raise InvalidGroupError at the first element that is not an index of G."""
+    """Raise InvalidGroupError at the first element that is not an int index of G."""
     for g in elems:
-        if not 0 <= g < G.order:
-            raise InvalidGroupError(f"{what} {g} out of range for {G.name}")
+        if type(g) is not int or not 0 <= g < G.order:   # not 2.0 or True
+            raise InvalidGroupError(f"{what} {g!r} out of range for {G.name}")
 
 
 def _subgroup_failure(G: FiniteGroup, s: frozenset, normal: bool, who: str) -> Optional[str]:
@@ -388,7 +388,10 @@ def _generating_sequence(G: FiniteGroup) -> list[int]:
 def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
     """First isomorphism G -> H in lexicographic generator-image order, or None.
 
-    Plain backtracking on generator images, pruned by element order.
+    A homomorphism is fixed by where it sends a generating sequence of G.  Each
+    tuple of images (elements of H of the same order, ascending, in
+    itertools.product order) is spread over G along one breadth-first tree of
+    right multiplications by the generators, and GroupHom checks the result.
     """
     if G.order > ISOMORPHISM_ORDER_LIMIT or H.order > ISOMORPHISM_ORDER_LIMIT:
         raise BoundExceeded(f"find_isomorphism: order exceeds limit {ISOMORPHISM_ORDER_LIMIT}")
@@ -398,55 +401,29 @@ def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
        sorted(H.element_order(h) for h in range(H.order)):
         return None
     gens = _generating_sequence(G)
-
-    def grow(pmap: dict, g: int, h: int) -> Optional[dict]:
-        # extend pmap (a partial hom on a subgroup) by g -> h; None on conflict
-        pmap = dict(pmap)
-        if g in pmap:
-            return pmap if pmap[g] == h else None
-        pmap[g] = h
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for a in list(pmap):
-                    for p, q in ((G.table[x][a], H.table[pmap[x]][pmap[a]]),
-                                 (G.table[a][x], H.table[pmap[a]][pmap[x]])):
-                        if p in pmap:
-                            if pmap[p] != q:
-                                return None
-                        else:
-                            pmap[p] = q
-                            nxt.append(p)
-            frontier = nxt
-        return pmap
-
-    def backtrack(pos: int, pmap: dict) -> Optional[dict]:
-        if pos == len(gens):
-            if len(set(pmap.values())) != G.order or len(pmap) != G.order:
-                return None
-            return pmap
-        g = gens[pos]
-        if g in pmap:
-            return backtrack(pos + 1, pmap)
-        want = G.element_order(g)
-        for h in range(H.order):
-            if h in pmap.values() or H.element_order(h) != want:
-                continue
-            grown = grow(pmap, g, h)
-            if grown is None:
-                continue
-            if len(set(grown.values())) != len(grown):
-                continue
-            result = backtrack(pos + 1, grown)
-            if result is not None:
-                return result
-        return None
-
-    full = backtrack(0, {0: 0})
-    if full is None:
-        return None
-    return GroupHom(G, H, [full[g] for g in range(G.order)])
+    tree = []   # (x, k, y): y = x * gens[k], with x reached before y
+    reached = [0]
+    seen = {0}
+    for x in reached:   # grows while it is read: a breadth-first queue
+        for k, g in enumerate(gens):
+            y = G.table[x][g]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                tree.append((x, k, y))
+    candidates = [[h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
+                  for g in gens]
+    for images in product(*candidates):
+        m = [0] * G.order
+        for x, k, y in tree:
+            m[y] = H.table[m[x]][images[k]]
+        if len(set(m)) != G.order:
+            continue
+        try:
+            return GroupHom(G, H, m)
+        except InvalidGroupError:
+            continue
+    return None
 
 
 # -- JSON interface --------------------------------------------------------

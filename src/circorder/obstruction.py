@@ -11,11 +11,11 @@ set N>=2, which is not the upward closure of any finite set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
 
 from .errors import InvalidGroupError, require
-from .groups import FiniteGroup, all_subgroups, quotient
+from .groups import FiniteGroup, closure
 from .orders import arrangement_to_inhom, enumerate_circular_orders
 from .cohomology import is_n_divisible
 
@@ -213,18 +213,19 @@ def bico_product_decision(min_g: Iterable[int], min_a: Iterable[int]) -> str:
 
 
 def cyclic_quotient_stats(A: FiniteGroup) -> tuple[int, int]:
-    """(m, e): number of subgroups of the finite abelian group A with cyclic
-    quotient (counted by kernel), and the lcm of those quotient orders."""
+    """(m, e): number of subgroups N of the finite abelian group A with A/N
+    cyclic, and the lcm of those quotient orders.
+
+    By duality, A/N is cyclic exactly when the annihilator of N in the dual
+    Hom(A, Q/Z) is cyclic, and N -> annihilator is a bijection onto the
+    subgroups of the dual, which is isomorphic to A.  So m is the number of
+    cyclic subgroups of A, one per distinct closure of a single element.  A
+    has a cyclic quotient of order exp(A), and every cyclic quotient's order
+    divides exp(A), so e is the exponent.
+    """
     if not A.is_abelian():
         raise InvalidGroupError("cyclic_quotient_stats expects an abelianization (abelian group)")
-    m = 0
-    e = 1
-    for N in all_subgroups(A):
-        Q = quotient(A, N).group
-        if Q.is_cyclic():
-            m += 1
-            e = lcm(e, Q.order)
-    return m, e
+    return len({closure(A, [g]) for g in range(A.order)}), A.exponent()
 
 
 def iterated_nonco_bound(abelianization: FiniteGroup) -> int:

@@ -264,24 +264,10 @@ def _positions_form_hom(a: Arrangement) -> bool:
 
 
 def arrangement_to_hom(a: Arrangement) -> HomCircularOrder:
-    """c = +1 exactly on triples whose positions run counterclockwise."""
-    G = a.group
-    n = G.order
-    pos = [0] * n
-    for p, g in enumerate(a.sequence):
-        pos[g] = p
-    values = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for g1 in range(n):
-        p1 = pos[g1]
-        for g2 in range(n):
-            if g2 == g1:
-                continue
-            d2 = (pos[g2] - p1) % n
-            for g3 in range(n):
-                if g3 == g1 or g3 == g2:
-                    continue
-                values[g1][g2][g3] = 1 if d2 < (pos[g3] - p1) % n else -1
-    return validate_hom(G, values)
+    """c = +1 exactly on triples whose positions run counterclockwise: the
+    carry bit of g1^-1 g2 and g2^-1 g3 is 1 exactly when g3 comes before g2
+    counterclockwise from g1, so this is inhom_to_hom(arrangement_to_inhom(a))."""
+    return inhom_to_hom(arrangement_to_inhom(a))
 
 
 def hom_to_arrangement(c: HomCircularOrder) -> Arrangement:

@@ -11,14 +11,14 @@ import signal
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 
 from circorder import promislow
 from circorder.cohomology import (IntMatrix, coboundary_matrices, coboundary_matrix,
                                   kernel_basis, smith_normal_form)
 from circorder.errors import require
-from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group,
-                              direct_product, symmetric_group, trivial_group)
+from circorder.groups import (FiniteGroup, all_subgroups, cyclic_group, dihedral_group,
+                              direct_product, quotient, symmetric_group, trivial_group)
 from circorder.orders import InhomCircularOrder, cocycle_failure
 
 
@@ -73,6 +73,16 @@ def primes_dividing(n: int) -> list[int]:
                 n //= d
         d += 1
     return out
+
+
+def lattice_cyclic_quotient_stats(A: FiniteGroup) -> tuple[int, int]:
+    """(m, e) of obstruction.cyclic_quotient_stats by walking the whole
+    subgroup lattice: one quotient A/N per subgroup N, and the count and lcm
+    of the orders of the cyclic ones.  This is the route the library no
+    longer takes; it counts cyclic subgroups instead, by duality."""
+    orders = [Q.order for Q in (quotient(A, N).group for N in all_subgroups(A))
+              if Q.is_cyclic()]
+    return len(orders), lcm(*orders)
 
 
 # -- brute-force circular-order enumeration ----------------------------------

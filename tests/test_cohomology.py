@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circorder import cohomology
-from circorder.errors import AxiomError, BoundExceeded
+from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
                               symmetric_group, trivial_group)
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
@@ -351,6 +351,19 @@ def test_class_of_rejects_non_cocycles():
     assert err.value.kind == "cocycle" and len(err.value.witness) == 3
     g, h, k = err.value.witness
     assert bad[h][k] - bad[G.table[g][h]][k] + bad[g][G.table[h][k]] - bad[g][h] != 0
+
+
+def test_orderings_of_another_group_are_rejected():
+    # Z/2 x Z/3 is cyclic of order 6, but its table is not that of Z/6
+    c6 = cyclic_group(6)
+    f = arrangement_to_inhom(enumerate_circular_orders(
+        direct_product(cyclic_group(2), cyclic_group(3)))[0])
+    for ask in (lambda: class_of(c6, f), lambda: h2_structure(c6).project(f),
+                lambda: h2_structure(c6, 2).project(f), lambda: is_n_divisible(c6, f, 2)):
+        with pytest.raises(InvalidGroupError, match="different group"):
+            ask()
+    with pytest.raises(AxiomError, match="cocycle"):   # the bare matrix is no cocycle on Z/6
+        class_of(c6, f.values)
 
 
 def test_cochains_of_the_wrong_shape_are_rejected():

@@ -9,7 +9,7 @@ from circorder.groups import (FiniteGroup, GroupHom, all_subgroups, closure,
                               load_group, quotient, subgroup_generated,
                               symmetric_group, trivial_group)
 
-from helpers import library_groups
+from helpers import library_groups, relabeled
 
 
 def test_cyclic_group_tables():
@@ -197,12 +197,47 @@ def test_find_isomorphism_against_brute_force():
                 (G.name, H.name)
 
 
+def semidirect_z4_z4() -> FiniteGroup:
+    """Z/4 x| Z/4, b acting on a by inversion: (i, j)(k, l) = (i + (-1)^j k, j + l)."""
+    elems = [(i, j) for i in range(4) for j in range(4)]
+    index = {e: x for x, e in enumerate(elems)}
+    return FiniteGroup([[index[((i + (k if j % 2 == 0 else -k)) % 4, (j + l) % 4)]
+                         for (k, l) in elems] for (i, j) in elems], name="Z/4x|Z/4")
+
+
+def test_find_isomorphism_exhausts_the_generator_images():
+    # equal element-order profiles (1, 3 of order 2, 12 of order 4), yet one
+    # group is abelian and the other is not: every image tuple must fail
+    S, Z = semidirect_z4_z4(), direct_product(cyclic_group(4), cyclic_group(4))
+    profile = lambda G: sorted(G.element_order(g) for g in range(G.order))
+    assert profile(S) == profile(Z) and not S.is_abelian()
+    assert find_isomorphism(S, Z) is None
+    assert find_isomorphism(Z, S) is None
+
+
+def test_find_isomorphism_returns_the_first_generator_images():
+    d4 = dihedral_group(4)
+    G = relabeled(d4, (0, 5, 3, 7, 1, 6, 2, 4))
+    assert find_isomorphism(G, d4).map == (0, 4, 6, 2, 5, 3, 7, 1)
+    assert find_isomorphism(d4, G).map == (0, 5, 3, 7, 1, 6, 2, 4)
+
+
 def test_all_subgroups_counts():
     assert len(all_subgroups(cyclic_group(12))) == 6  # one per divisor
     klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert len(all_subgroups(klein)) == 5
     z4z4 = direct_product(cyclic_group(4), cyclic_group(4))
     assert len(all_subgroups(z4z4)) == 15
+
+
+def test_subset_elements_must_be_ints():
+    c4 = cyclic_group(4)
+    for check, subset in ((is_subgroup, [0, 2.0]), (closure, [1.0]), (quotient, [0, 2.0]),
+                          (is_subgroup, [0, True]), (is_normal, [0, True]),
+                          (subgroup_generated, [True])):
+        bad = next(g for g in subset if type(g) is not int)
+        with pytest.raises(InvalidGroupError, match=f"{bad!r} out of range"):
+            check(c4, subset)
 
 
 def test_group_json_round_trip(tmp_path):

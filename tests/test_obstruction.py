@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circorder import obstruction
 from circorder.cohomology import DivisibilityWitness
@@ -11,7 +12,7 @@ from circorder.obstruction import (MAPPING_CLASS_GROUP_SPECTRUM,
                                    iterated_nonco_bound, prime_factors,
                                    spectrum_finite, spectrum_torsion_part)
 
-from helpers import primes_dividing
+from helpers import lattice_cyclic_quotient_stats, primes_dividing, relabeled, time_budget
 
 
 def test_spectrum_normalization_and_membership():
@@ -182,6 +183,30 @@ def test_cyclic_quotient_stats_brute_force_cross_check():
     cyclic_quotients = [S for S in subgroups if quotient(z44, S).group.is_cyclic()]
     assert len(subgroups) == 15
     assert len(cyclic_quotients) == 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cyclic_quotient_stats_matches_the_subgroup_lattice(data):
+    # products of up to three cyclic groups, |A| <= 32, in the product layout
+    # and relabeled
+    A = cyclic_group(data.draw(st.integers(1, 32)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        A = direct_product(A, cyclic_group(data.draw(st.integers(1, 32 // A.order))))
+    perm = data.draw(st.permutations(range(1, A.order)))
+    expected = lattice_cyclic_quotient_stats(A)
+    assert cyclic_quotient_stats(A) == expected
+    assert cyclic_quotient_stats(relabeled(A, (0, *perm))) == expected
+
+
+def test_cyclic_quotient_stats_on_a_large_elementary_abelian_group():
+    # (Z/2)^7 has about 29,000 subgroups; its 128 cyclic ones are counted
+    # directly, so the lattice is never walked
+    A = cyclic_group(2)
+    for _ in range(6):
+        A = direct_product(A, cyclic_group(2))
+    with time_budget(5):
+        assert cyclic_quotient_stats(A) == (128, 2)
 
 
 def test_membership_helper_and_promislow_spectrum_shape():

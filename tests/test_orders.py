@@ -15,7 +15,8 @@ from circorder.orders import (arrangement_from_sequence,
                               ordering_from_json, ordering_to_json,
                               standard_order_zn, validate_hom, validate_inhom)
 
-from helpers import brute_force_arrangements, euler_phi, library_groups
+from helpers import (_cyclic_value, brute_force_arrangements, euler_phi, library_groups,
+                     relabeled)
 
 
 def all_orderings(G):
@@ -137,6 +138,19 @@ def test_arrangement_examples():
         arrangement_from_sequence(c3, (1, 0, 2))
     with pytest.raises(AxiomError):
         arrangement_from_sequence(c3, (0, 0, 2))
+
+
+def test_arrangement_to_hom_matches_the_position_chart():
+    # the homogeneous form of an arrangement is the chart of its positions,
+    # on every arrangement of the library groups and of one relabeling each
+    for G in library_groups():
+        for H in (G, relabeled(G, (0, *reversed(range(1, G.order))))):
+            n = H.order
+            for arr in enumerate_circular_orders(H):
+                pos = {g: p for p, g in enumerate(arr.sequence)}
+                chart = [[[_cyclic_value(pos, g1, g2, g3, n) for g3 in range(n)]
+                          for g2 in range(n)] for g1 in range(n)]
+                assert [[list(p) for p in r] for r in arrangement_to_hom(arr).values] == chart
 
 
 def test_round_trip_all_arrangements_z5():
