@@ -239,9 +239,15 @@ def _check_range(G: FiniteGroup, elems, what: str) -> None:
             raise InvalidGroupError(f"{what} {g!r} out of range for {G.name}")
 
 
-def _subgroup_failure(G: FiniteGroup, s: frozenset, normal: bool, who: str) -> Optional[str]:
+def _element_set(G: FiniteGroup, elems: Iterable[int], who: str) -> frozenset:
+    """elems as a set, each element checked first: a set merges True into 1."""
+    elems = list(elems)
+    _check_range(G, elems, f"{who}: element")
+    return frozenset(elems)
+
+
+def _subgroup_failure(G: FiniteGroup, s: frozenset, normal: bool) -> Optional[str]:
     """The first reason s is not a subgroup (if `normal`, a normal one) of G."""
-    _check_range(G, s, f"{who}: element")
     if 0 not in s:
         return "not a subgroup (identity 0 missing)"
     for a in s:
@@ -277,12 +283,12 @@ def closure(G: FiniteGroup, gens: Iterable[int]) -> frozenset:
 
 
 def is_subgroup(G: FiniteGroup, subset: Iterable[int]) -> bool:
-    return _subgroup_failure(G, frozenset(subset), False, "is_subgroup") is None
+    return _subgroup_failure(G, _element_set(G, subset, "is_subgroup"), False) is None
 
 
 def is_normal(G: FiniteGroup, subset: Iterable[int]) -> bool:
     """Whether subset is a normal subgroup of G."""
-    return _subgroup_failure(G, frozenset(subset), True, "is_normal") is None
+    return _subgroup_failure(G, _element_set(G, subset, "is_normal"), True) is None
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> SubgroupResult:
@@ -301,8 +307,8 @@ def quotient(G: FiniteGroup, normal_subset: Iterable[int]) -> QuotientResult:
 
     Raises InvalidGroupError distinctly for "not a subgroup" and "not normal".
     """
-    N = frozenset(normal_subset)
-    failure = _subgroup_failure(G, N, True, "quotient")
+    N = _element_set(G, normal_subset, "quotient")
+    failure = _subgroup_failure(G, N, True)
     if failure is not None:
         raise InvalidGroupError(f"quotient: {failure}")
     coset_of = [-1] * G.order

@@ -45,15 +45,28 @@ def relabeled(G: FiniteGroup, perm) -> FiniteGroup:
                        name=f"{G.name}~")
 
 
+class _Expired(TimeoutError):
+    """Raised by the alarm in whatever frame it interrupts."""
+
+
 @contextmanager
 def time_budget(seconds: float):
-    """Raise TimeoutError inside the block once `seconds` of wall time pass."""
+    """Raise TimeoutError out of the block once `seconds` of wall time pass.
+
+    The alarm interrupts the block at an arbitrary instruction, and there a
+    traceback entry can lack a line number (`tb_lineno` is None), which
+    pytest cannot format.  So the alarm's exception stops here, and the
+    TimeoutError is raised afresh from this frame, naming the interrupted
+    line in its message."""
     def expire(signum, frame):
-        raise TimeoutError(f"over the {seconds} s budget")
+        code = frame.f_code
+        raise _Expired(f"{code.co_name} ({code.co_filename}:{frame.f_lineno or '?'})")
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except _Expired as exc:
+        raise TimeoutError(f"over the {seconds} s budget, at {exc}") from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

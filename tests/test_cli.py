@@ -300,7 +300,7 @@ def test_human_readable_output(capsys, group_file):
 # CheckFailed, and the CLI must still exit 1 on it.
 _CORRUPTED_CHECKS = r"""
 import json, sys
-from circorder import (CheckFailed, IntMatrix, cli, cohomology, cyclic_group,
+from circorder import (AxiomError, CheckFailed, IntMatrix, cli, cohomology, cyclic_group,
                        dump_group, standard_order_zn)
 from helpers import verify_snf
 
@@ -310,6 +310,13 @@ def raises_check_failed(call, match=""):
     except CheckFailed as exc:
         return match in str(exc)
     return False
+
+def axiom_failure(call):
+    try:
+        call()
+    except AxiomError as exc:
+        return exc.kind
+    return None
 
 snf = cohomology.smith_normal_form([[2, 0], [0, 3]])
 snf.diagonal = (1, 5)
@@ -330,6 +337,12 @@ exact = "not divisible by |G|"
 results["class_of_vinv"] = raises_check_failed(lambda: cohomology.class_of(G, f), exact)
 results["is_n_divisible_vinv"] = raises_check_failed(
     lambda: cohomology.is_n_divisible(G, f, 3), exact)
+# 3 is prime to |G| = 4, so H^2(G; Z/3) = 0 needs no d2, but its projection
+# still checks the cocycle identity mod 3
+bad = [list(row) for row in f.values]
+bad[1][1] += 1
+results["coprime_non_cocycle"] = axiom_failure(
+    lambda: cohomology.h2_structure(G, 3).project(bad))
 print(json.dumps(results))
 """
 
@@ -347,5 +360,6 @@ def test_checks_survive_python_O(tmp_path):
                                        "is_trivial_mod_n": True,
                                        "is_n_divisible": True, "cli_exit": 1,
                                        "e_0": 1, "class_of_vinv": True,
-                                       "is_n_divisible_vinv": True}
+                                       "is_n_divisible_vinv": True,
+                                       "coprime_non_cocycle": "cocycle"}
     assert "check failed" in proc.stderr

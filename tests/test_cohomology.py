@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import lru_cache
 from math import gcd, prod
@@ -12,14 +13,14 @@ from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn)
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
-                                  h2_structure, is_n_divisible, is_trivial_mod_n,
-                                  kernel_basis, smith_normal_form)
+                                  coboundary_matrix, h2_structure, is_n_divisible,
+                                  is_trivial_mod_n, kernel_basis, smith_normal_form)
 
 from helpers import (brute_h2_order_modn, cochain_matrix, cocycle_vector, d2_annihilates,
                      full_u_coordinates, full_u_kernel_classes,
                      invariant_factors_from_diagonal, invariant_factors_of_sum,
                      is_coboundary_mod, is_cocycle_mod, kernel_route_class,
-                     kernel_route_factors, minors_gcd_invariant_factors,
+                     kernel_route_factors, library_groups, minors_gcd_invariant_factors,
                      naive_diagonalize, relabeled, seeded_random_matrices,
                      solve_int, time_budget, verify_snf)
 
@@ -121,6 +122,69 @@ def test_snf_depth_is_not_bounded_by_the_stack():
     assert r.diagonal == (1,) * 1024
 
 
+# sha256 of repr((diagonal, V.data, Vinv.data)), recorded when every
+# elementary operation still ran over whole rows and columns; the sweeps that
+# skip zero entries must leave every transform entry as it was.  The d2 SNF
+# runs without U, as the Z/n route runs it; the d1 SNF runs with U, whose
+# digest (repr(U.data)) is the second entry.
+D2_SNF_DIGESTS = {
+    "cyclic_group(4)": "a522d89bdef36670fd05f4c34537fb9912aa9913ac43c7e5de27c6e169574598",
+    "klein()": "afabeac3346655fe3e1536267548dd9233e733ccf4aa8c7a274c81a6b716b6c3",
+    "symmetric_group(3)": "db618be7052d33d50195e9917389430c2649332d5ed26d7e816451991cd3c602",
+}
+D1_SNF_DIGESTS = {
+    "Z/1": ("6fd043c4be79cb7bf50c414d3dda7a408b59550eb6675fa32dfea745d375bead",
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "Z/2": ("8dab247d8e1652e0059f55d1f30f9a1c3d95af90037f4233e3fbb0d63c6ce147",
+            "043f347c2cdc0d8ce70c38775d24e556c0290acf6d0c87a3a52aa85471cb8d02"),
+    "Z/3": ("030b78240eba427388e74a82708c9b59c5cdd4bd4b8142cd535bba73ba10cfc1",
+            "f1f22b2d3c372a2cf4fab31b45752923cbe52b885f7ad1fcbdd6e9a7a69fff7b"),
+    "Z/4": ("af85cfe044f3f887087cccf828b86497076aed1af23bd92b6ae4ab9ce8e075b4",
+            "b95fb7f0acda72f2ed2efa3b160488131ff2df9ef767effd7cd3bd81529a734d"),
+    "Z/5": ("cd16d097fd45092a347da06c318730549c71048cdca7be5d94ae44017c3a1ecb",
+            "ab03af7f91c4d9120cb8c103a9face06328922227d51bba90116cf1d88f8550b"),
+    "Z/6": ("1e556b8aacacd19da4974ac058d144e8475aa373df5b4df1a910d3957e8d3835",
+            "353b596c38e06ced6b270d83ca93164a7d6add9e924df915c7a257124fba26ab"),
+    "Z/7": ("551a4e9d73b5abae14547c94d0b02a6f81887b91652f549c2a9da5df3976b8e2",
+            "68e175648f050ec323059f72575fbe9f15f7e2af92c056576c1f5b108416ca4f"),
+    "Z/8": ("e594848aacaa62c841dc2d2fe558598d3d50a8d58781bd23e378169fd78f295f",
+            "09e9c5ed2178b4d0af4ee87c6c202bb50f6c0bb8a950dc4a5a06b39d23f770e6"),
+    "Z/9": ("0c444b3a207f20e299d8842cc7994133abd9d2ba728d1b7f2faee36f337d6a98",
+            "c1db4317cb07562deac73aabe3e61881c4ee24fd2159e522a88e6c7bb36015af"),
+    "Z/10": ("a1d0387185d7a7508912aca42e4a5efbe7330527a83dd27c9d68451c852d8b8c",
+             "0149bb447f0399cd31d27336011c43427b313d782b1d85297b9ed08576010bd3"),
+    "Z/2xZ/2": ("9843bec7fa92910fdbd94eda7e45768f994a41e353e527b59157149468a749d4",
+                "9e02bb2b7b86cfe81d2dbb707e4cddf5b529575a3761b3dc667f2bae28630b85"),
+    "Z/2xZ/4": ("25c538b6f4116c0077b63b9966a22ce90d87baf1ae5cae4edc597297ff34ea4a",
+                "b7ce10a7fa22587da2fcb97ddce2e43623fc78cf7bad30e4bc7b5b64d4e98d0e"),
+    "Z/2xZ/2xZ/2": ("54d95626ae593be06cbd92f6a3531ba320fe360883c30de2ca9264448bf2f772",
+                    "063a89ae6989431f0d6348301a3b00cc8d69a7c4012aaa7243d5f62692e62fcc"),
+    "Z/3xZ/3": ("092703d8de5943d0adc5f39e11359277d5aa45e14f7eeb3555dba9e46210e1ec",
+                "79e00a86309e64830b7647151224ed3bead0a1885b2697f9a8864e8b3ebadcc9"),
+    "S3": ("4ae4f317919609ae1dfad539db4544d037aab7ef176843e008231479f41bb974",
+           "e7da01287a68a13275d7f4f0c1ef7d58230c50ada0f13929a6fe28e1dd389424"),
+    "D4": ("e758d23c32aad3fc226024d9f694c6c859b8f27ba165e627725735116f1974ee",
+           "11db3eeab8362458232587ce4b8279110a6edc23f5bd8697a57fce99b0243fca"),
+}
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_snf_transforms_are_pinned():
+    for name, G in (("cyclic_group(4)", cyclic_group(4)), ("klein()", klein()),
+                    ("symmetric_group(3)", symmetric_group(3))):
+        r = smith_normal_form(coboundary_matrix(G, 2), want_u=False)
+        assert _digest((r.diagonal, r.V.data, r.Vinv.data)) == D2_SNF_DIGESTS[name], name
+    limited = [G for G in library_groups() if G.order <= cohomology.H2_ORDER_LIMIT]
+    assert sorted(G.name for G in limited) == sorted(D1_SNF_DIGESTS)
+    for G in limited:
+        r = smith_normal_form(coboundary_matrix(G, 1), want_u=True)
+        got = (_digest((r.diagonal, r.V.data, r.Vinv.data)), _digest(r.U.data))
+        assert got == D1_SNF_DIGESTS[G.name], G.name
+
+
 def test_solve_and_kernel():
     M = IntMatrix([[2, 4], [0, 6]])
     snf = smith_normal_form(M)
@@ -204,6 +268,33 @@ def test_h2_mod_n_matches_uct():
             for n in range(2, 13):
                 want = invariant_factors_of_sum(gcd(m, n) for m in h1 + h2)
                 assert h2_structure(G, n).invariant_factors == want, (G.name, n)
+
+
+def test_moduli_prime_to_the_order_need_no_d2():
+    # |G| and n both kill H^2(G; Z/n), so it is 0 when gcd(n, |G|) = 1: the
+    # structure is empty and d2 is never built, but a projection still checks
+    # the cocycle identity mod n.  Valid orderings exist on the cyclic groups.
+    _Complex.cache_clear()
+    for G in library_groups():
+        if G.order > cohomology.H2_ORDER_LIMIT:
+            continue
+        orderings = [arrangement_to_inhom(a) for a in enumerate_circular_orders(G)]
+        for n in range(2, 13):
+            if gcd(n, G.order) != 1:
+                continue
+            H = h2_structure(G, n)
+            assert H.invariant_factors == (), (G.name, n)
+            for f in orderings:
+                assert H.project(f).coords == ()
+            # 1 at (0, 1) is unnormalized; 1 at (1, 1) is a cocycle only on Z/2
+            for g, h in [(0, 1), (1, 1)][:G.order - 1]:
+                f = [[0] * G.order for _ in range(G.order)]
+                f[g][h] = 1
+                assert not is_cocycle_mod(G, f, n)
+                with pytest.raises(AxiomError):
+                    H.project(f)
+        assert "d2_smith" not in vars(_Complex(G)), G.name
+    _Complex.cache_clear()
 
 
 def test_cache_is_keyed_by_table_and_carries_no_names():

@@ -240,6 +240,18 @@ def test_subset_elements_must_be_ints():
             check(c4, subset)
 
 
+def test_subset_elements_are_checked_before_the_set_merges_them():
+    # True == 1 and hash(True) == hash(1): a set built first keeps whichever
+    # comes first, so the verdict used to depend on the position of True
+    c2 = cyclic_group(2)
+    for check in (is_subgroup, is_normal, quotient):
+        for subset in ([0, 1, True], [0, True, 1], (g for g in [0, 1, True])):
+            with pytest.raises(InvalidGroupError, match="True out of range"):
+                check(c2, subset)
+    assert is_subgroup(c2, iter([0, 1])) and is_normal(c2, (g for g in [0, 1]))
+    assert quotient(cyclic_group(4), iter([0, 2])).group.order == 2
+
+
 def test_group_json_round_trip(tmp_path):
     for G in (cyclic_group(5), symmetric_group(3)):
         path = tmp_path / "g.json"

@@ -209,6 +209,25 @@ def test_cyclic_quotient_stats_on_a_large_elementary_abelian_group():
         assert cyclic_quotient_stats(A) == (128, 2)
 
 
+def test_an_expired_budget_raises_from_the_helper():
+    # the alarm can interrupt a frame that has no line number, and pytest
+    # fails to format such a traceback; the helper raises afresh, so the
+    # traceback ends in its own frame and the message names the interrupted one
+    def spin():
+        while True:
+            pass
+    with pytest.raises(TimeoutError, match=r"over the 0.05 s budget, at spin \(") as info:
+        with time_budget(0.05):
+            spin()
+    tb, names = info.value.__traceback__, []
+    while tb is not None:
+        assert tb.tb_lineno is not None
+        names.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert names[-1] == "time_budget" and "spin" not in names
+    assert info.value.__suppress_context__
+
+
 def test_membership_helper_and_promislow_spectrum_shape():
     s = ObstructionSpectrum.from_elements([4])
     assert s.membership(4) and 12 in s
