@@ -8,12 +8,11 @@ out the toolkit.  Everything is integer-exact.
 """
 
 from .errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
-from .groups import (FiniteGroup, GroupHom, all_subgroups, closure,
-                     cyclic_group, dihedral_group, direct_product,
-                     dump_group, find_isomorphism, group_from_json,
-                     group_to_json, is_normal, is_subgroup, load_group,
-                     quotient, subgroup_generated, symmetric_group,
-                     trivial_group)
+from .groups import (FiniteGroup, GroupHom, closure, cyclic_group,
+                     dihedral_group, direct_product, dump_group,
+                     group_from_json, group_to_json, is_normal, is_subgroup,
+                     load_group, quotient, subgroup_generated,
+                     symmetric_group, trivial_group)
 from .orders import (Arrangement, HomCircularOrder, InhomCircularOrder,
                      LeftOrderOracle, arrangement_from_sequence,
                      arrangement_to_hom, arrangement_to_inhom,
@@ -23,10 +22,7 @@ from .orders import (Arrangement, HomCircularOrder, InhomCircularOrder,
                      ordering_from_json, ordering_to_json, standard_order_zn,
                      validate_hom, validate_inhom)
 from .extensions import (CentralExtElement, CentralExtensionGroup,
-                         build_extension, cone_compare, cone_positive,
-                         extension_from_json, extension_to_json, hat_ordering,
-                         is_cofinal_central, minimal_generator,
-                         quotient_by_cyclic_central, quotient_by_power)
+                         build_extension, hat_ordering, minimal_generator)
 from .cohomology import (CohomologyClass, H2Structure, IntMatrix, SNFResult,
                          class_of, coboundary_matrices, coboundary_matrix,
                          h2_structure, is_n_divisible, is_trivial_mod_n,

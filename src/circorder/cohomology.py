@@ -383,10 +383,12 @@ class _Complex:
     """Cached per-group data: the table, the Smith data of d1 and the H^2
     structures built on them.  With U d1 V = diag(e_1..e_m), m = |G| - 1,
     only `V`, `Vinv` and `factors` = (e_j) are kept, each e_j nonzero as d1
-    is injective (H^1(G; Z) = 0).  Neither d1 (m^2 x m) nor U (m^2 x m^2,
-    never built) is kept: `smith_coordinates` reads (U f)_j off the row sums
-    of f, and `is_n_divisible` applies d1 on the table.  d2 is only built
-    and reduced on first use (`d2_smith`), for Z/n with n not prime to |G|.
+    is injective (H^1(G; Z) = 0), and d1 is reduced on the first read of
+    any of the three, so a Z/n question with n prime to |G| never reduces
+    it.  Neither d1 (m^2 x m) nor U (m^2 x m^2, never built) is kept:
+    `smith_coordinates` reads (U f)_j off the row sums of f, and
+    `is_n_divisible` applies d1 on the table.  d2 is only built and reduced
+    on first use (`d2_smith`), for Z/n with n not prime to |G|.
     Cached by multiplication table; nothing here depends on names.  The cache is
     unbounded by design: it holds one entry per distinct table asked about,
     each at most one d1 and one d2 SNF of a group within the order limit,
@@ -394,11 +396,18 @@ class _Complex:
 
     def __init__(self, G: FiniteGroup):
         self.table = G.table
-        snf1 = smith_normal_form(coboundary_matrix(G, 1), want_u=False)
-        self.V = snf1.V
-        self.Vinv = snf1.Vinv
-        self.factors = snf1.diagonal
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
+
+    def __getattr__(self, name):
+        # runs only while `name` is not yet an attribute: the d1 Smith data
+        # is set as plain attributes, so later reads (and replacements) of
+        # V, Vinv and factors never come back here
+        if name not in ("V", "Vinv", "factors"):
+            raise AttributeError(name)
+        d1 = coboundary_matrix(FiniteGroup(self.table, validate=False), 1)
+        snf1 = smith_normal_form(d1, want_u=False)
+        self.V, self.Vinv, self.factors = snf1.V, snf1.Vinv, snf1.diagonal
+        return vars(self)[name]
 
     def smith_coordinates(self, sums: Sequence[int]) -> list[int]:
         """(U f)_j for j < m of an integral cocycle f from its row sums
@@ -513,8 +522,8 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     puts them in divisibility order.  When gcd(n, |G|) = 1 the group is 0
     and d2 is never built.
     """
-    if modulus is not None and modulus < 2:
-        raise ValueError(f"modulus {modulus} < 2")
+    if modulus is not None and (type(modulus) is not int or modulus < 2):
+        raise ValueError(f"modulus {modulus!r} is not an int >= 2")
     comp = _complex_for(G)
     got = comp.structures.get(modulus)
     if got is not None:
@@ -582,8 +591,8 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     mu = (f - d1 u) / n is checked by exact division, then as a cocycle and
     by direct substitution.
     """
-    if n < 2:
-        raise ValueError(f"n = {n} < 2")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"n = {n!r} is not an int >= 2")
     comp = _complex_for(G)
     f = comp.cocycle(f, None)
     u_smith = []

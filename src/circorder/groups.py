@@ -8,7 +8,7 @@ tuples and safe to share.  `direct_product(G, H)` puts (g, h) at g*|H| + h.
 from __future__ import annotations
 
 import json
-from itertools import permutations, product
+from itertools import permutations
 from math import lcm
 from typing import Iterable, NamedTuple, Optional
 
@@ -21,8 +21,6 @@ ASSOCIATIVITY_CHECK_LIMIT = 128
 
 # Guard against accidental materialization of huge product tables.
 MAX_TABLE_ORDER = 4096
-
-ISOMORPHISM_ORDER_LIMIT = 24
 
 
 class FiniteGroup:
@@ -163,8 +161,8 @@ class GroupHom:
         if len(self.map) != source.order:
             raise InvalidGroupError(f"hom map has length {len(self.map)} != |source| {source.order}")
         for g, v in enumerate(self.map):
-            if not 0 <= v < target.order:
-                raise InvalidGroupError(f"hom map[{g}] = {v} out of target range")
+            if type(v) is not int or not 0 <= v < target.order:   # not 1.0 or True
+                raise InvalidGroupError(f"hom map[{g}] = {v!r} out of target range")
         if self.map[0] != 0:
             raise InvalidGroupError("hom map[0] != 0: identity not preserved")
         for g in range(source.order):
@@ -361,75 +359,6 @@ def dihedral_group(k: int) -> FiniteGroup:
 
     names = [elem_name(i, j) for (i, j) in elems]
     return FiniteGroup(table, names=names, name=f"D{k}")
-
-
-def all_subgroups(G: FiniteGroup) -> list[frozenset]:
-    """Every subgroup of G, found by closing generator sets breadth-first."""
-    trivial = frozenset({0})
-    found = {trivial}
-    queue = [trivial]
-    while queue:
-        S = queue.pop()
-        for g in range(G.order):
-            if g not in S:
-                T = closure(G, set(S) | {g})
-                if T not in found:
-                    found.add(T)
-                    queue.append(T)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-# -- isomorphism search ----------------------------------------------------
-
-def _generating_sequence(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    have = frozenset({0})
-    while len(have) < G.order:
-        g = min(set(range(G.order)) - have)
-        gens.append(g)
-        have = closure(G, gens)
-    return gens
-
-
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
-    """First isomorphism G -> H in lexicographic generator-image order, or None.
-
-    A homomorphism is fixed by where it sends a generating sequence of G.  Each
-    tuple of images (elements of H of the same order, ascending, in
-    itertools.product order) is spread over G along one breadth-first tree of
-    right multiplications by the generators, and GroupHom checks the result.
-    """
-    if G.order > ISOMORPHISM_ORDER_LIMIT or H.order > ISOMORPHISM_ORDER_LIMIT:
-        raise BoundExceeded(f"find_isomorphism: order exceeds limit {ISOMORPHISM_ORDER_LIMIT}")
-    if G.order != H.order:
-        return None
-    if sorted(G.element_order(g) for g in range(G.order)) != \
-       sorted(H.element_order(h) for h in range(H.order)):
-        return None
-    gens = _generating_sequence(G)
-    tree = []   # (x, k, y): y = x * gens[k], with x reached before y
-    reached = [0]
-    seen = {0}
-    for x in reached:   # grows while it is read: a breadth-first queue
-        for k, g in enumerate(gens):
-            y = G.table[x][g]
-            if y not in seen:
-                seen.add(y)
-                reached.append(y)
-                tree.append((x, k, y))
-    candidates = [[h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
-                  for g in gens]
-    for images in product(*candidates):
-        m = [0] * G.order
-        for x, k, y in tree:
-            m[y] = H.table[m[x]][images[k]]
-        if len(set(m)) != G.order:
-            continue
-        try:
-            return GroupHom(G, H, m)
-        except InvalidGroupError:
-            continue
-    return None
 
 
 # -- JSON interface --------------------------------------------------------

@@ -100,34 +100,24 @@ def left_order_from_cone(G: FiniteGroup, positive: Iterable[int]) -> LeftOrderOr
 def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
     """Check the inhomogeneous axioms; raise AxiomError with a witness tuple.
 
-    Distinct kinds: "shape", "value-range", "inverse-pair", "normalization",
-    "cocycle".
+    Distinct kinds, in the order they are checked: "shape", "value-range",
+    "inverse-pair", and last cocycle_failure's "normalization" and "cocycle".
     """
     values = tuple(tuple(row) for row in values)
-    for failure in inhom_failures(G, values):
-        raise failure
-    return InhomCircularOrder(G, values)
-
-
-def inhom_failures(G: FiniteGroup, values):
-    """Lazily yield an AxiomError for the first failure of each axiom in the
-    order validate_inhom reports them: "shape" (and nothing after it),
-    "value-range", "inverse-pair", and last cocycle_failure's kinds."""
     n = G.order
     if len(values) != n or any(len(row) != n for row in values):
-        yield AxiomError("shape", (len(values),), f"want {n} x {n}")
-        return
+        raise AxiomError("shape", (len(values),), f"want {n} x {n}")
     bad = next(((g, h) for g, row in enumerate(values) for h, v in enumerate(row)
                 if type(v) is not int or v not in (0, 1)), None)   # not 1.0 or True
     if bad is not None:
-        yield AxiomError("value-range", bad, f"value {values[bad[0]][bad[1]]}")
-    check = _identity_failure if bad is None else cocycle_failure   # 0/1 ints skip the type scan
+        raise AxiomError("value-range", bad, f"value {values[bad[0]][bad[1]]}")
     bad = next((g for g in range(1, n) if values[g][G.inverse[g]] != 1), None)
     if bad is not None:
-        yield AxiomError("inverse-pair", (bad,))
-    failure = check(G.table, values)   # subtracts entries: after value-range
+        raise AxiomError("inverse-pair", (bad,))
+    failure = _identity_failure(G.table, values)   # 0/1 ints skip the type scan
     if failure is not None:
-        yield failure
+        raise failure
+    return InhomCircularOrder(G, values)
 
 
 def cocycle_failure(table, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
@@ -414,16 +404,10 @@ def ordering_to_json(obj) -> dict:
     return {"group": group_to_json(obj.group), "kind": kind, "data": data}
 
 
-def ordering_from_json(data, resolve_group: Optional[Callable[[str], FiniteGroup]] = None):
+def ordering_from_json(data):
     if not isinstance(data, dict) or "kind" not in data or "data" not in data:
         raise InvalidGroupError("ordering JSON: need fields 'group', 'kind', 'data'")
-    gspec = data.get("group")
-    if isinstance(gspec, str):
-        if resolve_group is None:
-            raise InvalidGroupError(f"ordering JSON: no resolver for group name {gspec!r}")
-        G = resolve_group(gspec)
-    else:
-        G = group_from_json(gspec)
+    G = group_from_json(data.get("group"))
     kind = data["kind"]
     if kind == "arrangement":
         return arrangement_from_sequence(G, data["data"])

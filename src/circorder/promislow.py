@@ -230,18 +230,6 @@ def abelianization_image(p: PromElement) -> tuple[int, int]:
     return ((a_exp + x - z) % 4, (b_exp + y - z) % 4)
 
 
-def element_to_json(p: PromElement) -> dict:
-    return {"M": M_NAMES[p.m], "w": list(p.w)}
-
-
-def element_from_json(data) -> PromElement:
-    if not isinstance(data, dict) or "M" not in data or "w" not in data:
-        raise InvalidGroupError("element JSON: need fields 'M' and 'w'")
-    if data["M"] not in M_NAMES:
-        raise InvalidGroupError(f"element JSON: bad point-group name {data['M']!r}")
-    return make_element(M_NAMES.index(data["M"]), data["w"])
-
-
 # -- self-checks -------------------------------------------------------------
 
 RELATORS = ("abbAbb", "baaBaa")

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch (brute force,
 enumeration, minors) so that it can cross-check the production code without
-sharing its machinery.
+sharing its machinery.  The exceptions are the slow literal routes that no
+answer of the package runs, kept here as references: the isomorphism search
+and the Z-extension cone with its quotients, which build on the package's
+group tables and extensions.
 """
 
 from __future__ import annotations
@@ -10,16 +13,22 @@ from __future__ import annotations
 import signal
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
+from typing import NamedTuple, Optional
 
-from circorder import promislow
+from circorder import groups, promislow
 from circorder.cohomology import (IntMatrix, coboundary_matrices, coboundary_matrix,
                                   kernel_basis, smith_normal_form)
-from circorder.errors import require
-from circorder.groups import (FiniteGroup, all_subgroups, cyclic_group, dihedral_group,
-                              direct_product, quotient, symmetric_group, trivial_group)
-from circorder.orders import InhomCircularOrder, cocycle_failure
+from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
+from circorder.extensions import (CentralExtElement, _as_order, build_extension,
+                                  minimal_generator)
+from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group, dihedral_group,
+                              direct_product, quotient, subgroup_generated, symmetric_group,
+                              trivial_group)
+from circorder.orders import InhomCircularOrder, cocycle_failure, validate_inhom
+
+ISOMORPHISM_ORDER_LIMIT = 24
 
 
 def library_groups() -> list[FiniteGroup]:
@@ -88,6 +97,22 @@ def primes_dividing(n: int) -> list[int]:
     return out
 
 
+def all_subgroups(G: FiniteGroup) -> list[frozenset]:
+    """Every subgroup of G, found by closing generator sets breadth-first."""
+    trivial = frozenset({0})
+    found = {trivial}
+    queue = [trivial]
+    while queue:
+        S = queue.pop()
+        for g in range(G.order):
+            if g not in S:
+                T = closure(G, set(S) | {g})
+                if T not in found:
+                    found.add(T)
+                    queue.append(T)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
 def lattice_cyclic_quotient_stats(A: FiniteGroup) -> tuple[int, int]:
     """(m, e) of obstruction.cyclic_quotient_stats by walking the whole
     subgroup lattice: one quotient A/N per subgroup N, and the count and lcm
@@ -96,6 +121,59 @@ def lattice_cyclic_quotient_stats(A: FiniteGroup) -> tuple[int, int]:
     orders = [Q.order for Q in (quotient(A, N).group for N in all_subgroups(A))
               if Q.is_cyclic()]
     return len(orders), lcm(*orders)
+
+
+# -- isomorphism search ----------------------------------------------------
+
+def _generating_sequence(G: FiniteGroup) -> list[int]:
+    gens: list[int] = []
+    have = frozenset({0})
+    while len(have) < G.order:
+        g = min(set(range(G.order)) - have)
+        gens.append(g)
+        have = closure(G, gens)
+    return gens
+
+
+def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
+    """First isomorphism G -> H in lexicographic generator-image order, or None.
+
+    A homomorphism is fixed by where it sends a generating sequence of G.  Each
+    tuple of images (elements of H of the same order, ascending, in
+    itertools.product order) is spread over G along one breadth-first tree of
+    right multiplications by the generators, and GroupHom checks the result.
+    """
+    if G.order > ISOMORPHISM_ORDER_LIMIT or H.order > ISOMORPHISM_ORDER_LIMIT:
+        raise BoundExceeded(f"find_isomorphism: order exceeds limit {ISOMORPHISM_ORDER_LIMIT}")
+    if G.order != H.order:
+        return None
+    if sorted(G.element_order(g) for g in range(G.order)) != \
+       sorted(H.element_order(h) for h in range(H.order)):
+        return None
+    gens = _generating_sequence(G)
+    tree = []   # (x, k, y): y = x * gens[k], with x reached before y
+    reached = [0]
+    seen = {0}
+    for x in reached:   # grows while it is read: a breadth-first queue
+        for k, g in enumerate(gens):
+            y = G.table[x][g]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+                tree.append((x, k, y))
+    candidates = [[h for h in range(H.order) if H.element_order(h) == G.element_order(g)]
+                  for g in gens]
+    for images in product(*candidates):
+        m = [0] * G.order
+        for x, k, y in tree:
+            m[y] = H.table[m[x]][images[k]]
+        if len(set(m)) != G.order:
+            continue
+        try:
+            return GroupHom(G, H, m)
+        except InvalidGroupError:
+            continue
+    return None
 
 
 # -- brute-force circular-order enumeration ----------------------------------
@@ -556,3 +634,207 @@ def key_circular_order(g1, g2, g3) -> int:
             < _cut_key(m1 ^ m3, sx * (x3 - x1), sy * (y3 - y1), sz * (z3 - z1)):
         return 1
     return -1
+
+
+# -- the Z-extension's cone and its quotients -----------------------------------
+#
+# The paper's literal construction of the ordering on a Z/n extension: the
+# Z-extension of (G, f) is left-ordered with positive cone {(a, g) : a >= 0}
+# minus the identity, and one cone quotient (`_cone_quotient`) cuts it at a
+# positive cofinal central element c, with the cocycle of the section that
+# picks each coset's element in [id, c).  Cut at z^n it recovers
+# `extensions.hat_ordering` the slow way (`quotient_by_power`); cut at the
+# lift of the minimal generator of a central cyclic K it gives the quotient
+# ordering on G/K and the section that matches it mod |K|
+# (`quotient_by_cyclic_central`).  Each cone function takes the ordering f,
+# an InhomCircularOrder, and works in the Z-extension built from it.
+
+def cone_positive(f: InhomCircularOrder, x: CentralExtElement) -> bool:
+    """Membership in the positive cone {(a,g) : a >= 0} minus the identity."""
+    if not isinstance(f, InhomCircularOrder):
+        raise InvalidGroupError("positive cone needs a Z-extension built from a circular ordering")
+    return x != (0, 0) and x.a >= 0
+
+
+def cone_compare(f: InhomCircularOrder, x: CentralExtElement,
+                 y: CentralExtElement) -> int:
+    """-1, 0, +1 for x < y, x = y, x > y in the left order x < y iff x^-1 y in P."""
+    if x == y:
+        return 0
+    E = build_extension(f.group, f)
+    return -1 if cone_positive(f, E.multiply(E.inverse(x), y)) else 1
+
+
+def is_cofinal_central(f: InhomCircularOrder, z: CentralExtElement,
+                       probe_bound: int) -> bool:
+    """True iff z is central (exhaustively over the base) and every element
+    with coefficient magnitude <= probe_bound sits between z^-t and z^t for
+    some witnessed t.
+
+    Cofinality is only probed, never proven: it quantifies over an infinite
+    group.  For the canonical z = (1, id) of an ordering-built extension the
+    probe always succeeds.
+    """
+    if probe_bound < 0:
+        raise InvalidGroupError(f"is_cofinal_central: negative probe_bound {probe_bound}")
+    if not cone_positive(f, z):
+        raise InvalidGroupError(f"z = {z} is not positive")
+    E = build_extension(f.group, f)
+    for h in range(E.base.order):
+        other = CentralExtElement(0, h)
+        if E.multiply(z, other) != E.multiply(other, z):
+            return False
+    cap = E.base.order * (probe_bound + 3) + 4
+    powers = [E.identity]
+    for _ in range(cap):
+        powers.append(E.multiply(powers[-1], z))
+    for a in range(-probe_bound, probe_bound + 1):
+        for g in range(E.base.order):
+            probe = CentralExtElement(a, g)
+            ok = False
+            for t in range(1, cap + 1):
+                zt = powers[t]
+                if cone_compare(f, E.inverse(zt), probe) == -1 \
+                        and cone_compare(f, probe, zt) == -1:
+                    ok = True
+                    break
+            if not ok:
+                return False
+    return True
+
+
+def _cone_quotient(f: InhomCircularOrder, c: CentralExtElement, candidates,
+                   coset_of) -> tuple:
+    """Quotient the Z-extension of (f.group, f) by the positive cofinal
+    central element c.
+
+    candidates[i] lists elements of the i-th coset of <c> wide enough to hold
+    its representative, the unique one with id <= r < c in the cone order,
+    and coset_of maps an element of E to its coset index.  The quotient
+    multiplies representatives, and its cocycle at (i1, i2) is the j with
+    r_i1 r_i2 = c^j r_(i1 i2).  Returns (reps, table, cocycle).
+    """
+    E = build_extension(f.group, f)
+    reps = []
+    for i, coset in enumerate(candidates):
+        found = [x for x in coset if cone_compare(f, E.identity, x) <= 0
+                 and cone_compare(f, x, c) == -1]
+        if len(found) != 1:
+            raise AxiomError("minimal-representative", (i,),
+                             f"{len(found)} candidates in the cone window")
+        reps.append(found[0])
+    # a circular ordering takes only the values 0 and 1, so a small window of
+    # powers reads every defect that validate_inhom could accept
+    exponent = {E.power(c, j): j for j in range(-2, 3)}
+    table = [[0] * len(reps) for _ in reps]
+    cocycle = [[0] * len(reps) for _ in reps]
+    for i1, r1 in enumerate(reps):
+        for i2, r2 in enumerate(reps):
+            r12 = E.multiply(r1, r2)
+            i12 = table[i1][i2] = coset_of(r12)
+            defect = E.multiply(r12, E.inverse(reps[i12]))
+            if defect not in exponent:
+                raise AxiomError("minimal-representative", (i1, i2),
+                                 "section defect is not a small power of c")
+            cocycle[i1][i2] = exponent[defect]
+    return reps, table, cocycle
+
+
+class QuotientPowerResult(NamedTuple):
+    group: FiniteGroup
+    ordering: InhomCircularOrder
+
+
+def quotient_by_power(G: FiniteGroup, f, n: int) -> QuotientPowerResult:
+    """Quotient the Z-extension of (G, f) by the n-th power of its canonical
+    cofinal central element, with the circular ordering of the
+    minimal-representative section.
+
+    Every step is carried out by cone search in the Z-extension (no closed
+    forms, see `_cone_quotient`): the coset of (a, g) has index
+    (a mod n)|G| + g, and its representative is its unique element between
+    id (inclusive) and z^n.
+    """
+    if n < 2:
+        raise InvalidGroupError(f"quotient_by_power: n = {n} < 2")
+    f = _as_order(G, f)
+    m = G.order
+    _, table, cocycle = _cone_quotient(
+        f, CentralExtElement(n, 0),
+        [[CentralExtElement(a, g) for a in range(residue - 2 * n, residue + 2 * n + 1, n)]
+         for residue in range(n) for g in range(m)],
+        lambda x: x.a % n * m + x.g)
+    names = [f"({a}, {G.names[g]})" for a in range(n) for g in range(m)]
+    Q = FiniteGroup(table, names=names, name=f"{G.name}~/{n}",
+                    validate=n * m <= groups.ASSOCIATIVITY_CHECK_LIMIT)
+    return QuotientPowerResult(Q, validate_inhom(Q, cocycle))
+
+
+class CentralQuotientResult(NamedTuple):
+    group: FiniteGroup                # G/K
+    ordering: InhomCircularOrder      # the quotient circular ordering
+    section: tuple                    # nu: nu[q] in coset q, p_n(ordering) = f_nu
+    projection: GroupHom              # G -> G/K
+    generator: int                    # minimal generator of (K, f|K), = iota([1])
+
+
+def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
+    """Quotient a circularly-ordered group by a central cyclic subgroup.
+
+    Follows the cone construction literally: lift to the Z-extension, quotient
+    by the positive generator of the preimage of K (`_cone_quotient`, cosets
+    indexed as in `groups.quotient`), and pull the minimal-representative
+    section back to G.  The returned section, the tuple nu with nu[q] in the
+    coset q and nu[0] = 0, satisfies p_n(fbar) = f_nu elementwise, with
+    iota([1]) the minimal generator of (K, f restricted to K); both facts are
+    checked before returning, and a failure raises CheckFailed or AxiomError.
+    """
+    f = _as_order(G, f)
+    K = frozenset(K)
+    quot = quotient(G, K)  # InvalidGroupError unless K is a normal subgroup
+    Q, proj = quot.group, quot.projection
+    if len(K) < 2:
+        raise InvalidGroupError("quotient_by_cyclic_central: |K| must be >= 2")
+    sub = subgroup_generated(G, K)
+    if not sub.group.is_cyclic():
+        raise InvalidGroupError("quotient_by_cyclic_central: K is not cyclic")
+    for k in K:
+        if not G.is_central(k):
+            # normal finite cyclic subgroups of circularly-ordered groups are
+            # central, so this cannot fire on a valid ordering
+            raise AxiomError("centrality", (k,), "K is not central")
+    n = len(K)
+    f_restricted = [[f.values[a][b] for b in sub.embedding.map] for a in sub.embedding.map]
+    z_sub = minimal_generator(sub.group, f_restricted)
+    z = sub.embedding(z_sub)
+
+    E = build_extension(G, f)
+    z_lift = CentralExtElement(0, z)
+    for h in range(G.order):
+        if E.multiply(z_lift, CentralExtElement(0, h)) != \
+                E.multiply(CentralExtElement(0, h), z_lift):
+            raise AxiomError("centrality", (z, h), "lift of the generator is not central")
+
+    section_lifts, table, fbar = _cone_quotient(
+        f, z_lift,
+        [[CentralExtElement(c, g) for g in range(G.order) if proj(g) == q for c in range(-2, 3)]
+         for q in range(Q.order)],
+        lambda x: proj(x.g))
+    nu = tuple(x.g for x in section_lifts)
+    require(nu[0] == 0 and all(proj(nu[q]) == q for q in range(Q.order)),
+            "minimal-representative section is not a normalized section of the projection")
+    require([list(row) for row in Q.table] == table,
+            "the cone quotient's table is not the table of G/K")
+    ordering = validate_inhom(Q, fbar)
+
+    # p_n(fbar) = f_nu, with K coordinatized by iota([1]) = z
+    dlog = {G.power(z, j): j for j in range(n)}
+    for q1 in range(Q.order):
+        for q2 in range(Q.order):
+            defect = G.table[G.table[nu[q1]][nu[q2]]][G.inverse[nu[Q.table[q1][q2]]]]
+            if defect not in dlog:
+                raise AxiomError("section", (q1, q2), "section defect escapes K")
+            if dlog[defect] != fbar[q1][q2] % n:
+                raise AxiomError("section", (q1, q2),
+                                 "p_n(fbar) != f_nu at this pair")
+    return CentralQuotientResult(Q, ordering, nu, proj, z)

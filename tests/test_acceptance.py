@@ -8,23 +8,22 @@ stated ones.
 import time
 from math import gcd
 
-from circorder.groups import (cyclic_group, direct_product, find_isomorphism,
-                              symmetric_group)
+from circorder.groups import cyclic_group, direct_product, symmetric_group
 from circorder.orders import (arrangement_to_hom, arrangement_to_inhom,
                               enumerate_circular_orders, hom_to_inhom,
                               inhom_to_hom, validate_hom, validate_inhom)
 from circorder.extensions import (CentralExtElement, build_extension,
-                                  hat_ordering, minimal_generator,
-                                  quotient_by_cyclic_central, quotient_by_power)
+                                  hat_ordering, minimal_generator)
 from circorder.cohomology import (coboundary_matrices, h2_structure,
                                   is_n_divisible, is_trivial_mod_n,
                                   smith_normal_form)
 from circorder.obstruction import spectrum_finite
 from circorder.promislow import PROMISLOW_SPECTRUM, demo
 
-from helpers import (cocycle_vector, euler_phi, invariant_factors_from_diagonal,
-                     is_coboundary_mod, library_groups, naive_diagonalize,
-                     primes_dividing, seeded_random_matrices, verify_snf)
+from helpers import (cocycle_vector, euler_phi, find_isomorphism,
+                     invariant_factors_from_diagonal, is_coboundary_mod, library_groups,
+                     naive_diagonalize, primes_dividing, quotient_by_cyclic_central,
+                     quotient_by_power, seeded_random_matrices, verify_snf)
 
 
 def _report(number, budget, started, label):

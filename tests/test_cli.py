@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import inspect
 import json
 import os
@@ -19,6 +20,8 @@ from circorder.groups import cyclic_group, direct_product, dump_group
 from circorder.orders import (arrangement_from_sequence, arrangement_to_inhom,
                               enumerate_circular_orders, ordering_from_json,
                               ordering_to_json, standard_order_zn)
+
+import helpers
 
 
 @pytest.fixture()
@@ -143,6 +146,19 @@ def test_enumeration_bound_is_the_module_constant(monkeypatch, capsys, group_fil
     assert rc == 0 and payload["cross_check"] == "skipped"
 
 
+def test_benchmark_tracer_names_exist():
+    # `perfbench/run.py --trace` wraps each of these names by getattr on its
+    # layer module, so moving or renaming one breaks the traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.SPANNED and tracer.COUNTED
+    for layer, name in tracer.SPANNED + tracer.COUNTED:
+        assert callable(getattr(importlib.import_module(f"circorder.{layer}"), name, None)), \
+            (layer, name)
+
+
 def test_bounds_have_no_per_call_overrides():
     # each bound lives in its module constant alone
     for fn, option in ((cohomology.coboundary_matrix, "max_order"),
@@ -150,7 +166,7 @@ def test_bounds_have_no_per_call_overrides():
                        (cohomology._complex_for, "max_order"),
                        (cohomology.h2_structure, "max_order"),
                        (extensions.CentralExtensionGroup.materialize, "max_order"),
-                       (groups.find_isomorphism, "max_order"),
+                       (helpers.find_isomorphism, "max_order"),
                        (promislow.ball, "max_radius"),
                        (obstruction.spectrum_finite, "verify_limit"),
                        (groups.GroupHom, "validate"),

@@ -272,8 +272,9 @@ def test_h2_mod_n_matches_uct():
 
 def test_moduli_prime_to_the_order_need_no_d2():
     # |G| and n both kill H^2(G; Z/n), so it is 0 when gcd(n, |G|) = 1: the
-    # structure is empty and d2 is never built, but a projection still checks
-    # the cocycle identity mod n.  Valid orderings exist on the cyclic groups.
+    # structure is empty and neither d1 nor d2 is reduced, but a projection
+    # still checks the cocycle identity mod n.  Valid orderings exist on the
+    # cyclic groups.
     _Complex.cache_clear()
     for G in library_groups():
         if G.order > cohomology.H2_ORDER_LIMIT:
@@ -293,8 +294,20 @@ def test_moduli_prime_to_the_order_need_no_d2():
                 assert not is_cocycle_mod(G, f, n)
                 with pytest.raises(AxiomError):
                     H.project(f)
-        assert "d2_smith" not in vars(_Complex(G)), G.name
+        assert not {"V", "Vinv", "factors", "d2_smith"} & set(vars(_Complex(G))), G.name
     _Complex.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3.0, True, 1])
+def test_moduli_must_be_ints_of_at_least_two(n):
+    # unchecked, 3.0 reaches the witness check of is_n_divisible, a
+    # CheckFailed (exit 1), and a TypeError in h2_structure: it is bad input
+    G, f = cyclic_group(4), standard_order_zn(4)
+    for ask in (is_n_divisible, is_trivial_mod_n):
+        with pytest.raises(ValueError, match="not an int >= 2"):
+            ask(G, f, n)
+    with pytest.raises(ValueError, match="not an int >= 2"):
+        h2_structure(G, n)
 
 
 def test_cache_is_keyed_by_table_and_carries_no_names():

@@ -1,15 +1,14 @@
 import pytest
 
-from circorder import groups
 from circorder.errors import BoundExceeded, InvalidGroupError
-from circorder.groups import (FiniteGroup, GroupHom, all_subgroups, closure,
-                              cyclic_group, dihedral_group, direct_product,
-                              dump_group, find_isomorphism, group_from_json,
-                              is_normal, is_subgroup,
-                              load_group, quotient, subgroup_generated,
-                              symmetric_group, trivial_group)
+from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group,
+                              dihedral_group, direct_product, dump_group,
+                              group_from_json, is_normal, is_subgroup, load_group,
+                              quotient, subgroup_generated, symmetric_group,
+                              trivial_group)
 
-from helpers import library_groups, relabeled
+import helpers
+from helpers import all_subgroups, find_isomorphism, library_groups, relabeled
 
 
 def test_cyclic_group_tables():
@@ -122,7 +121,6 @@ def test_subgroup_generated():
 
 
 def test_quotient_and_embedding_hom_properties_across_library():
-    from circorder.groups import all_subgroups
     for G in library_groups():
         if G.order > 8:
             continue
@@ -165,7 +163,7 @@ def test_isomorphism_bound_is_the_module_constant(monkeypatch):
     for G, H in ((cyclic_group(25), cyclic_group(25)), (cyclic_group(2), cyclic_group(25))):
         with pytest.raises(BoundExceeded):
             find_isomorphism(G, H)
-    monkeypatch.setattr(groups, "ISOMORPHISM_ORDER_LIMIT", 5)
+    monkeypatch.setattr(helpers, "ISOMORPHISM_ORDER_LIMIT", 5)
     assert find_isomorphism(cyclic_group(5), cyclic_group(5)) is not None
     with pytest.raises(BoundExceeded):
         find_isomorphism(cyclic_group(6), cyclic_group(6))
@@ -298,3 +296,11 @@ def test_hom_validation():
         GroupHom(c4, c2, [0, 1, 1, 0])  # 1+1 -> 0 but images give 1+1=0: check
     ok = GroupHom(c4, c2, [0, 1, 0, 1])
     assert ok.is_surjective() and not ok.is_injective()
+
+
+def test_hom_images_must_be_ints():
+    # unchecked, 1.0 fails as a tuple index and True passes as the image 1
+    c2 = cyclic_group(2)
+    for bad in (1.0, True):
+        with pytest.raises(InvalidGroupError, match=rf"map\[1\] = {bad!r}"):
+            GroupHom(c2, c2, [0, bad])

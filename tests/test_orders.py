@@ -286,10 +286,6 @@ def test_ordering_json_round_trip():
         again = ordering_from_json(data)
         assert type(again) is type(obj)
         assert again.group == obj.group
-    named = ordering_to_json(arr)
-    named["group"] = "Z/4"
-    resolved = ordering_from_json(named, resolve_group=lambda name: c4)
-    assert resolved.sequence == arr.sequence
 
 
 def test_ordering_json_rejects_boolean_elements():

@@ -11,7 +11,6 @@ from helpers import axiom_counts, key_circular_order
 from circorder.promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
                                  RELATORS, SIGNS, PromElement,
                                  abelianization_image, ball, demo,
-                                 element_from_json, element_to_json,
                                  evaluate_word, kernel_is_positive,
                                  make_element, phi, prom_inv, prom_mul,
                                  promislow_circular_order,
@@ -47,6 +46,8 @@ def test_parity_is_preserved_under_multiplication():
         make_element(1, (0, 0, 0))  # wrong parity for A
     with pytest.raises(InvalidGroupError):
         make_element(7, (0, 0, 0))
+    with pytest.raises(InvalidGroupError, match="bad element data"):
+        make_element(0, (False, False, False))
 
 
 def test_phi_is_surjective_hom():
@@ -321,18 +322,6 @@ def test_spectrum_constant():
     assert PROMISLOW_SPECTRUM.membership(4)
     assert PROMISLOW_SPECTRUM.membership(8)
     assert PROMISLOW_SPECTRUM.membership(12)
-
-
-def test_element_json():
-    data = element_to_json(GEN_A)
-    assert data == {"M": "A", "w": [1, 1, 0]}
-    assert element_from_json(data) == GEN_A
-    with pytest.raises(InvalidGroupError):
-        element_from_json({"M": "A", "w": [0, 0, 0]})
-    with pytest.raises(InvalidGroupError):
-        element_from_json({"M": "Q", "w": [0, 0, 0]})
-    with pytest.raises(InvalidGroupError, match="bad element data"):
-        element_from_json({"M": "I", "w": [False, False, False]})
 
 
 def test_demo_quick_run_is_deterministic():
