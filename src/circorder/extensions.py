@@ -96,8 +96,8 @@ def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> Central
     normalized cocycle identity; any other matrix raises its first
     orders.cocycle_failure.
     """
-    if modulus is not None and modulus < 2:
-        raise InvalidGroupError(f"extension modulus {modulus} < 2")
+    if modulus is not None and (type(modulus) is not int or modulus < 2):
+        raise InvalidGroupError(f"extension modulus {modulus!r} is not an int >= 2")
     if isinstance(f, InhomCircularOrder):
         if f.group != G:
             raise InvalidGroupError("cocycle lives on a different group")
@@ -152,8 +152,8 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
 
     where f_s is the carry bit on Z/n.  Returned on the materialized group.
     """
-    if n < 2:
-        raise InvalidGroupError(f"hat_ordering: n = {n} < 2")
+    if type(n) is not int or n < 2:
+        raise InvalidGroupError(f"hat_ordering: n = {n!r} is not an int >= 2")
     f = _as_order(G, f)
     E = build_extension(G, f, modulus=n)
     group = E.materialize()  # BoundExceeded before the order^2 value table

@@ -43,7 +43,6 @@ from .orders import LeftOrderOracle, lexicographic_circular_order
 BALL_RADIUS_LIMIT = 8
 DEFAULT_SEED = 1729
 
-M_NAMES = ("I", "A", "B", "AB")
 # diagonal signs of the point-group matrices, indexed I, A, B, AB
 SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 # required parity of the (doubled) translation for each point-group part
@@ -51,24 +50,13 @@ PARITY = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
 
 
 class PromElement(NamedTuple):
-    m: int        # point-group index into M_NAMES
+    m: int        # point-group index, in the order I, A, B, AB of SIGNS
     w: tuple      # doubled translation (x, y, z)
 
 
 IDENTITY = PromElement(0, (0, 0, 0))
 GEN_A = PromElement(1, (1, 1, 0))
 GEN_B = PromElement(2, (0, 1, 1))
-
-
-def make_element(m: int, w) -> PromElement:
-    """Validated constructor; rejects parity-violating (corrupt) data."""
-    w = tuple(w)
-    if m not in (0, 1, 2, 3) or len(w) != 3 or not all(type(v) is int for v in w):
-        raise InvalidGroupError(f"bad element data ({m!r}, {w!r})")
-    if tuple(v % 2 for v in w) != PARITY[m]:
-        raise InvalidGroupError(
-            f"parity violation: w = {w} is not congruent to {PARITY[m]} mod 2 for {M_NAMES[m]}")
-    return PromElement(m, w)
 
 
 def prom_mul(p: PromElement, q: PromElement) -> PromElement:

@@ -5,7 +5,7 @@ enumeration, minors) so that it can cross-check the production code without
 sharing its machinery.  The exceptions are the slow literal routes that no
 answer of the package runs, kept here as references: the isomorphism search
 and the Z-extension cone with its quotients, which build on the package's
-group tables and extensions.
+group tables and extensions, and the Smith data of all of d2.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from circorder import groups, promislow
-from circorder.cohomology import (IntMatrix, coboundary_matrices, coboundary_matrix,
-                                  kernel_basis, smith_normal_form)
+from circorder.cohomology import (IntMatrix, _D2Smith, coboundary_matrices,
+                                  coboundary_matrix, kernel_basis, smith_normal_form)
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from circorder.extensions import (CentralExtElement, _as_order, build_extension,
                                   minimal_generator)
@@ -531,11 +531,19 @@ def full_u_coordinates(G: FiniteGroup, f) -> list[int]:
     return _full_u_head(G).mul_vector(cocycle_vector(G, f))
 
 
-def full_u_kernel_classes(G: FiniteGroup) -> IntMatrix:
-    """U[:m] @ kernel_basis(SNF of d2): the ker d2 basis of the library's
-    d2 Smith normal form in class coordinates, through the square U."""
+def full_u_kernel_classes(G: FiniteGroup, basis: IntMatrix) -> IntMatrix:
+    """U[:m] @ basis: the columns of a ker d2 basis in class coordinates,
+    through the square U."""
+    return _full_u_head(G) @ basis
+
+
+def full_d2_smith(G: FiniteGroup) -> _D2Smith:
+    """`_Complex.d2_smith` from the SNF of all (|G|-1)^3 rows of d2, the
+    route the library replaced by the rows at generator last arguments; the
+    kernel basis goes to class coordinates through the square U."""
     snf2 = smith_normal_form(coboundary_matrix(G, 2), want_u=False)
-    return _full_u_head(G) @ kernel_basis(snf2)
+    return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
+                    full_u_kernel_classes(G, kernel_basis(snf2)))
 
 
 @lru_cache(maxsize=None)
@@ -567,6 +575,22 @@ def kernel_route_class(G: FiniteGroup, f) -> tuple:
     y = vinv.mul_vector(cocycle_vector(G, f))
     assert not any(y[:r]), "f is not an integral cocycle"
     return tuple(z % a if a else z for z, a in zip(U.mul_vector(y[r:]), factors))
+
+
+# -- Promislow elements from raw data -----------------------------------------
+
+M_NAMES = ("I", "A", "B", "AB")
+
+
+def make_element(m: int, w) -> promislow.PromElement:
+    """Validated constructor; rejects parity-violating (corrupt) data."""
+    w = tuple(w)
+    if m not in (0, 1, 2, 3) or len(w) != 3 or not all(type(v) is int for v in w):
+        raise InvalidGroupError(f"bad element data ({m!r}, {w!r})")
+    if tuple(v % 2 for v in w) != promislow.PARITY[m]:
+        raise InvalidGroupError(f"parity violation: w = {w} is not congruent to "
+                                f"{promislow.PARITY[m]} mod 2 for {M_NAMES[m]}")
+    return promislow.PromElement(m, w)
 
 
 # -- the Promislow axioms, one quadruple at a time ------------------------------

@@ -311,9 +311,10 @@ def test_human_readable_output(capsys, group_file):
 
 # Runs under `python -O`, where bare asserts vanish: a corrupted SNF (caught
 # by the tests' verify_snf), a corrupted cached V of the d1 Smith normal
-# form that yields wrong witnesses, and a corrupted cached V^-1 that breaks
-# the exact division of the row-sum class coordinates, must still raise
-# CheckFailed, and the CLI must still exit 1 on it.
+# form that yields wrong witnesses, a corrupted cached V^-1 that breaks
+# the exact division of the row-sum class coordinates, and a corrupted
+# cached V^-1 of d2 that moves a Z/n projection off its steps, must still
+# raise CheckFailed, and the CLI must still exit 1 on it.
 _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (AxiomError, CheckFailed, IntMatrix, cli, cohomology, cyclic_group,
@@ -359,6 +360,13 @@ bad = [list(row) for row in f.values]
 bad[1][1] += 1
 results["coprime_non_cocycle"] = axiom_failure(
     lambda: cohomology.h2_structure(G, 3).project(bad))
+# gcd(2, |G|) = 2, so Z/2 projects through d2: every d_i is 1, so its steps
+# are 2, and one more unit at an odd entry of f makes y_0 odd
+cohomology._Complex.cache_clear()
+H = cohomology.h2_structure(G, 2)
+flat = [v for row in f.values[1:] for v in row[1:]]
+cohomology._Complex(G).d2_smith.vinv.data[0][flat.index(1)] += 1
+results["d2_vinv"] = raises_check_failed(lambda: H.project(f), "off its steps")
 print(json.dumps(results))
 """
 
@@ -377,5 +385,6 @@ def test_checks_survive_python_O(tmp_path):
                                        "is_n_divisible": True, "cli_exit": 1,
                                        "e_0": 1, "class_of_vinv": True,
                                        "is_n_divisible_vinv": True,
-                                       "coprime_non_cocycle": "cocycle"}
+                                       "coprime_non_cocycle": "cocycle",
+                                       "d2_vinv": True}
     assert "check failed" in proc.stderr

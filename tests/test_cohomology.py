@@ -17,7 +17,7 @@ from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matr
                                   is_trivial_mod_n, kernel_basis, smith_normal_form)
 
 from helpers import (brute_h2_order_modn, cochain_matrix, cocycle_vector, d2_annihilates,
-                     full_u_coordinates, full_u_kernel_classes,
+                     full_d2_smith, full_u_coordinates, full_u_kernel_classes,
                      invariant_factors_from_diagonal, invariant_factors_of_sum,
                      is_coboundary_mod, is_cocycle_mod, kernel_route_class,
                      kernel_route_factors, library_groups, minors_gcd_invariant_factors,
@@ -328,7 +328,7 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     m = G.order - 1
     shapes = []
     transforms = []  # (rows, want_u, diagonal input) of every SNF
-    built = []  # row counts of every IntMatrix constructed
+    built = []  # column counts of every IntMatrix constructed
     init, zeros = IntMatrix.__init__, IntMatrix.zeros
 
     def recording(M, *args, **kwargs):
@@ -342,10 +342,10 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append(self.rows)
+        built.append(self.cols)
 
     def recording_zeros(cls, rows, cols):
-        built.append(rows)
+        built.append(cols)
         return zeros(rows, cols)
 
     monkeypatch.setattr(cohomology, "smith_normal_form", recording)
@@ -363,12 +363,14 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert class_of(G, f).coords == (1,)
     assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
     assert is_trivial_mod_n(G, f, 3) and not is_trivial_mod_n(G, f, 4)
-    assert shapes and all(rows < m ** 3 for rows, _ in shapes), shapes
+    # d2, all of its rows or those at generator last arguments, is the only
+    # matrix with m^2 columns
+    assert shapes and all(cols != m * m for _, cols in shapes), shapes
     # no square U of d1's m^2 rows: a row transform is only ever asked for
     # on the small invariant-factor diagonal
     assert all(not want_u or (diagonal and rows <= m)
                for rows, want_u, diagonal in transforms), transforms
-    assert built and m ** 3 not in built, sorted(set(built))
+    assert built and m * m not in built, sorted(set(built))
     # d1 (m^2 rows) is reduced but not kept: is_n_divisible reads d1 u off
     # the table
     held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
@@ -378,7 +380,7 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     shapes.clear()
     h2_structure(G, 4)
     h2_structure(G, 3)
-    assert [rows for rows, _ in shapes].count(m ** 3) == 1, shapes
+    assert [cols for _, cols in shapes].count(m * m) == 1, shapes
     _Complex.cache_clear()
 
 
@@ -618,7 +620,60 @@ def test_row_sum_coordinates_match_the_full_u_oracle(data):
     for f in cocycles:
         sums = [sum(row) for row in f[1:]]
         assert comp.smith_coordinates(sums) == full_u_coordinates(G, f)
-    assert comp.d2_smith.kernel_classes == full_u_kernel_classes(G)
+    basis = kernel_basis(_generator_d2_snf(G))
+    assert comp.d2_smith.kernel_classes == full_u_kernel_classes(G, basis)
+
+
+def _generator_d2_snf(G):
+    """The SNF that `_Complex.d2_smith` reduces: the rows of d2 at generator
+    last arguments, one block per generator."""
+    rows = [row for s in cohomology._greedy_generators(G)
+            for row in cohomology._coboundary_rows(G, 2, (s,)).data]
+    return smith_normal_form(rows, want_u=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generator_row_d2_matches_the_full_d2_oracle(data):
+    # the rows of d2 at generator last arguments span its row lattice, so
+    # their SNF must give the rank, nonzero diagonal and kernel of all of d2,
+    # and the same Z/n answers
+    index, perm, G = data.draw(relabelings(SMALL_GROUPS))
+    m = G.order - 1
+    d2 = coboundary_matrix(G, 2)
+    full = smith_normal_form(d2, want_u=False)
+    gen = _generator_d2_snf(G)
+    assert 2 ** (gen.matrix.rows // (m * m)) <= G.order   # at most log2 |G| generators
+    _Complex.cache_clear()
+    lib = _Complex(G).d2_smith
+    assert lib.rank == gen.rank == full.rank
+    assert lib.factors == gen.diagonal[:gen.rank] == full.diagonal[:full.rank]
+    assert lib.vinv == gen.Vinv
+    basis = kernel_basis(gen)
+    assert basis.cols == kernel_basis(full).cols == m * m - full.rank
+    assert not any(v for row in (d2 @ basis).data for v in row)
+    # zero-ness and class equality against the [d1 | nI] coboundary oracle,
+    # on a modulus that reaches d2
+    B = SMALL_GROUPS[index]
+    n = data.draw(st.sampled_from([k for k in range(2, 13) if gcd(k, G.order) > 1]))
+    H = h2_structure(G, n)
+    f, g = _draw_cocycle(data, index, perm, n), _draw_cocycle(data, index, perm, n)
+    u = [0] + data.draw(st.lists(SMALL, min_size=m, max_size=m))
+    h_base = [[f[0][a][b] + u[a] + u[b] - u[B.table[a][b]] if a and b else 0
+               for b in range(B.order)] for a in range(B.order)]
+    h = h_base, _relabel_cochain(h_base, perm)     # f's class
+    for (x_base, x), (y_base, y) in ((f, g), (f, h), (g, h)):
+        difference = [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x_base, y_base)]
+        same = H.project(x).coords == H.project(y).coords
+        assert same == is_coboundary_mod(B, difference, n)
+    for x_base, x in (f, g):
+        assert H.project(x).is_zero() == is_coboundary_mod(B, x_base, n)
+    # every Z/n answer again on the Smith data of all of d2
+    got = [h2_structure(G, k).invariant_factors for k in range(2, 13)]
+    _Complex.cache_clear()
+    _Complex(G).d2_smith = full_d2_smith(G)
+    assert [h2_structure(G, k).invariant_factors for k in range(2, 13)] == got
+    _Complex.cache_clear()
 
 
 @settings(max_examples=40, deadline=None)

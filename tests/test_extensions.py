@@ -86,6 +86,14 @@ def test_materialization():
         big.materialize()
 
 
+@pytest.mark.parametrize("modulus", [2.0, True, 1])
+def test_extension_moduli_must_be_ints_of_at_least_two(modulus):
+    with pytest.raises(InvalidGroupError, match="is not an int >= 2"):
+        build_extension(cyclic_group(3), standard_order_zn(3), modulus).materialize()
+    with pytest.raises(InvalidGroupError, match="is not an int >= 2"):
+        hat_ordering(cyclic_group(3), standard_order_zn(3), modulus)
+
+
 def test_materialization_layout():
     # (a,g)(b,h) = (a + b + f(g,h) mod n, gh) with (a, g) at index a*|G| + g,
     # for an ordering and for a cocycle that is not one: the coboundary of

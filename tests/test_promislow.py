@@ -7,12 +7,12 @@ from circorder import promislow
 from circorder.cli import main
 from circorder.errors import BoundExceeded, InvalidGroupError
 import helpers
-from helpers import axiom_counts, key_circular_order
+from helpers import axiom_counts, key_circular_order, make_element
 from circorder.promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
                                  RELATORS, SIGNS, PromElement,
                                  abelianization_image, ball, demo,
                                  evaluate_word, kernel_is_positive,
-                                 make_element, phi, prom_inv, prom_mul,
+                                 phi, prom_inv, prom_mul,
                                  promislow_circular_order,
                                  promislow_lexicographic_order)
 
