@@ -33,9 +33,9 @@ from .obstruction import (MAPPING_CLASS_GROUP_SPECTRUM, ObstructionSpectrum,
                           iterated_nonco_bound, spectrum_finite,
                           spectrum_torsion_part)
 from .promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
-                        PromElement, abelianization_image, ball,
-                        evaluate_word, kernel_is_positive, phi,
-                        prom_inv, prom_mul, promislow_circular_order,
+                        abelianization_image, ball, evaluate_word,
+                        kernel_is_positive, phi, prom_inv, prom_mul,
+                        promislow_circular_order,
                         promislow_lexicographic_order)
 
 __version__ = "0.1.0"

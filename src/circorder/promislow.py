@@ -3,11 +3,13 @@
 The group <a, b | a b^2 a^-1 b^2, b a^2 b^-1 a^2> (the Hantzsche-Wendt
 Bieberbach group) is realized with point-group parts among the diagonal sign
 matrices I, A = diag(1,-1,-1), B = diag(-1,1,-1), AB = diag(-1,-1,1) and
-*doubled* integer translations, so that a = (A, (1,1,0)) and b = (B, (0,1,1))
-stand for translations by (1/2, 1/2, 0) and (0, 1/2, 1/2).  Doubling keeps
-every computation in Z; the lattice condition becomes the parity constraint
-w mod 2 = coset(M) with cosets I -> (0,0,0), A -> (1,1,0), B -> (0,1,1),
-AB -> (1,0,1).
+*doubled* integer translations.  An element is the plain tuple (m, x, y, z):
+the index m of its point-group part in SIGNS (0, 1, 2, 3 for I, A, B, AB),
+then its doubled translation.  So a = (1, 1, 1, 0) and b = (2, 0, 1, 1)
+stand for A and B followed by translations by (1/2, 1/2, 0) and
+(0, 1/2, 1/2).  Doubling keeps every computation in Z; the lattice condition
+becomes the parity constraint (x, y, z) mod 2 = PARITY[m], with cosets
+I -> (0,0,0), A -> (1,1,0), B -> (0,1,1), AB -> (1,0,1).
 
 It is circularly orderable but not left-orderable: the homomorphism to Z/2
 killing b has left-orderable kernel (translations along y survive), and the
@@ -34,7 +36,6 @@ Z/4 x Z/4.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
 
 from .errors import BoundExceeded, CheckFailed, InvalidGroupError
 from .obstruction import ObstructionSpectrum
@@ -49,34 +50,33 @@ SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 PARITY = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
 
 
-class PromElement(NamedTuple):
-    m: int        # point-group index, in the order I, A, B, AB of SIGNS
-    w: tuple      # doubled translation (x, y, z)
+# (m, x, y, z) as in the module docstring.  An exact tuple, not a NamedTuple:
+# CPython unpacks and indexes exact tuples on faster paths, and the demo's
+# oracle unpacks millions of them.
+_Element = tuple[int, int, int, int]
+
+IDENTITY = (0, 0, 0, 0)
+GEN_A = (1, 1, 1, 0)
+GEN_B = (2, 0, 1, 1)
 
 
-IDENTITY = PromElement(0, (0, 0, 0))
-GEN_A = PromElement(1, (1, 1, 0))
-GEN_B = PromElement(2, (0, 1, 1))
-
-
-def prom_mul(p: PromElement, q: PromElement) -> PromElement:
-    pm, (px, py, pz) = p
-    qm, (qx, qy, qz) = q
+def prom_mul(p: _Element, q: _Element) -> _Element:
+    pm, px, py, pz = p
+    qm, qx, qy, qz = q
     sx, sy, sz = SIGNS[pm]
-    # tuple.__new__ skips the namedtuple's Python-level __new__
-    return tuple.__new__(PromElement, (pm ^ qm, (px + sx * qx, py + sy * qy, pz + sz * qz)))
+    return (pm ^ qm, px + sx * qx, py + sy * qy, pz + sz * qz)
 
 
-def prom_inv(p: PromElement) -> PromElement:
-    sx, sy, sz = SIGNS[p.m]
-    x, y, z = p.w
-    return PromElement(p.m, (-sx * x, -sy * y, -sz * z))
+def prom_inv(p: _Element) -> _Element:
+    m, x, y, z = p
+    sx, sy, sz = SIGNS[m]
+    return (m, -sx * x, -sy * y, -sz * z)
 
 
 _LETTERS = {"a": GEN_A, "A": prom_inv(GEN_A), "b": GEN_B, "B": prom_inv(GEN_B)}
 
 
-def evaluate_word(word: str) -> PromElement:
+def evaluate_word(word: str) -> _Element:
     """Product of generator letters; capitals are inverses ("aBa" = a b^-1 a)."""
     acc = IDENTITY
     for ch in word:
@@ -86,12 +86,12 @@ def evaluate_word(word: str) -> PromElement:
     return acc
 
 
-def phi(p: PromElement) -> int:
+def phi(p: _Element) -> int:
     """The quotient map to Z/2 with phi(a) = 1, phi(b) = 0."""
-    return p.m & 1
+    return p[0] & 1
 
 
-def kernel_is_positive(p: PromElement) -> bool:
+def kernel_is_positive(p: _Element) -> bool:
     """Positive cone on ker(phi): positive y-translation first, then the
     lexicographic order on (x, z) within the pure translations.
 
@@ -100,7 +100,7 @@ def kernel_is_positive(p: PromElement) -> bool:
     """
     if phi(p) != 0:
         raise InvalidGroupError(f"element {p} is outside the kernel of phi")
-    x, y, z = p.w
+    _, x, y, z = p
     if y:
         return y > 0
     return x > 0 or (x == 0 and z > 0)
@@ -120,27 +120,27 @@ promislow_lexicographic_order = lexicographic_circular_order(
 """The paper's construction of the ordering; the check on the closed form."""
 
 
-def promislow_circular_order(g1: PromElement, g2: PromElement, g3: PromElement) -> int:
+def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
     """Circular-ordering oracle on the whole group; values in {0, +1, -1}.
 
     +1 exactly when g1^-1 g2 comes before g1^-1 g3 in the linear order that
     cutting the circle at the identity leaves: the positive kernel cone
     (class 0), then the coset aK (class 1), then the negative cone (class 2).
-    g1^-1 (m, w) = (m1 ^ m, S1 (w - w1)) with S1 = SIGNS[m1], so everything
-    is read off coordinate differences and no element is built.  The class
-    decides first.  Within a class g comes before g' when g^-1 g' is in the
-    kernel cone: y decides (sigma_y = -1 on aK reverses it), and a tie in y
-    forces the same point-group part m2 == m3 by parity, so with
-    (sx, _, sz) = SIGNS[m2] (the product SIGNS[m1] SIGNS[m1 ^ m2]) sx x and
-    then sz z break it.  The comparison stops at the first field that
-    differs, which is the lexicographic order on the keys
-    (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.
+    g1^-1 (m, x, y, z) = (m1 ^ m, S1 (x - x1, y - y1, z - z1)) with
+    S1 = SIGNS[m1], so everything is read off coordinate differences and no
+    element is built.  The class decides first.  Within a class g comes
+    before g' when g^-1 g' is in the kernel cone: y decides (sigma_y = -1 on
+    aK reverses it), and a tie in y forces the same point-group part
+    m2 == m3 by parity, so with (sx, _, sz) = SIGNS[m2] (the product
+    SIGNS[m1] SIGNS[m1 ^ m2]) sx x and then sz z break it.  The comparison
+    stops at the first field that differs, which is the lexicographic order
+    on the keys (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.
     """
     if g1 == g2 or g2 == g3 or g1 == g3:
         return 0
-    m1, (x1, y1, z1) = g1
-    m2, (x2, y2, z2) = g2
-    m3, (x3, y3, z3) = g3
+    m1, x1, y1, z1 = g1
+    m2, x2, y2, z2 = g2
+    m3, x3, y3, z3 = g3
     odd = m1 & 1                          # g1 in aK, where sigma_y = -1
     if odd:
         dy2, dy3 = y1 - y2, y1 - y3
@@ -177,11 +177,11 @@ def promislow_circular_order(g1: PromElement, g2: PromElement, g3: PromElement) 
 PROMISLOW_SPECTRUM = ObstructionSpectrum.from_elements([4])
 
 
-def ball(radius: int) -> list[PromElement]:
+def ball(radius: int) -> list[_Element]:
     """All elements expressible as words of length <= radius (at most
-    BALL_RADIUS_LIMIT), sorted by (point-group index, translation)."""
-    if radius < 0:
-        raise InvalidGroupError(f"ball: negative radius {radius}")
+    BALL_RADIUS_LIMIT), sorted as (m, x, y, z) tuples."""
+    if type(radius) is not int or radius < 0:
+        raise InvalidGroupError(f"ball: radius {radius!r} is not an int >= 0")
     if radius > BALL_RADIUS_LIMIT:
         raise BoundExceeded(f"ball: radius {radius} > limit {BALL_RADIUS_LIMIT}")
     seen = {IDENTITY}
@@ -199,22 +199,22 @@ def ball(radius: int) -> list[PromElement]:
     return sorted(seen)
 
 
-def abelianization_image(p: PromElement) -> tuple[int, int]:
+def abelianization_image(p: _Element) -> tuple[int, int]:
     """(a-exponent, b-exponent) mod 4 in the abelianization Z/4 x Z/4.
 
     Strips one a and one b according to the point-group part, then reads the
     remaining pure translation (2p, 2q, 2r) as (a^2)^p (b^2)^q ((ab)^2)^-r.
     """
     a_exp = b_exp = 0
-    if p.m & 1:
+    if p[0] & 1:
         p = prom_mul(_LETTERS["A"], p)
         a_exp = 1
-    if p.m == 2:
+    if p[0] == 2:
         p = prom_mul(_LETTERS["B"], p)
         b_exp = 1
-    if p.m != 0:
+    m, x, y, z = p
+    if m != 0:
         raise CheckFailed(f"abelianization: stripping failed on {p}")
-    x, y, z = p.w
     return ((a_exp + x - z) % 4, (b_exp + y - z) % 4)
 
 
@@ -295,8 +295,12 @@ def demo(seed: int = DEFAULT_SEED, radius: int = 5, samples: int = 100_000) -> d
 
     Deterministic given (seed, radius, samples); the seed is recorded in the
     report.  `radius` controls the sampling ball (cone checks stay on their
-    own radii).  A negative `samples` raises InvalidGroupError.
+    own radii).  Each argument must be an int (not a bool or None), and
+    `samples` and `radius` must not be negative; otherwise InvalidGroupError.
     """
+    for name, value in (("seed", seed), ("radius", radius), ("samples", samples)):
+        if type(value) is not int:
+            raise InvalidGroupError(f"demo: {name} {value!r} is not an int")
     if samples < 0:
         raise InvalidGroupError(f"demo: negative sample count {samples}")
     c = promislow_circular_order

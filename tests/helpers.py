@@ -582,7 +582,7 @@ def kernel_route_class(G: FiniteGroup, f) -> tuple:
 M_NAMES = ("I", "A", "B", "AB")
 
 
-def make_element(m: int, w) -> promislow.PromElement:
+def make_element(m: int, w) -> tuple:
     """Validated constructor; rejects parity-violating (corrupt) data."""
     w = tuple(w)
     if m not in (0, 1, 2, 3) or len(w) != 3 or not all(type(v) is int for v in w):
@@ -590,7 +590,7 @@ def make_element(m: int, w) -> promislow.PromElement:
     if tuple(v % 2 for v in w) != promislow.PARITY[m]:
         raise InvalidGroupError(f"parity violation: w = {w} is not congruent to "
                                 f"{promislow.PARITY[m]} mod 2 for {M_NAMES[m]}")
-    return promislow.PromElement(m, w)
+    return (m, *w)
 
 
 # -- the Promislow axioms, one quadruple at a time ------------------------------
@@ -626,12 +626,13 @@ def axiom_counts(quadruples) -> dict:
 # -- the Promislow ordering from cut-at-identity keys ---------------------------
 
 def _cut_key(m: int, x: int, y: int, z: int) -> tuple:
-    """Key of the element (m, (x, y, z)) in the linear order that cutting the
+    """Key of the element (m, x, y, z) in the linear order that cutting the
     circle at the identity leaves: the positive kernel cone (class 0), then
     the coset aK (class 1), then the negative cone (class 2).  Within a class
-    g comes before g' when g^-1 g' = (m ^ m', S (w' - w)), S = SIGNS[m], is
-    in the kernel cone: y decides (sigma_y = -1 on aK reverses it), and a tie
-    in y forces m == m' by parity, so sigma_x x and then sigma_z z break it."""
+    g comes before g' when g^-1 g' = (m ^ m', S (x' - x, y' - y, z' - z)),
+    S = SIGNS[m], is in the kernel cone: y decides (sigma_y = -1 on aK
+    reverses it), and a tie in y forces m == m' by parity, so sigma_x x and
+    then sigma_z z break it."""
     sx, _, sz = promislow.SIGNS[m]
     if m & 1:
         return (1, -y, sx * x, sz * z)
@@ -645,15 +646,15 @@ def _cut_key(m: int, x: int, y: int, z: int) -> tuple:
 def key_circular_order(g1, g2, g3) -> int:
     """The Promislow ordering by building the key tuples of g1^-1 g2 and
     g1^-1 g3 and comparing them whole; `promislow.promislow_circular_order`
-    compares the same keys field by field.  g1^-1 (m, w) = (m1 ^ m,
-    S1 (w - w1)) with S1 = SIGNS[m1].  `_cut_key` is read at call time, so
-    a patched key is the one used."""
+    compares the same keys field by field.  g1^-1 (m, x, y, z) =
+    (m1 ^ m, S1 (x - x1, y - y1, z - z1)) with S1 = SIGNS[m1].  `_cut_key`
+    is read at call time, so a patched key is the one used."""
     if g1 == g2 or g2 == g3 or g1 == g3:
         return 0
-    m1, (x1, y1, z1) = g1
+    m1, x1, y1, z1 = g1
     sx, sy, sz = promislow.SIGNS[m1]
-    m2, (x2, y2, z2) = g2
-    m3, (x3, y3, z3) = g3
+    m2, x2, y2, z2 = g2
+    m3, x3, y3, z3 = g3
     if _cut_key(m1 ^ m2, sx * (x2 - x1), sy * (y2 - y1), sz * (z2 - z1)) \
             < _cut_key(m1 ^ m3, sx * (x3 - x1), sy * (y3 - y1), sz * (z3 - z1)):
         return 1

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from circorder.errors import BoundExceeded, InvalidGroupError
 import helpers
 from helpers import axiom_counts, key_circular_order, make_element
 from circorder.promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
-                                 RELATORS, SIGNS, PromElement,
+                                 RELATORS, SIGNS,
                                  abelianization_image, ball, demo,
                                  evaluate_word, kernel_is_positive,
                                  phi, prom_inv, prom_mul,
@@ -20,10 +21,26 @@ BALL5, BALL8 = ball(5), ball(8)
 
 
 def test_generator_data():
-    assert GEN_A == PromElement(1, (1, 1, 0))
-    assert GEN_B == PromElement(2, (0, 1, 1))
-    assert prom_mul(GEN_A, GEN_A) == PromElement(0, (2, 0, 0))
+    assert GEN_A == (1, 1, 1, 0)
+    assert GEN_B == (2, 0, 1, 1)
+    assert prom_mul(GEN_A, GEN_A) == (0, 2, 0, 0)
     assert prom_mul(prom_inv(GEN_B), GEN_B) == IDENTITY
+
+
+def test_elements_are_plain_four_tuples():
+    # the oracle's unpacking is fast only on exact tuples: no subclass
+    for p in (IDENTITY, GEN_A, GEN_B, prom_mul(GEN_A, GEN_B), prom_inv(GEN_A),
+              prom_inv(IDENTITY), evaluate_word("aBab"), evaluate_word(""), *BALL5):
+        assert type(p) is tuple and len(p) == 4, p
+
+
+def test_ball5_order_is_pinned():
+    # the sampled draws index into ball(5), so its order fixes the reports
+    assert len(BALL5) == 147
+    assert BALL5[0] == (0, -4, 0, 0) and BALL5[1] == (0, -2, -2, -2)
+    assert BALL5[-1] == (3, 3, 2, 1)
+    assert hashlib.sha256(repr(BALL5).encode()).hexdigest() == \
+        "891457cc533eb0ed2e5c3fdb8d7789b99e73ef1c1f52e67f2a586deb50fe03e8"
 
 
 def test_relators_die():
@@ -41,7 +58,7 @@ def test_parity_is_preserved_under_multiplication():
         p = sphere[rng.randrange(len(sphere))]
         q = sphere[rng.randrange(len(sphere))]
         r = prom_mul(p, q)
-        assert tuple(v % 2 for v in r.w) == PARITY[r.m]
+        assert tuple(v % 2 for v in r[1:]) == PARITY[r[0]]
     with pytest.raises(InvalidGroupError):
         make_element(1, (0, 0, 0))  # wrong parity for A
     with pytest.raises(InvalidGroupError):
@@ -59,12 +76,12 @@ def test_phi_is_surjective_hom():
             assert phi(prom_mul(p, q)) == (phi(p) + phi(q)) % 2
     # kernel = point-group parts I and B
     for p in sphere:
-        assert (phi(p) == 0) == (p.m in (0, 2))
+        assert (phi(p) == 0) == (p[0] in (0, 2))
 
 
 def test_kernel_cone_examples():
     assert kernel_is_positive(GEN_B) is True
-    assert kernel_is_positive(PromElement(0, (-2, 0, 0))) is False
+    assert kernel_is_positive((0, -2, 0, 0)) is False
     assert kernel_is_positive(IDENTITY) is False
     with pytest.raises(InvalidGroupError):
         kernel_is_positive(GEN_A)
@@ -140,7 +157,7 @@ def test_field_by_field_oracle_matches_the_key_tuples_on_y_ties(g1, g2, t, swap,
     # g3 = g2 t ties g1^-1 g2 and g1^-1 g3 in class and y, so the x and z
     # fields decide; a translation g2 puts g1^-1 g2 in the kernel with
     # y = 0, where x and z also decide the cone class
-    if g2.m == 0 and g2.w[1] == 0:
+    if g2[0] == 0 and g2[2] == 0:
         g2 = prom_mul(g1, g2)
     g3 = prom_mul(g2, t)
     if swap:
@@ -261,7 +278,7 @@ def test_circular_order_invariance_and_cocycle_sampled():
 
 def test_ball_sizes_and_bound():
     assert [len(ball(r)) for r in range(4)] == [1, 5, 17, 41]
-    assert PromElement(0, (2, 0, 0)) in ball(2)
+    assert (0, 2, 0, 0) in ball(2)
     assert len(BALL8) == 525
     with pytest.raises(BoundExceeded):
         ball(9)
@@ -274,6 +291,23 @@ def test_ball_sizes_and_bound():
     with pytest.raises(InvalidGroupError):
         demo(samples=-5)
     assert demo(samples=0)["axioms_sampled"]["checked"] == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", None), ("seed", 1.0), ("seed", True), ("radius", 2.0),
+    ("radius", True), ("samples", 1.5), ("samples", True), ("samples", None),
+])
+def test_demo_arguments_must_be_ints(name, value):
+    # None would seed from OS entropy, a bool would pass as 0 or 1 and a
+    # float would fail deep inside with a bare TypeError
+    with pytest.raises(InvalidGroupError, match=f"demo: {name} .* is not an int"):
+        demo(**{name: value})
+
+
+@pytest.mark.parametrize("radius", [2.0, True, None, "2"])
+def test_ball_radius_must_be_an_int(radius):
+    with pytest.raises(InvalidGroupError, match="is not an int >= 0"):
+        ball(radius)
 
 
 def test_ball_bound_is_the_module_constant(monkeypatch, capsys):
