@@ -24,11 +24,12 @@ triviality of an integral cocycle is the same question, so no Smith normal
 form depends on n.  d1 is reduced once per group and not kept: the integral
 route works on the cocycle matrix, and reads d1 u off the table.
 
-Cocycles are checked on the table (orders.cocycle_failure); d2 is reduced
-only for Z/n coefficients with gcd(n, |G|) > 1, once per group; only there
-is a cocycle flattened to a vector.  When gcd(n, |G|) = 1, H^2(G; Z/n) = 0,
-as both |G| (Brown III.10) and n kill it, so no matrix is needed; a
-projection still checks the cocycle identity mod n.  With
+Raw cocycle matrices are checked on the table (orders.cocycle_failure); an
+InhomCircularOrder was checked when it was built and is trusted.  d2 is
+reduced only for Z/n coefficients with gcd(n, |G|) > 1, once per group;
+only there is a cocycle flattened to a vector.  When gcd(n, |G|) = 1,
+H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill it, so no matrix is
+needed; a projection still checks a raw matrix's cocycle identity mod n.  With
 U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the cocycle condition mod n
 reads d_i y_i = 0 mod n on the rank block and leaves the kernel block free,
 while im d1 lies in the kernel block.  So H^2(G; Z/n) splits as
@@ -472,17 +473,19 @@ class _Complex:
                         IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
 
     def cocycle(self, f, modulus: Optional[int]):
-        """f's matrix, checked by orders.cocycle_failure over Z or Z/modulus;
-        an ordering must live on this table's group."""
-        values = f
+        """f's matrix.  An ordering must live on this table's group and is
+        trusted: validate_inhom or arrangement_to_inhom checked it as an
+        integral cocycle when it was built, and an integral cocycle also
+        satisfies the identity mod every n.  Any other matrix is checked by
+        orders.cocycle_failure over Z or Z/modulus."""
         if isinstance(f, InhomCircularOrder):
             if f.group.table != self.table:
                 raise InvalidGroupError("ordering lives on a different group")
-            values = f.values
-        failure = cocycle_failure(self.table, values, modulus)
+            return f.values
+        failure = cocycle_failure(self.table, f, modulus)
         if failure is not None:
             raise failure
-        return values
+        return f
 
 
 def _complex_for(G: FiniteGroup) -> _Complex:
@@ -504,8 +507,9 @@ class H2Structure:
     those of the nonunit e_j.  Over Z/n it flattens f to its entries at
     nonidentity pairs, takes y = V^-1 f from the d2 Smith normal form and
     divides the rank block of y exactly by its steps n / gcd(d_i, n), then
-    applies `_coords`; for n prime to |G| it checks the cocycle and returns
-    the zero class.  Coordinates are reduced mod each factor.
+    applies `_coords`; for n prime to |G| it checks a raw matrix's cocycle
+    identity mod n and returns the zero class.  Coordinates are reduced mod
+    each factor.
     """
     modulus: Optional[int]
     invariant_factors: tuple
@@ -628,9 +632,11 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     splits into
     z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff gcd(n, e_j) | z_j
     for every j.  d1 u is read off the table as
-    (d1 u)(g,h) = u(g) + u(h) - u(gh) with u(identity) = 0.  The witness
-    mu = (f - d1 u) / n is checked by exact division, then as a cocycle and
-    by direct substitution.
+    (d1 u)(g,h) = u(g) + u(h) - u(gh) with u(identity) = 0.  f is checked as
+    a cocycle unless it is an InhomCircularOrder, which was checked when it
+    was built.  The witness mu = (f - d1 u) / n is always checked: by exact
+    division, then as a cocycle (orders.cocycle_failure) and by direct
+    substitution.
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"n = {n!r} is not an int >= 2")

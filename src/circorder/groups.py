@@ -200,9 +200,9 @@ class SubgroupResult(NamedTuple):
 # -- constructors ----------------------------------------------------------
 
 def cyclic_group(k: int) -> FiniteGroup:
-    """Z/kZ with element i at index i (additive)."""
-    if k < 1:
-        raise InvalidGroupError(f"cyclic_group: order {k} < 1")
+    """Z/kZ with element i at index i (additive); k an int >= 1."""
+    if type(k) is not int or k < 1:   # not True or 2.0
+        raise InvalidGroupError(f"cyclic_group: order {k!r} is not an int >= 1")
     table = [[(i + j) % k for j in range(k)] for i in range(k)]
     return FiniteGroup(table, name=f"Z/{k}")
 

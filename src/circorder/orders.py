@@ -32,7 +32,10 @@ ENUMERATION_ORDER_LIMIT = 12
 
 @dataclass(frozen=True)
 class InhomCircularOrder:
-    """Validated inhomogeneous form; construct via validate_inhom."""
+    """Checked inhomogeneous form: a normalized 0/1 cocycle with f(g, g^-1) = 1
+    off the identity.  Built only by validate_inhom or arrangement_to_inhom,
+    which check it once; later layers (cohomology, extensions) trust it on
+    its own group and do not check the cocycle identity again."""
     group: FiniteGroup
     values: tuple  # order x order over {0,1}
 
@@ -231,26 +234,35 @@ def inhom_to_hom(f: InhomCircularOrder) -> HomCircularOrder:
 
 def arrangement_from_sequence(G: FiniteGroup, sequence: Sequence[int]) -> Arrangement:
     seq = tuple(sequence)
+    _checked_positions(G, seq)
+    return Arrangement(G, seq)
+
+
+def _checked_positions(G: FiniteGroup, seq: tuple) -> list[int]:
+    """pos[g] = the place of g in seq, once seq is checked to be an
+    arrangement of G: exact ints forming a permutation ("shape"), starting at
+    the identity ("normalization"), and inducing a left-invariant order
+    ("invariance")."""
     if any(type(g) is not int for g in seq) or sorted(seq) != list(range(G.order)):
         raise AxiomError("shape", seq, "not a permutation of the elements")
     if seq[0] != 0:
         raise AxiomError("normalization", seq, "arrangement must start at the identity")
-    arr = Arrangement(G, seq)
-    if not _positions_form_hom(arr):
+    pos = _hom_positions(G, seq)
+    if pos is None:
         raise AxiomError("invariance", seq, "induced triple function is not left-invariant")
-    return arr
+    return pos
 
 
-def _positions_form_hom(a: Arrangement) -> bool:
+def _hom_positions(G: FiniteGroup, seq) -> Optional[list[int]]:
     # The circle order induced by positions is left-invariant exactly when
     # g -> position(g) is an isomorphism onto Z/n: pos(h*g) = pos(h) + pos(g).
-    G = a.group
     n = G.order
     pos = [0] * n
-    for p, g in enumerate(a.sequence):
+    for p, g in enumerate(seq):
         pos[g] = p
-    return all(pos[G.table[h][g]] == (pos[h] + pos[g]) % n
-               for h in range(n) for g in range(n))
+    if all(pos[G.table[h][g]] == (pos[h] + pos[g]) % n for h in range(n) for g in range(n)):
+        return pos
+    return None
 
 
 def arrangement_to_hom(a: Arrangement) -> HomCircularOrder:
@@ -273,22 +285,32 @@ def hom_to_arrangement(c: HomCircularOrder) -> Arrangement:
             lo += 1
         ordered.insert(lo, x)
     arr = Arrangement(G, (0, *ordered))
-    if not _positions_form_hom(arr) or arrangement_to_hom(arr).values != c.values:
+    # arrangement_to_inhom raises "invariance" on an arrangement that is not
+    # left-invariant; a left-invariant one must give back c
+    if arrangement_to_hom(arr).values != c.values:
         raise AxiomError("invariance", (0, *ordered),
                          "triple function does not come from a left-invariant arrangement")
     return arr
 
 
 def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
-    """The carry bit f(g, h) = [pos g + pos h >= |G|]: an arrangement is an
-    isomorphism onto Z/|G| by position, and this is standard_order_zn pulled
-    back along it."""
+    """The carry bit f(g, h) = [pos g + pos h >= |G|], checked in O(|G|^2).
+
+    The arrangement is first checked as arrangement_from_sequence checks it
+    (same AxiomError kinds), so g -> pos g is an isomorphism onto Z/|G|, and
+    f is standard_order_zn's carry bit pulled back along it.  The carry bit
+    c(a, b) = [a + b >= n] on Z/n is normalized, has c(a, -a) = 1 for
+    a != 0, and satisfies the cocycle identity: on representatives in
+    0..n-1, c(a, b) + c(a + b, k) and c(b, k) + c(a, b + k) both count the
+    multiples of n dropped from a + b + k.  Pulling back along an
+    isomorphism keeps all three properties, and the entries are exact 0/1
+    ints by construction, so no O(|G|^3) validate_inhom is needed (the
+    tests keep it as the oracle).
+    """
     G = a.group
     n = G.order
-    pos = [0] * n
-    for p, g in enumerate(a.sequence):
-        pos[g] = p
-    return validate_inhom(G, [[int(pos[g] + pos[h] >= n) for h in range(n)] for g in range(n)])
+    pos = _checked_positions(G, tuple(a.sequence))
+    return InhomCircularOrder(G, tuple(tuple(int(pg + ph >= n) for ph in pos) for pg in pos))
 
 
 # -- enumeration -----------------------------------------------------------
@@ -296,13 +318,17 @@ def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
 def enumerate_circular_orders(G: FiniteGroup,
                               max_order: Optional[int] = None) -> list[Arrangement]:
     """All left-invariant arrangements of G, lexicographically by sequence,
-    for G up to max_order (default ENUMERATION_ORDER_LIMIT, read per call).
+    for G up to max_order (default ENUMERATION_ORDER_LIMIT, read per call;
+    otherwise an int >= 0).
 
     Strategy: anchor the identity, pick the element z following it; requiring
     invariance under z alone already forces the candidate permutation
     (id, z, z*z, ...), which is then verified in full.  Empty exactly when G
     admits no circular ordering.
     """
+    if max_order is not None and (type(max_order) is not int or max_order < 0):
+        raise InvalidGroupError(f"enumerate_circular_orders: max_order {max_order!r} "
+                                "is not None or an int >= 0")
     limit = ENUMERATION_ORDER_LIMIT if max_order is None else max_order
     if G.order > limit:
         raise BoundExceeded(f"enumerate_circular_orders: order {G.order} > limit {limit}")
@@ -317,9 +343,8 @@ def enumerate_circular_orders(G: FiniteGroup,
             x = G.table[z][x]
         if x != 0 or len(seq) != G.order:
             continue  # z does not generate: invariance under z is unsatisfiable
-        arr = Arrangement(G, tuple(seq))
-        if _positions_form_hom(arr):
-            found.append(arr)
+        if _hom_positions(G, seq) is not None:
+            found.append(Arrangement(G, tuple(seq)))
     found.sort(key=lambda a: a.sequence)
     return found
 
@@ -328,9 +353,10 @@ def enumerate_circular_orders(G: FiniteGroup,
 
 def standard_order_zn(n: int) -> InhomCircularOrder:
     """The ordering of Z/n from the embedding into the circle: f is the carry
-    bit of addition, f(a,b) = 1 iff a + b >= n on representatives 0 <= a < n."""
-    if n < 1:
-        raise InvalidGroupError(f"standard_order_zn: n = {n} < 1")
+    bit of addition, f(a,b) = 1 iff a + b >= n on representatives 0 <= a < n;
+    n an int >= 1."""
+    if type(n) is not int or n < 1:   # not True or 2.0
+        raise InvalidGroupError(f"standard_order_zn: n = {n!r} is not an int >= 1")
     G = cyclic_group(n)
     values = [[1 if a + b >= n else 0 for b in range(n)] for a in range(n)]
     return validate_inhom(G, values)

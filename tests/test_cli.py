@@ -314,11 +314,12 @@ def test_human_readable_output(capsys, group_file):
 # form that yields wrong witnesses, a corrupted cached V^-1 that breaks
 # the exact division of the row-sum class coordinates, and a corrupted
 # cached V^-1 of d2 that moves a Z/n projection off its steps, must still
-# raise CheckFailed, and the CLI must still exit 1 on it.
+# raise CheckFailed, and the CLI must still exit 1 on it; a hand-built
+# arrangement that is not left-invariant must still raise AxiomError.
 _CORRUPTED_CHECKS = r"""
 import json, sys
-from circorder import (AxiomError, CheckFailed, IntMatrix, cli, cohomology, cyclic_group,
-                       dump_group, standard_order_zn)
+from circorder import (AxiomError, Arrangement, CheckFailed, IntMatrix, arrangement_to_inhom,
+                       cli, cohomology, cyclic_group, dump_group, standard_order_zn)
 from helpers import verify_snf
 
 def raises_check_failed(call, match=""):
@@ -367,8 +368,39 @@ H = cohomology.h2_structure(G, 2)
 flat = [v for row in f.values[1:] for v in row[1:]]
 cohomology._Complex(G).d2_smith.vinv.data[0][flat.index(1)] += 1
 results["d2_vinv"] = raises_check_failed(lambda: H.project(f), "off its steps")
+# arrangement_to_inhom builds a trusted cocycle, so its arrangement check
+# must hold without asserts: (0, 1, 3, 2) is a permutation from the identity
+# whose positions are not a homomorphism onto Z/4
+results["arrangement_to_inhom"] = axiom_failure(
+    lambda: arrangement_to_inhom(Arrangement(G, (0, 1, 3, 2))))
 print(json.dumps(results))
 """
+
+
+def test_each_ordering_is_checked_once(monkeypatch, group_file):
+    # the O(|G|^3) identity check runs once per object it proves: an ordering
+    # from an arrangement is proved by its O(|G|^2) isomorphism check, so
+    # product-co runs it only on the witness mu, and class_of trusts an
+    # ordering; a raw matrix is checked on every call
+    calls = []
+    inner = orders._identity_failure
+    monkeypatch.setattr(orders, "_identity_failure",
+                        lambda *args: calls.append(args) or inner(*args))
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    path = group_file(cyclic_group(10))
+    assert count(lambda: main(["product-co", "--group", path, "--n", "3"])) == 1
+    G, f = cyclic_group(4), standard_order_zn(4)
+    raw = [list(row) for row in f.values]
+    assert count(lambda: class_of(G, f)) == 0
+    assert count(lambda: class_of(G, raw)) == 1
+    # [f] generates H^2(Z/4; Z) = Z/4, so it is not 2-divisible: no mu to check
+    assert count(lambda: is_n_divisible(G, raw, 2)) == 1
+    assert count(lambda: is_n_divisible(G, f, 3)) == 1   # mu only
 
 
 def test_checks_survive_python_O(tmp_path):
@@ -386,5 +418,6 @@ def test_checks_survive_python_O(tmp_path):
                                        "e_0": 1, "class_of_vinv": True,
                                        "is_n_divisible_vinv": True,
                                        "coprime_non_cocycle": "cocycle",
-                                       "d2_vinv": True}
+                                       "d2_vinv": True,
+                                       "arrangement_to_inhom": "invariance"}
     assert "check failed" in proc.stderr

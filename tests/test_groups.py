@@ -6,6 +6,7 @@ from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group,
                               group_from_json, is_normal, is_subgroup, load_group,
                               quotient, subgroup_generated, symmetric_group,
                               trivial_group)
+from circorder.orders import standard_order_zn
 
 import helpers
 from helpers import all_subgroups, find_isomorphism, library_groups, relabeled
@@ -18,6 +19,14 @@ def test_cyclic_group_tables():
     assert cyclic_group(6).inverse[2] == 4
     with pytest.raises(InvalidGroupError):
         cyclic_group(0)
+
+
+@pytest.mark.parametrize("build", [cyclic_group, standard_order_zn])
+@pytest.mark.parametrize("k", [True, 2.0, None, "3"])
+def test_cyclic_order_must_be_an_int(build, k):
+    # True and 2.0 compare equal to ints, but an order is an exact int
+    with pytest.raises(InvalidGroupError, match="is not an int >= 1"):
+        build(k)
 
 
 def test_every_library_group_passes_exhaustive_axioms():

@@ -3,11 +3,12 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from circorder.errors import AxiomError, BoundExceeded
+from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
 from circorder.groups import (cyclic_group, direct_product, GroupHom, group_to_json,
                               symmetric_group, trivial_group)
-from circorder.orders import (arrangement_from_sequence,
+from circorder.orders import (Arrangement, arrangement_from_sequence,
                               arrangement_to_hom, arrangement_to_inhom,
                               enumerate_circular_orders, hom_to_arrangement,
                               hom_to_inhom, inhom_to_hom,
@@ -138,6 +139,44 @@ def test_arrangement_examples():
         arrangement_from_sequence(c3, (1, 0, 2))
     with pytest.raises(AxiomError):
         arrangement_from_sequence(c3, (0, 0, 2))
+
+
+_LIBRARY = library_groups()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arrangement_cocycles_pass_the_validate_inhom_oracle(data):
+    # arrangement_to_inhom checks the arrangement in O(|G|^2) and builds the
+    # carry bit without validate_inhom; the full axiom check must accept
+    # every such cocycle and return its values unchanged
+    G = data.draw(st.sampled_from(_LIBRARY))   # orders 1 to 12
+    H = relabeled(G, [0] + data.draw(st.permutations(range(1, G.order))))
+    for arr in enumerate_circular_orders(H):
+        f = arrangement_to_inhom(arr)
+        assert validate_inhom(H, f.values).values == f.values
+        assert all(type(v) is int for row in f.values for v in row)
+
+
+@pytest.mark.parametrize("seq, kind", [
+    ((0, 1, 1, 3), "shape"),             # duplicate entry
+    ((0, True, 2, 3), "shape"),          # sorts like (0, 1, 2, 3)
+    ((1, 2, 3, 0), "normalization"),     # does not start at the identity
+    ((0, 1, 3, 2), "invariance"),        # pos(1 + 1) != pos(1) + pos(1)
+])
+def test_arrangement_to_inhom_checks_hand_built_arrangements(seq, kind):
+    c4 = cyclic_group(4)
+    with pytest.raises(AxiomError) as direct:
+        arrangement_from_sequence(c4, seq)
+    with pytest.raises(AxiomError) as built:
+        arrangement_to_inhom(Arrangement(c4, seq))
+    assert direct.value.kind == built.value.kind == kind
+
+
+@pytest.mark.parametrize("max_order", [2.5, True, -1, "12"])
+def test_enumeration_limit_must_be_none_or_an_int(max_order):
+    with pytest.raises(InvalidGroupError, match="max_order"):
+        enumerate_circular_orders(cyclic_group(2), max_order=max_order)
 
 
 def test_arrangement_to_hom_matches_the_position_chart():
