@@ -17,8 +17,7 @@ from .orders import (Arrangement, HomCircularOrder, InhomCircularOrder,
                      LeftOrderOracle, arrangement_from_sequence,
                      arrangement_to_hom, arrangement_to_inhom,
                      enumerate_circular_orders, hom_to_arrangement,
-                     hom_to_inhom, inhom_to_hom, left_order_from_cone,
-                     lexicographic_circular_order, lexicographic_order_finite,
+                     hom_to_inhom, inhom_to_hom, lexicographic_circular_order,
                      ordering_from_json, ordering_to_json, standard_order_zn,
                      validate_hom, validate_inhom)
 from .extensions import (CentralExtElement, CentralExtensionGroup,

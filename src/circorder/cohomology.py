@@ -57,7 +57,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BoundExceeded, InvalidGroupError, require
-from .groups import FiniteGroup, closure
+from .groups import FiniteGroup, _greedy_generators
 from .orders import InhomCircularOrder, cocycle_failure
 
 H2_ORDER_LIMIT = 10
@@ -384,18 +384,6 @@ def _coboundary_rows(G: FiniteGroup, degree: int, lasts: Sequence[int]) -> IntMa
                     col = col * m + g - 1
                 row[col] += -1 if i % 2 else 1
     return d
-
-
-def _greedy_generators(G: FiniteGroup) -> list[int]:
-    """The elements, scanned by index, that are not in the closure of those
-    kept before them: a generating set in which each element at least
-    doubles the subgroup, so at most log2 |G| of them."""
-    gens, span = [], frozenset((0,))
-    for g in range(1, G.order):
-        if g not in span:
-            gens.append(g)
-            span = closure(G, gens)
-    return gens
 
 
 def coboundary_matrices(G: FiniteGroup):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from . import groups
 from .errors import BoundExceeded, InvalidGroupError, require
 from .groups import FiniteGroup
 from .orders import InhomCircularOrder, cocycle_failure, validate_inhom
@@ -83,10 +82,7 @@ class CentralExtensionGroup:
         table = [[(a + b + c) % n * m + gh for b in range(n) for c, gh in steps[g]]
                  for a in range(n) for g in range(m)]
         names = [self.element_name(CentralExtElement(a, g)) for a in range(n) for g in range(m)]
-        # associativity follows from the verified cocycle identity; the full
-        # cubic check is only affordable for small tables
-        return FiniteGroup(table, names=names, name=f"ext({self.base.name},Z/{n})",
-                           validate=order <= groups.ASSOCIATIVITY_CHECK_LIMIT)
+        return FiniteGroup(table, names=names, name=f"ext({self.base.name},Z/{n})")
 
 
 def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> CentralExtensionGroup:

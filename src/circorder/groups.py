@@ -14,11 +14,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import BoundExceeded, InvalidGroupError
 
-# Full associativity validation is O(order^3); above this cutoff it is only
-# run when explicitly requested (construction sites must guarantee it by
-# other means, e.g. a verified cocycle law).
-ASSOCIATIVITY_CHECK_LIMIT = 128
-
 # Guard against accidental materialization of huge product tables.
 MAX_TABLE_ORDER = 4096
 
@@ -55,8 +50,7 @@ class FiniteGroup:
         self.name = name
         self.inverse = self._derive_inverse()
         if validate:
-            self.validate(
-                check_associativity=order <= ASSOCIATIVITY_CHECK_LIMIT)
+            self.validate()
 
     def _derive_inverse(self) -> tuple:
         inverse = []
@@ -68,8 +62,17 @@ class FiniteGroup:
             inverse.append(hs[0])
         return tuple(inverse)
 
-    def validate(self, check_associativity: bool = True) -> None:
-        """Check all group axioms; raise InvalidGroupError naming the bad cell."""
+    def validate(self) -> None:
+        """Check all group axioms; raise InvalidGroupError naming the bad cell.
+
+        Associativity is Light's test, in O(|G|^2 |S|): (xy)s = x(ys) for
+        all x, y and each s in S = _greedy_generators(self), from which
+        right multiplication by S alone reaches every element z.  That
+        proves (xy)z = x(yz) by induction on z along the search: for z s
+        with z done, (xy)(zs) = ((xy)z)s = (x(yz))s = x((yz)s) = x(y(zs)),
+        each step the S-case or the hypothesis, and the induction starts at
+        the identity, checked above.  It assumes no other group axiom, so a
+        table that is not a group may need a larger S, but is never passed."""
         n, table = self.order, self.table
         for g in range(n):
             if table[0][g] != g:
@@ -86,18 +89,15 @@ class FiniteGroup:
         for g in range(n):
             if table[g][self.inverse[g]] != 0 or table[self.inverse[g]][g] != 0:
                 raise InvalidGroupError(f"inverse[{g}] = {self.inverse[g]} is not two-sided")
-        if check_associativity:
+        for s in _greedy_generators(self):
+            col = [row[s] for row in table]           # col[x] = x*s
             for g in range(n):
                 rowg = table[g]
-                for h in range(n):
-                    gh = rowg[h]
-                    rowh = table[h]
-                    rowgh = table[gh]
-                    for k in range(n):
-                        if rowgh[k] != rowg[rowh[k]]:
-                            raise InvalidGroupError(
-                                f"associativity fails at ({g},{h},{k}): "
-                                f"({g}*{h})*{k} = {rowgh[k]} but {g}*({h}*{k}) = {rowg[rowh[k]]}")
+                if [col[gh] for gh in rowg] != [rowg[hs] for hs in col]:
+                    h = next(h for h in range(n) if col[rowg[h]] != rowg[col[h]])
+                    raise InvalidGroupError(
+                        f"associativity fails at ({g},{h},{s}): ({g}*{h})*{s} = "
+                        f"{col[rowg[h]]} but {g}*({h}*{s}) = {rowg[col[h]]}")
 
     # -- element arithmetic ------------------------------------------------
 
@@ -226,8 +226,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
                 for h2 in range(m):
                     row[g2 * m + h2] = grow * m + H.table[h1][h2]
     names = [f"({G.names[g]},{H.names[h]})" for g in range(n) for h in range(m)]
-    return FiniteGroup(table, names=names, name=f"{G.name}x{H.name}",
-                       validate=n * m <= ASSOCIATIVITY_CHECK_LIMIT)
+    return FiniteGroup(table, names=names, name=f"{G.name}x{H.name}")
 
 
 def _check_range(G: FiniteGroup, elems, what: str) -> None:
@@ -278,6 +277,32 @@ def closure(G: FiniteGroup, gens: Iterable[int]) -> frozenset:
                     nxt.append(y)
         frontier = nxt
     return frozenset(elems)
+
+
+def _greedy_generators(G: FiniteGroup) -> list[int]:
+    """The elements, scanned by index, that right multiplication by those
+    kept before them does not reach from the identity; at the end it
+    reaches every element.  It reads only the table, so it runs inside
+    validation.  In a group the reached set is the subgroup the kept
+    elements generate, so each one at least doubles it, and there are at
+    most log2 |G| of them."""
+    table, gens = G.table, []
+    reached = [True] + [False] * (G.order - 1)
+    for g in range(1, G.order):
+        if not reached[g]:
+            gens.append(g)
+            frontier = [x for x, r in enumerate(reached) if r]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    row = table[x]
+                    for s in gens:
+                        y = row[s]
+                        if not reached[y]:
+                            reached[y] = True
+                            nxt.append(y)
+                frontier = nxt
+    return gens
 
 
 def is_subgroup(G: FiniteGroup, subset: Iterable[int]) -> bool:

@@ -21,11 +21,10 @@ evaluation oracles on triples and never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .errors import AxiomError, BoundExceeded, InvalidGroupError
-from .groups import (FiniteGroup, GroupHom, cyclic_group, group_from_json,
-                     group_to_json)
+from .groups import FiniteGroup, cyclic_group, group_from_json, group_to_json
 
 ENUMERATION_ORDER_LIMIT = 12
 
@@ -81,21 +80,6 @@ class LeftOrderOracle:
             return 0
         parity = int(self.less(x, y)) + int(self.less(y, z)) + int(self.less(x, z))
         return 1 if parity % 2 == 1 else -1
-
-
-def left_order_from_cone(G: FiniteGroup, positive: Iterable[int]) -> LeftOrderOracle:
-    """Exhaustively checked cone on a finite carrier (only the trivial group,
-    among finite groups, admits one)."""
-    P = frozenset(positive)
-    for g in range(G.order):
-        flags = (g in P, G.inverse[g] in P, g == 0)
-        if sum(flags) != 1:
-            raise AxiomError("trichotomy", (g,))
-    for a in P:
-        for b in P:
-            if G.table[a][b] not in P:
-                raise AxiomError("closure", (a, b))
-    return LeftOrderOracle(P.__contains__, G.mul, G.inv, 0)
 
 
 # -- validation ------------------------------------------------------------
@@ -322,9 +306,13 @@ def enumerate_circular_orders(G: FiniteGroup,
     otherwise an int >= 0).
 
     Strategy: anchor the identity, pick the element z following it; requiring
-    invariance under z alone already forces the candidate permutation
-    (id, z, z*z, ...), which is then verified in full.  Empty exactly when G
-    admits no circular ordering.
+    invariance under z alone already forces the sequence (id, z, z*z, ...),
+    kept when z generates G.  No further check is needed: the table is
+    associative (FiniteGroup checks it at every order), so z^j z^k = z^(j+k)
+    and positions form an isomorphism onto Z/|G|, which makes the sequence
+    an ordering.  arrangement_to_inhom proves that once, in O(|G|^2), when
+    it builds the cocycle.  Empty exactly when G admits no circular
+    ordering.
     """
     if max_order is not None and (type(max_order) is not int or max_order < 0):
         raise InvalidGroupError(f"enumerate_circular_orders: max_order {max_order!r} "
@@ -341,9 +329,7 @@ def enumerate_circular_orders(G: FiniteGroup,
         while x != 0 and len(seq) <= G.order:
             seq.append(x)
             x = G.table[z][x]
-        if x != 0 or len(seq) != G.order:
-            continue  # z does not generate: invariance under z is unsatisfiable
-        if _hom_positions(G, seq) is not None:
+        if x == 0 and len(seq) == G.order:   # else z does not generate
             found.append(Arrangement(G, tuple(seq)))
     found.sort(key=lambda a: a.sequence)
     return found
@@ -396,24 +382,6 @@ def lexicographic_circular_order(phi: Callable[[Any], Any],
             mul(inv(g2), g1), kernel_order.identity, mul(inv(g1), g2))
 
     return value
-
-
-def lexicographic_order_finite(phi: GroupHom,
-                               kernel_order: LeftOrderOracle,
-                               quotient_order: HomCircularOrder) -> HomCircularOrder:
-    """Materialized lexicographic ordering for a finite total group."""
-    G, H = phi.source, phi.target
-    if not phi.is_surjective():
-        raise InvalidGroupError("lexicographic order: phi is not onto the quotient carrier")
-    if quotient_order.group != H:
-        raise InvalidGroupError("lexicographic order: quotient ordering lives on the wrong group")
-    oracle = lexicographic_circular_order(
-        phi, kernel_order,
-        lambda a, b, c: quotient_order.values[a][b][c],
-        G.mul, G.inv)
-    n = G.order
-    values = [[[oracle(g1, g2, g3) for g3 in range(n)] for g2 in range(n)] for g1 in range(n)]
-    return validate_hom(G, values)
 
 
 # -- JSON interface --------------------------------------------------------

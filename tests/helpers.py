@@ -3,9 +3,11 @@
 Everything here is deliberately written from scratch (brute force,
 enumeration, minors) so that it can cross-check the production code without
 sharing its machinery.  The exceptions are the slow literal routes that no
-answer of the package runs, kept here as references: the isomorphism search
-and the Z-extension cone with its quotients, which build on the package's
-group tables and extensions, and the Smith data of all of d2.
+answer of the package runs, kept here as references: the cubic
+associativity check, the isomorphism search, the finite left orders and
+lexicographic orderings, and the Z-extension cone with its quotients, which
+build on the package's group tables and extensions, and the Smith data of
+all of d2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from circorder import groups, promislow
+from circorder import promislow
 from circorder.cohomology import (IntMatrix, _D2Smith, coboundary_matrices,
                                   coboundary_matrix, kernel_basis, smith_normal_form)
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
@@ -26,7 +28,9 @@ from circorder.extensions import (CentralExtElement, _as_order, build_extension,
 from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group, dihedral_group,
                               direct_product, quotient, subgroup_generated, symmetric_group,
                               trivial_group)
-from circorder.orders import InhomCircularOrder, cocycle_failure, validate_inhom
+from circorder.orders import (HomCircularOrder, InhomCircularOrder, LeftOrderOracle,
+                              cocycle_failure, lexicographic_circular_order, validate_hom,
+                              validate_inhom)
 
 ISOMORPHISM_ORDER_LIMIT = 24
 
@@ -52,6 +56,54 @@ def relabeled(G: FiniteGroup, perm) -> FiniteGroup:
         inv[p] = g
     return FiniteGroup([[perm[G.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)],
                        name=f"{G.name}~")
+
+
+def associativity_failure(table) -> Optional[tuple]:
+    """The first (g, h, k) with (g*h)*k != g*(h*k) over all |G|^3 triples,
+    or None: the cubic check that Light's test in FiniteGroup.validate
+    replaces."""
+    n = len(table)
+    for g in range(n):
+        rowg = table[g]
+        for h in range(n):
+            rowgh, rowh = table[rowg[h]], table[h]
+            for k in range(n):
+                if rowgh[k] != rowg[rowh[k]]:
+                    return g, h, k
+    return None
+
+
+def is_intercalate(table, r1, r2, c1, c2) -> bool:
+    """Whether rows r1, r2 and columns c1, c2 (none of them 0) form a 2x2
+    latin subsquare with no identity entry: swapping it keeps the latin
+    rows and columns, the identity and the inverses of a table."""
+    return (0 not in (r1, r2, c1, c2)
+            and table[r1][c1] == table[r2][c2] != 0
+            and table[r1][c2] == table[r2][c1] != 0)
+
+
+def intercalates(table) -> list[tuple]:
+    """Every intercalate (r1, r2, c1, c2) with r1 < r2 and c1 < c2."""
+    pairs = list(combinations(range(1, len(table)), 2))
+    return [(r1, r2, c1, c2) for r1, r2 in pairs for c1, c2 in pairs
+            if is_intercalate(table, r1, r2, c1, c2)]
+
+
+def swap_intercalate(table, r1, r2, c1, c2) -> list[list[int]]:
+    """A copy of table with the latin subsquare at rows r1, r2 and columns
+    c1, c2 swapped."""
+    out = [list(row) for row in table]
+    out[r1][c1], out[r1][c2] = table[r1][c2], table[r1][c1]
+    out[r2][c1], out[r2][c2] = table[r2][c2], table[r2][c1]
+    return out
+
+
+def loop130_table() -> list[list[int]]:
+    """Z/130 with one intercalate swapped (rows 1 and 66, columns 2 and 67):
+    an identity, two-sided inverses and latin rows and columns, but not
+    associative, and above the order (128) where associativity used to be
+    checked."""
+    return swap_intercalate(cyclic_group(130).table, 1, 66, 2, 67)
 
 
 class _Expired(TimeoutError):
@@ -218,6 +270,43 @@ def brute_force_arrangements(G: FiniteGroup) -> list[tuple]:
 
 def group_is_circularly_orderable_brute(G: FiniteGroup) -> bool:
     return bool(brute_force_arrangements(G))
+
+
+# -- left orders and the lexicographic construction on finite carriers ---------
+# A finite group has a left order only when it is trivial, so on finite
+# carriers these are vacuous; the package keeps the oracle form
+# (`orders.lexicographic_circular_order`) that the Promislow ordering uses.
+
+def left_order_from_cone(G: FiniteGroup, positive) -> LeftOrderOracle:
+    """Exhaustively checked cone on a finite carrier (only the trivial group,
+    among finite groups, admits one)."""
+    P = frozenset(positive)
+    for g in range(G.order):
+        flags = (g in P, G.inverse[g] in P, g == 0)
+        if sum(flags) != 1:
+            raise AxiomError("trichotomy", (g,))
+    for a in P:
+        for b in P:
+            if G.table[a][b] not in P:
+                raise AxiomError("closure", (a, b))
+    return LeftOrderOracle(P.__contains__, G.mul, G.inv, 0)
+
+
+def lexicographic_order_finite(phi: GroupHom, kernel_order: LeftOrderOracle,
+                               quotient_order: HomCircularOrder) -> HomCircularOrder:
+    """Materialized lexicographic ordering for a finite total group."""
+    G, H = phi.source, phi.target
+    if not phi.is_surjective():
+        raise InvalidGroupError("lexicographic order: phi is not onto the quotient carrier")
+    if quotient_order.group != H:
+        raise InvalidGroupError("lexicographic order: quotient ordering lives on the wrong group")
+    oracle = lexicographic_circular_order(
+        phi, kernel_order,
+        lambda a, b, c: quotient_order.values[a][b][c],
+        G.mul, G.inv)
+    n = G.order
+    values = [[[oracle(g1, g2, g3) for g3 in range(n)] for g2 in range(n)] for g1 in range(n)]
+    return validate_hom(G, values)
 
 
 # -- independent Smith-normal-form oracles ------------------------------------
@@ -790,8 +879,7 @@ def quotient_by_power(G: FiniteGroup, f, n: int) -> QuotientPowerResult:
          for residue in range(n) for g in range(m)],
         lambda x: x.a % n * m + x.g)
     names = [f"({a}, {G.names[g]})" for a in range(n) for g in range(m)]
-    Q = FiniteGroup(table, names=names, name=f"{G.name}~/{n}",
-                    validate=n * m <= groups.ASSOCIATIVITY_CHECK_LIMIT)
+    Q = FiniteGroup(table, names=names, name=f"{G.name}~/{n}")
     return QuotientPowerResult(Q, validate_inhom(Q, cocycle))
 
 

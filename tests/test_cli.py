@@ -70,6 +70,17 @@ def test_enumerate_exit_codes(tmp_path, group_file):
     assert main(["enumerate", "--group", group_file(cyclic_group(13))]) == 3
 
 
+@pytest.mark.parametrize("argv", [["obstruction"], ["enumerate"],
+                                  ["product-co", "--n", "2"]])
+def test_a_table_that_is_not_a_group_exits_2(tmp_path, capsys, argv):
+    # Z/130 with one intercalate swapped: latin, with identity and inverses,
+    # and past the order (128) up to which associativity used to be checked
+    path = tmp_path / "loop130.json"
+    path.write_text(json.dumps({"name": "loop130", "table": helpers.loop130_table()}))
+    assert main([argv[0], "--group", str(path), *argv[1:]]) == 2
+    assert "associativity fails at (1,1,1)" in capsys.readouterr().err
+
+
 def test_the_parser_is_built_once(monkeypatch, capsys, group_file):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -315,12 +326,14 @@ def test_human_readable_output(capsys, group_file):
 # the exact division of the row-sum class coordinates, and a corrupted
 # cached V^-1 of d2 that moves a Z/n projection off its steps, must still
 # raise CheckFailed, and the CLI must still exit 1 on it; a hand-built
-# arrangement that is not left-invariant must still raise AxiomError.
+# arrangement that is not left-invariant must still raise AxiomError, and a
+# table that is not associative must still raise InvalidGroupError.
 _CORRUPTED_CHECKS = r"""
 import json, sys
-from circorder import (AxiomError, Arrangement, CheckFailed, IntMatrix, arrangement_to_inhom,
-                       cli, cohomology, cyclic_group, dump_group, standard_order_zn)
-from helpers import verify_snf
+from circorder import (AxiomError, Arrangement, CheckFailed, FiniteGroup, IntMatrix,
+                       InvalidGroupError, arrangement_to_inhom, cli, cohomology,
+                       cyclic_group, dump_group, standard_order_zn)
+from helpers import loop130_table, verify_snf
 
 def raises_check_failed(call, match=""):
     try:
@@ -373,6 +386,13 @@ results["d2_vinv"] = raises_check_failed(lambda: H.project(f), "off its steps")
 # whose positions are not a homomorphism onto Z/4
 results["arrangement_to_inhom"] = axiom_failure(
     lambda: arrangement_to_inhom(Arrangement(G, (0, 1, 3, 2))))
+# Light's associativity test must reject a table that is not a group, at
+# every order, without asserts
+try:
+    FiniteGroup(loop130_table())
+    results["loop130"] = None
+except InvalidGroupError as exc:
+    results["loop130"] = str(exc).split(":")[0]
 print(json.dumps(results))
 """
 
@@ -403,6 +423,23 @@ def test_each_ordering_is_checked_once(monkeypatch, group_file):
     assert count(lambda: is_n_divisible(G, f, 3)) == 1   # mu only
 
 
+def test_each_arrangement_is_checked_once(monkeypatch, group_file):
+    # a generator's powers always form an ordering of an associative table,
+    # so the enumeration checks no positions, and arrangement_to_inhom
+    # checks each arrangement once when it builds the cocycle
+    calls = []
+    inner = orders._hom_positions
+    monkeypatch.setattr(orders, "_hom_positions",
+                        lambda G, seq: calls.append(tuple(seq)) or inner(G, seq))
+    G = cyclic_group(8)   # within obstruction.SPECTRUM_VERIFY_LIMIT
+    assert len(enumerate_circular_orders(G)) == 4 and calls == []
+    path = group_file(G)
+    for argv in (["enumerate", "--group", path], ["obstruction", "--group", path]):
+        calls.clear()
+        assert main(argv) == 0
+        assert sorted(calls) == sorted(a.sequence for a in enumerate_circular_orders(G))
+
+
 def test_checks_survive_python_O(tmp_path):
     src = str(Path(circorder.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
@@ -419,5 +456,6 @@ def test_checks_survive_python_O(tmp_path):
                                        "is_n_divisible_vinv": True,
                                        "coprime_non_cocycle": "cocycle",
                                        "d2_vinv": True,
-                                       "arrangement_to_inhom": "invariance"}
+                                       "arrangement_to_inhom": "invariance",
+                                       "loop130": "associativity fails at (1,1,1)"}
     assert "check failed" in proc.stderr

@@ -1,4 +1,8 @@
+import json
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circorder.errors import BoundExceeded, InvalidGroupError
 from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group,
@@ -31,7 +35,8 @@ def test_cyclic_order_must_be_an_int(build, k):
 
 def test_every_library_group_passes_exhaustive_axioms():
     for G in library_groups():
-        G.validate(check_associativity=True)
+        G.validate()
+        assert helpers.associativity_failure(G.table) is None
         for g in range(G.order):
             assert G.table[0][g] == g and G.table[g][0] == g
             assert G.table[g][G.inverse[g]] == 0
@@ -297,6 +302,60 @@ def test_associativity_diagnostic():
              [4, 3, 1, 2, 0]]
     with pytest.raises(InvalidGroupError, match="associativity"):
         FiniteGroup(table)
+
+
+def _named_triple(message: str) -> tuple:
+    g, h, k = re.search(r"associativity fails at \((\d+),(\d+),(\d+)\)", message).groups()
+    return int(g), int(h), int(k)
+
+
+def _fails_at(table, g, h, k) -> bool:
+    return table[table[g][h]][k] != table[g][table[h][k]]
+
+
+def test_loop130_is_rejected_at_every_order(tmp_path):
+    # latin, with identity and inverses, but not associative, and past the
+    # order (128) up to which associativity used to be checked
+    table = helpers.loop130_table()
+    assert helpers.associativity_failure(table) is not None
+    path = tmp_path / "loop130.json"
+    path.write_text(json.dumps({"name": "loop130", "table": table}))
+    with pytest.raises(InvalidGroupError, match="associativity") as err:
+        load_group(path)
+    assert _named_triple(str(err.value)) == (1, 1, 1)
+    assert _fails_at(table, 1, 1, 1)
+
+
+def _loop_cases():
+    # library tables and products that have intercalates (Z/odd has none)
+    tables = [G.table for G in library_groups()]
+    tables += [direct_product(symmetric_group(3), cyclic_group(2)).table,
+               direct_product(dihedral_group(4), cyclic_group(2)).table,
+               direct_product(cyclic_group(4), cyclic_group(4)).table]
+    return [(t, cells) for t in tables for cells in [helpers.intercalates(t)] if cells]
+
+
+_LOOP_CASES = _loop_cases()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_light_test_agrees_with_the_cubic_check(data):
+    # up to two intercalate swaps keep every group axiom but associativity,
+    # which they may or may not break: Light's test and the O(|G|^3) oracle
+    # must accept together, and reject together at a triple that fails
+    table, cells = data.draw(st.sampled_from(_LOOP_CASES))
+    for cell in data.draw(st.lists(st.sampled_from(cells), max_size=2)):
+        if helpers.is_intercalate(table, *cell):   # the first swap may break it
+            table = helpers.swap_intercalate(table, *cell)
+    oracle = helpers.associativity_failure(table)
+    try:
+        FiniteGroup(table)
+    except InvalidGroupError as exc:
+        assert oracle is not None
+        assert _fails_at(table, *_named_triple(str(exc)))
+    else:
+        assert oracle is None
 
 
 def test_hom_validation():

@@ -12,11 +12,11 @@ from circorder.orders import (Arrangement, arrangement_from_sequence,
                               arrangement_to_hom, arrangement_to_inhom,
                               enumerate_circular_orders, hom_to_arrangement,
                               hom_to_inhom, inhom_to_hom,
-                              left_order_from_cone, lexicographic_order_finite,
                               ordering_from_json, ordering_to_json,
                               standard_order_zn, validate_hom, validate_inhom)
 
-from helpers import (_cyclic_value, brute_force_arrangements, euler_phi, library_groups,
+from helpers import (_cyclic_value, brute_force_arrangements, euler_phi,
+                     left_order_from_cone, lexicographic_order_finite, library_groups,
                      relabeled)
 
 

@@ -217,6 +217,50 @@ def test_corrupted_oracles_are_counted_per_quadruple(monkeypatch):
     assert seen == {"vanishing", "antisymmetry", "invariance", "cocycle"}
 
 
+def _choice_quadruples(seed, radius, samples):
+    """The quadruples rng.choice draws, and the rng after drawing them."""
+    rng = random.Random(seed)
+    big = ball(radius)
+    return [tuple(rng.choice(big) for _ in range(4)) for _ in range(samples)], rng
+
+
+@pytest.mark.parametrize("radius", [0, 2, 5, 8])
+@pytest.mark.parametrize("seed", [1729, 7, 8])
+def test_sampled_draws_are_those_of_rng_choice(monkeypatch, seed, radius):
+    # the sampler draws indices from the stream rng.choice reads, so it must
+    # make the calls the one-quadruple-at-a-time route makes on the
+    # rng.choice draws, in order, and leave rng where they leave it; a
+    # Python whose choice draws differently fails here, not in the reports
+    calls = []
+
+    def recording(g1, g2, g3):
+        calls.append((g1, g2, g3))
+        return promislow_circular_order(g1, g2, g3)
+    monkeypatch.setattr(promislow, "promislow_circular_order", recording)
+    rng = random.Random(seed)
+    got = promislow._sampled_axiom_counts(recording, prom_mul, ball(radius), rng, 500)
+    sampled = calls[:]
+    calls.clear()
+    quadruples, after = _choice_quadruples(seed, radius, 500)
+    assert got == axiom_counts(quadruples)
+    # every call, so also each quadruple's first call c(g1, g2, g3)
+    assert sampled == calls and len(calls) >= 5 * 500
+    assert rng.getstate() == after.getstate()
+
+
+def test_corrupted_oracles_are_counted_per_sampled_quadruple(monkeypatch):
+    seen = set()
+    quadruples, _ = _choice_quadruples(1729, 5, 3000)
+    for oracle in (_negated_at_a, _zero_on_one_triple, _abs_when_increasing):
+        monkeypatch.setattr(promislow, "promislow_circular_order", oracle)
+        got = demo(samples=3000)["axioms_sampled"]
+        assert got == axiom_counts(quadruples)
+        seen |= {kind for kind, count in got["failures"].items() if count}
+    # the one zeroed triple is never drawn as (g1, g2, g3) here, so
+    # vanishing reads 0 on both routes; the exhaustive test above sees it
+    assert seen == {"antisymmetry", "invariance", "cocycle"}
+
+
 # the report of demo() at the default arguments, pinned from the route that
 # called the oracle on every quadruple; only the seed differs between seeds
 _DEFAULT_REPORT = {
