@@ -24,10 +24,10 @@ triviality of an integral cocycle is the same question, so no Smith normal
 form depends on n.  d1 is reduced once per group and not kept: the integral
 route works on the cocycle matrix, and reads d1 u off the table.
 
-Raw cocycle matrices are checked on the table (orders.cocycle_failure); an
-InhomCircularOrder was checked when it was built and is trusted.  d2 is
-reduced only for Z/n coefficients with gcd(n, |G|) > 1, once per group;
-only there is a cocycle flattened to a vector.  When gcd(n, |G|) = 1,
+Every cocycle passes orders.cocycle_values, which checks a raw matrix and
+trusts an InhomCircularOrder on the group.  d2 is reduced only for Z/n
+coefficients with gcd(n, |G|) > 1, once per group; only there is a cocycle
+flattened to a vector.  When gcd(n, |G|) = 1,
 H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill it, so no matrix is
 needed; a projection still checks a raw matrix's cocycle identity mod n.  With
 U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the cocycle condition mod n
@@ -56,9 +56,9 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import BoundExceeded, InvalidGroupError, require
+from .errors import BoundExceeded, require
 from .groups import FiniteGroup, _greedy_generators
-from .orders import InhomCircularOrder, cocycle_failure
+from .orders import cocycle_failure, cocycle_values
 
 H2_ORDER_LIMIT = 10
 
@@ -401,23 +401,24 @@ class _D2Smith(NamedTuple):
 
 @lru_cache(maxsize=None)
 class _Complex:
-    """Cached per-group data: the table, the Smith data of d1 and the H^2
-    structures built on them.  With U d1 V = diag(e_1..e_m), m = |G| - 1,
-    only `V`, `Vinv` and `factors` = (e_j) are kept, each e_j nonzero as d1
-    is injective (H^1(G; Z) = 0), and d1 is reduced on the first read of
-    any of the three, so a Z/n question with n prime to |G| never reduces
-    it.  Neither d1 (m^2 x m) nor U (m^2 x m^2, never built) is kept:
-    `smith_coordinates` reads (U f)_j off the row sums of f, and
-    `is_n_divisible` applies d1 on the table.  d2 is only reduced on first
-    use (`d2_smith`), for Z/n with n not prime to |G|, and then only on its
-    rows at generator last arguments.
-    Cached by multiplication table; nothing here depends on names.  The cache is
+    """Cached per-group data: the checked group it was built from, the Smith
+    data of d1 and the H^2 structures built on them.  With U d1 V =
+    diag(e_1..e_m), m = |G| - 1, only `V`, `Vinv` and `factors` = (e_j) are
+    kept, each e_j nonzero as d1 is injective (H^1(G; Z) = 0), and d1 is
+    reduced on the first read of any of the three, so a Z/n question with n
+    prime to |G| never reduces it.  Neither d1 (m^2 x m) nor U (m^2 x m^2,
+    never built) is kept: `smith_coordinates` reads (U f)_j off the row sums
+    of f, and `is_n_divisible` applies d1 on the table.  d2 is only reduced
+    on first use (`d2_smith`), for Z/n with n not prime to |G|, and then
+    only on its rows at generator last arguments.
+    Cached by multiplication table: the group kept is the first one asked
+    about, already checked, and nothing here reads its names.  The cache is
     unbounded by design: it holds one entry per distinct table asked about,
     each at most one d1 and one d2 SNF of a group within the order limit,
     and `cache_clear()` releases it all (`cache_info()` sizes it)."""
 
     def __init__(self, G: FiniteGroup):
-        self.table = G.table
+        self.group = G
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
 
     def __getattr__(self, name):
@@ -426,7 +427,7 @@ class _Complex:
         # V, Vinv and factors never come back here
         if name not in ("V", "Vinv", "factors"):
             raise AttributeError(name)
-        d1 = coboundary_matrix(FiniteGroup(self.table, validate=False), 1)
+        d1 = coboundary_matrix(self.group, 1)
         snf1 = smith_normal_form(d1, want_u=False)
         self.V, self.Vinv, self.factors = snf1.V, snf1.Vinv, snf1.diagonal
         return vars(self)[name]
@@ -435,7 +436,7 @@ class _Complex:
         """(U f)_j for j < m of an integral cocycle f from its row sums
         S(g) = sum_h f(g,h), g != identity: |G| f = d1 S gives (U f)_j =
         e_j (V^-1 S)_j / |G|, and a remainder fails the check."""
-        n = len(self.table)
+        n = self.group.order
         scaled = [e * w for e, w in zip(self.factors, self.Vinv.mul_vector(sums))]
         require(all(v % n == 0 for v in scaled),
                 "e_j (V^-1 S)_j is not divisible by |G| on a cocycle's row sums S")
@@ -450,30 +451,15 @@ class _Complex:
         rows come in one block per generator: on the non-cyclic groups of
         order 6-12 that reduced 10-35% faster, with transform entries no
         larger, than rows ordered by (g, h, s)."""
-        G = FiniteGroup(self.table, validate=False)
+        G = self.group
         rows = [row for s in _greedy_generators(G) for row in _coboundary_rows(G, 2, (s,)).data]
         snf2 = smith_normal_form(rows, want_u=False)
         basis = kernel_basis(snf2)
-        m = len(self.table) - 1
+        m = G.order - 1
         classes = [self.smith_coordinates([sum(col[i:i + m]) for i in range(0, m * m, m)])
                    for col in map(basis.col, range(basis.cols))]
         return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
                         IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
-
-    def cocycle(self, f, modulus: Optional[int]):
-        """f's matrix.  An ordering must live on this table's group and is
-        trusted: validate_inhom or arrangement_to_inhom checked it as an
-        integral cocycle when it was built, and an integral cocycle also
-        satisfies the identity mod every n.  Any other matrix is checked by
-        orders.cocycle_failure over Z or Z/modulus."""
-        if isinstance(f, InhomCircularOrder):
-            if f.group.table != self.table:
-                raise InvalidGroupError("ordering lives on a different group")
-            return f.values
-        failure = cocycle_failure(self.table, f, modulus)
-        if failure is not None:
-            raise failure
-        return f
 
 
 def _complex_for(G: FiniteGroup) -> _Complex:
@@ -507,10 +493,10 @@ class H2Structure:
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
-        values = comp.cocycle(f, self.modulus)
+        values = cocycle_values(comp.group, f, self.modulus)
         if self.modulus is None:
             x = comp.smith_coordinates([sum(row) for row in values[1:]])
-        elif gcd(self.modulus, len(comp.table)) == 1:
+        elif gcd(self.modulus, comp.group.order) == 1:
             return CohomologyClass(self, ())    # H^2(G; Z/n) = 0, see h2_structure
         else:
             d2 = comp.d2_smith
@@ -617,19 +603,17 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     Read off the group's cached Smith normal form U d1 V = diag(e_j), so no
     Smith normal form depends on n.  With z = U f (its first m entries, read
     off the row sums of f; the rest vanish on a cocycle), f = n*mu + d1 u
-    splits into
-    z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff gcd(n, e_j) | z_j
-    for every j.  d1 u is read off the table as
-    (d1 u)(g,h) = u(g) + u(h) - u(gh) with u(identity) = 0.  f is checked as
-    a cocycle unless it is an InhomCircularOrder, which was checked when it
-    was built.  The witness mu = (f - d1 u) / n is always checked: by exact
-    division, then as a cocycle (orders.cocycle_failure) and by direct
-    substitution.
+    splits into z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff
+    gcd(n, e_j) | z_j for every j.  d1 u is read off the table as
+    (d1 u)(g,h) = u(g) + u(h) - u(gh) with u(identity) = 0.  f passes
+    orders.cocycle_values.  The witness mu = (f - d1 u) / n is always
+    checked: by exact division, then as a cocycle (orders.cocycle_failure)
+    and by direct substitution.
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"n = {n!r} is not an int >= 2")
     comp = _complex_for(G)
-    f = comp.cocycle(f, None)
+    f = cocycle_values(G, f)
     u_smith = []
     for z, e in zip(comp.smith_coordinates([sum(row) for row in f[1:]]), comp.factors):
         g, _, t = _gcdext(n, e)
@@ -637,12 +621,12 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
             return DivisibilityWitness(False, None, None)
         u_smith.append(t * (z // g))
     u = [0, *comp.V.mul_vector(u_smith)]
-    d1u = [[ug + uh - u[gh] for gh, uh in zip(row, u)] for row, ug in zip(comp.table, u)]
+    d1u = [[ug + uh - u[gh] for gh, uh in zip(row, u)] for row, ug in zip(G.table, u)]
     rest = [[fv - c for fv, c in zip(fg, cg)] for fg, cg in zip(f, d1u)]
     require(all(v % n == 0 for row in rest for v in row), "f - d1 u is not divisible by n")
     mu = [[v // n for v in row] for row in rest]
     # direct substitution: mu is a cocycle and f = n*mu + d1 u, exactly
-    require(cocycle_failure(comp.table, mu) is None, "witness mu is not a cocycle")
+    require(cocycle_failure(G.table, mu) is None, "witness mu is not a cocycle")
     require(all(fv == n * mv + c for fg, mg, cg in zip(f, mu, d1u)
                 for fv, mv, c in zip(fg, mg, cg)), "witness fails direct substitution")
     return DivisibilityWitness(True, mu, u[1:])

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 from .errors import BoundExceeded, InvalidGroupError, require
 from .groups import FiniteGroup
-from .orders import InhomCircularOrder, cocycle_failure, validate_inhom
+from .orders import InhomCircularOrder, as_ordering, cocycle_values, validate_inhom
 
 MATERIALIZATION_LIMIT = 1024
 
@@ -88,32 +88,15 @@ class CentralExtensionGroup:
 def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> CentralExtensionGroup:
     """Central extension of G by Z (modulus None) or Z/modulus from cocycle f.
 
-    f may be an InhomCircularOrder or any integer matrix satisfying the
-    normalized cocycle identity; any other matrix raises its first
-    orders.cocycle_failure.
+    f may be an InhomCircularOrder on G or any integer matrix satisfying the
+    normalized cocycle identity (orders.cocycle_values).
     """
     if modulus is not None and (type(modulus) is not int or modulus < 2):
         raise InvalidGroupError(f"extension modulus {modulus!r} is not an int >= 2")
-    if isinstance(f, InhomCircularOrder):
-        if f.group != G:
-            raise InvalidGroupError("cocycle lives on a different group")
-        return CentralExtensionGroup(G, f.values, modulus)
-    values = tuple(tuple(row) for row in f)
-    failure = cocycle_failure(G.table, values)
-    if failure is not None:
-        raise failure
-    return CentralExtensionGroup(G, values, modulus)
+    return CentralExtensionGroup(G, cocycle_values(G, f), modulus)
 
 
 # -- minimal generators ------------------------------------------------------
-
-def _as_order(G: FiniteGroup, f) -> InhomCircularOrder:
-    if isinstance(f, InhomCircularOrder):
-        if f.group != G:
-            raise InvalidGroupError("ordering lives on a different group")
-        return f
-    return validate_inhom(G, f)
-
 
 def minimal_generator(G: FiniteGroup, f) -> int:
     """The unique z with f(z, g) = 0 for every g other than z^-1: the element
@@ -124,7 +107,7 @@ def minimal_generator(G: FiniteGroup, f) -> int:
     """
     if not G.is_cyclic():
         raise InvalidGroupError(f"{G.name} is not cyclic, so it has no minimal generator")
-    f = _as_order(G, f)
+    f = as_ordering(G, f)
     if G.order == 1:
         return 0
     candidates = [z for z in range(1, G.order)
@@ -150,7 +133,7 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
     """
     if type(n) is not int or n < 2:
         raise InvalidGroupError(f"hat_ordering: n = {n!r} is not an int >= 2")
-    f = _as_order(G, f)
+    f = as_ordering(G, f)
     E = build_extension(G, f, modulus=n)
     group = E.materialize()  # BoundExceeded before the order^2 value table
     m = G.order

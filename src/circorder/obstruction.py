@@ -182,8 +182,8 @@ def exponent_facts(e: int, n: int, left_orderable: bool) -> str:
     "not-in-spectrum" (n coprime to e), "in-spectrum" (n = e, not
     left-orderable), or "undetermined".
     """
-    if e < 2 or n < 2:
-        raise ValueError(f"exponent_facts needs e, n >= 2, got ({e}, {n})")
+    _check_ge_2("exponent_facts: e =", [e])
+    _check_ge_2("exponent_facts: n =", [n])
     if not left_orderable and is_prime(e):
         return VERDICT_ALL_MULTIPLES
     if gcd(n, e) == 1:
@@ -199,17 +199,21 @@ def bico_product_decision(min_g: Iterable[int], min_a: Iterable[int]) -> str:
 
     Hypothesis (checked): the minimal elements on the G side are all prime.
     """
-    min_g = sorted(set(min_g))
-    min_a = sorted(set(min_a))
-    for m in min_g:
+    min_g, min_a = list(min_g), list(min_a)   # checked before a set merges True into 1
+    _check_ge_2("bico_product_decision: minimal element", min_g + min_a)
+    for m in sorted(set(min_g)):
         if not is_prime(m):
             raise InvalidGroupError(
                 f"bico_product_decision: minimal element {m} is composite; the "
                 f"criterion requires min(Ob(G)) to consist of primes")
-    for m in min_a:
-        if not isinstance(m, int) or m < 2:
-            raise ValueError(f"minimal element {m!r} is not an integer >= 2")
     return NOT_CO if set(min_g) & set(min_a) else CO
+
+
+def _check_ge_2(what: str, values) -> None:
+    """Raise ValueError at the first value that is not an int >= 2."""
+    for v in values:
+        if type(v) is not int or v < 2:   # not True or 2.0
+            raise ValueError(f"{what} {v!r} is not an int >= 2")
 
 
 def cyclic_quotient_stats(A: FiniteGroup) -> tuple[int, int]:

@@ -14,6 +14,9 @@ group:
   starting at the identity.  This is the canonical finite form: O(n) storage
   and trivially deduplicated.
 
+Every ordering that the other modules take passes one gate here:
+`as_ordering` (or `cocycle_values`, where any cocycle will do) trusts an
+InhomCircularOrder on the group's own table and checks anything else.
 Orderings on infinite carriers (see the promislow module) are exposed as
 evaluation oracles on triples and never materialized.
 """
@@ -33,8 +36,7 @@ ENUMERATION_ORDER_LIMIT = 12
 class InhomCircularOrder:
     """Checked inhomogeneous form: a normalized 0/1 cocycle with f(g, g^-1) = 1
     off the identity.  Built only by validate_inhom or arrangement_to_inhom,
-    which check it once; later layers (cohomology, extensions) trust it on
-    its own group and do not check the cocycle identity again."""
+    which check it once; as_ordering trusts it on its own group's table."""
     group: FiniteGroup
     values: tuple  # order x order over {0,1}
 
@@ -136,6 +138,30 @@ def _identity_failure(table, values, modulus: Optional[int] = None) -> Optional[
                 v = fh[k] - fgh[k] + fg[th[k]] - fg[h]
                 if v % modulus if modulus else v:
                     return AxiomError("cocycle", (g, h, k), f"the identity gives {v}")
+
+
+def as_ordering(G: FiniteGroup, f) -> InhomCircularOrder:
+    """f as a checked ordering on G: an InhomCircularOrder on G's table is
+    returned as it is, one on another table raises InvalidGroupError, and
+    any other matrix goes through validate_inhom."""
+    if isinstance(f, InhomCircularOrder):
+        if f.group.table != G.table:
+            raise InvalidGroupError("ordering lives on a different group")
+        return f
+    return validate_inhom(G, f)
+
+
+def cocycle_values(G: FiniteGroup, f, modulus: Optional[int] = None) -> tuple:
+    """f's matrix as a normalized cocycle on G over Z (modulus None) or
+    Z/modulus: an ordering passes as_ordering (an integral cocycle holds mod
+    every n), and any other matrix raises its first cocycle_failure."""
+    if isinstance(f, InhomCircularOrder):
+        return as_ordering(G, f).values
+    values = tuple(tuple(row) for row in f)
+    failure = cocycle_failure(G.table, values, modulus)
+    if failure is not None:
+        raise failure
+    return values
 
 
 def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:

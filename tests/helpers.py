@@ -3,11 +3,11 @@
 Everything here is deliberately written from scratch (brute force,
 enumeration, minors) so that it can cross-check the production code without
 sharing its machinery.  The exceptions are the slow literal routes that no
-answer of the package runs, kept here as references: the cubic
-associativity check, the isomorphism search, the finite left orders and
-lexicographic orderings, and the Z-extension cone with its quotients, which
-build on the package's group tables and extensions, and the Smith data of
-all of d2.
+answer of the package runs, kept here as references: the literal
+group-axiom scans with the cubic associativity check, the isomorphism
+search, the finite left orders and lexicographic orderings, and the
+Z-extension cone with its quotients, which build on the package's group
+tables and extensions, and the Smith data of all of d2.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from circorder import promislow
 from circorder.cohomology import (IntMatrix, _D2Smith, coboundary_matrices,
                                   coboundary_matrix, kernel_basis, smith_normal_form)
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
-from circorder.extensions import (CentralExtElement, _as_order, build_extension,
-                                  minimal_generator)
+from circorder.extensions import CentralExtElement, build_extension, minimal_generator
 from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group, dihedral_group,
                               direct_product, quotient, subgroup_generated, symmetric_group,
                               trivial_group)
 from circorder.orders import (HomCircularOrder, InhomCircularOrder, LeftOrderOracle,
-                              cocycle_failure, lexicographic_circular_order, validate_hom,
-                              validate_inhom)
+                              as_ordering, cocycle_failure, lexicographic_circular_order,
+                              validate_hom, validate_inhom)
 
 ISOMORPHISM_ORDER_LIMIT = 24
 
@@ -70,6 +69,28 @@ def associativity_failure(table) -> Optional[tuple]:
             for k in range(n):
                 if rowgh[k] != rowg[rowh[k]]:
                     return g, h, k
+    return None
+
+
+def group_axiom_failure(table) -> Optional[str]:
+    """The first group axiom that the square table of indices 0..n-1
+    fails, or None, each checked literally: index 0 a two-sided identity,
+    latin rows and columns, two-sided inverses, and associativity over all
+    |G|^3 triples.  FiniteGroup.validate checks only the identity, right
+    inverses and Light's test, which imply the rest."""
+    n = len(table)
+    full = set(range(n))
+    if any(table[0][g] != g or table[g][0] != g for g in range(n)):
+        return "identity"
+    if any(set(row) != full for row in table):
+        return "latin rows"
+    if any({table[g][h] for g in range(n)} != full for h in range(n)):
+        return "latin columns"
+    for g in range(n):
+        if not any(table[g][h] == 0 == table[h][g] for h in range(n)):
+            return "two-sided inverse"
+    if associativity_failure(table) is not None:
+        return "associativity"
     return None
 
 
@@ -871,7 +892,7 @@ def quotient_by_power(G: FiniteGroup, f, n: int) -> QuotientPowerResult:
     """
     if n < 2:
         raise InvalidGroupError(f"quotient_by_power: n = {n} < 2")
-    f = _as_order(G, f)
+    f = as_ordering(G, f)
     m = G.order
     _, table, cocycle = _cone_quotient(
         f, CentralExtElement(n, 0),
@@ -902,7 +923,7 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
     iota([1]) the minimal generator of (K, f restricted to K); both facts are
     checked before returning, and a failure raises CheckFailed or AxiomError.
     """
-    f = _as_order(G, f)
+    f = as_ordering(G, f)
     K = frozenset(K)
     quot = quotient(G, K)  # InvalidGroupError unless K is a normal subgroup
     Q, proj = quot.group, quot.projection

@@ -12,6 +12,7 @@ from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_
                               symmetric_group, trivial_group)
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn)
+from circorder.extensions import build_extension, hat_ordering, minimal_generator
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
                                   coboundary_matrix, h2_structure, is_n_divisible,
                                   is_trivial_mod_n, kernel_basis, smith_normal_form)
@@ -465,7 +466,9 @@ def test_orderings_of_another_group_are_rejected():
     f = arrangement_to_inhom(enumerate_circular_orders(
         direct_product(cyclic_group(2), cyclic_group(3)))[0])
     for ask in (lambda: class_of(c6, f), lambda: h2_structure(c6).project(f),
-                lambda: h2_structure(c6, 2).project(f), lambda: is_n_divisible(c6, f, 2)):
+                lambda: h2_structure(c6, 2).project(f), lambda: is_n_divisible(c6, f, 2),
+                lambda: build_extension(c6, f), lambda: minimal_generator(c6, f),
+                lambda: hat_ordering(c6, f, 2)):
         with pytest.raises(InvalidGroupError, match="different group"):
             ask()
     with pytest.raises(AxiomError, match="cocycle"):   # the bare matrix is no cocycle on Z/6

@@ -25,6 +25,45 @@ def test_every_absolute_import_is_stdlib():
                     f"{path.name}:{node.lineno} imports {name}"
 
 
+def _read_names(tree) -> set:
+    """Every name the module reads: loaded names, and the names inside
+    annotations written as strings."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            notes = [a and a.annotation for a in (*args.posonlyargs, *args.args,
+                                                  *args.kwonlyargs, args.vararg, args.kwarg)]
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        for sub in (sub for note in notes if note for sub in ast.walk(note)):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                read |= _read_names(ast.parse(sub.value, mode="eval"))
+    return read
+
+
+def test_every_import_is_read():
+    # __init__ re-exports what it imports; every other module must read
+    # each name it imports (pyflakes' "imported but unused")
+    modules = sorted((ROOT / "src" / "circorder").glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name in read, f"{path.name}:{node.lineno} imports {name} unread"
+
+
 def test_pyproject_declares_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -25,12 +26,20 @@ def test_cyclic_group_tables():
         cyclic_group(0)
 
 
-@pytest.mark.parametrize("build", [cyclic_group, standard_order_zn])
-@pytest.mark.parametrize("k", [True, 2.0, None, "3"])
+@pytest.mark.parametrize("build", [cyclic_group, standard_order_zn, dihedral_group,
+                                   symmetric_group])
+@pytest.mark.parametrize("k", [True, 2.0, None, "3", 0])
 def test_cyclic_order_must_be_an_int(build, k):
-    # True and 2.0 compare equal to ints, but an order is an exact int
+    # True and 2.0 compare equal to ints, but an order is an exact int;
+    # 0 is bad input, not a size past a table bound
     with pytest.raises(InvalidGroupError, match="is not an int >= 1"):
         build(k)
+
+
+def test_symmetric_group_bound():
+    assert symmetric_group(4).order == 24
+    with pytest.raises(BoundExceeded):
+        symmetric_group(5)
 
 
 def test_every_library_group_passes_exhaustive_axioms():
@@ -356,6 +365,52 @@ def test_light_test_agrees_with_the_cubic_check(data):
         assert _fails_at(table, *_named_triple(str(exc)))
     else:
         assert oracle is None
+
+
+def _accepts(table) -> bool:
+    try:
+        FiniteGroup(table)
+    except InvalidGroupError:
+        return False
+    return True
+
+
+def test_group_check_agrees_with_every_axiom_on_small_tables():
+    # the identity, right inverses and Light's test accept exactly the
+    # tables that the literal scans of every group axiom accept: all
+    # tables of order <= 3 whose row 0 and column 0 are the identity
+    checked = 0
+    for n in range(1, 4):
+        cells = [(g, h) for g in range(1, n) for h in range(1, n)]
+        for entries in itertools.product(range(n), repeat=len(cells)):
+            table = [list(range(n))] + [[g] + [0] * (n - 1) for g in range(1, n)]
+            for (g, h), v in zip(cells, entries):
+                table[g][h] = v
+            assert _accepts(table) == (helpers.group_axiom_failure(table) is None), table
+            checked += 1
+    assert checked == 1 + 2 + 3 ** 4
+
+
+_LIBRARY_TABLES = [G.table for G in library_groups()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_group_check_agrees_with_every_axiom_on_perturbed_tables(data):
+    # one cell changed, two rows swapped or an intercalate swapped in a
+    # library table: FiniteGroup accepts exactly when no axiom fails
+    table = [list(row) for row in data.draw(st.sampled_from(_LIBRARY_TABLES))]
+    n = len(table)
+    change = data.draw(st.sampled_from(["cell", "rows", "intercalate"]))
+    if change == "cell":
+        g, h, v = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        table[g][h] = v
+    elif change == "rows":
+        g, h = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        table[g], table[h] = table[h], table[g]
+    elif cells := helpers.intercalates(table):
+        table = helpers.swap_intercalate(table, *data.draw(st.sampled_from(cells)))
+    assert _accepts(table) == (helpers.group_axiom_failure(table) is None)
 
 
 def test_hom_validation():

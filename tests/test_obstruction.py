@@ -147,6 +147,26 @@ def test_bico_product_decision():
         bico_product_decision({4}, {3})
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bico_product_decision([2.0], [3]),
+    lambda: bico_product_decision([True], [3]),
+    lambda: bico_product_decision([2], [3.0]),
+    lambda: bico_product_decision([2], [True]),
+    lambda: bico_product_decision([1], [3]),
+    lambda: exponent_facts(2.0, 4, False),
+    lambda: exponent_facts(3, 6.0, True),
+    lambda: exponent_facts(True, 3, False),
+    lambda: exponent_facts(3, True, False),
+    lambda: exponent_facts(3, None, False),
+])
+def test_obstruction_numbers_are_exact_ints(call):
+    # 2.0 and True compare equal to ints, and a set merges them into 2 and 1
+    # a ValueError, not the InvalidGroupError of a composite G-side element
+    with pytest.raises(ValueError, match="is not an int >= 2") as err:
+        call()
+    assert type(err.value) is ValueError
+
+
 def test_bico_decision_consistent_with_cyclic_products():
     # Z/6 x Z/5 is cyclic of order 30: the decision must say orderable
     s6 = spectrum_finite(cyclic_group(6))
