@@ -46,8 +46,11 @@ def integer_ge_2(text: str) -> int:
 
 
 def torsion_orders(text: str) -> list[int]:
-    """argparse type: comma or space separated integers >= 2."""
-    return [integer_ge_2(tok) for tok in text.replace(",", " ").split()]
+    """argparse type: one or more comma or space separated integers >= 2."""
+    orders = [integer_ge_2(tok) for tok in text.replace(",", " ").split()]
+    if not orders:
+        raise argparse.ArgumentTypeError("no torsion orders given")
+    return orders
 
 
 def cmd_enumerate(args) -> tuple[dict, str]:
@@ -102,28 +105,28 @@ def cmd_product_co(args) -> tuple[dict, str]:
 
 def cmd_obstruction(args) -> tuple[dict, str]:
     max_n = args.max_n
-    if args.group:
+    if args.not_lo and args.exponent is None:
+        raise InvalidGroupError("obstruction: --not-lo applies only with --exponent")
+    if args.group is not None:
         G = load_group(args.group)
         spectrum = spectrum_finite(G)
         payload = {"mode": "group", "group": G.name,
                    **_spectrum_payload(spectrum, max_n)}
         return payload, f"Ob({G.name}) = {spectrum.describe()}"
-    if args.torsion_orders:
+    if args.torsion_orders is not None:
         torsion = args.torsion_orders
         spectrum = spectrum_torsion_part(torsion)
         payload = {"mode": "torsion", "orders": torsion,
                    **_spectrum_payload(spectrum, max_n)}
         return payload, f"Ob_T = {spectrum.describe()}"
-    if args.exponent is not None:
-        e = args.exponent
-        lo = not args.not_lo
-        verdicts = {str(n): exponent_facts(e, n, lo) for n in range(2, max_n + 1)}
-        summary = (f"Ob = {e}N" if exponent_facts(e, e, lo) == VERDICT_ALL_MULTIPLES
-                   else "verdicts per n (exponent facts only)")
-        payload = {"mode": "exponent", "exponent": e, "left_orderable": lo,
-                   "verdicts": verdicts, "summary": summary}
-        return payload, summary
-    raise InvalidGroupError("obstruction: need --group, --torsion-orders, or --exponent")
+    e = args.exponent   # the parser requires exactly one of the three modes
+    lo = not args.not_lo
+    verdicts = {str(n): exponent_facts(e, n, lo) for n in range(2, max_n + 1)}
+    summary = (f"Ob = {e}N" if exponent_facts(e, e, lo) == VERDICT_ALL_MULTIPLES
+               else "verdicts per n (exponent facts only)")
+    payload = {"mode": "exponent", "exponent": e, "left_orderable": lo,
+               "verdicts": verdicts, "summary": summary}
+    return payload, summary
 
 
 def cmd_promislow(args) -> tuple[dict, str]:
@@ -157,10 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("obstruction", help="obstruction spectrum report")
-    p.add_argument("--group")
-    p.add_argument("--torsion-orders", type=torsion_orders,
-                   help="comma or space separated torsion orders")
-    p.add_argument("--exponent", type=integer_ge_2, help="exponent of H^2(G;Z)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--group")
+    mode.add_argument("--torsion-orders", type=torsion_orders,
+                      help="comma or space separated torsion orders")
+    mode.add_argument("--exponent", type=integer_ge_2, help="exponent of H^2(G;Z)")
     p.add_argument("--not-lo", action="store_true",
                    help="assert the group is not left-orderable")
     p.add_argument("--max-n", type=integer_ge_2, default=12)

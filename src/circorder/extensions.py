@@ -12,11 +12,13 @@ Coefficients are arbitrary-precision integers throughout.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .errors import BoundExceeded, InvalidGroupError, require
 from .groups import FiniteGroup
-from .orders import InhomCircularOrder, as_ordering, cocycle_values, validate_inhom
+from .orders import (Arrangement, InhomCircularOrder, arrangement_to_inhom, as_ordering,
+                     cocycle_values)
 
 MATERIALIZATION_LIMIT = 1024
 
@@ -129,22 +131,24 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
         fhat((a1,g1),(a2,g2)) = f_s(a1,a2)  if a1 + a2 != n - 1,
                                 f(g1,g2)    otherwise,
 
-    where f_s is the carry bit on Z/n.  Returned on the materialized group.
+    where f_s is the carry bit on Z/n, on the materialized group.  It is
+    built as the carry bit of the arrangement a*|G| + g, g in f's arrangement
+    (row g of a carry bit holds pos(g) ones), proved in O(N^2) for N = n*|G|
+    by arrangement_to_inhom, and compared with the formula entry by entry.
     """
     if type(n) is not int or n < 2:
         raise InvalidGroupError(f"hat_ordering: n = {n!r} is not an int >= 2")
     f = as_ordering(G, f)
-    E = build_extension(G, f, modulus=n)
-    group = E.materialize()  # BoundExceeded before the order^2 value table
+    group = build_extension(G, f, modulus=n).materialize()  # BoundExceeded before O(N^2)
     m = G.order
-    order = n * m
-    values = [[0] * order for _ in range(order)]
-    for i1 in range(order):
-        a1, g1 = divmod(i1, m)
-        for i2 in range(order):
-            a2, g2 = divmod(i2, m)
-            if a1 + a2 != n - 1:
-                values[i1][i2] = 1 if a1 + a2 >= n else 0
-            else:
-                values[i1][i2] = f.values[g1][g2]
-    return validate_inhom(group, values)
+    circle = sorted(range(m), key=lambda g: sum(f.values[g]))
+    fhat = arrangement_to_inhom(Arrangement(group, tuple(a * m + g for a in range(n)
+                                                         for g in circle)))
+    carries = ((0,) * m, (1,) * m)   # f_s(a1, a2) across the m elements of a2
+    for i, row in enumerate(fhat.values):
+        a1, g1 = divmod(i, m)
+        formula = chain.from_iterable(f.values[g1] if a1 + a2 == n - 1 else carries[a1 + a2 >= n]
+                                      for a2 in range(n))
+        require(row == tuple(formula), f"hat_ordering: the two-case formula differs from "
+                                       f"the carry bit of the arrangement in row {i}")
+    return fhat

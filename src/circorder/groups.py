@@ -417,10 +417,10 @@ def group_from_json(data) -> FiniteGroup:
 
 
 def load_group(path) -> FiniteGroup:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # not UTF-8 JSON, or too deep
             raise InvalidGroupError(f"group JSON: {path}: {exc}") from exc
     return group_from_json(data)
 

@@ -36,7 +36,8 @@ ENUMERATION_ORDER_LIMIT = 12
 class InhomCircularOrder:
     """Checked inhomogeneous form: a normalized 0/1 cocycle with f(g, g^-1) = 1
     off the identity.  Built only by validate_inhom or arrangement_to_inhom,
-    which check it once; as_ordering trusts it on its own group's table."""
+    which check it once, or by hom_to_inhom from a checked form; as_ordering
+    trusts it on its own group's table."""
     group: FiniteGroup
     values: tuple  # order x order over {0,1}
 
@@ -46,7 +47,8 @@ class InhomCircularOrder:
 
 @dataclass(frozen=True)
 class HomCircularOrder:
-    """Validated homogeneous form; construct via validate_hom."""
+    """Checked homogeneous form.  Built only by validate_hom, which checks it,
+    or by inhom_to_hom from a checked form."""
     group: FiniteGroup
     values: tuple  # order x order x order over {-1,0,1}
 
@@ -202,42 +204,31 @@ def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
 
 
 # -- conversions (the mutually inverse maps between the two cocycle forms) --
+# Each returns its formula's values unchecked: the formulas are the standard
+# correspondence of inhomogeneous and left-invariant homogeneous cocycles,
+# which carries the axioms of a checked form over (the tests' oracle is the
+# validator of the other form).
 
 def hom_to_inhom(c: HomCircularOrder) -> InhomCircularOrder:
     """f(g,h) = 0 if g or h is the identity, 1 if gh = id with g != id,
     else (1 - c(id, g, gh)) / 2."""
-    G = c.group
-    n = G.order
-    values = [[0] * n for _ in range(n)]
-    for g in range(n):
-        for h in range(n):
-            if g == 0 or h == 0:
-                continue
-            gh = G.table[g][h]
-            if gh == 0:
-                values[g][h] = 1
-            else:
-                values[g][h] = (1 - c.values[0][g][gh]) // 2
-    return validate_inhom(G, values)
+    c0 = c.values[0]
+    values = tuple(tuple(0 if g == 0 or h == 0 else 1 if gh == 0 else (1 - c0[g][gh]) // 2
+                         for h, gh in enumerate(row)) for g, row in enumerate(c.group.table))
+    return InhomCircularOrder(c.group, values)
 
 
 def inhom_to_hom(f: InhomCircularOrder) -> HomCircularOrder:
     """c(g1,g2,g3) = 1 - 2 f(g1^-1 g2, g2^-1 g3) on distinct triples, else 0."""
     G = f.group
-    n = G.order
-    values = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for g1 in range(n):
-        i1 = G.inverse[g1]
-        for g2 in range(n):
-            if g2 == g1:
-                continue
-            i2 = G.inverse[g2]
-            a = G.table[i1][g2]
-            for g3 in range(n):
-                if g3 == g1 or g3 == g2:
-                    continue
-                values[g1][g2][g3] = 1 - 2 * f.values[a][G.table[i2][g3]]
-    return validate_hom(G, values)
+    n, table, inverse = G.order, G.table, G.inverse
+    values = tuple(
+        tuple(tuple(0 if g3 == g1 or g3 == g2 or g1 == g2
+                    else 1 - 2 * f.values[table[inverse[g1]][g2]][table[inverse[g2]][g3]]
+                    for g3 in range(n))
+              for g2 in range(n))
+        for g1 in range(n))
+    return HomCircularOrder(G, values)
 
 
 # -- arrangements ----------------------------------------------------------
@@ -308,8 +299,8 @@ def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
 
     The arrangement is first checked as arrangement_from_sequence checks it
     (same AxiomError kinds), so g -> pos g is an isomorphism onto Z/|G|, and
-    f is standard_order_zn's carry bit pulled back along it.  The carry bit
-    c(a, b) = [a + b >= n] on Z/n is normalized, has c(a, -a) = 1 for
+    f is the carry bit c(a, b) = [a + b >= n] of Z/n (n = |G|) pulled back
+    along it.  That carry bit is normalized, has c(a, -a) = 1 for
     a != 0, and satisfies the cocycle identity: on representatives in
     0..n-1, c(a, b) + c(a + b, k) and c(b, k) + c(a, b + k) both count the
     multiples of n dropped from a + b + k.  Pulling back along an
@@ -365,13 +356,12 @@ def enumerate_circular_orders(G: FiniteGroup,
 
 def standard_order_zn(n: int) -> InhomCircularOrder:
     """The ordering of Z/n from the embedding into the circle: f is the carry
-    bit of addition, f(a,b) = 1 iff a + b >= n on representatives 0 <= a < n;
+    bit of addition, f(a,b) = 1 iff a + b >= n on representatives 0 <= a < n,
+    built by arrangement_to_inhom from the arrangement (0, 1, ..., n-1);
     n an int >= 1."""
     if type(n) is not int or n < 1:   # not True or 2.0
         raise InvalidGroupError(f"standard_order_zn: n = {n!r} is not an int >= 1")
-    G = cyclic_group(n)
-    values = [[1 if a + b >= n else 0 for b in range(n)] for a in range(n)]
-    return validate_inhom(G, values)
+    return arrangement_to_inhom(Arrangement(cyclic_group(n), tuple(range(n))))
 
 
 def lexicographic_circular_order(phi: Callable[[Any], Any],

@@ -43,8 +43,8 @@ def test_criterion_1_conversion_round_trips():
         if G.order > 8:
             continue
         for arr in enumerate_circular_orders(G):
-            c = arrangement_to_hom(arr)           # validated homogeneous form
-            f = hom_to_inhom(c)                   # validated inhomogeneous form
+            c = arrangement_to_hom(arr)           # homogeneous form, validated below
+            f = hom_to_inhom(c)                   # inhomogeneous form, validated below
             assert inhom_to_hom(f).values == c.values
             assert hom_to_inhom(inhom_to_hom(f)).values == f.values
             validate_hom(G, c.values)

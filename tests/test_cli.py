@@ -70,6 +70,17 @@ def test_enumerate_exit_codes(tmp_path, group_file):
     assert main(["enumerate", "--group", group_file(cyclic_group(13))]) == 3
 
 
+@pytest.mark.parametrize("content", [b'\xff\xfe{"table": [[0]]}',   # not UTF-8
+                                     b"[" * 50_000 + b"]" * 50_000])  # past the recursion limit
+def test_group_files_that_json_cannot_read_exit_2(tmp_path, capsys, content):
+    # both raised out of json.load as a traceback with exit 1, the code of a
+    # failed cross-check
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    assert main(["enumerate", "--group", str(path)]) == 2
+    assert "error: group JSON:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["obstruction"], ["enumerate"],
                                   ["product-co", "--n", "2"]])
 def test_a_table_that_is_not_a_group_exits_2(tmp_path, capsys, argv):
@@ -185,6 +196,18 @@ def test_bounds_have_no_per_call_overrides():
         assert option not in inspect.signature(fn).parameters, fn
 
 
+def test_readme_bounds_table_matches_the_constants():
+    # each row of the README's bounds table names a module constant and its
+    # default; a renamed, moved or changed constant must fail here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Bounds and performance notes")[1]
+    rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
+    assert len(rows) == 6
+    for constant, module, default in rows:
+        value = getattr(importlib.import_module(module.strip(" `")), constant.strip(" `"))
+        assert value == int(default), constant
+
+
 @pytest.mark.parametrize("text", ["1.0", "1.5", "true"])
 def test_product_co_cochain_values_must_be_ints(tmp_path, monkeypatch, capsys,
                                                 group_file, text):
@@ -254,7 +277,31 @@ def test_obstruction_exponent_mode(capsys):
 
 
 def test_obstruction_requires_a_mode(capsys):
-    assert main(["obstruction"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruction"])
+    assert exc.value.code == 2
+    assert "one of the arguments --group --torsion-orders --exponent is required" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--group", "g.json", "--exponent", "5"], "not allowed with argument --group"),
+    (["--torsion-orders", "4", "--exponent", "5"], "not allowed with argument --torsion-orders"),
+    (["--torsion-orders", ""], "argument --torsion-orders: no torsion orders given"),
+])
+def test_obstruction_takes_one_mode(capsys, argv, message):
+    # a second mode was ignored (exit 0 on the first), and an empty torsion
+    # list fell through to the missing-mode error
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruction", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_not_lo_needs_the_exponent_mode(capsys, group_file):
+    for mode in (["--torsion-orders", "4"], ["--group", group_file(cyclic_group(5))]):
+        assert main(["obstruction", *mode, "--not-lo"]) == 2
+        assert "--not-lo applies only with --exponent" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--torsion-orders", "x"], ["--torsion-orders", "1"],

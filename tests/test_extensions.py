@@ -1,17 +1,17 @@
 import pytest
 
 from circorder import extensions
-from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
+from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from circorder.groups import (cyclic_group, symmetric_group, trivial_group,
                               subgroup_generated)
-from circorder.orders import (arrangement_from_sequence, arrangement_to_inhom,
-                              enumerate_circular_orders, standard_order_zn)
+from circorder.orders import (Arrangement, arrangement_from_sequence, arrangement_to_inhom,
+                              enumerate_circular_orders, standard_order_zn, validate_inhom)
 from circorder.extensions import (CentralExtElement, build_extension,
                                   hat_ordering, minimal_generator)
 
 from helpers import (all_subgroups, cone_compare, cone_positive, find_isomorphism,
                      is_cofinal_central, library_groups, quotient_by_cyclic_central,
-                     quotient_by_power)
+                     quotient_by_power, time_budget)
 
 
 def orderings_of(G):
@@ -270,7 +270,8 @@ def test_hat_ordering_two_case_formula():
     assert h.values[0 * m + 1][1 * m + 1] == f.values[1][1]  # second case
     assert h.values[0 * m + 0][1 * m + 0] == f.values[0][0]  # second case, = 0
     big = hat_ordering(cyclic_group(3), standard_order_zn(3), 4)
-    assert big.group.order == 12  # validated inside
+    assert big.group.order == 12
+    assert validate_inhom(big.group, big.values).values == big.values
 
 
 def test_hat_and_quotient_by_power_agree():
@@ -291,13 +292,35 @@ def test_hat_and_quotient_by_power_agree():
 
 
 def test_hat_ordering_passes_full_homogeneous_validation():
-    # order-12 extension of (Z/3, standard ordering) by Z/4: converting the
-    # hat ordering to homogeneous form validates all four axioms on 12^4
-    # quadruples, and the induced arrangement is the standard circle on Z/12
-    from circorder.orders import hom_to_arrangement, inhom_to_hom
+    # order-12 extension of (Z/3, standard ordering) by Z/4: the hat
+    # ordering's homogeneous form passes all four axioms on 12^4 quadruples,
+    # and the induced arrangement is the standard circle on Z/12
+    from circorder.orders import hom_to_arrangement, inhom_to_hom, validate_hom
     h = hat_ordering(cyclic_group(3), standard_order_zn(3), 4)
-    arr = hom_to_arrangement(inhom_to_hom(h))
+    c = inhom_to_hom(h)
+    assert validate_hom(h.group, c.values).values == c.values
+    arr = hom_to_arrangement(c)
     assert arr.sequence == tuple(range(12))
+
+
+def test_hat_ordering_cross_checks_the_two_case_formula(monkeypatch):
+    # the carry bit of a wrong arrangement (here the mirrored circle, which
+    # is also an ordering) must fail the entry-by-entry comparison
+    inner = extensions.arrangement_to_inhom
+    monkeypatch.setattr(extensions, "arrangement_to_inhom", lambda a: inner(
+        Arrangement(a.group, (0, *reversed(a.sequence[1:])))))
+    with pytest.raises(CheckFailed, match="two-case formula"):
+        hat_ordering(cyclic_group(3), standard_order_zn(3), 2)
+
+
+def test_hat_ordering_at_the_materialization_bound():
+    # order 1024 = MATERIALIZATION_LIMIT in O(N^2): about 1 s on a 2-vCPU VM,
+    # where the O(N^3) axiom check took 18 s at order 512.  The extension of
+    # (Z/8, standard) by Z/128 is Z/1024 with its standard ordering.
+    with time_budget(15):
+        fhat = hat_ordering(cyclic_group(8), standard_order_zn(8), 128)
+    assert fhat.group.order == extensions.MATERIALIZATION_LIMIT
+    assert fhat.values == standard_order_zn(1024).values
 
 
 def test_quotient_by_cyclic_central():

@@ -5,7 +5,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circorder import extensions, orders
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
+from circorder.extensions import hat_ordering
 from circorder.groups import (cyclic_group, direct_product, GroupHom, group_to_json,
                               symmetric_group, trivial_group)
 from circorder.orders import (Arrangement, arrangement_from_sequence,
@@ -52,7 +54,8 @@ def test_validate_inhom_error_kinds():
 
 def test_validate_inhom_standard_orders():
     for n in range(1, 9):
-        standard_order_zn(n)  # validation happens inside
+        f = standard_order_zn(n)   # built from its arrangement, unvalidated
+        assert validate_inhom(f.group, f.values).values == f.values
 
 
 def test_validate_hom_accepts_arrangement_order():
@@ -156,6 +159,52 @@ def test_arrangement_cocycles_pass_the_validate_inhom_oracle(data):
         f = arrangement_to_inhom(arr)
         assert validate_inhom(H, f.values).values == f.values
         assert all(type(v) is int for row in f.values for v in row)
+
+
+_CYCLIC = [G for G in _LIBRARY if G.is_cyclic()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_derived_orderings_pass_the_validator_oracles(data):
+    # inhom_to_hom and hom_to_inhom return their formula's values, and
+    # hat_ordering the carry bit of its arrangement, without the axiom
+    # checks; the full checks must accept each and return it unchanged
+    G = data.draw(st.sampled_from(_CYCLIC))   # orders 1 to 12
+    H = relabeled(G, [0] + data.draw(st.permutations(range(1, G.order))))
+    for arr in enumerate_circular_orders(H):
+        f = arrangement_to_inhom(arr)
+        c = inhom_to_hom(f)
+        assert validate_hom(H, c.values).values == c.values
+        back = hom_to_inhom(c)
+        assert validate_inhom(H, back.values).values == back.values
+        for n in range(2, 48 // H.order + 1):
+            fhat = hat_ordering(H, f, n)
+            assert validate_inhom(fhat.group, fhat.values).values == fhat.values
+
+
+def test_derived_orderings_run_no_validator(monkeypatch):
+    # standard_order_zn and hat_ordering build through arrangement_to_inhom's
+    # O(N^2) position check, and the conversions return their formula's
+    # values: the validators are for matrices given as input
+    calls = []
+    for name in ("validate_inhom", "validate_hom", "_identity_failure"):
+        inner = getattr(orders, name)
+        for module in (orders, extensions):
+            if getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, lambda *args, name=name, inner=inner:
+                                    calls.append(name) or inner(*args))
+    f = standard_order_zn(6)
+    c = inhom_to_hom(f)
+    arr = enumerate_circular_orders(cyclic_group(6))[1]
+    standard_order_zn(12)
+    hat_ordering(f.group, f, 4)
+    hom_to_inhom(c)
+    arrangement_to_hom(arr)
+    assert calls == []
+    orders.validate_inhom(f.group, f.values)   # the counters see the validators
+    orders.validate_hom(c.group, c.values)
+    assert calls == ["validate_inhom", "_identity_failure", "validate_hom"]
 
 
 @pytest.mark.parametrize("seq, kind", [
