@@ -26,8 +26,8 @@ route works on the cocycle matrix, and reads d1 u off the table.
 
 Every cocycle passes orders.cocycle_values, which checks a raw matrix and
 trusts an InhomCircularOrder on the group.  d2 is reduced only for Z/n
-coefficients with gcd(n, |G|) > 1, once per group; only there is a cocycle
-flattened to a vector.  When gcd(n, |G|) = 1,
+coefficients with gcd(n, |G|) > 1, once per group; only a projection there
+flattens a cocycle to a vector.  When gcd(n, |G|) = 1,
 H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill it, so no matrix is
 needed; a projection still checks a raw matrix's cocycle identity mod n.  With
 U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the cocycle condition mod n
@@ -35,6 +35,19 @@ reads d_i y_i = 0 mod n on the rank block and leaves the kernel block free,
 while im d1 lies in the kernel block.  So H^2(G; Z/n) splits as
 (+) Z/gcd(d_i, n) (+) (+) Z/gcd(e_j, n), the kernel block read in the class
 coordinates above (the universal coefficient theorem, Brown III.1).
+
+The invariant factors need only the nonzero d_i, not V', and d2 has at most
+4 nonzero entries per row, so the factors come from a sparse elimination
+(`_unit_pivot_invariants`).  While some entry is +-1, row additions clear
+its column; that column is then zero outside the pivot row, so column
+additions clear the rest of the pivot row and touch no other row.  Both are
+unimodular, so d2 is equivalent to (+-1) (+) R, R the Schur complement left
+once the pivot row and column are dropped, and its Smith diagonal is a 1
+followed by that of R.  What is left when no unit remains goes to the dense
+SNF; on the groups within the order limit it had at most 10 columns and
+entries of at most 4.  A projection needs V'^-1 and the kernel block, so the
+dense SNF of d2 runs on the first projection over Z/n only, and it must
+reproduce the d_i of the elimination and the structure's factors.
 
 V' comes from the rows of d2 whose last argument is a generator, not from
 all (|G|-1)^3 of them: (|G|-1)^2 k rows for a generating set of k <= log2 |G|
@@ -52,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
@@ -368,22 +382,92 @@ def _coboundary_rows(G: FiniteGroup, degree: int, lasts: Sequence[int]) -> IntMa
     (g_0..g_degree) whose last argument is in `lasts` (nonidentity), in
     lexicographic order of (g_0..g_(degree-1), position of g_degree in
     `lasts`); all nonidentity lasts give `coboundary_matrix`."""
+    m = G.order - 1
+    d = IntMatrix.zeros(m ** degree * len(lasts), m ** degree)
+    for row, entries in zip(d.data, _sparse_coboundary_rows(G, degree, lasts)):
+        for col, v in entries.items():
+            row[col] = v
+    return d
+
+
+def _sparse_coboundary_rows(G: FiniteGroup, degree: int, lasts: Sequence[int]):
+    """The rows of `_coboundary_rows`, in its order, as {column: value} dicts
+    of their nonzero entries (at most degree + 2 each)."""
     n = G.order
     m, table = n - 1, G.table
-    d = IntMatrix.zeros(m ** degree * len(lasts), m ** degree)
-    cells = (head + (last,) for head in product(range(1, n), repeat=degree) for last in lasts)
-    for row, cell in zip(d.data, cells):
-        faces = [cell[1:]]
-        faces += [cell[:i] + (table[cell[i]][cell[i + 1]],) + cell[i + 2:]
-                  for i in range(degree)]
-        faces.append(cell[:-1])
-        for i, face in enumerate(faces):
-            if 0 not in face:
-                col = 0
-                for g in face:
-                    col = col * m + g - 1
-                row[col] += -1 if i % 2 else 1
-    return d
+    for head in product(range(1, n), repeat=degree):
+        for last in lasts:
+            cell = head + (last,)
+            faces = [cell[1:]]
+            faces += [cell[:i] + (table[cell[i]][cell[i + 1]],) + cell[i + 2:]
+                      for i in range(degree)]
+            faces.append(cell[:-1])
+            row = {}
+            for i, face in enumerate(faces):
+                if 0 not in face:
+                    col = 0
+                    for g in face:
+                        col = col * m + g - 1
+                    v = row.get(col, 0) + (-1 if i % 2 else 1)
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+            yield row
+
+
+def _unit_pivot_invariants(rows: list) -> tuple:
+    """The nonzero Smith diagonal d_1 | d_2 | ... of the integer matrix with
+    sparse rows `rows` ({column: value} dicts, consumed).  While some entry
+    p[c] is +-1, in a row p of least weight and, among that row's units, in
+    the column c with the fewest entries, the exact row additions
+    r -= r[c] p[c] p clear column c, and row p and column c are dropped:
+    each such step adds a 1 to the diagonal (module docstring).  What is
+    left when no unit remains goes to `smith_normal_form` without U."""
+    live = {i: row for i, row in enumerate(rows) if row}
+    cols = {}   # column -> the live rows with a nonzero entry there
+    for i, row in live.items():
+        for c in row:
+            cols.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapify(heap)
+    units = 0
+    while heap:
+        weight, p = heappop(heap)
+        row = live.get(p)
+        if row is None or len(row) != weight:
+            continue   # pivoted, emptied or pushed again since
+        pivots = [c for c, v in row.items() if v in (1, -1)]
+        if not pivots:
+            continue   # stays in the residue unless an addition changes it
+        c = min(pivots, key=lambda c: len(cols[c]))
+        del live[p]
+        v = row.pop(c)
+        for j in row:
+            cols[j].discard(p)
+        others = cols.pop(c)
+        others.discard(p)
+        for i in others:
+            r = live[i]
+            q = r.pop(c) * v   # v * v = 1
+            for j, x in row.items():
+                y = r.get(j, 0) - q * x
+                if y:
+                    if j not in r:
+                        cols[j].add(i)
+                    r[j] = y
+                else:
+                    del r[j]
+                    cols[j].discard(i)
+            if r:
+                heappush(heap, (len(r), i))
+            else:
+                del live[i]
+        units += 1
+    used = sorted({c for row in live.values() for c in row})
+    residue = [[row.get(c, 0) for c in used] for row in live.values()]
+    rest = smith_normal_form(residue, want_u=False).diagonal if residue else ()
+    return (1,) * units + tuple(d for d in rest if d)
 
 
 def coboundary_matrices(G: FiniteGroup):
@@ -409,8 +493,10 @@ class _Complex:
     prime to |G| never reduces it.  Neither d1 (m^2 x m) nor U (m^2 x m^2,
     never built) is kept: `smith_coordinates` reads (U f)_j off the row sums
     of f, and `is_n_divisible` applies d1 on the table.  d2 is only reduced
-    on first use (`d2_smith`), for Z/n with n not prime to |G|, and then
-    only on its rows at generator last arguments.
+    for Z/n with n not prime to |G|, and then only on its rows at generator
+    last arguments: by the unit-pivot elimination for the factors
+    (`d2_invariants`), and by the dense SNF with V'^-1 and the kernel
+    classes (`d2_smith`) on the first projection.
     Cached by multiplication table: the group kept is the first one asked
     about, already checked, and nothing here reads its names.  The cache is
     unbounded by design: it holds one entry per distinct table asked about,
@@ -427,7 +513,7 @@ class _Complex:
         # V, Vinv and factors never come back here
         if name not in ("V", "Vinv", "factors"):
             raise AttributeError(name)
-        d1 = coboundary_matrix(self.group, 1)
+        d1 = _coboundary_rows(self.group, 1, range(1, self.group.order))
         snf1 = smith_normal_form(d1, want_u=False)
         self.V, self.Vinv, self.factors = snf1.V, snf1.Vinv, snf1.diagonal
         return vars(self)[name]
@@ -441,6 +527,16 @@ class _Complex:
         require(all(v % n == 0 for v in scaled),
                 "e_j (V^-1 S)_j is not divisible by |G| on a cocycle's row sums S")
         return [v // n for v in scaled]
+
+    @cached_property
+    def d2_invariants(self) -> tuple:
+        """The nonzero Smith diagonal d_1..d_r of d2, all that the invariant
+        factors of H^2(G; Z/n) read: `_unit_pivot_invariants` of the sparse
+        rows (g, h, s), s in the generating set of `d2_smith`, which span
+        the row lattice of d2 (module docstring)."""
+        G = self.group
+        return _unit_pivot_invariants([row for s in _greedy_generators(G)
+                                       for row in _sparse_coboundary_rows(G, 2, (s,))])
 
     @cached_property
     def d2_smith(self) -> _D2Smith:
@@ -483,13 +579,16 @@ class H2Structure:
     divides the rank block of y exactly by its steps n / gcd(d_i, n), then
     applies `_coords`; for n prime to |G| it checks a raw matrix's cocycle
     identity mod n and returns the zero class.  Coordinates are reduced mod
-    each factor.
+    each factor.  Over Z/n with n not prime to |G| the factors come from the
+    unit-pivot elimination of d2 (`_Complex.d2_invariants`), and `_steps`
+    and `_coords` are built on the first projection (`_mod_n_projection`),
+    which cross-checks them against the Smith normal form of d2.
     """
     modulus: Optional[int]
     invariant_factors: tuple
     _complex: _Complex = field(repr=False)
-    _steps: tuple = field(repr=False)
-    _coords: IntMatrix = field(repr=False)
+    _steps: Optional[tuple] = field(default=None, repr=False)
+    _coords: Optional[IntMatrix] = field(default=None, repr=False)
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
@@ -499,6 +598,8 @@ class H2Structure:
         elif gcd(self.modulus, comp.group.order) == 1:
             return CohomologyClass(self, ())    # H^2(G; Z/n) = 0, see h2_structure
         else:
+            if self._coords is None:
+                self._steps, self._coords = self._mod_n_projection()
             d2 = comp.d2_smith
             y = d2.vinv.mul_vector([v for row in values[1:] for v in row[1:]])
             head = y[:d2.rank]
@@ -508,6 +609,36 @@ class H2Structure:
         coords = self._coords.mul_vector(x)
         return CohomologyClass(self, tuple(
             c % e for c, e in zip(coords, self.invariant_factors)))
+
+    def _mod_n_projection(self) -> tuple:
+        """(steps, coords) over Z/n from the Smith data of d2: Z/gcd(d_i, n)
+        on the rank block and Z/gcd(e_j, n) on the kernel block, in the class
+        coordinates of the kernel basis, put in divisibility order by the U of
+        the diagonal's Smith normal form.  Requires the d_i to be those of the
+        unit-pivot elimination and the factors to be the structure's."""
+        n, comp = self.modulus, self._complex
+        d2 = comp.d2_smith
+        require(d2.factors == comp.d2_invariants,
+                "the Smith diagonal of d2 differs from its unit-pivot elimination")
+        steps = tuple(n // gcd(d, n) for d in d2.factors)
+        r, k = len(steps), d2.kernel_classes.cols
+        orders = [n // step for step in steps] + [gcd(e, n) for e in comp.factors]
+        # maps (rank quotients, kernel coords) to coordinates mod `orders`
+        block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k for i in range(r)]
+                          + [[0] * r + row for row in d2.kernel_classes.data], cols=r + k)
+        keep, snf = _nonunit_diagonal_snf(orders, want_u=True)
+        selected = IntMatrix([block.data[i] for i in keep], cols=block.cols)
+        rows = [j for j, e in enumerate(snf.diagonal) if e != 1]
+        require(tuple(snf.diagonal[j] for j in rows) == self.invariant_factors,
+                "the factors rebuilt from the Smith data of d2 differ from the structure's")
+        return steps, IntMatrix([snf.U.data[j] for j in rows], cols=len(keep)) @ selected
+
+
+def _nonunit_diagonal_snf(orders: Sequence[int], want_u: bool) -> tuple:
+    """(keep, SNF of diag(orders[i] for i in keep)), keep the nonunit places."""
+    keep = [i for i, o in enumerate(orders) if o != 1]
+    return keep, smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep],
+                                   want_u=want_u)
 
 
 @dataclass(frozen=True)
@@ -536,10 +667,11 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     Over Z the summands are the nonunit Z/e_j from the group's cached Smith
     normal form of d1 (see the module docstring), already in divisibility
     order.  Over Z/n they are Z/gcd(d_i, n) on the rank block of d2 and
-    Z/gcd(e_j, n) on its kernel block, in the class coordinates of the
-    kernel basis; one Smith normal form of the diagonal of nonunit orders
-    puts them in divisibility order.  When gcd(n, |G|) = 1 the group is 0
-    and d2 is never built.
+    Z/gcd(e_j, n) on its kernel block, the d_i from the unit-pivot
+    elimination of d2; one Smith normal form of the diagonal of nonunit
+    orders puts them in divisibility order, and the projection data waits
+    for the first projection.  When gcd(n, |G|) = 1 the group is 0 and d2
+    is never built.
     """
     if modulus is not None and (type(modulus) is not int or modulus < 2):
         raise ValueError(f"modulus {modulus!r} is not an int >= 2")
@@ -558,20 +690,10 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
         # |G| and n both kill H^2(G; Z/n) (Brown III.10), so it is 0: no d2
         got = H2Structure(modulus, (), comp, (), IntMatrix([], cols=0))
     else:
-        d2 = comp.d2_smith
-        steps = tuple(modulus // gcd(d, modulus) for d in d2.factors)
-        r, k = len(steps), d2.kernel_classes.cols
-        orders = ([modulus // step for step in steps]
+        orders = ([gcd(d, modulus) for d in comp.d2_invariants]
                   + [gcd(e, modulus) for e in comp.factors])
-        # maps (rank quotients, kernel coords) to coordinates mod `orders`
-        block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k for i in range(r)]
-                          + [[0] * r + row for row in d2.kernel_classes.data], cols=r + k)
-        keep = [i for i, o in enumerate(orders) if o != 1]
-        snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
-        selected = IntMatrix([block.data[i] for i in keep], cols=block.cols)
-        rows = [j for j, e in enumerate(snf.diagonal) if e != 1]
-        coords = IntMatrix([snf.U.data[j] for j in rows], cols=len(keep)) @ selected
-        got = H2Structure(modulus, tuple(snf.diagonal[j] for j in rows), comp, steps, coords)
+        diagonal = _nonunit_diagonal_snf(orders, want_u=False)[1].diagonal
+        got = H2Structure(modulus, tuple(e for e in diagonal if e != 1), comp)
     comp.structures[modulus] = got
     return got
 

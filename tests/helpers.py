@@ -575,6 +575,23 @@ def invariant_factors_of_sum(orders) -> tuple:
     return tuple(d for d in invariant_factors_from_diagonal(list(orders)) if d != 1)
 
 
+def abelian_h2_mod(orders, n: int) -> tuple:
+    """Nonunit invariant factors of H^2(A; Z/n), A = (+) Z/a_i for a_i in
+    `orders`: (+) Z/gcd(a_i, n) (+) (+)_{i<j} Z/gcd(a_i, a_j, n), that is
+    Ext(A, Z/n) (+) Hom(H_2(A), Z/n) with H_2(A) the exterior square
+    (+)_{i<j} Z/gcd(a_i, a_j) (universal coefficients; Brown, Cohomology of
+    Groups, III.1 and V.6)."""
+    return invariant_factors_of_sum([gcd(a, n) for a in orders]
+                                    + [gcd(a, b, n) for a, b in combinations(orders, 2)])
+
+
+def dihedral_h2_mod(k: int, n: int) -> tuple:
+    """Nonunit invariant factors of H^2(D_k; Z/n), D_k of order 2k: by
+    universal coefficients, from H_1 = Z/2 (k odd) or Z/2 (+) Z/2 (k even)
+    and the Schur multiplier H_2 = 0 (k odd) or Z/2 (k even)."""
+    return invariant_factors_of_sum(gcd(2, n) for _ in range(1 if k % 2 else 3))
+
+
 def brute_h2_order_modn(G: FiniteGroup, n: int, limit: int = 20000) -> int:
     """|H^2(G; Z/n)| counted by enumerating all normalized 2-cochains mod n.
 

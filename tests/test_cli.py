@@ -428,6 +428,13 @@ H = cohomology.h2_structure(G, 2)
 flat = [v for row in f.values[1:] for v in row[1:]]
 cohomology._Complex(G).d2_smith.vinv.data[0][flat.index(1)] += 1
 results["d2_vinv"] = raises_check_failed(lambda: H.project(f), "off its steps")
+# the Z/2 factors come from the unit-pivot elimination of d2; the first
+# projection requires the Smith diagonal of d2 to equal its invariants
+cohomology._Complex.cache_clear()
+H = cohomology.h2_structure(G, 2)
+comp = cohomology._Complex(G)
+comp.d2_invariants = comp.d2_invariants[:-1] + (2,)
+results["d2_invariants"] = raises_check_failed(lambda: H.project(f), "unit-pivot elimination")
 # arrangement_to_inhom builds a trusted cocycle, so its arrangement check
 # must hold without asserts: (0, 1, 3, 2) is a permutation from the identity
 # whose positions are not a homomorphism onto Z/4
@@ -502,7 +509,7 @@ def test_checks_survive_python_O(tmp_path):
                                        "e_0": 1, "class_of_vinv": True,
                                        "is_n_divisible_vinv": True,
                                        "coprime_non_cocycle": "cocycle",
-                                       "d2_vinv": True,
+                                       "d2_vinv": True, "d2_invariants": True,
                                        "arrangement_to_inhom": "invariance",
                                        "loop130": "associativity fails at (1,1,1)"}
     assert "check failed" in proc.stderr

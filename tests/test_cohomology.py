@@ -1,13 +1,13 @@
 import hashlib
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circorder import cohomology
-from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
+from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
                               symmetric_group, trivial_group)
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
@@ -17,8 +17,9 @@ from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matr
                                   coboundary_matrix, h2_structure, is_n_divisible,
                                   is_trivial_mod_n, kernel_basis, smith_normal_form)
 
-from helpers import (brute_h2_order_modn, cochain_matrix, cocycle_vector, d2_annihilates,
-                     full_d2_smith, full_u_coordinates, full_u_kernel_classes,
+from helpers import (abelian_h2_mod, brute_h2_order_modn, cochain_matrix, cocycle_vector,
+                     d2_annihilates, dihedral_h2_mod, full_d2_smith, full_u_coordinates,
+                     full_u_kernel_classes,
                      invariant_factors_from_diagonal, invariant_factors_of_sum,
                      is_coboundary_mod, is_cocycle_mod, kernel_route_class,
                      kernel_route_factors, library_groups, minors_gcd_invariant_factors,
@@ -295,7 +296,8 @@ def test_moduli_prime_to_the_order_need_no_d2():
                 assert not is_cocycle_mod(G, f, n)
                 with pytest.raises(AxiomError):
                     H.project(f)
-        assert not {"V", "Vinv", "factors", "d2_smith"} & set(vars(_Complex(G))), G.name
+        assert not {"V", "Vinv", "factors", "d2_invariants", "d2_smith"} & set(
+            vars(_Complex(G))), G.name
     _Complex.cache_clear()
 
 
@@ -349,6 +351,10 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
         built.append(cols)
         return zeros(rows, cols)
 
+    eliminations = []   # every unit-pivot elimination, by its number of rows
+    eliminate = cohomology._unit_pivot_invariants
+    monkeypatch.setattr(cohomology, "_unit_pivot_invariants",
+                        lambda rows: eliminations.append(len(rows)) or eliminate(rows))
     monkeypatch.setattr(cohomology, "smith_normal_form", recording)
     monkeypatch.setattr(IntMatrix, "__init__", recording_init)
     monkeypatch.setattr(IntMatrix, "zeros", classmethod(recording_zeros))
@@ -376,12 +382,23 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     # the table
     held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
     assert held and all(M.rows < m * m for M in held), held
-    assert "d2_smith" not in vars(_Complex(G))
+    assert not {"d2_smith", "d2_invariants"} & set(vars(_Complex(G)))
+    assert not eliminations
     assert not hasattr(_Complex(G), "U")
+    # Z/n factors read the unit-pivot elimination of d2's generator rows, once
+    # for the group across moduli (3 is prime to |G| and reaches no d2), and
+    # run no SNF with m^2 columns; the first projection reduces d2 once
     shapes.clear()
-    h2_structure(G, 4)
-    h2_structure(G, 3)
+    for n in (4, 3, 6):
+        h2_structure(G, n)
+    assert len(eliminations) == 1 and eliminations[0] % (m * m) == 0, eliminations
+    assert shapes and all(cols != m * m for _, cols in shapes), shapes
+    assert "d2_smith" not in vars(_Complex(G))
+    assert h2_structure(G, 4).project(f).coords == (1,)
     assert [cols for _, cols in shapes].count(m * m) == 1, shapes
+    assert h2_structure(G, 6).project(f).coords == (1,)
+    assert [cols for _, cols in shapes].count(m * m) == 1, shapes
+    assert len(eliminations) == 1
     _Complex.cache_clear()
 
 
@@ -665,17 +682,114 @@ def test_generator_row_d2_matches_the_full_d2_oracle(data):
     h_base = [[f[0][a][b] + u[a] + u[b] - u[B.table[a][b]] if a and b else 0
                for b in range(B.order)] for a in range(B.order)]
     h = h_base, _relabel_cochain(h_base, perm)     # f's class
-    for (x_base, x), (y_base, y) in ((f, g), (f, h), (g, h)):
-        difference = [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x_base, y_base)]
-        same = H.project(x).coords == H.project(y).coords
-        assert same == is_coboundary_mod(B, difference, n)
-    for x_base, x in (f, g):
-        assert H.project(x).is_zero() == is_coboundary_mod(B, x_base, n)
-    # every Z/n answer again on the Smith data of all of d2
+
+    def classes_match_the_oracle(H):
+        for (x_base, x), (y_base, y) in ((f, g), (f, h), (g, h)):
+            difference = [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x_base, y_base)]
+            same = H.project(x).coords == H.project(y).coords
+            assert same == is_coboundary_mod(B, difference, n)
+        for x_base, x in (f, g):
+            assert H.project(x).is_zero() == is_coboundary_mod(B, x_base, n)
+
+    classes_match_the_oracle(H)
+    # every Z/n answer again on the Smith data of all of d2: the factors read
+    # the unit-pivot invariants alone, so project as well, which requires the
+    # swapped-in diagonal to equal them and rebuilds the projection from it
     got = [h2_structure(G, k).invariant_factors for k in range(2, 13)]
     _Complex.cache_clear()
-    _Complex(G).d2_smith = full_d2_smith(G)
+    full_data = _Complex(G).d2_smith = full_d2_smith(G)
     assert [h2_structure(G, k).invariant_factors for k in range(2, 13)] == got
+    classes_match_the_oracle(h2_structure(G, n))
+    assert _Complex(G).d2_smith is full_data
+    _Complex.cache_clear()
+
+
+def test_first_mod_n_projection_cross_checks_the_two_routes():
+    # the factors come from the unit-pivot invariants; the first projection
+    # builds its data from the SNF of d2 and requires both routes to agree
+    G, f = cyclic_group(4), standard_order_zn(4)
+    for corrupt in ("d2_invariants", "invariant_factors"):
+        _Complex.cache_clear()
+        H = h2_structure(G, 2)
+        assert H.invariant_factors == (2,) and H._coords is None
+        if corrupt == "d2_invariants":
+            comp = _Complex(G)
+            comp.d2_invariants = comp.d2_invariants[:-1] + (2,)
+        else:
+            H.invariant_factors = (4,)
+        with pytest.raises(CheckFailed, match="differ"):
+            H.project(f)
+    _Complex.cache_clear()
+    H = h2_structure(G, 2)
+    assert H.project(f).coords == (1,) and H._coords is not None
+    _Complex.cache_clear()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_unit_pivot_invariants_match_the_dense_d2_routes(data):
+    # the sparse elimination of the generator rows must give the nonzero
+    # Smith diagonal of the dense SNF of those rows and of all of d2
+    _, _, G = data.draw(relabelings(SMALL_GROUPS))
+    gen = _generator_d2_snf(G)
+    _Complex.cache_clear()
+    assert (_Complex(G).d2_invariants == gen.diagonal[:gen.rank]
+            == full_d2_smith(G).factors)
+    _Complex.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unit_pivot_invariants_match_the_snf_on_sparse_matrices(data):
+    # random sparse matrices, units scarce or absent, so that both the pivot
+    # steps and the residue's SNF run
+    rows, cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6])
+    dense = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    snf = smith_normal_form(dense, want_u=False)
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
+    assert cohomology._unit_pivot_invariants(sparse) == snf.diagonal[:snf.rank]
+
+
+def _abelian(*orders):
+    return product(*map(cyclic_group, orders)), partial(abelian_h2_mod, orders)
+
+
+# (group, n -> nonunit factors of H^2(G; Z/n) in closed form): abelian
+# products and dihedral groups up to order 10, and of orders 12-16 past the
+# limit, where the dense SNF of d2 took 28-30 s on Z/4 x Z/4 and did not
+# finish in 60 s on (Z/2)^4
+CLOSED_FORMS = ([_abelian(k) for k in range(2, 11)]
+                + [_abelian(2, 2), _abelian(2, 4), _abelian(2, 2, 2), _abelian(3, 3)]
+                + [(dihedral_group(k), partial(dihedral_h2_mod, k)) for k in (3, 4, 5)])
+CLOSED_FORMS_PAST_THE_LIMIT = (
+    [_abelian(k) for k in range(12, 17)]
+    + [_abelian(2, 6), _abelian(2, 8), _abelian(4, 4), _abelian(2, 2, 4), _abelian(2, 2, 2, 2)]
+    + [(dihedral_group(k), partial(dihedral_h2_mod, k)) for k in (6, 7, 8)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mod_n_factors_match_the_closed_forms(data):
+    # within the limit through h2_structure; past it through the unit-pivot
+    # invariants of d2 and the d1 factors, which the limit does not gate
+    past = data.draw(st.booleans())
+    forms = CLOSED_FORMS_PAST_THE_LIMIT if past else CLOSED_FORMS
+    index = data.draw(st.integers(0, len(forms) - 1))
+    base, closed_form = forms[index]
+    perm = [0] + data.draw(st.permutations(range(1, base.order)))
+    G = relabeled(base, perm)
+    n = data.draw(st.integers(2, 16))
+    _Complex.cache_clear()
+    with time_budget(10):
+        if past:
+            comp = _Complex(G)
+            orders = ([gcd(d, n) for d in comp.d2_invariants]
+                      + [gcd(e, n) for e in comp.factors])
+            got = invariant_factors_of_sum(orders)
+        else:
+            got = h2_structure(G, n).invariant_factors
+    assert got == closed_form(n), (base.name, n)
     _Complex.cache_clear()
 
 
