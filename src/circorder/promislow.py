@@ -22,15 +22,20 @@ positive kernel cone, then the coset aK, then the negative cone), so
 c(g1, g2, g3) compares g1^-1 g2 with g1^-1 g3 in that order.  It reads
 their class, y, x and z fields off coordinate differences and stops at the
 first field that differs, which is the lexicographic comparison of their
-keys (class, +-y, sigma_x x, sigma_z z) without building the keys.  The
-seeded self-check suite (`demo`) checks the axioms on the closed form and
-its agreement with the construction on every triple of ball(2).  It
+keys (class, +-y, sigma_x x, sigma_z z) without building the keys.  It
+compares no tuples for equality either: on group elements, equal class and
+y fields force equal point-group parts by the parity constraint, so two of
+the arguments are equal exactly when their x and z fields tie too, and the
+value is then 0.  The seeded self-check suite (`demo`) checks the axioms on
+the closed form and its agreement with the construction on every triple of
+ball(2).  It
 evaluates the closed form once on each of the 17^3 triples of ball(2) into
 a table: the agreement count and the exhaustive axioms read it, and only
 the invariance check calls the oracle again, on the translated triples.
 The sampled axioms call the oracle for every value; they draw indices into
-the sampling ball, from the stream rng.choice would use, and read each
-translated element h g from one product table of the ball.
+the sampling ball, from the stream rng.choice would use, in batches of a
+few thousand quadruples, and read each translated element h g from one
+product table of the ball.
 The module also provides word evaluation, balls and the abelianization onto
 Z/4 x Z/4.
 """
@@ -38,7 +43,7 @@ Z/4 x Z/4.
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import repeat
 
 from .errors import BoundExceeded, CheckFailed, InvalidGroupError
 from .obstruction import ObstructionSpectrum
@@ -46,6 +51,8 @@ from .orders import LeftOrderOracle, lexicographic_circular_order
 
 BALL_RADIUS_LIMIT = 8
 DEFAULT_SEED = 1729
+# quadruples of index draws the sampled pass holds at once
+_DRAW_BATCH = 2048
 
 # diagonal signs of the point-group matrices, indexed I, A, B, AB
 SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -126,21 +133,30 @@ promislow_lexicographic_order = lexicographic_circular_order(
 def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
     """Circular-ordering oracle on the whole group; values in {0, +1, -1}.
 
-    +1 exactly when g1^-1 g2 comes before g1^-1 g3 in the linear order that
-    cutting the circle at the identity leaves: the positive kernel cone
-    (class 0), then the coset aK (class 1), then the negative cone (class 2).
+    The arguments are group elements: (m, x, y, z) tuples whose translation
+    has the parity PARITY[m], as every product of GEN_A and GEN_B does.  The
+    value is 0 exactly when two of them are equal, and otherwise +1 exactly
+    when g1^-1 g2 comes before g1^-1 g3 in the linear order that cutting the
+    circle at the identity leaves: the positive kernel cone (class 0), then
+    the coset aK (class 1), then the negative cone (class 2).
     g1^-1 (m, x, y, z) = (m1 ^ m, S1 (x - x1, y - y1, z - z1)) with
     S1 = SIGNS[m1], so everything is read off coordinate differences and no
     element is built.  The class decides first.  Within a class g comes
     before g' when g^-1 g' is in the kernel cone: y decides (sigma_y = -1 on
-    aK reverses it), and a tie in y forces the same point-group part
-    m2 == m3 by parity, so with (sx, _, sz) = SIGNS[m2] (the product
-    SIGNS[m1] SIGNS[m1 ^ m2]) sx x and then sz z break it.  The comparison
-    stops at the first field that differs, which is the lexicographic order
-    on the keys (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.
+    aK reverses it), and a tie in y forces m2 == m3 by parity, so with
+    (sx, _, sz) = SIGNS[m2] (the product SIGNS[m1] SIGNS[m1 ^ m2])
+    d = sx (x3 - x2) or sz (z3 - z2) breaks it.  The comparison stops at the
+    first field that differs, which is the lexicographic order on the keys
+    (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.  The class of a pure
+    translation g1^-1 g2 is the sign of d = sx (x2 - x1) or sz (z2 - z1),
+    with (sx, _, sz) = SIGNS[m1].
+
+    Equality needs no tuple comparison.  Two elements with the same parity
+    of m and the same y have the same m, by PARITY, so d = 0 in either
+    place means equal elements: g1 == g2 (or g1 == g3) exactly when d from
+    g1 is 0, and g2 == g3 exactly when class, y and then d from g2 tie.  On
+    tuples that break parity this fails, and the value may be wrong.
     """
-    if g1 == g2 or g2 == g3 or g1 == g3:
-        return 0
     m1, x1, y1, z1 = g1
     m2, x2, y2, z2 = g2
     m3, x3, y3, z3 = g3
@@ -155,22 +171,28 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
         c2 = 0 if dy2 > 0 else 2
     else:                                 # a pure translation: x, then z
         sx, _, sz = SIGNS[m1]
-        dx = sx * (x2 - x1)
-        c2 = 0 if dx > 0 or (dx == 0 and sz * (z2 - z1) > 0) else 2
+        d = sx * (x2 - x1) or sz * (z2 - z1)
+        if not d:
+            return 0                      # g2 == g1
+        c2 = 0 if d > 0 else 2
     if (m3 & 1) != odd:
         c3 = 1
     elif dy3:
         c3 = 0 if dy3 > 0 else 2
     else:
         sx, _, sz = SIGNS[m1]
-        dx = sx * (x3 - x1)
-        c3 = 0 if dx > 0 or (dx == 0 and sz * (z3 - z1) > 0) else 2
+        d = sx * (x3 - x1) or sz * (z3 - z1)
+        if not d:
+            return 0                      # g3 == g1
+        c3 = 0 if d > 0 else 2
     if c2 != c3:
         return 1 if c2 < c3 else -1
     if dy2 != dy3:
         return 1 if (dy2 > dy3) == (c2 == 1) else -1
     sx, _, sz = SIGNS[m2]
     d = sx * (x3 - x2) or sz * (z3 - z2)
+    if not d:
+        return 0                          # g3 == g2
     return 1 if d > 0 else -1
 
 
@@ -233,18 +255,6 @@ def _product_table(mul, elems) -> list[list]:
     return [[shared.setdefault(p, p) for p in [mul(h, g) for g in elems]] for h in elems]
 
 
-def _index_draws(rng, n: int):
-    """Endless indices below n, drawn as rng.choice draws one on a length-n
-    sequence on CPython (getrandbits(n.bit_length()), drawn again while
-    >= n): indexing by them gives the elements rng.choice would, from the
-    same stream."""
-    bits, k = rng.getrandbits, n.bit_length()
-    while True:
-        r = bits(k)
-        if r < n:
-            yield r
-
-
 def _exhaustive_axiom_counts(c, mul, small, table) -> dict:
     """The four circular-ordering axioms on every quadruple (g1, g2, g3, h)
     of `small`, with c on triples of `small` read from `table`.
@@ -282,30 +292,43 @@ def _sampled_axiom_counts(c, mul, big, rng, samples) -> dict:
     """The four circular-ordering axioms on `samples` quadruples
     (g1, g2, g3, h) drawn from `big` by `rng`, calling the oracle `c` for
     every value: 10 calls per nondegenerate quadruple.  The draws are the
-    indices of rng.choice (`_index_draws`), so degeneracy compares indices
-    (the elements of `big` are distinct) and h g is read from
-    `_product_table(mul, big)`: its len(big)^2 products (21,609 on ball(5))
-    replace the 3 per quadruple, 300,000 at the default 100,000 samples."""
-    hg = _product_table(mul, big)
-    draws = _index_draws(rng, len(big))
+    indices rng.choice would draw on CPython: getrandbits(k) with
+    k = len(big).bit_length(), drawn again while >= len(big).  They come in
+    batches of at most _DRAW_BATCH quadruples, each refilled by exactly its
+    shortfall, so no raw draw is made past the last quadruple and rng is
+    left where `samples` quadruples of rng.choice draws leave it.
+    Degeneracy compares indices (the elements of `big` are distinct) and h g
+    is read from `_product_table(mul, big)`, built only when samples > 0:
+    its len(big)^2 products (21,609 on ball(5)) replace the 3 per quadruple,
+    300,000 at the default 100,000 samples."""
+    hg = _product_table(mul, big) if samples else []
+    n = len(big)
+    bits, k = rng.getrandbits, n.bit_length()
     vanishing = antisymmetry = invariance = cocycle = 0
-    # islice stops without drawing past the last quadruple, so rng is left
-    # where `samples` quadruples of rng.choice draws leave it
-    for i1, i2, i3, ih in islice(zip(draws, draws, draws, draws), samples):
-        g1, g2, g3, h = big[i1], big[i2], big[i3], big[ih]
-        v = c(g1, g2, g3)
-        degenerate = i1 == i2 or i2 == i3 or i1 == i3
-        if (v == 0) != degenerate:
-            vanishing += 1
-        if not degenerate:
-            if c(g2, g1, g3) != -v or c(g1, g3, g2) != -v or c(g3, g2, g1) != -v \
-                    or c(g2, g3, g1) != v or c(g3, g1, g2) != v:
-                antisymmetry += 1
-        row = hg[ih]
-        if c(row[i1], row[i2], row[i3]) != v:
-            invariance += 1
-        if c(g2, g3, h) - c(g1, g3, h) + c(g1, g2, h) - v != 0:
-            cocycle += 1
+    left = samples
+    while left:
+        batch = min(left, _DRAW_BATCH)
+        left -= batch
+        want = 4 * batch
+        draws = []
+        while len(draws) < want:
+            draws += [r for r in map(bits, repeat(k, want - len(draws))) if r < n]
+        it = iter(draws)
+        for i1, i2, i3, ih in zip(it, it, it, it):
+            g1, g2, g3, h = big[i1], big[i2], big[i3], big[ih]
+            v = c(g1, g2, g3)
+            degenerate = i1 == i2 or i2 == i3 or i1 == i3
+            if (v == 0) != degenerate:
+                vanishing += 1
+            if not degenerate:
+                if c(g2, g1, g3) != -v or c(g1, g3, g2) != -v or c(g3, g2, g1) != -v \
+                        or c(g2, g3, g1) != v or c(g3, g1, g2) != v:
+                    antisymmetry += 1
+            row = hg[ih]
+            if c(row[i1], row[i2], row[i3]) != v:
+                invariance += 1
+            if c(g2, g3, h) - c(g1, g3, h) + c(g1, g2, h) - v != 0:
+                cocycle += 1
     failures = {"vanishing": vanishing, "antisymmetry": antisymmetry,
                 "invariance": invariance, "cocycle": cocycle}
     return {"checked": samples, "failures": failures,

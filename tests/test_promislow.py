@@ -107,6 +107,23 @@ def test_circular_order_examples():
     assert c(IDENTITY, prom_inv(GEN_B), GEN_B) == -1
 
 
+def test_oracle_is_zero_exactly_on_repeated_elements():
+    # the oracle detects equal elements from its coordinate differences, not
+    # by comparing tuples, so pin both directions of the vanishing axiom
+    c = promislow_circular_order
+    sphere = ball(4)
+    for g in sphere:
+        for h in sphere:
+            assert c(g, g, h) == c(g, h, g) == c(h, g, g) == 0, (g, h)
+    small = ball(3)
+    for g1 in small:
+        for g2 in small:
+            if g2 != g1:
+                for g3 in small:
+                    if g3 != g1 and g3 != g2:
+                        assert c(g1, g2, g3) != 0, (g1, g2, g3)
+
+
 def test_circular_order_axioms_on_ball2():
     c = promislow_circular_order
     sphere = ball(2)
@@ -230,22 +247,32 @@ def test_sampled_draws_are_those_of_rng_choice(monkeypatch, seed, radius):
     # the sampler draws indices from the stream rng.choice reads, so it must
     # make the calls the one-quadruple-at-a-time route makes on the
     # rng.choice draws, in order, and leave rng where they leave it; a
-    # Python whose choice draws differently fails here, not in the reports
+    # Python whose choice draws differently fails here, not in the reports.
+    # The draws come in batches: 3,000 samples span two at the module's
+    # batch size, and batches of 7 quadruples split 500 into 72, the last
+    # one short, so a refill that draws past its shortfall fails too
     calls = []
 
     def recording(g1, g2, g3):
         calls.append((g1, g2, g3))
         return promislow_circular_order(g1, g2, g3)
     monkeypatch.setattr(promislow, "promislow_circular_order", recording)
-    rng = random.Random(seed)
-    got = promislow._sampled_axiom_counts(recording, prom_mul, ball(radius), rng, 500)
-    sampled = calls[:]
-    calls.clear()
-    quadruples, after = _choice_quadruples(seed, radius, 500)
-    assert got == axiom_counts(quadruples)
-    # every call, so also each quadruple's first call c(g1, g2, g3)
-    assert sampled == calls and len(calls) >= 5 * 500
-    assert rng.getstate() == after.getstate()
+    runs = [(500, promislow._DRAW_BATCH), (500, 7)]
+    if radius in (5, 8):
+        runs.append((3000, promislow._DRAW_BATCH))
+    for samples, batch in runs:
+        monkeypatch.setattr(promislow, "_DRAW_BATCH", batch)
+        calls.clear()
+        rng = random.Random(seed)
+        got = promislow._sampled_axiom_counts(recording, prom_mul, ball(radius), rng,
+                                              samples)
+        sampled = calls[:]
+        calls.clear()
+        quadruples, after = _choice_quadruples(seed, radius, samples)
+        assert got == axiom_counts(quadruples)
+        # every call, so also each quadruple's first call c(g1, g2, g3)
+        assert sampled == calls and len(calls) >= 5 * samples
+        assert rng.getstate() == after.getstate()
 
 
 def test_corrupted_oracles_are_counted_per_sampled_quadruple(monkeypatch):
@@ -307,6 +334,23 @@ def test_demo_oracle_calls_and_reports(monkeypatch):
     monkeypatch.undo()
     for seed in (7, 8):   # seed 1729 is the counted run above
         assert demo(seed=seed) == {"seed": seed, **_DEFAULT_REPORT}
+
+
+def test_sampled_pass_builds_its_product_table_only_for_samples(monkeypatch):
+    # the exhaustive pass builds one table on ball(2); the sampled pass's
+    # table on ball(radius) (275,625 products at radius 8) only if it is read
+    sizes = []
+    build = promislow._product_table
+
+    def recording(mul, elems):
+        sizes.append(len(elems))
+        return build(mul, elems)
+    monkeypatch.setattr(promislow, "_product_table", recording)
+    demo(radius=8, samples=0)
+    assert sizes == [17]
+    sizes.clear()
+    demo(radius=8, samples=1)
+    assert sizes == [17, 525]
 
 
 def test_circular_order_invariance_and_cocycle_sampled():
