@@ -196,7 +196,7 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         print(summary)
     return 0

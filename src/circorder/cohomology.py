@@ -19,15 +19,16 @@ The square U is never built: summing the cocycle identity
 f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 over k gives |G| f = d1 S with
 S(g) = sum_h f(g,h), so U f = D V^-1 S / |G| and
 (U f)_j = e_j (V^-1 S)_j / |G|, an exact division.
+S of an ordering is its positions, so its class needs no matrix.
 n-divisibility of [f] is solved in the same Smith basis, and mod-n
 triviality of an integral cocycle is the same question, so no Smith normal
-form depends on n.  d1 is reduced once per group and not kept: the integral
-route works on the cocycle matrix, and reads d1 u off the table.
+form depends on n.  d1 is reduced once per group, on its rows at generator
+last arguments (`_Complex`), and not kept: d1 u is read off the table.
 
-Every cocycle passes orders.cocycle_values, which checks a raw matrix and
-trusts an InhomCircularOrder on the group.  d2 is reduced only for Z/n
-coefficients with gcd(n, |G|) > 1, once per group; only a projection there
-flattens a cocycle to a vector.  When gcd(n, |G|) = 1,
+Every cocycle passes orders.cocycle_values or cocycle_sums, which check a
+raw matrix and trust an InhomCircularOrder on the group.  d2 is reduced
+only for Z/n coefficients with gcd(n, |G|) > 1, once per group; only a
+projection there flattens a cocycle to a vector.  When gcd(n, |G|) = 1,
 H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill it, so no matrix is
 needed; a projection still checks a raw matrix's cocycle identity mod n.  With
 U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the cocycle condition mod n
@@ -72,7 +73,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BoundExceeded, require
 from .groups import FiniteGroup, _greedy_generators
-from .orders import cocycle_failure, cocycle_values
+from .orders import cocycle_sums, cocycle_values
 
 H2_ORDER_LIMIT = 10
 
@@ -490,8 +491,15 @@ class _Complex:
     diag(e_1..e_m), m = |G| - 1, only `V`, `Vinv` and `factors` = (e_j) are
     kept, each e_j nonzero as d1 is injective (H^1(G; Z) = 0), and d1 is
     reduced on the first read of any of the three, so a Z/n question with n
-    prime to |G| never reduces it.  Neither d1 (m^2 x m) nor U (m^2 x m^2,
-    never built) is kept: `smith_coordinates` reads (U f)_j off the row sums
+    prime to |G| never reduces it.  Only the m k rows (g, s) of d1, s in a
+    greedy generating set of k elements, are reduced: with r(g,h) the row at
+    (g,h) and r = 0 at the identity, d2 d1 = 0 gives
+    r(g,hs) = r(gh,s) - r(h,s) + r(g,h), so by induction on the word length
+    of h they span the row lattice of d1, and d1 = C R for those rows R.
+    Hence R has d1's nonzero diagonal, its V works for d1 (u = V u' in
+    `is_n_divisible`), and U f below is U_R f_R, U_R that of R; a cocycle is
+    fixed by its values at the (g, s), so the classes are those of d1.
+    Neither d1 nor U is kept: `smith_coordinates` reads U f off the row sums
     of f, and `is_n_divisible` applies d1 on the table.  d2 is only reduced
     for Z/n with n not prime to |G|, and then only on its rows at generator
     last arguments: by the unit-pivot elimination for the factors
@@ -513,7 +521,7 @@ class _Complex:
         # V, Vinv and factors never come back here
         if name not in ("V", "Vinv", "factors"):
             raise AttributeError(name)
-        d1 = _coboundary_rows(self.group, 1, range(1, self.group.order))
+        d1 = _coboundary_rows(self.group, 1, _greedy_generators(self.group))
         snf1 = smith_normal_form(d1, want_u=False)
         self.V, self.Vinv, self.factors = snf1.V, snf1.Vinv, snf1.diagonal
         return vars(self)[name]
@@ -592,12 +600,12 @@ class H2Structure:
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
-        values = cocycle_values(comp.group, f, self.modulus)
         if self.modulus is None:
-            x = comp.smith_coordinates([sum(row) for row in values[1:]])
-        elif gcd(self.modulus, comp.group.order) == 1:
-            return CohomologyClass(self, ())    # H^2(G; Z/n) = 0, see h2_structure
+            x = comp.smith_coordinates(cocycle_sums(comp.group, f)[0][1:])
         else:
+            values = cocycle_values(comp.group, f, self.modulus)
+            if gcd(self.modulus, comp.group.order) == 1:
+                return CohomologyClass(self, ())    # H^2(G; Z/n) = 0, see h2_structure
             if self._coords is None:
                 self._steps, self._coords = self._mod_n_projection()
             d2 = comp.d2_smith
@@ -723,32 +731,32 @@ def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     """Whether [f] = n*mu for some mu in H^2(G; Z), with a re-verified witness.
 
     Read off the group's cached Smith normal form U d1 V = diag(e_j), so no
-    Smith normal form depends on n.  With z = U f (its first m entries, read
-    off the row sums of f; the rest vanish on a cocycle), f = n*mu + d1 u
-    splits into z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff
-    gcd(n, e_j) | z_j for every j.  d1 u is read off the table as
-    (d1 u)(g,h) = u(g) + u(h) - u(gh) with u(identity) = 0.  f passes
-    orders.cocycle_values.  The witness mu = (f - d1 u) / n is always
-    checked: by exact division, then as a cocycle (orders.cocycle_failure)
-    and by direct substitution.
+    Smith normal form depends on n.  With z = U f (read off the row sums of
+    f, an ordering's positions), f = n*mu + d1 u splits into
+    z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff gcd(n, e_j) | z_j
+    for every j; f's matrix is read only then.  d1 u is read off the table
+    as (d1 u)(g,h) = u(g) + u(h) - u(gh) with u(identity) = 0.  f passes
+    orders.cocycle_sums.  The witness mu = (f - d1 u) / n is checked by exact
+    division and direct substitution, and that proves it a cocycle: f is
+    one, d1 u is a coboundary and the identity is linear, so n d2 mu = 0,
+    hence d2 mu = 0 over Z.
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"n = {n!r} is not an int >= 2")
     comp = _complex_for(G)
-    f = cocycle_values(G, f)
+    sums, matrix = cocycle_sums(G, f)
     u_smith = []
-    for z, e in zip(comp.smith_coordinates([sum(row) for row in f[1:]]), comp.factors):
+    for z, e in zip(comp.smith_coordinates(sums[1:]), comp.factors):
         g, _, t = _gcdext(n, e)
         if z % g:
             return DivisibilityWitness(False, None, None)
         u_smith.append(t * (z // g))
+    f = matrix()
     u = [0, *comp.V.mul_vector(u_smith)]
     d1u = [[ug + uh - u[gh] for gh, uh in zip(row, u)] for row, ug in zip(G.table, u)]
     rest = [[fv - c for fv, c in zip(fg, cg)] for fg, cg in zip(f, d1u)]
     require(all(v % n == 0 for row in rest for v in row), "f - d1 u is not divisible by n")
     mu = [[v // n for v in row] for row in rest]
-    # direct substitution: mu is a cocycle and f = n*mu + d1 u, exactly
-    require(cocycle_failure(G.table, mu) is None, "witness mu is not a cocycle")
     require(all(fv == n * mv + c for fg, mg, cg in zip(f, mu, d1u)
                 for fv, mv, c in zip(fg, mg, cg)), "witness fails direct substitution")
     return DivisibilityWitness(True, mu, u[1:])

@@ -6,7 +6,10 @@ group:
 
 * ``InhomCircularOrder`` -- a normalized 2-cocycle f: G x G -> {0,1} with
   f(g, g^-1) = 1 off the identity.  Think of f(g,h) = 1 as "right
-  multiplication by h drags g counterclockwise past the identity".
+  multiplication by h drags g counterclockwise past the identity".  One
+  built from an arrangement is its positions pos: G -> Z/|G|, an
+  isomorphism, and f is the carry bit [pos g + pos h >= |G|], so row g of f
+  holds pos(g) ones; its |G|^2 values are built only when read.
 * ``HomCircularOrder`` -- a left-invariant alternating function
   c: G^3 -> {0,+1,-1} vanishing exactly on degenerate triples, +1 on
   counterclockwise triples.
@@ -24,6 +27,7 @@ evaluation oracles on triples and never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import AxiomError, BoundExceeded, InvalidGroupError
@@ -32,17 +36,50 @@ from .groups import FiniteGroup, cyclic_group, group_from_json, group_to_json
 ENUMERATION_ORDER_LIMIT = 12
 
 
-@dataclass(frozen=True)
 class InhomCircularOrder:
     """Checked inhomogeneous form: a normalized 0/1 cocycle with f(g, g^-1) = 1
     off the identity.  Built only by validate_inhom or arrangement_to_inhom,
     which check it once, or by hom_to_inhom from a checked form; as_ordering
-    trusts it on its own group's table."""
-    group: FiniteGroup
-    values: tuple  # order x order over {0,1}
+    trusts it on its own group's table.  One built from an arrangement keeps
+    `pos`, the checked isomorphism onto Z/|G|, and builds `values` (its carry
+    bit) on first read; otherwise `pos` is None.  Equal when the tables and
+    the values are."""
+
+    def __init__(self, group: FiniteGroup, values: Optional[tuple] = None,
+                 pos: Optional[tuple] = None):
+        self.group, self.pos = group, pos
+        if values is not None:
+            self.values = values   # a plain attribute shadows the cached property
+
+    @cached_property
+    def values(self) -> tuple:   # order x order over {0,1}
+        n, pos = self.group.order, self.pos
+        return tuple(tuple(int(pg + ph >= n) for ph in pos) for pg in pos)
+
+    @property
+    def row_sums(self) -> tuple:
+        """S(g) = sum_h f(g, h) for every g.  Row g of a carry bit holds
+        pos(g) ones, and every ordering of a finite group is the carry bit of
+        its arrangement, so S is the positions; they are read off `pos` when
+        it is kept, with no matrix built."""
+        if self.pos is not None:
+            return self.pos
+        return tuple(map(sum, self.values))
 
     def __call__(self, g: int, h: int) -> int:
+        if self.pos is not None:
+            return int(self.pos[g] + self.pos[h] >= self.group.order)
         return self.values[g][h]
+
+    def __eq__(self, other):
+        return (isinstance(other, InhomCircularOrder) and self.group == other.group
+                and self.values == other.values)
+
+    def __hash__(self):
+        return hash((self.group, self.values))
+
+    def __repr__(self):
+        return f"InhomCircularOrder({self.group!r}, values={self.values!r})"
 
 
 @dataclass(frozen=True)
@@ -166,6 +203,18 @@ def cocycle_values(G: FiniteGroup, f, modulus: Optional[int] = None) -> tuple:
     return values
 
 
+def cocycle_sums(G: FiniteGroup, f) -> tuple:
+    """(S, matrix) for f as cocycle_values takes it over Z: its row sums
+    S(g) = sum_h f(g, h) for every g, and a function returning its matrix.
+    An ordering gives its row_sums, read off pos when it keeps them, and
+    builds its values only when that function is called."""
+    if isinstance(f, InhomCircularOrder):
+        f = as_ordering(G, f)
+        return f.row_sums, lambda: f.values
+    values = cocycle_values(G, f)
+    return tuple(map(sum, values)), lambda: values
+
+
 def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
     """Check the homogeneous axioms; kinds "shape", "vanishing", "cocycle",
     "invariance"."""
@@ -256,14 +305,15 @@ def _checked_positions(G: FiniteGroup, seq: tuple) -> list[int]:
 
 def _hom_positions(G: FiniteGroup, seq) -> Optional[list[int]]:
     # The circle order induced by positions is left-invariant exactly when
-    # g -> position(g) is an isomorphism onto Z/n: pos(h*g) = pos(h) + pos(g).
-    n = G.order
-    pos = [0] * n
+    # g -> position(g) is an isomorphism onto Z/n: pos(h*g) = pos(h) + pos(g),
+    # that is, left multiplication by seq[i] rotates the tuple seq by i places.
+    if any(tuple(map(G.table[h].__getitem__, seq)) != seq[i:] + seq[:i]
+           for i, h in enumerate(seq)):
+        return None
+    pos = [0] * G.order
     for p, g in enumerate(seq):
         pos[g] = p
-    if all(pos[G.table[h][g]] == (pos[h] + pos[g]) % n for h in range(n) for g in range(n)):
-        return pos
-    return None
+    return pos
 
 
 def arrangement_to_hom(a: Arrangement) -> HomCircularOrder:
@@ -306,12 +356,10 @@ def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
     multiples of n dropped from a + b + k.  Pulling back along an
     isomorphism keeps all three properties, and the entries are exact 0/1
     ints by construction, so no O(|G|^3) validate_inhom is needed (the
-    tests keep it as the oracle).
+    tests keep it as the oracle).  The ordering keeps pos and builds its
+    values on first read.
     """
-    G = a.group
-    n = G.order
-    pos = _checked_positions(G, tuple(a.sequence))
-    return InhomCircularOrder(G, tuple(tuple(int(pg + ph >= n) for ph in pos) for pg in pos))
+    return InhomCircularOrder(a.group, pos=tuple(_checked_positions(a.group, tuple(a.sequence))))
 
 
 # -- enumeration -----------------------------------------------------------

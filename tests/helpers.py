@@ -20,11 +20,12 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from circorder import promislow
-from circorder.cohomology import (IntMatrix, _D2Smith, coboundary_matrices,
+from circorder.cohomology import (IntMatrix, _coboundary_rows, _D2Smith, coboundary_matrices,
                                   coboundary_matrix, kernel_basis, smith_normal_form)
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from circorder.extensions import CentralExtElement, build_extension, minimal_generator
-from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group, dihedral_group,
+from circorder.groups import (FiniteGroup, GroupHom, _greedy_generators, closure,
+                              cyclic_group, dihedral_group,
                               direct_product, quotient, subgroup_generated, symmetric_group,
                               trivial_group)
 from circorder.orders import (HomCircularOrder, InhomCircularOrder, LeftOrderOracle,
@@ -645,32 +646,59 @@ def is_coboundary_mod(G: FiniteGroup, f, n) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _full_u_head(G: FiniteGroup) -> IntMatrix:
-    """The first m = |G| - 1 rows of the square row transform U of the Smith
-    normal form U d1 V = diag(e_j): the class-coordinate rows the library
-    no longer builds, since it reads U f off the row sums of f."""
-    U = smith_normal_form(coboundary_matrix(G, 1)).U
-    return IntMatrix(U.data[:G.order - 1], cols=U.cols)
+def _full_u_head(G: FiniteGroup) -> tuple:
+    """(the first m = |G| - 1 rows of the square row transform U of the
+    Smith normal form U d1 V = diag(e_j) of all (|G|-1)^2 rows of d1, the
+    e_j): the class-coordinate rows the library no longer builds, since it
+    reads U f off the row sums of f and reduces only d1's generator rows."""
+    snf = smith_normal_form(coboundary_matrix(G, 1))
+    return IntMatrix(snf.U.data[:G.order - 1], cols=snf.U.cols), snf.diagonal
 
 
 def full_u_coordinates(G: FiniteGroup, f) -> list[int]:
-    """(U f)_j for j < m, through the square U."""
-    return _full_u_head(G).mul_vector(cocycle_vector(G, f))
+    """(U f)_j for j < m, through the square U of all of d1."""
+    return _full_u_head(G)[0].mul_vector(cocycle_vector(G, f))
 
 
-def full_u_kernel_classes(G: FiniteGroup, basis: IntMatrix) -> IntMatrix:
-    """U[:m] @ basis: the columns of a ker d2 basis in class coordinates,
-    through the square U."""
-    return _full_u_head(G) @ basis
+def full_u_factors(G: FiniteGroup) -> tuple:
+    """The Smith diagonal e_j of all of d1: (U f)_j mod e_j is f's class."""
+    return _full_u_head(G)[1]
+
+
+@lru_cache(maxsize=None)
+def _generator_u_head(G: FiniteGroup) -> tuple:
+    """(the places (g, s) of d1's rows at generator last arguments, in
+    cochain order, and the first m rows of the square U of their Smith
+    normal form): the rows R that `_Complex` reduces, and U_R."""
+    gens = _greedy_generators(G)
+    m = G.order - 1
+    U = smith_normal_form(_coboundary_rows(G, 1, gens)).U
+    return ([(g - 1) * m + s - 1 for g in range(1, m + 1) for s in gens],
+            IntMatrix(U.data[:m], cols=U.cols))
+
+
+def generator_u_coordinates(G: FiniteGroup, f) -> list[int]:
+    """(U_R f_R)_j for j < m: f at the rows R, through U_R."""
+    places, U = _generator_u_head(G)
+    vector = cocycle_vector(G, f)
+    return U.mul_vector([vector[i] for i in places])
+
+
+def generator_u_kernel_classes(G: FiniteGroup, basis: IntMatrix) -> IntMatrix:
+    """U_R @ basis at the rows R: the columns of a ker d2 basis in the class
+    coordinates of d1's generator rows."""
+    places, U = _generator_u_head(G)
+    return U @ IntMatrix([basis.data[i] for i in places], cols=basis.cols)
 
 
 def full_d2_smith(G: FiniteGroup) -> _D2Smith:
     """`_Complex.d2_smith` from the SNF of all (|G|-1)^3 rows of d2, the
     route the library replaced by the rows at generator last arguments; the
-    kernel basis goes to class coordinates through the square U."""
+    kernel basis goes to the library's class coordinates through the square
+    U_R of d1's generator rows."""
     snf2 = smith_normal_form(coboundary_matrix(G, 2), want_u=False)
     return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
-                    full_u_kernel_classes(G, kernel_basis(snf2)))
+                    generator_u_kernel_classes(G, kernel_basis(snf2)))
 
 
 @lru_cache(maxsize=None)
@@ -702,6 +730,20 @@ def kernel_route_class(G: FiniteGroup, f) -> tuple:
     y = vinv.mul_vector(cocycle_vector(G, f))
     assert not any(y[:r]), "f is not an integral cocycle"
     return tuple(z % a if a else z for z, a in zip(U.mul_vector(y[r:]), factors))
+
+
+def minimal_generator_by_scan(G: FiniteGroup, f) -> int:
+    """The unique z with f(z, g) = 0 for every g other than z^-1, found by
+    scanning every candidate row of f's matrix: the route that
+    `extensions.minimal_generator` replaced by reading pos(z) = 1.  Raises
+    CheckFailed unless exactly one candidate is found."""
+    f = as_ordering(G, f)
+    if G.order == 1:
+        return 0
+    candidates = [z for z in range(1, G.order)
+                  if all(f.values[z][g] == 0 for g in range(G.order) if g != G.inverse[z])]
+    require(len(candidates) == 1, f"minimal generator: candidates {candidates}, want exactly one")
+    return candidates[0]
 
 
 # -- Promislow elements from raw data -----------------------------------------

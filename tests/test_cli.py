@@ -453,9 +453,9 @@ print(json.dumps(results))
 
 def test_each_ordering_is_checked_once(monkeypatch, group_file):
     # the O(|G|^3) identity check runs once per object it proves: an ordering
-    # from an arrangement is proved by its O(|G|^2) isomorphism check, so
-    # product-co runs it only on the witness mu, and class_of trusts an
-    # ordering; a raw matrix is checked on every call
+    # from an arrangement is proved by its O(|G|^2) isomorphism check, and
+    # the witness mu by its entry check, so product-co never runs it, and
+    # class_of trusts an ordering; a raw matrix is checked on every call
     calls = []
     inner = orders._identity_failure
     monkeypatch.setattr(orders, "_identity_failure",
@@ -467,14 +467,15 @@ def test_each_ordering_is_checked_once(monkeypatch, group_file):
         return len(calls)
 
     path = group_file(cyclic_group(10))
-    assert count(lambda: main(["product-co", "--group", path, "--n", "3"])) == 1
+    assert count(lambda: main(["product-co", "--group", path, "--n", "3"])) == 0
     G, f = cyclic_group(4), standard_order_zn(4)
     raw = [list(row) for row in f.values]
     assert count(lambda: class_of(G, f)) == 0
     assert count(lambda: class_of(G, raw)) == 1
     # [f] generates H^2(Z/4; Z) = Z/4, so it is not 2-divisible: no mu to check
     assert count(lambda: is_n_divisible(G, raw, 2)) == 1
-    assert count(lambda: is_n_divisible(G, f, 3)) == 1   # mu only
+    assert count(lambda: is_n_divisible(G, raw, 3)) == 1   # raw only, not mu
+    assert count(lambda: is_n_divisible(G, f, 3)) == 0
 
 
 def test_each_arrangement_is_checked_once(monkeypatch, group_file):
@@ -494,14 +495,19 @@ def test_each_arrangement_is_checked_once(monkeypatch, group_file):
         assert sorted(calls) == sorted(a.sequence for a in enumerate_circular_orders(G))
 
 
-def test_checks_survive_python_O(tmp_path):
+def _run_python(flags, script, *args):
+    """Run `script` in a fresh interpreter with `flags`, circorder and the
+    test helpers importable."""
     src = str(Path(circorder.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_CHECKS,
-                           str(tmp_path / "z4.json")],
+    return subprocess.run([sys.executable, *flags, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_checks_survive_python_O(tmp_path):
+    proc = _run_python(["-O"], _CORRUPTED_CHECKS, str(tmp_path / "z4.json"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"optimized": True, "verify": True,
                                        "is_trivial_mod_n": True,
@@ -513,3 +519,31 @@ def test_checks_survive_python_O(tmp_path):
                                        "arrangement_to_inhom": "invariance",
                                        "loop130": "associativity fails at (1,1,1)"}
     assert "check failed" in proc.stderr
+
+
+_CORRUPTED_U = r"""
+from circorder import CheckFailed, cohomology, cyclic_group, standard_order_zn
+G, f = cyclic_group(4), standard_order_zn(4)
+comp = cohomology._Complex(G)
+V = comp.V
+
+class OffByOne:   # u(1) one more than V u'
+    def mul_vector(self, x):
+        u = V.mul_vector(x)
+        return [u[0] + 1, *u[1:]]
+
+comp.V = OffByOne()
+try:
+    cohomology.is_n_divisible(G, f, 3)
+except CheckFailed as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_corrupted_u_fails_the_witness_check(flags):
+    # no cocycle check runs on mu: the entry check n | f - d1 u, with f a
+    # cocycle, proves it one, and it must catch a wrong u without asserts
+    proc = _run_python(flags, _CORRUPTED_U)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "f - d1 u is not divisible by n"

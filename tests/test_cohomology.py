@@ -11,7 +11,7 @@ from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGrou
 from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
                               symmetric_group, trivial_group)
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
-                              enumerate_circular_orders, standard_order_zn)
+                              enumerate_circular_orders, standard_order_zn, validate_inhom)
 from circorder.extensions import build_extension, hat_ordering, minimal_generator
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
                                   coboundary_matrix, h2_structure, is_n_divisible,
@@ -19,10 +19,11 @@ from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matr
 
 from helpers import (abelian_h2_mod, brute_h2_order_modn, cochain_matrix, cocycle_vector,
                      d2_annihilates, dihedral_h2_mod, full_d2_smith, full_u_coordinates,
-                     full_u_kernel_classes,
+                     full_u_factors, generator_u_coordinates, generator_u_kernel_classes,
                      invariant_factors_from_diagonal, invariant_factors_of_sum,
                      is_coboundary_mod, is_cocycle_mod, kernel_route_class,
-                     kernel_route_factors, library_groups, minors_gcd_invariant_factors,
+                     kernel_route_factors, library_groups, minimal_generator_by_scan,
+                     minors_gcd_invariant_factors,
                      naive_diagonalize, relabeled, seeded_random_matrices,
                      solve_int, time_budget, verify_snf)
 
@@ -364,9 +365,11 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     reflection = [G.element_order(g) == 2 for g in range(G.order)]
     f = [[int(a and b) for b in reflection] for a in reflection]
     assert h2_structure(G).invariant_factors == (2,)
-    # a cold H^2(G; Z) is one SNF, of d1: its diagonal is already a
-    # divisibility chain, so the invariant factors need no second SNF
-    assert shapes == [(m * m, m)], shapes
+    # a cold H^2(G; Z) is one SNF, of d1's m k rows at the k generator last
+    # arguments: its diagonal is already a divisibility chain, so the
+    # invariant factors need no second SNF
+    k = len(cohomology._greedy_generators(G))
+    assert shapes == [(m * k, m)], shapes
     assert class_of(G, f).coords == (1,)
     assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
     assert is_trivial_mod_n(G, f, 3) and not is_trivial_mod_n(G, f, 4)
@@ -378,8 +381,8 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert all(not want_u or (diagonal and rows <= m)
                for rows, want_u, diagonal in transforms), transforms
     assert built and m * m not in built, sorted(set(built))
-    # d1 (m^2 rows) is reduced but not kept: is_n_divisible reads d1 u off
-    # the table
+    # d1's generator rows are reduced but not kept: is_n_divisible reads
+    # d1 u off the table
     held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
     assert held and all(M.rows < m * m for M in held), held
     assert not {"d2_smith", "d2_invariants"} & set(vars(_Complex(G)))
@@ -630,18 +633,38 @@ def test_integral_classes_match_the_kernel_route(data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_row_sum_coordinates_match_the_full_u_oracle(data):
-    # (U f)_j read off the row sums of f must equal U[:m] f from the square U
-    # of the d1 Smith normal form exactly, not only mod e_j, on every ordering
-    # and on a sum of cocycle basis columns; so must the ker d2 basis columns
+    # (U f)_j read off the row sums of f must equal U_R f_R exactly, not only
+    # mod e_j, with U_R the square U of the Smith normal form of the rows R
+    # of d1 at generator last arguments, on every ordering and on sums of
+    # cocycle basis columns; so must the ker d2 basis columns.  The square U
+    # of all of d1 may use another Smith basis, so against it the classes
+    # must agree: zero-ness, n-divisibility and equality of differences
     index, perm, G = data.draw(relabelings(SMALL_GROUPS))
     comp = _Complex(G)
     cocycles = [arrangement_to_inhom(a).values for a in enumerate_circular_orders(G)]
-    cocycles.append(_draw_cocycle(data, index, perm, None)[1])
+    cocycles += [_draw_cocycle(data, index, perm, None)[1] for _ in range(2)]
     for f in cocycles:
         sums = [sum(row) for row in f[1:]]
-        assert comp.smith_coordinates(sums) == full_u_coordinates(G, f)
+        assert comp.smith_coordinates(sums) == generator_u_coordinates(G, f)
     basis = kernel_basis(_generator_d2_snf(G))
-    assert comp.d2_smith.kernel_classes == full_u_kernel_classes(G, basis)
+    assert comp.d2_smith.kernel_classes == generator_u_kernel_classes(G, basis)
+
+    factors = full_u_factors(G)
+    assert comp.factors == factors
+
+    def full_class(f):
+        return [z % e for z, e in zip(full_u_coordinates(G, f), factors)]
+
+    n = data.draw(st.integers(2, 12))
+    for f in cocycles:
+        z = full_class(f)
+        assert class_of(G, f).is_zero() == (not any(z))
+        assert is_n_divisible(G, f, n).divisible == all(v % gcd(n, e) == 0
+                                                        for v, e in zip(z, factors))
+        for g in cocycles:
+            difference = [[a - b for a, b in zip(rf, rg)] for rf, rg in zip(f, g)]
+            same = class_of(G, f).coords == class_of(G, g).coords
+            assert same == (not any(full_class(difference)))
 
 
 def _generator_d2_snf(G):
@@ -901,6 +924,31 @@ def test_divisibility_witness_is_pinned():
     assert got.divisible
     assert got.mu == [[0, 0, 0, 0], [0, 3, 0, 0], [0, 0, -3, -3], [0, 0, -3, 0]]
     assert got.coboundary_of == [-2, 5, 3]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_positions_route_matches_the_matrix_oracle(data):
+    # an ordering from an arrangement keeps its positions and reads its class,
+    # divisibility and minimal generator off them, building no matrix unless
+    # the class is divisible; its matrix given raw goes the N^2 route, whose
+    # answers, mu included, must be the same
+    _, _, G = data.draw(relabelings([cyclic_group(k) for k in range(2, 13)]))
+    with_classes = G.order <= cohomology.H2_ORDER_LIMIT
+    for a in enumerate_circular_orders(G):
+        f, raw = arrangement_to_inhom(a), [list(row) for row in arrangement_to_inhom(a).values]
+        assert list(f.row_sums) == [sum(row) for row in raw]
+        assert (minimal_generator(G, f) == minimal_generator(G, raw)
+                == minimal_generator_by_scan(G, raw) == a.sequence[1])
+        if with_classes:
+            assert class_of(G, f).coords == class_of(G, raw).coords
+            for n in range(2, 13):
+                fresh = arrangement_to_inhom(a)
+                got = is_n_divisible(G, fresh, n)
+                assert got == is_n_divisible(G, raw, n)
+                assert ("values" in vars(fresh)) == got.divisible
+        assert "values" not in vars(f)
+        assert f == validate_inhom(G, raw)
 
 
 def test_divisibility_matches_gcd_rule_for_cyclic():

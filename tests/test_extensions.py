@@ -4,8 +4,9 @@ from circorder import extensions
 from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from circorder.groups import (cyclic_group, symmetric_group, trivial_group,
                               subgroup_generated)
-from circorder.orders import (Arrangement, arrangement_from_sequence, arrangement_to_inhom,
-                              enumerate_circular_orders, standard_order_zn, validate_inhom)
+from circorder.orders import (Arrangement, InhomCircularOrder, arrangement_from_sequence,
+                              arrangement_to_inhom, enumerate_circular_orders,
+                              standard_order_zn, validate_inhom)
 from circorder.extensions import (CentralExtElement, build_extension,
                                   hat_ordering, minimal_generator)
 
@@ -213,6 +214,18 @@ def test_minimal_generator_is_arrangement_successor():
         for arr in enumerate_circular_orders(G):
             f = arrangement_to_inhom(arr)
             assert minimal_generator(G, f) == arr.sequence[1]
+
+
+def test_minimal_generator_lift_check_catches_a_corrupted_ordering():
+    # a trusted ordering whose matrix was altered after its check: row 2 of
+    # Z/5's carry bit gains a 1 at (2, 1), so z = 1 keeps row sum 1, but the
+    # lift (0, 1) picks up two carries on its way round, not one
+    G = cyclic_group(5)
+    values = [list(row) for row in standard_order_zn(5).values]
+    values[2][1] = 1
+    bad = InhomCircularOrder(G, tuple(map(tuple, values)))
+    with pytest.raises(CheckFailed, match="does not generate the Z-extension"):
+        minimal_generator(G, bad)
 
 
 def test_minimal_generator_rejects_non_cyclic():
