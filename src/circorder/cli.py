@@ -141,25 +141,28 @@ def cmd_promislow(args) -> tuple[dict, str]:
     return report, summary
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The root parser, and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="circorder",
         description="circular orderings, central extensions, exact H^2, obstruction spectra")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("enumerate", help="list all circular orderings of a finite group")
+    p = commands["enumerate"] = sub.add_parser(
+        "enumerate", help="list all circular orderings of a finite group")
     p.add_argument("--group", required=True, help="group JSON file")
     p.add_argument("--max-order", type=integer_ge_0)  # None: the enumeration limit
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("product-co",
-                       help="decide circular orderability of G x Z/n with witness")
+    p = commands["product-co"] = sub.add_parser(
+        "product-co", help="decide circular orderability of G x Z/n with witness")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=integer_ge_2, required=True)
     p.add_argument("--max-order", type=integer_ge_0)  # None: the enumeration limit
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("obstruction", help="obstruction spectrum report")
+    p = commands["obstruction"] = sub.add_parser("obstruction", help="obstruction spectrum report")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--group")
     mode.add_argument("--torsion-orders", type=torsion_orders,
@@ -170,19 +173,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=integer_ge_2, default=12)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("promislow", help="run the Promislow group self-check demo")
+    p = commands["promislow"] = sub.add_parser(
+        "promislow", help="run the Promislow group self-check demo")
     p.add_argument("--seed", type=int, default=prom.DEFAULT_SEED)
     p.add_argument("--radius", type=integer_ge_0, default=5)
     p.add_argument("--samples", type=integer_ge_0, default=100_000)
     p.add_argument("--json", action="store_true")
-    return parser
+    return parser, commands
 
 
-_PARSER = build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+_PARSER, _COMMAND_PARSERS = _build_parsers()
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed as the root parser parses it.  That parser hands all
+    that follows a known command to the command's parser, so this one does
+    so directly; no arguments, help, an unknown command and unrecognized
+    arguments go through the root parser, for its help and usage errors."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if command is not None:
+        args, unrecognized = command.parse_known_args(argv[1:])
+        if not unrecognized:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call
     try:
         payload, summary = command(args)

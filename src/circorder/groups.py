@@ -10,6 +10,7 @@ tuples and safe to share.  `direct_product(G, H)` puts (g, h) at g*|H| + h.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import permutations
 from math import lcm
 from typing import Iterable, NamedTuple, Optional
@@ -417,12 +418,24 @@ def group_from_json(data) -> FiniteGroup:
 
 
 def load_group(path) -> FiniteGroup:
+    """The checked group of a group JSON file.  Files with the same text
+    share one FiniteGroup (`_group_from_text`), so a file read again
+    unchanged is not checked again, and a rewritten one is."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return _group_from_text(fh.read())
+        except InvalidGroupError:   # the table's own diagnostic, without the path
+            raise
         except (ValueError, RecursionError) as exc:   # not UTF-8 JSON, or too deep
             raise InvalidGroupError(f"group JSON: {path}: {exc}") from exc
-    return group_from_json(data)
+
+
+@lru_cache(maxsize=None)
+def _group_from_text(text: str) -> FiniteGroup:
+    """The group of a group file's text, kept per distinct text.  Errors
+    raise and are not kept.  Unbounded by design, like the cohomology
+    cache: `_group_from_text.cache_clear()` releases it."""
+    return group_from_json(json.loads(text))
 
 
 def dump_group(G: FiniteGroup, path) -> None:

@@ -106,6 +106,36 @@ def test_the_parser_is_built_once(monkeypatch, capsys, group_file):
         "Z/3 x Z/2: circularly orderable (direct search agrees)"]
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["frobnicate"], ["enum", "--group", "g.json"],
+    *([command, "-h"] for command in ("enumerate", "product-co", "obstruction", "promislow")),
+    ["enumerate"], ["enumerate", "--group", "g.json", "--max-order", "-1"],
+    ["enumerate", "--group", "g.json", "--bogus"], ["enumerate", "--group", "g.json", "x"],
+    ["enumerate", "--group", "g.json", "--"],
+    ["product-co", "--group", "g.json", "--n", "1"],
+    ["product-co", "--group", "g.json", "--n", "x"],
+    ["obstruction", "--group", "g.json", "--exponent", "5"],
+    ["obstruction", "--torsion-orders", "4", "--exponent", "5"],
+    ["enumerate", "--gr", "g.json"], ["product-co", "--gr", "g.json", "--n", "3"],
+    ["product-co", "--gr", "g.json"], ["obstruction", "--gr", "g.json", "--max-n", "5"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_each_command_parses_as_through_the_root_parser(capsys, argv):
+    # main hands a known command's arguments to that command's parser alone;
+    # the root parser, the oracle, must agree on every namespace, help text,
+    # usage error and exit code
+    def outcome(parse):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, *capsys.readouterr()
+
+    want = outcome(cli.build_parser().parse_args)
+    assert outcome(cli._parse) == want
+    if not isinstance(want[0], dict):   # the parse exits before any command runs
+        assert outcome(main) == want
+
+
 def test_ordering_file_values_must_be_ints(tmp_path, monkeypatch, capsys):
     # No subcommand reads an ordering file, so a stand-in command loads one
     # as load_group loads a group file.  A float or boolean value must exit
@@ -374,12 +404,13 @@ def test_human_readable_output(capsys, group_file):
 # cached V^-1 of d2 that moves a Z/n projection off its steps, must still
 # raise CheckFailed, and the CLI must still exit 1 on it; a hand-built
 # arrangement that is not left-invariant must still raise AxiomError, and a
-# table that is not associative must still raise InvalidGroupError.
+# table that is not associative must still raise InvalidGroupError, also
+# when its file rewrites one whose group load_group already keeps.
 _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (AxiomError, Arrangement, CheckFailed, FiniteGroup, IntMatrix,
                        InvalidGroupError, arrangement_to_inhom, cli, cohomology,
-                       cyclic_group, dump_group, standard_order_zn)
+                       cyclic_group, dump_group, load_group, standard_order_zn)
 from helpers import loop130_table, verify_snf
 
 def raises_check_failed(call, match=""):
@@ -404,7 +435,8 @@ G, f = cyclic_group(4), standard_order_zn(4)
 comp = cohomology._Complex(G)
 comp.V = IntMatrix([[-v for v in row] for row in comp.V.data])
 results["is_trivial_mod_n"] = raises_check_failed(lambda: cohomology.is_trivial_mod_n(G, f, 3))
-results["is_n_divisible"] = raises_check_failed(lambda: cohomology.is_n_divisible(G, f, 3))
+results["is_n_divisible"] = raises_check_failed(lambda: cohomology.is_n_divisible(G, f, 3),
+                                                "f - d1 u is not divisible by n")
 dump_group(G, sys.argv[1])
 results["cli_exit"] = cli.main(["product-co", "--group", sys.argv[1], "--n", "3"])
 cohomology._Complex.cache_clear()
@@ -447,6 +479,17 @@ try:
     results["loop130"] = None
 except InvalidGroupError as exc:
     results["loop130"] = str(exc).split(":")[0]
+# load_group keeps a group per file text, so a file rewritten in place as
+# loop130 after its group was kept must still fail Light's test
+load_group(sys.argv[1])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"name": "loop130", "table": loop130_table()}, fh)
+try:
+    load_group(sys.argv[1])
+    results["rewritten_loop130"] = None
+except InvalidGroupError as exc:
+    results["rewritten_loop130"] = str(exc).split(":")[0]
+results["rewritten_loop130_exit"] = cli.main(["enumerate", "--group", sys.argv[1]])
 print(json.dumps(results))
 """
 
@@ -498,12 +541,37 @@ def test_each_arrangement_is_checked_once(monkeypatch, group_file):
 def _run_python(flags, script, *args):
     """Run `script` in a fresh interpreter with `flags`, circorder and the
     test helpers importable."""
+    return subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          env=_python_env(), capture_output=True, text=True, timeout=120)
+
+
+def _python_env() -> dict:
+    """The environment with circorder and the test helpers importable."""
     src = str(Path(circorder.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *flags, "-c", script, *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_in_process_answers_match_a_fresh_process(tmp_path, capsys):
+    # the integral benchmark's questions on one relabeled group, asked in one
+    # process where the group and its complex are cached after the first,
+    # print what each prints in a fresh interpreter
+    G = helpers.relabeled(cyclic_group(6), [0, 5, 3, 1, 4, 2])
+    path = str(tmp_path / "z6.json")
+    dump_group(G, path)
+    questions = [["enumerate", "--group", path],
+                 *(["product-co", "--group", path, "--n", str(n)] for n in range(2, 9)),
+                 ["obstruction", "--group", path]]
+    groups._group_from_text.cache_clear()
+    _Complex.cache_clear()
+    for argv in questions:
+        assert main(argv + ["--json"]) == 0
+        fresh = subprocess.run([sys.executable, "-m", "circorder.cli", *argv, "--json"],
+                               env=_python_env(), capture_output=True, text=True,
+                               timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout, argv
 
 
 def test_checks_survive_python_O(tmp_path):
@@ -517,7 +585,9 @@ def test_checks_survive_python_O(tmp_path):
                                        "coprime_non_cocycle": "cocycle",
                                        "d2_vinv": True, "d2_invariants": True,
                                        "arrangement_to_inhom": "invariance",
-                                       "loop130": "associativity fails at (1,1,1)"}
+                                       "loop130": "associativity fails at (1,1,1)",
+                                       "rewritten_loop130": "associativity fails at (1,1,1)",
+                                       "rewritten_loop130_exit": 2}
     assert "check failed" in proc.stderr
 
 

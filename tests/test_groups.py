@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circorder import groups
 from circorder.errors import BoundExceeded, InvalidGroupError
 from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group,
                               dihedral_group, direct_product, dump_group,
@@ -299,6 +300,40 @@ def test_group_json_diagnostics(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InvalidGroupError):
         load_group(bad)
+
+
+def test_load_group_checks_each_file_text_once(tmp_path):
+    # the cache is keyed by the file's text, never its path or mtime: the
+    # same bytes give the same group, a rewritten file is read and checked
+    # again, and a file that fails raises on every load, naming its path
+    cache = groups._group_from_text
+    cache.cache_clear()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    dump_group(cyclic_group(4), a)
+    dump_group(cyclic_group(4), b)
+    G = load_group(a)
+    assert load_group(a) is G and load_group(b) is G
+    dump_group(symmetric_group(3), a)
+    assert load_group(a) == symmetric_group(3) and load_group(b) is G
+    assert cache.cache_info().currsize == 2
+    for bad, message in ((json.dumps({"table": helpers.loop130_table()}),
+                          r"associativity fails at \(1,1,1\)"),
+                         ('{"table": [[0, 1], [1, 7]]}', r"table\[1\]\[1\]")):
+        dump_group(cyclic_group(4), a)
+        assert load_group(a) is G
+        a.write_text(bad)
+        for _ in range(2):
+            with pytest.raises(InvalidGroupError, match=message):
+                load_group(a)
+    a.write_text("{not json")
+    for _ in range(2):
+        with pytest.raises(InvalidGroupError, match=re.escape(f"group JSON: {a}: ")):
+            load_group(a)
+    assert cache.cache_info().currsize == 2
+    cache.cache_clear()
+    assert cache.cache_info().currsize == 0
+    again = load_group(b)
+    assert again == G and again is not G
 
 
 def test_associativity_diagnostic():
