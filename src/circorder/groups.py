@@ -108,23 +108,16 @@ class FiniteGroup:
         return self.inverse[g]
 
     def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inverse[g], -k
-        acc = 0
-        for _ in range(k):
-            acc = self.table[acc][g]
-        return acc
+        powers = _powers(self, g)
+        return powers[k % len(powers)]
 
     def conjugate(self, g: int, by: int) -> int:
         """Return by * g * by^-1."""
         return self.table[self.table[by][g]][self.inverse[by]]
 
     def element_order(self, g: int) -> int:
-        t, x = 1, g
-        while x != 0:
-            x = self.table[x][g]
-            t += 1
-        return t
+        """The least t >= 1 with g^t the identity: the length of `_powers`."""
+        return len(_powers(self, g))
 
     def exponent(self) -> int:
         return lcm(*(self.element_order(g) for g in range(self.order)))
@@ -279,6 +272,16 @@ def closure(G: FiniteGroup, gens: Iterable[int]) -> frozenset:
     return frozenset(elems)
 
 
+def _powers(G: FiniteGroup, g: int) -> list[int]:
+    """[g^0, g^1, ...] up to the first power that is the identity again: the
+    one walk behind powers, element orders and the orderings (`orders`)."""
+    row, powers, x = G.table[g], [0], g   # g^(k+1) = g * g^k
+    while x != 0:
+        powers.append(x)
+        x = row[x]
+    return powers
+
+
 def _greedy_generators(G: FiniteGroup) -> list[int]:
     """The elements, scanned by index, that right multiplication by those
     kept before them does not reach from the identity; at the end it
@@ -404,9 +407,9 @@ def group_from_json(data) -> FiniteGroup:
     table = data["table"]
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise InvalidGroupError("group JSON: field 'table' must be a list of rows")
-    if "order" in data and data["order"] != len(table):
-        raise InvalidGroupError(
-            f"group JSON: field 'order' = {data['order']} but table has {len(table)} rows")
+    order = data.get("order", len(table))
+    if type(order) is not int or order != len(table):   # not true or 2.0
+        raise InvalidGroupError(f"group JSON: field 'order' = {order!r} but table has {len(table)} rows")
     names = data.get("names")
     if names is not None and (not isinstance(names, list)
                               or not all(isinstance(s, str) for s in names)):

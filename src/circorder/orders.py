@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import AxiomError, BoundExceeded, InvalidGroupError
-from .groups import FiniteGroup, cyclic_group, group_from_json, group_to_json
+from .groups import FiniteGroup, _powers, cyclic_group, group_from_json, group_to_json
 
 ENUMERATION_ORDER_LIMIT = 12
 
@@ -291,8 +291,8 @@ def arrangement_from_sequence(G: FiniteGroup, sequence: Sequence[int]) -> Arrang
 def _checked_positions(G: FiniteGroup, seq: tuple) -> list[int]:
     """pos[g] = the place of g in seq, once seq is checked to be an
     arrangement of G: exact ints forming a permutation ("shape"), starting at
-    the identity ("normalization"), and inducing a left-invariant order
-    ("invariance")."""
+    the identity ("normalization"), and the powers of seq[1], which makes its
+    order left-invariant ("invariance", `_hom_positions`)."""
     if any(type(g) is not int for g in seq) or sorted(seq) != list(range(G.order)):
         raise AxiomError("shape", seq, "not a permutation of the elements")
     if seq[0] != 0:
@@ -303,12 +303,17 @@ def _checked_positions(G: FiniteGroup, seq: tuple) -> list[int]:
     return pos
 
 
-def _hom_positions(G: FiniteGroup, seq) -> Optional[list[int]]:
-    # The circle order induced by positions is left-invariant exactly when
-    # g -> position(g) is an isomorphism onto Z/n: pos(h*g) = pos(h) + pos(g),
-    # that is, left multiplication by seq[i] rotates the tuple seq by i places.
-    if any(tuple(map(G.table[h].__getitem__, seq)) != seq[i:] + seq[:i]
-           for i, h in enumerate(seq)):
+def _hom_positions(G: FiniteGroup, seq: tuple) -> Optional[list[int]]:
+    """pos[g], the place of g in seq (a permutation of G from the identity),
+    if pos is an isomorphism onto Z/n (n = |G|), else None; the induced
+    circle order is left-invariant exactly then.  That holds iff seq is the
+    walk _powers(G, z), z = seq[1], checked in O(n): if so, z has order n,
+    and k -> z^k is a bijection Z/n -> G, a homomorphism since z^j z^k =
+    z^(j+k) in an associative table (FiniteGroup checks it), with inverse
+    pos.  If pos is an isomorphism, pos(z*x) = 1 + pos(x), so seq[i] = z^i
+    for i < n and z^n = 1: seq is the walk.  The tests' oracle is the O(n^2)
+    definition: left multiplication by seq[i] rotates seq by i places."""
+    if len(seq) > 1 and tuple(_powers(G, seq[1])) != seq:
         return None
     pos = [0] * G.order
     for p, g in enumerate(seq):
@@ -345,7 +350,7 @@ def hom_to_arrangement(c: HomCircularOrder) -> Arrangement:
 
 
 def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
-    """The carry bit f(g, h) = [pos g + pos h >= |G|], checked in O(|G|^2).
+    """The carry bit f(g, h) = [pos g + pos h >= |G|], checked in O(|G| log |G|).
 
     The arrangement is first checked as arrangement_from_sequence checks it
     (same AxiomError kinds), so g -> pos g is an isomorphism onto Z/|G|, and
@@ -357,7 +362,7 @@ def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
     isomorphism keeps all three properties, and the entries are exact 0/1
     ints by construction, so no O(|G|^3) validate_inhom is needed (the
     tests keep it as the oracle).  The ordering keeps pos and builds its
-    values on first read.
+    |G|^2 values on first read, so nothing here is quadratic.
     """
     return InhomCircularOrder(a.group, pos=tuple(_checked_positions(a.group, tuple(a.sequence))))
 
@@ -368,16 +373,10 @@ def enumerate_circular_orders(G: FiniteGroup,
                               max_order: Optional[int] = None) -> list[Arrangement]:
     """All left-invariant arrangements of G, lexicographically by sequence,
     for G up to max_order (default ENUMERATION_ORDER_LIMIT, read per call;
-    otherwise an int >= 0).
-
-    Strategy: anchor the identity, pick the element z following it; requiring
-    invariance under z alone already forces the sequence (id, z, z*z, ...),
-    kept when z generates G.  No further check is needed: the table is
-    associative (FiniteGroup checks it at every order), so z^j z^k = z^(j+k)
-    and positions form an isomorphism onto Z/|G|, which makes the sequence
-    an ordering.  arrangement_to_inhom proves that once, in O(|G|^2), when
-    it builds the cocycle.  Empty exactly when G admits no circular
-    ordering.
+    otherwise an int >= 0).  Every ordering is the walk _powers(G, z) from
+    its second entry z (`_hom_positions`), so the orderings are the walks
+    that cover G, in order of z; arrangement_to_inhom checks each once,
+    when it builds the cocycle.  Empty exactly when G admits no ordering.
     """
     if max_order is not None and (type(max_order) is not int or max_order < 0):
         raise InvalidGroupError(f"enumerate_circular_orders: max_order {max_order!r} "
@@ -385,19 +384,8 @@ def enumerate_circular_orders(G: FiniteGroup,
     limit = ENUMERATION_ORDER_LIMIT if max_order is None else max_order
     if G.order > limit:
         raise BoundExceeded(f"enumerate_circular_orders: order {G.order} > limit {limit}")
-    if G.order == 1:
-        return [Arrangement(G, (0,))]
-    found = []
-    for z in range(1, G.order):
-        seq = [0]
-        x = z
-        while x != 0 and len(seq) <= G.order:
-            seq.append(x)
-            x = G.table[z][x]
-        if x == 0 and len(seq) == G.order:   # else z does not generate
-            found.append(Arrangement(G, tuple(seq)))
-    found.sort(key=lambda a: a.sequence)
-    return found
+    walks = (_powers(G, z) for z in range(G.order))   # z = 0 walks (0,) alone
+    return [Arrangement(G, tuple(seq)) for seq in walks if len(seq) == G.order]
 
 
 # -- standard and lexicographic constructions ------------------------------
@@ -462,15 +450,22 @@ def ordering_to_json(obj) -> dict:
     return {"group": group_to_json(obj.group), "kind": kind, "data": data}
 
 
+_READERS = {"arrangement": (1, arrangement_from_sequence), "inhom": (2, validate_inhom),
+            "hom": (3, validate_hom)}   # kind -> (list depth of 'data', checker)
+
+
 def ordering_from_json(data):
+    """The checked ordering of a JSON dict; a malformed field raises InvalidGroupError."""
     if not isinstance(data, dict) or "kind" not in data or "data" not in data:
         raise InvalidGroupError("ordering JSON: need fields 'group', 'kind', 'data'")
     G = group_from_json(data.get("group"))
-    kind = data["kind"]
-    if kind == "arrangement":
-        return arrangement_from_sequence(G, data["data"])
-    if kind == "inhom":
-        return validate_inhom(G, data["data"])
-    if kind == "hom":
-        return validate_hom(G, data["data"])
-    raise InvalidGroupError(f"ordering JSON: unknown kind {kind!r}")
+    kind, level = data["kind"], [data["data"]]
+    if not isinstance(kind, str) or kind not in _READERS:
+        raise InvalidGroupError(f"ordering JSON: unknown kind {kind!r}")
+    depth, read = _READERS[kind]
+    for _ in range(depth):   # 'data', and its entries to the kind's depth, are lists
+        if not all(isinstance(x, list) for x in level):
+            raise InvalidGroupError(f"ordering JSON: field 'data' of kind {kind!r} must be a list"
+                                    + " of lists" * (depth - 1))
+        level = [y for x in level for y in x]
+    return read(G, data["data"])

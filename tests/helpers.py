@@ -4,10 +4,11 @@ Everything here is deliberately written from scratch (brute force,
 enumeration, minors) so that it can cross-check the production code without
 sharing its machinery.  The exceptions are the slow literal routes that no
 answer of the package runs, kept here as references: the literal
-group-axiom scans with the cubic associativity check, the isomorphism
-search, the finite left orders and lexicographic orderings, and the
-Z-extension cone with its quotients, which build on the package's group
-tables and extensions, and the Smith data of all of d2.
+group-axiom scans with the cubic associativity check, the rotation check
+of an arrangement, the isomorphism search, the finite left orders and
+lexicographic orderings, and the Z-extension cone with its quotients,
+which build on the package's group tables and extensions, and the Smith
+data of all of d2.
 """
 
 from __future__ import annotations
@@ -288,6 +289,20 @@ def brute_force_arrangements(G: FiniteGroup) -> list[tuple]:
         if ok:
             out.append(seq)
     return out
+
+
+def rotation_positions(G: FiniteGroup, seq: tuple) -> Optional[list[int]]:
+    """The positions of seq (a permutation of G starting at the identity)
+    if they form an isomorphism onto Z/|G|, else None, by the O(|G|^2)
+    definition: pos(h*g) = pos(h) + pos(g) for all h and g, that is, left
+    multiplication by seq[i] rotates seq by i places."""
+    if any(tuple(G.table[h][g] for g in seq) != seq[i:] + seq[:i]
+           for i, h in enumerate(seq)):
+        return None
+    pos = [0] * G.order
+    for p, g in enumerate(seq):
+        pos[g] = p
+    return pos
 
 
 def group_is_circularly_orderable_brute(G: FiniteGroup) -> bool:

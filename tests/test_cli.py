@@ -198,9 +198,11 @@ def test_enumeration_bound_is_the_module_constant(monkeypatch, capsys, group_fil
     assert rc == 0 and payload["cross_check"] == "skipped"
 
 
-def test_benchmark_tracer_names_exist():
+def test_benchmark_tracer_names_exist(monkeypatch):
     # `perfbench/run.py --trace` wraps each of these names by getattr on its
-    # layer module, so moving or renaming one breaks the traced run
+    # layer module, so moving or renaming one breaks the traced run; the
+    # tracer is read without writing its bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circorder import groups
+from circorder import cli, groups
 from circorder.errors import BoundExceeded, InvalidGroupError
 from circorder.groups import (FiniteGroup, GroupHom, closure, cyclic_group,
                               dihedral_group, direct_product, dump_group,
@@ -165,6 +165,20 @@ def test_element_order_and_exponent():
     assert cyclic_group(12).exponent() == 12
 
 
+def test_element_order_and_power_match_brute_right_multiplication():
+    # e, g, g*g, ... by right multiplication, with no early stop: the order
+    # is the first return to the identity, and power(g, k) the k-th entry
+    for G in library_groups():
+        for g in range(G.order):
+            chain = [0]
+            for _ in range(2 * G.order):
+                chain.append(G.table[chain[-1]][g])
+            t = chain.index(0, 1)
+            assert G.element_order(g) == t, (G.name, g)
+            assert [G.power(g, k) for k in range(2 * G.order + 1)] == chain
+            assert all(G.table[G.power(g, -k)][chain[k]] == 0 for k in range(2 * G.order + 1))
+
+
 def test_find_isomorphism():
     c2, c3 = cyclic_group(2), cyclic_group(3)
     iso = find_isomorphism(direct_product(c2, c3), cyclic_group(6))
@@ -300,6 +314,18 @@ def test_group_json_diagnostics(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InvalidGroupError):
         load_group(bad)
+
+
+@pytest.mark.parametrize("order", [True, 2.0, "2"])
+def test_group_json_order_must_be_an_int(tmp_path, order):
+    # true == 1 and 2.0 == 2 in Python, but neither is a count; the message
+    # shows the value as written, so "2" is not printed as 2
+    data = {"order": order, "table": [[0]] if order is True else [[0, 1], [1, 0]]}
+    with pytest.raises(InvalidGroupError, match=re.escape(f"'order' = {order!r} but")):
+        group_from_json(data)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["enumerate", "--group", str(path)]) == 2
 
 
 def test_load_group_checks_each_file_text_once(tmp_path):

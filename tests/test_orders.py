@@ -5,11 +5,11 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circorder import extensions, orders
+from circorder import extensions, groups, orders
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
 from circorder.extensions import hat_ordering
-from circorder.groups import (cyclic_group, direct_product, GroupHom, group_to_json,
-                              symmetric_group, trivial_group)
+from circorder.groups import (cyclic_group, dihedral_group, direct_product, GroupHom,
+                              group_to_json, symmetric_group, trivial_group)
 from circorder.orders import (Arrangement, arrangement_from_sequence,
                               arrangement_to_hom, arrangement_to_inhom,
                               enumerate_circular_orders, hom_to_arrangement,
@@ -19,7 +19,7 @@ from circorder.orders import (Arrangement, arrangement_from_sequence,
 
 from helpers import (_cyclic_value, brute_force_arrangements, euler_phi,
                      left_order_from_cone, lexicographic_order_finite, library_groups,
-                     relabeled)
+                     relabeled, rotation_positions, time_budget)
 
 
 def all_orderings(G):
@@ -310,6 +310,52 @@ def test_enumerated_arrangements_are_generator_power_sequences():
             assert arr.sequence == tuple(G.power(z, k) for k in range(n))
 
 
+_NON_CYCLIC = [symmetric_group(3), direct_product(cyclic_group(2), cyclic_group(2)),
+               dihedral_group(4), direct_product(cyclic_group(2), cyclic_group(4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_powers_walk_matches_the_rotation_oracle(data):
+    # _hom_positions reads an arrangement as the powers of its second entry,
+    # in O(N); on every permutation starting at the identity it must return
+    # what the O(N^2) rotation check returns
+    k = data.draw(st.integers(1, 16))
+    G = relabeled(cyclic_group(k), [0] + data.draw(st.permutations(range(1, k))))
+    arrangements = [a.sequence for a in enumerate_circular_orders(G, max_order=16)]
+    assert len(arrangements) == euler_phi(k)
+    candidates = list(arrangements)
+    if k > 2:   # two non-identity entries swapped
+        for seq in arrangements:
+            i, j = data.draw(st.lists(st.integers(1, k - 1), min_size=2, max_size=2,
+                                      unique=True))
+            swapped = list(seq)
+            swapped[i], swapped[j] = seq[j], seq[i]
+            candidates.append(tuple(swapped))
+    candidates.append((0, *data.draw(st.permutations(range(1, k)))))
+    z = data.draw(st.integers(0, k - 1))   # a walk that stops short, then the rest
+    walk = groups._powers(G, z)
+    candidates.append((*walk, *data.draw(st.permutations(sorted(set(range(k)) - set(walk))))))
+    for seq in candidates:
+        assert orders._hom_positions(G, seq) == rotation_positions(G, seq), seq
+    assert all(orders._hom_positions(G, seq) is not None for seq in arrangements)
+    H = data.draw(st.sampled_from(_NON_CYCLIC))   # no ordering at all
+    walk = groups._powers(H, data.draw(st.integers(0, H.order - 1)))
+    for seq in ((0, *data.draw(st.permutations(range(1, H.order)))),
+                (*walk, *(g for g in range(H.order) if g not in walk))):
+        assert orders._hom_positions(H, seq) is None
+        assert rotation_positions(H, seq) is None
+
+
+def test_orderings_at_table_scale_within_the_time_budget():
+    # one O(N) walk checks each ordering; the O(N^2) rotation check took
+    # over a minute for these 512 on a 2-vCPU VM
+    G = cyclic_group(1024)
+    with time_budget(10):
+        built = [arrangement_to_inhom(a) for a in enumerate_circular_orders(G, max_order=1024)]
+    assert [f.pos.index(1) for f in built] == list(range(1, 1024, 2))
+
+
 # -- standard order -----------------------------------------------------------
 
 def test_standard_order_values():
@@ -384,6 +430,29 @@ def test_ordering_json_rejects_boolean_elements():
         ordering_from_json(data)
     assert exc.value.kind == "shape"
 
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("arrangement", 5), ("arrangement", None), ("arrangement", "012"),
+    ("arrangement", {"0": 0}),
+    ("inhom", 5), ("inhom", None), ("inhom", [5, 6, 7]),
+    ("inhom", [[0, 0, 0], 5, [0, 1, 1]]),
+    ("hom", 5), ("hom", None), ("hom", [[0, 0, 0]] * 3),
+    ("hom", [[[0] * 3] * 3, [[0] * 3, 5, [0] * 3], [[0] * 3] * 3]),
+])
+def test_ordering_json_rejects_malformed_data(kind, data):
+    # before its checker reads it, 'data' must be a list, nested once per
+    # index of the kind, so a malformed file is an input error
+    payload = {"group": group_to_json(cyclic_group(3)), "kind": kind, "data": data}
+    with pytest.raises(InvalidGroupError, match=f"field 'data' of kind '{kind}'"):
+        ordering_from_json(payload)
+
+
+@pytest.mark.parametrize("kind", [["hom"], None, 3, "Hom"])
+def test_ordering_json_rejects_unknown_kinds(kind):
+    payload = {"group": group_to_json(cyclic_group(3)), "kind": kind, "data": [0, 1, 2]}
+    with pytest.raises(InvalidGroupError, match="unknown kind"):
+        ordering_from_json(payload)
 
 
 def test_ordering_values_must_be_ints():
