@@ -1,10 +1,11 @@
 """circorder: exact computation with circular orderings on groups.
 
-Finite groups are multiplication tables with the identity at index 0;
-circular orderings come in arrangement, inhomogeneous-cocycle, and
-homogeneous-cocycle forms; central extensions, integral second cohomology
-(via Smith normal form), obstruction spectra, and the Promislow group round
-out the toolkit.  Everything is integer-exact.
+Finite groups are multiplication tables with the identity at index 0; a
+checked circular ordering of one is stored once, as its positions
+pos: G -> Z/|G|, and read in three views: an arrangement, an inhomogeneous
+cocycle and a homogeneous cocycle.  Central extensions, integral second
+cohomology (via Smith normal form), obstruction spectra, and the Promislow
+group round out the toolkit.  Everything is integer-exact.
 """
 
 from .errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError

@@ -101,25 +101,27 @@ def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> Central
 # -- minimal generators ------------------------------------------------------
 
 def minimal_generator(G: FiniteGroup, f) -> int:
-    """The element z with pos(z) = 1, read off f's row sums (its positions
-    when it keeps them): the element sitting immediately counterclockwise of
-    the identity, and the unique z with f(z, g) = 0 for every g other than
-    z^-1.
+    """The element z with pos(z) = 1, read off f's positions: the element
+    sitting immediately counterclockwise of the identity, and the unique z
+    with f(z, g) = 0 for every g other than z^-1.
 
-    Cross-checked against the lift definition in O(|G|): (0, z) must be the
-    positive generator of the Z-extension, i.e. its |G|-th power is (1, id),
-    with the carries f(z^k, z) read one entry at a time.
+    Only a matrix given raw needs G checked cyclic: a checked ordering on G's
+    table already proves it.  Cross-checked against the lift definition in
+    O(|G|): (0, z) must be the positive generator of the Z-extension, i.e.
+    its |G|-th power is (1, id), with the carries f(z^k, z) = [pos z^k +
+    pos z >= |G|] read off pos one at a time.
     """
-    if not G.is_cyclic():
+    if not isinstance(f, InhomCircularOrder) and not G.is_cyclic():
         raise InvalidGroupError(f"{G.name} is not cyclic, so it has no minimal generator")
     f = as_ordering(G, f)
-    if G.order == 1:
+    n, pos, table = G.order, f.pos, G.table
+    if n == 1:
         return 0
-    z = f.row_sums.index(1)
+    z = pos.index(1)
     a, x = 0, 0
-    for _ in range(G.order):    # (a, x) <- (a, x)(0, z)
-        a, x = a + f(x, z), G.table[x][z]
-    require(G.element_order(z) == G.order and (a, x) == (1, 0),
+    for _ in range(n):    # (a, x) <- (a, x)(0, z)
+        a, x = a + (pos[x] + pos[z] >= n), table[x][z]
+    require(G.element_order(z) == n and (a, x) == (1, 0),
             f"minimal generator: lift (0, {z}) does not generate the Z-extension")
     return z
 
@@ -132,7 +134,7 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
 
     where f_s is the carry bit on Z/n, on the materialized group.  It is
     built as the carry bit of the arrangement a*|G| + g, g in f's arrangement
-    (sorted by f's row sums, its positions), proved in O(N^2) for N = n*|G|
+    (sorted by f's positions), proved in O(N^2) for N = n*|G|
     by arrangement_to_inhom, and compared with the formula entry by entry.
     """
     if type(n) is not int or n < 2:
@@ -140,7 +142,7 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
     f = as_ordering(G, f)
     group = build_extension(G, f, modulus=n).materialize()  # BoundExceeded before O(N^2)
     m = G.order
-    circle = sorted(range(m), key=f.row_sums.__getitem__)
+    circle = sorted(range(m), key=f.pos.__getitem__)
     fhat = arrangement_to_inhom(Arrangement(group, tuple(a * m + g for a in range(n)
                                                          for g in circle)))
     carries = ((0,) * m, (1,) * m)   # f_s(a1, a2) across the m elements of a2

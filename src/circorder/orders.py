@@ -1,21 +1,24 @@
 """Circular orderings on groups: representations, validation, conversion,
 enumeration.
 
-Three interconvertible encodings are used for a circular ordering on a finite
-group:
+A finite group is circularly orderable only when it is cyclic, so a checked
+ordering of one is its positions pos: G -> Z/|G|, an isomorphism with pos(g)
+the place of g counterclockwise from the identity.  That is the one stored
+form; the three encodings are views of it:
 
 * ``InhomCircularOrder`` -- a normalized 2-cocycle f: G x G -> {0,1} with
-  f(g, g^-1) = 1 off the identity.  Think of f(g,h) = 1 as "right
-  multiplication by h drags g counterclockwise past the identity".  One
-  built from an arrangement is its positions pos: G -> Z/|G|, an
-  isomorphism, and f is the carry bit [pos g + pos h >= |G|], so row g of f
-  holds pos(g) ones; its |G|^2 values are built only when read.
+  f(g, g^-1) = 1 off the identity, the carry bit [pos g + pos h >= |G|].
+  Think of f(g,h) = 1 as "right multiplication by h drags g
+  counterclockwise past the identity"; row g of f holds pos(g) ones.
 * ``HomCircularOrder`` -- a left-invariant alternating function
   c: G^3 -> {0,+1,-1} vanishing exactly on degenerate triples, +1 on
   counterclockwise triples.
 * ``Arrangement`` -- the elements listed counterclockwise around the circle,
-  starting at the identity.  This is the canonical finite form: O(n) storage
-  and trivially deduplicated.
+  starting at the identity, i.e. pos inverted.  This is the canonical finite
+  form: O(n) storage and trivially deduplicated.
+
+The two cocycle forms build their |G|^2 and |G|^3 values on first read, and
+the conversions between the forms pass pos across.
 
 Every ordering that the other modules take passes one gate here:
 `as_ordering` (or `cocycle_values`, where any cocycle will do) trusts an
@@ -30,67 +33,65 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import AxiomError, BoundExceeded, InvalidGroupError
+from .errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from .groups import FiniteGroup, _powers, cyclic_group, group_from_json, group_to_json
 
 ENUMERATION_ORDER_LIMIT = 12
 
 
-class InhomCircularOrder:
-    """Checked inhomogeneous form: a normalized 0/1 cocycle with f(g, g^-1) = 1
-    off the identity.  Built only by validate_inhom or arrangement_to_inhom,
-    which check it once, or by hom_to_inhom from a checked form; as_ordering
-    trusts it on its own group's table.  One built from an arrangement keeps
-    `pos`, the checked isomorphism onto Z/|G|, and builds `values` (its carry
-    bit) on first read; otherwise `pos` is None.  Equal when the tables and
-    the values are."""
+class _Positions:
+    """An ordering of a finite group kept as its one stored form: pos, the
+    checked isomorphism G -> Z/|G| (an ordered finite group is cyclic, and
+    pos(g) is g's place counterclockwise from the identity).  Built only by
+    the validators, arrangement_to_inhom and the conversions, which pass a
+    checked pos across.  Equal, with no matrix built, when the tables and
+    the positions are."""
 
-    def __init__(self, group: FiniteGroup, values: Optional[tuple] = None,
-                 pos: Optional[tuple] = None):
+    def __init__(self, group: FiniteGroup, pos: tuple):
         self.group, self.pos = group, pos
-        if values is not None:
-            self.values = values   # a plain attribute shadows the cached property
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.group, self.pos) == (other.group, other.pos)
+
+    def __hash__(self):
+        return hash(self.pos)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.group!r}, pos={self.pos!r})"
+
+
+class InhomCircularOrder(_Positions):
+    """Checked inhomogeneous form: the carry bit f(g, h) = [pos g + pos h >=
+    |G|], a normalized 0/1 cocycle with f(g, g^-1) = 1 off the identity, so
+    row g holds pos(g) ones.  as_ordering trusts it on its own group's table;
+    its |G|^2 values are built on first read."""
 
     @cached_property
     def values(self) -> tuple:   # order x order over {0,1}
         n, pos = self.group.order, self.pos
         return tuple(tuple(int(pg + ph >= n) for ph in pos) for pg in pos)
 
-    @property
-    def row_sums(self) -> tuple:
-        """S(g) = sum_h f(g, h) for every g.  Row g of a carry bit holds
-        pos(g) ones, and every ordering of a finite group is the carry bit of
-        its arrangement, so S is the positions; they are read off `pos` when
-        it is kept, with no matrix built."""
-        if self.pos is not None:
-            return self.pos
-        return tuple(map(sum, self.values))
-
     def __call__(self, g: int, h: int) -> int:
-        if self.pos is not None:
-            return int(self.pos[g] + self.pos[h] >= self.group.order)
-        return self.values[g][h]
-
-    def __eq__(self, other):
-        return (isinstance(other, InhomCircularOrder) and self.group == other.group
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((self.group, self.values))
-
-    def __repr__(self):
-        return f"InhomCircularOrder({self.group!r}, values={self.values!r})"
+        return int(self.pos[g] + self.pos[h] >= self.group.order)
 
 
-@dataclass(frozen=True)
-class HomCircularOrder:
-    """Checked homogeneous form.  Built only by validate_hom, which checks it,
-    or by inhom_to_hom from a checked form."""
-    group: FiniteGroup
-    values: tuple  # order x order x order over {-1,0,1}
+class HomCircularOrder(_Positions):
+    """Checked homogeneous form: the position chart c(g1, g2, g3), +1 when pos
+    runs counterclockwise through (g1, g2, g3), -1 on the other distinct
+    triples and 0 on degenerate ones; its |G|^3 values are built on first
+    read."""
+
+    @cached_property
+    def values(self) -> tuple:   # order x order x order over {-1,0,1}
+        n, pos = self.group.order, self.pos
+        steps = ([(p - p1) % n for p in pos] for p1 in pos)   # pos(g1^-1 g) for each g1
+        return tuple(tuple(tuple((d2 < d3) - (d2 > d3) if d2 and d3 else 0 for d3 in d)
+                           for d2 in d) for d in steps)
 
     def __call__(self, g1: int, g2: int, g3: int) -> int:
-        return self.values[g1][g2][g3]
+        n, pos = self.group.order, self.pos
+        d2, d3 = (pos[g2] - pos[g1]) % n, (pos[g3] - pos[g1]) % n
+        return (d2 < d3) - (d2 > d3) if d2 and d3 else 0
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,9 @@ def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
     failure = _identity_failure(G.table, values)   # 0/1 ints skip the type scan
     if failure is not None:
         raise failure
-    return InhomCircularOrder(G, values)
+    f = InhomCircularOrder(G, tuple(map(sum, values)))   # row g holds pos(g) ones
+    require(f.values == values, "validate_inhom: the ordering is not the carry bit of its row sums")
+    return f
 
 
 def cocycle_failure(table, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
@@ -206,11 +209,11 @@ def cocycle_values(G: FiniteGroup, f, modulus: Optional[int] = None) -> tuple:
 def cocycle_sums(G: FiniteGroup, f) -> tuple:
     """(S, matrix) for f as cocycle_values takes it over Z: its row sums
     S(g) = sum_h f(g, h) for every g, and a function returning its matrix.
-    An ordering gives its row_sums, read off pos when it keeps them, and
-    builds its values only when that function is called."""
+    An ordering's row sums are its positions, and it builds its values only
+    when that function is called."""
     if isinstance(f, InhomCircularOrder):
         f = as_ordering(G, f)
-        return f.row_sums, lambda: f.values
+        return f.pos, lambda: f.values
     values = cocycle_values(G, f)
     return tuple(map(sum, values)), lambda: values
 
@@ -249,35 +252,26 @@ def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
                 for g3 in range(n):
                     if values[th[g1]][th[g2]][th[g3]] != values[g1][g2][g3]:
                         raise AxiomError("invariance", (h, g1, g2, g3))
-    return HomCircularOrder(G, values)
+    # c(id, g, x) = +1 for the n - 1 - pos(g) elements x after g
+    c = HomCircularOrder(G, (0, *(n - 1 - row.count(1) for row in values[0][1:])))
+    require(c.values == values, "validate_hom: the ordering is not the chart of its positions")
+    return c
 
 
-# -- conversions (the mutually inverse maps between the two cocycle forms) --
-# Each returns its formula's values unchecked: the formulas are the standard
-# correspondence of inhomogeneous and left-invariant homogeneous cocycles,
-# which carries the axioms of a checked form over (the tests' oracle is the
-# validator of the other form).
+# -- conversions -------------------------------------------------------------
+# Both checked forms are views of the same positions, so each conversion
+# passes pos across and builds no table (the tests keep the standard
+# formulas between the two cocycle forms as the oracle).
 
 def hom_to_inhom(c: HomCircularOrder) -> InhomCircularOrder:
-    """f(g,h) = 0 if g or h is the identity, 1 if gh = id with g != id,
-    else (1 - c(id, g, gh)) / 2."""
-    c0 = c.values[0]
-    values = tuple(tuple(0 if g == 0 or h == 0 else 1 if gh == 0 else (1 - c0[g][gh]) // 2
-                         for h, gh in enumerate(row)) for g, row in enumerate(c.group.table))
-    return InhomCircularOrder(c.group, values)
+    """f(g,h) = (1 - c(id, g, gh)) / 2 off the identity: the carry bit of c's positions."""
+    return InhomCircularOrder(c.group, c.pos)
 
 
 def inhom_to_hom(f: InhomCircularOrder) -> HomCircularOrder:
-    """c(g1,g2,g3) = 1 - 2 f(g1^-1 g2, g2^-1 g3) on distinct triples, else 0."""
-    G = f.group
-    n, table, inverse = G.order, G.table, G.inverse
-    values = tuple(
-        tuple(tuple(0 if g3 == g1 or g3 == g2 or g1 == g2
-                    else 1 - 2 * f.values[table[inverse[g1]][g2]][table[inverse[g2]][g3]]
-                    for g3 in range(n))
-              for g2 in range(n))
-        for g1 in range(n))
-    return HomCircularOrder(G, values)
+    """c(g1,g2,g3) = 1 - 2 f(g1^-1 g2, g2^-1 g3) on distinct triples: the
+    chart of f's positions."""
+    return HomCircularOrder(f.group, f.pos)
 
 
 # -- arrangements ----------------------------------------------------------
@@ -329,24 +323,8 @@ def arrangement_to_hom(a: Arrangement) -> HomCircularOrder:
 
 
 def hom_to_arrangement(c: HomCircularOrder) -> Arrangement:
-    """Read off the counterclockwise order that c dictates after the identity."""
-    G = c.group
-    n = G.order
-    rest = list(range(1, n))
-    # x precedes y on the circle after the identity iff c(id, x, y) = +1
-    ordered: list[int] = []
-    for x in rest:
-        lo = 0
-        while lo < len(ordered) and c.values[0][ordered[lo]][x] == 1:
-            lo += 1
-        ordered.insert(lo, x)
-    arr = Arrangement(G, (0, *ordered))
-    # arrangement_to_inhom raises "invariance" on an arrangement that is not
-    # left-invariant; a left-invariant one must give back c
-    if arrangement_to_hom(arr).values != c.values:
-        raise AxiomError("invariance", (0, *ordered),
-                         "triple function does not come from a left-invariant arrangement")
-    return arr
+    """The elements sorted by c's positions: counterclockwise from the identity."""
+    return Arrangement(c.group, tuple(sorted(range(c.group.order), key=c.pos.__getitem__)))
 
 
 def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
@@ -361,10 +339,10 @@ def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
     multiples of n dropped from a + b + k.  Pulling back along an
     isomorphism keeps all three properties, and the entries are exact 0/1
     ints by construction, so no O(|G|^3) validate_inhom is needed (the
-    tests keep it as the oracle).  The ordering keeps pos and builds its
+    tests keep it as the oracle).  The ordering stores pos and builds its
     |G|^2 values on first read, so nothing here is quadratic.
     """
-    return InhomCircularOrder(a.group, pos=tuple(_checked_positions(a.group, tuple(a.sequence))))
+    return InhomCircularOrder(a.group, tuple(_checked_positions(a.group, tuple(a.sequence))))
 
 
 # -- enumeration -----------------------------------------------------------

@@ -309,6 +309,30 @@ def group_is_circularly_orderable_brute(G: FiniteGroup) -> bool:
     return bool(brute_force_arrangements(G))
 
 
+# -- the standard conversion formulas between the two cocycle forms -----------
+
+def hom_to_inhom_formula(G: FiniteGroup, c) -> tuple:
+    """f(g,h) = 0 if g or h is the identity, 1 if gh = id with g != id, else
+    (1 - c(id, g, gh)) / 2, from the matrix c of a left-invariant
+    homogeneous cocycle: the oracle for `orders.hom_to_inhom`, which passes
+    the positions across and builds no table."""
+    return tuple(tuple(0 if g == 0 or h == 0 else 1 if gh == 0 else (1 - c[0][g][gh]) // 2
+                       for h, gh in enumerate(row)) for g, row in enumerate(G.table))
+
+
+def inhom_to_hom_formula(G: FiniteGroup, f) -> tuple:
+    """c(g1,g2,g3) = 1 - 2 f(g1^-1 g2, g2^-1 g3) on distinct triples, else 0,
+    from the matrix f of a normalized cocycle: the oracle for
+    `orders.inhom_to_hom`, which passes the positions across and builds no
+    table."""
+    n, table, inverse = G.order, G.table, G.inverse
+    return tuple(tuple(tuple(0 if g3 == g1 or g3 == g2 or g1 == g2
+                             else 1 - 2 * f[table[inverse[g1]][g2]][table[inverse[g2]][g3]]
+                             for g3 in range(n))
+                       for g2 in range(n))
+                 for g1 in range(n))
+
+
 # -- left orders and the lexicographic construction on finite carriers ---------
 # A finite group has a left order only when it is trivial, so on finite
 # carriers these are vacuous; the package keeps the oracle form

@@ -593,6 +593,47 @@ def test_checks_survive_python_O(tmp_path):
     assert "check failed" in proc.stderr
 
 
+_CORRUPTED_VIEWS = r"""
+import json
+from functools import cached_property
+from circorder import CheckFailed, inhom_to_hom, orders, standard_order_zn
+
+f = standard_order_zn(4)
+c = inhom_to_hom(f)
+raw = {"validate_inhom": f.values, "validate_hom": c.values}
+
+def swapped(view):   # the view builder with its last two rows or planes swapped
+    def values(self):
+        v = view(self)
+        return v[:-2] + (v[-1], v[-2])
+    return cached_property(values)
+
+for cls in (orders.InhomCircularOrder, orders.HomCircularOrder):
+    cls.values = swapped(cls.values.func)
+    cls.values.__set_name__(cls, "values")
+results = {"optimized": not __debug__}
+for name, values in raw.items():
+    try:
+        getattr(orders, name)(f.group, values)
+        results[name] = None
+    except CheckFailed as exc:
+        results[name] = str(exc)
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_corrupted_views_fail_the_validators(flags):
+    # each validator reads pos off the matrix it has checked and requires the
+    # view built from pos to give the matrix back, without asserts
+    proc = _run_python(flags, _CORRUPTED_VIEWS)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "optimized": flags == ["-O"],
+        "validate_inhom": "validate_inhom: the ordering is not the carry bit of its row sums",
+        "validate_hom": "validate_hom: the ordering is not the chart of its positions"}
+
+
 _CORRUPTED_U = r"""
 from circorder import CheckFailed, cohomology, cyclic_group, standard_order_zn
 G, f = cyclic_group(4), standard_order_zn(4)

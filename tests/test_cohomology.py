@@ -929,7 +929,7 @@ def test_divisibility_witness_is_pinned():
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_positions_route_matches_the_matrix_oracle(data):
-    # an ordering from an arrangement keeps its positions and reads its class,
+    # an ordering from an arrangement stores its positions and reads its class,
     # divisibility and minimal generator off them, building no matrix unless
     # the class is divisible; its matrix given raw goes the N^2 route, whose
     # answers, mu included, must be the same
@@ -937,7 +937,7 @@ def test_positions_route_matches_the_matrix_oracle(data):
     with_classes = G.order <= cohomology.H2_ORDER_LIMIT
     for a in enumerate_circular_orders(G):
         f, raw = arrangement_to_inhom(a), [list(row) for row in arrangement_to_inhom(a).values]
-        assert list(f.row_sums) == [sum(row) for row in raw]
+        assert list(f.pos) == [sum(row) for row in raw]
         assert (minimal_generator(G, f) == minimal_generator(G, raw)
                 == minimal_generator_by_scan(G, raw) == a.sequence[1])
         if with_classes:

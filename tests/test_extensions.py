@@ -217,13 +217,11 @@ def test_minimal_generator_is_arrangement_successor():
 
 
 def test_minimal_generator_lift_check_catches_a_corrupted_ordering():
-    # a trusted ordering whose matrix was altered after its check: row 2 of
-    # Z/5's carry bit gains a 1 at (2, 1), so z = 1 keeps row sum 1, but the
-    # lift (0, 1) picks up two carries on its way round, not one
+    # a trusted ordering whose positions were altered after their check:
+    # z = 1 keeps pos 1, but with 2, 3 and 4 all at pos 4 the lift (0, 1)
+    # picks up three carries on its way round, not one
     G = cyclic_group(5)
-    values = [list(row) for row in standard_order_zn(5).values]
-    values[2][1] = 1
-    bad = InhomCircularOrder(G, tuple(map(tuple, values)))
+    bad = InhomCircularOrder(G, (0, 1, 4, 4, 4))
     with pytest.raises(CheckFailed, match="does not generate the Z-extension"):
         minimal_generator(G, bad)
 

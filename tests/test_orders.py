@@ -18,6 +18,7 @@ from circorder.orders import (Arrangement, arrangement_from_sequence,
                               standard_order_zn, validate_hom, validate_inhom)
 
 from helpers import (_cyclic_value, brute_force_arrangements, euler_phi,
+                     hom_to_inhom_formula, inhom_to_hom_formula,
                      left_order_from_cone, lexicographic_order_finite, library_groups,
                      relabeled, rotation_positions, time_budget)
 
@@ -167,9 +168,9 @@ _CYCLIC = [G for G in _LIBRARY if G.is_cyclic()]
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_derived_orderings_pass_the_validator_oracles(data):
-    # inhom_to_hom and hom_to_inhom return their formula's values, and
-    # hat_ordering the carry bit of its arrangement, without the axiom
-    # checks; the full checks must accept each and return it unchanged
+    # inhom_to_hom and hom_to_inhom pass the checked positions across, and
+    # hat_ordering builds the carry bit of its arrangement, without the
+    # axiom checks; the full checks must accept each and return it unchanged
     G = data.draw(st.sampled_from(_CYCLIC))   # orders 1 to 12
     H = relabeled(G, [0] + data.draw(st.permutations(range(1, G.order))))
     for arr in enumerate_circular_orders(H):
@@ -183,10 +184,29 @@ def test_derived_orderings_pass_the_validator_oracles(data):
             assert validate_inhom(fhat.group, fhat.values).values == fhat.values
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_views_are_the_conversion_formulas(data):
+    # both checked forms store only pos and the conversions pass it across,
+    # building no table; each view must be the standard formula applied to
+    # the other view, and the validators must give back an equal object
+    G = data.draw(st.sampled_from(_CYCLIC))   # orders 1 to 12
+    H = relabeled(G, [0] + data.draw(st.permutations(range(1, G.order))))
+    for arr in enumerate_circular_orders(H):
+        f = arrangement_to_inhom(arr)
+        c, back, direct = inhom_to_hom(f), hom_to_inhom(inhom_to_hom(f)), arrangement_to_hom(arr)
+        again = hom_to_arrangement(c)
+        assert all("values" not in vars(x) for x in (f, c, back, direct))
+        assert (back, direct, again) == (f, c, arr)
+        assert c.values == inhom_to_hom_formula(H, f.values)
+        assert f.values == hom_to_inhom_formula(H, c.values)
+        assert validate_inhom(H, f.values) == f and validate_hom(H, c.values) == c
+
+
 def test_derived_orderings_run_no_validator(monkeypatch):
     # standard_order_zn and hat_ordering build through arrangement_to_inhom's
-    # O(N^2) position check, and the conversions return their formula's
-    # values: the validators are for matrices given as input
+    # O(N^2) position check, and the conversions pass the checked positions
+    # across: the validators are for matrices given as input
     calls = []
     for name in ("validate_inhom", "validate_hom", "_identity_failure"):
         inner = getattr(orders, name)
@@ -265,10 +285,10 @@ def test_hom_to_arrangement_rejects_non_invariant():
                     d2 = (pos[g2] - pos[g1]) % 4
                     d3 = (pos[g3] - pos[g1]) % 4
                     values[g1][g2][g3] = 1 if d2 < d3 else -1
-    from circorder.orders import HomCircularOrder
-    raw = HomCircularOrder(c4, tuple(tuple(tuple(p) for p in r) for r in values))
+    # the chart is a homogeneous cocycle on the set, so validate_hom gets as
+    # far as invariance, and hom_to_arrangement only ever sees a checked form
     with pytest.raises(AxiomError) as err:
-        hom_to_arrangement(raw)
+        hom_to_arrangement(validate_hom(c4, values))
     assert err.value.kind == "invariance"
 
 
