@@ -8,22 +8,17 @@ tests on cohomology classes of circular orderings.  Cochains are normalized
 (they vanish when any argument is the identity), so degree-k cochains on a
 group of order m live in Z^((m-1)^k).
 
-Integral classes come from the Smith normal form of d1, which is
-(|G|-1)^2 x (|G|-1) and injective (H^1(G; Z) = Hom(G, Z) = 0).  With
-U d1 V = diag(e_1..e_m), m = |G| - 1, the cokernel of d1 is
-(+) Z/e_j (+) Z^(m^2 - m), and H^2(G; Z) = ker d2 / im d1 is exactly its
-torsion subgroup: it is finite, and C^2 / ker d2 embeds in the free group
-C^3 (Brown, Cohomology of Groups, III.1).  So the class of an integral
-cocycle f has coordinates (U f)_j mod e_j for j < m, and (U f)_j = 0 past m.
-The square U is never built: summing the cocycle identity
+Integral classes are characters.  Summing the cocycle identity
 f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 over k gives |G| f = d1 S with
-S(g) = sum_h f(g,h), so U f = D V^-1 S / |G| and
-(U f)_j = e_j (V^-1 S)_j / |G|, an exact division.
-S of an ordering is its positions, so its class needs no matrix.
-n-divisibility of [f] is solved in the same Smith basis, and mod-n
-triviality of an integral cocycle is the same question, so no Smith normal
-form depends on n.  d1 is reduced once per group, on its rows at generator
-last arguments (`_Complex`), and not kept: d1 u is read off the table.
+S(g) = sum_h f(g,h), so S mod |G| is a homomorphism and the class of f is
+the character chi_f(g) = S(g)/|G| mod 1: it is zero exactly when S = |G| u,
+i.e. f = d1 u, and every character is that of the carry bit of its lift to
+Z/|G|.  So H^2(G; Z) = Hom(G^ab, Q/Z) (Brown, Cohomology of Groups, III.1
+and III.10), read in the Smith basis of a k-column relation matrix of G^ab
+at k <= log2 |G| generators (`_Complex`), from S at those.  S of an
+ordering is its positions, so its class needs no matrix.  n-divisibility is
+solved on the character, and mod-n triviality of an integral cocycle is the
+same question, so nothing depends on n; d1 u is read off the table.
 
 Every cocycle passes orders.cocycle_values or cocycle_sums, which check a
 raw matrix and trust an InhomCircularOrder on the group.  d2 is reduced
@@ -34,7 +29,7 @@ needed; a projection still checks a raw matrix's cocycle identity mod n.  With
 U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the cocycle condition mod n
 reads d_i y_i = 0 mod n on the rank block and leaves the kernel block free,
 while im d1 lies in the kernel block.  So H^2(G; Z/n) splits as
-(+) Z/gcd(d_i, n) (+) (+) Z/gcd(e_j, n), the kernel block read in the class
+(+) Z/gcd(d_i, n) (+) (+) Z/gcd(a_j, n), the kernel block read in the class
 coordinates above (the universal coefficient theorem, Brown III.1).
 
 The invariant factors need only the nonzero d_i, not V', and d2 has at most
@@ -72,7 +67,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BoundExceeded, require
-from .groups import FiniteGroup, _greedy_generators
+from .groups import FiniteGroup, _greedy_generators, _word_vectors
 from .orders import cocycle_sums, cocycle_values
 
 H2_ORDER_LIMIT = 10
@@ -487,53 +482,58 @@ class _D2Smith(NamedTuple):
 @lru_cache(maxsize=None)
 class _Complex:
     """Cached per-group data: the checked group it was built from, the Smith
-    data of d1 and the H^2 structures built on them.  With U d1 V =
-    diag(e_1..e_m), m = |G| - 1, only `V`, `Vinv` and `factors` = (e_j) are
-    kept, each e_j nonzero as d1 is injective (H^1(G; Z) = 0), and d1 is
-    reduced on the first read of any of the three, so a Z/n question with n
-    prime to |G| never reduces it.  Only the m k rows (g, s) of d1, s in a
-    greedy generating set of k elements, are reduced: with r(g,h) the row at
-    (g,h) and r = 0 at the identity, d2 d1 = 0 gives
-    r(g,hs) = r(gh,s) - r(h,s) + r(g,h), so by induction on the word length
-    of h they span the row lattice of d1, and d1 = C R for those rows R.
-    Hence R has d1's nonzero diagonal, its V works for d1 (u = V u' in
-    `is_n_divisible`), and U f below is U_R f_R, U_R that of R; a cocycle is
-    fixed by its values at the (g, s), so the classes are those of d1.
-    Neither d1 nor U is kept: `smith_coordinates` reads U f off the row sums
-    of f, and `is_n_divisible` applies d1 on the table.  d2 is only reduced
-    for Z/n with n not prime to |G|, and then only on its rows at generator
-    last arguments: by the unit-pivot elimination for the factors
-    (`d2_invariants`), and by the dense SNF with V'^-1 and the kernel
-    classes (`d2_smith`) on the first projection.
-    Cached by multiplication table: the group kept is the first one asked
-    about, already checked, and nothing here reads its names.  The cache is
-    unbounded by design: it holds one entry per distinct table asked about,
-    each at most one d1 and one d2 SNF of a group within the order limit,
-    and `cache_clear()` releases it all (`cache_info()` sizes it)."""
+    data of a relation matrix A of G^ab and the H^2 structures built on
+    them.  A breadth-first search over the greedy generators s_1..s_k gives
+    word vectors v: G -> Z^k (`groups._word_vectors`), and A has the |G| k
+    rows v(x) + e_i - v(x s_i).  With L their lattice, v(x s_i) = v(x) + e_i
+    mod L, so v(xy) = v(x) + v(y) mod L by induction on the word length of
+    y: x -> v(x) is a homomorphism onto Z^k / L, as e_i = v(s_i).  e_i -> s_i
+    sends v(x) to x and each row to 1 in G^ab, so it is defined on Z^k / L
+    and undoes x -> v(x): G^ab = Z^k / L.  With U A V = diag(a_1..a_k), each
+    a_j nonzero as G^ab is finite, w in Z^k has coordinates (w V)_j mod a_j
+    in the basis b_j of G^ab, row j of V^-1.  `gens`, `words`, `V`, `Vinv`
+    and `factors` = (a_j) are kept, built on the first read of any from A's
+    distinct nonzero rows, so a Z/n question with n prime to |G| builds
+    none.  d2 is only reduced for Z/n with n not prime to |G|, on its rows
+    at generator last arguments: by the unit-pivot elimination for the
+    factors (`d2_invariants`), and by the dense SNF with V'^-1 and the
+    kernel classes (`d2_smith`) on the first projection.  Cached by
+    multiplication table (the group kept is the first one asked about,
+    already checked; its names are never read) and unbounded by design: one
+    entry per distinct table, released by `cache_clear()`."""
 
     def __init__(self, G: FiniteGroup):
         self.group = G
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
 
     def __getattr__(self, name):
-        # runs only while `name` is not yet an attribute: the d1 Smith data
-        # is set as plain attributes, so later reads (and replacements) of
-        # V, Vinv and factors never come back here
-        if name not in ("V", "Vinv", "factors"):
+        # runs only while `name` is not yet an attribute: the Smith data of
+        # A is set as plain attributes, so later reads (and replacements)
+        # of them never come back here
+        if name not in ("gens", "words", "V", "Vinv", "factors"):
             raise AttributeError(name)
-        d1 = _coboundary_rows(self.group, 1, _greedy_generators(self.group))
-        snf1 = smith_normal_form(d1, want_u=False)
-        self.V, self.Vinv, self.factors = snf1.V, snf1.Vinv, snf1.diagonal
+        G, table = self.group, self.group.table
+        gens = _greedy_generators(G)
+        k, words = len(gens), _word_vectors(G, gens)
+        rows = dict.fromkeys(
+            tuple(a + (i == j) - b for j, (a, b) in enumerate(zip(words[x], words[table[x][s]])))
+            for x in range(G.order) for i, s in enumerate(gens))
+        rows.pop((0,) * k, None)
+        snf = smith_normal_form(IntMatrix(list(rows), cols=k), want_u=False)
+        self.gens, self.words = gens, words
+        self.V, self.Vinv, self.factors = snf.V, snf.Vinv, snf.diagonal
         return vars(self)[name]
 
     def smith_coordinates(self, sums: Sequence[int]) -> list[int]:
-        """(U f)_j for j < m of an integral cocycle f from its row sums
-        S(g) = sum_h f(g,h), g != identity: |G| f = d1 S gives (U f)_j =
-        e_j (V^-1 S)_j / |G|, and a remainder fails the check."""
+        """The class coordinates c_j = a_j chi_f(b_j) of an integral cocycle
+        f from its row sums S(g) = sum_h f(g,h), g in G: chi_f(g) = S(g)/|G|
+        mod 1, so with t_i = S(s_i), c_j = a_j (V^-1 t)_j / |G|, and a
+        remainder fails the check."""
         n = self.group.order
-        scaled = [e * w for e, w in zip(self.factors, self.Vinv.mul_vector(sums))]
+        t = [sums[s] for s in self.gens]
+        scaled = [a * w for a, w in zip(self.factors, self.Vinv.mul_vector(t))]
         require(all(v % n == 0 for v in scaled),
-                "e_j (V^-1 S)_j is not divisible by |G| on a cocycle's row sums S")
+                "a_j (V^-1 t)_j is not divisible by |G| on a cocycle's row sums S")
         return [v // n for v in scaled]
 
     @cached_property
@@ -560,7 +560,7 @@ class _Complex:
         snf2 = smith_normal_form(rows, want_u=False)
         basis = kernel_basis(snf2)
         m = G.order - 1
-        classes = [self.smith_coordinates([sum(col[i:i + m]) for i in range(0, m * m, m)])
+        classes = [self.smith_coordinates([0, *(sum(col[i:i + m]) for i in range(0, m * m, m))])
                    for col in map(basis.col, range(basis.cols))]
         return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
                         IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
@@ -580,9 +580,9 @@ class H2Structure:
     are nonzero, since H^2(G; Z) and H^2(G; Z/n) are finite.  The projection
     sends a cocycle matrix to coordinates that are killed exactly on the
     coboundary lattice, additively.  Over Z it reads the class coordinates
-    (U f)_j of the d1 Smith normal form off the matrix's row sums
+    c_j = a_j chi_f(b_j) off the matrix's row sums at the generators
     (`_Complex.smith_coordinates`) and applies `_coords`, which selects
-    those of the nonunit e_j.  Over Z/n it flattens f to its entries at
+    those of the nonunit a_j.  Over Z/n it flattens f to its entries at
     nonidentity pairs, takes y = V^-1 f from the d2 Smith normal form and
     divides the rank block of y exactly by its steps n / gcd(d_i, n), then
     applies `_coords`; for n prime to |G| it checks a raw matrix's cocycle
@@ -601,7 +601,7 @@ class H2Structure:
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
         if self.modulus is None:
-            x = comp.smith_coordinates(cocycle_sums(comp.group, f)[0][1:])
+            x = comp.smith_coordinates(cocycle_sums(comp.group, f)[0])
         else:
             values = cocycle_values(comp.group, f, self.modulus)
             if gcd(self.modulus, comp.group.order) == 1:
@@ -620,7 +620,7 @@ class H2Structure:
 
     def _mod_n_projection(self) -> tuple:
         """(steps, coords) over Z/n from the Smith data of d2: Z/gcd(d_i, n)
-        on the rank block and Z/gcd(e_j, n) on the kernel block, in the class
+        on the rank block and Z/gcd(a_j, n) on the kernel block, in the class
         coordinates of the kernel basis, put in divisibility order by the U of
         the diagonal's Smith normal form.  Requires the d_i to be those of the
         unit-pivot elimination and the factors to be the structure's."""
@@ -672,10 +672,10 @@ class CohomologyClass:
 def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     """H^2(G; Z) for modulus None, else H^2(G; Z/modulus); |G| <= H2_ORDER_LIMIT.
 
-    Over Z the summands are the nonunit Z/e_j from the group's cached Smith
-    normal form of d1 (see the module docstring), already in divisibility
-    order.  Over Z/n they are Z/gcd(d_i, n) on the rank block of d2 and
-    Z/gcd(e_j, n) on its kernel block, the d_i from the unit-pivot
+    Over Z the summands are the nonunit Z/a_j of G^ab from the Smith normal
+    form of the group's cached relation matrix (`_Complex`), already in
+    divisibility order.  Over Z/n they are Z/gcd(d_i, n) on the rank block
+    of d2 and Z/gcd(a_j, n) on its kernel block, the d_i from the unit-pivot
     elimination of d2; one Smith normal form of the diagonal of nonunit
     orders puts them in divisibility order, and the projection data waits
     for the first projection.  When gcd(n, |G|) = 1 the group is 0 and d2
@@ -688,7 +688,7 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     if got is not None:
         return got
     if modulus is None:
-        # the d1 diagonal is already a divisibility chain: its nonunit
+        # the Smith diagonal is already a divisibility chain: its nonunit
         # entries are the invariant factors, and _coords selects them
         m = len(comp.factors)
         keep = [j for j, e in enumerate(comp.factors) if e != 1]
@@ -730,31 +730,39 @@ def is_trivial_mod_n(G: FiniteGroup, f, n: int) -> bool:
 def is_n_divisible(G: FiniteGroup, f, n: int) -> DivisibilityWitness:
     """Whether [f] = n*mu for some mu in H^2(G; Z), with a re-verified witness.
 
-    Read off the group's cached Smith normal form U d1 V = diag(e_j), so no
-    Smith normal form depends on n.  With z = U f (read off the row sums of
-    f, an ordering's positions), f = n*mu + d1 u splits into
-    z_j = n (U mu)_j + e_j u'_j with u = V u', solvable iff gcd(n, e_j) | z_j
-    for every j; f's matrix is read only then.  d1 u is read off the table
-    as (d1 u)(g,h) = u(g) + u(h) - u(gh) with u(identity) = 0.  f passes
-    orders.cocycle_sums.  The witness mu = (f - d1 u) / n is checked by exact
-    division, entry by entry; then f = n mu + d1 u holds exactly, and that
-    proves mu a cocycle: f is one, d1 u is a coboundary and the identity is
+    [f] is the character chi_f, with coordinates c_j = a_j chi_f(b_j) read
+    off the row sums S of f (an ordering's positions; `_Complex`), so
+    n chi_mu = chi_f solves to n m_j = c_j mod a_j, m_j = a_j chi_mu(b_j),
+    iff gcd(n, a_j) | c_j for every j: nothing depends on n, and f's matrix
+    is read only when it holds.  chi_mu(s_i) = sum_j V_ij m_j / a_j lifts
+    along the word vectors to P = |G| chi_mu: G -> Z/|G|, and mu is the
+    carry bit [P(g) + P(h) >= |G|], with row sums P.  So |G| f = d1 S and
+    |G| mu = d1 P give f = n mu + d1 u for u = (S - n P) / |G|, an exact
+    division that is checked; d1 u is read off the table, u(identity) = 0.
+    mu = (f - d1 u) / n is checked by exact division, entry by entry; then
+    f = n mu + d1 u holds exactly, which proves mu a cocycle: f is one (it
+    passes orders.cocycle_sums), d1 u is a coboundary and the identity is
     linear, so n d2 mu = 0, hence d2 mu = 0 over Z.
     """
     if type(n) is not int or n < 2:
         raise ValueError(f"n = {n!r} is not an int >= 2")
     comp = _complex_for(G)
+    order = G.order
     sums, matrix = cocycle_sums(G, f)
-    u_smith = []
-    for z, e in zip(comp.smith_coordinates(sums[1:]), comp.factors):
-        g, _, t = _gcdext(n, e)
-        if z % g:
+    lifts = []   # |G| chi_mu(b_j) = m_j |G| / a_j
+    for c, a in zip(comp.smith_coordinates(sums), comp.factors):
+        g, x, _ = _gcdext(n, a)
+        if c % g:
             return DivisibilityWitness(False, None, None)
-        u_smith.append(t * (z // g))
+        lifts.append(x * (c // g) * (order // a))
+    p = comp.V.mul_vector(lifts)   # P at the generators
+    P = [sum(w * q for w, q in zip(word, p)) % order for word in comp.words]
+    require(all((s - n * q) % order == 0 for s, q in zip(sums, P)),
+            "S - n P is not divisible by |G|")
+    u = [(s - n * q) // order for s, q in zip(sums, P)]
     f = matrix()
-    u = [0, *comp.V.mul_vector(u_smith)]
-    d1u = [[ug + uh - u[gh] for gh, uh in zip(row, u)] for row, ug in zip(G.table, u)]
-    rest = [[fv - c for fv, c in zip(fg, cg)] for fg, cg in zip(f, d1u)]
+    rest = [[fv - ug - uh + u[gh] for fv, gh, uh in zip(fg, row, u)]
+            for fg, row, ug in zip(f, G.table, u)]   # f - d1 u
     require(all(v % n == 0 for row in rest for v in row), "f - d1 u is not divisible by n")
     mu = [[v // n for v in row] for row in rest]
     return DivisibilityWitness(True, mu, u[1:])

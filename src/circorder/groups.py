@@ -35,12 +35,15 @@ class FiniteGroup:
         order = len(table)
         if order == 0:
             raise InvalidGroupError("table: empty table (a group has at least the identity)")
+        ints = [int] * order   # bool is not an index
         for g, row in enumerate(table):
             if len(row) != order:
                 raise InvalidGroupError(f"table[{g}]: row length {len(row)} != order {order}")
-            for h, v in enumerate(row):
-                if type(v) is not int or not 0 <= v < order:  # bool is not an index
-                    raise InvalidGroupError(f"table[{g}][{h}] = {v!r} is not an index in 0..{order - 1}")
+            # a row-wide check in C; the scan for the first bad cell runs only on failure
+            if list(map(type, row)) != ints or min(row) < 0 or max(row) >= order:
+                h, v = next((h, v) for h, v in enumerate(row)
+                            if type(v) is not int or not 0 <= v < order)
+                raise InvalidGroupError(f"table[{g}][{h}] = {v!r} is not an index in 0..{order - 1}")
         self.order = order
         self.table = table
         if names is None:
@@ -306,6 +309,20 @@ def _greedy_generators(G: FiniteGroup) -> list[int]:
                             nxt.append(y)
                 frontier = nxt
     return gens
+
+
+def _word_vectors(G: FiniteGroup, gens: list[int]) -> list[tuple]:
+    """v: G -> Z^k for generators s_1..s_k of G, from one breadth-first
+    search by right multiplication: v(id) = 0, and v(y s_i) = v(y) + e_i
+    where y s_i is first reached, so v(x) counts each s_i in a word for x."""
+    words, reached = [(0,) * len(gens)] + [None] * (G.order - 1), [0]
+    for y in reached:   # `reached` grows as it is read
+        for i, s in enumerate(gens):
+            x = G.table[y][s]
+            if words[x] is None:
+                words[x] = tuple(c + (i == j) for j, c in enumerate(words[y]))
+                reached.append(x)
+    return words
 
 
 def is_subgroup(G: FiniteGroup, subset: Iterable[int]) -> bool:

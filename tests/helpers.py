@@ -7,8 +7,9 @@ answer of the package runs, kept here as references: the literal
 group-axiom scans with the cubic associativity check, the rotation check
 of an arrangement, the isomorphism search, the finite left orders and
 lexicographic orderings, and the Z-extension cone with its quotients,
-which build on the package's group tables and extensions, and the Smith
-data of all of d2.
+which build on the package's group tables and extensions, the Smith data
+of all of d2, and the Smith normal forms of d1, all of it and its rows at
+generator last arguments with their witness u = V u'.
 """
 
 from __future__ import annotations
@@ -21,16 +22,18 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from circorder import promislow
-from circorder.cohomology import (IntMatrix, _coboundary_rows, _D2Smith, coboundary_matrices,
-                                  coboundary_matrix, kernel_basis, smith_normal_form)
+from circorder.cohomology import (IntMatrix, _coboundary_rows, _Complex, _D2Smith, _gcdext,
+                                  coboundary_matrices, coboundary_matrix, kernel_basis,
+                                  smith_normal_form)
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from circorder.extensions import CentralExtElement, build_extension, minimal_generator
-from circorder.groups import (FiniteGroup, GroupHom, _greedy_generators, closure,
+from circorder.groups import (FiniteGroup, GroupHom, _greedy_generators, _word_vectors, closure,
                               cyclic_group, dihedral_group,
                               direct_product, quotient, subgroup_generated, symmetric_group,
                               trivial_group)
 from circorder.orders import (HomCircularOrder, InhomCircularOrder, LeftOrderOracle,
-                              as_ordering, cocycle_failure, lexicographic_circular_order,
+                              as_ordering, cocycle_failure, cocycle_values,
+                              lexicographic_circular_order,
                               validate_hom, validate_inhom)
 
 ISOMORPHISM_ORDER_LIMIT = 24
@@ -705,39 +708,106 @@ def full_u_factors(G: FiniteGroup) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _generator_u_head(G: FiniteGroup) -> tuple:
+def _generator_rows(G: FiniteGroup) -> tuple:
     """(the places (g, s) of d1's rows at generator last arguments, in
-    cochain order, and the first m rows of the square U of their Smith
-    normal form): the rows R that `_Complex` reduces, and U_R."""
+    cochain order, and the Smith normal form of those rows R with its
+    square U): the route the library took before it reduced the relation
+    matrix of G^ab.  The rows r(g,s) span the row lattice of d1 (d2 d1 = 0
+    gives r(g,hs) = r(gh,s) - r(h,s) + r(g,h); induct on the word length of
+    h), so d1 = C R and R's V serves d1 itself."""
     gens = _greedy_generators(G)
     m = G.order - 1
-    U = smith_normal_form(_coboundary_rows(G, 1, gens)).U
     return ([(g - 1) * m + s - 1 for g in range(1, m + 1) for s in gens],
-            IntMatrix(U.data[:m], cols=U.cols))
+            smith_normal_form(_coboundary_rows(G, 1, gens)))
 
 
 def generator_u_coordinates(G: FiniteGroup, f) -> list[int]:
     """(U_R f_R)_j for j < m: f at the rows R, through U_R."""
-    places, U = _generator_u_head(G)
+    places, snf = _generator_rows(G)
     vector = cocycle_vector(G, f)
-    return U.mul_vector([vector[i] for i in places])
+    return IntMatrix(snf.U.data[:G.order - 1], cols=snf.U.cols).mul_vector(
+        [vector[i] for i in places])
 
 
-def generator_u_kernel_classes(G: FiniteGroup, basis: IntMatrix) -> IntMatrix:
-    """U_R @ basis at the rows R: the columns of a ker d2 basis in the class
-    coordinates of d1's generator rows."""
-    places, U = _generator_u_head(G)
-    return U @ IntMatrix([basis.data[i] for i in places], cols=basis.cols)
+def generator_row_coordinates(G: FiniteGroup, f) -> list[int]:
+    """(U_R f)_j = e_j (V^-1 S)_j / |G| for j < m, from the row sums S of f
+    at the nonidentity elements (|G| f = d1 S), without U_R."""
+    snf = _generator_rows(G)[1]
+    scaled = [e * w for e, w in zip(snf.diagonal, snf.Vinv.mul_vector(
+        [sum(row) for row in cocycle_values(G, f)[1:]]))]
+    require(all(v % G.order == 0 for v in scaled), "e_j (V^-1 S)_j is not divisible by |G|")
+    return [v // G.order for v in scaled]
+
+
+def generator_row_divisibility(G: FiniteGroup, f, n: int) -> tuple:
+    """(divisible, mu, u) by the generator rows of d1: with z = U_R f, the
+    equation f = n mu + d1 u splits into z_j = n (U mu)_j + e_j u'_j with
+    u = V u', solvable iff gcd(n, e_j) | z_j; mu = (f - d1 u) / n is
+    checked by exact division, entry by entry."""
+    snf = _generator_rows(G)[1]
+    u_smith = []
+    for z, e in zip(generator_row_coordinates(G, f), snf.diagonal):
+        g, _, t = _gcdext(n, e)
+        if z % g:
+            return False, None, None
+        u_smith.append(t * (z // g))
+    u = [0, *snf.V.mul_vector(u_smith)]
+    rest = [[fv - ug - uh + u[gh] for fv, gh, uh in zip(fg, row, u)]
+            for fg, row, ug in zip(cocycle_values(G, f), G.table, u)]
+    require(all(v % n == 0 for row in rest for v in row), "f - d1 u is not divisible by n")
+    return True, [[v // n for v in row] for row in rest], u[1:]
 
 
 def full_d2_smith(G: FiniteGroup) -> _D2Smith:
     """`_Complex.d2_smith` from the SNF of all (|G|-1)^3 rows of d2, the
     route the library replaced by the rows at generator last arguments; the
-    kernel basis goes to the library's class coordinates through the square
-    U_R of d1's generator rows."""
+    kernel basis goes to the library's class coordinates through its
+    `smith_coordinates` on each column's row sums."""
     snf2 = smith_normal_form(coboundary_matrix(G, 2), want_u=False)
+    basis = kernel_basis(snf2)
+    m = G.order - 1
+    classes = [_Complex(G).smith_coordinates([0, *(sum(col[i:i + m]) for i in range(0, m * m, m))])
+               for col in map(basis.col, range(basis.cols))]
     return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
-                    generator_u_kernel_classes(G, kernel_basis(snf2)))
+                    IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
+
+
+def abelianization_factors(G: FiniteGroup) -> tuple:
+    """Nonunit invariant factors of G^ab, built as the quotient of G by the
+    closure of its commutators (gh)(hg)^-1 and read off element-order
+    counts: with p^c_i elements of order dividing p^i, G^ab has
+    c_i - c_(i-1) cyclic p-summands of order at least p^i.  The oracle for
+    the relation matrix of `_Complex`, sharing none of its route."""
+    t, inv = G.table, G.inverse
+    commutators = {t[t[g][h]][inv[t[h][g]]] for g in range(G.order) for h in range(G.order)}
+    A = quotient(G, closure(G, commutators)).group
+    orders = [A.element_order(x) for x in range(A.order)]
+    summands = []
+    for p in primes_dividing(A.order):
+        at_least, c = [], 0        # at_least[i - 1]: p-summands of order >= p^i
+        while True:
+            above = _p_exponent(sum(1 for o in orders if p ** (len(at_least) + 1) % o == 0), p)
+            if above == c:
+                break
+            at_least.append(above - c)
+            c = above
+        summands += [p ** sum(1 for a in at_least if a >= j) for j in range(1, at_least[0] + 1)]
+    return invariant_factors_of_sum(summands)
+
+
+@lru_cache(maxsize=None)
+def cyclic_characters(G: FiniteGroup, m: int) -> list[tuple]:
+    """Every homomorphism G -> Z/m, as its tuple of values: each choice of
+    images of the greedy generators, spread along their word vectors and
+    kept when phi(gh) = phi(g) + phi(h) holds on the whole table."""
+    gens, out = _greedy_generators(G), []
+    words = _word_vectors(G, gens)
+    for images in product(range(m), repeat=len(gens)):
+        phi = [sum(w * a for w, a in zip(word, images)) % m for word in words]
+        if all(phi[gh] == (phi[g] + phi[h]) % m
+               for g, row in enumerate(G.table) for h, gh in enumerate(row)):
+            out.append(tuple(phi))
+    return out
 
 
 @lru_cache(maxsize=None)

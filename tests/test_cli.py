@@ -400,11 +400,11 @@ def test_human_readable_output(capsys, group_file):
 
 
 # Runs under `python -O`, where bare asserts vanish: a corrupted SNF (caught
-# by the tests' verify_snf), a corrupted cached V of the d1 Smith normal
-# form that yields wrong witnesses, a corrupted cached V^-1 that breaks
-# the exact division of the row-sum class coordinates, and a corrupted
-# cached V^-1 of d2 that moves a Z/n projection off its steps, must still
-# raise CheckFailed, and the CLI must still exit 1 on it; a hand-built
+# by the tests' verify_snf), a corrupted cached V of the relation matrix of
+# G^ab that lifts a wrong P, corrupted word vectors, a corrupted cached
+# V^-1 that breaks the exact division of the row-sum class coordinates, and
+# a corrupted cached V^-1 of d2 that moves a Z/n projection off its steps,
+# must still raise CheckFailed, and the CLI must still exit 1 on it; a hand-built
 # arrangement that is not left-invariant must still raise AxiomError, and a
 # table that is not associative must still raise InvalidGroupError, also
 # when its file rewrites one whose group load_group already keeps.
@@ -412,7 +412,8 @@ _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (AxiomError, Arrangement, CheckFailed, FiniteGroup, IntMatrix,
                        InvalidGroupError, arrangement_to_inhom, cli, cohomology,
-                       cyclic_group, dump_group, load_group, standard_order_zn)
+                       cyclic_group, dump_group, load_group, standard_order_zn,
+                       symmetric_group)
 from helpers import loop130_table, verify_snf
 
 def raises_check_failed(call, match=""):
@@ -438,17 +439,27 @@ comp = cohomology._Complex(G)
 comp.V = IntMatrix([[-v for v in row] for row in comp.V.data])
 results["is_trivial_mod_n"] = raises_check_failed(lambda: cohomology.is_trivial_mod_n(G, f, 3))
 results["is_n_divisible"] = raises_check_failed(lambda: cohomology.is_n_divisible(G, f, 3),
-                                                "f - d1 u is not divisible by n")
+                                                "S - n P is not divisible by |G|")
 dump_group(G, sys.argv[1])
 results["cli_exit"] = cli.main(["product-co", "--group", sys.argv[1], "--n", "3"])
 cohomology._Complex.cache_clear()
-comp = cohomology._Complex(G)
+cohomology._Complex(G).words[1] = (3,)
+results["words"] = raises_check_failed(lambda: cohomology.is_n_divisible(G, f, 3),
+                                       "S - n P is not divisible by |G|")
+# on Z/4 the relation matrix is (4), so a_0 (V^-1 t)_0 / |G| is always
+# exact; on S3 it is not, for the pullback of the Z/2 ordering along the
+# sign map (the reflections are the elements of order 2)
+cohomology._Complex.cache_clear()
+S3 = symmetric_group(3)
+sign = [S3.element_order(g) == 2 for g in range(S3.order)]
+pulled = [[int(a and b) for b in sign] for a in sign]
+comp = cohomology._Complex(S3)
 results["e_0"] = comp.factors[0]
 comp.Vinv.data[0][0] += 1
 exact = "not divisible by |G|"
-results["class_of_vinv"] = raises_check_failed(lambda: cohomology.class_of(G, f), exact)
+results["class_of_vinv"] = raises_check_failed(lambda: cohomology.class_of(S3, pulled), exact)
 results["is_n_divisible_vinv"] = raises_check_failed(
-    lambda: cohomology.is_n_divisible(G, f, 3), exact)
+    lambda: cohomology.is_n_divisible(S3, pulled, 3), exact)
 # 3 is prime to |G| = 4, so H^2(G; Z/3) = 0 needs no d2, but its projection
 # still checks the cocycle identity mod 3
 bad = [list(row) for row in f.values]
@@ -582,7 +593,7 @@ def test_checks_survive_python_O(tmp_path):
     assert json.loads(proc.stdout) == {"optimized": True, "verify": True,
                                        "is_trivial_mod_n": True,
                                        "is_n_divisible": True, "cli_exit": 1,
-                                       "e_0": 1, "class_of_vinv": True,
+                                       "words": True, "e_0": 1, "class_of_vinv": True,
                                        "is_n_divisible_vinv": True,
                                        "coprime_non_cocycle": "cocycle",
                                        "d2_vinv": True, "d2_invariants": True,
@@ -635,19 +646,16 @@ def test_corrupted_views_fail_the_validators(flags):
 
 
 _CORRUPTED_U = r"""
-from circorder import CheckFailed, cohomology, cyclic_group, standard_order_zn
-G, f = cyclic_group(4), standard_order_zn(4)
-comp = cohomology._Complex(G)
-V = comp.V
-
-class OffByOne:   # u(1) one more than V u'
-    def mul_vector(self, x):
-        u = V.mul_vector(x)
-        return [u[0] + 1, *u[1:]]
-
-comp.V = OffByOne()
+from circorder import CheckFailed, cohomology, cyclic_group
+# on Z/4, the carry bit of 2 pos: chi_f = 2 chi, 2-divisible by P = pos;
+# moving the word vector of 1 to (3,) makes P(1) = 3, so u(1) = (S - 2 P)
+# / 4 is still exact but one less, and f - d1 u goes odd
+G = cyclic_group(4)
+f = [[int(2 * g % 4 + 2 * h % 4 >= 4) for h in range(4)] for g in range(4)]
+assert cohomology.is_n_divisible(G, f, 2).coboundary_of == [0, -1, -1]
+cohomology._Complex(G).words[1] = (3,)
 try:
-    cohomology.is_n_divisible(G, f, 3)
+    cohomology.is_n_divisible(G, f, 2)
 except CheckFailed as exc:
     print(exc)
 """

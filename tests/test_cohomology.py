@@ -17,13 +17,14 @@ from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matr
                                   coboundary_matrix, h2_structure, is_n_divisible,
                                   is_trivial_mod_n, kernel_basis, smith_normal_form)
 
-from helpers import (abelian_h2_mod, brute_h2_order_modn, cochain_matrix, cocycle_vector,
-                     d2_annihilates, dihedral_h2_mod, full_d2_smith, full_u_coordinates,
-                     full_u_factors, generator_u_coordinates, generator_u_kernel_classes,
-                     invariant_factors_from_diagonal, invariant_factors_of_sum,
-                     is_coboundary_mod, is_cocycle_mod, kernel_route_class,
-                     kernel_route_factors, library_groups, minimal_generator_by_scan,
-                     minors_gcd_invariant_factors,
+from helpers import (abelian_h2_mod, abelianization_factors, brute_h2_order_modn,
+                     cochain_matrix, cocycle_vector, cyclic_characters, d2_annihilates,
+                     dihedral_h2_mod, full_d2_smith, full_u_coordinates, full_u_factors,
+                     generator_row_coordinates, generator_row_divisibility,
+                     generator_u_coordinates, invariant_factors_from_diagonal,
+                     invariant_factors_of_sum, is_coboundary_mod, is_cocycle_mod,
+                     kernel_route_class, kernel_route_factors, library_groups,
+                     minimal_generator_by_scan, minors_gcd_invariant_factors,
                      naive_diagonalize, relabeled, seeded_random_matrices,
                      solve_int, time_budget, verify_snf)
 
@@ -365,11 +366,12 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     reflection = [G.element_order(g) == 2 for g in range(G.order)]
     f = [[int(a and b) for b in reflection] for a in reflection]
     assert h2_structure(G).invariant_factors == (2,)
-    # a cold H^2(G; Z) is one SNF, of d1's m k rows at the k generator last
-    # arguments: its diagonal is already a divisibility chain, so the
-    # invariant factors need no second SNF
+    # a cold H^2(G; Z) is one SNF, of the relation matrix of G^ab: k columns
+    # at the k generators, and at most |G| k rows (the distinct nonzero
+    # ones); its diagonal is already a divisibility chain, so the invariant
+    # factors need no second SNF.  Reducing d1 took an (18, 9) matrix here
     k = len(cohomology._greedy_generators(G))
-    assert shapes == [(m * k, m)], shapes
+    assert len(shapes) == 1 and shapes[0][1] == k == 2 and shapes[0][0] <= G.order * k, shapes
     assert class_of(G, f).coords == (1,)
     assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
     assert is_trivial_mod_n(G, f, 3) and not is_trivial_mod_n(G, f, 4)
@@ -381,10 +383,10 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert all(not want_u or (diagonal and rows <= m)
                for rows, want_u, diagonal in transforms), transforms
     assert built and m * m not in built, sorted(set(built))
-    # d1's generator rows are reduced but not kept: is_n_divisible reads
-    # d1 u off the table
+    # the relation matrix is reduced but not kept, and no V has m columns:
+    # is_n_divisible reads d1 u off the table
     held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
-    assert held and all(M.rows < m * m for M in held), held
+    assert held and all(M.rows == M.cols == k for M in held), held
     assert not {"d2_smith", "d2_invariants"} & set(vars(_Complex(G)))
     assert not eliminations
     assert not hasattr(_Complex(G), "U")
@@ -633,24 +635,22 @@ def test_integral_classes_match_the_kernel_route(data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_row_sum_coordinates_match_the_full_u_oracle(data):
-    # (U f)_j read off the row sums of f must equal U_R f_R exactly, not only
-    # mod e_j, with U_R the square U of the Smith normal form of the rows R
-    # of d1 at generator last arguments, on every ordering and on sums of
-    # cocycle basis columns; so must the ker d2 basis columns.  The square U
-    # of all of d1 may use another Smith basis, so against it the classes
-    # must agree: zero-ness, n-divisibility and equality of differences
+    # the class coordinates read off the row sums at the generators are in
+    # the Smith basis of the relation matrix of G^ab, and the square U of
+    # all of d1 uses another, so against it the classes must agree:
+    # zero-ness, n-divisibility and equality of differences, on every
+    # ordering, on sums of cocycle basis columns and on the ker d2 basis
+    # columns that Z/n projections read.  The generator rows of d1, the
+    # route the library left, must still give U_R f_R exactly from S
     index, perm, G = data.draw(relabelings(SMALL_GROUPS))
     comp = _Complex(G)
     cocycles = [arrangement_to_inhom(a).values for a in enumerate_circular_orders(G)]
     cocycles += [_draw_cocycle(data, index, perm, None)[1] for _ in range(2)]
     for f in cocycles:
-        sums = [sum(row) for row in f[1:]]
-        assert comp.smith_coordinates(sums) == generator_u_coordinates(G, f)
-    basis = kernel_basis(_generator_d2_snf(G))
-    assert comp.d2_smith.kernel_classes == generator_u_kernel_classes(G, basis)
+        assert generator_row_coordinates(G, f) == generator_u_coordinates(G, f)
 
     factors = full_u_factors(G)
-    assert comp.factors == factors
+    assert [e for e in comp.factors if e != 1] == [e for e in factors if e != 1]
 
     def full_class(f):
         return [z % e for z, e in zip(full_u_coordinates(G, f), factors)]
@@ -665,6 +665,16 @@ def test_row_sum_coordinates_match_the_full_u_oracle(data):
             difference = [[a - b for a, b in zip(rf, rg)] for rf, rg in zip(f, g)]
             same = class_of(G, f).coords == class_of(G, g).coords
             assert same == (not any(full_class(difference)))
+    basis = kernel_basis(_generator_d2_snf(G))
+    kernel = comp.d2_smith.kernel_classes
+    columns = [cochain_matrix(G, basis.col(j)) for j in range(basis.cols)]
+    classes = [[c % a for c, a in zip(kernel.col(j), comp.factors)] for j in range(kernel.cols)]
+    for j, f in enumerate(columns):
+        assert [c for c, a in zip(classes[j], comp.factors) if a != 1] == list(
+            class_of(G, f).coords)
+        assert (not any(classes[j])) == (not any(full_class(f)))
+        difference = [[a - b for a, b in zip(rf, rg)] for rf, rg in zip(f, columns[j - 1])]
+        assert (classes[j] == classes[j - 1]) == (not any(full_class(difference)))
 
 
 def _generator_d2_snf(G):
@@ -918,12 +928,96 @@ def test_divisibility_matches_the_coboundary_oracle(data):
 
 
 def test_divisibility_witness_is_pinned():
-    # the exact witness, recorded when d1 u was still a product with the
-    # dense d1: reading d1 u off the table must not change it
-    got = is_n_divisible(cyclic_group(4), standard_order_zn(4), 3)
+    # the exact witness: on Z/4 the relation matrix is (4), so chi_f(1) = 1/4
+    # for the standard ordering, chi_mu(1) = 3^-1 / 4 = -1/4 lifts to
+    # P = 3 pos mod 4, mu is its carry bit and u = (S - 3 P) / 4
+    G, f = cyclic_group(4), standard_order_zn(4)
+    got = is_n_divisible(G, f, 3)
+    P = [3 * g % 4 for g in range(4)]
     assert got.divisible
-    assert got.mu == [[0, 0, 0, 0], [0, 3, 0, 0], [0, 0, -3, -3], [0, 0, -3, 0]]
-    assert got.coboundary_of == [-2, 5, 3]
+    assert got.mu == [[int(P[g] + P[h] >= 4) for h in range(4)] for g in range(4)]
+    assert got.coboundary_of == [-2, -1, 0]
+    # the witness pinned when the Smith data came from d1 solves the same
+    # equation f = 3 mu + d1 u
+    mu, u = [[0, 0, 0, 0], [0, 3, 0, 0], [0, 0, -3, -3], [0, 0, -3, 0]], [0, -2, 5, 3]
+    assert [list(row) for row in f.values] == [
+        [3 * mu[g][h] + u[g] + u[h] - u[G.table[g][h]] for h in range(4)] for g in range(4)]
+
+
+def _exact_witness(G, f, n, mu, u):
+    """f = n mu + d1 u entry by entry, u given at the nonidentity elements."""
+    u = [0, *u]
+    return all(f[g][h] == n * mu[g][h] + u[g] + u[h] - u[gh]
+               for g, row in enumerate(G.table) for h, gh in enumerate(row))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relation_route_matches_the_d1_routes(data):
+    # the relation matrix of G^ab against the two d1 routes, all of d1 and
+    # its generator rows with u = V u': the same zero-ness and
+    # n-divisibility for n = 2..12, on orderings and on sums of pulled-back
+    # carry bits and coboundaries, and every witness passes the exact check
+    _, _, G = data.draw(relabelings([G for G in library_groups() if G.order <= 10]))
+    N = G.order
+    orderings = [arrangement_to_inhom(a).values for a in enumerate_circular_orders(G)]
+    cocycles = list(orderings)
+    for _ in range(2):
+        f = [[0] * N for _ in range(N)]
+        for _ in range(data.draw(st.integers(1, 3))):
+            m = data.draw(st.integers(2, 12))
+            phi, c = data.draw(st.sampled_from(cyclic_characters(G, m))), data.draw(SMALL)
+            for g in range(N):
+                for h in range(N):
+                    f[g][h] += c * int(phi[g] + phi[h] >= m)
+        u = [0] + data.draw(st.lists(SMALL, min_size=N - 1, max_size=N - 1))
+        cocycles.append([[v + u[g] + u[h] - u[gh] for v, h, gh in zip(f[g], range(N), row)]
+                         for g, row in enumerate(G.table)])
+    factors = full_u_factors(G)
+    for f in cocycles:
+        z = [v % e for v, e in zip(full_u_coordinates(G, f), factors)]
+        generator = [v % e for v, e in zip(generator_row_coordinates(G, f), factors)]
+        assert class_of(G, f).is_zero() == (not any(z)) == (not any(generator))
+        for n in range(2, 13):
+            got, old = is_n_divisible(G, f, n), generator_row_divisibility(G, f, n)
+            assert got.divisible == old[0] == all(v % gcd(n, e) == 0 for v, e in zip(z, factors))
+            for divisible, mu, u in (got, old):
+                assert not divisible or _exact_witness(G, f, n, mu, u)
+            if got.divisible:
+                # mu is the carry bit of P, its row sums
+                P = [sum(row) for row in got.mu]
+                assert got.mu == [[int(P[g] + P[h] >= N) for h in range(N)] for g in range(N)]
+                if f in orderings and gcd(n, N) == 1:
+                    assert list(validate_inhom(G, got.mu).pos) == P
+
+
+@lru_cache(maxsize=None)
+def _groups_to_order_64():
+    """Groups of order up to 64, cyclic, abelian, dihedral, symmetric and
+    S3 x Z/k, for the G^ab oracle."""
+    c = cyclic_group
+    return ([c(k) for k in range(1, 65)]
+            + [product(c(2), c(2)), product(c(2), c(4)), product(c(3), c(3)),
+               product(c(4), c(4)), product(c(2), c(2), c(2)), product(c(2), c(6), c(4)),
+               product(*[c(2)] * 6), product(c(8), c(8)), product(c(3), c(15))]
+            + [dihedral_group(k) for k in range(3, 33)]
+            + [product(symmetric_group(3), c(k)) for k in range(1, 11)]
+            + [symmetric_group(4), product(symmetric_group(4), c(2)),
+               product(dihedral_group(4), c(4)), product(dihedral_group(5), c(3))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relation_factors_match_the_abelianization_oracle(data):
+    # the nonunit Smith diagonal of the relation matrix is G^ab, read off a
+    # quotient by the commutators; past H2_ORDER_LIMIT through _Complex,
+    # which the limit does not gate
+    _, _, G = data.draw(relabelings(_groups_to_order_64()))
+    _Complex.cache_clear()
+    assert tuple(e for e in _Complex(G).factors if e != 1) == abelianization_factors(G)
+    if G.order <= cohomology.H2_ORDER_LIMIT:
+        assert h2_structure(G).invariant_factors == abelianization_factors(G)
+    _Complex.cache_clear()
 
 
 @settings(max_examples=30, deadline=None)

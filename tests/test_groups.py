@@ -296,6 +296,18 @@ def test_group_json_round_trip(tmp_path):
         assert again == G and again.names == G.names
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, -1, 3, "1"])
+def test_index_check_names_the_first_bad_cell(bad):
+    # each row is checked whole (types, min and max) and scanned only when it
+    # fails, so the message names the first bad cell, as a scan of every
+    # entry did; a bad cell in a later row is not reached
+    table = [list(row) for row in cyclic_group(3).table]
+    table[1][0], table[1][2], table[2][0] = 1, bad, 7
+    with pytest.raises(InvalidGroupError,
+                       match=re.escape(f"table[1][2] = {bad!r} is not an index in 0..2")):
+        FiniteGroup(table)
+
+
 def test_group_json_diagnostics(tmp_path):
     with pytest.raises(InvalidGroupError, match="table"):
         group_from_json({"order": 2})
