@@ -26,7 +26,7 @@ from .extensions import (CentralExtElement, CentralExtensionGroup,
 from .cohomology import (CohomologyClass, H2Structure, IntMatrix, SNFResult,
                          class_of, coboundary_matrices, coboundary_matrix,
                          h2_structure, is_n_divisible, is_trivial_mod_n,
-                         kernel_basis, smith_normal_form)
+                         smith_normal_form)
 from .obstruction import (MAPPING_CLASS_GROUP_SPECTRUM, ObstructionSpectrum,
                           TorsionProfile, bico_product_decision,
                           cyclic_quotient_stats, exponent_facts,

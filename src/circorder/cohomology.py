@@ -21,53 +21,51 @@ solved on the character, and mod-n triviality of an integral cocycle is the
 same question, so nothing depends on n; d1 u is read off the table.
 
 Every cocycle passes orders.cocycle_values or cocycle_sums, which check a
-raw matrix and trust an InhomCircularOrder on the group.  d2 is reduced
-only for Z/n coefficients with gcd(n, |G|) > 1, once per group; only a
-projection there flattens a cocycle to a vector.  When gcd(n, |G|) = 1,
-H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill it, so no matrix is
-needed; a projection still checks a raw matrix's cocycle identity mod n.  With
-U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, the cocycle condition mod n
-reads d_i y_i = 0 mod n on the rank block and leaves the kernel block free,
-while im d1 lies in the kernel block.  So H^2(G; Z/n) splits as
-(+) Z/gcd(d_i, n) (+) (+) Z/gcd(a_j, n), the kernel block read in the class
-coordinates above (the universal coefficient theorem, Brown III.1).
-
-The invariant factors need only the nonzero d_i, not V', and d2 has at most
-4 nonzero entries per row, so the factors come from a sparse elimination
-(`_unit_pivot_invariants`).  While some entry is +-1, row additions clear
-its column; that column is then zero outside the pivot row, so column
-additions clear the rest of the pivot row and touch no other row.  Both are
-unimodular, so d2 is equivalent to (+-1) (+) R, R the Schur complement left
-once the pivot row and column are dropped, and its Smith diagonal is a 1
-followed by that of R.  What is left when no unit remains goes to the dense
-SNF; on the groups within the order limit it had at most 10 columns and
-entries of at most 4.  A projection needs V'^-1 and the kernel block, so the
-dense SNF of d2 runs on the first projection over Z/n only, and it must
-reproduce the d_i of the elimination and the structure's factors.
-
-V' comes from the rows of d2 whose last argument is a generator, not from
-all (|G|-1)^3 of them: (|G|-1)^2 k rows for a generating set of k <= log2 |G|
-elements.  Write r(g,h,k) for the row of d2 at (g,h,k), with r = 0 when an
-argument is the identity.  d3 d2 = 0 on normalized cochains gives
-r(g,h,kl) = r(h,k,l) - r(gh,k,l) + r(g,hk,l) + r(g,h,k).  Taking l a
-generator, induction on the word length of the last argument shows that the
-rows r(g,h,s), s a generator, span the row lattice of d2.  Two matrices
-with the same row lattice have the same integer kernel, rank and nonzero
-Smith diagonal, and a V' that diagonalizes one diagonalizes the other for
-some unimodular U'.
+raw matrix and trust an InhomCircularOrder on the group.  When
+gcd(n, |G|) = 1, H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill
+it, so no matrix is built; a projection still checks a raw matrix's
+cocycle identity mod n.  Otherwise H^2(G; Z/n) is read off a free
+presentation, built once per group (`_Complex.schreier`).  Let F be free
+on the generators s_1..s_k and R the kernel of F -> G.  The tree of
+`groups._spanning_tree` gives each x a word w(x), and by
+Reidemeister-Schreier R is free on the y = w(x) s w(x s)^-1 at the
+|G|(k-1)+1 non-tree edges (x, s): y is the loop of the Cayley graph that
+runs the tree to x, the edge (x, s) and the tree back from x s, so a loop
+is the sum of the y at its non-tree edges.  F acts on R^ab by conjugation
+through G, which translates loops, so Q = R/[F,R] is Z^Y modulo the rows
+rewrite(s y s^-1) - y, one for each (s, y).  By Hopf's formula Q is
+Z^k (+) M(G), M(G) = H_2(G; Z) the Schur multiplier, and the five-term
+sequence of 1 -> R -> F -> G -> 1 gives H^2(G; A) = Hom(Q, A) / res
+Hom(F, A) for trivial A (Brown II.5 and VII.6).  The class of a Z/n
+cocycle f is the map R -> Z/n of its extension (a,g)(b,h) =
+(a + b + f(g,h), gh): lift s to (0, s), so that w(x) goes to (beta(x), x)
+with beta(id) = 0 and beta(x s) = beta(x) + f(x, s) along tree edges, and
+y goes to (beta(x) + f(x, s), x s)(beta(x s), x s)^-1, which is
+c_y = beta(x) + f(x, s) - beta(x s) in the central Z/n.  Being central, c
+kills Q's rows mod n.  A hom F -> Z/n with values t at the generators
+restricts to rho t, rho_y = v(x) + e_s - v(x s) the relation rows of G^ab
+at the non-tree edges.  With U A V = diag(d_1..d_r, 0..0) for A the rows
+of Q, c kills A mod n exactly when w = V^-1 c is a multiple of
+n / gcd(d_i, n) on the rank block; the nonunit d_i are M(G), and the k
+zero columns are the free block.  rho t is a hom Q -> Z, in the kernel of
+A, so V^-1 rho vanishes on the rank block and is a k x k matrix B on the
+free block, and H^2(G; Z) = Z^k / B Z^k, so B's Smith diagonal is (a_j).
+With U_B B V_B = diag(a_j) the free block reads U_B w mod gcd(a_j, n).
+So H^2(G; Z/n) = (+) Z/gcd(d_i, n) (+) (+) Z/gcd(a_j, n), which is
+Hom(M(G), Z/n) (+) Ext(G^ab, Z/n) (universal coefficients, Brown III.1),
+read in those coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BoundExceeded, require
-from .groups import FiniteGroup, _greedy_generators, _word_vectors
+from .groups import FiniteGroup, _greedy_generators, _spanning_tree, _word_vectors
 from .orders import cocycle_sums, cocycle_values
 
 H2_ORDER_LIMIT = 10
@@ -323,13 +321,13 @@ def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]],
     row in the matrix and U, and an exact column addition over the rows of
     the matrix and V that are nonzero in the pivot column, each support
     taken once per sweep and again after a Bezout rotation; V^-1 takes its
-    dense row update.  Skipping zeros changes no entry, and on the d2 of
-    groups of order 8-10 (at most 4 nonzero entries per row) it cut the SNF
-    time by 25-55%.  Recursing per pivot and composing small per-level
-    transforms gives the same matrices entry for entry, but it measured
-    2-5x slower on the d2 of groups of order 8-10 and about 2.5x slower on
-    dense 9x9 input, held a submatrix per level (166 MB at size 300), and
-    met Python's recursion limit near size 1000.  Pivot rule: first nonzero
+    dense row update.  Skipping zeros changes no entry, and pays on sparse
+    input such as the rows of Q (module docstring), whose rows have a few
+    nonzero entries each.  Recursing per pivot and composing small
+    per-level transforms gives the same matrices entry for entry, but it
+    measured 2-5x slower on sparse input and about 2.5x slower on dense 9x9
+    input, held a submatrix per level (166 MB at size 300), and met
+    Python's recursion limit near size 1000.  Pivot rule: first nonzero
     entry in row-major order; smallest-value pivoting was measured to
     inflate transform entries ~50x on dense input by repeatedly dragging
     heavily mixed rows back into the pivot seat.  Deterministic by
@@ -343,14 +341,6 @@ def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]],
     diagonal = tuple(a[i][i] for i in range(min(m, n)))
     U = IntMatrix(s, cols=m) if want_u else None
     return SNFResult(M, diagonal, U, IntMatrix(t, cols=n), IntMatrix(tinv, cols=n))
-
-
-def kernel_basis(snf: SNFResult) -> IntMatrix:
-    """Columns spanning the integer kernel of snf.matrix (a saturated lattice)."""
-    n = snf.matrix.cols
-    r = snf.rank
-    return IntMatrix([[snf.V.data[i][j] for j in range(r, n)] for i in range(n)],
-                     cols=n - r)
 
 
 # -- normalized cochain complex ---------------------------------------------
@@ -370,100 +360,19 @@ def coboundary_matrix(G: FiniteGroup, degree: int) -> IntMatrix:
     n = G.order
     if n > H2_ORDER_LIMIT:
         raise BoundExceeded(f"coboundary_matrix: order {n} > limit {H2_ORDER_LIMIT}")
-    return _coboundary_rows(G, degree, range(1, n))
-
-
-def _coboundary_rows(G: FiniteGroup, degree: int, lasts: Sequence[int]) -> IntMatrix:
-    """The rows of the coboundary C^degree -> C^(degree+1) at the cells
-    (g_0..g_degree) whose last argument is in `lasts` (nonidentity), in
-    lexicographic order of (g_0..g_(degree-1), position of g_degree in
-    `lasts`); all nonidentity lasts give `coboundary_matrix`."""
-    m = G.order - 1
-    d = IntMatrix.zeros(m ** degree * len(lasts), m ** degree)
-    for row, entries in zip(d.data, _sparse_coboundary_rows(G, degree, lasts)):
-        for col, v in entries.items():
-            row[col] = v
-    return d
-
-
-def _sparse_coboundary_rows(G: FiniteGroup, degree: int, lasts: Sequence[int]):
-    """The rows of `_coboundary_rows`, in its order, as {column: value} dicts
-    of their nonzero entries (at most degree + 2 each)."""
-    n = G.order
     m, table = n - 1, G.table
-    for head in product(range(1, n), repeat=degree):
-        for last in lasts:
-            cell = head + (last,)
-            faces = [cell[1:]]
-            faces += [cell[:i] + (table[cell[i]][cell[i + 1]],) + cell[i + 2:]
-                      for i in range(degree)]
-            faces.append(cell[:-1])
-            row = {}
-            for i, face in enumerate(faces):
-                if 0 not in face:
-                    col = 0
-                    for g in face:
-                        col = col * m + g - 1
-                    v = row.get(col, 0) + (-1 if i % 2 else 1)
-                    if v:
-                        row[col] = v
-                    else:
-                        del row[col]
-            yield row
-
-
-def _unit_pivot_invariants(rows: list) -> tuple:
-    """The nonzero Smith diagonal d_1 | d_2 | ... of the integer matrix with
-    sparse rows `rows` ({column: value} dicts, consumed).  While some entry
-    p[c] is +-1, in a row p of least weight and, among that row's units, in
-    the column c with the fewest entries, the exact row additions
-    r -= r[c] p[c] p clear column c, and row p and column c are dropped:
-    each such step adds a 1 to the diagonal (module docstring).  What is
-    left when no unit remains goes to `smith_normal_form` without U."""
-    live = {i: row for i, row in enumerate(rows) if row}
-    cols = {}   # column -> the live rows with a nonzero entry there
-    for i, row in live.items():
-        for c in row:
-            cols.setdefault(c, set()).add(i)
-    heap = [(len(row), i) for i, row in live.items()]
-    heapify(heap)
-    units = 0
-    while heap:
-        weight, p = heappop(heap)
-        row = live.get(p)
-        if row is None or len(row) != weight:
-            continue   # pivoted, emptied or pushed again since
-        pivots = [c for c, v in row.items() if v in (1, -1)]
-        if not pivots:
-            continue   # stays in the residue unless an addition changes it
-        c = min(pivots, key=lambda c: len(cols[c]))
-        del live[p]
-        v = row.pop(c)
-        for j in row:
-            cols[j].discard(p)
-        others = cols.pop(c)
-        others.discard(p)
-        for i in others:
-            r = live[i]
-            q = r.pop(c) * v   # v * v = 1
-            for j, x in row.items():
-                y = r.get(j, 0) - q * x
-                if y:
-                    if j not in r:
-                        cols[j].add(i)
-                    r[j] = y
-                else:
-                    del r[j]
-                    cols[j].discard(i)
-            if r:
-                heappush(heap, (len(r), i))
-            else:
-                del live[i]
-        units += 1
-    used = sorted({c for row in live.values() for c in row})
-    residue = [[row.get(c, 0) for c in used] for row in live.values()]
-    rest = smith_normal_form(residue, want_u=False).diagonal if residue else ()
-    return (1,) * units + tuple(d for d in rest if d)
+    d = IntMatrix.zeros(m ** (degree + 1), m ** degree)
+    for row, cell in zip(d.data, product(range(1, n), repeat=degree + 1)):
+        faces = [cell[1:]]
+        faces += [cell[:i] + (table[cell[i]][cell[i + 1]],) + cell[i + 2:] for i in range(degree)]
+        faces.append(cell[:-1])
+        for i, face in enumerate(faces):
+            if 0 not in face:
+                col = 0
+                for g in face:
+                    col = col * m + g - 1
+                row[col] += -1 if i % 2 else 1
+    return d
 
 
 def coboundary_matrices(G: FiniteGroup):
@@ -471,36 +380,46 @@ def coboundary_matrices(G: FiniteGroup):
     return coboundary_matrix(G, 1), coboundary_matrix(G, 2)
 
 
-class _D2Smith(NamedTuple):
-    """The Smith normal form data of d2 that Z/n coefficients need."""
-    rank: int
-    factors: tuple              # d_1 .. d_rank
-    vinv: IntMatrix             # V^-1 of U d2 V = diag(d_i)
-    kernel_classes: IntMatrix   # ker d2 basis (trailing columns of V) in class coordinates
+class _Schreier(NamedTuple):
+    """The Hopf data of H^2(G; Z/n) (module docstring)."""
+    tree: list        # (x, s, x s) at each tree edge, in the order reached
+    edges: list       # (x, s, x s) at each non-tree edge: the free generators y of R
+    rows: IntMatrix   # A: the distinct nonzero rows rewrite(s y s^-1) - y of Q
+    vinv: IntMatrix   # V^-1 of U A V = diag(d_1..d_r, 0..0)
+    torsion: tuple    # d_1..d_r, the rank block; its nonunit entries are M(G)
+    free: IntMatrix   # U_B of U_B B V_B = diag(a_j), B = (V^-1 rho) on the free block
+    factors: tuple    # a_1..a_k, the invariant factors of G^ab
+
+    def lift(self, f) -> list[int]:
+        """c_y = beta(x) + f(x, s) - beta(x s) at y = (x, s, x s), with
+        beta(id) = 0 and beta(x s) = beta(x) + f(x, s) along the tree."""
+        beta = [0] * len(f)
+        for x, s, xs in self.tree:
+            beta[xs] = beta[x] + f[x][s]
+        return [beta[x] + f[x][s] - beta[xs] for x, s, xs in self.edges]
 
 
 @lru_cache(maxsize=None)
 class _Complex:
     """Cached per-group data: the checked group it was built from, the Smith
-    data of a relation matrix A of G^ab and the H^2 structures built on
-    them.  A breadth-first search over the greedy generators s_1..s_k gives
-    word vectors v: G -> Z^k (`groups._word_vectors`), and A has the |G| k
-    rows v(x) + e_i - v(x s_i).  With L their lattice, v(x s_i) = v(x) + e_i
-    mod L, so v(xy) = v(x) + v(y) mod L by induction on the word length of
-    y: x -> v(x) is a homomorphism onto Z^k / L, as e_i = v(s_i).  e_i -> s_i
+    data of a relation matrix A of G^ab, the Schreier data of Z/n
+    coefficients and the H^2 structures built on them.  A breadth-first
+    search over the greedy generators s_1..s_k gives word vectors
+    v: G -> Z^k (`groups._word_vectors`), and A has the |G| k rows
+    v(x) + e_i - v(x s_i).  With L their lattice, v(x s_i) = v(x) + e_i mod
+    L, so v(xy) = v(x) + v(y) mod L by induction on the word length of y:
+    x -> v(x) is a homomorphism onto Z^k / L, as e_i = v(s_i).  e_i -> s_i
     sends v(x) to x and each row to 1 in G^ab, so it is defined on Z^k / L
     and undoes x -> v(x): G^ab = Z^k / L.  With U A V = diag(a_1..a_k), each
     a_j nonzero as G^ab is finite, w in Z^k has coordinates (w V)_j mod a_j
     in the basis b_j of G^ab, row j of V^-1.  `gens`, `words`, `V`, `Vinv`
     and `factors` = (a_j) are kept, built on the first read of any from A's
-    distinct nonzero rows, so a Z/n question with n prime to |G| builds
-    none.  d2 is only reduced for Z/n with n not prime to |G|, on its rows
-    at generator last arguments: by the unit-pivot elimination for the
-    factors (`d2_invariants`), and by the dense SNF with V'^-1 and the
-    kernel classes (`d2_smith`) on the first projection.  Cached by
-    multiplication table (the group kept is the first one asked about,
-    already checked; its names are never read) and unbounded by design: one
-    entry per distinct table, released by `cache_clear()`."""
+    distinct nonzero rows, and `schreier` on the first Z/n question with n
+    not prime to |G|, so integral questions never build it and a Z/n
+    question with n prime to |G| builds nothing.  Cached by multiplication
+    table (the group kept is the first one asked about, already checked;
+    its names are never read) and unbounded by design: one entry per
+    distinct table, released by `cache_clear()`."""
 
     def __init__(self, G: FiniteGroup):
         self.group = G
@@ -537,33 +456,48 @@ class _Complex:
         return [v // n for v in scaled]
 
     @cached_property
-    def d2_invariants(self) -> tuple:
-        """The nonzero Smith diagonal d_1..d_r of d2, all that the invariant
-        factors of H^2(G; Z/n) read: `_unit_pivot_invariants` of the sparse
-        rows (g, h, s), s in the generating set of `d2_smith`, which span
-        the row lattice of d2 (module docstring)."""
-        G = self.group
-        return _unit_pivot_invariants([row for s in _greedy_generators(G)
-                                       for row in _sparse_coboundary_rows(G, 2, (s,))])
-
-    @cached_property
-    def d2_smith(self) -> _D2Smith:
-        """The Smith data of d2, read off the SNF of its (|G|-1)^2 k rows
-        (g, h, s) with s in a greedy generating set of k elements: they span
-        the row lattice of the (|G|-1)^3-row d2 (module docstring), so the
-        kernel, rank, nonzero diagonal and V are those of d2 itself.  The
-        rows come in one block per generator: on the non-cyclic groups of
-        order 6-12 that reduced 10-35% faster, with transform entries no
-        larger, than rows ordered by (g, h, s)."""
-        G = self.group
-        rows = [row for s in _greedy_generators(G) for row in _coboundary_rows(G, 2, (s,)).data]
-        snf2 = smith_normal_form(rows, want_u=False)
-        basis = kernel_basis(snf2)
-        m = G.order - 1
-        classes = [self.smith_coordinates([0, *(sum(col[i:i + m]) for i in range(0, m * m, m))])
-                   for col in map(basis.col, range(basis.cols))]
-        return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
-                        IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
+    def schreier(self) -> _Schreier:
+        """Q's rows on the non-tree edges of `groups._spanning_tree`, their
+        Smith normal form with V^-1, and B's with U (module docstring).  A
+        loop in the Cayley graph is the sum of its fundamental cycles, read
+        off its non-tree edges, and s acts by translating loops, so the row
+        of (s, y) is the non-tree part of s C_y, with C_y the tree path to
+        x, the edge y and the tree path back from x s, less y."""
+        G, table = self.group, self.group.table
+        gens = _greedy_generators(G)
+        k, words = len(gens), _word_vectors(G, gens)
+        tree = [(x, gens[i], xs) for x, i, xs in _spanning_tree(G, gens)]
+        edges = sorted({(x, s, table[x][s]) for x in range(G.order) for s in gens} - set(tree))
+        index = {(x, s): e for e, (x, s, _) in enumerate(edges)}
+        rows = {}
+        for s in gens:
+            path = [()] * G.order   # the non-tree edges of s (tree path to x)
+            for x, t, xt in tree:
+                e = index.get((table[s][x], t))
+                path[xt] = path[x] if e is None else path[x] + (e,)
+            for y, (x, t, xt) in enumerate(edges):
+                row = [0] * len(edges)
+                row[y] -= 1
+                moved = index.get((table[s][x], t))   # the edge y translated by s
+                if moved is not None:
+                    row[moved] += 1
+                for e in path[x]:
+                    row[e] += 1
+                for e in path[xt]:
+                    row[e] -= 1
+                rows[tuple(row)] = None
+        rows.pop((0,) * len(edges), None)
+        snf = smith_normal_form(IntMatrix(list(rows), cols=len(edges)), want_u=False)
+        r = snf.rank
+        rho = IntMatrix([[a + (s == t) - b for t, a, b in zip(gens, words[x], words[xs])]
+                         for x, s, xs in edges], cols=k)
+        image = snf.Vinv @ rho
+        require(len(edges) - r == k and not any(v for row in image.data[:r] for v in row),
+                "Q's free block is not the image of the relation rows rho")
+        free = smith_normal_form(IntMatrix(image.data[r:], cols=k))
+        require(all(free.diagonal), "the relation rows rho are singular on Q's free block")
+        return _Schreier(tree, edges, snf.matrix, snf.Vinv, snf.diagonal[:r], free.U,
+                         free.diagonal)
 
 
 def _complex_for(G: FiniteGroup) -> _Complex:
@@ -579,74 +513,44 @@ class H2Structure:
     `invariant_factors` lists the nonunit factors in divisibility order; all
     are nonzero, since H^2(G; Z) and H^2(G; Z/n) are finite.  The projection
     sends a cocycle matrix to coordinates that are killed exactly on the
-    coboundary lattice, additively.  Over Z it reads the class coordinates
-    c_j = a_j chi_f(b_j) off the matrix's row sums at the generators
-    (`_Complex.smith_coordinates`) and applies `_coords`, which selects
-    those of the nonunit a_j.  Over Z/n it flattens f to its entries at
-    nonidentity pairs, takes y = V^-1 f from the d2 Smith normal form and
-    divides the rank block of y exactly by its steps n / gcd(d_i, n), then
-    applies `_coords`; for n prime to |G| it checks a raw matrix's cocycle
-    identity mod n and returns the zero class.  Coordinates are reduced mod
-    each factor.  Over Z/n with n not prime to |G| the factors come from the
-    unit-pivot elimination of d2 (`_Complex.d2_invariants`), and `_steps`
-    and `_coords` are built on the first projection (`_mod_n_projection`),
-    which cross-checks them against the Smith normal form of d2.
+    coboundary lattice, additively, and reduces them mod each factor.  Over
+    Z it reads the class coordinates c_j = a_j chi_f(b_j) off the matrix's
+    row sums at the generators (`_Complex.smith_coordinates`) and applies
+    `_coords`, which selects those of the nonunit a_j.  Over Z/n with n not
+    prime to |G| it lifts f to c on the free generators of R
+    (`_Schreier.lift`), requires that c kill Q's rows mod n and that
+    w = V^-1 c lie on the steps n / gcd(d_i, n) of the rank block, divides
+    by them, and applies `_coords` to those quotients and w's free block,
+    which `_coords` reads through U_B.  For n prime to |G| it checks a raw
+    matrix's cocycle identity mod n and returns the zero class.
     """
     modulus: Optional[int]
     invariant_factors: tuple
     _complex: _Complex = field(repr=False)
-    _steps: Optional[tuple] = field(default=None, repr=False)
-    _coords: Optional[IntMatrix] = field(default=None, repr=False)
+    _steps: tuple = field(repr=False)
+    _coords: IntMatrix = field(repr=False)
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
         if self.modulus is None:
             x = comp.smith_coordinates(cocycle_sums(comp.group, f)[0])
         else:
-            values = cocycle_values(comp.group, f, self.modulus)
-            if gcd(self.modulus, comp.group.order) == 1:
+            n = self.modulus
+            values = cocycle_values(comp.group, f, n)
+            if gcd(n, comp.group.order) == 1:
                 return CohomologyClass(self, ())    # H^2(G; Z/n) = 0, see h2_structure
-            if self._coords is None:
-                self._steps, self._coords = self._mod_n_projection()
-            d2 = comp.d2_smith
-            y = d2.vinv.mul_vector([v for row in values[1:] for v in row[1:]])
-            head = y[:d2.rank]
-            require(all(v % step == 0 for v, step in zip(head, self._steps)),
-                    "d2 f = 0 mod n but the rank block of V^-1 f is off its steps")
-            x = [v // step for v, step in zip(head, self._steps)] + y[d2.rank:]
+            data = comp.schreier
+            c = data.lift(values)
+            require(all(v % n == 0 for v in data.rows.mul_vector(c)),
+                    "c does not kill Q's rows mod n")
+            w = data.vinv.mul_vector(c)
+            r = len(self._steps)
+            require(all(v % step == 0 for v, step in zip(w, self._steps)),
+                    "V^-1 c is off its steps on the rank block")
+            x = [v // step for v, step in zip(w, self._steps)] + w[r:]
         coords = self._coords.mul_vector(x)
         return CohomologyClass(self, tuple(
             c % e for c, e in zip(coords, self.invariant_factors)))
-
-    def _mod_n_projection(self) -> tuple:
-        """(steps, coords) over Z/n from the Smith data of d2: Z/gcd(d_i, n)
-        on the rank block and Z/gcd(a_j, n) on the kernel block, in the class
-        coordinates of the kernel basis, put in divisibility order by the U of
-        the diagonal's Smith normal form.  Requires the d_i to be those of the
-        unit-pivot elimination and the factors to be the structure's."""
-        n, comp = self.modulus, self._complex
-        d2 = comp.d2_smith
-        require(d2.factors == comp.d2_invariants,
-                "the Smith diagonal of d2 differs from its unit-pivot elimination")
-        steps = tuple(n // gcd(d, n) for d in d2.factors)
-        r, k = len(steps), d2.kernel_classes.cols
-        orders = [n // step for step in steps] + [gcd(e, n) for e in comp.factors]
-        # maps (rank quotients, kernel coords) to coordinates mod `orders`
-        block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k for i in range(r)]
-                          + [[0] * r + row for row in d2.kernel_classes.data], cols=r + k)
-        keep, snf = _nonunit_diagonal_snf(orders, want_u=True)
-        selected = IntMatrix([block.data[i] for i in keep], cols=block.cols)
-        rows = [j for j, e in enumerate(snf.diagonal) if e != 1]
-        require(tuple(snf.diagonal[j] for j in rows) == self.invariant_factors,
-                "the factors rebuilt from the Smith data of d2 differ from the structure's")
-        return steps, IntMatrix([snf.U.data[j] for j in rows], cols=len(keep)) @ selected
-
-
-def _nonunit_diagonal_snf(orders: Sequence[int], want_u: bool) -> tuple:
-    """(keep, SNF of diag(orders[i] for i in keep)), keep the nonunit places."""
-    keep = [i for i, o in enumerate(orders) if o != 1]
-    return keep, smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep],
-                                   want_u=want_u)
 
 
 @dataclass(frozen=True)
@@ -675,11 +579,11 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     Over Z the summands are the nonunit Z/a_j of G^ab from the Smith normal
     form of the group's cached relation matrix (`_Complex`), already in
     divisibility order.  Over Z/n they are Z/gcd(d_i, n) on the rank block
-    of d2 and Z/gcd(a_j, n) on its kernel block, the d_i from the unit-pivot
-    elimination of d2; one Smith normal form of the diagonal of nonunit
-    orders puts them in divisibility order, and the projection data waits
-    for the first projection.  When gcd(n, |G|) = 1 the group is 0 and d2
-    is never built.
+    of Q's rows and Z/gcd(a_j, n) on its free block (`_Complex.schreier`,
+    built for the group on its first such n); one Smith normal form of the
+    diagonal of nonunit orders, with U, puts them in divisibility order and
+    gives the projection's coordinates.  When gcd(n, |G|) = 1 the group is
+    0 and no matrix is built.
     """
     if modulus is not None and (type(modulus) is not int or modulus < 2):
         raise ValueError(f"modulus {modulus!r} is not an int >= 2")
@@ -695,13 +599,21 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
         got = H2Structure(None, tuple(comp.factors[j] for j in keep), comp, (),
                           IntMatrix([[int(i == j) for i in range(m)] for j in keep], cols=m))
     elif gcd(modulus, G.order) == 1:
-        # |G| and n both kill H^2(G; Z/n) (Brown III.10), so it is 0: no d2
+        # |G| and n both kill H^2(G; Z/n) (Brown III.10), so it is 0
         got = H2Structure(modulus, (), comp, (), IntMatrix([], cols=0))
     else:
-        orders = ([gcd(d, modulus) for d in comp.d2_invariants]
-                  + [gcd(e, modulus) for e in comp.factors])
-        diagonal = _nonunit_diagonal_snf(orders, want_u=False)[1].diagonal
-        got = H2Structure(modulus, tuple(e for e in diagonal if e != 1), comp)
+        data = comp.schreier
+        steps = tuple(modulus // gcd(d, modulus) for d in data.torsion)
+        r, k = len(steps), len(data.factors)
+        orders = [modulus // step for step in steps] + [gcd(a, modulus) for a in data.factors]
+        keep = [i for i, o in enumerate(orders) if o != 1]
+        # (rank-block quotients, free block) -> coordinates mod the kept orders
+        block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k if i < r
+                           else [0] * r + data.free.data[i - r] for i in keep], cols=r + k)
+        snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
+        nonunit = [j for j, e in enumerate(snf.diagonal) if e != 1]
+        got = H2Structure(modulus, tuple(snf.diagonal[j] for j in nonunit), comp, steps,
+                          IntMatrix([snf.U.data[j] for j in nonunit], cols=len(keep)) @ block)
     comp.structures[modulus] = got
     return got
 

@@ -311,17 +311,30 @@ def _greedy_generators(G: FiniteGroup) -> list[int]:
     return gens
 
 
-def _word_vectors(G: FiniteGroup, gens: list[int]) -> list[tuple]:
-    """v: G -> Z^k for generators s_1..s_k of G, from one breadth-first
-    search by right multiplication: v(id) = 0, and v(y s_i) = v(y) + e_i
-    where y s_i is first reached, so v(x) counts each s_i in a word for x."""
-    words, reached = [(0,) * len(gens)] + [None] * (G.order - 1), [0]
+def _spanning_tree(G: FiniteGroup, gens: list[int]) -> list[tuple]:
+    """The edges (y, i, y s_i) of one breadth-first search by right
+    multiplication by generators s_1..s_k of G from the identity at which
+    y s_i is first reached, in the order reached: a spanning tree of the
+    Cayley graph."""
+    seen, reached, tree = [True] + [False] * (G.order - 1), [0], []
     for y in reached:   # `reached` grows as it is read
+        row = G.table[y]
         for i, s in enumerate(gens):
-            x = G.table[y][s]
-            if words[x] is None:
-                words[x] = tuple(c + (i == j) for j, c in enumerate(words[y]))
+            x = row[s]
+            if not seen[x]:
+                seen[x] = True
                 reached.append(x)
+                tree.append((y, i, x))
+    return tree
+
+
+def _word_vectors(G: FiniteGroup, gens: list[int]) -> list[tuple]:
+    """v: G -> Z^k for generators s_1..s_k of G along `_spanning_tree`:
+    v(id) = 0, and v(y s_i) = v(y) + e_i at a tree edge, so v(x) counts
+    each s_i in a word for x."""
+    words = [(0,) * len(gens)] + [None] * (G.order - 1)
+    for y, i, x in _spanning_tree(G, gens):
+        words[x] = tuple(c + (i == j) for j, c in enumerate(words[y]))
     return words
 
 

@@ -7,9 +7,13 @@ answer of the package runs, kept here as references: the literal
 group-axiom scans with the cubic associativity check, the rotation check
 of an arrangement, the isomorphism search, the finite left orders and
 lexicographic orderings, and the Z-extension cone with its quotients,
-which build on the package's group tables and extensions, the Smith data
-of all of d2, and the Smith normal forms of d1, all of it and its rows at
-generator last arguments with their witness u = V u'.
+which build on the package's group tables and extensions; the Smith
+normal forms of d1, all of it and its rows at generator last arguments
+with their witness u = V u'; and the d2 route to H^2(G; Z/n) that Q's
+rows replaced: the kernel basis, the Smith data of d2 from its rows at
+generator last arguments and from all of it, the unit-pivot elimination
+of its invariants, and the class of a Z/n cocycle read off that data.
+The closed forms of the Schur multiplier M(G) check Q's rank block.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ from __future__ import annotations
 import signal
 from contextlib import contextmanager
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from circorder import promislow
-from circorder.cohomology import (IntMatrix, _coboundary_rows, _Complex, _D2Smith, _gcdext,
-                                  coboundary_matrices, coboundary_matrix, kernel_basis,
-                                  smith_normal_form)
+from circorder.cohomology import (IntMatrix, SNFResult, _Complex, _gcdext, coboundary_matrices,
+                                  coboundary_matrix, smith_normal_form)
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from circorder.extensions import CentralExtElement, build_extension, minimal_generator
 from circorder.groups import (FiniteGroup, GroupHom, _greedy_generators, _word_vectors, closure,
@@ -718,7 +722,7 @@ def _generator_rows(G: FiniteGroup) -> tuple:
     gens = _greedy_generators(G)
     m = G.order - 1
     return ([(g - 1) * m + s - 1 for g in range(1, m + 1) for s in gens],
-            smith_normal_form(_coboundary_rows(G, 1, gens)))
+            smith_normal_form(coboundary_rows(G, 1, gens)))
 
 
 def generator_u_coordinates(G: FiniteGroup, f) -> list[int]:
@@ -758,18 +762,170 @@ def generator_row_divisibility(G: FiniteGroup, f, n: int) -> tuple:
     return True, [[v // n for v in row] for row in rest], u[1:]
 
 
-def full_d2_smith(G: FiniteGroup) -> _D2Smith:
-    """`_Complex.d2_smith` from the SNF of all (|G|-1)^3 rows of d2, the
-    route the library replaced by the rows at generator last arguments; the
-    kernel basis goes to the library's class coordinates through its
-    `smith_coordinates` on each column's row sums."""
-    snf2 = smith_normal_form(coboundary_matrix(G, 2), want_u=False)
+def kernel_basis(snf: SNFResult) -> IntMatrix:
+    """Columns spanning the integer kernel of snf.matrix (a saturated
+    lattice): the trailing columns of V."""
+    n = snf.matrix.cols
+    r = snf.rank
+    return IntMatrix([[snf.V.data[i][j] for j in range(r, n)] for i in range(n)],
+                     cols=n - r)
+
+
+def sparse_coboundary_rows(G: FiniteGroup, degree: int, lasts):
+    """The rows of `coboundary_matrix(G, degree)` at the cells
+    (g_0..g_degree) whose last argument is in `lasts` (nonidentity), in
+    lexicographic order of (g_0..g_(degree-1), position of g_degree in
+    `lasts`), as {column: value} dicts of their nonzero entries (at most
+    degree + 2 each); all nonidentity lasts give every row."""
+    n = G.order
+    m, table = n - 1, G.table
+    for head in product(range(1, n), repeat=degree):
+        for last in lasts:
+            cell = head + (last,)
+            faces = [cell[1:]]
+            faces += [cell[:i] + (table[cell[i]][cell[i + 1]],) + cell[i + 2:]
+                      for i in range(degree)]
+            faces.append(cell[:-1])
+            row = {}
+            for i, face in enumerate(faces):
+                if 0 not in face:
+                    col = 0
+                    for g in face:
+                        col = col * m + g - 1
+                    v = row.get(col, 0) + (-1 if i % 2 else 1)
+                    if v:
+                        row[col] = v
+                    else:
+                        del row[col]
+            yield row
+
+
+def coboundary_rows(G: FiniteGroup, degree: int, lasts) -> IntMatrix:
+    """`sparse_coboundary_rows` as a dense matrix."""
+    cols = (G.order - 1) ** degree
+    return IntMatrix([[row.get(c, 0) for c in range(cols)]
+                      for row in sparse_coboundary_rows(G, degree, lasts)], cols=cols)
+
+
+def generator_d2_rows(G: FiniteGroup) -> IntMatrix:
+    """The (|G|-1)^2 k rows (g, h, s) of d2, s in the greedy generating set,
+    one block per generator.  Write r(g,h,k) for the row of d2 at (g,h,k),
+    with r = 0 when an argument is the identity: d3 d2 = 0 on normalized
+    cochains gives r(g,h,kl) = r(h,k,l) - r(gh,k,l) + r(g,hk,l) + r(g,h,k),
+    and taking l a generator, induction on the word length of the last
+    argument shows that these rows span the row lattice of d2.  So they
+    have its integer kernel, rank and nonzero Smith diagonal, and their V
+    diagonalizes d2 itself."""
+    return IntMatrix([row for s in _greedy_generators(G)
+                      for row in coboundary_rows(G, 2, (s,)).data], cols=(G.order - 1) ** 2)
+
+
+class D2Smith(NamedTuple):
+    """The Smith normal form data of d2 that Z/n coefficients read on the
+    route the library replaced by Q's rows (`_Complex.schreier`)."""
+    rank: int
+    factors: tuple              # d_1 .. d_rank
+    vinv: IntMatrix             # V^-1 of U d2 V = diag(d_i)
+    kernel_classes: IntMatrix   # ker d2 basis (trailing columns of V) in class coordinates
+
+
+def _d2_smith(G: FiniteGroup, rows) -> D2Smith:
+    """D2Smith from the SNF of rows spanning the row lattice of d2; the
+    kernel basis goes to the library's integral class coordinates through
+    `_Complex.smith_coordinates` on each column's row sums."""
+    snf2 = smith_normal_form(rows, want_u=False)
     basis = kernel_basis(snf2)
     m = G.order - 1
     classes = [_Complex(G).smith_coordinates([0, *(sum(col[i:i + m]) for i in range(0, m * m, m))])
                for col in map(basis.col, range(basis.cols))]
-    return _D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
-                    IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
+    return D2Smith(snf2.rank, snf2.diagonal[:snf2.rank], snf2.Vinv,
+                   IntMatrix([list(row) for row in zip(*classes)], cols=basis.cols))
+
+
+@lru_cache(maxsize=None)
+def generator_d2_smith(G: FiniteGroup) -> D2Smith:
+    """D2Smith from the SNF of `generator_d2_rows`: the route the library
+    took for Z/n projections before it read Q's rows."""
+    return _d2_smith(G, generator_d2_rows(G))
+
+
+def full_d2_smith(G: FiniteGroup) -> D2Smith:
+    """D2Smith from the SNF of all (|G|-1)^3 rows of d2."""
+    return _d2_smith(G, coboundary_matrix(G, 2))
+
+
+def d2_class(G: FiniteGroup, f, n: int, smith: D2Smith) -> tuple:
+    """The class of the Z/n cocycle f by the d2 route: with
+    U' d2 V' = diag(d_1..d_r, 0..) and y = V'^-1 f, d2 f = 0 mod n puts the
+    rank block of y on the steps n / gcd(d_i, n), whose quotients are read
+    mod gcd(d_i, n), and the kernel block is read in the integral class
+    coordinates mod gcd(a_j, n) (universal coefficients).  Zero exactly
+    when [f] = 0, and additive, in another basis than the library's."""
+    y = smith.vinv.mul_vector(cocycle_vector(G, f))
+    steps = [n // gcd(d, n) for d in smith.factors]
+    require(all(v % step == 0 for v, step in zip(y, steps)),
+            "d2 f = 0 mod n but the rank block of V^-1 f is off its steps")
+    kernel = smith.kernel_classes.mul_vector(y[smith.rank:])
+    return (tuple(v // step % gcd(d, n) for v, step, d in zip(y, steps, smith.factors))
+            + tuple(v % gcd(a, n) for v, a in zip(kernel, _Complex(G).factors)))
+
+
+def unit_pivot_invariants(rows: list) -> tuple:
+    """The nonzero Smith diagonal d_1 | d_2 | ... of the integer matrix with
+    sparse rows `rows` ({column: value} dicts, consumed), the elimination
+    that gave the Z/n factors off d2's generator rows before the library
+    read Q's rows.  While some entry p[c] is +-1, in a row p of least
+    weight and, among that row's units, in the column c with the fewest
+    entries, the exact row additions r -= r[c] p[c] p clear column c, and
+    row p and column c are dropped.  Column c is then zero outside row p,
+    so column additions clear the rest of row p and touch no other row;
+    both are unimodular, so the matrix is equivalent to (+-1) (+) R, R what
+    is left, and each step adds a 1 to the diagonal.  What is left when no
+    unit remains goes to `smith_normal_form` without U."""
+    live = {i: row for i, row in enumerate(rows) if row}
+    cols = {}   # column -> the live rows with a nonzero entry there
+    for i, row in live.items():
+        for c in row:
+            cols.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in live.items()]
+    heapify(heap)
+    units = 0
+    while heap:
+        weight, p = heappop(heap)
+        row = live.get(p)
+        if row is None or len(row) != weight:
+            continue   # pivoted, emptied or pushed again since
+        pivots = [c for c, v in row.items() if v in (1, -1)]
+        if not pivots:
+            continue   # stays in the residue unless an addition changes it
+        c = min(pivots, key=lambda c: len(cols[c]))
+        del live[p]
+        v = row.pop(c)
+        for j in row:
+            cols[j].discard(p)
+        others = cols.pop(c)
+        others.discard(p)
+        for i in others:
+            r = live[i]
+            q = r.pop(c) * v   # v * v = 1
+            for j, x in row.items():
+                y = r.get(j, 0) - q * x
+                if y:
+                    if j not in r:
+                        cols[j].add(i)
+                    r[j] = y
+                else:
+                    del r[j]
+                    cols[j].discard(i)
+            if r:
+                heappush(heap, (len(r), i))
+            else:
+                del live[i]
+        units += 1
+    used = sorted({c for row in live.values() for c in row})
+    residue = [[row.get(c, 0) for c in used] for row in live.values()]
+    rest = smith_normal_form(residue, want_u=False).diagonal if residue else ()
+    return (1,) * units + tuple(d for d in rest if d)
 
 
 def abelianization_factors(G: FiniteGroup) -> tuple:
@@ -793,6 +949,27 @@ def abelianization_factors(G: FiniteGroup) -> tuple:
             c = above
         summands += [p ** sum(1 for a in at_least if a >= j) for j in range(1, at_least[0] + 1)]
     return invariant_factors_of_sum(summands)
+
+
+def abelian_schur_multiplier(orders) -> tuple:
+    """Nonunit invariant factors of M(A) = H_2(A; Z), A = (+) Z/a_i for a_i
+    in `orders`: the exterior square (+)_{i<j} Z/gcd(a_i, a_j) (Brown,
+    Cohomology of Groups, V.6)."""
+    return invariant_factors_of_sum(gcd(a, b) for a, b in combinations(orders, 2))
+
+
+def dihedral_schur_multiplier(m: int) -> tuple:
+    """Nonunit invariant factors of M(D_m), D_m of order 2m: Z/2 for even m
+    and 0 for odd m (Karpilovsky, The Schur Multiplier, 1987)."""
+    return () if m % 2 else (2,)
+
+
+def product_schur_multiplier(m_g, ab_g, m_h, ab_h) -> tuple:
+    """Nonunit invariant factors of M(G x H) = M(G) (+) M(H) (+)
+    (G^ab (x) H^ab), from the factors of M and of the abelianization of
+    each (the Kuenneth formula; Karpilovsky, The Schur Multiplier, 1987)."""
+    return invariant_factors_of_sum(list(m_g) + list(m_h)
+                                    + [gcd(a, b) for a in ab_g for b in ab_h])
 
 
 @lru_cache(maxsize=None)

@@ -402,8 +402,9 @@ def test_human_readable_output(capsys, group_file):
 # Runs under `python -O`, where bare asserts vanish: a corrupted SNF (caught
 # by the tests' verify_snf), a corrupted cached V of the relation matrix of
 # G^ab that lifts a wrong P, corrupted word vectors, a corrupted cached
-# V^-1 that breaks the exact division of the row-sum class coordinates, and
-# a corrupted cached V^-1 of d2 that moves a Z/n projection off its steps,
+# V^-1 that breaks the exact division of the row-sum class coordinates, a
+# corrupted cached V^-1 of Q's rows that moves a Z/n projection off its
+# steps, and a corrupted row of Q that the lifted cocycle does not kill,
 # must still raise CheckFailed, and the CLI must still exit 1 on it; a hand-built
 # arrangement that is not left-invariant must still raise AxiomError, and a
 # table that is not associative must still raise InvalidGroupError, also
@@ -412,8 +413,8 @@ _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (AxiomError, Arrangement, CheckFailed, FiniteGroup, IntMatrix,
                        InvalidGroupError, arrangement_to_inhom, cli, cohomology,
-                       cyclic_group, dump_group, load_group, standard_order_zn,
-                       symmetric_group)
+                       cyclic_group, direct_product, dump_group, load_group,
+                       standard_order_zn, symmetric_group)
 from helpers import loop130_table, verify_snf
 
 def raises_check_failed(call, match=""):
@@ -460,26 +461,31 @@ exact = "not divisible by |G|"
 results["class_of_vinv"] = raises_check_failed(lambda: cohomology.class_of(S3, pulled), exact)
 results["is_n_divisible_vinv"] = raises_check_failed(
     lambda: cohomology.is_n_divisible(S3, pulled, 3), exact)
-# 3 is prime to |G| = 4, so H^2(G; Z/3) = 0 needs no d2, but its projection
+# 3 is prime to |G| = 4, so H^2(G; Z/3) = 0 needs no matrix, but its projection
 # still checks the cocycle identity mod 3
 bad = [list(row) for row in f.values]
 bad[1][1] += 1
 results["coprime_non_cocycle"] = axiom_failure(
     lambda: cohomology.h2_structure(G, 3).project(bad))
-# gcd(2, |G|) = 2, so Z/2 projects through d2: every d_i is 1, so its steps
-# are 2, and one more unit at an odd entry of f makes y_0 odd
+# gcd(2, |G|) = 2, so Z/2 projects through Q's rows on the free generators
+# of R.  On Z/2 x Z/2 the rank block of Q starts with a unit, so V^-1 c must
+# be even there, and the pullback of the Z/2 ordering along the first
+# factor lifts to a c that is odd somewhere: one more unit of V^-1 there
+# moves the projection off its steps, and one more unit of a row of Q
+# there leaves that row not killed by c
+K = direct_product(cyclic_group(2), cyclic_group(2))
+pulled = [[int(a // 2 and b // 2) for b in range(4)] for a in range(4)]
 cohomology._Complex.cache_clear()
-H = cohomology.h2_structure(G, 2)
-flat = [v for row in f.values[1:] for v in row[1:]]
-cohomology._Complex(G).d2_smith.vinv.data[0][flat.index(1)] += 1
-results["d2_vinv"] = raises_check_failed(lambda: H.project(f), "off its steps")
-# the Z/2 factors come from the unit-pivot elimination of d2; the first
-# projection requires the Smith diagonal of d2 to equal its invariants
+H = cohomology.h2_structure(K, 2)
+data = cohomology._Complex(K).schreier
+odd = [j for j, v in enumerate(data.lift(pulled)) if v % 2][0]
+results["schreier_torsion_0"] = data.torsion[0]
+data.vinv.data[0][odd] += 1
+results["schreier_vinv"] = raises_check_failed(lambda: H.project(pulled), "off its steps")
 cohomology._Complex.cache_clear()
-H = cohomology.h2_structure(G, 2)
-comp = cohomology._Complex(G)
-comp.d2_invariants = comp.d2_invariants[:-1] + (2,)
-results["d2_invariants"] = raises_check_failed(lambda: H.project(f), "unit-pivot elimination")
+H = cohomology.h2_structure(K, 2)
+cohomology._Complex(K).schreier.rows.data[0][odd] += 1
+results["schreier_rows"] = raises_check_failed(lambda: H.project(pulled), "does not kill")
 # arrangement_to_inhom builds a trusted cocycle, so its arrangement check
 # must hold without asserts: (0, 1, 3, 2) is a permutation from the identity
 # whose positions are not a homomorphism onto Z/4
@@ -596,7 +602,8 @@ def test_checks_survive_python_O(tmp_path):
                                        "words": True, "e_0": 1, "class_of_vinv": True,
                                        "is_n_divisible_vinv": True,
                                        "coprime_non_cocycle": "cocycle",
-                                       "d2_vinv": True, "d2_invariants": True,
+                                       "schreier_torsion_0": 1, "schreier_vinv": True,
+                                       "schreier_rows": True,
                                        "arrangement_to_inhom": "invariance",
                                        "loop130": "associativity fails at (1,1,1)",
                                        "rewritten_loop130": "associativity fails at (1,1,1)",

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from functools import lru_cache, partial
+from itertools import combinations
 from math import gcd, prod
 
 import pytest
@@ -15,18 +16,20 @@ from circorder.orders import (arrangement_to_inhom, cocycle_failure,
 from circorder.extensions import build_extension, hat_ordering, minimal_generator
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
                                   coboundary_matrix, h2_structure, is_n_divisible,
-                                  is_trivial_mod_n, kernel_basis, smith_normal_form)
+                                  is_trivial_mod_n, smith_normal_form)
 
-from helpers import (abelian_h2_mod, abelianization_factors, brute_h2_order_modn,
-                     cochain_matrix, cocycle_vector, cyclic_characters, d2_annihilates,
-                     dihedral_h2_mod, full_d2_smith, full_u_coordinates, full_u_factors,
-                     generator_row_coordinates, generator_row_divisibility,
+from helpers import (abelian_h2_mod, abelian_schur_multiplier, abelianization_factors,
+                     brute_h2_order_modn, cochain_matrix, cocycle_vector, cyclic_characters,
+                     d2_annihilates, d2_class, dihedral_h2_mod, dihedral_schur_multiplier,
+                     full_d2_smith, full_u_coordinates, full_u_factors, generator_d2_rows,
+                     generator_d2_smith, generator_row_coordinates, generator_row_divisibility,
                      generator_u_coordinates, invariant_factors_from_diagonal,
-                     invariant_factors_of_sum, is_coboundary_mod, is_cocycle_mod,
+                     invariant_factors_of_sum, is_coboundary_mod, is_cocycle_mod, kernel_basis,
                      kernel_route_class, kernel_route_factors, library_groups,
                      minimal_generator_by_scan, minors_gcd_invariant_factors,
-                     naive_diagonalize, relabeled, seeded_random_matrices,
-                     solve_int, time_budget, verify_snf)
+                     naive_diagonalize, product_schur_multiplier, relabeled,
+                     seeded_random_matrices, solve_int, sparse_coboundary_rows, time_budget,
+                     unit_pivot_invariants, verify_snf)
 
 
 def klein():
@@ -276,9 +279,9 @@ def test_h2_mod_n_matches_uct():
 
 def test_moduli_prime_to_the_order_need_no_d2():
     # |G| and n both kill H^2(G; Z/n), so it is 0 when gcd(n, |G|) = 1: the
-    # structure is empty and neither d1 nor d2 is reduced, but a projection
-    # still checks the cocycle identity mod n.  Valid orderings exist on the
-    # cyclic groups.
+    # structure is empty and neither the relation matrix of G^ab nor Q's
+    # rows are reduced, but a projection still checks the cocycle identity
+    # mod n.  Valid orderings exist on the cyclic groups.
     _Complex.cache_clear()
     for G in library_groups():
         if G.order > cohomology.H2_ORDER_LIMIT:
@@ -298,8 +301,7 @@ def test_moduli_prime_to_the_order_need_no_d2():
                 assert not is_cocycle_mod(G, f, n)
                 with pytest.raises(AxiomError):
                     H.project(f)
-        assert not {"V", "Vinv", "factors", "d2_invariants", "d2_smith"} & set(
-            vars(_Complex(G))), G.name
+        assert not {"V", "Vinv", "factors", "schreier"} & set(vars(_Complex(G))), G.name
     _Complex.cache_clear()
 
 
@@ -353,10 +355,6 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
         built.append(cols)
         return zeros(rows, cols)
 
-    eliminations = []   # every unit-pivot elimination, by its number of rows
-    eliminate = cohomology._unit_pivot_invariants
-    monkeypatch.setattr(cohomology, "_unit_pivot_invariants",
-                        lambda rows: eliminations.append(len(rows)) or eliminate(rows))
     monkeypatch.setattr(cohomology, "smith_normal_form", recording)
     monkeypatch.setattr(IntMatrix, "__init__", recording_init)
     monkeypatch.setattr(IntMatrix, "zeros", classmethod(recording_zeros))
@@ -387,23 +385,26 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     # is_n_divisible reads d1 u off the table
     held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
     assert held and all(M.rows == M.cols == k for M in held), held
-    assert not {"d2_smith", "d2_invariants"} & set(vars(_Complex(G)))
-    assert not eliminations
+    assert "schreier" not in vars(_Complex(G))
     assert not hasattr(_Complex(G), "U")
-    # Z/n factors read the unit-pivot elimination of d2's generator rows, once
-    # for the group across moduli (3 is prime to |G| and reaches no d2), and
-    # run no SNF with m^2 columns; the first projection reduces d2 once
+    # Z/n factors and projections read one SNF of Q's rows, on the
+    # |G|(k-1)+1 free generators of R, for the group across moduli (3 is
+    # prime to |G| and reaches none), one of the k x k matrix B with U and
+    # one of each modulus's diagonal; no matrix has m^2 columns, and a
+    # projection reduces nothing
     shapes.clear()
+    transforms.clear()
     for n in (4, 3, 6):
         h2_structure(G, n)
-    assert len(eliminations) == 1 and eliminations[0] % (m * m) == 0, eliminations
-    assert shapes and all(cols != m * m for _, cols in shapes), shapes
-    assert "d2_smith" not in vars(_Complex(G))
+    generators = G.order * (k - 1) + 1
+    assert [cols for _, cols in shapes].count(generators) == 1, shapes
+    assert (k, k) in shapes and len(shapes) == 4, shapes
+    assert all(not want_u or diagonal or rows == k for rows, want_u, diagonal in transforms)
+    assert vars(_Complex(G))["schreier"].vinv.cols == generators
     assert h2_structure(G, 4).project(f).coords == (1,)
-    assert [cols for _, cols in shapes].count(m * m) == 1, shapes
     assert h2_structure(G, 6).project(f).coords == (1,)
-    assert [cols for _, cols in shapes].count(m * m) == 1, shapes
-    assert len(eliminations) == 1
+    assert len(shapes) == 4, shapes
+    assert m * m not in built, sorted(set(built))
     _Complex.cache_clear()
 
 
@@ -640,8 +641,9 @@ def test_row_sum_coordinates_match_the_full_u_oracle(data):
     # all of d1 uses another, so against it the classes must agree:
     # zero-ness, n-divisibility and equality of differences, on every
     # ordering, on sums of cocycle basis columns and on the ker d2 basis
-    # columns that Z/n projections read.  The generator rows of d1, the
-    # route the library left, must still give U_R f_R exactly from S
+    # columns that the d2 route's Z/n projections read.  The generator rows
+    # of d1, the route the library left, must still give U_R f_R exactly
+    # from S
     index, perm, G = data.draw(relabelings(SMALL_GROUPS))
     comp = _Complex(G)
     cocycles = [arrangement_to_inhom(a).values for a in enumerate_circular_orders(G)]
@@ -666,7 +668,7 @@ def test_row_sum_coordinates_match_the_full_u_oracle(data):
             same = class_of(G, f).coords == class_of(G, g).coords
             assert same == (not any(full_class(difference)))
     basis = kernel_basis(_generator_d2_snf(G))
-    kernel = comp.d2_smith.kernel_classes
+    kernel = generator_d2_smith(G).kernel_classes
     columns = [cochain_matrix(G, basis.col(j)) for j in range(basis.cols)]
     classes = [[c % a for c, a in zip(kernel.col(j), comp.factors)] for j in range(kernel.cols)]
     for j, f in enumerate(columns):
@@ -678,19 +680,18 @@ def test_row_sum_coordinates_match_the_full_u_oracle(data):
 
 
 def _generator_d2_snf(G):
-    """The SNF that `_Complex.d2_smith` reduces: the rows of d2 at generator
-    last arguments, one block per generator."""
-    rows = [row for s in cohomology._greedy_generators(G)
-            for row in cohomology._coboundary_rows(G, 2, (s,)).data]
-    return smith_normal_form(rows, want_u=False)
+    """The SNF that the d2 route reduced: the rows of d2 at generator last
+    arguments, one block per generator (`helpers.generator_d2_rows`)."""
+    return smith_normal_form(generator_d2_rows(G), want_u=False)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_generator_row_d2_matches_the_full_d2_oracle(data):
     # the rows of d2 at generator last arguments span its row lattice, so
-    # their SNF must give the rank, nonzero diagonal and kernel of all of d2,
-    # and the same Z/n answers
+    # their SNF must give the rank, nonzero diagonal and kernel of all of d2;
+    # and the library's Z/n answers, read off Q's rows, must be those of the
+    # d2 route on all of d2: the factors, and zero-ness and class equality
     index, perm, G = data.draw(relabelings(SMALL_GROUPS))
     m = G.order - 1
     d2 = coboundary_matrix(G, 2)
@@ -698,15 +699,18 @@ def test_generator_row_d2_matches_the_full_d2_oracle(data):
     gen = _generator_d2_snf(G)
     assert 2 ** (gen.matrix.rows // (m * m)) <= G.order   # at most log2 |G| generators
     _Complex.cache_clear()
-    lib = _Complex(G).d2_smith
-    assert lib.rank == gen.rank == full.rank
-    assert lib.factors == gen.diagonal[:gen.rank] == full.diagonal[:full.rank]
-    assert lib.vinv == gen.Vinv
+    full_data = full_d2_smith(G)
+    assert full_data.rank == gen.rank == full.rank
+    assert full_data.factors == gen.diagonal[:gen.rank] == full.diagonal[:full.rank]
+    assert generator_d2_smith(G).vinv == gen.Vinv
     basis = kernel_basis(gen)
     assert basis.cols == kernel_basis(full).cols == m * m - full.rank
     assert not any(v for row in (d2 @ basis).data for v in row)
-    # zero-ness and class equality against the [d1 | nI] coboundary oracle,
-    # on a modulus that reaches d2
+    for k in range(2, 13):
+        orders = [gcd(d, k) for d in full_data.factors] + [gcd(a, k) for a in _Complex(G).factors]
+        assert h2_structure(G, k).invariant_factors == invariant_factors_of_sum(orders), k
+    # zero-ness and class equality against the [d1 | nI] coboundary oracle
+    # and the d2 route, on a modulus that reaches Q
     B = SMALL_GROUPS[index]
     n = data.draw(st.sampled_from([k for k in range(2, 13) if gcd(k, G.order) > 1]))
     H = h2_structure(G, n)
@@ -715,46 +719,38 @@ def test_generator_row_d2_matches_the_full_d2_oracle(data):
     h_base = [[f[0][a][b] + u[a] + u[b] - u[B.table[a][b]] if a and b else 0
                for b in range(B.order)] for a in range(B.order)]
     h = h_base, _relabel_cochain(h_base, perm)     # f's class
-
-    def classes_match_the_oracle(H):
-        for (x_base, x), (y_base, y) in ((f, g), (f, h), (g, h)):
-            difference = [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x_base, y_base)]
-            same = H.project(x).coords == H.project(y).coords
-            assert same == is_coboundary_mod(B, difference, n)
-        for x_base, x in (f, g):
-            assert H.project(x).is_zero() == is_coboundary_mod(B, x_base, n)
-
-    classes_match_the_oracle(H)
-    # every Z/n answer again on the Smith data of all of d2: the factors read
-    # the unit-pivot invariants alone, so project as well, which requires the
-    # swapped-in diagonal to equal them and rebuilds the projection from it
-    got = [h2_structure(G, k).invariant_factors for k in range(2, 13)]
-    _Complex.cache_clear()
-    full_data = _Complex(G).d2_smith = full_d2_smith(G)
-    assert [h2_structure(G, k).invariant_factors for k in range(2, 13)] == got
-    classes_match_the_oracle(h2_structure(G, n))
-    assert _Complex(G).d2_smith is full_data
+    for (x_base, x), (y_base, y) in ((f, g), (f, h), (g, h)):
+        difference = [[a - b for a, b in zip(rx, ry)] for rx, ry in zip(x_base, y_base)]
+        same = H.project(x).coords == H.project(y).coords
+        assert same == is_coboundary_mod(B, difference, n)
+        assert same == (d2_class(G, x, n, full_data) == d2_class(G, y, n, full_data))
+    for x_base, x in (f, g):
+        assert (H.project(x).is_zero() == is_coboundary_mod(B, x_base, n)
+                == (not any(d2_class(G, x, n, full_data))))
     _Complex.cache_clear()
 
 
-def test_first_mod_n_projection_cross_checks_the_two_routes():
-    # the factors come from the unit-pivot invariants; the first projection
-    # builds its data from the SNF of d2 and requires both routes to agree
-    G, f = cyclic_group(4), standard_order_zn(4)
-    for corrupt in ("d2_invariants", "invariant_factors"):
-        _Complex.cache_clear()
-        H = h2_structure(G, 2)
-        assert H.invariant_factors == (2,) and H._coords is None
-        if corrupt == "d2_invariants":
-            comp = _Complex(G)
-            comp.d2_invariants = comp.d2_invariants[:-1] + (2,)
-        else:
-            H.invariant_factors = (4,)
-        with pytest.raises(CheckFailed, match="differ"):
-            H.project(f)
+def test_projection_requires_the_steps_of_the_rank_block():
+    # Q's rank block on Z/2 x Z/2 is (1, 1, 2), as M = Z/2, so over Z/2 its
+    # steps are (2, 2, 1); a corrupted factor (1, 1, 1) drops Hom(M, Z/2)
+    # from the structure, and asks the third coordinate of V^-1 c to be
+    # even, which fails on every class with a nonzero Hom(M, Z/2) part
+    G = klein()
+    index = SMALL_GROUPS.index(G)
     _Complex.cache_clear()
+    data = _Complex(G).schreier
+    assert data.torsion == (1, 1, 2)
+    basis = [cochain_matrix(G, b) for b in _cocycle_basis(index, 2)]
+    odd = [f for f in basis if data.vinv.mul_vector(data.lift(f))[2] % 2]
+    assert odd
+    assert h2_structure(G, 2).project(odd[0]).coords
+    _Complex.cache_clear()
+    comp = _Complex(G)
+    comp.schreier = comp.schreier._replace(torsion=(1, 1, 1))
     H = h2_structure(G, 2)
-    assert H.project(f).coords == (1,) and H._coords is not None
+    assert H.invariant_factors == (2, 2)
+    with pytest.raises(CheckFailed, match="off its steps"):
+        H.project(odd[0])
     _Complex.cache_clear()
 
 
@@ -762,12 +758,16 @@ def test_first_mod_n_projection_cross_checks_the_two_routes():
 @given(data=st.data())
 def test_unit_pivot_invariants_match_the_dense_d2_routes(data):
     # the sparse elimination of the generator rows must give the nonzero
-    # Smith diagonal of the dense SNF of those rows and of all of d2
+    # Smith diagonal of the dense SNF of those rows and of all of d2; its
+    # nonunit entries are M(G), as are those of Q's rank block
     _, _, G = data.draw(relabelings(SMALL_GROUPS))
     gen = _generator_d2_snf(G)
     _Complex.cache_clear()
-    assert (_Complex(G).d2_invariants == gen.diagonal[:gen.rank]
-            == full_d2_smith(G).factors)
+    invariants = unit_pivot_invariants([row for s in cohomology._greedy_generators(G)
+                                        for row in sparse_coboundary_rows(G, 2, (s,))])
+    assert invariants == gen.diagonal[:gen.rank] == full_d2_smith(G).factors
+    assert ([d for d in invariants if d != 1]
+            == [d for d in _Complex(G).schreier.torsion if d != 1])
     _Complex.cache_clear()
 
 
@@ -781,7 +781,7 @@ def test_unit_pivot_invariants_match_the_snf_on_sparse_matrices(data):
     dense = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
     snf = smith_normal_form(dense, want_u=False)
     sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
-    assert cohomology._unit_pivot_invariants(sparse) == snf.diagonal[:snf.rank]
+    assert unit_pivot_invariants(sparse) == snf.diagonal[:snf.rank]
 
 
 def _abelian(*orders):
@@ -791,7 +791,7 @@ def _abelian(*orders):
 # (group, n -> nonunit factors of H^2(G; Z/n) in closed form): abelian
 # products and dihedral groups up to order 10, and of orders 12-16 past the
 # limit, where the dense SNF of d2 took 28-30 s on Z/4 x Z/4 and did not
-# finish in 60 s on (Z/2)^4
+# finish in 60 s on (Z/2)^4, and Q's rows take milliseconds
 CLOSED_FORMS = ([_abelian(k) for k in range(2, 11)]
                 + [_abelian(2, 2), _abelian(2, 4), _abelian(2, 2, 2), _abelian(3, 3)]
                 + [(dihedral_group(k), partial(dihedral_h2_mod, k)) for k in (3, 4, 5)])
@@ -804,8 +804,8 @@ CLOSED_FORMS_PAST_THE_LIMIT = (
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_mod_n_factors_match_the_closed_forms(data):
-    # within the limit through h2_structure; past it through the unit-pivot
-    # invariants of d2 and the d1 factors, which the limit does not gate
+    # within the limit through h2_structure; past it through the Schreier
+    # data of _Complex, which the limit does not gate
     past = data.draw(st.booleans())
     forms = CLOSED_FORMS_PAST_THE_LIMIT if past else CLOSED_FORMS
     index = data.draw(st.integers(0, len(forms) - 1))
@@ -816,9 +816,8 @@ def test_mod_n_factors_match_the_closed_forms(data):
     _Complex.cache_clear()
     with time_budget(10):
         if past:
-            comp = _Complex(G)
-            orders = ([gcd(d, n) for d in comp.d2_invariants]
-                      + [gcd(e, n) for e in comp.factors])
+            data = _Complex(G).schreier
+            orders = [gcd(d, n) for d in data.torsion] + [gcd(a, n) for a in data.factors]
             got = invariant_factors_of_sum(orders)
         else:
             got = h2_structure(G, n).invariant_factors
@@ -1017,6 +1016,42 @@ def test_relation_factors_match_the_abelianization_oracle(data):
     assert tuple(e for e in _Complex(G).factors if e != 1) == abelianization_factors(G)
     if G.order <= cohomology.H2_ORDER_LIMIT:
         assert h2_structure(G).invariant_factors == abelianization_factors(G)
+    _Complex.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _schur_forms():
+    """(group, nonunit factors of M(G)) up to order 64 from the closed forms:
+    abelian, dihedral, S4 (M = Z/2, Schur 1911) and products of those."""
+    c = cyclic_group
+    abelian = [(2,), (7,), (12,), (64,), (2, 2), (2, 4), (3, 3), (4, 4), (2, 2, 2), (2, 6, 4),
+               (2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 2), (8, 8), (3, 15), (4, 4, 4)]
+    forms = [(product(*map(c, orders)), abelian_schur_multiplier(orders)) for orders in abelian]
+    forms += [(dihedral_group(m), dihedral_schur_multiplier(m)) for m in range(3, 33)]
+    S4 = symmetric_group(4)
+    forms.append((S4, (2,)))
+    pieces = [(S4, (2,))] + [(dihedral_group(m), dihedral_schur_multiplier(m)) for m in (3, 4, 5, 8)]
+    pieces += [(c(k), ()) for k in (2, 3, 4, 10)]
+    for (G, m_g), (H, m_h) in combinations(pieces, 2):
+        if G.order * H.order <= 64:
+            forms.append((product(G, H), product_schur_multiplier(
+                m_g, abelianization_factors(G), m_h, abelianization_factors(H))))
+    return forms
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_schur_multipliers_match_the_closed_forms(data):
+    # Hopf's formula: the nonunit entries of Q's rank block are M(G), and
+    # B's Smith diagonal is G^ab, on relabeled groups up to order 64, past
+    # H2_ORDER_LIMIT through _Complex, which the limit does not gate
+    forms = _schur_forms()
+    index, _, G = data.draw(relabelings([G for G, _ in forms]))
+    _Complex.cache_clear()
+    with time_budget(10):
+        schreier = _Complex(G).schreier
+    assert tuple(d for d in schreier.torsion if d != 1) == forms[index][1], forms[index][0].name
+    assert tuple(a for a in schreier.factors if a != 1) == abelianization_factors(G)
     _Complex.cache_clear()
 
 
