@@ -14,8 +14,10 @@ S(g) = sum_h f(g,h), so S mod |G| is a homomorphism and the class of f is
 the character chi_f(g) = S(g)/|G| mod 1: it is zero exactly when S = |G| u,
 i.e. f = d1 u, and every character is that of the carry bit of its lift to
 Z/|G|.  So H^2(G; Z) = Hom(G^ab, Q/Z) (Brown, Cohomology of Groups, III.1
-and III.10), read in the Smith basis of a k-column relation matrix of G^ab
-at k <= log2 |G| generators (`_Complex`), from S at those.  S of an
+and III.10), read in the Smith basis of a k-column relation matrix A of
+G^ab at k <= log2 |G| generators (`_Complex`), from S at those.  A's rows
+are the rows rho below, so one breadth-first tree feeds the integral and
+the Z/n route alike.  S of an
 ordering is its positions, so its class needs no matrix.  n-divisibility is
 solved on the character, and mod-n triviality of an integral cocycle is the
 same question, so nothing depends on n; d1 u is read off the table.
@@ -25,7 +27,7 @@ raw matrix and trust an InhomCircularOrder on the group.  When
 gcd(n, |G|) = 1, H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill
 it, so no matrix is built; a projection still checks a raw matrix's
 cocycle identity mod n.  Otherwise H^2(G; Z/n) is read off a free
-presentation, built once per group (`_Complex.schreier`).  Let F be free
+presentation, built once per group (`_Complex`).  Let F be free
 on the generators s_1..s_k and R the kernel of F -> G.  The tree of
 `groups._spanning_tree` gives each x a word w(x), and by
 Reidemeister-Schreier R is free on the y = w(x) s w(x s)^-1 at the
@@ -44,12 +46,13 @@ y goes to (beta(x) + f(x, s), x s)(beta(x s), x s)^-1, which is
 c_y = beta(x) + f(x, s) - beta(x s) in the central Z/n.  Being central, c
 kills Q's rows mod n.  A hom F -> Z/n with values t at the generators
 restricts to rho t, rho_y = v(x) + e_s - v(x s) the relation rows of G^ab
-at the non-tree edges.  With U A V = diag(d_1..d_r, 0..0) for A the rows
-of Q, c kills A mod n exactly when w = V^-1 c is a multiple of
-n / gcd(d_i, n) on the rank block; the nonunit d_i are M(G), and the k
-zero columns are the free block.  rho t is a hom Q -> Z, in the kernel of
-A, so V^-1 rho vanishes on the rank block and is a k x k matrix B on the
-free block, and H^2(G; Z) = Z^k / B Z^k, so B's Smith diagonal is (a_j).
+at the non-tree edges, whose distinct nonzero rows are A.  With
+U Q V = diag(d_1..d_r, 0..0) for Q's rows, c kills them mod n exactly
+when w = V^-1 c is a multiple of n / gcd(d_i, n) on the rank block; the
+nonunit d_i are M(G), and the k zero columns are the free block.  rho t is
+a hom Q -> Z, in the kernel of Q's rows, so V^-1 rho vanishes on the rank
+block and is a k x k matrix B on the free block, and
+H^2(G; Z) = Z^k / B Z^k, so B's Smith diagonal is A's, (a_j).
 With U_B B V_B = diag(a_j) the free block reads U_B w mod gcd(a_j, n).
 So H^2(G; Z/n) = (+) Z/gcd(d_i, n) (+) (+) Z/gcd(a_j, n), which is
 Hom(M(G), Z/n) (+) Ext(G^ab, Z/n) (universal coefficients, Brown III.1),
@@ -65,7 +68,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BoundExceeded, require
-from .groups import FiniteGroup, _greedy_generators, _spanning_tree, _word_vectors
+from .groups import FiniteGroup, _greedy_generators, _spanning_tree
 from .orders import cocycle_sums, cocycle_values
 
 H2_ORDER_LIMIT = 10
@@ -381,65 +384,64 @@ def coboundary_matrices(G: FiniteGroup):
 
 
 class _Schreier(NamedTuple):
-    """The Hopf data of H^2(G; Z/n) (module docstring)."""
-    tree: list        # (x, s, x s) at each tree edge, in the order reached
-    edges: list       # (x, s, x s) at each non-tree edge: the free generators y of R
-    rows: IntMatrix   # A: the distinct nonzero rows rewrite(s y s^-1) - y of Q
-    vinv: IntMatrix   # V^-1 of U A V = diag(d_1..d_r, 0..0)
+    """The Hopf data of H^2(G; Z/n) (module docstring); the tree, the
+    non-tree edges y and the relation rows rho it reads are `_Complex`'s."""
+    rows: IntMatrix   # the distinct nonzero rows rewrite(s y s^-1) - y of Q
+    vinv: IntMatrix   # V^-1 of U Q V = diag(d_1..d_r, 0..0)
     torsion: tuple    # d_1..d_r, the rank block; its nonunit entries are M(G)
     free: IntMatrix   # U_B of U_B B V_B = diag(a_j), B = (V^-1 rho) on the free block
-    factors: tuple    # a_1..a_k, the invariant factors of G^ab
-
-    def lift(self, f) -> list[int]:
-        """c_y = beta(x) + f(x, s) - beta(x s) at y = (x, s, x s), with
-        beta(id) = 0 and beta(x s) = beta(x) + f(x, s) along the tree."""
-        beta = [0] * len(f)
-        for x, s, xs in self.tree:
-            beta[xs] = beta[x] + f[x][s]
-        return [beta[x] + f[x][s] - beta[xs] for x, s, xs in self.edges]
 
 
 @lru_cache(maxsize=None)
 class _Complex:
-    """Cached per-group data: the checked group it was built from, the Smith
-    data of a relation matrix A of G^ab, the Schreier data of Z/n
-    coefficients and the H^2 structures built on them.  A breadth-first
-    search over the greedy generators s_1..s_k gives word vectors
-    v: G -> Z^k (`groups._word_vectors`), and A has the |G| k rows
-    v(x) + e_i - v(x s_i).  With L their lattice, v(x s_i) = v(x) + e_i mod
-    L, so v(xy) = v(x) + v(y) mod L by induction on the word length of y:
+    """Cached per-group data: the checked group it was built from, one free
+    presentation of it, the Smith data of a relation matrix A of G^ab, the
+    Schreier data of Z/n coefficients and the H^2 structures built on them.
+    A breadth-first search over the greedy generators s_1..s_k
+    (`groups._spanning_tree`) gives the tree and, along it, word vectors
+    v: G -> Z^k with v(id) = 0 and v(x s) = v(x) + e_s at a tree edge.  The
+    other |G|(k-1)+1 edges (x, s) are the free generators y of R (module
+    docstring), and rho_y = v(x) + e_s - v(x s).  With L the lattice of
+    the rows v(x) + e_i - v(x s_i) at all edges, which are 0 at tree edges
+    and rho at the others, v(x s_i) = v(x) + e_i mod L, so
+    v(xy) = v(x) + v(y) mod L by induction on the word length of y:
     x -> v(x) is a homomorphism onto Z^k / L, as e_i = v(s_i).  e_i -> s_i
     sends v(x) to x and each row to 1 in G^ab, so it is defined on Z^k / L
-    and undoes x -> v(x): G^ab = Z^k / L.  With U A V = diag(a_1..a_k), each
-    a_j nonzero as G^ab is finite, w in Z^k has coordinates (w V)_j mod a_j
-    in the basis b_j of G^ab, row j of V^-1.  `gens`, `words`, `V`, `Vinv`
-    and `factors` = (a_j) are kept, built on the first read of any from A's
-    distinct nonzero rows, and `schreier` on the first Z/n question with n
-    not prime to |G|, so integral questions never build it and a Z/n
-    question with n prime to |G| builds nothing.  Cached by multiplication
-    table (the group kept is the first one asked about, already checked;
-    its names are never read) and unbounded by design: one entry per
-    distinct table, released by `cache_clear()`."""
+    and undoes x -> v(x): G^ab = Z^k / L.  A is rho's distinct nonzero
+    rows.  With U A V = diag(a_1..a_k), each a_j nonzero as G^ab is finite,
+    w in Z^k has coordinates (w V)_j mod a_j in the basis b_j of G^ab, row
+    j of V^-1.  `gens`, `tree`, `words`, `edges`, `rho`, `V`, `Vinv` and
+    `factors` = (a_j) are kept, built in that order on the first read of
+    any, and `schreier` on the first Z/n question with n not prime to |G|,
+    so integral questions never build it and a Z/n question with n prime
+    to |G| builds nothing.  Cached by multiplication table (the group kept
+    is the first one asked about, already checked; its names are never
+    read) and unbounded by design: one entry per distinct table, released
+    by `cache_clear()`."""
 
     def __init__(self, G: FiniteGroup):
         self.group = G
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
 
     def __getattr__(self, name):
-        # runs only while `name` is not yet an attribute: the Smith data of
-        # A is set as plain attributes, so later reads (and replacements)
-        # of them never come back here
-        if name not in ("gens", "words", "V", "Vinv", "factors"):
+        # runs only while `name` is not yet an attribute: the presentation
+        # and the Smith data of A are set as plain attributes, so later
+        # reads (and replacements) of them never come back here
+        if name not in ("gens", "tree", "words", "edges", "rho", "V", "Vinv", "factors"):
             raise AttributeError(name)
         G, table = self.group, self.group.table
         gens = _greedy_generators(G)
-        k, words = len(gens), _word_vectors(G, gens)
-        rows = dict.fromkeys(
-            tuple(a + (i == j) - b for j, (a, b) in enumerate(zip(words[x], words[table[x][s]])))
-            for x in range(G.order) for i, s in enumerate(gens))
-        rows.pop((0,) * k, None)
-        snf = smith_normal_form(IntMatrix(list(rows), cols=k), want_u=False)
-        self.gens, self.words = gens, words
+        k, tree = len(gens), [(x, gens[i], xs) for x, i, xs in _spanning_tree(G, gens)]
+        words = [(0,) * k] + [None] * (G.order - 1)
+        for x, s, xs in tree:
+            words[xs] = tuple(c + (s == t) for t, c in zip(gens, words[x]))
+        edges = sorted({(x, s, table[x][s]) for x in range(G.order) for s in gens} - set(tree))
+        rho = [tuple(a + (s == t) - b for t, a, b in zip(gens, words[x], words[xs]))
+               for x, s, xs in edges]
+        rows = list(dict.fromkeys(row for row in rho if any(row)))
+        snf = smith_normal_form(IntMatrix(rows, cols=k), want_u=False)
+        self.gens, self.tree, self.words, self.edges = gens, tree, words, edges
+        self.rho = IntMatrix(rho, cols=k)
         self.V, self.Vinv, self.factors = snf.V, snf.Vinv, snf.diagonal
         return vars(self)[name]
 
@@ -455,23 +457,28 @@ class _Complex:
                 "a_j (V^-1 t)_j is not divisible by |G| on a cocycle's row sums S")
         return [v // n for v in scaled]
 
+    def lift(self, f) -> list[int]:
+        """c_y = beta(x) + f(x, s) - beta(x s) at y = (x, s, x s), with
+        beta(id) = 0 and beta(x s) = beta(x) + f(x, s) along the tree."""
+        beta = [0] * len(f)
+        for x, s, xs in self.tree:
+            beta[xs] = beta[x] + f[x][s]
+        return [beta[x] + f[x][s] - beta[xs] for x, s, xs in self.edges]
+
     @cached_property
     def schreier(self) -> _Schreier:
-        """Q's rows on the non-tree edges of `groups._spanning_tree`, their
-        Smith normal form with V^-1, and B's with U (module docstring).  A
-        loop in the Cayley graph is the sum of its fundamental cycles, read
-        off its non-tree edges, and s acts by translating loops, so the row
-        of (s, y) is the non-tree part of s C_y, with C_y the tree path to
-        x, the edge y and the tree path back from x s, less y."""
-        G, table = self.group, self.group.table
-        gens = _greedy_generators(G)
-        k, words = len(gens), _word_vectors(G, gens)
-        tree = [(x, gens[i], xs) for x, i, xs in _spanning_tree(G, gens)]
-        edges = sorted({(x, s, table[x][s]) for x in range(G.order) for s in gens} - set(tree))
+        """Q's rows on the non-tree edges, their Smith normal form with
+        V^-1, and B's with U (module docstring).  A loop in the Cayley
+        graph is the sum of its fundamental cycles, read off its non-tree
+        edges, and s acts by translating loops, so the row of (s, y) is the
+        non-tree part of s C_y, with C_y the tree path to x, the edge y and
+        the tree path back from x s, less y.  B presents G^ab as A does, so
+        its Smith diagonal must be `factors`."""
+        table, tree, edges = self.group.table, self.tree, self.edges
         index = {(x, s): e for e, (x, s, _) in enumerate(edges)}
         rows = {}
-        for s in gens:
-            path = [()] * G.order   # the non-tree edges of s (tree path to x)
+        for s in self.gens:
+            path = [()] * self.group.order   # the non-tree edges of s (tree path to x)
             for x, t, xt in tree:
                 e = index.get((table[s][x], t))
                 path[xt] = path[x] if e is None else path[x] + (e,)
@@ -488,16 +495,14 @@ class _Complex:
                 rows[tuple(row)] = None
         rows.pop((0,) * len(edges), None)
         snf = smith_normal_form(IntMatrix(list(rows), cols=len(edges)), want_u=False)
-        r = snf.rank
-        rho = IntMatrix([[a + (s == t) - b for t, a, b in zip(gens, words[x], words[xs])]
-                         for x, s, xs in edges], cols=k)
-        image = snf.Vinv @ rho
+        r, k = snf.rank, len(self.gens)
+        image = snf.Vinv @ self.rho
         require(len(edges) - r == k and not any(v for row in image.data[:r] for v in row),
                 "Q's free block is not the image of the relation rows rho")
         free = smith_normal_form(IntMatrix(image.data[r:], cols=k))
-        require(all(free.diagonal), "the relation rows rho are singular on Q's free block")
-        return _Schreier(tree, edges, snf.matrix, snf.Vinv, snf.diagonal[:r], free.U,
-                         free.diagonal)
+        require(free.diagonal == self.factors,
+                "B's Smith diagonal is not the invariant factors of G^ab")
+        return _Schreier(snf.matrix, snf.Vinv, snf.diagonal[:r], free.U)
 
 
 def _complex_for(G: FiniteGroup) -> _Complex:
@@ -518,7 +523,7 @@ class H2Structure:
     row sums at the generators (`_Complex.smith_coordinates`) and applies
     `_coords`, which selects those of the nonunit a_j.  Over Z/n with n not
     prime to |G| it lifts f to c on the free generators of R
-    (`_Schreier.lift`), requires that c kill Q's rows mod n and that
+    (`_Complex.lift`), requires that c kill Q's rows mod n and that
     w = V^-1 c lie on the steps n / gcd(d_i, n) of the rank block, divides
     by them, and applies `_coords` to those quotients and w's free block,
     which `_coords` reads through U_B.  For n prime to |G| it checks a raw
@@ -540,7 +545,7 @@ class H2Structure:
             if gcd(n, comp.group.order) == 1:
                 return CohomologyClass(self, ())    # H^2(G; Z/n) = 0, see h2_structure
             data = comp.schreier
-            c = data.lift(values)
+            c = comp.lift(values)
             require(all(v % n == 0 for v in data.rows.mul_vector(c)),
                     "c does not kill Q's rows mod n")
             w = data.vinv.mul_vector(c)
@@ -604,8 +609,8 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     else:
         data = comp.schreier
         steps = tuple(modulus // gcd(d, modulus) for d in data.torsion)
-        r, k = len(steps), len(data.factors)
-        orders = [modulus // step for step in steps] + [gcd(a, modulus) for a in data.factors]
+        r, k = len(steps), len(comp.factors)
+        orders = [modulus // step for step in steps] + [gcd(a, modulus) for a in comp.factors]
         keep = [i for i, o in enumerate(orders) if o != 1]
         # (rank-block quotients, free block) -> coordinates mod the kept orders
         block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k if i < r

@@ -257,22 +257,14 @@ def _subgroup_failure(G: FiniteGroup, s: frozenset, normal: bool) -> Optional[st
 
 
 def closure(G: FiniteGroup, gens: Iterable[int]) -> frozenset:
-    """Smallest subgroup of G containing gens."""
+    """Smallest subgroup of G containing gens: the identity and the
+    elements that right multiplication by gens reaches from it
+    (`_spanning_tree`).  In a finite group that set is closed under
+    products, and so under inverses, as g^-1 = g^(k-1) for k the order of
+    g."""
     gens = list(gens)
     _check_range(G, gens, "generator")
-    step = sorted({*gens, *(G.inverse[g] for g in gens)})
-    elems = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in step:
-                y = G.table[x][g]
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(elems)
+    return frozenset([0, *(x for _, _, x in _spanning_tree(G, gens))])
 
 
 def _powers(G: FiniteGroup, g: int) -> list[int]:
@@ -287,35 +279,29 @@ def _powers(G: FiniteGroup, g: int) -> list[int]:
 
 def _greedy_generators(G: FiniteGroup) -> list[int]:
     """The elements, scanned by index, that right multiplication by those
-    kept before them does not reach from the identity; at the end it
-    reaches every element.  It reads only the table, so it runs inside
-    validation.  In a group the reached set is the subgroup the kept
+    kept before them does not reach from the identity: each kept g marks
+    the tree of the kept elements (`_spanning_tree`) as reached, and at the
+    end they reach every element.  It reads only the table, so it runs
+    inside validation.  In a group the reached set is the subgroup the kept
     elements generate, so each one at least doubles it, and there are at
     most log2 |G| of them."""
-    table, gens = G.table, []
+    gens = []
     reached = [True] + [False] * (G.order - 1)
     for g in range(1, G.order):
         if not reached[g]:
             gens.append(g)
-            frontier = [x for x, r in enumerate(reached) if r]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    row = table[x]
-                    for s in gens:
-                        y = row[s]
-                        if not reached[y]:
-                            reached[y] = True
-                            nxt.append(y)
-                frontier = nxt
+            for _, _, x in _spanning_tree(G, gens):
+                reached[x] = True
     return gens
 
 
 def _spanning_tree(G: FiniteGroup, gens: list[int]) -> list[tuple]:
     """The edges (y, i, y s_i) of one breadth-first search by right
-    multiplication by generators s_1..s_k of G from the identity at which
-    y s_i is first reached, in the order reached: a spanning tree of the
-    Cayley graph."""
+    multiplication by s_1..s_k = gens from the identity at which y s_i is
+    first reached, in the order reached: for generators of G, a spanning
+    tree of the Cayley graph.  The one search over generators: it gives
+    `closure`, `_greedy_generators` and the words and free presentation of
+    `cohomology._Complex`."""
     seen, reached, tree = [True] + [False] * (G.order - 1), [0], []
     for y in reached:   # `reached` grows as it is read
         row = G.table[y]
@@ -326,16 +312,6 @@ def _spanning_tree(G: FiniteGroup, gens: list[int]) -> list[tuple]:
                 reached.append(x)
                 tree.append((y, i, x))
     return tree
-
-
-def _word_vectors(G: FiniteGroup, gens: list[int]) -> list[tuple]:
-    """v: G -> Z^k for generators s_1..s_k of G along `_spanning_tree`:
-    v(id) = 0, and v(y s_i) = v(y) + e_i at a tree edge, so v(x) counts
-    each s_i in a word for x."""
-    words = [(0,) * len(gens)] + [None] * (G.order - 1)
-    for y, i, x in _spanning_tree(G, gens):
-        words[x] = tuple(c + (i == j) for j, c in enumerate(words[y]))
-    return words
 
 
 def is_subgroup(G: FiniteGroup, subset: Iterable[int]) -> bool:

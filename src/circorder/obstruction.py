@@ -48,6 +48,13 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n) == [n]
 
 
+def _check_ge_2(what: str, values) -> None:
+    """Raise ValueError at the first value that is not an int >= 2."""
+    for v in values:
+        if type(v) is not int or v < 2:   # not True or 2.0
+            raise ValueError(f"{what} {v!r} is not an int >= 2")
+
+
 @dataclass(frozen=True)
 class ObstructionSpectrum:
     """Upward-divisibility-closed subset of N>=2.
@@ -62,9 +69,7 @@ class ObstructionSpectrum:
     def __post_init__(self):
         if self.is_all and self.minimal:
             raise ValueError("the full spectrum carries no minimal-element data")
-        for m in self.minimal:
-            if not isinstance(m, int) or m < 2:
-                raise ValueError(f"minimal element {m!r} is not an integer >= 2")
+        _check_ge_2("minimal element", self.minimal)
         if len(set(self.minimal)) != len(self.minimal):
             raise ValueError(f"minimal elements {self.minimal} repeat a value")
         for m in self.minimal:
@@ -75,11 +80,10 @@ class ObstructionSpectrum:
     @classmethod
     def from_elements(cls, elements: Iterable[int]) -> "ObstructionSpectrum":
         """Spectrum generated upward by `elements` (reduced to the antichain)."""
-        elems = sorted(set(elements))
+        elements = list(elements)   # checked before a set merges True into 1
+        _check_ge_2("spectrum element", elements)
         kept: list[int] = []
-        for m in elems:
-            if not isinstance(m, int) or m < 2:
-                raise ValueError(f"spectrum element {m!r} is not an integer >= 2")
+        for m in sorted(set(elements)):
             if not any(m % d == 0 for d in kept):
                 kept.append(m)
         return cls(tuple(kept))
@@ -97,8 +101,7 @@ class ObstructionSpectrum:
         return not self.is_all and not self.minimal
 
     def membership(self, n: int) -> bool:
-        if n < 2:
-            raise ValueError(f"spectrum membership is defined for n >= 2, got {n}")
+        _check_ge_2("spectrum membership: n =", [n])
         if self.is_all:
             return True
         return any(n % m == 0 for m in self.minimal)
@@ -127,9 +130,7 @@ class TorsionProfile:
     orders: tuple
 
     def __post_init__(self):
-        for k in self.orders:
-            if not isinstance(k, int) or k < 2:
-                raise ValueError(f"torsion order {k!r} is not an integer >= 2")
+        _check_ge_2("torsion order", self.orders)
 
     @classmethod
     def of_group(cls, G: FiniteGroup) -> "TorsionProfile":
@@ -207,13 +208,6 @@ def bico_product_decision(min_g: Iterable[int], min_a: Iterable[int]) -> str:
                 f"bico_product_decision: minimal element {m} is composite; the "
                 f"criterion requires min(Ob(G)) to consist of primes")
     return NOT_CO if set(min_g) & set(min_a) else CO
-
-
-def _check_ge_2(what: str, values) -> None:
-    """Raise ValueError at the first value that is not an int >= 2."""
-    for v in values:
-        if type(v) is not int or v < 2:   # not True or 2.0
-            raise ValueError(f"{what} {v!r} is not an int >= 2")
 
 
 def cyclic_quotient_stats(A: FiniteGroup) -> tuple[int, int]:

@@ -12,8 +12,11 @@ normal forms of d1, all of it and its rows at generator last arguments
 with their witness u = V u'; and the d2 route to H^2(G; Z/n) that Q's
 rows replaced: the kernel basis, the Smith data of d2 from its rows at
 generator last arguments and from all of it, the unit-pivot elimination
-of its invariants, and the class of a Z/n cocycle read off that data.
-The closed forms of the Schur multiplier M(G) check Q's rank block.
+of its invariants, and the class of a Z/n cocycle read off that data;
+and the searches over generators that `groups._spanning_tree` replaced:
+the incremental greedy generators, the closure that also steps by
+inverses, the word vectors and the relation matrix of G^ab at every
+edge.  The closed forms of the Schur multiplier M(G) check Q's rank block.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from circorder.cohomology import (IntMatrix, SNFResult, _Complex, _gcdext, cobou
                                   coboundary_matrix, smith_normal_form)
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
 from circorder.extensions import CentralExtElement, build_extension, minimal_generator
-from circorder.groups import (FiniteGroup, GroupHom, _greedy_generators, _word_vectors, closure,
+from circorder.groups import (FiniteGroup, GroupHom, _greedy_generators, _spanning_tree, closure,
                               cyclic_group, dihedral_group,
                               direct_product, quotient, subgroup_generated, symmetric_group,
                               trivial_group)
@@ -203,6 +206,72 @@ def lattice_cyclic_quotient_stats(A: FiniteGroup) -> tuple[int, int]:
     orders = [Q.order for Q in (quotient(A, N).group for N in all_subgroups(A))
               if Q.is_cyclic()]
     return len(orders), lcm(*orders)
+
+
+# -- the searches over generators that `groups._spanning_tree` replaced -----
+
+def incremental_greedy_generators(G) -> list[int]:
+    """`groups._greedy_generators` as it extended the reached set in place:
+    each kept element restarts the search from every element reached so
+    far.  It reads only `table` and `order`, so it runs on non-groups."""
+    table, gens = G.table, []
+    reached = [True] + [False] * (G.order - 1)
+    for g in range(1, G.order):
+        if not reached[g]:
+            gens.append(g)
+            frontier = [x for x, r in enumerate(reached) if r]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    row = table[x]
+                    for s in gens:
+                        y = row[s]
+                        if not reached[y]:
+                            reached[y] = True
+                            nxt.append(y)
+                frontier = nxt
+    return gens
+
+
+def inverse_step_closure(G: FiniteGroup, gens) -> frozenset:
+    """The subgroup generated by gens, searched by right multiplication by
+    gens and their inverses, as `groups.closure` did."""
+    step = sorted({*gens, *(G.inverse[g] for g in gens)})
+    elems, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in step:
+                y = G.table[x][g]
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(elems)
+
+
+def word_vectors(G: FiniteGroup, gens: list[int]) -> list[tuple]:
+    """v: G -> Z^k for generators s_1..s_k of G along `_spanning_tree`:
+    v(id) = 0, and v(y s_i) = v(y) + e_i at a tree edge, so v(x) counts
+    each s_i in a word for x."""
+    words = [(0,) * len(gens)] + [None] * (G.order - 1)
+    for y, i, x in _spanning_tree(G, gens):
+        words[x] = tuple(c + (i == j) for j, c in enumerate(words[y]))
+    return words
+
+
+def relation_rows_at_every_edge(G: FiniteGroup) -> list[tuple]:
+    """The distinct nonzero rows v(x) + e_i - v(x s_i) of the relation
+    matrix of G^ab at all |G| k edges (x, s_i), in first-seen order over x
+    and then i, by `word_vectors`: the matrix the library reduced before
+    it read the rows rho at the non-tree edges alone."""
+    gens = _greedy_generators(G)
+    words = word_vectors(G, gens)
+    rows = dict.fromkeys(
+        tuple(a + (i == j) - b for j, (a, b) in enumerate(zip(words[x], words[G.table[x][s]])))
+        for x in range(G.order) for i, s in enumerate(gens))
+    rows.pop((0,) * len(gens), None)
+    return list(rows)
 
 
 # -- isomorphism search ----------------------------------------------------
@@ -978,7 +1047,7 @@ def cyclic_characters(G: FiniteGroup, m: int) -> list[tuple]:
     images of the greedy generators, spread along their word vectors and
     kept when phi(gh) = phi(g) + phi(h) holds on the whole table."""
     gens, out = _greedy_generators(G), []
-    words = _word_vectors(G, gens)
+    words = word_vectors(G, gens)
     for images in product(range(m), repeat=len(gens)):
         phi = [sum(w * a for w, a in zip(word, images)) % m for word in words]
         if all(phi[gh] == (phi[g] + phi[h]) % m

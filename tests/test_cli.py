@@ -1,8 +1,10 @@
 import argparse
+import ast
 import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from math import gcd
@@ -211,6 +213,33 @@ def test_benchmark_tracer_names_exist(monkeypatch):
     for layer, name in tracer.SPANNED + tracer.COUNTED:
         assert callable(getattr(importlib.import_module(f"circorder.{layer}"), name, None)), \
             (layer, name)
+    # every circorder name the workloads call, read off their source: one
+    # the tracer does not span, such as groups.group_from_json, would fail
+    # every untraced operation if it went
+    workloads = ast.parse((path.parent / "workloads.py").read_text())
+    bound = {}   # local name -> the dotted circorder name it is bound to
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("circorder"):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("circorder"):
+                    head = alias.name.split(".")[0]
+                    bound[alias.asname or head] = alias.name if alias.asname else head
+    called = set()
+    for node in ast.walk(workloads):
+        if isinstance(node, ast.Call):
+            attrs, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                attrs.insert(0, func.attr)
+                func = func.value
+            if isinstance(func, ast.Name) and func.id in bound:
+                called.add(".".join([bound[func.id], *attrs]))
+    assert {"circorder.groups.group_from_json", "circorder.cli.main",
+            "circorder.cohomology.h2_structure"} <= called, sorted(called)
+    for dotted in called:
+        assert callable(pkgutil.resolve_name(dotted)), dotted
 
 
 def test_bounds_have_no_per_call_overrides():
@@ -478,7 +507,7 @@ pulled = [[int(a // 2 and b // 2) for b in range(4)] for a in range(4)]
 cohomology._Complex.cache_clear()
 H = cohomology.h2_structure(K, 2)
 data = cohomology._Complex(K).schreier
-odd = [j for j, v in enumerate(data.lift(pulled)) if v % 2][0]
+odd = [j for j, v in enumerate(cohomology._Complex(K).lift(pulled)) if v % 2][0]
 results["schreier_torsion_0"] = data.torsion[0]
 data.vinv.data[0][odd] += 1
 results["schreier_vinv"] = raises_check_failed(lambda: H.project(pulled), "off its steps")
@@ -486,6 +515,13 @@ cohomology._Complex.cache_clear()
 H = cohomology.h2_structure(K, 2)
 cohomology._Complex(K).schreier.rows.data[0][odd] += 1
 results["schreier_rows"] = raises_check_failed(lambda: H.project(pulled), "does not kill")
+# B presents G^ab as A does, so B's Smith diagonal must be A's factors
+# (2, 2): a corrupted factor, set after the presentation is built, fails
+# the Schreier data
+cohomology._Complex.cache_clear()
+comp = cohomology._Complex(K)
+comp.factors = comp.factors[:-1] + (4,)
+results["schreier_factors"] = raises_check_failed(lambda: comp.schreier, "B's Smith diagonal")
 # arrangement_to_inhom builds a trusted cocycle, so its arrangement check
 # must hold without asserts: (0, 1, 3, 2) is a permutation from the identity
 # whose positions are not a homomorphism onto Z/4
@@ -603,7 +639,7 @@ def test_checks_survive_python_O(tmp_path):
                                        "is_n_divisible_vinv": True,
                                        "coprime_non_cocycle": "cocycle",
                                        "schreier_torsion_0": 1, "schreier_vinv": True,
-                                       "schreier_rows": True,
+                                       "schreier_rows": True, "schreier_factors": True,
                                        "arrangement_to_inhom": "invariance",
                                        "loop130": "associativity fails at (1,1,1)",
                                        "rewritten_loop130": "associativity fails at (1,1,1)",

@@ -3,14 +3,15 @@ import random
 from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circorder import cohomology
 from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
-from circorder.groups import (FiniteGroup, cyclic_group, dihedral_group, direct_product,
-                              symmetric_group, trivial_group)
+from circorder.groups import (FiniteGroup, _greedy_generators, closure, cyclic_group,
+                              dihedral_group, direct_product, symmetric_group, trivial_group)
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn, validate_inhom)
 from circorder.extensions import build_extension, hat_ordering, minimal_generator
@@ -23,13 +24,15 @@ from helpers import (abelian_h2_mod, abelian_schur_multiplier, abelianization_fa
                      d2_annihilates, d2_class, dihedral_h2_mod, dihedral_schur_multiplier,
                      full_d2_smith, full_u_coordinates, full_u_factors, generator_d2_rows,
                      generator_d2_smith, generator_row_coordinates, generator_row_divisibility,
-                     generator_u_coordinates, invariant_factors_from_diagonal,
-                     invariant_factors_of_sum, is_coboundary_mod, is_cocycle_mod, kernel_basis,
-                     kernel_route_class, kernel_route_factors, library_groups,
+                     generator_u_coordinates, incremental_greedy_generators,
+                     invariant_factors_from_diagonal, invariant_factors_of_sum,
+                     inverse_step_closure, is_coboundary_mod, is_cocycle_mod, kernel_basis,
+                     kernel_route_class, kernel_route_factors, library_groups, loop130_table,
                      minimal_generator_by_scan, minors_gcd_invariant_factors,
                      naive_diagonalize, product_schur_multiplier, relabeled,
-                     seeded_random_matrices, solve_int, sparse_coboundary_rows, time_budget,
-                     unit_pivot_invariants, verify_snf)
+                     relation_rows_at_every_edge, seeded_random_matrices, solve_int,
+                     sparse_coboundary_rows, time_budget, unit_pivot_invariants, verify_snf,
+                     word_vectors)
 
 
 def klein():
@@ -279,9 +282,10 @@ def test_h2_mod_n_matches_uct():
 
 def test_moduli_prime_to_the_order_need_no_d2():
     # |G| and n both kill H^2(G; Z/n), so it is 0 when gcd(n, |G|) = 1: the
-    # structure is empty and neither the relation matrix of G^ab nor Q's
-    # rows are reduced, but a projection still checks the cocycle identity
-    # mod n.  Valid orderings exist on the cyclic groups.
+    # structure is empty, no free presentation is built and neither the
+    # relation matrix of G^ab nor Q's rows are reduced, but a projection
+    # still checks the cocycle identity mod n.  Valid orderings exist on the
+    # cyclic groups.
     _Complex.cache_clear()
     for G in library_groups():
         if G.order > cohomology.H2_ORDER_LIMIT:
@@ -301,7 +305,8 @@ def test_moduli_prime_to_the_order_need_no_d2():
                 assert not is_cocycle_mod(G, f, n)
                 with pytest.raises(AxiomError):
                     H.project(f)
-        assert not {"V", "Vinv", "factors", "schreier"} & set(vars(_Complex(G))), G.name
+        assert not ({"gens", "words", "tree", "edges", "rho", "V", "Vinv", "factors", "schreier"}
+                    & set(vars(_Complex(G)))), G.name
     _Complex.cache_clear()
 
 
@@ -381,10 +386,13 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert all(not want_u or (diagonal and rows <= m)
                for rows, want_u, diagonal in transforms), transforms
     assert built and m * m not in built, sorted(set(built))
-    # the relation matrix is reduced but not kept, and no V has m columns:
-    # is_n_divisible reads d1 u off the table
-    held = [v for v in vars(_Complex(G)).values() if isinstance(v, IntMatrix)]
-    assert held and all(M.rows == M.cols == k for M in held), held
+    # the relation matrix A is reduced but not kept, and no V has m columns:
+    # is_n_divisible reads d1 u off the table.  The matrices kept are V and
+    # V^-1, k x k, and the rows rho at the |G|(k-1)+1 non-tree edges
+    comp = _Complex(G)
+    held = [v for v in vars(comp).values() if isinstance(v, IntMatrix)]
+    assert len(held) == 3 and all(M.cols == k for M in held), held
+    assert comp.V.rows == comp.Vinv.rows == k and comp.rho.rows == G.order * (k - 1) + 1
     assert "schreier" not in vars(_Complex(G))
     assert not hasattr(_Complex(G), "U")
     # Z/n factors and projections read one SNF of Q's rows, on the
@@ -405,6 +413,14 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     assert h2_structure(G, 6).project(f).coords == (1,)
     assert len(shapes) == 4, shapes
     assert m * m not in built, sorted(set(built))
+    # a cold Z/n-only question reads the same presentation: the k-column
+    # SNF of A, whose factors B's diagonal must equal, then Q's, B's and
+    # the diagonal's
+    _Complex.cache_clear()
+    shapes.clear()
+    assert h2_structure(G, 4).project(f).coords == (1,)
+    assert [cols for _, cols in shapes] == [k, generators, k, 1], shapes
+    assert shapes[2] == (k, k) and shapes[0][0] <= G.order * k, shapes
     _Complex.cache_clear()
 
 
@@ -741,7 +757,7 @@ def test_projection_requires_the_steps_of_the_rank_block():
     data = _Complex(G).schreier
     assert data.torsion == (1, 1, 2)
     basis = [cochain_matrix(G, b) for b in _cocycle_basis(index, 2)]
-    odd = [f for f in basis if data.vinv.mul_vector(data.lift(f))[2] % 2]
+    odd = [f for f in basis if data.vinv.mul_vector(_Complex(G).lift(f))[2] % 2]
     assert odd
     assert h2_structure(G, 2).project(odd[0]).coords
     _Complex.cache_clear()
@@ -817,7 +833,7 @@ def test_mod_n_factors_match_the_closed_forms(data):
     with time_budget(10):
         if past:
             data = _Complex(G).schreier
-            orders = [gcd(d, n) for d in data.torsion] + [gcd(a, n) for a in data.factors]
+            orders = [gcd(d, n) for d in data.torsion] + [gcd(a, n) for a in _Complex(G).factors]
             got = invariant_factors_of_sum(orders)
         else:
             got = h2_structure(G, n).invariant_factors
@@ -1051,8 +1067,63 @@ def test_schur_multipliers_match_the_closed_forms(data):
     with time_budget(10):
         schreier = _Complex(G).schreier
     assert tuple(d for d in schreier.torsion if d != 1) == forms[index][1], forms[index][0].name
-    assert tuple(a for a in schreier.factors if a != 1) == abelianization_factors(G)
+    assert tuple(a for a in _b_diagonal(G) if a != 1) == abelianization_factors(G)
     _Complex.cache_clear()
+
+
+def _b_diagonal(G: FiniteGroup) -> tuple:
+    """The Smith diagonal of B = V^-1 rho on the free block of Q's rows."""
+    comp = _Complex(G)
+    data = comp.schreier
+    image = (data.vinv @ comp.rho).data[len(data.torsion):]
+    return smith_normal_form(IntMatrix(image, cols=len(comp.gens)), want_u=False).diagonal
+
+
+@lru_cache(maxsize=None)
+def _one_tree_groups():
+    """The library groups and abelian, dihedral and S4 x Z/2 groups up to
+    order 64."""
+    c = cyclic_group
+    return (library_groups()
+            + [c(64), product(c(4), c(4)), product(c(2), c(2), c(2), c(2)), product(c(8), c(8)),
+               product(c(2), c(6), c(4)), product(c(3), c(15))]
+            + [dihedral_group(k) for k in (3, 6, 8, 12, 16, 32)]
+            + [product(symmetric_group(4), c(2))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_tree_matches_the_searches_it_replaced(data):
+    # `groups._spanning_tree` is the one search over generators: the greedy
+    # generators, closures, words and A's rows it gives equal those of the
+    # searches it replaced, A's Smith data is the same entry for entry,
+    # and B's diagonal is A's on relabeled groups up to order 64, past
+    # H2_ORDER_LIMIT through _Complex, which the limit does not gate
+    _, _, G = data.draw(relabelings(_one_tree_groups()))
+    gens = _greedy_generators(G)
+    assert gens == incremental_greedy_generators(G)
+    subsets = data.draw(st.lists(st.lists(st.integers(0, G.order - 1), max_size=4),
+                                 min_size=1, max_size=4))
+    for gens_of_subgroup in subsets:
+        assert closure(G, gens_of_subgroup) == inverse_step_closure(G, gens_of_subgroup)
+    _Complex.cache_clear()
+    comp = _Complex(G)
+    assert comp.gens == gens and comp.words == word_vectors(G, gens)
+    rows = relation_rows_at_every_edge(G)
+    assert [row for row in dict.fromkeys(map(tuple, comp.rho.data)) if any(row)] == rows
+    full = smith_normal_form(IntMatrix(rows, cols=len(gens)), want_u=False)
+    assert (full.V, full.Vinv, full.diagonal) == (comp.V, comp.Vinv, comp.factors)
+    with time_budget(10):
+        assert _b_diagonal(G) == comp.factors
+    _Complex.cache_clear()
+
+
+def test_greedy_generators_match_on_a_non_group():
+    # the greedy search reads only the table, so it runs inside validation,
+    # on tables that are not groups
+    table = loop130_table()
+    stub = SimpleNamespace(table=table, order=len(table))
+    assert _greedy_generators(stub) == incremental_greedy_generators(stub)
 
 
 @settings(max_examples=30, deadline=None)

@@ -167,6 +167,22 @@ def test_obstruction_numbers_are_exact_ints(call):
     assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize("n", [2.0, 2.5, True, 1, "4"])
+def test_spectrum_elements_and_membership_are_exact_ints(n):
+    # 2.0 and True compare equal to ints, so without the type check 2.0 was
+    # in 2N and 2.5 in the full spectrum, while exponent_facts refused both
+    for call in (lambda: n in ObstructionSpectrum.from_elements([2]),
+                 lambda: ObstructionSpectrum.all_naturals().membership(n),
+                 lambda: ObstructionSpectrum.empty().membership(n),
+                 lambda: ObstructionSpectrum.from_elements([3, n]),
+                 lambda: ObstructionSpectrum((n,)),
+                 lambda: TorsionProfile((4, n)),
+                 lambda: exponent_facts(n, 3, True)):
+        with pytest.raises(ValueError, match="is not an int >= 2") as err:
+            call()
+        assert type(err.value) is ValueError
+
+
 def test_bico_decision_consistent_with_cyclic_products():
     # Z/6 x Z/5 is cyclic of order 30: the decision must say orderable
     s6 = spectrum_finite(cyclic_group(6))
