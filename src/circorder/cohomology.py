@@ -68,7 +68,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import BoundExceeded, require
-from .groups import FiniteGroup, _greedy_generators, _spanning_tree
+from .groups import FiniteGroup, _spanning_tree
 from .orders import cocycle_sums, cocycle_values
 
 H2_ORDER_LIMIT = 10
@@ -397,8 +397,9 @@ class _Complex:
     """Cached per-group data: the checked group it was built from, one free
     presentation of it, the Smith data of a relation matrix A of G^ab, the
     Schreier data of Z/n coefficients and the H^2 structures built on them.
-    A breadth-first search over the greedy generators s_1..s_k
-    (`groups._spanning_tree`) gives the tree and, along it, word vectors
+    A breadth-first search over the greedy generators s_1..s_k that the
+    group's validation kept (`FiniteGroup.generators`,
+    `groups._spanning_tree`) gives the tree and, along it, word vectors
     v: G -> Z^k with v(id) = 0 and v(x s) = v(x) + e_s at a tree edge.  The
     other |G|(k-1)+1 edges (x, s) are the free generators y of R (module
     docstring), and rho_y = v(x) + e_s - v(x s).  With L the lattice of
@@ -430,7 +431,7 @@ class _Complex:
         if name not in ("gens", "tree", "words", "edges", "rho", "V", "Vinv", "factors"):
             raise AttributeError(name)
         G, table = self.group, self.group.table
-        gens = _greedy_generators(G)
+        gens = list(G.generators)
         k, tree = len(gens), [(x, gens[i], xs) for x, i, xs in _spanning_tree(G, gens)]
         words = [(0,) * k] + [None] * (G.order - 1)
         for x, s, xs in tree:
@@ -587,7 +588,9 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     of Q's rows and Z/gcd(a_j, n) on its free block (`_Complex.schreier`,
     built for the group on its first such n); one Smith normal form of the
     diagonal of nonunit orders, with U, puts them in divisibility order and
-    gives the projection's coordinates.  When gcd(n, |G|) = 1 the group is
+    gives the projection's coordinates.  A diagonal that is already a
+    divisibility chain (one of length at most 1 always is) is its own Smith
+    form with U = I, so it needs none.  When gcd(n, |G|) = 1 the group is
     0 and no matrix is built.
     """
     if modulus is not None and (type(modulus) is not int or modulus < 2):
@@ -615,10 +618,15 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
         # (rank-block quotients, free block) -> coordinates mod the kept orders
         block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k if i < r
                            else [0] * r + data.free.data[i - r] for i in keep], cols=r + k)
-        snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
-        nonunit = [j for j, e in enumerate(snf.diagonal) if e != 1]
-        got = H2Structure(modulus, tuple(snf.diagonal[j] for j in nonunit), comp, steps,
-                          IntMatrix([snf.U.data[j] for j in nonunit], cols=len(keep)) @ block)
+        kept = [orders[i] for i in keep]
+        if all(b % a == 0 for a, b in zip(kept, kept[1:])):
+            # already a divisibility chain of nonunits: its own Smith form, U = I
+            got = H2Structure(modulus, tuple(kept), comp, steps, block)
+        else:
+            snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
+            nonunit = [j for j, e in enumerate(snf.diagonal) if e != 1]
+            got = H2Structure(modulus, tuple(snf.diagonal[j] for j in nonunit), comp, steps,
+                              IntMatrix([snf.U.data[j] for j in nonunit], cols=len(keep)) @ block)
     comp.structures[modulus] = got
     return got
 

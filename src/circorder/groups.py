@@ -25,10 +25,12 @@ class FiniteGroup:
     """A finite group given by its multiplication table on {0..order-1}.
 
     table[g][h] is the index of g*h, index 0 is the identity, and `inverse`
-    is derived at construction.
+    is derived at construction.  `generators` holds the greedy generators
+    (`_greedy_generators`) that validation found; the cocycle check of
+    `orders` and the presentation of `cohomology._Complex` read them.
     """
 
-    __slots__ = ("name", "order", "table", "names", "inverse")
+    __slots__ = ("name", "order", "table", "names", "inverse", "generators")
 
     def __init__(self, table, names=None, name: str = "G"):
         table = tuple(tuple(row) for row in table)
@@ -79,20 +81,22 @@ class FiniteGroup:
         rows and columns are latin without being scanned.
 
         Associativity is Light's test, in O(|G|^2 |S|): (xy)s = x(ys) for
-        all x, y and each s in S = _greedy_generators(self), from which
-        right multiplication by S alone reaches every element z.  That
-        proves (xy)z = x(yz) by induction on z along the search: for z s
-        with z done, (xy)(zs) = ((xy)z)s = (x(yz))s = x((yz)s) = x(y(zs)),
-        each step the S-case or the hypothesis, and the induction starts at
-        the identity, checked above.  It assumes no other group axiom, so a
-        table that is not a group may need a larger S, but is never passed."""
+        all x, y and each s in S = _greedy_generators(self), kept as
+        `generators`, from which right multiplication by S alone reaches
+        every element z.  That proves (xy)z = x(yz) by induction on z along
+        the search: for z s with z done, (xy)(zs) = ((xy)z)s = (x(yz))s =
+        x((yz)s) = x(y(zs)), each step the S-case or the hypothesis, and the
+        induction starts at the identity, checked above.  It assumes no
+        other group axiom, so a table that is not a group may need a larger
+        S, but is never passed."""
         n, table = self.order, self.table
         for g in range(n):
             if table[0][g] != g:
                 raise InvalidGroupError(f"table[0][{g}] = {table[0][g]}: index 0 is not a left identity")
             if table[g][0] != g:
                 raise InvalidGroupError(f"table[{g}][0] = {table[g][0]}: index 0 is not a right identity")
-        for s in _greedy_generators(self):
+        self.generators = tuple(_greedy_generators(self))
+        for s in self.generators:
             col = [row[s] for row in table]           # col[x] = x*s
             for g in range(n):
                 rowg = table[g]
@@ -282,9 +286,9 @@ def _greedy_generators(G: FiniteGroup) -> list[int]:
     kept before them does not reach from the identity: each kept g marks
     the tree of the kept elements (`_spanning_tree`) as reached, and at the
     end they reach every element.  It reads only the table, so it runs
-    inside validation.  In a group the reached set is the subgroup the kept
-    elements generate, so each one at least doubles it, and there are at
-    most log2 |G| of them."""
+    inside validation, which keeps them as `FiniteGroup.generators`.  In a
+    group the reached set is the subgroup the kept elements generate, so
+    each one at least doubles it, and there are at most log2 |G| of them."""
     gens = []
     reached = [True] + [False] * (G.order - 1)
     for g in range(1, G.order):

@@ -22,7 +22,12 @@ the conversions between the forms pass pos across.
 
 Every ordering that the other modules take passes one gate here:
 `as_ordering` (or `cocycle_values`, where any cocycle will do) trusts an
-InhomCircularOrder on the group's own table and checks anything else.
+InhomCircularOrder on the group's own table and checks anything else.  A
+raw matrix's cocycle identity is checked by Light's associativity test on
+its central extension, in O(|G|^2 k) for the k <= log2 |G| generators the
+group's validation kept (`_identity_failure`), and a raw homogeneous
+cocycle in O(|G|^3) (`validate_hom`); the scans of all triples or
+quadruples run only to name a failure.
 Orderings on infinite carriers (see the promislow module) are exposed as
 evaluation oracles on triples and never materialized.
 """
@@ -31,9 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import add, itemgetter, sub
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import AxiomError, BoundExceeded, InvalidGroupError, require
+from .errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError, require
 from .groups import FiniteGroup, _powers, cyclic_group, group_from_json, group_to_json
 
 ENUMERATION_ORDER_LIMIT = 12
@@ -143,7 +150,7 @@ def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
     bad = next((g for g in range(1, n) if values[g][G.inverse[g]] != 1), None)
     if bad is not None:
         raise AxiomError("inverse-pair", (bad,))
-    failure = _identity_failure(G.table, values)   # 0/1 ints skip the type scan
+    failure = _identity_failure(G, values)   # 0/1 ints skip the type scan
     if failure is not None:
         raise failure
     f = InhomCircularOrder(G, tuple(map(sum, values)))   # row g holds pos(g) ones
@@ -151,28 +158,61 @@ def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
     return f
 
 
-def cocycle_failure(table, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
+def cocycle_failure(G: FiniteGroup, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
     """The package's one check of the 2-cocycle identity: the first failure of
     `values` to be a normalized cocycle over Z (modulus None) or Z/modulus on
-    the group with multiplication table `table` ("shape", "value-type" at the
-    first entry whose type is not exactly int, "normalization", or "cocycle"
-    at the first (g, h, k) with f(h,k) - f(gh,k) + f(g,hk) != f(g,h))."""
-    n = len(table)
+    G ("shape", "value-type" at the first entry whose type is not exactly
+    int, "normalization", or "cocycle" at the lexicographically first
+    (g, h, k) with f(h,k) - f(gh,k) + f(g,hk) != f(g,h)), in O(|G|^2 k) for
+    a cocycle (`_identity_failure`)."""
+    n = G.order
     if len(values) != n or any(len(row) != n for row in values):
         return AxiomError("shape", (len(values),), f"want {n} x {n}")
-    bad = next(((g, h) for g, row in enumerate(values) for h, v in enumerate(row)
-                if type(v) is not int), None)   # 1.0 and True would pass as 1
-    if bad is not None:
-        return AxiomError("value-type", bad, f"value {values[bad[0]][bad[1]]!r} is not an int")
-    return _identity_failure(table, values, modulus)
+    if set(map(type, chain.from_iterable(values))) != {int}:   # 1.0 and True would pass as 1
+        g, h = next((g, h) for g, row in enumerate(values) for h, v in enumerate(row)
+                    if type(v) is not int)
+        return AxiomError("value-type", (g, h), f"value {values[g][h]!r} is not an int")
+    return _identity_failure(G, values, modulus)
 
 
-def _identity_failure(table, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
-    """cocycle_failure past its shape and type scans."""
-    n = len(table)
-    bad = next((g for g in range(n) if values[0][g] != 0 or values[g][0] != 0), None)
-    if bad is not None:
+def _identity_failure(G: FiniteGroup, values, modulus: Optional[int] = None) -> Optional[AxiomError]:
+    """cocycle_failure past its shape and type scans, by Light's test on the
+    central extension.  A normalized f is a cocycle exactly when the product
+    (a, g)(b, h) = (a + b + f(g, h), gh) on E = A x G (A = Z, or Z/modulus)
+    is associative: ((a,g)(b,h))(c,k) and (a,g)((b,h)(c,k)) are both
+    (a + b + c + ..., ghk), and their first entries differ by the identity
+    at (g, h, k).  (0, e) is a right identity as f(g, e) = 0, and right
+    multiplication by T = {(0, s) : s in G.generators} and (+-1, e) reaches
+    every element of E from it: (a, g)(0, s) = (a + f(g, s), gs) walks G
+    and (a, g)(+-1, e) = (a +- 1, g) walks A.  So, as in
+    FiniteGroup.validate, (xy)t = x(yt) for all x, y in E and t in T proves
+    (xy)z = x(yz) by induction on z along those walks.  At t = (+-1, e) it
+    is the identity at (g, h, e), which holds for normalized f, and at
+    t = (0, s) it is f(h, s) - f(gh, s) + f(g, hs) - f(g, h) = 0 for all g
+    and h (at g = e it holds for normalized f), which is all that is
+    checked here: O(|G|^2 k), k <= log2 |G|.  Only when it fails does the
+    lexicographic scan of all |G|^3 triples run, which then finds a
+    failure and reports the first one."""
+    n, table = G.order, G.table
+    if any(values[0]) or any(row[0] for row in values):   # exact ints here
+        bad = next(g for g in range(n) if values[0][g] != 0 or values[g][0] != 0)
         return AxiomError("normalization", (bad,))
+    for s in G.generators:   # none when n = 1, so each itemgetter below returns a tuple
+        fs = [row[s] for row in values]                  # fs[h] = f(h, s)
+        at_hs = itemgetter(*[row[s] for row in table])   # row -> its entries at h s
+        for g in range(1, n):
+            fg = values[g]
+            left = list(map(add, fs, at_hs(fg)))                     # f(h, s) + f(g, hs)
+            right = list(map(add, itemgetter(*table[g])(fs), fg))    # f(gh, s) + f(g, h)
+            if left != right and (not modulus or any(map(modulus.__rmod__, map(sub, left, right)))):
+                return _first_identity_failure(table, values, modulus)
+    return None
+
+
+def _first_identity_failure(table, values, modulus: Optional[int]) -> AxiomError:
+    """The "cocycle" failure at the lexicographically first (g, h, k), for a
+    normalized f that has one."""
+    n = len(table)
     for g in range(1, n):   # triples with the identity hold once f is normalized
         for h in range(1, n):
             fg, fh, fgh, th = values[g], values[h], values[table[g][h]], table[h]
@@ -180,6 +220,7 @@ def _identity_failure(table, values, modulus: Optional[int] = None) -> Optional[
                 v = fh[k] - fgh[k] + fg[th[k]] - fg[h]
                 if v % modulus if modulus else v:
                     return AxiomError("cocycle", (g, h, k), f"the identity gives {v}")
+    raise CheckFailed("_identity_failure: Light's test failed where no triple does")
 
 
 def as_ordering(G: FiniteGroup, f) -> InhomCircularOrder:
@@ -200,7 +241,7 @@ def cocycle_values(G: FiniteGroup, f, modulus: Optional[int] = None) -> tuple:
     if isinstance(f, InhomCircularOrder):
         return as_ordering(G, f).values
     values = tuple(tuple(row) for row in f)
-    failure = cocycle_failure(G.table, values, modulus)
+    failure = cocycle_failure(G, values, modulus)
     if failure is not None:
         raise failure
     return values
@@ -220,7 +261,18 @@ def cocycle_sums(G: FiniteGroup, f) -> tuple:
 
 def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
     """Check the homogeneous axioms; kinds "shape", "vanishing", "cocycle",
-    "invariance"."""
+    "invariance", checked in that order, each at its lexicographically first
+    witness.
+
+    Past the vanishing scan, c is left-invariant exactly when c(g1, g2, g3)
+    = c(id, g1^-1 g2, g1^-1 g3) everywhere: that is invariance at
+    h = g1^-1, and conversely both sides of c(h g1, h g2, h g3) =
+    c(g1, g2, g3) then equal c(id, g1^-1 g2, g1^-1 g3).  With invariance,
+    each term of the cocycle identity at (g1, g2, g3, g4) equals its term
+    at (id, g1^-1 g2, g1^-1 g3, g1^-1 g4), so the identity holds everywhere
+    exactly when it holds on the quadruples from the identity.  Both checks
+    are O(N^3); only when one fails do the N^4 scans run (`_hom_scans`),
+    which then find the first failure."""
     n = G.order
     values = tuple(tuple(tuple(plane) for plane in row) for row in values)
     if len(values) != n or any(len(r) != n for r in values) \
@@ -237,6 +289,33 @@ def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
                     raise AxiomError("vanishing", (g1, g2, g3), f"value {v} on repeat")
                 if not degenerate and v not in (1, -1):
                     raise AxiomError("vanishing", (g1, g2, g3), f"value {v} on distinct triple")
+    if not _cubic_hom_checks(G, values):
+        _hom_scans(G, values)   # raises
+    # c(id, g, x) = +1 for the n - 1 - pos(g) elements x after g
+    c = HomCircularOrder(G, (0, *(n - 1 - row.count(1) for row in values[0][1:])))
+    require(c.values == values, "validate_hom: the ordering is not the chart of its positions")
+    return c
+
+
+def _cubic_hom_checks(G: FiniteGroup, values) -> bool:
+    """Whether c(g1, g2, g3) = c(id, g1^-1 g2, g1^-1 g3) and the identity
+    c(g1,g2,x) - c(id,g2,x) + c(id,g1,x) - c(id,g1,g2) = 0 at (id, g1, g2, x)
+    hold everywhere (`validate_hom`): O(N^3)."""
+    v0 = values[0]
+    for g1, planes in enumerate(values):
+        row, at = G.table[G.inverse[g1]], v0[g1]   # row: x -> g1^-1 x
+        for g2, plane in enumerate(planes):
+            if tuple(map(v0[row[g2]].__getitem__, row)) != plane \
+                    or list(map(add, plane, at)) != [x + at[g2] for x in v0[g2]]:
+                return False
+    return True
+
+
+def _hom_scans(G: FiniteGroup, values) -> None:
+    """The cocycle identity on all N^4 quadruples, then left invariance under
+    every h, in lexicographic order: raise AxiomError at the first failure,
+    for a c that has one."""
+    n, table = G.order, G.table
     for g1 in range(n):
         for g2 in range(n):
             for g3 in range(n):
@@ -244,7 +323,6 @@ def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
                 for g4 in range(n):
                     if values[g2][g3][g4] - values[g1][g3][g4] + row[g4] - row[g3] != 0:
                         raise AxiomError("cocycle", (g1, g2, g3, g4))
-    table = G.table
     for h in range(1, n):
         th = table[h]
         for g1 in range(n):
@@ -252,10 +330,7 @@ def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
                 for g3 in range(n):
                     if values[th[g1]][th[g2]][th[g3]] != values[g1][g2][g3]:
                         raise AxiomError("invariance", (h, g1, g2, g3))
-    # c(id, g, x) = +1 for the n - 1 - pos(g) elements x after g
-    c = HomCircularOrder(G, (0, *(n - 1 - row.count(1) for row in values[0][1:])))
-    require(c.values == values, "validate_hom: the ordering is not the chart of its positions")
-    return c
+    raise CheckFailed("validate_hom: its cubic checks failed where no quadruple does")
 
 
 # -- conversions -------------------------------------------------------------

@@ -655,7 +655,7 @@ def cocycle_vector(G: FiniteGroup, f) -> list[int]:
     of the wrong shape or not normalized raises orders.cocycle_failure's
     AxiomError ("shape" or "normalization")."""
     values = f.values if isinstance(f, InhomCircularOrder) else f
-    failure = cocycle_failure(G.table, values)
+    failure = cocycle_failure(G, values)
     if failure is not None and failure.kind in ("shape", "normalization"):
         raise failure
     n = G.order
@@ -676,6 +676,36 @@ def is_cocycle_mod(G: FiniteGroup, f, n) -> bool:
                 if v % n if n else v:
                     return False
     return True
+
+
+def first_failing_triple(G: FiniteGroup, f, n) -> Optional[tuple]:
+    """((g, h, k), v) at the lexicographically first triple of all |G|^3,
+    identities included, where v = f(h,k) - f(gh,k) + f(g,hk) - f(g,h) is
+    nonzero (mod n; over Z for n None), or None: the witness that
+    orders.cocycle_failure must report."""
+    m = G.order
+    for g, h, k in product(range(m), repeat=3):
+        v = f[h][k] - f[G.table[g][h]][k] + f[g][G.table[h][k]] - f[g][h]
+        if v % n if n else v:
+            return (g, h, k), v
+    return None
+
+
+def quartic_hom_failure(G: FiniteGroup, values) -> Optional[tuple]:
+    """(kind, witness) of the first failure of a {-1, 0, 1} triple function
+    that vanishes exactly on degenerate triples: the cocycle identity
+    c(g2,g3,g4) - c(g1,g3,g4) + c(g1,g2,g4) - c(g1,g2,g3) = 0 on all |G|^4
+    quadruples, then c(h g1, h g2, h g3) = c(g1, g2, g3) for every h != id,
+    each in lexicographic order; None when both hold.  The literal
+    definitions behind orders.validate_hom's O(|G|^3) checks."""
+    m, t = G.order, G.table
+    for g1, g2, g3, g4 in product(range(m), repeat=4):
+        if values[g2][g3][g4] - values[g1][g3][g4] + values[g1][g2][g4] - values[g1][g2][g3]:
+            return "cocycle", (g1, g2, g3, g4)
+    for h, g1, g2, g3 in product(range(1, m), range(m), range(m), range(m)):
+        if values[t[h][g1]][t[h][g2]][t[h][g3]] != values[g1][g2][g3]:
+            return "invariance", (h, g1, g2, g3)
+    return None
 
 
 def d2_annihilates(G: FiniteGroup, f, n) -> bool:

@@ -442,8 +442,8 @@ _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (AxiomError, Arrangement, CheckFailed, FiniteGroup, IntMatrix,
                        InvalidGroupError, arrangement_to_inhom, cli, cohomology,
-                       cyclic_group, direct_product, dump_group, load_group,
-                       standard_order_zn, symmetric_group)
+                       cyclic_group, direct_product, dump_group, inhom_to_hom, load_group,
+                       orders, standard_order_zn, symmetric_group)
 from helpers import loop130_table, verify_snf
 
 def raises_check_failed(call, match=""):
@@ -496,6 +496,17 @@ bad = [list(row) for row in f.values]
 bad[1][1] += 1
 results["coprime_non_cocycle"] = axiom_failure(
     lambda: cohomology.h2_structure(G, 3).project(bad))
+# Light's test rejects this matrix at the generator 1, and the scan of all
+# triples then reports the first failing one, whose last entry is 3; a scan
+# that finds no failing triple or quadruple must raise without asserts
+moved = [list(row) for row in f.values]
+moved[3][3] += 1
+failure = orders.cocycle_failure(G, moved)
+results["light_fallback"] = [failure.kind, list(failure.witness)]
+results["no_failing_triple"] = raises_check_failed(
+    lambda: orders._first_identity_failure(G.table, f.values, None), "Light's test")
+results["no_failing_quadruple"] = raises_check_failed(
+    lambda: orders._hom_scans(G, inhom_to_hom(f).values), "no quadruple")
 # gcd(2, |G|) = 2, so Z/2 projects through Q's rows on the free generators
 # of R.  On Z/2 x Z/2 the rank block of Q starts with a unit, so V^-1 c must
 # be even there, and the pullback of the Z/2 ordering along the first
@@ -550,7 +561,7 @@ print(json.dumps(results))
 
 
 def test_each_ordering_is_checked_once(monkeypatch, group_file):
-    # the O(|G|^3) identity check runs once per object it proves: an ordering
+    # the cocycle identity check runs once per object it proves: an ordering
     # from an arrangement is proved by its O(|G|^2) isomorphism check, and
     # the witness mu by its entry check, so product-co never runs it, and
     # class_of trusts an ordering; a raw matrix is checked on every call
@@ -638,6 +649,8 @@ def test_checks_survive_python_O(tmp_path):
                                        "words": True, "e_0": 1, "class_of_vinv": True,
                                        "is_n_divisible_vinv": True,
                                        "coprime_non_cocycle": "cocycle",
+                                       "light_fallback": ["cocycle", [1, 2, 3]],
+                                       "no_failing_triple": True, "no_failing_quadruple": True,
                                        "schreier_torsion_0": 1, "schreier_vinv": True,
                                        "schreier_rows": True, "schreier_factors": True,
                                        "arrangement_to_inhom": "invariance",

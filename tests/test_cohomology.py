@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from circorder import cohomology
 from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from circorder.groups import (FiniteGroup, _greedy_generators, closure, cyclic_group,
-                              dihedral_group, direct_product, symmetric_group, trivial_group)
+                              dihedral_group, direct_product, subgroup_generated, symmetric_group,
+                              trivial_group)
 from circorder.orders import (arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn, validate_inhom)
 from circorder.extensions import build_extension, hat_ordering, minimal_generator
@@ -22,7 +23,8 @@ from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matr
 from helpers import (abelian_h2_mod, abelian_schur_multiplier, abelianization_factors,
                      brute_h2_order_modn, cochain_matrix, cocycle_vector, cyclic_characters,
                      d2_annihilates, d2_class, dihedral_h2_mod, dihedral_schur_multiplier,
-                     full_d2_smith, full_u_coordinates, full_u_factors, generator_d2_rows,
+                     first_failing_triple, full_d2_smith, full_u_coordinates, full_u_factors,
+                     generator_d2_rows,
                      generator_d2_smith, generator_row_coordinates, generator_row_divisibility,
                      generator_u_coordinates, incremental_greedy_generators,
                      invariant_factors_from_diagonal, invariant_factors_of_sum,
@@ -62,6 +64,18 @@ SMALL_GROUPS = [cyclic_group(k) for k in range(2, 11)] + [G for G, _, _ in NONCY
 
 
 # -- Smith normal form ----------------------------------------------------------
+
+def test_a_diagonal_chain_is_its_own_smith_form():
+    # h2_structure skips the SNF of a diagonal of kept orders that already
+    # forms a divisibility chain: the SNF would give it back, with U = I
+    chains = [(a,) for a in range(2, 13)]
+    chains += [c + (b,) for c in chains for b in range(c[-1], 25, c[-1])]
+    chains += [c + (b,) for c in chains if len(c) == 2 for b in range(c[-1], 49, c[-1])]
+    for chain in chains:
+        snf = smith_normal_form([[d if i == j else 0 for j in range(len(chain))]
+                                 for i, d in enumerate(chain)])
+        assert snf.diagonal == chain and snf.U == IntMatrix.identity(len(chain)), chain
+
 
 def test_snf_worked_examples():
     r = smith_normal_form([[2, 0], [0, 3]])
@@ -373,7 +387,7 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     # at the k generators, and at most |G| k rows (the distinct nonzero
     # ones); its diagonal is already a divisibility chain, so the invariant
     # factors need no second SNF.  Reducing d1 took an (18, 9) matrix here
-    k = len(cohomology._greedy_generators(G))
+    k = len(_greedy_generators(G))
     assert len(shapes) == 1 and shapes[0][1] == k == 2 and shapes[0][0] <= G.order * k, shapes
     assert class_of(G, f).coords == (1,)
     assert not is_n_divisible(G, f, 2).divisible and is_n_divisible(G, f, 3).divisible
@@ -398,7 +412,8 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     # Z/n factors and projections read one SNF of Q's rows, on the
     # |G|(k-1)+1 free generators of R, for the group across moduli (3 is
     # prime to |G| and reaches none), one of the k x k matrix B with U and
-    # one of each modulus's diagonal; no matrix has m^2 columns, and a
+    # one of each diagonal of kept orders that is not already a chain:
+    # here both (for 4 and 6) are (2,); no matrix has m^2 columns, and a
     # projection reduces nothing
     shapes.clear()
     transforms.clear()
@@ -406,22 +421,38 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
         h2_structure(G, n)
     generators = G.order * (k - 1) + 1
     assert [cols for _, cols in shapes].count(generators) == 1, shapes
-    assert (k, k) in shapes and len(shapes) == 4, shapes
+    assert (k, k) in shapes and len(shapes) == 2, shapes
     assert all(not want_u or diagonal or rows == k for rows, want_u, diagonal in transforms)
     assert vars(_Complex(G))["schreier"].vinv.cols == generators
     assert h2_structure(G, 4).project(f).coords == (1,)
     assert h2_structure(G, 6).project(f).coords == (1,)
-    assert len(shapes) == 4, shapes
+    assert len(shapes) == 2, shapes
     assert m * m not in built, sorted(set(built))
     # a cold Z/n-only question reads the same presentation: the k-column
-    # SNF of A, whose factors B's diagonal must equal, then Q's, B's and
-    # the diagonal's
+    # SNF of A, whose factors B's diagonal must equal, then Q's and B's
     _Complex.cache_clear()
     shapes.clear()
     assert h2_structure(G, 4).project(f).coords == (1,)
-    assert [cols for _, cols in shapes] == [k, generators, k, 1], shapes
+    assert [cols for _, cols in shapes] == [k, generators, k], shapes
     assert shapes[2] == (k, k) and shapes[0][0] <= G.order * k, shapes
+    # A4 mod 6 keeps the orders (2, 3), Hom(M(A4), Z/6) and Ext(A4^ab, Z/6),
+    # which are not a chain: that diagonal takes one SNF, with U
+    monkeypatch.setattr(cohomology, "H2_ORDER_LIMIT", 12)
+    A4 = _alternating_group_4()
+    h2_structure(A4, 2)
+    shapes.clear()
+    transforms.clear()
+    assert h2_structure(A4, 6).invariant_factors == (6,)
+    assert shapes == [(2, 2)] and transforms == [(2, True, True)], shapes
     _Complex.cache_clear()
+
+
+def _alternating_group_4() -> FiniteGroup:
+    """A4 as the even permutations of S4."""
+    S4 = symmetric_group(4)
+    even = [g for g in range(S4.order)
+            if sum(a > b for a, b in combinations(map(int, S4.names[g]), 2)) % 2 == 0]
+    return subgroup_generated(S4, even).group
 
 
 def test_order_bound_is_checked_on_cache_hits(monkeypatch):
@@ -779,7 +810,7 @@ def test_unit_pivot_invariants_match_the_dense_d2_routes(data):
     _, _, G = data.draw(relabelings(SMALL_GROUPS))
     gen = _generator_d2_snf(G)
     _Complex.cache_clear()
-    invariants = unit_pivot_invariants([row for s in cohomology._greedy_generators(G)
+    invariants = unit_pivot_invariants([row for s in _greedy_generators(G)
                                         for row in sparse_coboundary_rows(G, 2, (s,))])
     assert invariants == gen.diagonal[:gen.rank] == full_d2_smith(G).factors
     assert ([d for d in invariants if d != 1]
@@ -854,12 +885,65 @@ def test_cocycle_check_matches_the_dense_d2_oracle(data):
         g, h = (data.draw(st.integers(1, G.order - 1)) for _ in range(2))
         f[g][h] += data.draw(st.integers(1, 12))
     for modulus in (n, None):
-        failure = cocycle_failure(G.table, f, modulus)
+        failure = cocycle_failure(G, f, modulus)
         assert (failure is None) == d2_annihilates(G, f, modulus)
         if failure is not None:
             g, h, k = failure.witness
             v = f[h][k] - f[G.table[g][h]][k] + f[g][G.table[h][k]] - f[g][h]
             assert failure.kind == "cocycle" and (v % modulus if modulus else v)
+
+
+# relabeled up to order 16: past H2_ORDER_LIMIT, so the d2 oracle raises it
+LIGHT_GROUPS = SMALL_GROUPS + [cyclic_group(12), cyclic_group(16), dihedral_group(6),
+                               dihedral_group(8), product(cyclic_group(2), cyclic_group(8)),
+                               product(cyclic_group(4), cyclic_group(4)),
+                               product(cyclic_group(2), cyclic_group(2), cyclic_group(4)),
+                               product(symmetric_group(3), cyclic_group(2))]
+
+
+@lru_cache(maxsize=None)
+def _light_characters(index, k):
+    return cyclic_characters(LIGHT_GROUPS[index], k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_light_check_matches_d2_and_the_first_failing_triple(data):
+    # integral cocycles (sums of carry bits [phi(g) + phi(h) >= k] of
+    # characters phi: G -> Z/k), shifted by a coboundary and, mod n, by
+    # n w; half of them with entries moved.  Light's test on the central
+    # extension must accept exactly what the dense d2 oracle accepts, and a
+    # rejection must name the first failing triple of all |G|^3
+    index, perm, G = data.draw(relabelings(LIGHT_GROUPS))
+    B, m = LIGHT_GROUPS[index], G.order
+    n = data.draw(st.sampled_from([None] + list(range(2, 13))))
+    base = [[0] * m for _ in range(m)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(2, 4))
+        phi, c = data.draw(st.sampled_from(_light_characters(index, k))), data.draw(SMALL)
+        base = [[v + c * (phi[a] + phi[b] >= k) for b, v in enumerate(row)]
+                for a, row in enumerate(base)]
+    u = [0] + data.draw(st.lists(SMALL, min_size=m - 1, max_size=m - 1))
+    w = data.draw(st.lists(SMALL, min_size=m * m, max_size=m * m)) if n else [0] * (m * m)
+    base = [[base[a][b] + u[a] + u[b] - u[B.table[a][b]] + (n or 0) * w[a * m + b]
+             if a and b else 0 for b in range(m)] for a in range(m)]
+    if data.draw(st.booleans()):
+        for _ in range(data.draw(st.integers(1, 2))):
+            a, b = (data.draw(st.integers(1, m - 1)) for _ in range(2))
+            base[a][b] += data.draw(st.integers(1, 12))
+    f = _relabel_cochain(base, perm)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "H2_ORDER_LIMIT", 16)
+        for modulus in (n, None):
+            failure = cocycle_failure(G, f, modulus)
+            assert (failure is None) == d2_annihilates(G, f, modulus)
+            first = first_failing_triple(G, f, modulus)
+            if failure is None:
+                assert first is None
+            else:
+                (triple, v) = first
+                assert (failure.kind, failure.witness) == ("cocycle", triple)
+                assert str(failure) == f"cocycle failure at {triple}: the identity gives {v}"
 
 
 @settings(max_examples=30, deadline=None)
@@ -1101,7 +1185,7 @@ def test_one_tree_matches_the_searches_it_replaced(data):
     # H2_ORDER_LIMIT through _Complex, which the limit does not gate
     _, _, G = data.draw(relabelings(_one_tree_groups()))
     gens = _greedy_generators(G)
-    assert gens == incremental_greedy_generators(G)
+    assert gens == incremental_greedy_generators(G) == list(G.generators)
     subsets = data.draw(st.lists(st.lists(st.integers(0, G.order - 1), max_size=4),
                                  min_size=1, max_size=4))
     for gens_of_subgroup in subsets:

@@ -20,7 +20,7 @@ from circorder.orders import (Arrangement, arrangement_from_sequence,
 from helpers import (_cyclic_value, brute_force_arrangements, euler_phi,
                      hom_to_inhom_formula, inhom_to_hom_formula,
                      left_order_from_cone, lexicographic_order_finite, library_groups,
-                     relabeled, rotation_positions, time_budget)
+                     quartic_hom_failure, relabeled, rotation_positions, time_budget)
 
 
 def all_orderings(G):
@@ -160,6 +160,42 @@ def test_arrangement_cocycles_pass_the_validate_inhom_oracle(data):
         f = arrangement_to_inhom(arr)
         assert validate_inhom(H, f.values).values == f.values
         assert all(type(v) is int for row in f.values for v in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_validate_hom_matches_the_quartic_scans(data):
+    # the chart of a circle order on the elements -- a generator's walk,
+    # which is an ordering, or any permutation from the identity, a cocycle
+    # on the set that need not be invariant -- with signs flipped at up to
+    # three distinct triples, or at every left translate of one, which
+    # keeps invariance: validate_hom's O(N^3) checks must accept exactly
+    # what the literal N^4 definitions accept, and reject with the same
+    # kind and witness
+    G = data.draw(st.sampled_from([G for G in _LIBRARY if G.order <= 10]))
+    H = relabeled(G, [0] + data.draw(st.permutations(range(1, G.order))))
+    n = H.order
+    walks = [a.sequence for a in enumerate_circular_orders(H)]
+    if walks and data.draw(st.booleans()):
+        seq = data.draw(st.sampled_from(walks))
+    else:
+        seq = (0, *data.draw(st.permutations(range(1, n))))
+    pos = [seq.index(g) for g in range(n)]
+    values = [[[_cyclic_value(pos, a, b, c, n) for c in range(n)] for b in range(n)]
+              for a in range(n)]
+    if n >= 3:
+        for _ in range(data.draw(st.integers(0, 3))):
+            a, b, c = data.draw(st.permutations(range(n)))[:3]
+            for t in H.table if data.draw(st.booleans()) else [range(n)]:
+                values[t[a]][t[b]][t[c]] *= -1
+    expected = quartic_hom_failure(H, values)
+    try:
+        got = validate_hom(H, values)
+    except AxiomError as exc:
+        assert (exc.kind, exc.witness) == expected
+    else:
+        assert expected is None and got.values == tuple(
+            tuple(tuple(plane) for plane in row) for row in values)
 
 
 _CYCLIC = [G for G in _LIBRARY if G.is_cyclic()]
@@ -374,6 +410,16 @@ def test_orderings_at_table_scale_within_the_time_budget():
     with time_budget(10):
         built = [arrangement_to_inhom(a) for a in enumerate_circular_orders(G, max_order=1024)]
     assert [f.pos.index(1) for f in built] == list(range(1, 1024, 2))
+
+
+def test_raw_matrix_at_order_256_within_the_time_budget():
+    # Light's test checks the cocycle identity in O(|G|^2 k); the scan of
+    # all |G|^3 triples alone took 1.9-2.1 s on a 2-vCPU VM
+    G = cyclic_group(256)
+    carry = [[int(a + b >= 256) for b in range(256)] for a in range(256)]
+    with time_budget(1.0):
+        f = validate_inhom(G, carry)
+    assert f.pos == tuple(range(256))
 
 
 # -- standard order -----------------------------------------------------------
