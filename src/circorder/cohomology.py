@@ -23,7 +23,7 @@ solved on the character, and mod-n triviality of an integral cocycle is the
 same question, so nothing depends on n; d1 u is read off the table.
 
 Every cocycle passes orders.cocycle_values or cocycle_sums, which check a
-raw matrix and trust an InhomCircularOrder on the group.  When
+raw matrix and trust any ordering view on the group.  When
 gcd(n, |G|) = 1, H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill
 it, so no matrix is built; a projection still checks a raw matrix's
 cocycle identity mod n.  Otherwise H^2(G; Z/n) is read off a free

@@ -17,8 +17,8 @@ from typing import NamedTuple, Optional
 
 from .errors import BoundExceeded, InvalidGroupError, require
 from .groups import FiniteGroup
-from .orders import (Arrangement, InhomCircularOrder, arrangement_to_inhom, as_ordering,
-                     cocycle_values)
+from .orders import (InhomCircularOrder, _Positions, _inverted, arrangement_from_sequence,
+                     arrangement_to_inhom, as_ordering, cocycle_values)
 
 MATERIALIZATION_LIMIT = 1024
 
@@ -90,7 +90,7 @@ class CentralExtensionGroup:
 def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> CentralExtensionGroup:
     """Central extension of G by Z (modulus None) or Z/modulus from cocycle f.
 
-    f may be an InhomCircularOrder on G or any integer matrix satisfying the
+    f may be an ordering view on G or any integer matrix satisfying the
     normalized cocycle identity (orders.cocycle_values).
     """
     if modulus is not None and (type(modulus) is not int or modulus < 2):
@@ -105,13 +105,13 @@ def minimal_generator(G: FiniteGroup, f) -> int:
     sitting immediately counterclockwise of the identity, and the unique z
     with f(z, g) = 0 for every g other than z^-1.
 
-    Only a matrix given raw needs G checked cyclic: a checked ordering on G's
+    Only a matrix given raw needs G checked cyclic: an ordering view on G's
     table already proves it.  Cross-checked against the lift definition in
     O(|G|): (0, z) must be the positive generator of the Z-extension, i.e.
     its |G|-th power is (1, id), with the carries f(z^k, z) = [pos z^k +
     pos z >= |G|] read off pos one at a time.
     """
-    if not isinstance(f, InhomCircularOrder) and not G.is_cyclic():
+    if not isinstance(f, _Positions) and not G.is_cyclic():
         raise InvalidGroupError(f"{G.name} is not cyclic, so it has no minimal generator")
     f = as_ordering(G, f)
     n, pos, table = G.order, f.pos, G.table
@@ -134,17 +134,17 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
 
     where f_s is the carry bit on Z/n, on the materialized group.  It is
     built as the carry bit of the arrangement a*|G| + g, g in f's arrangement
-    (sorted by f's positions), proved in O(N^2) for N = n*|G|
-    by arrangement_to_inhom, and compared with the formula entry by entry.
+    (sorted by f's positions), which arrangement_from_sequence proves in
+    O(N log N) for N = n*|G| (it is the walk of (0, z), z the minimal
+    generator), and compared with the formula entry by entry in O(N^2).
     """
     if type(n) is not int or n < 2:
         raise InvalidGroupError(f"hat_ordering: n = {n!r} is not an int >= 2")
     f = as_ordering(G, f)
     group = build_extension(G, f, modulus=n).materialize()  # BoundExceeded before O(N^2)
-    m = G.order
-    circle = sorted(range(m), key=f.pos.__getitem__)
-    fhat = arrangement_to_inhom(Arrangement(group, tuple(a * m + g for a in range(n)
-                                                         for g in circle)))
+    m, circle = G.order, _inverted(f.pos)
+    fhat = arrangement_to_inhom(arrangement_from_sequence(
+        group, tuple(a * m + g for a in range(n) for g in circle)))
     carries = ((0,) * m, (1,) * m)   # f_s(a1, a2) across the m elements of a2
     for i, row in enumerate(fhat.values):
         a1, g1 = divmod(i, m)

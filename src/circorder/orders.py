@@ -4,8 +4,11 @@ enumeration.
 A finite group is circularly orderable only when it is cyclic, so a checked
 ordering of one is its positions pos: G -> Z/|G|, an isomorphism with pos(g)
 the place of g counterclockwise from the identity.  That is the one stored
-form; the three encodings are views of it:
+form (`_Positions`); the three encodings are views of it:
 
+* ``Arrangement`` -- the elements listed counterclockwise around the circle,
+  starting at the identity, i.e. pos inverted.  This is the canonical finite
+  form: O(n) storage and trivially deduplicated.
 * ``InhomCircularOrder`` -- a normalized 2-cocycle f: G x G -> {0,1} with
   f(g, g^-1) = 1 off the identity, the carry bit [pos g + pos h >= |G|].
   Think of f(g,h) = 1 as "right multiplication by h drags g
@@ -13,17 +16,17 @@ form; the three encodings are views of it:
 * ``HomCircularOrder`` -- a left-invariant alternating function
   c: G^3 -> {0,+1,-1} vanishing exactly on degenerate triples, +1 on
   counterclockwise triples.
-* ``Arrangement`` -- the elements listed counterclockwise around the circle,
-  starting at the identity, i.e. pos inverted.  This is the canonical finite
-  form: O(n) storage and trivially deduplicated.
 
-The two cocycle forms build their |G|^2 and |G|^3 values on first read, and
-the conversions between the forms pass pos across.
+Each view builds its sequence or its |G|^2 or |G|^3 values on first read,
+and the conversions between the views pass pos across.  Each raw input has
+one check, which reads pos off it (`arrangement_from_sequence`,
+`validate_inhom`, `validate_hom`), and the enumeration's walks prove
+themselves, so no ordering is checked twice.
 
 Every ordering that the other modules take passes one gate here:
-`as_ordering` (or `cocycle_values`, where any cocycle will do) trusts an
-InhomCircularOrder on the group's own table and checks anything else.  A
-raw matrix's cocycle identity is checked by Light's associativity test on
+`as_ordering` (or `cocycle_values` and `cocycle_sums`, where any cocycle
+will do) trusts any view on the group's own table and checks anything else.
+A raw matrix's cocycle identity is checked by Light's associativity test on
 its central extension, in O(|G|^2 k) for the k <= log2 |G| generators the
 group's validation kept (`_identity_failure`), and a raw homogeneous
 cocycle in O(|G|^3) (`validate_hom`); the scans of all triples or
@@ -49,10 +52,11 @@ ENUMERATION_ORDER_LIMIT = 12
 class _Positions:
     """An ordering of a finite group kept as its one stored form: pos, the
     checked isomorphism G -> Z/|G| (an ordered finite group is cyclic, and
-    pos(g) is g's place counterclockwise from the identity).  Built only by
-    the validators, arrangement_to_inhom and the conversions, which pass a
-    checked pos across.  Equal, with no matrix built, when the tables and
-    the positions are."""
+    pos(g) is g's place counterclockwise from the identity), as a tuple.
+    The constructor trusts pos, so views are built only by the checks of
+    raw input, the enumeration's walks and the conversions, which pass a
+    checked pos across.  Equal, with nothing built, when their types,
+    tables and positions are; hashed by pos."""
 
     def __init__(self, group: FiniteGroup, pos: tuple):
         self.group, self.pos = group, pos
@@ -101,11 +105,13 @@ class HomCircularOrder(_Positions):
         return (d2 < d3) - (d2 > d3) if d2 and d3 else 0
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """All elements in counterclockwise order, identity first."""
-    group: FiniteGroup
-    sequence: tuple
+class Arrangement(_Positions):
+    """Checked arrangement: all elements in counterclockwise order, identity
+    first, the sequence with sequence[pos g] = g, built on first read."""
+
+    @cached_property
+    def sequence(self) -> tuple:
+        return _inverted(self.pos)
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,36 @@ class LeftOrderOracle:
 
 
 # -- validation ------------------------------------------------------------
+
+def arrangement_from_sequence(G: FiniteGroup, sequence: Sequence[int]) -> Arrangement:
+    """The package's one check of a sequence: `sequence` as the arrangement
+    of G it lists counterclockwise from the identity, or AxiomError with the
+    sequence as witness.  Kinds, in the order checked: "shape" (not exact
+    ints forming a permutation of G), "normalization" (not starting at the
+    identity) and "invariance" (the induced circle order is not
+    left-invariant, i.e. pos is not an isomorphism onto Z/n, n = |G|).
+
+    pos is an isomorphism iff the sequence is the walk _powers(G, z),
+    z = seq[1], checked in O(n): if so, z has order n, and k -> z^k is a
+    bijection Z/n -> G, a homomorphism since z^j z^k = z^(j+k) in an
+    associative table (FiniteGroup checks it), with inverse pos.  If pos is
+    an isomorphism, pos(z*x) = 1 + pos(x), so seq[i] = z^i for i < n and
+    z^n = 1: seq is the walk.  The tests' oracle is the O(n^2) definition:
+    left multiplication by seq[i] rotates seq by i places."""
+    seq = tuple(sequence)
+    if any(type(g) is not int for g in seq) or sorted(seq) != list(range(G.order)):
+        raise AxiomError("shape", seq, "not a permutation of the elements")
+    if seq[0] != 0:
+        raise AxiomError("normalization", seq, "arrangement must start at the identity")
+    if len(seq) > 1 and tuple(_powers(G, seq[1])) != seq:
+        raise AxiomError("invariance", seq, "induced triple function is not left-invariant")
+    return Arrangement(G, _inverted(seq))
+
+
+def _inverted(perm) -> tuple:
+    """The inverse of a permutation of range(len(perm)): pos <-> sequence."""
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
 
 def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
     """Check the inhomogeneous axioms; raise AxiomError with a witness tuple.
@@ -224,21 +260,22 @@ def _first_identity_failure(table, values, modulus: Optional[int]) -> AxiomError
 
 
 def as_ordering(G: FiniteGroup, f) -> InhomCircularOrder:
-    """f as a checked ordering on G: an InhomCircularOrder on G's table is
-    returned as it is, one on another table raises InvalidGroupError, and
-    any other matrix goes through validate_inhom."""
-    if isinstance(f, InhomCircularOrder):
+    """f as a checked ordering on G, in its inhomogeneous view: any view on
+    G's table is trusted and its pos passed across (an InhomCircularOrder is
+    returned as it is), a view on another table raises InvalidGroupError,
+    and any other matrix goes through validate_inhom."""
+    if isinstance(f, _Positions):
         if f.group.table != G.table:
             raise InvalidGroupError("ordering lives on a different group")
-        return f
+        return f if isinstance(f, InhomCircularOrder) else InhomCircularOrder(f.group, f.pos)
     return validate_inhom(G, f)
 
 
 def cocycle_values(G: FiniteGroup, f, modulus: Optional[int] = None) -> tuple:
     """f's matrix as a normalized cocycle on G over Z (modulus None) or
-    Z/modulus: an ordering passes as_ordering (an integral cocycle holds mod
+    Z/modulus: a view passes as_ordering (an integral cocycle holds mod
     every n), and any other matrix raises its first cocycle_failure."""
-    if isinstance(f, InhomCircularOrder):
+    if isinstance(f, _Positions):
         return as_ordering(G, f).values
     values = tuple(tuple(row) for row in f)
     failure = cocycle_failure(G, values, modulus)
@@ -250,9 +287,9 @@ def cocycle_values(G: FiniteGroup, f, modulus: Optional[int] = None) -> tuple:
 def cocycle_sums(G: FiniteGroup, f) -> tuple:
     """(S, matrix) for f as cocycle_values takes it over Z: its row sums
     S(g) = sum_h f(g, h) for every g, and a function returning its matrix.
-    An ordering's row sums are its positions, and it builds its values only
-    when that function is called."""
-    if isinstance(f, InhomCircularOrder):
+    An ordering view's row sums are its positions, and it builds its values
+    only when that function is called."""
+    if isinstance(f, _Positions):
         f = as_ordering(G, f)
         return f.pos, lambda: f.values
     values = cocycle_values(G, f)
@@ -334,9 +371,9 @@ def _hom_scans(G: FiniteGroup, values) -> None:
 
 
 # -- conversions -------------------------------------------------------------
-# Both checked forms are views of the same positions, so each conversion
-# passes pos across and builds no table (the tests keep the standard
-# formulas between the two cocycle forms as the oracle).
+# The three views share their checked positions, so each conversion passes
+# pos across and builds no table (the tests keep the standard formulas
+# between the two cocycle forms as the oracle).
 
 def hom_to_inhom(c: HomCircularOrder) -> InhomCircularOrder:
     """f(g,h) = (1 - c(id, g, gh)) / 2 off the identity: the carry bit of c's positions."""
@@ -349,75 +386,31 @@ def inhom_to_hom(f: InhomCircularOrder) -> HomCircularOrder:
     return HomCircularOrder(f.group, f.pos)
 
 
-# -- arrangements ----------------------------------------------------------
-
-def arrangement_from_sequence(G: FiniteGroup, sequence: Sequence[int]) -> Arrangement:
-    seq = tuple(sequence)
-    _checked_positions(G, seq)
-    return Arrangement(G, seq)
-
-
-def _checked_positions(G: FiniteGroup, seq: tuple) -> list[int]:
-    """pos[g] = the place of g in seq, once seq is checked to be an
-    arrangement of G: exact ints forming a permutation ("shape"), starting at
-    the identity ("normalization"), and the powers of seq[1], which makes its
-    order left-invariant ("invariance", `_hom_positions`)."""
-    if any(type(g) is not int for g in seq) or sorted(seq) != list(range(G.order)):
-        raise AxiomError("shape", seq, "not a permutation of the elements")
-    if seq[0] != 0:
-        raise AxiomError("normalization", seq, "arrangement must start at the identity")
-    pos = _hom_positions(G, seq)
-    if pos is None:
-        raise AxiomError("invariance", seq, "induced triple function is not left-invariant")
-    return pos
-
-
-def _hom_positions(G: FiniteGroup, seq: tuple) -> Optional[list[int]]:
-    """pos[g], the place of g in seq (a permutation of G from the identity),
-    if pos is an isomorphism onto Z/n (n = |G|), else None; the induced
-    circle order is left-invariant exactly then.  That holds iff seq is the
-    walk _powers(G, z), z = seq[1], checked in O(n): if so, z has order n,
-    and k -> z^k is a bijection Z/n -> G, a homomorphism since z^j z^k =
-    z^(j+k) in an associative table (FiniteGroup checks it), with inverse
-    pos.  If pos is an isomorphism, pos(z*x) = 1 + pos(x), so seq[i] = z^i
-    for i < n and z^n = 1: seq is the walk.  The tests' oracle is the O(n^2)
-    definition: left multiplication by seq[i] rotates seq by i places."""
-    if len(seq) > 1 and tuple(_powers(G, seq[1])) != seq:
-        return None
-    pos = [0] * G.order
-    for p, g in enumerate(seq):
-        pos[g] = p
-    return pos
-
-
 def arrangement_to_hom(a: Arrangement) -> HomCircularOrder:
     """c = +1 exactly on triples whose positions run counterclockwise: the
     carry bit of g1^-1 g2 and g2^-1 g3 is 1 exactly when g3 comes before g2
     counterclockwise from g1, so this is inhom_to_hom(arrangement_to_inhom(a))."""
-    return inhom_to_hom(arrangement_to_inhom(a))
+    return HomCircularOrder(a.group, a.pos)
 
 
 def hom_to_arrangement(c: HomCircularOrder) -> Arrangement:
-    """The elements sorted by c's positions: counterclockwise from the identity."""
-    return Arrangement(c.group, tuple(sorted(range(c.group.order), key=c.pos.__getitem__)))
+    """The elements in order of c's positions: counterclockwise from the identity."""
+    return Arrangement(c.group, c.pos)
 
 
 def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
-    """The carry bit f(g, h) = [pos g + pos h >= |G|], checked in O(|G| log |G|).
+    """The carry bit f(g, h) = [pos g + pos h >= |G|] of a's positions.
 
-    The arrangement is first checked as arrangement_from_sequence checks it
-    (same AxiomError kinds), so g -> pos g is an isomorphism onto Z/|G|, and
-    f is the carry bit c(a, b) = [a + b >= n] of Z/n (n = |G|) pulled back
-    along it.  That carry bit is normalized, has c(a, -a) = 1 for
-    a != 0, and satisfies the cocycle identity: on representatives in
-    0..n-1, c(a, b) + c(a + b, k) and c(b, k) + c(a, b + k) both count the
-    multiples of n dropped from a + b + k.  Pulling back along an
-    isomorphism keeps all three properties, and the entries are exact 0/1
-    ints by construction, so no O(|G|^3) validate_inhom is needed (the
-    tests keep it as the oracle).  The ordering stores pos and builds its
-    |G|^2 values on first read, so nothing here is quadratic.
+    g -> pos g is an isomorphism onto Z/|G|, so f is the carry bit
+    c(a, b) = [a + b >= n] of Z/n (n = |G|) pulled back along it.  That
+    carry bit is normalized, has c(a, -a) = 1 for a != 0, and satisfies the
+    cocycle identity: on representatives in 0..n-1, c(a, b) + c(a + b, k)
+    and c(b, k) + c(a, b + k) both count the multiples of n dropped from
+    a + b + k.  Pulling back along an isomorphism keeps all three
+    properties, and the entries are exact 0/1 ints by construction, so no
+    O(|G|^3) validate_inhom is needed (the tests keep it as the oracle).
     """
-    return InhomCircularOrder(a.group, tuple(_checked_positions(a.group, tuple(a.sequence))))
+    return InhomCircularOrder(a.group, a.pos)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -427,9 +420,10 @@ def enumerate_circular_orders(G: FiniteGroup,
     """All left-invariant arrangements of G, lexicographically by sequence,
     for G up to max_order (default ENUMERATION_ORDER_LIMIT, read per call;
     otherwise an int >= 0).  Every ordering is the walk _powers(G, z) from
-    its second entry z (`_hom_positions`), so the orderings are the walks
-    that cover G, in order of z; arrangement_to_inhom checks each once,
-    when it builds the cocycle.  Empty exactly when G admits no ordering.
+    its second entry z (arrangement_from_sequence), so the orderings are the
+    walks that cover G, in order of z.  A walk that covers G is its own
+    proof, so each Arrangement is built from its positions with no further check.
+    Empty exactly when G admits no ordering.
     """
     if max_order is not None and (type(max_order) is not int or max_order < 0):
         raise InvalidGroupError(f"enumerate_circular_orders: max_order {max_order!r} "
@@ -438,7 +432,7 @@ def enumerate_circular_orders(G: FiniteGroup,
     if G.order > limit:
         raise BoundExceeded(f"enumerate_circular_orders: order {G.order} > limit {limit}")
     walks = (_powers(G, z) for z in range(G.order))   # z = 0 walks (0,) alone
-    return [Arrangement(G, tuple(seq)) for seq in walks if len(seq) == G.order]
+    return [Arrangement(G, _inverted(seq)) for seq in walks if len(seq) == G.order]
 
 
 # -- standard and lexicographic constructions ------------------------------
@@ -446,11 +440,10 @@ def enumerate_circular_orders(G: FiniteGroup,
 def standard_order_zn(n: int) -> InhomCircularOrder:
     """The ordering of Z/n from the embedding into the circle: f is the carry
     bit of addition, f(a,b) = 1 iff a + b >= n on representatives 0 <= a < n,
-    built by arrangement_to_inhom from the arrangement (0, 1, ..., n-1);
-    n an int >= 1."""
+    the view of the identity positions pos(a) = a; n an int >= 1."""
     if type(n) is not int or n < 1:   # not True or 2.0
         raise InvalidGroupError(f"standard_order_zn: n = {n!r} is not an int >= 1")
-    return arrangement_to_inhom(Arrangement(cyclic_group(n), tuple(range(n))))
+    return InhomCircularOrder(cyclic_group(n), tuple(range(n)))
 
 
 def lexicographic_circular_order(phi: Callable[[Any], Any],

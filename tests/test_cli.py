@@ -440,8 +440,8 @@ def test_human_readable_output(capsys, group_file):
 # when its file rewrites one whose group load_group already keeps.
 _CORRUPTED_CHECKS = r"""
 import json, sys
-from circorder import (AxiomError, Arrangement, CheckFailed, FiniteGroup, IntMatrix,
-                       InvalidGroupError, arrangement_to_inhom, cli, cohomology,
+from circorder import (AxiomError, CheckFailed, FiniteGroup, IntMatrix,
+                       InvalidGroupError, arrangement_from_sequence, cli, cohomology,
                        cyclic_group, direct_product, dump_group, inhom_to_hom, load_group,
                        orders, standard_order_zn, symmetric_group)
 from helpers import loop130_table, verify_snf
@@ -533,11 +533,12 @@ cohomology._Complex.cache_clear()
 comp = cohomology._Complex(K)
 comp.factors = comp.factors[:-1] + (4,)
 results["schreier_factors"] = raises_check_failed(lambda: comp.schreier, "B's Smith diagonal")
-# arrangement_to_inhom builds a trusted cocycle, so its arrangement check
-# must hold without asserts: (0, 1, 3, 2) is a permutation from the identity
-# whose positions are not a homomorphism onto Z/4
-results["arrangement_to_inhom"] = axiom_failure(
-    lambda: arrangement_to_inhom(Arrangement(G, (0, 1, 3, 2))))
+# arrangement_from_sequence is the one check of a sequence, and the views
+# it builds are trusted, so it must hold without asserts: (0, 1, 3, 2) is a
+# permutation from the identity whose positions are not a homomorphism
+# onto Z/4
+results["arrangement_from_sequence"] = axiom_failure(
+    lambda: arrangement_from_sequence(G, (0, 1, 3, 2)))
 # Light's associativity test must reject a table that is not a group, at
 # every order, without asserts
 try:
@@ -562,7 +563,7 @@ print(json.dumps(results))
 
 def test_each_ordering_is_checked_once(monkeypatch, group_file):
     # the cocycle identity check runs once per object it proves: an ordering
-    # from an arrangement is proved by its O(|G|^2) isomorphism check, and
+    # from an arrangement is proved by the enumeration's walk, and
     # the witness mu by its entry check, so product-co never runs it, and
     # class_of trusts an ordering; a raw matrix is checked on every call
     calls = []
@@ -588,20 +589,25 @@ def test_each_ordering_is_checked_once(monkeypatch, group_file):
 
 
 def test_each_arrangement_is_checked_once(monkeypatch, group_file):
-    # a generator's powers always form an ordering of an associative table,
-    # so the enumeration checks no positions, and arrangement_to_inhom
-    # checks each arrangement once when it builds the cocycle
-    calls = []
-    inner = orders._hom_positions
-    monkeypatch.setattr(orders, "_hom_positions",
-                        lambda G, seq: calls.append(tuple(seq)) or inner(G, seq))
+    # a generator's powers that cover G always form an ordering of an
+    # associative table, so the enumeration's walk proves each arrangement,
+    # and the CLI runs no sequence check: the only walks are the
+    # enumeration's, one from each element
+    checks, walks = [], []
+    inner = orders.arrangement_from_sequence
+    for module in (orders, extensions):
+        monkeypatch.setattr(module, "arrangement_from_sequence",
+                            lambda G, seq: checks.append(tuple(seq)) or inner(G, seq))
+    walk = orders._powers
+    monkeypatch.setattr(orders, "_powers", lambda G, z: walks.append(z) or walk(G, z))
     G = cyclic_group(8)   # within obstruction.SPECTRUM_VERIFY_LIMIT
-    assert len(enumerate_circular_orders(G)) == 4 and calls == []
+    assert len(enumerate_circular_orders(G)) == 4
+    assert checks == [] and walks == list(range(8))
     path = group_file(G)
     for argv in (["enumerate", "--group", path], ["obstruction", "--group", path]):
-        calls.clear()
+        walks.clear()
         assert main(argv) == 0
-        assert sorted(calls) == sorted(a.sequence for a in enumerate_circular_orders(G))
+        assert checks == [] and walks == list(range(8))
 
 
 def _run_python(flags, script, *args):
@@ -653,7 +659,7 @@ def test_checks_survive_python_O(tmp_path):
                                        "no_failing_triple": True, "no_failing_quadruple": True,
                                        "schreier_torsion_0": 1, "schreier_vinv": True,
                                        "schreier_rows": True, "schreier_factors": True,
-                                       "arrangement_to_inhom": "invariance",
+                                       "arrangement_from_sequence": "invariance",
                                        "loop130": "associativity fails at (1,1,1)",
                                        "rewritten_loop130": "associativity fails at (1,1,1)",
                                        "rewritten_loop130_exit": 2}

@@ -13,7 +13,7 @@ from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGrou
 from circorder.groups import (FiniteGroup, _greedy_generators, closure, cyclic_group,
                               dihedral_group, direct_product, subgroup_generated, symmetric_group,
                               trivial_group)
-from circorder.orders import (arrangement_to_inhom, cocycle_failure,
+from circorder.orders import (arrangement_to_hom, arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn, validate_inhom)
 from circorder.extensions import build_extension, hat_ordering, minimal_generator
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
@@ -530,19 +530,47 @@ def test_class_of_rejects_non_cocycles():
     assert bad[h][k] - bad[G.table[g][h]][k] + bad[g][G.table[h][k]] - bad[g][h] != 0
 
 
+_GATES = (   # each gate that takes an ordering, and what it answers
+    ("class_of", lambda G, f: class_of(G, f).coords),
+    ("is_n_divisible", lambda G, f: [tuple(is_n_divisible(G, f, n)) for n in (2, 3, 4)]),
+    ("is_trivial_mod_n", lambda G, f: [is_trivial_mod_n(G, f, n) for n in (2, 3, 4)]),
+    ("project", lambda G, f: [h2_structure(G, n).project(f).coords for n in (2, 3, 4)]),
+    ("build_extension", lambda G, f: [build_extension(G, f, m).cocycle for m in (None, 3)]),
+    ("minimal_generator", lambda G, f: minimal_generator(G, f)),
+    ("hat_ordering", lambda G, f: hat_ordering(G, f, 2)),
+)
+
+
 def test_orderings_of_another_group_are_rejected():
-    # Z/2 x Z/3 is cyclic of order 6, but its table is not that of Z/6
+    # Z/2 x Z/3 is cyclic of order 6, but its table is not that of Z/6, so
+    # every gate must reject each view of its ordering
     c6 = cyclic_group(6)
-    f = arrangement_to_inhom(enumerate_circular_orders(
-        direct_product(cyclic_group(2), cyclic_group(3)))[0])
-    for ask in (lambda: class_of(c6, f), lambda: h2_structure(c6).project(f),
-                lambda: h2_structure(c6, 2).project(f), lambda: is_n_divisible(c6, f, 2),
-                lambda: build_extension(c6, f), lambda: minimal_generator(c6, f),
-                lambda: hat_ordering(c6, f, 2)):
-        with pytest.raises(InvalidGroupError, match="different group"):
-            ask()
+    arr = enumerate_circular_orders(direct_product(cyclic_group(2), cyclic_group(3)))[0]
+    f = arrangement_to_inhom(arr)
+    for view in (arr, f, arrangement_to_hom(arr)):
+        for name, gate in _GATES:
+            with pytest.raises(InvalidGroupError, match="different group"):
+                gate(c6, view)
     with pytest.raises(AxiomError, match="cocycle"):   # the bare matrix is no cocycle on Z/6
         class_of(c6, f.values)
+
+
+def test_every_gate_takes_every_view():
+    # the three views of one ordering share its checked positions, so each
+    # gate must answer on an Arrangement and a HomCircularOrder as it does
+    # on the InhomCircularOrder and on the bare matrix (the first two used
+    # to reach the matrix readers and raise TypeError), on the cyclic library
+    # groups and a relabeling of each
+    for G in (G for G in library_groups() if G.is_cyclic() and G.order <= 10):
+        perm = list(range(1, G.order))
+        random.Random(G.order).shuffle(perm)
+        for H in (G, relabeled(G, [0] + perm)):
+            for arr in enumerate_circular_orders(H):
+                f = arrangement_to_inhom(arr)
+                for name, gate in _GATES:
+                    want = gate(H, [list(row) for row in f.values])
+                    for view in (arr, f, arrangement_to_hom(arr)):
+                        assert gate(H, view) == want, (H.name, name, type(view).__name__)
 
 
 def test_cochains_of_the_wrong_shape_are_rejected():

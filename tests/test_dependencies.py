@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone."""
+"""Static checks of the package source: it runs on the standard library
+alone, reads every name it imports and holds no assert statement."""
 
 import ast
 import sys
@@ -62,6 +63,16 @@ def test_every_import_is_read():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     assert name in read, f"{path.name}:{node.lineno} imports {name} unread"
+
+
+def test_no_module_asserts():
+    # `python -O` strips assert statements, so every check in the package
+    # raises instead (CheckFailed by `errors.require`); the `-O` tests run
+    # only the paths they reach, and this covers every module
+    for path in sorted((ROOT / "src" / "circorder").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 def test_pyproject_declares_no_runtime_dependencies():

@@ -4,7 +4,7 @@ from circorder import extensions
 from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from circorder.groups import (cyclic_group, symmetric_group, trivial_group,
                               subgroup_generated)
-from circorder.orders import (Arrangement, InhomCircularOrder, arrangement_from_sequence,
+from circorder.orders import (InhomCircularOrder, arrangement_from_sequence,
                               arrangement_to_inhom, enumerate_circular_orders,
                               standard_order_zn, validate_inhom)
 from circorder.extensions import (CentralExtElement, build_extension,
@@ -316,16 +316,17 @@ def test_hat_ordering_passes_full_homogeneous_validation():
 
 def test_hat_ordering_cross_checks_the_two_case_formula(monkeypatch):
     # the carry bit of a wrong arrangement (here the mirrored circle, which
-    # is also an ordering) must fail the entry-by-entry comparison
-    inner = extensions.arrangement_to_inhom
-    monkeypatch.setattr(extensions, "arrangement_to_inhom", lambda a: inner(
-        Arrangement(a.group, (0, *reversed(a.sequence[1:])))))
+    # is also an ordering and passes the sequence check) must fail the
+    # entry-by-entry comparison
+    inner = extensions.arrangement_from_sequence
+    monkeypatch.setattr(extensions, "arrangement_from_sequence", lambda G, seq: inner(
+        G, (0, *reversed(seq[1:]))))
     with pytest.raises(CheckFailed, match="two-case formula"):
         hat_ordering(cyclic_group(3), standard_order_zn(3), 2)
 
 
 def test_hat_ordering_at_the_materialization_bound():
-    # order 1024 = MATERIALIZATION_LIMIT in O(N^2): about 1 s on a 2-vCPU VM,
+    # order 1024 = MATERIALIZATION_LIMIT in O(N^2): about 0.67 s on a 2-vCPU VM,
     # where the O(N^3) axiom check took 18 s at order 512.  The extension of
     # (Z/8, standard) by Z/128 is Z/1024 with its standard ordering.
     with time_budget(15):

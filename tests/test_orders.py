@@ -10,7 +10,7 @@ from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
 from circorder.extensions import hat_ordering
 from circorder.groups import (cyclic_group, dihedral_group, direct_product, GroupHom,
                               group_to_json, symmetric_group, trivial_group)
-from circorder.orders import (Arrangement, arrangement_from_sequence,
+from circorder.orders import (arrangement_from_sequence,
                               arrangement_to_hom, arrangement_to_inhom,
                               enumerate_circular_orders, hom_to_arrangement,
                               hom_to_inhom, inhom_to_hom,
@@ -151,8 +151,8 @@ _LIBRARY = library_groups()
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_arrangement_cocycles_pass_the_validate_inhom_oracle(data):
-    # arrangement_to_inhom checks the arrangement in O(|G|^2) and builds the
-    # carry bit without validate_inhom; the full axiom check must accept
+    # arrangement_to_inhom builds the carry bit of the enumeration's checked
+    # positions without validate_inhom; the full axiom check must accept
     # every such cocycle and return its values unchanged
     G = data.draw(st.sampled_from(_LIBRARY))   # orders 1 to 12
     H = relabeled(G, [0] + data.draw(st.permutations(range(1, G.order))))
@@ -240,9 +240,10 @@ def test_views_are_the_conversion_formulas(data):
 
 
 def test_derived_orderings_run_no_validator(monkeypatch):
-    # standard_order_zn and hat_ordering build through arrangement_to_inhom's
-    # O(N^2) position check, and the conversions pass the checked positions
-    # across: the validators are for matrices given as input
+    # standard_order_zn is the view of the identity positions, hat_ordering
+    # builds through arrangement_from_sequence's O(N) walk, and the
+    # conversions pass the checked positions across: the validators are for
+    # matrices given as input
     calls = []
     for name in ("validate_inhom", "validate_hom", "_identity_failure"):
         inner = getattr(orders, name)
@@ -270,12 +271,17 @@ def test_derived_orderings_run_no_validator(monkeypatch):
     ((0, 1, 3, 2), "invariance"),        # pos(1 + 1) != pos(1) + pos(1)
 ])
 def test_arrangement_to_inhom_checks_hand_built_arrangements(seq, kind):
+    # arrangement_to_inhom takes a checked Arrangement, so a hand-built
+    # sequence reaches it only through arrangement_from_sequence, directly
+    # or by the JSON reader, and both must raise the same kind
     c4 = cyclic_group(4)
     with pytest.raises(AxiomError) as direct:
-        arrangement_from_sequence(c4, seq)
-    with pytest.raises(AxiomError) as built:
-        arrangement_to_inhom(Arrangement(c4, seq))
-    assert direct.value.kind == built.value.kind == kind
+        arrangement_to_inhom(arrangement_from_sequence(c4, seq))
+    data = {"group": group_to_json(c4), "kind": "arrangement", "data": list(seq)}
+    with pytest.raises(AxiomError) as read:
+        arrangement_to_inhom(ordering_from_json(json.loads(json.dumps(data))))
+    assert direct.value.kind == read.value.kind == kind
+    assert direct.value.witness == read.value.witness == seq
 
 
 @pytest.mark.parametrize("max_order", [2.5, True, -1, "12"])
@@ -373,9 +379,17 @@ _NON_CYCLIC = [symmetric_group(3), direct_product(cyclic_group(2), cyclic_group(
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_powers_walk_matches_the_rotation_oracle(data):
-    # _hom_positions reads an arrangement as the powers of its second entry,
-    # in O(N); on every permutation starting at the identity it must return
-    # what the O(N^2) rotation check returns
+    # arrangement_from_sequence reads an arrangement as the powers of its
+    # second entry, in O(N); on every permutation starting at the identity
+    # it must accept, with the same positions, exactly what the O(N^2)
+    # rotation check accepts, and reject the rest as "invariance"
+    def checked_positions(G, seq):
+        try:
+            return list(arrangement_from_sequence(G, seq).pos)
+        except AxiomError as exc:
+            assert (exc.kind, exc.witness) == ("invariance", seq)
+            return None
+
     k = data.draw(st.integers(1, 16))
     G = relabeled(cyclic_group(k), [0] + data.draw(st.permutations(range(1, k))))
     arrangements = [a.sequence for a in enumerate_circular_orders(G, max_order=16)]
@@ -393,13 +407,13 @@ def test_powers_walk_matches_the_rotation_oracle(data):
     walk = groups._powers(G, z)
     candidates.append((*walk, *data.draw(st.permutations(sorted(set(range(k)) - set(walk))))))
     for seq in candidates:
-        assert orders._hom_positions(G, seq) == rotation_positions(G, seq), seq
-    assert all(orders._hom_positions(G, seq) is not None for seq in arrangements)
+        assert checked_positions(G, seq) == rotation_positions(G, seq), seq
+    assert all(checked_positions(G, seq) is not None for seq in arrangements)
     H = data.draw(st.sampled_from(_NON_CYCLIC))   # no ordering at all
     walk = groups._powers(H, data.draw(st.integers(0, H.order - 1)))
     for seq in ((0, *data.draw(st.permutations(range(1, H.order)))),
                 (*walk, *(g for g in range(H.order) if g not in walk))):
-        assert orders._hom_positions(H, seq) is None
+        assert checked_positions(H, seq) is None
         assert rotation_positions(H, seq) is None
 
 
@@ -479,13 +493,23 @@ def test_lexicographic_finite_with_trivial_kernel():
 # -- JSON -----------------------------------------------------------------------
 
 def test_ordering_json_round_trip():
-    c4 = cyclic_group(4)
-    arr = arrangement_from_sequence(c4, (0, 1, 2, 3))
-    for obj in (arr, arrangement_to_inhom(arr), arrangement_to_hom(arr)):
-        data = ordering_to_json(obj)
-        again = ordering_from_json(data)
-        assert type(again) is type(obj)
-        assert again.group == obj.group
+    # every view of every enumerated ordering, on the library groups and a
+    # relabeling of each, hashes, reads back equal from its JSON through the
+    # checks of raw input, and its arrangement is the power walk of the
+    # ordering's generator
+    for G in library_groups():
+        perm = list(range(1, G.order))
+        random.Random(G.order).shuffle(perm)
+        for H in (G, relabeled(G, [0] + perm)):
+            for arr in enumerate_circular_orders(H):
+                views = (arr, arrangement_to_inhom(arr), arrangement_to_hom(arr))
+                assert len(set(views)) == 3 and len(set(map(hash, views))) == 1
+                for view in views:
+                    again = ordering_from_json(json.loads(json.dumps(ordering_to_json(view))))
+                    assert type(again) is type(view) and again == view
+                    assert hash(again) == hash(view) and again.group == view.group
+                    z = extensions.minimal_generator(H, view)
+                    assert arr.sequence == tuple(groups._powers(H, z))
 
 
 def test_ordering_json_rejects_boolean_elements():
