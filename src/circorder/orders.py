@@ -20,8 +20,9 @@ form (`_Positions`); the three encodings are views of it:
 Each view builds its sequence or its |G|^2 or |G|^3 values on first read,
 and the conversions between the views pass pos across.  Each raw input has
 one check, which reads pos off it (`arrangement_from_sequence`,
-`validate_inhom`, `validate_hom`), and the enumeration's walks prove
-themselves, so no ordering is checked twice.
+`validate_inhom`, `validate_hom`, and the views' constructors for a pos
+given as it is), and the enumeration's walks prove themselves, so no
+ordering is checked twice.
 
 Every ordering that the other modules take passes one gate here:
 `as_ordering` (or `cocycle_values` and `cocycle_sums`, where any cocycle
@@ -53,13 +54,22 @@ class _Positions:
     """An ordering of a finite group kept as its one stored form: pos, the
     checked isomorphism G -> Z/|G| (an ordered finite group is cyclic, and
     pos(g) is g's place counterclockwise from the identity), as a tuple.
-    The constructor trusts pos, so views are built only by the checks of
-    raw input, the enumeration's walks and the conversions, which pass a
-    checked pos across.  Equal, with nothing built, when their types,
-    tables and positions are; hashed by pos."""
+    The constructor checks pos (`_checked_positions`) and raises AxiomError
+    unless it is an isomorphism.  Code that has already proved
+    its pos (the checks of raw input, the enumeration's walks, the
+    conversions and `standard_order_zn`) builds views by `_trusted`.  Equal,
+    with nothing built, when their types, tables and positions are; hashed
+    by pos."""
 
-    def __init__(self, group: FiniteGroup, pos: tuple):
-        self.group, self.pos = group, pos
+    def __init__(self, group: FiniteGroup, pos: Sequence[int]):
+        self.group, self.pos = group, _checked_positions(group, tuple(pos), is_sequence=False)
+
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, pos: tuple):
+        """The view of a pos its caller has proved an isomorphism, unchecked."""
+        view = cls.__new__(cls)
+        view.group, view.pos = group, pos
+        return view
 
     def __eq__(self, other):
         return type(other) is type(self) and (self.group, self.pos) == (other.group, other.pos)
@@ -142,26 +152,36 @@ class LeftOrderOracle:
 def arrangement_from_sequence(G: FiniteGroup, sequence: Sequence[int]) -> Arrangement:
     """The package's one check of a sequence: `sequence` as the arrangement
     of G it lists counterclockwise from the identity, or AxiomError with the
-    sequence as witness.  Kinds, in the order checked: "shape" (not exact
-    ints forming a permutation of G), "normalization" (not starting at the
-    identity) and "invariance" (the induced circle order is not
-    left-invariant, i.e. pos is not an isomorphism onto Z/n, n = |G|).
+    sequence as witness (`_checked_positions`)."""
+    seq = tuple(sequence)
+    return Arrangement._trusted(G, _checked_positions(G, seq, is_sequence=True))
+
+
+def _checked_positions(G: FiniteGroup, perm: tuple, is_sequence: bool) -> tuple:
+    """The positions of the ordering of G that `perm` gives, as its sequence
+    (seq[pos g] = g) if is_sequence, else as its positions pos, checked by
+    sorting and one O(n) walk, n = |G|; otherwise AxiomError with perm as
+    witness.  Kinds, in the order checked: "shape" (not exact ints forming
+    a permutation of range(n)), "normalization" (the identity is not at
+    place 0, i.e. perm[0] != 0 on either form) and "invariance" (the
+    induced circle order is not left-invariant, i.e. pos is not an
+    isomorphism onto Z/n).
 
     pos is an isomorphism iff the sequence is the walk _powers(G, z),
-    z = seq[1], checked in O(n): if so, z has order n, and k -> z^k is a
+    z = seq[1] = pos^-1(1): if so, z has order n, and k -> z^k is a
     bijection Z/n -> G, a homomorphism since z^j z^k = z^(j+k) in an
     associative table (FiniteGroup checks it), with inverse pos.  If pos is
     an isomorphism, pos(z*x) = 1 + pos(x), so seq[i] = z^i for i < n and
     z^n = 1: seq is the walk.  The tests' oracle is the O(n^2) definition:
     left multiplication by seq[i] rotates seq by i places."""
-    seq = tuple(sequence)
-    if any(type(g) is not int for g in seq) or sorted(seq) != list(range(G.order)):
-        raise AxiomError("shape", seq, "not a permutation of the elements")
-    if seq[0] != 0:
-        raise AxiomError("normalization", seq, "arrangement must start at the identity")
+    if any(type(g) is not int for g in perm) or sorted(perm) != list(range(G.order)):
+        raise AxiomError("shape", perm, "not a permutation of the elements")
+    if perm[0] != 0:
+        raise AxiomError("normalization", perm, "arrangement must start at the identity")
+    seq, pos = (perm, _inverted(perm)) if is_sequence else (_inverted(perm), perm)
     if len(seq) > 1 and tuple(_powers(G, seq[1])) != seq:
-        raise AxiomError("invariance", seq, "induced triple function is not left-invariant")
-    return Arrangement(G, _inverted(seq))
+        raise AxiomError("invariance", perm, "induced triple function is not left-invariant")
+    return pos
 
 
 def _inverted(perm) -> tuple:
@@ -189,7 +209,7 @@ def validate_inhom(G: FiniteGroup, values) -> InhomCircularOrder:
     failure = _identity_failure(G, values)   # 0/1 ints skip the type scan
     if failure is not None:
         raise failure
-    f = InhomCircularOrder(G, tuple(map(sum, values)))   # row g holds pos(g) ones
+    f = InhomCircularOrder._trusted(G, tuple(map(sum, values)))   # row g holds pos(g) ones
     require(f.values == values, "validate_inhom: the ordering is not the carry bit of its row sums")
     return f
 
@@ -267,7 +287,7 @@ def as_ordering(G: FiniteGroup, f) -> InhomCircularOrder:
     if isinstance(f, _Positions):
         if f.group.table != G.table:
             raise InvalidGroupError("ordering lives on a different group")
-        return f if isinstance(f, InhomCircularOrder) else InhomCircularOrder(f.group, f.pos)
+        return f if isinstance(f, InhomCircularOrder) else InhomCircularOrder._trusted(f.group, f.pos)
     return validate_inhom(G, f)
 
 
@@ -329,7 +349,7 @@ def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
     if not _cubic_hom_checks(G, values):
         _hom_scans(G, values)   # raises
     # c(id, g, x) = +1 for the n - 1 - pos(g) elements x after g
-    c = HomCircularOrder(G, (0, *(n - 1 - row.count(1) for row in values[0][1:])))
+    c = HomCircularOrder._trusted(G, (0, *(n - 1 - row.count(1) for row in values[0][1:])))
     require(c.values == values, "validate_hom: the ordering is not the chart of its positions")
     return c
 
@@ -377,25 +397,25 @@ def _hom_scans(G: FiniteGroup, values) -> None:
 
 def hom_to_inhom(c: HomCircularOrder) -> InhomCircularOrder:
     """f(g,h) = (1 - c(id, g, gh)) / 2 off the identity: the carry bit of c's positions."""
-    return InhomCircularOrder(c.group, c.pos)
+    return InhomCircularOrder._trusted(c.group, c.pos)
 
 
 def inhom_to_hom(f: InhomCircularOrder) -> HomCircularOrder:
     """c(g1,g2,g3) = 1 - 2 f(g1^-1 g2, g2^-1 g3) on distinct triples: the
     chart of f's positions."""
-    return HomCircularOrder(f.group, f.pos)
+    return HomCircularOrder._trusted(f.group, f.pos)
 
 
 def arrangement_to_hom(a: Arrangement) -> HomCircularOrder:
     """c = +1 exactly on triples whose positions run counterclockwise: the
     carry bit of g1^-1 g2 and g2^-1 g3 is 1 exactly when g3 comes before g2
     counterclockwise from g1, so this is inhom_to_hom(arrangement_to_inhom(a))."""
-    return HomCircularOrder(a.group, a.pos)
+    return HomCircularOrder._trusted(a.group, a.pos)
 
 
 def hom_to_arrangement(c: HomCircularOrder) -> Arrangement:
     """The elements in order of c's positions: counterclockwise from the identity."""
-    return Arrangement(c.group, c.pos)
+    return Arrangement._trusted(c.group, c.pos)
 
 
 def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
@@ -410,7 +430,7 @@ def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
     properties, and the entries are exact 0/1 ints by construction, so no
     O(|G|^3) validate_inhom is needed (the tests keep it as the oracle).
     """
-    return InhomCircularOrder(a.group, a.pos)
+    return InhomCircularOrder._trusted(a.group, a.pos)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -432,7 +452,7 @@ def enumerate_circular_orders(G: FiniteGroup,
     if G.order > limit:
         raise BoundExceeded(f"enumerate_circular_orders: order {G.order} > limit {limit}")
     walks = (_powers(G, z) for z in range(G.order))   # z = 0 walks (0,) alone
-    return [Arrangement(G, _inverted(seq)) for seq in walks if len(seq) == G.order]
+    return [Arrangement._trusted(G, _inverted(seq)) for seq in walks if len(seq) == G.order]
 
 
 # -- standard and lexicographic constructions ------------------------------
@@ -443,7 +463,7 @@ def standard_order_zn(n: int) -> InhomCircularOrder:
     the view of the identity positions pos(a) = a; n an int >= 1."""
     if type(n) is not int or n < 1:   # not True or 2.0
         raise InvalidGroupError(f"standard_order_zn: n = {n!r} is not an int >= 1")
-    return InhomCircularOrder(cyclic_group(n), tuple(range(n)))
+    return InhomCircularOrder._trusted(cyclic_group(n), tuple(range(n)))
 
 
 def lexicographic_circular_order(phi: Callable[[Any], Any],

@@ -19,19 +19,20 @@ circular ordering of Z/2.  That construction is kept as
 `promislow_circular_order`, is the same ordering in closed form: cutting the
 circle at the identity leaves a linear order on the other elements (the
 positive kernel cone, then the coset aK, then the negative cone), so
-c(g1, g2, g3) compares g1^-1 g2 with g1^-1 g3 in that order.  It reads
-their class, y, x and z fields off coordinate differences and stops at the
-first field that differs, which is the lexicographic comparison of their
-keys (class, +-y, sigma_x x, sigma_z z) without building the keys.  It
-compares no tuples for equality either: on group elements, equal class and
-y fields force equal point-group parts by the parity constraint, so two of
-the arguments are equal exactly when their x and z fields tie too, and the
-value is then 0.  The seeded self-check suite (`demo`) checks the axioms on
-the closed form and its agreement with the construction on every triple of
-ball(2).  It
-evaluates the closed form once on each of the 17^3 triples of ball(2) into
-a table: the agreement count and the exhaustive axioms read it, and only
-the invariance check calls the oracle again, on the translated triples.
+c(g1, g2, g3) compares g1^-1 g2 with g1^-1 g3 in that order.  It decides
+their bands (the coset, or the cones) from the parity of m, compares raw y
+fields, and reads x and z differences only on a tie in y, which is the
+lexicographic comparison of their keys (class, +-y, sigma_x x, sigma_z z)
+without building the keys.  It compares no tuples for equality either: on
+group elements, equal bands and y fields force equal point-group parts by
+the parity constraint, so two of the arguments are equal exactly when their
+x and z fields tie too, and the value is then 0.  The seeded self-check
+suite (`demo`) checks the axioms on the closed form and its agreement with
+the construction on every triple of ball(2).  It evaluates the closed form
+once on each of the 17^3 triples of ball(2) into a table: the agreement
+count and the exhaustive axioms read it, and only the invariance check
+calls the oracle again, on the translated triples, in one map over columns
+of the product table per triple.
 The sampled axioms call the oracle for every value; they draw indices into
 the sampling ball, from the stream rng.choice would use, in batches of a
 few thousand quadruples, and read each translated element h g from one
@@ -140,60 +141,85 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
     circle at the identity leaves: the positive kernel cone (class 0), then
     the coset aK (class 1), then the negative cone (class 2).
     g1^-1 (m, x, y, z) = (m1 ^ m, S1 (x - x1, y - y1, z - z1)) with
-    S1 = SIGNS[m1], so everything is read off coordinate differences and no
-    element is built.  The class decides first.  Within a class g comes
-    before g' when g^-1 g' is in the kernel cone: y decides (sigma_y = -1 on
-    aK reverses it), and a tie in y forces m2 == m3 by parity, so with
-    (sx, _, sz) = SIGNS[m2] (the product SIGNS[m1] SIGNS[m1 ^ m2])
-    d = sx (x3 - x2) or sz (z3 - z2) breaks it.  The comparison stops at the
-    first field that differs, which is the lexicographic order on the keys
-    (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.  The class of a pure
-    translation g1^-1 g2 is the sign of d = sx (x2 - x1) or sz (z2 - z1),
-    with (sx, _, sz) = SIGNS[m1].
+    S1 = SIGNS[m1], so no element is built.
 
-    Equality needs no tuple comparison.  Two elements with the same parity
-    of m and the same y have the same m, by PARITY, so d = 0 in either
-    place means equal elements: g1 == g2 (or g1 == g3) exactly when d from
-    g1 is 0, and g2 == g3 exactly when class, y and then d from g2 tie.  On
-    tuples that break parity this fails, and the value may be wrong.
+    The band decides first: g1^-1 g is in aK exactly when (m ^ m1) & 1, and
+    otherwise in a cone.  Within a class g comes before g' when g^-1 g' is
+    in the kernel cone, so y decides: in aK the larger y comes first
+    (sigma_y = -1 there), in a cone the smaller, and the cone of g1^-1 g is
+    the sign of its y.  That y is sigma_y (y - y1), with sigma_y = -1
+    exactly when m1 is odd, so after negating the three raw y fields for an
+    odd m1 every one of these comparisons is one of raw fields, y2 or y3
+    against y1 (which cone) or y2 against y3 (the order in one band), with
+    no difference taken and no SIGNS read.
+
+    SIGNS is read only on a y tie.  Two elements in one band with equal y
+    have the same m, by PARITY, so one is a pure translation of the other
+    and d = sx dx or sz dz decides, with (sx, _, sz) = SIGNS of the first
+    (the product SIGNS[m1] SIGNS[m1 ^ m2] for g2).  From g1, a translation
+    g1^-1 g with d > 0 is the first element of the positive cone and with
+    d < 0 the last of the negative one; from g2, g2 comes before g3 when
+    d > 0.  This is the lexicographic order on the keys
+    (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.
+
+    Equality is still read off these differences, with no tuple comparison:
+    two elements tie in band and y only with equal m, and then d = 0
+    exactly when they are equal.  So g1 == g2 (or g1 == g3) exactly when d
+    from g1 is 0, and g2 == g3 exactly when band, y and then d from g2 tie.
+    On tuples that break parity this fails, and the value may be wrong.
     """
     m1, x1, y1, z1 = g1
     m2, x2, y2, z2 = g2
     m3, x3, y3, z3 = g3
-    odd = m1 & 1                          # g1 in aK, where sigma_y = -1
-    if odd:
-        dy2, dy3 = y1 - y2, y1 - y3
-    else:
-        dy2, dy3 = y2 - y1, y3 - y1
-    if (m2 & 1) != odd:
-        c2 = 1
-    elif dy2:
-        c2 = 0 if dy2 > 0 else 2
-    else:                                 # a pure translation: x, then z
+    odd = m1 & 1
+    if odd:                               # sigma_y = -1 on g1^-1: y runs backwards
+        y1, y2, y3 = -y1, -y2, -y3
+    if m2 & 1 != odd:                     # g1^-1 g2 in aK
+        if m3 & 1 != odd:                 # both in aK: the larger y comes first
+            if y2 > y3:
+                return 1
+            if y2 < y3:
+                return -1
+        else:                             # g1^-1 g3 in a cone: -1 if positive
+            if y3 > y1:
+                return -1
+            if y3 < y1:
+                return 1
+            sx, _, sz = SIGNS[m1]
+            d = sx * (x3 - x1) or sz * (z3 - z1)
+            return (-1 if d > 0 else 1) if d else 0       # d = 0: g3 == g1
+    elif y2 == y1:                        # g1^-1 g2 a translation: first or last
         sx, _, sz = SIGNS[m1]
         d = sx * (x2 - x1) or sz * (z2 - z1)
         if not d:
             return 0                      # g2 == g1
-        c2 = 0 if d > 0 else 2
-    if (m3 & 1) != odd:
-        c3 = 1
-    elif dy3:
-        c3 = 0 if dy3 > 0 else 2
-    else:
+        if m3 & 1 != odd or y3 != y1:
+            return 1 if d > 0 else -1
+        d3 = sx * (x3 - x1) or sz * (z3 - z1)
+        if not d3:
+            return 0                      # g3 == g1
+        if (d > 0) != (d3 > 0):
+            return 1 if d > 0 else -1
+    elif m3 & 1 != odd:                   # g1^-1 g2 in a cone, g1^-1 g3 in aK
+        return 1 if y2 > y1 else -1
+    elif y3 != y1:                        # both in the cones
+        if y2 > y1:
+            if y3 < y1:
+                return 1                  # the positive cone comes first
+        elif y3 > y1:
+            return -1
+        if y2 < y3:                       # one cone: the smaller y comes first
+            return 1
+        if y2 > y3:
+            return -1
+    else:                                 # g1^-1 g3 a translation: first or last
         sx, _, sz = SIGNS[m1]
         d = sx * (x3 - x1) or sz * (z3 - z1)
-        if not d:
-            return 0                      # g3 == g1
-        c3 = 0 if d > 0 else 2
-    if c2 != c3:
-        return 1 if c2 < c3 else -1
-    if dy2 != dy3:
-        return 1 if (dy2 > dy3) == (c2 == 1) else -1
+        return (-1 if d > 0 else 1) if d else 0           # d = 0: g3 == g1
+    # band and y tie, so m2 == m3: g2^-1 g3 is a translation
     sx, _, sz = SIGNS[m2]
     d = sx * (x3 - x2) or sz * (z3 - z2)
-    if not d:
-        return 0                          # g3 == g2
-    return 1 if d > 0 else -1
+    return (1 if d > 0 else -1) if d else 0               # d = 0: g3 == g2
 
 
 # Known obstruction spectrum of the group: exactly the multiples of 4.
@@ -260,12 +286,15 @@ def _exhaustive_axiom_counts(c, mul, small, table) -> dict:
     of `small`, with c on triples of `small` read from `table`.
 
     Only invariance calls the oracle `c`, on (h g1, h g2, h g3), with h g
-    from `_product_table(mul, small)`.  Vanishing and antisymmetry do not
-    depend on h, so each triple's verdict is counted once for every h; the
-    cocycle terms c(g2, g3, h), c(g1, g3, h) and c(g1, g2, h) are all table
-    entries.  The counts are those of the per-quadruple check."""
+    from `_product_table(mul, small)`: for each (i, j, k) in order, one map
+    of c over the table's columns i, j and k (column i holds h g_i for
+    every h in order), which counts the values equal to v.  Vanishing and
+    antisymmetry do not depend on h, so each triple's verdict is counted
+    once for every h; the cocycle terms c(g2, g3, h), c(g1, g3, h) and
+    c(g1, g2, h) are all table entries.  The counts are those of the
+    per-quadruple check."""
     n = len(small)
-    hg = _product_table(mul, small)
+    cols = list(zip(*_product_table(mul, small)))   # cols[i][h] = h g_i
     failures = {"vanishing": 0, "antisymmetry": 0, "invariance": 0, "cocycle": 0}
     for i in range(n):
         ti = table[i]
@@ -281,7 +310,7 @@ def _exhaustive_axiom_counts(c, mul, small, table) -> dict:
                     if tj[i][k] != -v or ti[k][j] != -v or tk[j][i] != -v \
                             or tj[k][i] != v or tk[i][j] != v:
                         failures["antisymmetry"] += n
-                failures["invariance"] += sum(c(r[i], r[j], r[k]) != v for r in hg)
+                failures["invariance"] += n - list(map(c, cols[i], cols[j], cols[k])).count(v)
                 failures["cocycle"] += sum(a - b + d != v for a, b, d
                                            in zip(tj[k], ti[k], tij))
     return {"checked": n ** 4, "failures": failures,
@@ -321,7 +350,8 @@ def _sampled_axiom_counts(c, mul, big, rng, samples) -> dict:
             if (v == 0) != degenerate:
                 vanishing += 1
             if not degenerate:
-                if c(g2, g1, g3) != -v or c(g1, g3, g2) != -v or c(g3, g2, g1) != -v \
+                w = -v
+                if c(g2, g1, g3) != w or c(g1, g3, g2) != w or c(g3, g2, g1) != w \
                         or c(g2, g3, g1) != v or c(g3, g1, g2) != v:
                     antisymmetry += 1
             row = hg[ih]

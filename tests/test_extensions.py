@@ -217,11 +217,13 @@ def test_minimal_generator_is_arrangement_successor():
 
 
 def test_minimal_generator_lift_check_catches_a_corrupted_ordering():
-    # a trusted ordering whose positions were altered after their check:
-    # z = 1 keeps pos 1, but with 2, 3 and 4 all at pos 4 the lift (0, 1)
-    # picks up three carries on its way round, not one
+    # a checked ordering whose positions were altered after their check
+    # (the constructor rejects them): z = 1 keeps pos 1, but with 2, 3 and 4
+    # all at pos 4 the lift (0, 1) picks up three carries on its way round,
+    # not one
     G = cyclic_group(5)
-    bad = InhomCircularOrder(G, (0, 1, 4, 4, 4))
+    bad = InhomCircularOrder(G, (0, 1, 2, 3, 4))
+    bad.pos = (0, 1, 4, 4, 4)
     with pytest.raises(CheckFailed, match="does not generate the Z-extension"):
         minimal_generator(G, bad)
 

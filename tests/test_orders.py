@@ -10,7 +10,8 @@ from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
 from circorder.extensions import hat_ordering
 from circorder.groups import (cyclic_group, dihedral_group, direct_product, GroupHom,
                               group_to_json, symmetric_group, trivial_group)
-from circorder.orders import (arrangement_from_sequence,
+from circorder.orders import (Arrangement, HomCircularOrder, InhomCircularOrder,
+                              arrangement_from_sequence,
                               arrangement_to_hom, arrangement_to_inhom,
                               enumerate_circular_orders, hom_to_arrangement,
                               hom_to_inhom, inhom_to_hom,
@@ -264,6 +265,66 @@ def test_derived_orderings_run_no_validator(monkeypatch):
     assert calls == ["validate_inhom", "_identity_failure", "validate_hom"]
 
 
+def _position_failure(G: groups.FiniteGroup, pos) -> str | None:
+    """The kind of AxiomError the view constructors must raise on pos, or
+    None when pos is an isomorphism G -> Z/n, by the O(n^2) definition
+    pos(gh) = pos(g) + pos(h) mod n."""
+    n = G.order
+    if any(type(p) is not int for p in pos) or sorted(pos) != list(range(n)):
+        return "shape"
+    if pos[0] != 0:
+        return "normalization"
+    if any((pos[g] + pos[h]) % n != pos[G.table[g][h]] for g in range(n) for h in range(n)):
+        return "invariance"
+    return None
+
+
+_CONSTRUCTOR_GROUPS = [cyclic_group(n) for n in range(1, 17)] + \
+    [G for G in _LIBRARY if not G.is_cyclic()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_view_constructors_accept_exactly_the_isomorphisms(data):
+    # each public constructor checks pos: an ordering's positions (a walk's),
+    # a permutation fixing 0 or any permutation, or one with an entry
+    # replaced by something out of range, repeated or not an exact int, or
+    # with one entry too many or too few
+    G = data.draw(st.sampled_from(_CONSTRUCTOR_GROUPS))
+    n = G.order
+    walks = [a.pos for a in enumerate_circular_orders(G, max_order=16)]
+    source = data.draw(st.sampled_from(["walk", "fixes 0", "any", "corrupt"]))
+    if source == "walk" and walks:
+        pos = list(data.draw(st.sampled_from(walks)))
+    elif source == "any":
+        pos = data.draw(st.permutations(range(n)))
+    else:
+        pos = [0, *data.draw(st.permutations(range(1, n)))]
+    if source == "corrupt":
+        i = data.draw(st.integers(0, n - 1))
+        pos[i] = data.draw(st.sampled_from([-1, n, float(pos[i]), pos[i] == 1, pos[i - 1]]))
+        pos = data.draw(st.sampled_from([pos, pos[:-1], pos + [n]]))
+    expected = _position_failure(G, pos)
+    for view in (Arrangement, InhomCircularOrder, HomCircularOrder):
+        if expected is None:
+            got = view(G, pos)
+            assert got.pos == tuple(pos) and got == view._trusted(G, tuple(pos))
+            assert ordering_from_json(json.loads(json.dumps(ordering_to_json(got)))) == got
+        else:
+            with pytest.raises(AxiomError) as err:
+                view(G, pos)
+            assert err.value.kind == expected and err.value.witness == tuple(pos)
+
+
+def test_a_hand_built_view_is_checked():
+    # pos(1) = 2 and pos(2) = 1 on Z/5: a permutation fixing 0 that is not an
+    # isomorphism, so no view holds it (unchecked, an Arrangement of it had
+    # class (2,), and the JSON reader rejected what the writer wrote)
+    for view in (Arrangement, InhomCircularOrder, HomCircularOrder):
+        with pytest.raises(AxiomError, match="invariance"):
+            view(cyclic_group(5), (0, 2, 1, 3, 4))
+
+
 @pytest.mark.parametrize("seq, kind", [
     ((0, 1, 1, 3), "shape"),             # duplicate entry
     ((0, True, 2, 3), "shape"),          # sorts like (0, 1, 2, 3)
@@ -292,9 +353,18 @@ def test_enumeration_limit_must_be_none_or_an_int(max_order):
 
 def test_arrangement_to_hom_matches_the_position_chart():
     # the homogeneous form of an arrangement is the chart of its positions,
-    # on every arrangement of the library groups and of one relabeling each
+    # on every arrangement of the library groups and of one relabeling each.
+    # The relabeling must change the table, or its half repeats the other
+    # (g -> -g, say, is an automorphism of every cyclic group); only on Z/1,
+    # Z/2, Z/3 and Z/2 x Z/2 is every permutation fixing 0 an automorphism
+    rng = random.Random(19)
     for G in library_groups():
-        for H in (G, relabeled(G, (0, *reversed(range(1, G.order))))):
+        for _ in range(20):   # draw again while the relabeling is an automorphism
+            H = relabeled(G, (0, *rng.sample(range(1, G.order), G.order - 1)))
+            if H.table != G.table:
+                break
+        assert (H.table != G.table) == (G.order > 4 or (G.order == 4 and G.is_cyclic()))
+        for H in (G, H):
             n = H.order
             for arr in enumerate_circular_orders(H):
                 pos = {g: p for p, g in enumerate(arr.sequence)}

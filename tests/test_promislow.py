@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +184,19 @@ def test_field_by_field_oracle_matches_the_key_tuples_on_y_ties(g1, g2, t, swap,
         assert promislow_circular_order(a, b, c) == key_circular_order(a, b, c)
 
 
+def test_oracle_matches_the_key_tuples_on_every_ball3_triple():
+    # every triple of ball(3), and of its translate by an h outside ball(5):
+    # every pair of bands, y tie, pure translation and repeat that ball(3)
+    # holds, at small and at larger coordinates
+    h = evaluate_word("aaabbb")
+    assert h not in BALL5
+    small = ball(3)
+    for elems in (small, [prom_mul(h, g) for g in small]):
+        bad = next((t for t in product(elems, repeat=3)
+                    if promislow_circular_order(*t) != key_circular_order(*t)), None)
+        assert bad is None, bad
+
+
 def test_a_wrong_key_fails_the_demo(monkeypatch, capsys):
     # the key-tuple route with sigma_x dropped from the key stands in for
     # the oracle: a wrong ordering that is still left-invariant (every key
@@ -232,6 +246,26 @@ def test_corrupted_oracles_are_counted_per_quadruple(monkeypatch):
         assert demo(samples=0)["axioms_exhaustive_ball2"] == want
         seen |= {kind for kind, count in want["failures"].items() if count}
     assert seen == {"vanishing", "antisymmetry", "invariance", "cocycle"}
+
+
+def test_exhaustive_pass_calls_in_order():
+    # the counts alone would not see a reordered pass: the invariance calls
+    # must run over the triples (i, j, k) of ball(2) in order, and for each
+    # over the rows r of the product table in order
+    small = ball(2)
+    n = len(small)
+    table = [[[promislow_circular_order(g1, g2, g3) for g3 in small] for g2 in small]
+             for g1 in small]
+    calls = []
+
+    def recording(g1, g2, g3):
+        calls.append((g1, g2, g3))
+        return promislow_circular_order(g1, g2, g3)
+    report = promislow._exhaustive_axiom_counts(recording, prom_mul, small, table)
+    hg = [[prom_mul(h, g) for g in small] for h in small]
+    assert calls == [(r[i], r[j], r[k]) for i in range(n) for j in range(n)
+                     for k in range(n) for r in hg]
+    assert report["ok"] and report["checked"] == n ** 4
 
 
 def _choice_quadruples(seed, radius, samples):
