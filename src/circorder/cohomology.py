@@ -25,8 +25,8 @@ same question, so nothing depends on n; d1 u is read off the table.
 Every cocycle passes orders.cocycle_values or cocycle_sums, which check a
 raw matrix and trust any ordering view on the group.  When
 gcd(n, |G|) = 1, H^2(G; Z/n) = 0, as both |G| (Brown III.10) and n kill
-it, so no matrix is built; a projection still checks a raw matrix's
-cocycle identity mod n.  Otherwise H^2(G; Z/n) is read off a free
+it, so no complex is constructed; a projection still checks a raw
+matrix's cocycle identity mod n.  Otherwise H^2(G; Z/n) is read off a free
 presentation, built once per group (`_Complex`).  Let F be free
 on the generators s_1..s_k and R the kernel of F -> G.  The tree of
 `groups._spanning_tree` gives each x a word w(x), and by
@@ -163,14 +163,9 @@ def _mul_lists(A, B, bcols):
         acc = [0] * bcols
         for aik, brow in zip(row, B):
             if aik:
-                if aik == 1:
-                    for j, v in enumerate(brow):
-                        if v:
-                            acc[j] += v
-                else:
-                    for j, v in enumerate(brow):
-                        if v:
-                            acc[j] += aik * v
+                for j, v in enumerate(brow):
+                    if v:
+                        acc[j] += aik * v
         out.append(acc)
     return out
 
@@ -412,39 +407,30 @@ class _Complex:
     rows.  With U A V = diag(a_1..a_k), each a_j nonzero as G^ab is finite,
     w in Z^k has coordinates (w V)_j mod a_j in the basis b_j of G^ab, row
     j of V^-1.  `gens`, `tree`, `words`, `edges`, `rho`, `V`, `Vinv` and
-    `factors` = (a_j) are kept, built in that order on the first read of
-    any, and `schreier` on the first Z/n question with n not prime to |G|,
-    so integral questions never build it and a Z/n question with n prime
-    to |G| builds nothing.  Cached by multiplication table (the group kept
-    is the first one asked about, already checked; its names are never
-    read) and unbounded by design: one entry per distinct table, released
-    by `cache_clear()`."""
+    `factors` = (a_j) are built by the constructor, and `schreier` on the
+    first Z/n question with n not prime to |G|, so integral questions never
+    build it.  A Z/n question with n prime to |G| constructs no complex
+    (`h2_structure`).  Cached by multiplication table (the group kept is
+    the first one asked about, already checked; its names are never read)
+    and unbounded by design: one entry per distinct table, released by
+    `cache_clear()`."""
 
     def __init__(self, G: FiniteGroup):
-        self.group = G
-        self.structures: dict = {}    # modulus (None for Z) -> H2Structure
-
-    def __getattr__(self, name):
-        # runs only while `name` is not yet an attribute: the presentation
-        # and the Smith data of A are set as plain attributes, so later
-        # reads (and replacements) of them never come back here
-        if name not in ("gens", "tree", "words", "edges", "rho", "V", "Vinv", "factors"):
-            raise AttributeError(name)
-        G, table = self.group, self.group.table
-        gens = list(G.generators)
-        k, tree = len(gens), [(x, gens[i], xs) for x, i, xs in _spanning_tree(G, gens)]
-        words = [(0,) * k] + [None] * (G.order - 1)
-        for x, s, xs in tree:
+        self.group, table = G, G.table
+        self.gens = gens = list(G.generators)
+        k, self.tree = len(gens), [(x, gens[i], xs) for x, i, xs in _spanning_tree(G, gens)]
+        self.words = words = [(0,) * k] + [None] * (G.order - 1)
+        for x, s, xs in self.tree:
             words[xs] = tuple(c + (s == t) for t, c in zip(gens, words[x]))
-        edges = sorted({(x, s, table[x][s]) for x in range(G.order) for s in gens} - set(tree))
+        self.edges = sorted({(x, s, table[x][s]) for x in range(G.order) for s in gens}
+                            - set(self.tree))
         rho = [tuple(a + (s == t) - b for t, a, b in zip(gens, words[x], words[xs]))
-               for x, s, xs in edges]
+               for x, s, xs in self.edges]
+        self.rho = IntMatrix(rho, cols=k)
         rows = list(dict.fromkeys(row for row in rho if any(row)))
         snf = smith_normal_form(IntMatrix(rows, cols=k), want_u=False)
-        self.gens, self.tree, self.words, self.edges = gens, tree, words, edges
-        self.rho = IntMatrix(rho, cols=k)
         self.V, self.Vinv, self.factors = snf.V, snf.Vinv, snf.diagonal
-        return vars(self)[name]
+        self.structures: dict = {}    # modulus (None for Z) -> H2Structure
 
     def smith_coordinates(self, sums: Sequence[int]) -> list[int]:
         """The class coordinates c_j = a_j chi_f(b_j) of an integral cocycle
@@ -527,23 +513,24 @@ class H2Structure:
     (`_Complex.lift`), requires that c kill Q's rows mod n and that
     w = V^-1 c lie on the steps n / gcd(d_i, n) of the rank block, divides
     by them, and applies `_coords` to those quotients and w's free block,
-    which `_coords` reads through U_B.  For n prime to |G| it checks a raw
-    matrix's cocycle identity mod n and returns the zero class.
+    which `_coords` reads through U_B.  For n prime to |G| (no complex) it
+    checks a raw matrix's cocycle identity mod n and returns the zero class.
     """
     modulus: Optional[int]
     invariant_factors: tuple
-    _complex: _Complex = field(repr=False)
+    _group: FiniteGroup = field(repr=False)
+    _complex: Optional[_Complex] = field(repr=False)
     _steps: tuple = field(repr=False)
     _coords: IntMatrix = field(repr=False)
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
         if self.modulus is None:
-            x = comp.smith_coordinates(cocycle_sums(comp.group, f)[0])
+            x = comp.smith_coordinates(cocycle_sums(self._group, f)[0])
         else:
             n = self.modulus
-            values = cocycle_values(comp.group, f, n)
-            if gcd(n, comp.group.order) == 1:
+            values = cocycle_values(self._group, f, n)
+            if comp is None:
                 return CohomologyClass(self, ())    # H^2(G; Z/n) = 0, see h2_structure
             data = comp.schreier
             c = comp.lift(values)
@@ -568,7 +555,7 @@ class CohomologyClass:
         return all(c == 0 for c in self.coords)
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        if other.structure is not self.structure:
+        if other.structure != self.structure:
             raise ValueError("classes live in different structures")
         return CohomologyClass(self.structure, tuple(
             (a + b) % e
@@ -582,52 +569,50 @@ class CohomologyClass:
 def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     """H^2(G; Z) for modulus None, else H^2(G; Z/modulus); |G| <= H2_ORDER_LIMIT.
 
-    Over Z the summands are the nonunit Z/a_j of G^ab from the Smith normal
-    form of the group's cached relation matrix (`_Complex`), already in
-    divisibility order.  Over Z/n they are Z/gcd(d_i, n) on the rank block
-    of Q's rows and Z/gcd(a_j, n) on its free block (`_Complex.schreier`,
-    built for the group on its first such n); one Smith normal form of the
-    diagonal of nonunit orders, with U, puts them in divisibility order and
-    gives the projection's coordinates.  A diagonal that is already a
-    divisibility chain (one of length at most 1 always is) is its own Smith
-    form with U = I, so it needs none.  When gcd(n, |G|) = 1 the group is
-    0 and no matrix is built.
+    When gcd(n, |G|) = 1 the group is 0, and its structure is built afresh,
+    with no complex.  Otherwise it is read off the group's cached `_Complex`
+    once per modulus.  Over Z/n the summands are Z/gcd(d_i, n) on the rank
+    block of Q's rows and Z/gcd(a_j, n) on its free block, read through U_B
+    (`_Complex.schreier`); over Z they are the Z/a_j of G^ab, with no rank
+    block and U_B = I.  One Smith normal form of the diagonal of nonunit
+    orders, with U, puts them in divisibility order and gives the
+    projection's coordinates, unless the diagonal is already a divisibility
+    chain (the a_j are one, and so is any of length at most 1): then U = I.
     """
     if modulus is not None and (type(modulus) is not int or modulus < 2):
         raise ValueError(f"modulus {modulus!r} is not an int >= 2")
-    comp = _complex_for(G)
+    if G.order > H2_ORDER_LIMIT:
+        raise BoundExceeded(f"cohomology: order {G.order} > limit {H2_ORDER_LIMIT}")
+    if modulus is not None and gcd(modulus, G.order) == 1:
+        # |G| and n both kill H^2(G; Z/n) (Brown III.10), so it is 0
+        return H2Structure(modulus, (), G, None, (), IntMatrix([], cols=0))
+    comp = _Complex(G)
     got = comp.structures.get(modulus)
     if got is not None:
         return got
+    k = len(comp.factors)
     if modulus is None:
-        # the Smith diagonal is already a divisibility chain: its nonunit
-        # entries are the invariant factors, and _coords selects them
-        m = len(comp.factors)
-        keep = [j for j, e in enumerate(comp.factors) if e != 1]
-        got = H2Structure(None, tuple(comp.factors[j] for j in keep), comp, (),
-                          IntMatrix([[int(i == j) for i in range(m)] for j in keep], cols=m))
-    elif gcd(modulus, G.order) == 1:
-        # |G| and n both kill H^2(G; Z/n) (Brown III.10), so it is 0
-        got = H2Structure(modulus, (), comp, (), IntMatrix([], cols=0))
+        steps, orders, free = (), comp.factors, IntMatrix.identity(k)
     else:
         data = comp.schreier
         steps = tuple(modulus // gcd(d, modulus) for d in data.torsion)
-        r, k = len(steps), len(comp.factors)
         orders = [modulus // step for step in steps] + [gcd(a, modulus) for a in comp.factors]
-        keep = [i for i, o in enumerate(orders) if o != 1]
-        # (rank-block quotients, free block) -> coordinates mod the kept orders
-        block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k if i < r
-                           else [0] * r + data.free.data[i - r] for i in keep], cols=r + k)
-        kept = [orders[i] for i in keep]
-        if all(b % a == 0 for a, b in zip(kept, kept[1:])):
-            # already a divisibility chain of nonunits: its own Smith form, U = I
-            got = H2Structure(modulus, tuple(kept), comp, steps, block)
-        else:
-            snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
-            nonunit = [j for j, e in enumerate(snf.diagonal) if e != 1]
-            got = H2Structure(modulus, tuple(snf.diagonal[j] for j in nonunit), comp, steps,
-                              IntMatrix([snf.U.data[j] for j in nonunit], cols=len(keep)) @ block)
-    comp.structures[modulus] = got
+        free = data.free
+    r = len(steps)
+    keep = [i for i, o in enumerate(orders) if o != 1]
+    # (rank-block quotients, free block) -> coordinates mod the kept orders
+    block = IntMatrix([[int(i == j) for j in range(r)] + [0] * k if i < r
+                       else [0] * r + free.data[i - r] for i in keep], cols=r + k)
+    kept = [orders[i] for i in keep]
+    if all(b % a == 0 for a, b in zip(kept, kept[1:])):
+        # already a divisibility chain of nonunits: its own Smith form, U = I
+        factors, coords = tuple(kept), block
+    else:
+        snf = smith_normal_form([[orders[i] if i == j else 0 for j in keep] for i in keep])
+        nonunit = [j for j, e in enumerate(snf.diagonal) if e != 1]
+        factors = tuple(snf.diagonal[j] for j in nonunit)
+        coords = IntMatrix([snf.U.data[j] for j in nonunit], cols=len(keep)) @ block
+    got = comp.structures[modulus] = H2Structure(modulus, factors, comp.group, comp, steps, coords)
     return got
 
 

@@ -31,14 +31,17 @@ class CentralExtElement(NamedTuple):
 class CentralExtensionGroup:
     """The set A x G with law (a,g)(b,h) = (a + b + f(g,h), gh).
 
-    `modulus` is None for A = Z and n >= 2 for A = Z/n.
+    `modulus` is None for A = Z and n >= 2 for A = Z/n.  The constructor
+    checks it and the cocycle (orders.cocycle_values), so the law is a group.
     """
 
     __slots__ = ("base", "cocycle", "modulus")
 
     def __init__(self, base: FiniteGroup, cocycle, modulus: Optional[int]):
+        if modulus is not None and (type(modulus) is not int or modulus < 2):
+            raise InvalidGroupError(f"extension modulus {modulus!r} is not an int >= 2")
         self.base = base
-        self.cocycle = tuple(tuple(row) for row in cocycle)
+        self.cocycle = cocycle_values(base, cocycle)
         self.modulus = modulus
 
     @property
@@ -58,11 +61,14 @@ class CentralExtensionGroup:
         return CentralExtElement(self._reduce(-x.a - self.cocycle[x.g][gi]), gi)
 
     def power(self, x: CentralExtElement, k: int) -> CentralExtElement:
+        """x^k by square-and-multiply: O(log |k|) multiplications."""
         if k < 0:
             x, k = self.inverse(x), -k
         acc = self.identity
-        for _ in range(k):
-            acc = self.multiply(acc, x)
+        while k:
+            if k & 1:
+                acc = self.multiply(acc, x)
+            x, k = self.multiply(x, x), k >> 1
         return acc
 
     def iota(self, a: int) -> CentralExtElement:
@@ -91,11 +97,9 @@ def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> Central
     """Central extension of G by Z (modulus None) or Z/modulus from cocycle f.
 
     f may be an ordering view on G or any integer matrix satisfying the
-    normalized cocycle identity (orders.cocycle_values).
+    normalized cocycle identity; the constructor checks both arguments.
     """
-    if modulus is not None and (type(modulus) is not int or modulus < 2):
-        raise InvalidGroupError(f"extension modulus {modulus!r} is not an int >= 2")
-    return CentralExtensionGroup(G, cocycle_values(G, f), modulus)
+    return CentralExtensionGroup(G, f, modulus)
 
 
 # -- minimal generators ------------------------------------------------------

@@ -76,6 +76,7 @@ class ObstructionSpectrum:
             for d in self.minimal:
                 if d != m and m % d == 0:
                     raise ValueError(f"minimal elements not an antichain: {d} divides {m}")
+        object.__setattr__(self, "minimal", tuple(self.minimal))   # a caller's list, frozen
 
     @classmethod
     def from_elements(cls, elements: Iterable[int]) -> "ObstructionSpectrum":
@@ -131,6 +132,7 @@ class TorsionProfile:
 
     def __post_init__(self):
         _check_ge_2("torsion order", self.orders)
+        object.__setattr__(self, "orders", tuple(self.orders))   # a caller's list, frozen
 
     @classmethod
     def of_group(cls, G: FiniteGroup) -> "TorsionProfile":
@@ -185,6 +187,8 @@ def exponent_facts(e: int, n: int, left_orderable: bool) -> str:
     """
     _check_ge_2("exponent_facts: e =", [e])
     _check_ge_2("exponent_facts: n =", [n])
+    if type(left_orderable) is not bool:   # not "no", which is truthy
+        raise ValueError(f"exponent_facts: left_orderable {left_orderable!r} is not a bool")
     if not left_orderable and is_prime(e):
         return VERDICT_ALL_MULTIPLES
     if gcd(n, e) == 1:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circorder import extensions
 from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
@@ -7,7 +8,7 @@ from circorder.groups import (cyclic_group, symmetric_group, trivial_group,
 from circorder.orders import (InhomCircularOrder, arrangement_from_sequence,
                               arrangement_to_inhom, enumerate_circular_orders,
                               standard_order_zn, validate_inhom)
-from circorder.extensions import (CentralExtElement, build_extension,
+from circorder.extensions import (CentralExtElement, CentralExtensionGroup, build_extension,
                                   hat_ordering, minimal_generator)
 
 from helpers import (all_subgroups, cone_compare, cone_positive, find_isomorphism,
@@ -42,6 +43,47 @@ def test_powers_in_z2_extension():
     assert E.power(g, 2) == CentralExtElement(1, 0)
     assert E.power(g, 4) == CentralExtElement(2, 0)
     assert E.power(g, -2) == CentralExtElement(-1, 0)
+
+
+def test_the_constructor_checks_its_arguments():
+    # it trusted them: an unnormalized matrix gave identity * identity =
+    # (1, 0), a 1.5 entry the coefficient 1.5, and modulus 0 a
+    # ZeroDivisionError at the first multiply
+    G = cyclic_group(2)
+    for bad, kind in (([[1, 0], [0, 0]], "normalization"), ([[0, 0], [0, 1.5]], "value-type")):
+        for modulus in (None, 2):
+            with pytest.raises(AxiomError) as err:
+                CentralExtensionGroup(G, bad, modulus)
+            assert err.value.kind == kind
+    for modulus in (0, 1, 2.0, True):
+        with pytest.raises(InvalidGroupError, match="is not an int >= 2"):
+            CentralExtensionGroup(G, standard_order_zn(2), modulus)
+    E = CentralExtensionGroup(G, standard_order_zn(2), None)
+    assert E.cocycle == ((0, 0), (0, 1)) and E.multiply(E.identity, E.identity) == E.identity
+
+
+def test_power_takes_logarithmically_many_steps():
+    E = build_extension(cyclic_group(3), standard_order_zn(3))
+    k = 10 ** 18
+    with time_budget(1):
+        assert E.power(CentralExtElement(0, 1), k) == (k // 3, k % 3)
+        assert E.power(CentralExtElement(0, 1), -k) == (-(k // 3) - 1, 3 - k % 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_power_matches_repeated_multiplication(data):
+    G = data.draw(st.sampled_from([G for G in library_groups() if G.is_cyclic()]))
+    f = data.draw(st.sampled_from(orderings_of(G)))
+    modulus = data.draw(st.sampled_from([None, 2, 3, 4, 7]))
+    E = build_extension(G, f, modulus)
+    a = data.draw(st.integers(-5, 5) if modulus is None else st.integers(0, modulus - 1))
+    x = CentralExtElement(a, data.draw(st.integers(0, G.order - 1)))
+    k = data.draw(st.integers(-20, 20))
+    step, want = x if k >= 0 else E.inverse(x), E.identity
+    for _ in range(abs(k)):
+        want = E.multiply(want, step)
+    assert E.power(x, k) == want
 
 
 def test_extension_rejects_non_cocycle():

@@ -122,6 +122,24 @@ def test_exponent_facts_examples():
         exponent_facts(1, 3, False)
 
 
+def test_exponent_facts_needs_a_bool():
+    # "no" is truthy, so it read as left-orderable: "undetermined" where
+    # False gives "in-spectrum"
+    for lo in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="is not a bool"):
+            exponent_facts(4, 4, lo)
+    assert exponent_facts(4, 4, False) == "in-spectrum"
+
+
+def test_frozen_values_store_tuples():
+    # a caller's list was kept: unhashable, and unequal to the tuple's value
+    assert ObstructionSpectrum(minimal=[2, 3]) == ObstructionSpectrum((2, 3))
+    assert hash(ObstructionSpectrum(minimal=[2, 3])) == hash(ObstructionSpectrum((2, 3)))
+    assert TorsionProfile([2, 3]) == TorsionProfile((2, 3))
+    assert hash(TorsionProfile([2, 3])) == hash(TorsionProfile((2, 3)))
+    assert TorsionProfile([2, 3]).orders == (2, 3)
+
+
 def test_exponent_facts_table():
     from math import gcd
     for e in range(2, 9):
