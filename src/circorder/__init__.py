@@ -2,10 +2,11 @@
 
 Finite groups are multiplication tables with the identity at index 0; a
 checked circular ordering of one is stored once, as its positions
-pos: G -> Z/|G|, and read in three views: an arrangement, an inhomogeneous
-cocycle and a homogeneous cocycle.  Central extensions, integral second
-cohomology (via Smith normal form), obstruction spectra, and the Promislow
-group round out the toolkit.  Everything is integer-exact.
+pos: G -> Z/|G|, and read in two views: an arrangement and an inhomogeneous
+cocycle.  The paper's homogeneous cocycle is an input, which `validate_hom`
+checks and reads as the inhomogeneous view.  Central extensions, integral
+second cohomology (via Smith normal form), obstruction spectra, and the
+Promislow group round out the toolkit.  Everything is integer-exact.
 """
 
 from .errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
@@ -14,11 +15,9 @@ from .groups import (FiniteGroup, GroupHom, closure, cyclic_group,
                      group_from_json, group_to_json, is_normal, is_subgroup,
                      load_group, quotient, subgroup_generated,
                      symmetric_group, trivial_group)
-from .orders import (Arrangement, HomCircularOrder, InhomCircularOrder,
-                     LeftOrderOracle, arrangement_from_sequence,
-                     arrangement_to_hom, arrangement_to_inhom,
-                     enumerate_circular_orders, hom_to_arrangement,
-                     hom_to_inhom, inhom_to_hom, lexicographic_circular_order,
+from .orders import (Arrangement, InhomCircularOrder, LeftOrderOracle,
+                     arrangement_from_sequence, arrangement_to_inhom,
+                     enumerate_circular_orders, lexicographic_circular_order,
                      ordering_from_json, ordering_to_json, standard_order_zn,
                      validate_hom, validate_inhom)
 from .extensions import (CentralExtElement, CentralExtensionGroup,

@@ -92,7 +92,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(_identity_lists(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -492,13 +492,15 @@ class _Complex:
         return _Schreier(snf.matrix, snf.Vinv, snf.diagonal[:r], free.U)
 
 
-def _complex_for(G: FiniteGroup) -> _Complex:
+def _complex_for(G: FiniteGroup, modulus: Optional[int] = None) -> Optional[_Complex]:
+    """G's cached `_Complex`, or None for a modulus prime to |G|, which needs
+    none: |G| and n both kill H^2(G; Z/n) (Brown III.10), so it is 0."""
     if G.order > H2_ORDER_LIMIT:
         raise BoundExceeded(f"cohomology: order {G.order} > limit {H2_ORDER_LIMIT}")
-    return _Complex(G)
+    return None if modulus is not None and gcd(modulus, G.order) == 1 else _Complex(G)
 
 
-@dataclass
+@dataclass(frozen=True)
 class H2Structure:
     """Invariant factors of H^2(G; A) plus the class-projection data.
 
@@ -515,13 +517,15 @@ class H2Structure:
     by them, and applies `_coords` to those quotients and w's free block,
     which `_coords` reads through U_B.  For n prime to |G| (no complex) it
     checks a raw matrix's cocycle identity mod n and returns the zero class.
+    Equal and hashed by modulus, factors and table, which fix the rest, so
+    the zero structures built afresh for one table are equal.
     """
     modulus: Optional[int]
     invariant_factors: tuple
     _group: FiniteGroup = field(repr=False)
-    _complex: Optional[_Complex] = field(repr=False)
-    _steps: tuple = field(repr=False)
-    _coords: IntMatrix = field(repr=False)
+    _complex: Optional[_Complex] = field(repr=False, compare=False)
+    _steps: tuple = field(repr=False, compare=False)
+    _coords: IntMatrix = field(repr=False, compare=False)
 
     def project(self, f) -> "CohomologyClass":
         comp = self._complex
@@ -581,12 +585,9 @@ def h2_structure(G: FiniteGroup, modulus: Optional[int] = None) -> H2Structure:
     """
     if modulus is not None and (type(modulus) is not int or modulus < 2):
         raise ValueError(f"modulus {modulus!r} is not an int >= 2")
-    if G.order > H2_ORDER_LIMIT:
-        raise BoundExceeded(f"cohomology: order {G.order} > limit {H2_ORDER_LIMIT}")
-    if modulus is not None and gcd(modulus, G.order) == 1:
-        # |G| and n both kill H^2(G; Z/n) (Brown III.10), so it is 0
+    comp = _complex_for(G, modulus)
+    if comp is None:
         return H2Structure(modulus, (), G, None, (), IntMatrix([], cols=0))
-    comp = _Complex(G)
     got = comp.structures.get(modulus)
     if got is not None:
         return got

@@ -4,7 +4,7 @@ enumeration.
 A finite group is circularly orderable only when it is cyclic, so a checked
 ordering of one is its positions pos: G -> Z/|G|, an isomorphism with pos(g)
 the place of g counterclockwise from the identity.  That is the one stored
-form (`_Positions`); the three encodings are views of it:
+form (`_Positions`); the two encodings are views of it:
 
 * ``Arrangement`` -- the elements listed counterclockwise around the circle,
   starting at the identity, i.e. pos inverted.  This is the canonical finite
@@ -13,13 +13,14 @@ form (`_Positions`); the three encodings are views of it:
   f(g, g^-1) = 1 off the identity, the carry bit [pos g + pos h >= |G|].
   Think of f(g,h) = 1 as "right multiplication by h drags g
   counterclockwise past the identity"; row g of f holds pos(g) ones.
-* ``HomCircularOrder`` -- a left-invariant alternating function
-  c: G^3 -> {0,+1,-1} vanishing exactly on degenerate triples, +1 on
-  counterclockwise triples.
 
-Each view builds its sequence or its |G|^2 or |G|^3 values on first read,
-and the conversions between the views pass pos across.  Each raw input has
-one check, which reads pos off it (`arrangement_from_sequence`,
+Each view builds its sequence or its |G|^2 values on first read, and
+`arrangement_to_inhom` passes pos across.  The paper's homogeneous form, a
+left-invariant alternating function c: G^3 -> {0,+1,-1} vanishing exactly
+on degenerate triples and +1 on counterclockwise ones, is an input only:
+`validate_hom` checks it and returns its inhomogeneous view, and
+`ordering_from_json` reads kind "hom" through it.  Each raw input has one
+check, which reads pos off it (`arrangement_from_sequence`,
 `validate_inhom`, `validate_hom`, and the views' constructors for a pos
 given as it is), and the enumeration's walks prove themselves, so no
 ordering is checked twice.
@@ -30,8 +31,9 @@ will do) trusts any view on the group's own table and checks anything else.
 A raw matrix's cocycle identity is checked by Light's associativity test on
 its central extension, in O(|G|^2 k) for the k <= log2 |G| generators the
 group's validation kept (`_identity_failure`), and a raw homogeneous
-cocycle in O(|G|^3) (`validate_hom`); the scans of all triples or
-quadruples run only to name a failure.
+cocycle against the chart of the positions read off it, in O(|G|^3)
+(`validate_hom`); the scans of all triples or quadruples run only to name a
+failure.
 Orderings on infinite carriers (see the promislow module) are exposed as
 evaluation oracles on triples and never materialized.
 """
@@ -55,11 +57,10 @@ class _Positions:
     checked isomorphism G -> Z/|G| (an ordered finite group is cyclic, and
     pos(g) is g's place counterclockwise from the identity), as a tuple.
     The constructor checks pos (`_checked_positions`) and raises AxiomError
-    unless it is an isomorphism.  Code that has already proved
-    its pos (the checks of raw input, the enumeration's walks, the
-    conversions and `standard_order_zn`) builds views by `_trusted`.  Equal,
-    with nothing built, when their types, tables and positions are; hashed
-    by pos."""
+    unless it is an isomorphism.  Code that has already proved its pos (the
+    checks of raw input, the enumeration's walks, `arrangement_to_inhom` and
+    `standard_order_zn`) builds views by `_trusted`.  Equal, with nothing
+    built, when their types, tables and positions are; hashed by pos."""
 
     def __init__(self, group: FiniteGroup, pos: Sequence[int]):
         self.group, self.pos = group, _checked_positions(group, tuple(pos), is_sequence=False)
@@ -94,25 +95,6 @@ class InhomCircularOrder(_Positions):
 
     def __call__(self, g: int, h: int) -> int:
         return int(self.pos[g] + self.pos[h] >= self.group.order)
-
-
-class HomCircularOrder(_Positions):
-    """Checked homogeneous form: the position chart c(g1, g2, g3), +1 when pos
-    runs counterclockwise through (g1, g2, g3), -1 on the other distinct
-    triples and 0 on degenerate ones; its |G|^3 values are built on first
-    read."""
-
-    @cached_property
-    def values(self) -> tuple:   # order x order x order over {-1,0,1}
-        n, pos = self.group.order, self.pos
-        steps = ([(p - p1) % n for p in pos] for p1 in pos)   # pos(g1^-1 g) for each g1
-        return tuple(tuple(tuple((d2 < d3) - (d2 > d3) if d2 and d3 else 0 for d3 in d)
-                           for d2 in d) for d in steps)
-
-    def __call__(self, g1: int, g2: int, g3: int) -> int:
-        n, pos = self.group.order, self.pos
-        d2, d3 = (pos[g2] - pos[g1]) % n, (pos[g3] - pos[g1]) % n
-        return (d2 < d3) - (d2 > d3) if d2 and d3 else 0
 
 
 class Arrangement(_Positions):
@@ -316,25 +298,50 @@ def cocycle_sums(G: FiniteGroup, f) -> tuple:
     return tuple(map(sum, values)), lambda: values
 
 
-def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
-    """Check the homogeneous axioms; kinds "shape", "vanishing", "cocycle",
-    "invariance", checked in that order, each at its lexicographically first
-    witness.
+def validate_hom(G: FiniteGroup, values) -> InhomCircularOrder:
+    """The ordering a homogeneous cocycle c gives, in its inhomogeneous view;
+    kinds "shape", "vanishing", "cocycle", "invariance", checked in that
+    order, each at its lexicographically first witness.
 
-    Past the vanishing scan, c is left-invariant exactly when c(g1, g2, g3)
-    = c(id, g1^-1 g2, g1^-1 g3) everywhere: that is invariance at
-    h = g1^-1, and conversely both sides of c(h g1, h g2, h g3) =
-    c(g1, g2, g3) then equal c(id, g1^-1 g2, g1^-1 g3).  With invariance,
-    each term of the cocycle identity at (g1, g2, g3, g4) equals its term
-    at (id, g1^-1 g2, g1^-1 g3, g1^-1 g4), so the identity holds everywhere
-    exactly when it holds on the quadruples from the identity.  Both checks
-    are O(N^3); only when one fails do the N^4 scans run (`_hom_scans`),
+    An ordering's c is the chart of its positions, where c(id, g, x) = +1
+    for the n - 1 - pos(g) elements x after g.  So c is one exactly when its
+    entries are exact ints, the pos read off c(id, ., .) is an isomorphism
+    onto Z/n (`_checked_positions`, one O(N) walk) and c is its chart
+    (`_chart`): O(N^3), the type scan and the comparison at C speed.  Only
+    when that fails do the scans of the definitions run (`_hom_scans`),
     which then find the first failure."""
     n = G.order
     values = tuple(tuple(tuple(plane) for plane in row) for row in values)
     if len(values) != n or any(len(r) != n for r in values) \
             or any(len(p) != n for r in values for p in r):
         raise AxiomError("shape", (len(values),), f"want {n} x {n} x {n}")
+    if set(map(type, chain.from_iterable(chain.from_iterable(values)))) == {int}:   # not 1.0 or True
+        pos = (0, *(n - 1 - plane.count(1) for plane in values[0][1:]))
+        try:
+            pos = _checked_positions(G, pos, is_sequence=False)
+        except AxiomError:
+            pass   # no isomorphism, so c is no ordering: _hom_scans names why
+        else:
+            if _chart(pos) == values:
+                return InhomCircularOrder._trusted(G, pos)
+    _hom_scans(G, values)   # raises
+
+
+def _chart(pos: tuple) -> tuple:
+    """The homogeneous form of the ordering with positions pos: c(g1, g2, g3)
+    is +1 when pos runs counterclockwise through (g1, g2, g3), -1 on the
+    other distinct triples and 0 on degenerate ones."""
+    n = len(pos)
+    steps = ([(p - p1) % n for p in pos] for p1 in pos)   # pos(g1^-1 g) for each g1
+    return tuple(tuple(tuple((d2 < d3) - (d2 > d3) if d2 and d3 else 0 for d3 in d)
+                       for d2 in d) for d in steps)
+
+
+def _hom_scans(G: FiniteGroup, values) -> None:
+    """Vanishing on all N^3 triples, the cocycle identity on all N^4
+    quadruples, then left invariance under every h, in lexicographic order:
+    raise AxiomError at the first failure, for a c that has one."""
+    n, table = G.order, G.table
     for g1 in range(n):
         for g2 in range(n):
             for g3 in range(n):
@@ -346,33 +353,6 @@ def validate_hom(G: FiniteGroup, values) -> HomCircularOrder:
                     raise AxiomError("vanishing", (g1, g2, g3), f"value {v} on repeat")
                 if not degenerate and v not in (1, -1):
                     raise AxiomError("vanishing", (g1, g2, g3), f"value {v} on distinct triple")
-    if not _cubic_hom_checks(G, values):
-        _hom_scans(G, values)   # raises
-    # c(id, g, x) = +1 for the n - 1 - pos(g) elements x after g
-    c = HomCircularOrder._trusted(G, (0, *(n - 1 - row.count(1) for row in values[0][1:])))
-    require(c.values == values, "validate_hom: the ordering is not the chart of its positions")
-    return c
-
-
-def _cubic_hom_checks(G: FiniteGroup, values) -> bool:
-    """Whether c(g1, g2, g3) = c(id, g1^-1 g2, g1^-1 g3) and the identity
-    c(g1,g2,x) - c(id,g2,x) + c(id,g1,x) - c(id,g1,g2) = 0 at (id, g1, g2, x)
-    hold everywhere (`validate_hom`): O(N^3)."""
-    v0 = values[0]
-    for g1, planes in enumerate(values):
-        row, at = G.table[G.inverse[g1]], v0[g1]   # row: x -> g1^-1 x
-        for g2, plane in enumerate(planes):
-            if tuple(map(v0[row[g2]].__getitem__, row)) != plane \
-                    or list(map(add, plane, at)) != [x + at[g2] for x in v0[g2]]:
-                return False
-    return True
-
-
-def _hom_scans(G: FiniteGroup, values) -> None:
-    """The cocycle identity on all N^4 quadruples, then left invariance under
-    every h, in lexicographic order: raise AxiomError at the first failure,
-    for a c that has one."""
-    n, table = G.order, G.table
     for g1 in range(n):
         for g2 in range(n):
             for g3 in range(n):
@@ -387,36 +367,10 @@ def _hom_scans(G: FiniteGroup, values) -> None:
                 for g3 in range(n):
                     if values[th[g1]][th[g2]][th[g3]] != values[g1][g2][g3]:
                         raise AxiomError("invariance", (h, g1, g2, g3))
-    raise CheckFailed("validate_hom: its cubic checks failed where no quadruple does")
+    raise CheckFailed("validate_hom: the ordering is not the chart of its positions")
 
 
-# -- conversions -------------------------------------------------------------
-# The three views share their checked positions, so each conversion passes
-# pos across and builds no table (the tests keep the standard formulas
-# between the two cocycle forms as the oracle).
-
-def hom_to_inhom(c: HomCircularOrder) -> InhomCircularOrder:
-    """f(g,h) = (1 - c(id, g, gh)) / 2 off the identity: the carry bit of c's positions."""
-    return InhomCircularOrder._trusted(c.group, c.pos)
-
-
-def inhom_to_hom(f: InhomCircularOrder) -> HomCircularOrder:
-    """c(g1,g2,g3) = 1 - 2 f(g1^-1 g2, g2^-1 g3) on distinct triples: the
-    chart of f's positions."""
-    return HomCircularOrder._trusted(f.group, f.pos)
-
-
-def arrangement_to_hom(a: Arrangement) -> HomCircularOrder:
-    """c = +1 exactly on triples whose positions run counterclockwise: the
-    carry bit of g1^-1 g2 and g2^-1 g3 is 1 exactly when g3 comes before g2
-    counterclockwise from g1, so this is inhom_to_hom(arrangement_to_inhom(a))."""
-    return HomCircularOrder._trusted(a.group, a.pos)
-
-
-def hom_to_arrangement(c: HomCircularOrder) -> Arrangement:
-    """The elements in order of c's positions: counterclockwise from the identity."""
-    return Arrangement._trusted(c.group, c.pos)
-
+# -- conversion --------------------------------------------------------------
 
 def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
     """The carry bit f(g, h) = [pos g + pos h >= |G|] of a's positions.
@@ -509,8 +463,6 @@ def ordering_to_json(obj) -> dict:
         kind, data = "arrangement", list(obj.sequence)
     elif isinstance(obj, InhomCircularOrder):
         kind, data = "inhom", [list(r) for r in obj.values]
-    elif isinstance(obj, HomCircularOrder):
-        kind, data = "hom", [[list(p) for p in r] for r in obj.values]
     else:
         raise TypeError(f"not an ordering object: {type(obj).__name__}")
     return {"group": group_to_json(obj.group), "kind": kind, "data": data}

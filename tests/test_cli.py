@@ -442,9 +442,9 @@ _CORRUPTED_CHECKS = r"""
 import json, sys
 from circorder import (AxiomError, CheckFailed, FiniteGroup, IntMatrix,
                        InvalidGroupError, arrangement_from_sequence, cli, cohomology,
-                       cyclic_group, direct_product, dump_group, inhom_to_hom, load_group,
+                       cyclic_group, direct_product, dump_group, load_group,
                        orders, standard_order_zn, symmetric_group)
-from helpers import loop130_table, verify_snf
+from helpers import inhom_to_hom_formula, loop130_table, verify_snf
 
 def raises_check_failed(call, match=""):
     try:
@@ -506,7 +506,7 @@ results["light_fallback"] = [failure.kind, list(failure.witness)]
 results["no_failing_triple"] = raises_check_failed(
     lambda: orders._first_identity_failure(G.table, f.values, None), "Light's test")
 results["no_failing_quadruple"] = raises_check_failed(
-    lambda: orders._hom_scans(G, inhom_to_hom(f).values), "no quadruple")
+    lambda: orders._hom_scans(G, inhom_to_hom_formula(G, f.values)), "not the chart")
 # gcd(2, |G|) = 2, so Z/2 projects through Q's rows on the free generators
 # of R.  On Z/2 x Z/2 the rank block of Q starts with a unit, so V^-1 c must
 # be even there, and the pullback of the Z/2 ordering along the first
@@ -669,21 +669,22 @@ def test_checks_survive_python_O(tmp_path):
 _CORRUPTED_VIEWS = r"""
 import json
 from functools import cached_property
-from circorder import CheckFailed, inhom_to_hom, orders, standard_order_zn
+from circorder import CheckFailed, orders, standard_order_zn
+from helpers import inhom_to_hom_formula
 
 f = standard_order_zn(4)
-c = inhom_to_hom(f)
-raw = {"validate_inhom": f.values, "validate_hom": c.values}
+raw = {"validate_inhom": f.values, "validate_hom": inhom_to_hom_formula(f.group, f.values)}
 
-def swapped(view):   # the view builder with its last two rows or planes swapped
-    def values(self):
-        v = view(self)
+def swapped(build):   # the builder with its last two rows or planes swapped
+    def values(*args):
+        v = build(*args)
         return v[:-2] + (v[-1], v[-2])
-    return cached_property(values)
+    return values
 
-for cls in (orders.InhomCircularOrder, orders.HomCircularOrder):
-    cls.values = swapped(cls.values.func)
-    cls.values.__set_name__(cls, "values")
+cls = orders.InhomCircularOrder
+cls.values = cached_property(swapped(cls.values.func))
+cls.values.__set_name__(cls, "values")
+orders._chart = swapped(orders._chart)
 results = {"optimized": not __debug__}
 for name, values in raw.items():
     try:
@@ -698,7 +699,7 @@ print(json.dumps(results))
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_corrupted_views_fail_the_validators(flags):
     # each validator reads pos off the matrix it has checked and requires the
-    # view built from pos to give the matrix back, without asserts
+    # view or chart built from pos to give the matrix back, without asserts
     proc = _run_python(flags, _CORRUPTED_VIEWS)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {

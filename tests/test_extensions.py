@@ -5,15 +5,16 @@ from circorder import extensions
 from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from circorder.groups import (cyclic_group, symmetric_group, trivial_group,
                               subgroup_generated)
-from circorder.orders import (InhomCircularOrder, arrangement_from_sequence,
+from circorder.orders import (Arrangement, InhomCircularOrder, arrangement_from_sequence,
                               arrangement_to_inhom, enumerate_circular_orders,
-                              standard_order_zn, validate_inhom)
+                              standard_order_zn, validate_hom, validate_inhom)
 from circorder.extensions import (CentralExtElement, CentralExtensionGroup, build_extension,
                                   hat_ordering, minimal_generator)
 
 from helpers import (all_subgroups, cone_compare, cone_positive, find_isomorphism,
-                     is_cofinal_central, library_groups, quotient_by_cyclic_central,
-                     quotient_by_power, time_budget)
+                     inhom_to_hom_formula, is_cofinal_central, library_groups,
+                     quartic_hom_failure, quotient_by_cyclic_central, quotient_by_power,
+                     time_budget)
 
 
 def orderings_of(G):
@@ -348,13 +349,14 @@ def test_hat_and_quotient_by_power_agree():
 
 def test_hat_ordering_passes_full_homogeneous_validation():
     # order-12 extension of (Z/3, standard ordering) by Z/4: the hat
-    # ordering's homogeneous form passes all four axioms on 12^4 quadruples,
-    # and the induced arrangement is the standard circle on Z/12
-    from circorder.orders import hom_to_arrangement, inhom_to_hom, validate_hom
+    # ordering's homogeneous form passes the literal cocycle and invariance
+    # scans on 12^4 quadruples, validate_hom reads the hat ordering back off
+    # it, and the induced arrangement is the standard circle on Z/12
     h = hat_ordering(cyclic_group(3), standard_order_zn(3), 4)
-    c = inhom_to_hom(h)
-    assert validate_hom(h.group, c.values).values == c.values
-    arr = hom_to_arrangement(c)
+    c = inhom_to_hom_formula(h.group, h.values)
+    assert quartic_hom_failure(h.group, c) is None
+    assert validate_hom(h.group, c) == h
+    arr = Arrangement(h.group, h.pos)
     assert arr.sequence == tuple(range(12))
 
 

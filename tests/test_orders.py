@@ -10,11 +10,9 @@ from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError
 from circorder.extensions import hat_ordering
 from circorder.groups import (cyclic_group, dihedral_group, direct_product, GroupHom,
                               group_to_json, symmetric_group, trivial_group)
-from circorder.orders import (Arrangement, HomCircularOrder, InhomCircularOrder,
-                              arrangement_from_sequence,
-                              arrangement_to_hom, arrangement_to_inhom,
-                              enumerate_circular_orders, hom_to_arrangement,
-                              hom_to_inhom, inhom_to_hom,
+from circorder.orders import (Arrangement, InhomCircularOrder,
+                              arrangement_from_sequence, arrangement_to_inhom,
+                              enumerate_circular_orders,
                               ordering_from_json, ordering_to_json,
                               standard_order_zn, validate_hom, validate_inhom)
 
@@ -26,6 +24,18 @@ from helpers import (_cyclic_value, brute_force_arrangements, euler_phi,
 
 def all_orderings(G):
     return [arrangement_to_inhom(a) for a in enumerate_circular_orders(G)]
+
+
+def hom_of(view):
+    """The homogeneous form of an ordering view, by the conversion formula."""
+    f = arrangement_to_inhom(view) if isinstance(view, Arrangement) else view
+    return inhom_to_hom_formula(f.group, f.values)
+
+
+def hom_json(view) -> dict:
+    """The ordering file of kind "hom" for a view, as read from disk."""
+    return {"group": group_to_json(view.group), "kind": "hom",
+            "data": [[list(p) for p in r] for r in hom_of(view)]}
 
 
 # -- validation ---------------------------------------------------------------
@@ -62,13 +72,13 @@ def test_validate_inhom_standard_orders():
 
 def test_validate_hom_accepts_arrangement_order():
     c3 = cyclic_group(3)
-    c = arrangement_to_hom(arrangement_from_sequence(c3, (0, 1, 2)))
-    validate_hom(c3, c.values)
+    arr = arrangement_from_sequence(c3, (0, 1, 2))
+    assert validate_hom(c3, hom_of(arr)) == arrangement_to_inhom(arr)
 
 
 def test_validate_hom_error_kinds():
     c3 = cyclic_group(3)
-    good = arrangement_to_hom(arrangement_from_sequence(c3, (0, 1, 2))).values
+    good = hom_of(arrangement_from_sequence(c3, (0, 1, 2)))
     broken = [[list(p) for p in r] for r in good]
     broken[0][1][2] = 0
     with pytest.raises(AxiomError) as err:
@@ -96,19 +106,20 @@ def test_validate_hom_error_kinds():
 
 def test_hom_to_inhom_formula_cases():
     c3 = cyclic_group(3)
-    c = arrangement_to_hom(arrangement_from_sequence(c3, (0, 1, 2)))
-    f = hom_to_inhom(c)
+    c = hom_of(arrangement_from_sequence(c3, (0, 1, 2)))
+    f = validate_hom(c3, c)
     assert f(1, 0) == 0 and f(2, 0) == 0          # normalization case
-    assert f(1, 1) == (1 - c(0, 1, 2)) // 2 == 0  # generic case
+    assert f(1, 1) == (1 - c[0][1][2]) // 2 == 0  # generic case
     assert f(2, 1) == 1                           # gh = id case
 
 
 def test_inhom_to_hom_formula_cases():
     fs = standard_order_zn(3)
-    c = inhom_to_hom(fs)
-    assert c(0, 0, 1) == 0
-    assert c(0, 1, 2) == 1 - 2 * fs(1, 1) == 1
-    assert c(0, 2, 1) == 1 - 2 * fs(2, 2) == -1
+    c = hom_of(fs)
+    assert c[0][0][1] == 0
+    assert c[0][1][2] == 1 - 2 * fs(1, 1) == 1
+    assert c[0][2][1] == 1 - 2 * fs(2, 2) == -1
+    assert validate_hom(fs.group, c) == fs
 
 
 def test_round_trips_all_orderings_up_to_order_8():
@@ -116,18 +127,19 @@ def test_round_trips_all_orderings_up_to_order_8():
         if G.order > 8:
             continue
         for arr in enumerate_circular_orders(G):
-            c = arrangement_to_hom(arr)
-            f = hom_to_inhom(c)
-            assert inhom_to_hom(f).values == c.values
-            assert hom_to_inhom(inhom_to_hom(f)).values == f.values
-            assert hom_to_arrangement(c).sequence == arr.sequence
+            c = hom_of(arr)
+            f = validate_hom(G, c)
+            assert hom_of(f) == c
+            assert hom_to_inhom_formula(G, c) == f.values
+            assert Arrangement(G, f.pos).sequence == arr.sequence
             assert arrangement_to_inhom(arr).values == f.values
 
 
 def test_antisymmetry_property():
     c5 = cyclic_group(5)
     for arr in enumerate_circular_orders(c5):
-        c = arrangement_to_hom(arr)
+        chart = hom_of(arr)
+        c = lambda g1, g2, g3: chart[g1][g2][g3]
         for g1, g2, g3 in permutations(range(5), 3):
             base = c(g1, g2, g3)
             assert c(g2, g3, g1) == base and c(g3, g1, g2) == base
@@ -138,8 +150,8 @@ def test_antisymmetry_property():
 
 def test_arrangement_examples():
     c3 = cyclic_group(3)
-    assert arrangement_to_hom(arrangement_from_sequence(c3, (0, 1, 2)))(0, 1, 2) == 1
-    assert arrangement_to_hom(arrangement_from_sequence(c3, (0, 2, 1)))(0, 1, 2) == -1
+    assert hom_of(arrangement_from_sequence(c3, (0, 1, 2)))[0][1][2] == 1
+    assert hom_of(arrangement_from_sequence(c3, (0, 2, 1)))[0][1][2] == -1
     with pytest.raises(AxiomError):
         arrangement_from_sequence(c3, (1, 0, 2))
     with pytest.raises(AxiomError):
@@ -195,26 +207,76 @@ def test_validate_hom_matches_the_quartic_scans(data):
     except AxiomError as exc:
         assert (exc.kind, exc.witness) == expected
     else:
-        assert expected is None and got.values == tuple(
+        assert expected is None and hom_of(got) == tuple(
             tuple(tuple(plane) for plane in row) for row in values)
 
 
 _CYCLIC = [G for G in _LIBRARY if G.is_cyclic()]
 
+# Z/1..Z/12 and one seeded relabeling of each
+_SEEDED_CYCLIC = [H for k in range(1, 13) for H in (
+    cyclic_group(k), relabeled(cyclic_group(k), [0, *random.Random(k).sample(range(1, k), k - 1)]))]
+
+
+def test_validate_hom_reads_back_every_ordering():
+    # validate_hom reads an ordering off its homogeneous form by positions;
+    # on the form the conversion formula builds, it must give back the
+    # ordering itself, for every ordering of each group
+    for H in _SEEDED_CYCLIC:
+        for f in all_orderings(H):
+            assert validate_hom(H, inhom_to_hom_formula(H, f.values)) == f
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_validate_hom_names_corruptions_as_the_definitions_do(data):
+    # one entry of an ordering's homogeneous form replaced (by its negative,
+    # 0, +-1, 2, or a float or bool equal to it), or the signs flipped on all
+    # six orders of one distinct triple, at one left translate or at every
+    # one, which keeps the form alternating: validate_hom must raise the
+    # kind and witness of the literal definitions ("vanishing" at the one
+    # entry off {0, +-1} or of the wrong type), or read back the ordering
+    # the corrupted form still is
+    H = data.draw(st.sampled_from(_SEEDED_CYCLIC))
+    n = H.order
+    f = data.draw(st.sampled_from(all_orderings(H)))
+    values = [[list(plane) for plane in row] for row in inhom_to_hom_formula(H, f.values)]
+    expected = None
+    if n < 3 or data.draw(st.booleans()):
+        a, b, c = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        old = values[a][b][c]
+        new = values[a][b][c] = data.draw(st.sampled_from([-old, 0, 1, -1, 2, float(old),
+                                                           old == 1]))
+        if type(new) is not int or new not in ((1, -1) if len({a, b, c}) == 3 else (0,)):
+            expected = ("vanishing", (a, b, c))
+    else:
+        a, b, c = data.draw(st.permutations(range(n)))[:3]
+        for t in H.table if data.draw(st.booleans()) else [range(n)]:
+            for x, y, z in permutations((t[a], t[b], t[c])):
+                values[x][y][z] *= -1
+    if expected is None:
+        expected = quartic_hom_failure(H, values)
+    try:
+        got = validate_hom(H, values)
+    except AxiomError as exc:
+        assert (exc.kind, exc.witness) == expected
+    else:
+        assert expected is None and inhom_to_hom_formula(H, got.values) == tuple(
+            tuple(tuple(plane) for plane in row) for row in values)
+
 
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_derived_orderings_pass_the_validator_oracles(data):
-    # inhom_to_hom and hom_to_inhom pass the checked positions across, and
+    # arrangement_to_inhom passes the checked positions across, and
     # hat_ordering builds the carry bit of its arrangement, without the
     # axiom checks; the full checks must accept each and return it unchanged
     G = data.draw(st.sampled_from(_CYCLIC))   # orders 1 to 12
     H = relabeled(G, [0] + data.draw(st.permutations(range(1, G.order))))
     for arr in enumerate_circular_orders(H):
         f = arrangement_to_inhom(arr)
-        c = inhom_to_hom(f)
-        assert validate_hom(H, c.values).values == c.values
-        back = hom_to_inhom(c)
+        back = validate_hom(H, hom_of(f))
+        assert back == f
         assert validate_inhom(H, back.values).values == back.values
         for n in range(2, 48 // H.order + 1):
             fhat = hat_ordering(H, f, n)
@@ -224,27 +286,27 @@ def test_derived_orderings_pass_the_validator_oracles(data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_views_are_the_conversion_formulas(data):
-    # both checked forms store only pos and the conversions pass it across,
-    # building no table; each view must be the standard formula applied to
-    # the other view, and the validators must give back an equal object
+    # both views store only pos and arrangement_to_inhom passes it across,
+    # building no table; validate_hom must read the ordering back off the
+    # formula's homogeneous form, which the formula back gives f, and the
+    # validators must give back an equal object
     G = data.draw(st.sampled_from(_CYCLIC))   # orders 1 to 12
     H = relabeled(G, [0] + data.draw(st.permutations(range(1, G.order))))
     for arr in enumerate_circular_orders(H):
         f = arrangement_to_inhom(arr)
-        c, back, direct = inhom_to_hom(f), hom_to_inhom(inhom_to_hom(f)), arrangement_to_hom(arr)
-        again = hom_to_arrangement(c)
-        assert all("values" not in vars(x) for x in (f, c, back, direct))
-        assert (back, direct, again) == (f, c, arr)
-        assert c.values == inhom_to_hom_formula(H, f.values)
-        assert f.values == hom_to_inhom_formula(H, c.values)
-        assert validate_inhom(H, f.values) == f and validate_hom(H, c.values) == c
+        assert "values" not in vars(f) and f.pos == arr.pos
+        c = inhom_to_hom_formula(H, f.values)
+        back = validate_hom(H, c)
+        assert back == f and "values" not in vars(back)
+        assert f.values == hom_to_inhom_formula(H, c)
+        assert validate_inhom(H, f.values) == f
 
 
 def test_derived_orderings_run_no_validator(monkeypatch):
     # standard_order_zn is the view of the identity positions, hat_ordering
-    # builds through arrangement_from_sequence's O(N) walk, and the
-    # conversions pass the checked positions across: the validators are for
-    # matrices given as input
+    # builds through arrangement_from_sequence's O(N) walk, and
+    # arrangement_to_inhom passes the checked positions across: the
+    # validators are for matrices given as input
     calls = []
     for name in ("validate_inhom", "validate_hom", "_identity_failure"):
         inner = getattr(orders, name)
@@ -253,15 +315,14 @@ def test_derived_orderings_run_no_validator(monkeypatch):
                 monkeypatch.setattr(module, name, lambda *args, name=name, inner=inner:
                                     calls.append(name) or inner(*args))
     f = standard_order_zn(6)
-    c = inhom_to_hom(f)
+    c = hom_of(f)
     arr = enumerate_circular_orders(cyclic_group(6))[1]
     standard_order_zn(12)
     hat_ordering(f.group, f, 4)
-    hom_to_inhom(c)
-    arrangement_to_hom(arr)
+    arrangement_to_inhom(arr)
     assert calls == []
     orders.validate_inhom(f.group, f.values)   # the counters see the validators
-    orders.validate_hom(c.group, c.values)
+    orders.validate_hom(f.group, c)
     assert calls == ["validate_inhom", "_identity_failure", "validate_hom"]
 
 
@@ -305,11 +366,13 @@ def test_view_constructors_accept_exactly_the_isomorphisms(data):
         pos[i] = data.draw(st.sampled_from([-1, n, float(pos[i]), pos[i] == 1, pos[i - 1]]))
         pos = data.draw(st.sampled_from([pos, pos[:-1], pos + [n]]))
     expected = _position_failure(G, pos)
-    for view in (Arrangement, InhomCircularOrder, HomCircularOrder):
+    for view in (Arrangement, InhomCircularOrder):
         if expected is None:
             got = view(G, pos)
             assert got.pos == tuple(pos) and got == view._trusted(G, tuple(pos))
             assert ordering_from_json(json.loads(json.dumps(ordering_to_json(got)))) == got
+            assert ordering_from_json(json.loads(json.dumps(hom_json(got)))) == \
+                InhomCircularOrder(G, pos)
         else:
             with pytest.raises(AxiomError) as err:
                 view(G, pos)
@@ -320,7 +383,7 @@ def test_a_hand_built_view_is_checked():
     # pos(1) = 2 and pos(2) = 1 on Z/5: a permutation fixing 0 that is not an
     # isomorphism, so no view holds it (unchecked, an Arrangement of it had
     # class (2,), and the JSON reader rejected what the writer wrote)
-    for view in (Arrangement, InhomCircularOrder, HomCircularOrder):
+    for view in (Arrangement, InhomCircularOrder):
         with pytest.raises(AxiomError, match="invariance"):
             view(cyclic_group(5), (0, 2, 1, 3, 4))
 
@@ -351,8 +414,9 @@ def test_enumeration_limit_must_be_none_or_an_int(max_order):
         enumerate_circular_orders(cyclic_group(2), max_order=max_order)
 
 
-def test_arrangement_to_hom_matches_the_position_chart():
+def test_homogeneous_form_of_an_arrangement_is_the_position_chart():
     # the homogeneous form of an arrangement is the chart of its positions,
+    # and validate_hom reads the arrangement's ordering back off that chart,
     # on every arrangement of the library groups and of one relabeling each.
     # The relabeling must change the table, or its half repeats the other
     # (g -> -g, say, is an automorphism of every cyclic group); only on Z/1,
@@ -370,7 +434,8 @@ def test_arrangement_to_hom_matches_the_position_chart():
                 pos = {g: p for p, g in enumerate(arr.sequence)}
                 chart = [[[_cyclic_value(pos, g1, g2, g3, n) for g3 in range(n)]
                           for g2 in range(n)] for g1 in range(n)]
-                assert [[list(p) for p in r] for r in arrangement_to_hom(arr).values] == chart
+                assert [[list(p) for p in r] for r in hom_of(arr)] == chart
+                assert validate_hom(H, chart) == arrangement_to_inhom(arr)
 
 
 def test_round_trip_all_arrangements_z5():
@@ -381,10 +446,10 @@ def test_round_trip_all_arrangements_z5():
             arr = arrangement_from_sequence(c5, seq)
         except AxiomError:
             continue
-        assert hom_to_arrangement(arrangement_to_hom(arr)).sequence == seq
+        assert Arrangement(c5, validate_hom(c5, hom_of(arr)).pos).sequence == seq
 
 
-def test_hom_to_arrangement_rejects_non_invariant():
+def test_validate_hom_rejects_a_non_invariant_chart():
     # build a hom-shaped value table from a *non*-invariant position chart on
     # Z/4 by transposing two entries of a valid arrangement's chart
     c4 = cyclic_group(4)
@@ -398,9 +463,9 @@ def test_hom_to_arrangement_rejects_non_invariant():
                     d3 = (pos[g3] - pos[g1]) % 4
                     values[g1][g2][g3] = 1 if d2 < d3 else -1
     # the chart is a homogeneous cocycle on the set, so validate_hom gets as
-    # far as invariance, and hom_to_arrangement only ever sees a checked form
+    # far as invariance
     with pytest.raises(AxiomError) as err:
-        hom_to_arrangement(validate_hom(c4, values))
+        validate_hom(c4, values)
     assert err.value.kind == "invariance"
 
 
@@ -552,12 +617,12 @@ def test_lexicographic_finite_with_trivial_kernel():
     # reproduce the quotient ordering itself
     c4 = cyclic_group(4)
     ident = GroupHom(c4, c4, range(4))
-    quotient_c = arrangement_to_hom(arrangement_from_sequence(c4, (0, 1, 2, 3)))
+    quotient_f = arrangement_to_inhom(arrangement_from_sequence(c4, (0, 1, 2, 3)))
     # the kernel is trivial, so its cone (acting on the total group) is empty
     from circorder.orders import LeftOrderOracle
     cone = LeftOrderOracle(lambda g: False, c4.mul, c4.inv, 0)
-    built = lexicographic_order_finite(ident, cone, quotient_c)
-    assert built.values == quotient_c.values
+    built = lexicographic_order_finite(ident, cone, quotient_f)
+    assert built == quotient_f and built.values == quotient_f.values
 
 
 # -- JSON -----------------------------------------------------------------------
@@ -566,14 +631,17 @@ def test_ordering_json_round_trip():
     # every view of every enumerated ordering, on the library groups and a
     # relabeling of each, hashes, reads back equal from its JSON through the
     # checks of raw input, and its arrangement is the power walk of the
-    # ordering's generator
+    # ordering's generator; its homogeneous form reads back as the
+    # inhomogeneous view
     for G in library_groups():
         perm = list(range(1, G.order))
         random.Random(G.order).shuffle(perm)
         for H in (G, relabeled(G, [0] + perm)):
             for arr in enumerate_circular_orders(H):
-                views = (arr, arrangement_to_inhom(arr), arrangement_to_hom(arr))
-                assert len(set(views)) == 3 and len(set(map(hash, views))) == 1
+                views = (arr, arrangement_to_inhom(arr))
+                assert len(set(views)) == 2 and len(set(map(hash, views))) == 1
+                again = ordering_from_json(json.loads(json.dumps(hom_json(arr))))
+                assert type(again) is InhomCircularOrder and again == views[1]
                 for view in views:
                     again = ordering_from_json(json.loads(json.dumps(ordering_to_json(view))))
                     assert type(again) is type(view) and again == view
@@ -623,12 +691,13 @@ def test_ordering_values_must_be_ints():
         validate_inhom(cyclic_group(3), [[0.0, 0, 0], [0, 0, 1.0], [0, True, 1]])
     assert err.value.kind == "value-range" and err.value.witness == (0, 0)
     arr = arrangement_from_sequence(cyclic_group(3), (0, 1, 2))
-    for obj, witness, kind, out_of_range in (
-            (arrangement_to_inhom(arr), (1, 2), "value-range", 2),
-            (arrangement_to_inhom(arr), (0, 1), "value-range", -1),
-            (arrangement_to_hom(arr), (0, 1, 2), "vanishing", 2),
-            (arrangement_to_hom(arr), (0, 0, 1), "vanishing", -1)):
-        data = json.loads(json.dumps(ordering_to_json(obj)))   # lists, as read from a file
+    f = arrangement_to_inhom(arr)
+    for data, witness, kind, out_of_range in (
+            (ordering_to_json(f), (1, 2), "value-range", 2),
+            (ordering_to_json(f), (0, 1), "value-range", -1),
+            (hom_json(arr), (0, 1, 2), "vanishing", 2),
+            (hom_json(arr), (0, 0, 1), "vanishing", -1)):
+        data = json.loads(json.dumps(data))   # lists, as read from a file
         *head, last = witness
         row = data["data"]
         for i in head:
