@@ -1,12 +1,12 @@
 """Exact second cohomology of finite groups over Z and Z/n.
 
 Everything runs over arbitrary-precision integers: normalized bar-resolution
-coboundary matrices, a Smith-normal-form engine with unimodular transforms
-(deterministic first-nonzero pivoting; the exact row and column additions
-that clear a pivot run over nonzero entries only), and the divisibility
-tests on cohomology classes of circular orderings.  Cochains are normalized
-(they vanish when any argument is the identity), so degree-k cochains on a
-group of order m live in Z^((m-1)^k).
+coboundary matrices, a Smith-normal-form engine that eliminates on the
+matrix alone and builds, from a log of its steps, only the unimodular
+transforms a caller reads (deterministic first-nonzero pivoting), and the
+divisibility tests on cohomology classes of circular orderings.  Cochains
+are normalized (they vanish when any argument is the identity), so
+degree-k cochains on a group of order m live in Z^((m-1)^k).
 
 Integral classes are characters.  Summing the cocycle identity
 f(h,k) - f(gh,k) + f(g,hk) - f(g,h) = 0 over k gives |G| f = d1 S with
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -82,13 +82,14 @@ class IntMatrix:
     def __init__(self, data: Sequence[Sequence[int]], cols: Optional[int] = None):
         self.data = [list(row) for row in data]
         self.rows = len(self.data)
-        if self.rows:
-            self.cols = len(self.data[0])
-        else:
-            self.cols = 0 if cols is None else cols
+        self.cols = cols if cols is not None else len(self.data[0]) if self.data else 0
         for i, row in enumerate(self.data):
             if len(row) != self.cols:
                 raise ValueError(f"row {i} has length {len(row)}, want {self.cols}")
+        if not set(map(type, chain.from_iterable(self.data))) <= {int}:   # not 1.5 or True
+            i, j = next((i, j) for i, row in enumerate(self.data)
+                        for j, v in enumerate(row) if type(v) is not int)
+            raise ValueError(f"entry ({i}, {j}) = {self.data[i][j]!r} is not an int")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -127,19 +128,30 @@ class SNFResult:
     """U @ matrix @ V == diag(diagonal), with U, V unimodular.
 
     `diagonal` has length min(rows, cols); nonzero entries are positive, come
-    first, and satisfy the divisibility chain d1 | d2 | ...  `U` is None
-    unless requested with want_u; `V` and `Vinv` (which gives coordinates in
-    the column space of V) are always returned.
+    first, and satisfy the divisibility chain d1 | d2 | ...  `U`, `V` and
+    `Vinv` (coordinates in the column space of V) are each replayed from the
+    elimination's `log` when first read, and kept.
     """
     matrix: IntMatrix
     diagonal: tuple
-    U: Optional[IntMatrix]
-    V: IntMatrix
-    Vinv: IntMatrix
+    log: list = field(repr=False)
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return IntMatrix(_replay(self.log, 0, self.matrix.rows, False), cols=self.matrix.rows)
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        n = self.matrix.cols
+        return IntMatrix(list(zip(*_replay(self.log, 1, n, False))), cols=n)
+
+    @cached_property
+    def Vinv(self) -> IntMatrix:
+        return IntMatrix(_replay(self.log, 1, self.matrix.cols, True), cols=self.matrix.cols)
 
 
 def _gcdext(a: int, b: int) -> tuple[int, int, int]:
@@ -174,158 +186,125 @@ def _identity_lists(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def _snf_in_place(a, m, n, want_u):
-    """Diagonalize `a` in place; return (s, t, tinv) transform lists with
-    s @ a_original @ t = a_final.  One pass over the pivot positions k, each
-    elementary operation applied to `a` and, in the same step, to s, t and
-    tinv.  When position k is reached, the rows and columns from k on are
-    zero outside the block a[k:, k:], so whole-row and whole-column
-    operations leave the finished part of `a` unchanged.  The exact
-    additions that clear pivot k run over nonzero entries only (see
-    `smith_normal_form`)."""
-    s = _identity_lists(m) if want_u else None
-    t = _identity_lists(n)
-    tinv = _identity_lists(n)
-    by_rows = (a, s) if want_u else (a,)  # row operations act on a and s alike
+def _snf_in_place(a, m, n):
+    """Diagonalize `a` in place and return the log of its unimodular steps
+    (side, i, j, p, q, r, w), side 0 for rows and 1 for columns, each taking
+    (line i, line j) to (p line i + q line j, r line i + w line j).  When
+    pivot position k is reached, the rows and columns from k on are zero
+    outside the block a[k:, k:], so whole-line steps leave the finished part
+    of `a` unchanged.  The exact additions that clear pivot k run over
+    nonzero entries only: a row addition over the support of the pivot row,
+    a column addition over the rows nonzero in the pivot column."""
+    log = []
 
-    def swap_rows(i, j):
-        for rows in by_rows:
-            rows[i], rows[j] = rows[j], rows[i]
-
-    def negate_row(i):
-        for rows in by_rows:
-            rows[i] = [-v for v in rows[i]]
-
-    def row_support(i):
-        # the nonzero (column, value) pairs of row i of a and, with want_u, s
-        return [(rows, [(j, v) for j, v in enumerate(rows[i]) if v]) for rows in by_rows]
-
-    def add_row(support, dst, q):
-        # row dst -= q * row src, given src's row_support
-        for rows, entries in support:
-            rd = rows[dst]
-            for j, v in entries:
-                rd[j] -= q * v
-
-    def rotate_rows(i, j, p, q, r, w):
-        # (row_i, row_j) <- (p*row_i + q*row_j, r*row_i + w*row_j); pw-qr = +-1
-        for rows in by_rows:
-            ri, rj = rows[i], rows[j]
-            for c, (e, f) in enumerate(zip(ri, rj)):
-                ri[c] = p * e + q * f
-                rj[c] = r * e + w * f
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for rows in (a, t):
-            for row in rows:
-                row[i], row[j] = row[j], row[i]
-        tinv[i], tinv[j] = tinv[j], tinv[i]
-
-    def col_holders(i):
-        # the rows of a and t whose column-i entry is nonzero
-        return [row for rows in (a, t) for row in rows if row[i]]
-
-    def add_col(src, dst, q, holders):
-        # col dst -= q * col src over `holders`; V^-1 gets the inverse row operation
-        for row in holders:
-            row[dst] -= q * row[src]
-        rs = tinv[src]
-        for j, v in enumerate(tinv[dst]):
-            if v:
-                rs[j] += q * v
-
-    def rotate_cols(i, j, p, q, r, w):
-        # (col_i, col_j) <- (p*col_i + q*col_j, r*col_i + w*col_j)
-        for rows in (a, t):
-            for row in rows:
+    def rotate(side, i, j, p, q, r, w):
+        log.append((side, i, j, p, q, r, w))
+        if side:
+            for row in a:
                 e, f = row[i], row[j]
-                row[i] = p * e + q * f
-                row[j] = r * e + w * f
-        det = p * w - q * r  # +-1
-        ri, rj = tinv[i], tinv[j]
-        for c, (e, f) in enumerate(zip(ri, rj)):
-            ri[c] = det * (w * e - r * f)
-            rj[c] = det * (-q * e + p * f)
+                row[i], row[j] = p * e + q * f, r * e + w * f
+        else:
+            ri, rj = a[i], a[j]
+            a[i] = [p * e + q * f for e, f in zip(ri, rj)]
+            a[j] = [r * e + w * f for e, f in zip(ri, rj)]
 
     for k in range(min(m, n)):
         # pivot: first nonzero entry of the block in row-major order
-        best = next(((i, j) for i in range(k, m) for j in range(k, n) if a[i][j]), None)
-        if best is None:
+        i = next((i for i in range(k, m) if any(a[i][k:])), None)
+        if i is None:
             break  # the rest of the block is zero
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
+        j = next(j for j in range(k, n) if a[i][j])
+        if i != k:
+            log.append((0, k, i, 0, 1, 1, 0))
+            a[k], a[i] = a[i], a[k]
+        if j != k:
+            log.append((1, k, j, 0, 1, 1, 0))
+            for row in a:
+                row[k], row[j] = row[j], row[k]
         while True:
             # clear column k and row k; one Bezout rotation per stubborn entry
-            while True:
-                piv = a[k][k]
-                dirty = False
-                support = row_support(k)
+            dirty = True
+            while dirty:
+                piv, dirty = a[k][k], False
+                support = [(c, v) for c, v in enumerate(a[k]) if v]
                 for i in range(k + 1, m):
                     x = a[i][k]
                     if not x:
                         continue
-                    d, r = divmod(x, piv)
-                    if r == 0:
-                        add_row(support, i, d)
+                    dirty = True
+                    if x % piv == 0:   # row i -= d row k
+                        d, ri = x // piv, a[i]
+                        log.append((0, k, i, 1, 0, -d, 1))
+                        for c, v in support:
+                            ri[c] -= d * v
                     else:
                         g, xx, yy = _gcdext(piv, x)
-                        rotate_rows(k, i, xx, yy, x // g, -(piv // g))
-                        piv = g
-                        support = row_support(k)
-                    dirty = True
-                holders = col_holders(k)
+                        rotate(0, k, i, xx, yy, x // g, -(piv // g))
+                        piv, support = g, [(c, v) for c, v in enumerate(a[k]) if v]
+                holders = [row for row in a if row[k]]
                 for j in range(k + 1, n):
                     x = a[k][j]
                     if not x:
                         continue
-                    d, r = divmod(x, piv)
-                    if r == 0:
-                        add_col(k, j, d, holders)
+                    dirty = True
+                    if x % piv == 0:   # col j -= d col k
+                        d = x // piv
+                        log.append((1, k, j, 1, 0, -d, 1))
+                        for row in holders:
+                            row[j] -= d * row[k]
                     else:
                         g, xx, yy = _gcdext(piv, x)
-                        rotate_cols(k, j, xx, yy, x // g, -(piv // g))
-                        piv = g
-                        holders = col_holders(k)
-                    dirty = True
-                if not dirty:
-                    break
+                        rotate(1, k, j, xx, yy, x // g, -(piv // g))
+                        piv, holders = g, [row for row in a if row[k]]
             # grind the pivot until it divides the rest of the block: this is
             # what makes the divisibility chain hold with no repair pass
             p = a[k][k]
-            if p in (1, -1):
-                break
-            offender = next((i for i in range(k + 1, m)
-                             if any(a[i][j] % p for j in range(k + 1, n))), None)
+            offender = None if p in (1, -1) else next(
+                (i for i in range(k + 1, m) if any(a[i][j] % p for j in range(k + 1, n))), None)
             if offender is None:
                 break
-            add_row(row_support(offender), k, -1)
+            rotate(0, k, offender, 1, 1, 0, 1)   # row k += row offender
         if a[k][k] < 0:
-            negate_row(k)
-    return s, t, tinv
+            rotate(0, k, k, -1, 0, 0, -1)   # negate row k: the step with i = j
+    return log
 
 
-def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]],
-                      want_u: bool = True) -> SNFResult:
-    """Exact Smith normal form with unimodular transforms.
+def _replay(log, side, size, inverse):
+    """The steps of `log` on `side`, or the inverse of each, applied in order
+    as row steps to the identity of `size`.  Row steps give U.  A column
+    step T right-multiplies V, so the same row step, T^T, left-multiplies
+    V^T: column steps give V^T.  T^-1 left-multiplies V^-1, and its 2 x 2
+    block is det (w, -r; -q, p), det = pw - qr = +-1."""
+    out = _identity_lists(size)
+    for s, i, j, p, q, r, w in log:
+        if s != side:
+            continue
+        if inverse:
+            det = p * w - q * r
+            p, q, r, w = det * w, -det * r, -det * q, det * p
+        ri, rj = out[i], out[j]
+        if p == w == 1 and not q * r:   # one line gains a multiple of the other
+            dst, src, x = (ri, rj, q) if q else (rj, ri, r)
+            for c, v in enumerate(src):
+                if v:
+                    dst[c] += x * v
+        elif p == w == 0 and q == r == 1:   # a swap
+            out[i], out[j] = rj, ri
+        else:
+            out[i] = [p * e + q * f for e, f in zip(ri, rj)]
+            out[j] = [r * e + w * f for e, f in zip(ri, rj)]
+    return out
 
-    One pass over the pivot positions, with no recursion.  Each off-pivot
-    entry dies in a single unimodular Bezout rotation (one extended-gcd
-    step, no remainder cascades), and the pivot is not finalized until it
-    divides the whole working block, so the divisibility chain needs no
-    repair pass.  Every elementary operation is applied at once to U, V and
-    V^-1.  An exact row addition runs over the nonzero entries of the pivot
-    row in the matrix and U, and an exact column addition over the rows of
-    the matrix and V that are nonzero in the pivot column, each support
-    taken once per sweep and again after a Bezout rotation; V^-1 takes its
-    dense row update.  Skipping zeros changes no entry, and pays on sparse
-    input such as the rows of Q (module docstring), whose rows have a few
-    nonzero entries each.  Recursing per pivot and composing small
-    per-level transforms gives the same matrices entry for entry, but it
-    measured 2-5x slower on sparse input and about 2.5x slower on dense 9x9
-    input, held a submatrix per level (166 MB at size 300), and met
-    Python's recursion limit near size 1000.  Pivot rule: first nonzero
+
+def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]]) -> SNFResult:
+    """Exact Smith normal form, whose transforms are replayed from the log
+    of its steps when first read (`SNFResult`, `_replay`).
+
+    One pass over the pivot positions, on the matrix alone
+    (`_snf_in_place`).  Each off-pivot entry dies in a single unimodular
+    Bezout rotation (one extended-gcd step, no remainder cascades), and the
+    pivot is not finalized until it divides the whole working block, so the
+    divisibility chain needs no repair pass.  Pivot rule: first nonzero
     entry in row-major order; smallest-value pivoting was measured to
     inflate transform entries ~50x on dense input by repeatedly dragging
     heavily mixed rows back into the pivot seat.  Deterministic by
@@ -333,12 +312,9 @@ def smith_normal_form(M: Union[IntMatrix, Sequence[Sequence[int]]],
     """
     if not isinstance(M, IntMatrix):
         M = IntMatrix(M)
-    m, n = M.rows, M.cols
     a = [row[:] for row in M.data]
-    s, t, tinv = _snf_in_place(a, m, n, want_u)
-    diagonal = tuple(a[i][i] for i in range(min(m, n)))
-    U = IntMatrix(s, cols=m) if want_u else None
-    return SNFResult(M, diagonal, U, IntMatrix(t, cols=n), IntMatrix(tinv, cols=n))
+    log = _snf_in_place(a, M.rows, M.cols)
+    return SNFResult(M, tuple(a[i][i] for i in range(min(M.rows, M.cols))), log)
 
 
 # -- normalized cochain complex ---------------------------------------------
@@ -428,7 +404,7 @@ class _Complex:
                for x, s, xs in self.edges]
         self.rho = IntMatrix(rho, cols=k)
         rows = list(dict.fromkeys(row for row in rho if any(row)))
-        snf = smith_normal_form(IntMatrix(rows, cols=k), want_u=False)
+        snf = smith_normal_form(IntMatrix(rows, cols=k))
         self.V, self.Vinv, self.factors = snf.V, snf.Vinv, snf.diagonal
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
 
@@ -481,7 +457,7 @@ class _Complex:
                     row[e] -= 1
                 rows[tuple(row)] = None
         rows.pop((0,) * len(edges), None)
-        snf = smith_normal_form(IntMatrix(list(rows), cols=len(edges)), want_u=False)
+        snf = smith_normal_form(IntMatrix(list(rows), cols=len(edges)))
         r, k = snf.rank, len(self.gens)
         image = snf.Vinv @ self.rho
         require(len(edges) - r == k and not any(v for row in image.data[:r] for v in row),

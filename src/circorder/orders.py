@@ -316,15 +316,19 @@ def validate_hom(G: FiniteGroup, values) -> InhomCircularOrder:
             or any(len(p) != n for r in values for p in r):
         raise AxiomError("shape", (len(values),), f"want {n} x {n} x {n}")
     if set(map(type, chain.from_iterable(chain.from_iterable(values)))) == {int}:   # not 1.0 or True
-        pos = (0, *(n - 1 - plane.count(1) for plane in values[0][1:]))
         try:
-            pos = _checked_positions(G, pos, is_sequence=False)
+            pos = _checked_positions(G, _read_positions(values), is_sequence=False)
         except AxiomError:
             pass   # no isomorphism, so c is no ordering: _hom_scans names why
         else:
             if _chart(pos) == values:
                 return InhomCircularOrder._trusted(G, pos)
     _hom_scans(G, values)   # raises
+
+
+def _read_positions(values) -> tuple:
+    """pos(g) = n - 1 - #{x : c(id, g, x) = +1}, and pos(id) = 0."""
+    return (0, *(len(values) - 1 - plane.count(1) for plane in values[0][1:]))
 
 
 def _chart(pos: tuple) -> tuple:
@@ -340,7 +344,16 @@ def _chart(pos: tuple) -> tuple:
 def _hom_scans(G: FiniteGroup, values) -> None:
     """Vanishing on all N^3 triples, the cocycle identity on all N^4
     quadruples, then left invariance under every h, in lexicographic order:
-    raise AxiomError at the first failure, for a c that has one."""
+    raise AxiomError at the first failure, for a c that has one.
+
+    The cocycle scan runs only when c is not the chart of the p read off
+    c(id, ., .) as `validate_hom` reads it, for the chart of any p has no
+    failure: it is c(g1, g2, g3) = s(g1, g2) + s(g2, g3) - s(g1, g3), with
+    s(a, b) the sign of (p(b) mod N) - (p(a) mod N), as the cyclic
+    orientation of three distinct points is +1 on x < y < z, its rotations
+    are the rotations of (+1, +1, -1), and a repeated point gives 0 on both
+    sides.  So c is a coboundary, and its identity at (g1, g2, g3, g4)
+    telescopes to 0."""
     n, table = G.order, G.table
     for g1 in range(n):
         for g2 in range(n):
@@ -353,13 +366,14 @@ def _hom_scans(G: FiniteGroup, values) -> None:
                     raise AxiomError("vanishing", (g1, g2, g3), f"value {v} on repeat")
                 if not degenerate and v not in (1, -1):
                     raise AxiomError("vanishing", (g1, g2, g3), f"value {v} on distinct triple")
-    for g1 in range(n):
-        for g2 in range(n):
-            for g3 in range(n):
-                row = values[g1][g2]
-                for g4 in range(n):
-                    if values[g2][g3][g4] - values[g1][g3][g4] + row[g4] - row[g3] != 0:
-                        raise AxiomError("cocycle", (g1, g2, g3, g4))
+    if _chart(_read_positions(values)) != values:
+        for g1 in range(n):
+            for g2 in range(n):
+                for g3 in range(n):
+                    row = values[g1][g2]
+                    for g4 in range(n):
+                        if values[g2][g3][g4] - values[g1][g3][g4] + row[g4] - row[g3] != 0:
+                            raise AxiomError("cocycle", (g1, g2, g3, g4))
     for h in range(1, n):
         th = table[h]
         for g1 in range(n):

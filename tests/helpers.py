@@ -932,7 +932,7 @@ def _d2_smith(G: FiniteGroup, rows) -> D2Smith:
     """D2Smith from the SNF of rows spanning the row lattice of d2; the
     kernel basis goes to the library's integral class coordinates through
     `_Complex.smith_coordinates` on each column's row sums."""
-    snf2 = smith_normal_form(rows, want_u=False)
+    snf2 = smith_normal_form(rows)
     basis = kernel_basis(snf2)
     m = G.order - 1
     classes = [_Complex(G).smith_coordinates([0, *(sum(col[i:i + m]) for i in range(0, m * m, m))])
@@ -980,7 +980,7 @@ def unit_pivot_invariants(rows: list) -> tuple:
     so column additions clear the rest of row p and touch no other row;
     both are unimodular, so the matrix is equivalent to (+-1) (+) R, R what
     is left, and each step adds a 1 to the diagonal.  What is left when no
-    unit remains goes to `smith_normal_form` without U."""
+    unit remains goes to `smith_normal_form`, whose diagonal alone is read."""
     live = {i: row for i, row in enumerate(rows) if row}
     cols = {}   # column -> the live rows with a nonzero entry there
     for i, row in live.items():
@@ -1023,7 +1023,7 @@ def unit_pivot_invariants(rows: list) -> tuple:
         units += 1
     used = sorted({c for row in live.values() for c in row})
     residue = [[row.get(c, 0) for c in used] for row in live.values()]
-    rest = smith_normal_form(residue, want_u=False).diagonal if residue else ()
+    rest = smith_normal_form(residue).diagonal if residue else ()
     return (1,) * units + tuple(d for d in rest if d)
 
 
@@ -1096,7 +1096,7 @@ def kernel_route(G: FiniteGroup):
     needs the cubic-size SNF of d2.  Returns (Vinv, r, U, (a_j)), with a_j = 0
     past the rank of d1 marking a free summand."""
     d1, d2 = coboundary_matrices(G)
-    snf2 = smith_normal_form(d2, want_u=False)
+    snf2 = smith_normal_form(d2)
     r = snf2.rank
     k = d2.cols - r
     d1_in_kernel = IntMatrix(snf2.Vinv.data[r:], cols=d2.cols) @ d1

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
@@ -200,15 +201,22 @@ def test_enumeration_bound_is_the_module_constant(monkeypatch, capsys, group_fil
     assert rc == 0 and payload["cross_check"] == "skipped"
 
 
-def test_benchmark_tracer_names_exist(monkeypatch):
-    # `perfbench/run.py --trace` wraps each of these names by getattr on its
-    # layer module, so moving or renaming one breaks the traced run; the
-    # tracer is read without writing its bytecode next to it
+def _benchmark_tracer(monkeypatch):
+    """perfbench/tracer.py as a module, read without writing its bytecode
+    next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_names_exist(monkeypatch):
+    # `perfbench/run.py --trace` wraps each of these names by getattr on its
+    # layer module, so moving or renaming one breaks the traced run
+    tracer = _benchmark_tracer(monkeypatch)
+    path = Path(tracer.__file__)
     assert tracer.SPANNED and tracer.COUNTED
     for layer, name in tracer.SPANNED + tracer.COUNTED:
         assert callable(getattr(importlib.import_module(f"circorder.{layer}"), name, None)), \
@@ -240,6 +248,24 @@ def test_benchmark_tracer_names_exist(monkeypatch):
             "circorder.cohomology.h2_structure"} <= called, sorted(called)
     for dotted in called:
         assert callable(pkgutil.resolve_name(dotted)), dotted
+
+
+def test_benchmark_tracer_scans_every_transform(monkeypatch):
+    # the traced run reads U, V and V^-1 of each SNF it wraps, which builds
+    # them from the step log; its snf_max_bits is their largest entry.  The
+    # second matrix's U has 9-bit entries, its V and V^-1 4-bit ones
+    tracer = _benchmark_tracer(monkeypatch)
+    for M in ([[2, 0], [0, 3]], [[-7, 6, 6], [-7, 2, -7], [4, -5, -9], [0, 4, 4]],
+              [[3, 1, 4], [1, 5, 9], [2, 6, 5]], cohomology.coboundary_matrix(cyclic_group(6), 1),
+              cohomology.IntMatrix([], cols=3)):
+        traced = tracer.Tracer(time.process_time)
+        snf = cohomology.smith_normal_form(M)
+        traced._scan_bits(snf, (M,), {})
+        assert {"U", "V", "Vinv"} <= set(vars(snf))
+        full = cohomology.smith_normal_form(M)
+        want = max((abs(v).bit_length() for T in (full.U, full.V, full.Vinv)
+                    for row in T.data for v in row), default=0)
+        assert traced.snf_max_bits == want, M
 
 
 def test_bounds_have_no_per_call_overrides():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd, prod
@@ -65,6 +66,9 @@ SMALL_GROUPS = [cyclic_group(k) for k in range(2, 11)] + [G for G, _, _ in NONCY
 
 # -- Smith normal form ----------------------------------------------------------
 
+TRANSFORMS = ("U", "V", "Vinv")   # the lazily built transforms of an SNFResult
+
+
 def test_a_diagonal_chain_is_its_own_smith_form():
     # h2_structure skips the SNF of a diagonal of kept orders that already
     # forms a divisibility chain: the SNF would give it back, with U = I
@@ -121,6 +125,11 @@ def test_snf_deterministic():
     a = smith_normal_form(M)
     b = smith_normal_form(M)
     assert a.diagonal == b.diagonal
+    # each transform is built from the step log when first read, and kept
+    for name in TRANSFORMS:
+        assert name not in vars(a), name
+        first = getattr(a, name)
+        assert vars(a)[name] is first and getattr(a, name) is first, name
     assert a.U == b.U and a.V == b.V and a.Vinv == b.Vinv
     # The exact transforms, not only their shape: the CLI prints class
     # coordinates read through V^-1, so reordering any elementary operation
@@ -130,27 +139,60 @@ def test_snf_deterministic():
     assert a.V.data == [[1, 159, 323], [0, -30, -61], [0, -1, -2]]
     assert a.Vinv.data == [[1, 5, 9], [0, 2, -61], [0, -1, 30]]
     d1 = coboundary_matrices(symmetric_group(3))[0]
-    r = smith_normal_form(d1, want_u=False)
-    assert r.diagonal == (1, 1, 1, 1, 2) and r.U is None
+    r = smith_normal_form(d1)
+    assert r.diagonal == (1, 1, 1, 1, 2) and not set(TRANSFORMS) & set(vars(r))
     assert r.V.data == [[1, -1, -1, -1, 1], [0, 1, 1, 2, -1], [0, 0, 1, 1, 0],
                         [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
     assert r.Vinv.data == [[1, 1, 0, -1, 0], [0, 1, -1, -1, 1], [0, 0, 1, -1, 0],
                            [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_transforms_read_in_any_order_are_those_of_a_full_read(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-40, 40))
+    M = IntMatrix(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                     min_size=rows, max_size=rows)), cols=cols)
+    read = data.draw(st.permutations(TRANSFORMS))[:data.draw(st.integers(0, 3))]
+    full = smith_normal_form(M)
+    D = IntMatrix.zeros(rows, cols)
+    for i, d in enumerate(full.diagonal):
+        D.data[i][i] = d
+    assert full.U @ M @ full.V == D and full.V @ full.Vinv == IntMatrix.identity(cols)
+    fresh = smith_normal_form(M)
+    for name in read:
+        assert getattr(fresh, name) == getattr(full, name), name
+    assert set(TRANSFORMS) & set(vars(fresh)) == set(read)
+
+
+def test_snf_input_must_be_integers():
+    # a float or bool entry passed through unchecked: [[1.5, 2], [3, 4]] gave
+    # the diagonal (0.5, 0.0) and [[True, 2], [3, 4]] gave (True, 2)
+    for M, bad in (([[1.5, 2], [3, 4]], "(0, 0) = 1.5"), ([[True, 2], [3, 4]], "(0, 0) = True"),
+                   ([[1, 2], [3, 4.0]], "(1, 1) = 4.0")):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            smith_normal_form(M)
+        with pytest.raises(ValueError, match="not an int"):
+            IntMatrix(M)
+    with pytest.raises(ValueError, match="row 0 has length 2, want 5"):
+        IntMatrix([[1, 2]], cols=5)
+    assert IntMatrix([], cols=5).cols == 5 and IntMatrix([[1, 2]], cols=2).cols == 2
+
+
 def test_snf_depth_is_not_bounded_by_the_stack():
     # 1024 is the column count of d2 at order 33; one pivot per position
     # must neither recurse nor redo work per position.
     with time_budget(10):
-        r = smith_normal_form(IntMatrix.identity(1024), want_u=False)
+        r = smith_normal_form(IntMatrix.identity(1024))
     assert r.diagonal == (1,) * 1024
 
 
 # sha256 of repr((diagonal, V.data, Vinv.data)), recorded when every
 # elementary operation still ran over whole rows and columns; the sweeps that
-# skip zero entries must leave every transform entry as it was.  The d2 SNF
-# runs without U, as the Z/n route runs it; the d1 SNF runs with U, whose
-# digest (repr(U.data)) is the second entry.
+# skip zero entries must leave every transform entry as it was, and so must
+# building them from the step log.  The d2 digest covers V and V^-1; the d1
+# digests also cover U (repr(U.data)), their second entry.
 D2_SNF_DIGESTS = {
     "cyclic_group(4)": "a522d89bdef36670fd05f4c34537fb9912aa9913ac43c7e5de27c6e169574598",
     "klein()": "afabeac3346655fe3e1536267548dd9233e733ccf4aa8c7a274c81a6b716b6c3",
@@ -199,12 +241,12 @@ def _digest(value):
 def test_snf_transforms_are_pinned():
     for name, G in (("cyclic_group(4)", cyclic_group(4)), ("klein()", klein()),
                     ("symmetric_group(3)", symmetric_group(3))):
-        r = smith_normal_form(coboundary_matrix(G, 2), want_u=False)
+        r = smith_normal_form(coboundary_matrix(G, 2))
         assert _digest((r.diagonal, r.V.data, r.Vinv.data)) == D2_SNF_DIGESTS[name], name
     limited = [G for G in library_groups() if G.order <= cohomology.H2_ORDER_LIMIT]
     assert sorted(G.name for G in limited) == sorted(D1_SNF_DIGESTS)
     for G in limited:
-        r = smith_normal_form(coboundary_matrix(G, 1), want_u=True)
+        r = smith_normal_form(coboundary_matrix(G, 1))
         got = (_digest((r.diagonal, r.V.data, r.Vinv.data)), _digest(r.U.data))
         assert got == D1_SNF_DIGESTS[G.name], G.name
 
@@ -376,18 +418,22 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     G = dihedral_group(5)
     m = G.order - 1
     shapes = []
-    transforms = []  # (rows, want_u, diagonal input) of every SNF
+    snfs = []  # (result, diagonal input) of every SNF
     built = []  # column counts of every IntMatrix constructed
     init, zeros = IntMatrix.__init__, IntMatrix.zeros
 
-    def recording(M, *args, **kwargs):
-        result = smith_normal_form(M, *args, **kwargs)
-        want_u = args[0] if args else kwargs.get("want_u", True)
+    def recording(M):
+        result = smith_normal_form(M)
         diagonal = not any(v for i, row in enumerate(result.matrix.data)
                            for j, v in enumerate(row) if i != j)
         shapes.append((result.matrix.rows, result.matrix.cols))
-        transforms.append((result.matrix.rows, want_u, diagonal))
+        snfs.append((result, diagonal))
         return result
+
+    def transforms():
+        # (rows, columns, the transforms built so far, diagonal input) of every SNF
+        return [(r.matrix.rows, r.matrix.cols, {t for t in TRANSFORMS if t in vars(r)}, diagonal)
+                for r, diagonal in snfs]
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -418,10 +464,11 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     # d2, all of its rows or those at generator last arguments, is the only
     # matrix with m^2 columns
     assert shapes and all(cols != m * m for _, cols in shapes), shapes
-    # no square U of d1's m^2 rows: a row transform is only ever asked for
-    # on the small invariant-factor diagonal
-    assert all(not want_u or (diagonal and rows <= m)
-               for rows, want_u, diagonal in transforms), transforms
+    # no square U of d1's m^2 rows: a row transform is only ever built on
+    # the small invariant-factor diagonal, and A's SNF builds V and V^-1
+    assert all("U" not in built or (diagonal and rows <= m)
+               for rows, _, built, diagonal in transforms()), transforms()
+    assert transforms()[0][2] == {"V", "Vinv"}, transforms()
     assert built and m * m not in built, sorted(set(built))
     # the relation matrix A is reduced but not kept, and no V has m columns:
     # is_n_divisible reads d1 u off the table.  The matrices kept are V and
@@ -439,13 +486,16 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     # here both (for 4 and 6) are (2,); no matrix has m^2 columns, and a
     # projection reduces nothing
     shapes.clear()
-    transforms.clear()
+    snfs.clear()
     for n in (4, 3, 6):
         h2_structure(G, n)
     generators = G.order * (k - 1) + 1
     assert [cols for _, cols in shapes].count(generators) == 1, shapes
     assert (k, k) in shapes and len(shapes) == 2, shapes
-    assert all(not want_u or diagonal or rows == k for rows, want_u, diagonal in transforms)
+    # U is built only on B and the diagonals, and Q's SNF builds V^-1 alone
+    assert all("U" not in built or diagonal or rows == k
+               for rows, _, built, diagonal in transforms()), transforms()
+    assert [built for _, cols, built, _ in transforms() if cols == generators] == [{"Vinv"}]
     assert vars(_Complex(G))["schreier"].vinv.cols == generators
     assert h2_structure(G, 4).project(f).coords == (1,)
     assert h2_structure(G, 6).project(f).coords == (1,)
@@ -464,9 +514,9 @@ def test_integral_questions_never_reduce_d2(monkeypatch):
     A4 = _alternating_group_4()
     h2_structure(A4, 2)
     shapes.clear()
-    transforms.clear()
+    snfs.clear()
     assert h2_structure(A4, 6).invariant_factors == (6,)
-    assert shapes == [(2, 2)] and transforms == [(2, True, True)], shapes
+    assert shapes == [(2, 2)] and transforms() == [(2, 2, {"U"}, True)], transforms()
     _Complex.cache_clear()
 
 
@@ -662,7 +712,7 @@ def test_long_exact_sequence_consistency():
 
 @lru_cache(maxsize=None)
 def _d2_snf(index):
-    return smith_normal_form(coboundary_matrices(SMALL_GROUPS[index])[1], want_u=False)
+    return smith_normal_form(coboundary_matrices(SMALL_GROUPS[index])[1])
 
 
 def _cocycle_basis(index, n):
@@ -780,7 +830,7 @@ def test_row_sum_coordinates_match_the_full_u_oracle(data):
 def _generator_d2_snf(G):
     """The SNF that the d2 route reduced: the rows of d2 at generator last
     arguments, one block per generator (`helpers.generator_d2_rows`)."""
-    return smith_normal_form(generator_d2_rows(G), want_u=False)
+    return smith_normal_form(generator_d2_rows(G))
 
 
 @settings(max_examples=25, deadline=None)
@@ -793,7 +843,7 @@ def test_generator_row_d2_matches_the_full_d2_oracle(data):
     index, perm, G = data.draw(relabelings(SMALL_GROUPS))
     m = G.order - 1
     d2 = coboundary_matrix(G, 2)
-    full = smith_normal_form(d2, want_u=False)
+    full = smith_normal_form(d2)
     gen = _generator_d2_snf(G)
     assert 2 ** (gen.matrix.rows // (m * m)) <= G.order   # at most log2 |G| generators
     _Complex.cache_clear()
@@ -877,7 +927,7 @@ def test_unit_pivot_invariants_match_the_snf_on_sparse_matrices(data):
     rows, cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
     entries = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6])
     dense = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
-    snf = smith_normal_form(dense, want_u=False)
+    snf = smith_normal_form(dense)
     sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
     assert unit_pivot_invariants(sparse) == snf.diagonal[:snf.rank]
 
@@ -1239,7 +1289,7 @@ def _b_diagonal(G: FiniteGroup) -> tuple:
     comp = _Complex(G)
     data = comp.schreier
     image = (data.vinv @ comp.rho).data[len(data.torsion):]
-    return smith_normal_form(IntMatrix(image, cols=len(comp.gens)), want_u=False).diagonal
+    return smith_normal_form(IntMatrix(image, cols=len(comp.gens))).diagonal
 
 
 @lru_cache(maxsize=None)
@@ -1274,7 +1324,7 @@ def test_one_tree_matches_the_searches_it_replaced(data):
     assert comp.gens == gens and comp.words == word_vectors(G, gens)
     rows = relation_rows_at_every_edge(G)
     assert [row for row in dict.fromkeys(map(tuple, comp.rho.data)) if any(row)] == rows
-    full = smith_normal_form(IntMatrix(rows, cols=len(gens)), want_u=False)
+    full = smith_normal_form(IntMatrix(rows, cols=len(gens)))
     assert (full.V, full.Vinv, full.diagonal) == (comp.V, comp.Vinv, comp.factors)
     with time_budget(10):
         assert _b_diagonal(G) == comp.factors

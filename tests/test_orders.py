@@ -469,6 +469,21 @@ def test_validate_hom_rejects_a_non_invariant_chart():
     assert err.value.kind == "invariance"
 
 
+def test_a_non_invariant_chart_skips_the_cocycle_scan():
+    # the chart of a permutation fixing 0 is a cocycle on the set, so the
+    # N^4 cocycle scan (2.3 s on Z/64 on a 2-vCPU VM) finds nothing: the
+    # invariance scan names the chart at the witness the full scans give
+    G = cyclic_group(64)
+    rng = random.Random(64)
+    pos = (0, *rng.sample(range(1, 64), 63))
+    values = [[[0 if len({a, b, c}) < 3 else 1 if (pos[b] - pos[a]) % 64 < (pos[c] - pos[a]) % 64
+                else -1 for c in range(64)] for b in range(64)] for a in range(64)]
+    with time_budget(1), pytest.raises(AxiomError) as err:
+        validate_hom(G, values)
+    assert (err.value.kind, err.value.witness) == ("invariance", (1, 0, 1, 3))
+    assert str(err.value) == "invariance failure at (1, 0, 1, 3)"
+
+
 # -- enumeration -----------------------------------------------------------------
 
 def test_enumeration_matches_brute_force():
