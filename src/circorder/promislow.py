@@ -19,20 +19,22 @@ circular ordering of Z/2.  That construction is kept as
 `promislow_circular_order`, is the same ordering in closed form: cutting the
 circle at the identity leaves a linear order on the other elements (the
 positive kernel cone, then the coset aK, then the negative cone), so
-c(g1, g2, g3) compares g1^-1 g2 with g1^-1 g3 in that order.  It decides
-their bands (the coset, or the cones) from the parity of m, compares raw y
-fields, and reads x and z differences only on a tie in y, which is the
-lexicographic comparison of their keys (class, +-y, sigma_x x, sigma_z z)
-without building the keys.  It compares no tuples for equality either: on
-group elements, equal bands and y fields force equal point-group parts by
-the parity constraint, so two of the arguments are equal exactly when their
-x and z fields tie too, and the value is then 0.  The seeded self-check
-suite (`demo`) checks the axioms on the closed form and its agreement with
-the construction on every triple of ball(2).  It evaluates the closed form
-once on each of the 17^3 triples of ball(2) into a table: the agreement
-count and the exhaustive axioms read it, and only the invariance check
-calls the oracle again, on the translated triples, in one map over columns
-of the product table per triple.
+c(g1, g2, g3) compares g1^-1 g2 with g1^-1 g3 in that order.  It branches
+once on the parity of m1, which fixes the sign of y in g1^-1 g: each half
+decides the bands (the coset, or the cones) from the parity of m and
+compares raw y fields, the odd half with every order comparison mirrored.
+Both halves read x and z differences only on a tie in y, in one place.
+That is the lexicographic comparison of the keys (class, +-y, sigma_x x,
+sigma_z z) without building the keys.  It compares no tuples for equality
+either: on group elements, equal bands and y fields force equal
+point-group parts by the parity constraint, so two of the arguments are
+equal exactly when their x and z fields tie too, and the value is then 0.
+The seeded self-check suite (`demo`) checks the axioms on the closed form
+and its agreement with the construction on every triple of ball(2).  It
+evaluates the closed form once on each of the 17^3 triples of ball(2) into
+a table: the agreement count and the exhaustive axioms read it, and only
+the invariance check calls the oracle again, on the translated triples, in
+one map over columns of the product table per triple.
 The sampled axioms call the oracle for every value; they draw indices into
 the sampling ball, from the stream rng.choice would use, in batches of a
 few thousand quadruples, and read each translated element h g from one
@@ -149,19 +151,31 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
     in the kernel cone, so y decides: in aK the larger y comes first
     (sigma_y = -1 there), in a cone the smaller, and the cone of g1^-1 g is
     the sign of its y.  That y is sigma_y (y - y1), with sigma_y = -1
-    exactly when m1 is odd, so after negating the three raw y fields for an
-    odd m1 every one of these comparisons is one of raw fields, y2 or y3
-    against y1 (which cone) or y2 against y3 (the order in one band), with
-    no difference taken and no SIGNS read.
+    exactly when m1 is odd.
 
-    SIGNS is read only on a y tie.  Two elements in one band with equal y
-    have the same m, by PARITY, so one is a pure translation of the other
-    and d = sx dx or sz dz decides, with (sx, _, sz) = SIGNS of the first
-    (the product SIGNS[m1] SIGNS[m1 ^ m2] for g2).  From g1, a translation
+    So the oracle branches once, on m1 & 1, into two halves that compare
+    raw y fields: y2 or y3 against y1 (which cone) or y2 against y3 (the
+    order in one band), with no difference taken and no SIGNS read.  For an
+    even m1, g1^-1 g is in aK exactly when m & 1, and sigma_y = 1.  For an
+    odd m1, it is in aK exactly when not m & 1, and every y of g1^-1 g is
+    the negated raw difference: the half reads the order as it would after
+    negating y1, y2 and y3, and -a < -b exactly when a > b while -a == -b
+    exactly when a == b.  So the odd half is the even half with each band
+    test negated and each < or > between y fields swapped, and each
+    equality test kept.
+
+    A tie in y is read after the halves, in one place for both, and only
+    there is SIGNS read.  Two elements in one band with equal y have the
+    same m, by PARITY, so one is a pure translation of the other and
+    d = sx dx or sz dz decides, with (sx, _, sz) = SIGNS of the first (the
+    product SIGNS[m1] SIGNS[m1 ^ m2] for g2).  From g1, a translation
     g1^-1 g with d > 0 is the first element of the positive cone and with
     d < 0 the last of the negative one; from g2, g2 comes before g3 when
     d > 0.  This is the lexicographic order on the keys
-    (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.
+    (class, +-y, sx x, sz z) of g1^-1 g2 and g1^-1 g3.  A half falls
+    through to these lines only on such a tie, and they tell which one
+    from the fields alone: with y equal to y1, g1^-1 g is in a cone, and so
+    a pure translation, exactly when m equals m1.
 
     Equality is still read off these differences, with no tuple comparison:
     two elements tie in band and y only with equal m, and then d = 0
@@ -172,48 +186,68 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
     m1, x1, y1, z1 = g1
     m2, x2, y2, z2 = g2
     m3, x3, y3, z3 = g3
-    odd = m1 & 1
-    if odd:                               # sigma_y = -1 on g1^-1: y runs backwards
-        y1, y2, y3 = -y1, -y2, -y3
-    if m2 & 1 != odd:                     # g1^-1 g2 in aK
-        if m3 & 1 != odd:                 # both in aK: the larger y comes first
-            if y2 > y3:
-                return 1
-            if y2 < y3:
+    if not m1 & 1:                        # even m1: aK is odd m
+        if m2 & 1:                        # g1^-1 g2 in aK
+            if m3 & 1:                    # both in aK: the larger y comes first
+                if y2 > y3:
+                    return 1
+                if y2 < y3:
+                    return -1
+            elif y3 > y1:                 # g1^-1 g3 in a cone: -1 if positive
                 return -1
-        else:                             # g1^-1 g3 in a cone: -1 if positive
-            if y3 > y1:
-                return -1
-            if y3 < y1:
+            elif y3 < y1:
                 return 1
-            sx, _, sz = SIGNS[m1]
-            d = sx * (x3 - x1) or sz * (z3 - z1)
-            return (-1 if d > 0 else 1) if d else 0       # d = 0: g3 == g1
-    elif y2 == y1:                        # g1^-1 g2 a translation: first or last
+        elif y2 != y1:                    # g1^-1 g2 in a cone
+            if m3 & 1:                    # g1^-1 g3 in aK
+                return 1 if y2 > y1 else -1
+            if y3 != y1:                  # both in the cones
+                if y2 > y1:
+                    if y3 < y1:
+                        return 1          # the positive cone comes first
+                elif y3 > y1:
+                    return -1
+                if y2 < y3:               # one cone: the smaller y comes first
+                    return 1
+                if y2 > y3:
+                    return -1
+    else:                                 # odd m1, the mirror: aK is even m
+        if not m2 & 1:                    # g1^-1 g2 in aK
+            if not m3 & 1:                # both in aK: the smaller raw y first
+                if y2 < y3:
+                    return 1
+                if y2 > y3:
+                    return -1
+            elif y3 < y1:                 # g1^-1 g3 in a cone: -1 if positive
+                return -1
+            elif y3 > y1:
+                return 1
+        elif y2 != y1:                    # g1^-1 g2 in a cone
+            if not m3 & 1:                # g1^-1 g3 in aK
+                return 1 if y2 < y1 else -1
+            if y3 != y1:                  # both in the cones
+                if y2 < y1:
+                    if y3 > y1:
+                        return 1          # the positive cone comes first
+                elif y3 < y1:
+                    return -1
+                if y2 > y3:               # one cone: the larger raw y first
+                    return 1
+                if y2 < y3:
+                    return -1
+    # a tie in y, read the same in both halves
+    if y2 == y1 and m2 == m1:             # g1^-1 g2 a translation: first or last
         sx, _, sz = SIGNS[m1]
         d = sx * (x2 - x1) or sz * (z2 - z1)
         if not d:
             return 0                      # g2 == g1
-        if m3 & 1 != odd or y3 != y1:
+        if y3 != y1 or m3 != m1:
             return 1 if d > 0 else -1
         d3 = sx * (x3 - x1) or sz * (z3 - z1)
         if not d3:
             return 0                      # g3 == g1
         if (d > 0) != (d3 > 0):
             return 1 if d > 0 else -1
-    elif m3 & 1 != odd:                   # g1^-1 g2 in a cone, g1^-1 g3 in aK
-        return 1 if y2 > y1 else -1
-    elif y3 != y1:                        # both in the cones
-        if y2 > y1:
-            if y3 < y1:
-                return 1                  # the positive cone comes first
-        elif y3 > y1:
-            return -1
-        if y2 < y3:                       # one cone: the smaller y comes first
-            return 1
-        if y2 > y3:
-            return -1
-    else:                                 # g1^-1 g3 a translation: first or last
+    elif y3 == y1 and m3 == m1:           # g1^-1 g3 a translation: first or last
         sx, _, sz = SIGNS[m1]
         d = sx * (x3 - x1) or sz * (z3 - z1)
         return (-1 if d > 0 else 1) if d else 0           # d = 0: g3 == g1
@@ -380,8 +414,9 @@ def demo(seed: int = DEFAULT_SEED, radius: int = 5, samples: int = 100_000) -> d
     on the quadruples rng.choice would draw from ball(radius).
 
     Deterministic given (seed, radius, samples); the seed is recorded in the
-    report.  `radius` controls the sampling ball (cone checks stay on their
-    own radii).  Each argument must be an int (not a bool or None), and
+    report.  `radius` controls the sampling ball; the kernel cone's
+    trichotomy check runs on ball(5) and its closure check on ball(4) at
+    every radius.  Each argument must be an int (not a bool or None), and
     `samples` and `radius` must not be negative; otherwise InvalidGroupError.
     """
     for name, value in (("seed", seed), ("radius", radius), ("samples", samples)):
@@ -394,15 +429,15 @@ def demo(seed: int = DEFAULT_SEED, radius: int = 5, samples: int = 100_000) -> d
     report["relators"] = {
         word: evaluate_word(word) == IDENTITY for word in RELATORS}
 
-    sphere5 = ball(min(radius, 5))
-    kernel5 = [p for p in sphere5 if phi(p) == 0]
-    trichotomy_bad = [p for p in kernel5
-                      if (kernel_is_positive(p), kernel_is_positive(prom_inv(p)),
-                          p == IDENTITY).count(True) != 1]
+    # ball(4) before ball(5), so a BALL_RADIUS_LIMIT of 3 names radius 4
     positive4 = [p for p in ball(4) if phi(p) == 0 and p != IDENTITY
                  and kernel_is_positive(p)]
     closure_bad = [(p, q) for p in positive4 for q in positive4
                    if not kernel_is_positive(prom_mul(p, q))]
+    kernel5 = [p for p in ball(5) if phi(p) == 0]
+    trichotomy_bad = [p for p in kernel5
+                      if (kernel_is_positive(p), kernel_is_positive(prom_inv(p)),
+                          p == IDENTITY).count(True) != 1]
     report["kernel_cone"] = {
         "kernel_ball5_size": len(kernel5),
         "trichotomy_failures": len(trichotomy_bad),

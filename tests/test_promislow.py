@@ -1,5 +1,8 @@
+import ast
 import hashlib
+import inspect
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -10,15 +13,15 @@ from circorder.cli import main
 from circorder.errors import BoundExceeded, InvalidGroupError
 import helpers
 from helpers import axiom_counts, key_circular_order, make_element
-from circorder.promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
-                                 RELATORS, SIGNS,
+from circorder.promislow import (BALL_RADIUS_LIMIT, GEN_A, GEN_B, IDENTITY,
+                                 PROMISLOW_SPECTRUM, RELATORS, SIGNS,
                                  abelianization_image, ball, demo,
                                  evaluate_word, kernel_is_positive,
                                  phi, prom_inv, prom_mul,
                                  promislow_circular_order,
                                  promislow_lexicographic_order)
 
-BALL5, BALL8 = ball(5), ball(8)
+BALL5, BALL6, BALL8 = ball(5), ball(6), ball(8)
 
 
 def test_generator_data():
@@ -99,6 +102,15 @@ def test_kernel_cone_trichotomy_and_closure():
     for p in positive4:
         for q in positive4:
             assert kernel_is_positive(prom_mul(p, q))
+
+
+def test_kernel_cone_checks_do_not_follow_the_sampling_radius():
+    # the trichotomy check runs on ball(5) and the closure check on ball(4)
+    # whatever ball the sampled pass draws from
+    want = demo(samples=0)["kernel_cone"]
+    assert want["kernel_ball5_size"] == 77 and want["ok"]
+    for radius in range(BALL_RADIUS_LIMIT + 1):
+        assert demo(radius=radius, samples=0)["kernel_cone"] == want, radius
 
 
 def test_circular_order_examples():
@@ -182,6 +194,54 @@ def test_field_by_field_oracle_matches_the_key_tuples_on_y_ties(g1, g2, t, swap,
         g2, g3 = g3, g2
     for a, b, c in ((g1, g2, g3), (prom_mul(h, g1), prom_mul(h, g2), prom_mul(h, g3))):
         assert promislow_circular_order(a, b, c) == key_circular_order(a, b, c)
+
+
+_ODD6 = [g for g in BALL6 if g[0] & 1]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(_ODD6), st.sampled_from(BALL6) | _TRANSLATIONS,
+       _TRANSLATIONS | st.sampled_from(BALL6), st.booleans())
+def test_the_odd_half_is_the_even_half_translated(g1, g2, t, swap):
+    # g1^-1 takes an odd g1 to IDENTITY, which is in the even half, so by
+    # left invariance every value of the mirrored half is one of the other;
+    # a translation t gives the y ties of the key-tuple test above, and a
+    # translation g2 a tie with g1 (g2 = g1 at t = 0)
+    if g2[0] == 0 and g2[2] == 0:
+        g2 = prom_mul(g1, g2)
+    g3 = prom_mul(g2, t)
+    if swap:
+        g2, g3 = g3, g2
+    inv = prom_inv(g1)
+    assert promislow_circular_order(g1, g2, g3) == promislow_circular_order(
+        IDENTITY, prom_mul(inv, g2), prom_mul(inv, g3))
+
+
+def test_every_return_of_the_oracle_is_reached_on_ball3():
+    # the values are checked on every triple of ball(3), but a branch that
+    # no triple enters is checked on none, so every return line is reached
+    code = promislow_circular_order.__code__
+    tree = ast.parse(inspect.getsource(promislow_circular_order))
+    returns = {code.co_firstlineno + node.lineno - 1
+               for node in ast.walk(tree) if isinstance(node, ast.Return)}
+    reached = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            reached.add(frame.f_lineno)
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code is code else None
+    triples = list(product(ball(3), repeat=3))
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        values = [promislow_circular_order(*t) for t in triples]
+    finally:
+        sys.settrace(previous)
+    assert returns and returns <= reached, sorted(returns - reached)
+    assert values == [key_circular_order(*t) for t in triples]
 
 
 def test_oracle_matches_the_key_tuples_on_every_ball3_triple():
