@@ -2,13 +2,24 @@
 
 Exit codes: 0 success, 1 mathematical check failed, 2 invalid input,
 3 resource bound exceeded.  All numeric output is exact.
+
+The subcommands' options are declared once, in `COMMANDS`.  An argv made
+of a command name and that command's exact option strings, each given at
+most once with a value that does not start with '-' and converts, and with
+every required option present, is read off the table without argparse
+(`_parse`).  Every other argv (no arguments, help, an unknown command, an
+abbreviation, `--opt=value`, a repeat, `--`, a negative or bad value, a
+missing option) goes to the argparse parser built from the same table
+(`_build_parsers`), so help text, usage errors and exit codes are
+argparse's, and argparse is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from functools import cache
+from types import SimpleNamespace
 
 from .errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from .groups import cyclic_group, direct_product, load_group
@@ -32,15 +43,18 @@ def _spectrum_payload(spectrum, max_n: int) -> dict:
 
 def integer_ge_0(text: str) -> int:
     """argparse type: an integer >= 0."""
-    if int(text) < 0:
+    value = int(text)
+    if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"{text} is not an integer >= 0")
-    return int(text)
+    return value
 
 
 def integer_ge_2(text: str) -> int:
     """argparse type: an integer >= 2 (argparse reports int()'s ValueError)."""
     value = int(text)
     if value < 2:
+        import argparse
         raise argparse.ArgumentTypeError(f"{value} is not an integer >= 2")
     return value
 
@@ -49,8 +63,42 @@ def torsion_orders(text: str) -> list[int]:
     """argparse type: one or more comma or space separated integers >= 2."""
     orders = [integer_ge_2(tok) for tok in text.replace(",", " ").split()]
     if not orders:
+        import argparse
         raise argparse.ArgumentTypeError("no torsion orders given")
     return orders
+
+
+# Each subcommand, in the order the root help lists them: name -> (help,
+# modes, options).  An option is (option string, type, default, required,
+# help), listed in the order the command's help lists them; its dest is the
+# option string less its dashes, '-' read as '_', as argparse names it.  A
+# type of None marks a flag (store_true: False, or True when given), and
+# str keeps the text.  Exactly one of the modes must be given (argparse's
+# required mutually exclusive group, listed before the options).
+COMMANDS = {
+    "enumerate": ("list all circular orderings of a finite group", (), (
+        ("--group", str, None, True, "group JSON file"),
+        ("--max-order", integer_ge_0, None, False, None),   # None: the enumeration limit
+        ("--json", None, False, False, None))),
+    "product-co": ("decide circular orderability of G x Z/n with witness", (), (
+        ("--group", str, None, True, None),
+        ("--n", integer_ge_2, None, True, None),
+        ("--max-order", integer_ge_0, None, False, None),   # None: the enumeration limit
+        ("--json", None, False, False, None))),
+    "obstruction": ("obstruction spectrum report", (
+        ("--group", str, None, False, None),
+        ("--torsion-orders", torsion_orders, None, False,
+         "comma or space separated torsion orders"),
+        ("--exponent", integer_ge_2, None, False, "exponent of H^2(G;Z)")), (
+        ("--not-lo", None, False, False, "assert the group is not left-orderable"),
+        ("--max-n", integer_ge_2, 12, False, None),
+        ("--json", None, False, False, None))),
+    "promislow": ("run the Promislow group self-check demo", (), (
+        ("--seed", int, prom.DEFAULT_SEED, False, None),
+        ("--radius", integer_ge_0, 5, False, None),
+        ("--samples", integer_ge_0, 100_000, False, None),
+        ("--json", None, False, False, None))),
+}
 
 
 def cmd_enumerate(args) -> tuple[dict, str]:
@@ -141,68 +189,97 @@ def cmd_promislow(args) -> tuple[dict, str]:
     return report, summary
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The root parser, and each subcommand's parser by its name."""
+def build_parser():
+    """A new root argparse parser, built from `COMMANDS`: a subparser per
+    command, with its modes as a required mutually exclusive group."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="circorder",
         description="circular orderings, central extensions, exact H^2, obstruction spectra")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-
-    p = commands["enumerate"] = sub.add_parser(
-        "enumerate", help="list all circular orderings of a finite group")
-    p.add_argument("--group", required=True, help="group JSON file")
-    p.add_argument("--max-order", type=integer_ge_0)  # None: the enumeration limit
-    p.add_argument("--json", action="store_true")
-
-    p = commands["product-co"] = sub.add_parser(
-        "product-co", help="decide circular orderability of G x Z/n with witness")
-    p.add_argument("--group", required=True)
-    p.add_argument("--n", type=integer_ge_2, required=True)
-    p.add_argument("--max-order", type=integer_ge_0)  # None: the enumeration limit
-    p.add_argument("--json", action="store_true")
-
-    p = commands["obstruction"] = sub.add_parser("obstruction", help="obstruction spectrum report")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--group")
-    mode.add_argument("--torsion-orders", type=torsion_orders,
-                      help="comma or space separated torsion orders")
-    mode.add_argument("--exponent", type=integer_ge_2, help="exponent of H^2(G;Z)")
-    p.add_argument("--not-lo", action="store_true",
-                   help="assert the group is not left-orderable")
-    p.add_argument("--max-n", type=integer_ge_2, default=12)
-    p.add_argument("--json", action="store_true")
-
-    p = commands["promislow"] = sub.add_parser(
-        "promislow", help="run the Promislow group self-check demo")
-    p.add_argument("--seed", type=int, default=prom.DEFAULT_SEED)
-    p.add_argument("--radius", type=integer_ge_0, default=5)
-    p.add_argument("--samples", type=integer_ge_0, default=100_000)
-    p.add_argument("--json", action="store_true")
-    return parser, commands
+    for name, (summary, modes, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        exclusive = command.add_mutually_exclusive_group(required=True) if modes else None
+        for owner, entries in ((exclusive, modes), (command, options)):
+            for option, kind, default, required, text in entries:
+                if kind is None:
+                    owner.add_argument(option, action="store_true", help=text)
+                else:
+                    owner.add_argument(option, type=kind, default=default,
+                                       required=required, help=text)
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
+@cache
+def _build_parsers():
+    """The root parser for every argv `_read` does not read, built on the
+    first such argv and kept: its five `ArgumentParser`s (the root and one
+    per command) are built once per process, and none for a process whose
+    every argv the table reads."""
+    return build_parser()
 
 
-_PARSER, _COMMAND_PARSERS = _build_parsers()
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
 
 
-def _parse(argv) -> argparse.Namespace:
-    """argv parsed as the root parser parses it.  That parser hands all
-    that follows a known command to the command's parser, so this one does
-    so directly; no arguments, help, an unknown command and unrecognized
-    arguments go through the root parser, for its help and usage errors."""
+def _reader(modes, options) -> tuple:
+    """What `_read` needs of one command: option string -> (dest, type),
+    the defaults by dest, and the dests of the required options and of
+    the modes."""
+    entries = modes + options
+    return ({option: (_dest(option), kind) for option, kind, *_ in entries},
+            {_dest(option): default for option, _, default, *_ in entries},
+            {_dest(option) for option, _, _, required, _ in options if required},
+            {_dest(option) for option, *_ in modes})
+
+
+_READERS = {name: _reader(modes, options) for name, (_, modes, options) in COMMANDS.items()}
+
+
+def _read(argv):
+    """The namespace of an argv the table reads, or None for any other.
+    It reads `argv[0]`, an exact command name, then that command's exact
+    option strings, each at most once, each value option followed by a
+    value that does not start with '-' and that its type converts; every
+    required option must be present, and exactly one mode when the command
+    has modes.  On such an argv the root parser gives the same attributes
+    with the same values, which `test_cli` checks against it."""
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    lookup, defaults, required, modes = reader
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        entry = lookup.get(token)
+        if entry is None or entry[0] in values:
+            return None
+        dest, kind = entry
+        if kind is None:
+            values[dest] = True
+            continue
+        text = next(tokens, "-")   # a missing value reads as '-'
+        if text.startswith("-"):
+            return None
+        try:
+            values[dest] = kind(text)
+        except Exception:   # argparse converts it again and reports it
+            return None
+    if not required <= values.keys() or (modes and len(modes & values.keys()) != 1):
+        return None
+    return SimpleNamespace(command=argv[0], **{**defaults, **values})
+
+
+def _parse(argv):
+    """argv parsed as the root parser parses it: read off `COMMANDS` by
+    `_read` when it is a well-formed question, and otherwise by the root
+    parser (`_build_parsers`), which prints help and usage errors and
+    exits as argparse does."""
     if argv is None:
         argv = sys.argv[1:]
-    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
-    if command is not None:
-        args, unrecognized = command.parse_known_args(argv[1:])
-        if not unrecognized:
-            args.command = argv[0]
-            return args
-    return _PARSER.parse_args(argv)
+    args = _read(argv)
+    return args if args is not None else _build_parsers().parse_args(argv)
 
 
 def main(argv=None) -> int:

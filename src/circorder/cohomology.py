@@ -92,15 +92,20 @@ class IntMatrix:
             raise ValueError(f"entry ({i}, {j}) = {self.data[i][j]!r} is not an int")
 
     @classmethod
+    def _trusted(cls, data: list, cols: int) -> "IntMatrix":
+        """A matrix on `data` itself: fresh lists of `cols` exact ints each,
+        built in this module, so with no copy, length check or type scan."""
+        M = cls.__new__(cls)
+        M.data, M.rows, M.cols = data, len(data), cols
+        return M
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(_identity_lists(n))
+        return cls._trusted(_identity_lists(n), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        M = cls.__new__(cls)  # fresh rows: no copy, no length check
-        M.data = [[0] * cols for _ in range(rows)]
-        M.rows, M.cols = rows, cols
-        return M
+        return cls._trusted([[0] * cols for _ in range(rows)], cols)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -142,16 +147,18 @@ class SNFResult:
 
     @cached_property
     def U(self) -> IntMatrix:
-        return IntMatrix(_replay(self.log, 0, self.matrix.rows, False), cols=self.matrix.rows)
+        m = self.matrix.rows
+        return IntMatrix._trusted(_replay(self.log, 0, m, False), m)
 
     @cached_property
     def V(self) -> IntMatrix:
         n = self.matrix.cols
-        return IntMatrix(list(zip(*_replay(self.log, 1, n, False))), cols=n)
+        return IntMatrix._trusted(list(map(list, zip(*_replay(self.log, 1, n, False)))), n)
 
     @cached_property
     def Vinv(self) -> IntMatrix:
-        return IntMatrix(_replay(self.log, 1, self.matrix.cols, True), cols=self.matrix.cols)
+        n = self.matrix.cols
+        return IntMatrix._trusted(_replay(self.log, 1, n, True), n)
 
 
 def _gcdext(a: int, b: int) -> tuple[int, int, int]:
@@ -400,11 +407,11 @@ class _Complex:
             words[xs] = tuple(c + (s == t) for t, c in zip(gens, words[x]))
         self.edges = sorted({(x, s, table[x][s]) for x in range(G.order) for s in gens}
                             - set(self.tree))
-        rho = [tuple(a + (s == t) - b for t, a, b in zip(gens, words[x], words[xs]))
+        rho = [[a + (s == t) - b for t, a, b in zip(gens, words[x], words[xs])]
                for x, s, xs in self.edges]
-        self.rho = IntMatrix(rho, cols=k)
-        rows = list(dict.fromkeys(row for row in rho if any(row)))
-        snf = smith_normal_form(IntMatrix(rows, cols=k))
+        self.rho = IntMatrix._trusted(rho, k)
+        rows = {tuple(row): row for row in rho if any(row)}   # distinct, in order
+        snf = smith_normal_form(IntMatrix._trusted(list(rows.values()), k))
         self.V, self.Vinv, self.factors = snf.V, snf.Vinv, snf.diagonal
         self.structures: dict = {}    # modulus (None for Z) -> H2Structure
 
@@ -455,14 +462,14 @@ class _Complex:
                     row[e] += 1
                 for e in path[xt]:
                     row[e] -= 1
-                rows[tuple(row)] = None
+                rows[tuple(row)] = row
         rows.pop((0,) * len(edges), None)
-        snf = smith_normal_form(IntMatrix(list(rows), cols=len(edges)))
+        snf = smith_normal_form(IntMatrix._trusted(list(rows.values()), len(edges)))
         r, k = snf.rank, len(self.gens)
         image = snf.Vinv @ self.rho
         require(len(edges) - r == k and not any(v for row in image.data[:r] for v in row),
                 "Q's free block is not the image of the relation rows rho")
-        free = smith_normal_form(IntMatrix(image.data[r:], cols=k))
+        free = smith_normal_form(IntMatrix._trusted(image.data[r:], k))
         require(free.diagonal == self.factors,
                 "B's Smith diagonal is not the invariant factors of G^ab")
         return _Schreier(snf.matrix, snf.Vinv, snf.diagonal[:r], free.U)

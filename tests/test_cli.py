@@ -1,6 +1,8 @@
 import argparse
 import ast
+import contextlib
 import importlib.util
+import io
 import inspect
 import json
 import os
@@ -12,6 +14,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import circorder
 from circorder import (cli, cohomology, extensions, groups, obstruction, orders,
@@ -96,17 +99,35 @@ def test_a_table_that_is_not_a_group_exits_2(tmp_path, capsys, argv):
 
 
 def test_the_parser_is_built_once(monkeypatch, capsys, group_file):
+    # well-formed questions are read off the table and build no parser;
+    # those that fall back build the root parser and the four command
+    # parsers once between them
     built = []
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cli._build_parsers.cache_clear()
     z3 = group_file(cyclic_group(3))
     assert main(["enumerate", "--group", z3]) == 0
     assert main(["product-co", "--group", z3, "--n", "2"]) == 0
     assert built == []
+    assert main(["enumerate", "--gr", z3]) == 0
+    assert main(["product-co", "--gr", z3, "--n", "2"]) == 0
+    assert len(built) == 5
     assert capsys.readouterr().out.splitlines() == [
         "Z/3: 2 circular ordering(s)",
-        "Z/3 x Z/2: circularly orderable (direct search agrees)"]
+        "Z/3 x Z/2: circularly orderable (direct search agrees)"] * 2
+
+
+def test_a_well_formed_question_imports_no_argparse(tmp_path):
+    dump_group(cyclic_group(3), tmp_path / "z3.json")
+    proc = _run_python([], "import sys\n"
+                           "from circorder import cli\n"
+                           "code = cli.main(['enumerate', '--group', sys.argv[1]])\n"
+                           "print(code, 'argparse' in sys.modules)",
+                       str(tmp_path / "z3.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["Z/3: 2 circular ordering(s)", "0 False"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -121,11 +142,13 @@ def test_the_parser_is_built_once(monkeypatch, capsys, group_file):
     ["obstruction", "--torsion-orders", "4", "--exponent", "5"],
     ["enumerate", "--gr", "g.json"], ["product-co", "--gr", "g.json", "--n", "3"],
     ["product-co", "--gr", "g.json"], ["obstruction", "--gr", "g.json", "--max-n", "5"],
+    ["enumerate", "--group=g.json"], ["enumerate", "--group", "g.json", "--group", "h.json"],
+    ["promislow", "--seed", "-5"], ["enumerate", "--group", "--json"],
 ], ids=lambda argv: " ".join(argv) or "no arguments")
 def test_each_command_parses_as_through_the_root_parser(capsys, argv):
-    # main hands a known command's arguments to that command's parser alone;
-    # the root parser, the oracle, must agree on every namespace, help text,
-    # usage error and exit code
+    # main reads a well-formed question off the option table and hands any
+    # other argv to the root parser; the root parser alone, the oracle, must
+    # agree on every namespace, help text, usage error and exit code
     def outcome(parse):
         try:
             result = vars(parse(argv))
@@ -137,6 +160,170 @@ def test_each_command_parses_as_through_the_root_parser(capsys, argv):
     assert outcome(cli._parse) == want
     if not isinstance(want[0], dict):   # the parse exits before any command runs
         assert outcome(main) == want
+
+
+_VALUES = ["g.json", "0", "1", "-1", "-5", "", "x", "1.5", "4,6"]
+_WELL_FORMED = {str: "g.json", int: "7", cli.integer_ge_0: "0", cli.integer_ge_2: "2",
+                cli.torsion_orders: "4,6"}   # a value each type converts
+_OPTIONS = sorted({option for _, modes, options in cli.COMMANDS.values()
+                   for option, *_ in modes + options})
+_WORDS = sorted({*_OPTIONS, *(option[:k] for option in _OPTIONS for k in (2, 3, 4)),
+                 *(f"{option}={value}" for option in _OPTIONS for value in _VALUES),
+                 "-h", "--help", "--", *_VALUES, *cli.COMMANDS})
+_NEAR_MISSES = ["enum", "enumerates", "Enumerate", "product", "product_co", "obstruct",
+                "promislo", "frobnicate", "-h", "--help", "--", ""]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, or a near-miss in its place, then mostly each of the
+    command's required options, mostly one of its modes, and some others,
+    in any order, each with a value its type mostly converts.  Then up to
+    three edits, each splicing in a word of the table's vocabulary, putting
+    one in place of a token, or dropping a token: other options, prefixes,
+    --opt=value, -h, --, bare values."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, modes, options = cli.COMMANDS[command]
+    mostly = st.sampled_from([True, True, False])
+    chosen = [entry for entry in options if entry[3] and draw(mostly)]
+    chosen += draw(st.permutations(modes))[:draw(st.sampled_from([1, 1, 1, 0, 2]))]
+    optional = [entry for entry in options if not entry[3]]
+    chosen += draw(st.permutations(optional))[:draw(st.integers(0, len(optional)))]
+    argv = [draw(st.just(command) | st.sampled_from(_NEAR_MISSES))]
+    for option, kind, *_ in draw(st.permutations(chosen)):
+        argv.append(option)
+        if kind is not None:
+            argv.append(_WELL_FORMED[kind] if draw(mostly) else draw(st.sampled_from(_VALUES)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        i = draw(st.integers(1, len(argv)))
+        word = draw(st.sampled_from(_WORDS))
+        edit = "insert" if i == len(argv) else draw(st.sampled_from(["insert", "put", "drop"]))
+        if edit == "insert":
+            argv.insert(i, word)
+        elif edit == "put":
+            argv[i] = word
+        else:
+            del argv[i]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+def test_the_option_table_parses_as_the_root_parser(argv):
+    # the root parser alone must agree on every namespace, SystemExit code,
+    # stdout and stderr, on well-formed questions and on the argv that
+    # differ from one in a few tokens
+    def outcome(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = repr(sorted(vars(parse(argv)).items()))   # True is not 1
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    assert outcome(cli._parse) == outcome(cli.build_parser().parse_args), argv
+
+
+# `circorder -h`, each command's `-h` and three usage errors, recorded at
+# COLUMNS=80 with Python 3.11 from the hand-written argparse parsers that
+# `cli.COMMANDS` replaced: argv -> (exit code, stdout, stderr)
+_HELP_AND_USAGE_ERRORS = {
+    '-h': (0, """\
+usage: circorder [-h] {enumerate,product-co,obstruction,promislow} ...
+
+circular orderings, central extensions, exact H^2, obstruction spectra
+
+positional arguments:
+  {enumerate,product-co,obstruction,promislow}
+    enumerate           list all circular orderings of a finite group
+    product-co          decide circular orderability of G x Z/n with witness
+    obstruction         obstruction spectrum report
+    promislow           run the Promislow group self-check demo
+
+options:
+  -h, --help            show this help message and exit
+""",
+        ""),
+    'enumerate -h': (0, """\
+usage: circorder enumerate [-h] --group GROUP [--max-order MAX_ORDER] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --group GROUP         group JSON file
+  --max-order MAX_ORDER
+  --json
+""",
+        ""),
+    'product-co -h': (0, """\
+usage: circorder product-co [-h] --group GROUP --n N [--max-order MAX_ORDER]
+                            [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --group GROUP
+  --n N
+  --max-order MAX_ORDER
+  --json
+""",
+        ""),
+    'obstruction -h': (0, """\
+usage: circorder obstruction [-h]
+                             (--group GROUP | --torsion-orders TORSION_ORDERS | --exponent EXPONENT)
+                             [--not-lo] [--max-n MAX_N] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --group GROUP
+  --torsion-orders TORSION_ORDERS
+                        comma or space separated torsion orders
+  --exponent EXPONENT   exponent of H^2(G;Z)
+  --not-lo              assert the group is not left-orderable
+  --max-n MAX_N
+  --json
+""",
+        ""),
+    'promislow -h': (0, """\
+usage: circorder promislow [-h] [--seed SEED] [--radius RADIUS]
+                           [--samples SAMPLES] [--json]
+
+options:
+  -h, --help         show this help message and exit
+  --seed SEED
+  --radius RADIUS
+  --samples SAMPLES
+  --json
+""",
+        ""),
+    'product-co --group g.json --n 1': (2, "",
+        """\
+usage: circorder product-co [-h] --group GROUP --n N [--max-order MAX_ORDER]
+                            [--json]
+circorder product-co: error: argument --n: 1 is not an integer >= 2
+"""),
+    'obstruction': (2, "",
+        """\
+usage: circorder obstruction [-h]
+                             (--group GROUP | --torsion-orders TORSION_ORDERS | --exponent EXPONENT)
+                             [--not-lo] [--max-n MAX_N] [--json]
+circorder obstruction: error: one of the arguments --group --torsion-orders --exponent is required
+"""),
+    'enumerate --group g.json --bogus': (2, "",
+        """\
+usage: circorder [-h] {enumerate,product-co,obstruction,promislow} ...
+circorder: error: unrecognized arguments: --bogus
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", list(_HELP_AND_USAGE_ERRORS))
+def test_help_and_usage_errors_are_those_of_the_hand_written_parsers(monkeypatch, capsys,
+                                                                     argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _HELP_AND_USAGE_ERRORS[argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
 
 
 def test_ordering_file_values_must_be_ints(tmp_path, monkeypatch, capsys):
