@@ -26,7 +26,7 @@ from .groups import cyclic_group, direct_product, load_group
 from .orders import arrangement_to_inhom, enumerate_circular_orders
 from .cohomology import class_of, h2_structure, is_n_divisible
 from .extensions import minimal_generator
-from .obstruction import (VERDICT_ALL_MULTIPLES, exponent_facts,
+from .obstruction import (MAX_N_LIMIT, VERDICT_ALL_MULTIPLES, exponent_facts,
                           spectrum_finite, spectrum_torsion_part)
 from . import cohomology, orders, promislow as prom
 
@@ -155,6 +155,8 @@ def cmd_obstruction(args) -> tuple[dict, str]:
     max_n = args.max_n
     if args.not_lo and args.exponent is None:
         raise InvalidGroupError("obstruction: --not-lo applies only with --exponent")
+    if max_n > MAX_N_LIMIT:   # every mode builds an entry per n
+        raise BoundExceeded(f"obstruction: --max-n {max_n} exceeds the limit {MAX_N_LIMIT}")
     if args.group is not None:
         G = load_group(args.group)
         spectrum = spectrum_finite(G)

@@ -28,9 +28,11 @@ class FiniteGroup:
     is derived at construction.  `generators` holds the greedy generators
     (`_greedy_generators`) that validation found; the cocycle check of
     `orders` and the presentation of `cohomology._Complex` read them.
+    `_orderings` is None until `orders.enumerate_circular_orders` keeps
+    the group's orderings there, so they live as long as the group.
     """
 
-    __slots__ = ("name", "order", "table", "names", "inverse", "generators")
+    __slots__ = ("name", "order", "table", "names", "inverse", "generators", "_orderings")
 
     def __init__(self, table, names=None, name: str = "G"):
         table = tuple(tuple(row) for row in table)
@@ -58,6 +60,7 @@ class FiniteGroup:
         self.name = name
         self.inverse = self._derive_inverse()
         self.validate()
+        self._orderings = None
 
     def _derive_inverse(self) -> tuple:
         inverse = []
@@ -431,23 +434,29 @@ def group_from_json(data) -> FiniteGroup:
 
 
 def load_group(path) -> FiniteGroup:
-    """The checked group of a group JSON file.  Files with the same text
-    share one FiniteGroup (`_group_from_text`), so a file read again
-    unchanged is not checked again, and a rewritten one is."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return _group_from_text(fh.read())
-        except InvalidGroupError:   # the table's own diagnostic, without the path
-            raise
-        except (ValueError, RecursionError) as exc:   # not UTF-8 JSON, or too deep
-            raise InvalidGroupError(f"group JSON: {path}: {exc}") from exc
+    """The checked group of a group JSON file.  The file is read as bytes,
+    and files with the same bytes share one FiniteGroup
+    (`_group_from_bytes`), so a file read again unchanged is neither decoded
+    nor checked again, and a rewritten one is."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _group_from_bytes(data)
+    except InvalidGroupError:   # the table's own diagnostic, without the path
+        raise
+    except (ValueError, RecursionError) as exc:   # not UTF-8 JSON, or too deep
+        raise InvalidGroupError(f"group JSON: {path}: {exc}") from exc
 
 
 @lru_cache(maxsize=None)
-def _group_from_text(text: str) -> FiniteGroup:
-    """The group of a group file's text, kept per distinct text.  Errors
-    raise and are not kept.  Unbounded by design, like the cohomology
-    cache: `_group_from_text.cache_clear()` releases it."""
+def _group_from_bytes(data: bytes) -> FiniteGroup:
+    """The group of a group file's bytes, kept per distinct bytes.  Only
+    new bytes are decoded: as UTF-8, with CRLF and CR read as LF, as text
+    mode reads a file, and never by `json.loads`, which would also take
+    UTF-16 and UTF-32.  Errors raise and are not kept.  Unbounded by
+    design, like the cohomology cache: `_group_from_bytes.cache_clear()`
+    releases it."""
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return group_from_json(json.loads(text))
 
 

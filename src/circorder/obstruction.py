@@ -20,6 +20,9 @@ from .orders import arrangement_to_inhom, enumerate_circular_orders
 from .cohomology import is_n_divisible
 
 SPECTRUM_VERIFY_LIMIT = 8
+# The largest n up to which the CLI's obstruction report lists membership or
+# verdicts, one entry per n: --max-n 10^6 took seconds and some 200 MB.
+MAX_N_LIMIT = 10_000
 
 VERDICT_NOT_IN = "not-in-spectrum"
 VERDICT_IN = "in-spectrum"

@@ -15,9 +15,12 @@ form (`_Positions`); the two encodings are views of it:
   counterclockwise past the identity"; row g of f holds pos(g) ones.
 
 Each view builds its sequence or its |G|^2 values on first read, and
-`arrangement_to_inhom` passes pos across.  The paper's homogeneous form, a
-left-invariant alternating function c: G^3 -> {0,+1,-1} vanishing exactly
-on degenerate triples and +1 on counterclockwise ones, is an input only:
+`arrangement_to_inhom` passes pos across to the one inhomogeneous view an
+arrangement keeps.  A group keeps its enumerated arrangements, so their
+walks run and their values are built once per group.  The paper's
+homogeneous form, a left-invariant alternating function
+c: G^3 -> {0,+1,-1} vanishing exactly on degenerate triples and +1 on
+counterclockwise ones, is an input only:
 `validate_hom` checks it and returns its inhomogeneous view, and
 `ordering_from_json` reads kind "hom" through it.  Each raw input has one
 check, which reads pos off it (`arrangement_from_sequence`,
@@ -99,11 +102,17 @@ class InhomCircularOrder(_Positions):
 
 class Arrangement(_Positions):
     """Checked arrangement: all elements in counterclockwise order, identity
-    first, the sequence with sequence[pos g] = g, built on first read."""
+    first, the sequence with sequence[pos g] = g, built on first read.  Its
+    inhomogeneous view is built on first read too, and kept
+    (`arrangement_to_inhom`)."""
 
     @cached_property
     def sequence(self) -> tuple:
         return _inverted(self.pos)
+
+    @cached_property
+    def _inhom(self) -> InhomCircularOrder:
+        return InhomCircularOrder._trusted(self.group, self.pos)
 
 
 @dataclass(frozen=True)
@@ -263,13 +272,13 @@ def _first_identity_failure(table, values, modulus: Optional[int]) -> AxiomError
 
 def as_ordering(G: FiniteGroup, f) -> InhomCircularOrder:
     """f as a checked ordering on G, in its inhomogeneous view: any view on
-    G's table is trusted and its pos passed across (an InhomCircularOrder is
-    returned as it is), a view on another table raises InvalidGroupError,
-    and any other matrix goes through validate_inhom."""
+    G's table is trusted (an InhomCircularOrder is returned as it is, and an
+    Arrangement gives the view it keeps), a view on another table raises
+    InvalidGroupError, and any other matrix goes through validate_inhom."""
     if isinstance(f, _Positions):
         if f.group.table != G.table:
             raise InvalidGroupError("ordering lives on a different group")
-        return f if isinstance(f, InhomCircularOrder) else InhomCircularOrder._trusted(f.group, f.pos)
+        return f if isinstance(f, InhomCircularOrder) else arrangement_to_inhom(f)
     return validate_inhom(G, f)
 
 
@@ -387,7 +396,9 @@ def _hom_scans(G: FiniteGroup, values) -> None:
 # -- conversion --------------------------------------------------------------
 
 def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
-    """The carry bit f(g, h) = [pos g + pos h >= |G|] of a's positions.
+    """The carry bit f(g, h) = [pos g + pos h >= |G|] of a's positions: one
+    view per arrangement, kept by it, so its |G|^2 values are built at most
+    once however often the arrangement is asked.
 
     g -> pos g is an isomorphism onto Z/|G|, so f is the carry bit
     c(a, b) = [a + b >= n] of Z/n (n = |G|) pulled back along it.  That
@@ -398,7 +409,7 @@ def arrangement_to_inhom(a: Arrangement) -> InhomCircularOrder:
     properties, and the entries are exact 0/1 ints by construction, so no
     O(|G|^3) validate_inhom is needed (the tests keep it as the oracle).
     """
-    return InhomCircularOrder._trusted(a.group, a.pos)
+    return a._inhom
 
 
 # -- enumeration -----------------------------------------------------------
@@ -412,6 +423,13 @@ def enumerate_circular_orders(G: FiniteGroup,
     walks that cover G, in order of z.  A walk that covers G is its own
     proof, so each Arrangement is built from its positions with no further check.
     Empty exactly when G admits no ordering.
+
+    The walks run once per group: the first call keeps the views on G
+    (`FiniteGroup._orderings`), and every call returns a new list of those
+    same views, so a caller may change its list but not the next one's.
+    The views live as long as G, and so do the |G|^2 values of any
+    inhomogeneous view read off them (`arrangement_to_inhom`).  The
+    max_order check runs on every call.
     """
     if max_order is not None and (type(max_order) is not int or max_order < 0):
         raise InvalidGroupError(f"enumerate_circular_orders: max_order {max_order!r} "
@@ -419,8 +437,11 @@ def enumerate_circular_orders(G: FiniteGroup,
     limit = ENUMERATION_ORDER_LIMIT if max_order is None else max_order
     if G.order > limit:
         raise BoundExceeded(f"enumerate_circular_orders: order {G.order} > limit {limit}")
-    walks = (_powers(G, z) for z in range(G.order))   # z = 0 walks (0,) alone
-    return [Arrangement._trusted(G, _inverted(seq)) for seq in walks if len(seq) == G.order]
+    if G._orderings is None:
+        walks = (_powers(G, z) for z in range(G.order))   # z = 0 walks (0,) alone
+        G._orderings = tuple(Arrangement._trusted(G, _inverted(seq))
+                             for seq in walks if len(seq) == G.order)
+    return list(G._orderings)
 
 
 # -- standard and lexicographic constructions ------------------------------

@@ -1,12 +1,14 @@
 import argparse
 import ast
 import contextlib
+import hashlib
 import importlib.util
 import io
 import inspect
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import time
@@ -77,7 +79,8 @@ def test_enumerate_exit_codes(tmp_path, group_file):
 
 
 @pytest.mark.parametrize("content", [b'\xff\xfe{"table": [[0]]}',   # not UTF-8
-                                     b"[" * 50_000 + b"]" * 50_000])  # past the recursion limit
+                                     b"[" * 50_000 + b"]" * 50_000,  # past the recursion limit
+                                     '{"table": [[0]]}'.encode("utf-16")])   # UTF-16, with BOM
 def test_group_files_that_json_cannot_read_exit_2(tmp_path, capsys, content):
     # both raised out of json.load as a traceback with exit 1, the code of a
     # failed cross-check
@@ -476,7 +479,7 @@ def test_readme_bounds_table_matches_the_constants():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Bounds and performance notes")[1]
     rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
-    assert len(rows) == 6
+    assert len(rows) == 7
     for constant, module, default in rows:
         value = getattr(importlib.import_module(module.strip(" `")), constant.strip(" `"))
         assert value == int(default), constant
@@ -570,6 +573,29 @@ def test_obstruction_takes_one_mode(capsys, argv, message):
         main(["obstruction", *argv])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, key", [(["--group", None], "membership"),
+                                       (["--torsion-orders", "4,9"], "membership"),
+                                       (["--exponent", "5"], "verdicts")])
+def test_max_n_is_bounded_in_every_obstruction_mode(capsys, group_file, mode, key):
+    # a payload entry per n: --max-n 1000000 took seconds and some 200 MB,
+    # so past MAX_N_LIMIT every mode exits 3 before building any, whether
+    # the option table or argparse reads the argv (--max-n=...)
+    if mode[1] is None:
+        mode = [mode[0], group_file(cyclic_group(6))]
+    limit = obstruction.MAX_N_LIMIT
+    assert limit == 10_000
+    rc, payload = run_json(capsys, ["obstruction", *mode, "--max-n", str(limit)])
+    assert rc == 0 and len(payload[key]) == limit - 1
+    assert list(payload[key])[::limit - 2] == ["2", str(limit)]
+    for max_n in (limit + 1, 10 ** 8):
+        for option in (["--max-n", str(max_n)], [f"--max-n={max_n}"]):
+            with helpers.time_budget(5):
+                assert main(["obstruction", *mode, *option, "--json"]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"error: obstruction: --max-n {max_n} "
+                                         f"exceeds the limit {limit}\n")
 
 
 def test_not_lo_needs_the_exponent_mode(capsys, group_file):
@@ -804,8 +830,9 @@ def test_each_ordering_is_checked_once(monkeypatch, group_file):
 def test_each_arrangement_is_checked_once(monkeypatch, group_file):
     # a generator's powers that cover G always form an ordering of an
     # associative table, so the enumeration's walk proves each arrangement,
-    # and the CLI runs no sequence check: the only walks are the
-    # enumeration's, one from each element
+    # and the CLI runs no sequence check: the only walks are the first
+    # enumeration's on each group, one from each element, which the group
+    # keeps, so a later question on the same file walks none
     checks, walks = [], []
     inner = orders.arrangement_from_sequence
     for module in (orders, extensions):
@@ -816,11 +843,17 @@ def test_each_arrangement_is_checked_once(monkeypatch, group_file):
     G = cyclic_group(8)   # within obstruction.SPECTRUM_VERIFY_LIMIT
     assert len(enumerate_circular_orders(G)) == 4
     assert checks == [] and walks == list(range(8))
+    walks.clear()
+    assert len(enumerate_circular_orders(G)) == 4
+    assert checks == [] and walks == []
     path = group_file(G)
-    for argv in (["enumerate", "--group", path], ["obstruction", "--group", path]):
+    groups._group_from_bytes.cache_clear()
+    for argv, walked in ((["enumerate", "--group", path], list(range(8))),
+                         (["obstruction", "--group", path], []),
+                         (["product-co", "--group", path, "--n", "3"], [])):
         walks.clear()
         assert main(argv) == 0
-        assert checks == [] and walks == list(range(8))
+        assert checks == [] and walks == walked
 
 
 def _run_python(flags, script, *args):
@@ -848,7 +881,7 @@ def test_in_process_answers_match_a_fresh_process(tmp_path, capsys):
     questions = [["enumerate", "--group", path],
                  *(["product-co", "--group", path, "--n", str(n)] for n in range(2, 9)),
                  ["obstruction", "--group", path]]
-    groups._group_from_text.cache_clear()
+    groups._group_from_bytes.cache_clear()
     _Complex.cache_clear()
     for argv in questions:
         assert main(argv + ["--json"]) == 0
@@ -857,6 +890,35 @@ def test_in_process_answers_match_a_fresh_process(tmp_path, capsys):
                                timeout=120)
         assert fresh.returncode == 0, fresh.stderr
         assert capsys.readouterr().out == fresh.stdout, argv
+
+
+def test_kept_orderings_answer_as_before_in_either_order(tmp_path, capsys):
+    # every question of the integral benchmark (enumerate, product-co for
+    # n = 2..8, obstruction) on the library groups and one relabeling of
+    # each, asked in one process in the benchmark's order and then, from
+    # cold caches, in reverse, so that each kind of question is both the
+    # first and a later one on its group.  One sha256 pins every exit code
+    # and standard output, recorded while each question still enumerated
+    # its group's orderings and built their views afresh
+    rng = random.Random(42)
+    questions = []
+    for i, G in enumerate(helpers.library_groups()):
+        perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+        for j, H in enumerate((G, helpers.relabeled(G, perm))):
+            path = str(tmp_path / f"g{i}-{j}.json")
+            dump_group(H, path)
+            questions += [["enumerate", "--group", path],
+                          *(["product-co", "--group", path, "--n", str(n)] for n in range(2, 9)),
+                          ["obstruction", "--group", path]]
+    record = []
+    for order in (questions, questions[::-1]):
+        groups._group_from_bytes.cache_clear()
+        _Complex.cache_clear()
+        for argv in order:
+            record.append((main(argv + ["--json"]), capsys.readouterr().out))
+    assert len(record) == 648 and sum(rc == 3 for rc, _ in record) == 56
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == "b08ac3bf7590c46fffcb7c30a5768cf725e9ef3baff46b96571b983790d5be15"
 
 
 def test_checks_survive_python_O(tmp_path):

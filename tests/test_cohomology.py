@@ -14,7 +14,7 @@ from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGrou
 from circorder.groups import (FiniteGroup, _greedy_generators, closure, cyclic_group,
                               dihedral_group, direct_product, subgroup_generated, symmetric_group,
                               trivial_group)
-from circorder.orders import (arrangement_to_inhom, cocycle_failure,
+from circorder.orders import (InhomCircularOrder, arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn, validate_inhom)
 from circorder.extensions import build_extension, hat_ordering, minimal_generator
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
@@ -1342,26 +1342,30 @@ def test_greedy_generators_match_on_a_non_group():
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_positions_route_matches_the_matrix_oracle(data):
-    # an ordering from an arrangement stores its positions and reads its class,
-    # divisibility and minimal generator off them, building no matrix unless
-    # the class is divisible; its matrix given raw goes the N^2 route, whose
-    # answers, mu included, must be the same
+    # an ordering stores its positions and reads its class, divisibility and
+    # minimal generator off them, building no matrix unless the class is
+    # divisible; its matrix given raw goes the N^2 route, whose answers, mu
+    # included, must be the same.  The enumerated arrangement's view is
+    # shared, and its matrix is built here, so a fresh view of the same
+    # positions shows which reads build one
     _, _, G = data.draw(relabelings([cyclic_group(k) for k in range(2, 13)]))
     with_classes = G.order <= cohomology.H2_ORDER_LIMIT
     for a in enumerate_circular_orders(G):
         f, raw = arrangement_to_inhom(a), [list(row) for row in arrangement_to_inhom(a).values]
-        assert list(f.pos) == [sum(row) for row in raw]
-        assert (minimal_generator(G, f) == minimal_generator(G, raw)
+        assert f is arrangement_to_inhom(a) and list(f.pos) == [sum(row) for row in raw]
+        fresh = InhomCircularOrder._trusted(G, a.pos)
+        assert (minimal_generator(G, fresh) == minimal_generator(G, raw)
                 == minimal_generator_by_scan(G, raw) == a.sequence[1])
         if with_classes:
-            assert class_of(G, f).coords == class_of(G, raw).coords
+            assert class_of(G, fresh).coords == class_of(G, raw).coords
+        assert "values" not in vars(fresh)
+        if with_classes:
             for n in range(2, 13):
-                fresh = arrangement_to_inhom(a)
+                fresh = InhomCircularOrder._trusted(G, a.pos)
                 got = is_n_divisible(G, fresh, n)
-                assert got == is_n_divisible(G, raw, n)
+                assert got == is_n_divisible(G, raw, n) == is_n_divisible(G, f, n)
                 assert ("values" in vars(fresh)) == got.divisible
-        assert "values" not in vars(f)
-        assert f == validate_inhom(G, raw)
+        assert f == fresh == validate_inhom(G, raw)
 
 
 def test_divisibility_matches_gcd_rule_for_cyclic():

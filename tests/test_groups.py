@@ -341,10 +341,10 @@ def test_group_json_order_must_be_an_int(tmp_path, order):
 
 
 def test_load_group_checks_each_file_text_once(tmp_path):
-    # the cache is keyed by the file's text, never its path or mtime: the
+    # the cache is keyed by the file's bytes, never its path or mtime: the
     # same bytes give the same group, a rewritten file is read and checked
     # again, and a file that fails raises on every load, naming its path
-    cache = groups._group_from_text
+    cache = groups._group_from_bytes
     cache.cache_clear()
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     dump_group(cyclic_group(4), a)
@@ -372,6 +372,39 @@ def test_load_group_checks_each_file_text_once(tmp_path):
     assert cache.cache_info().currsize == 0
     again = load_group(b)
     assert again == G and again is not G
+
+
+def test_load_group_reads_newlines_as_text_mode_does(tmp_path):
+    # a file is read as bytes and decoded as UTF-8 with CRLF and a lone CR
+    # read as LF, as text mode reads them: the same group, and the same
+    # diagnostics, whose lines and columns count LFs.  The messages are
+    # those the text-mode reader gave, recorded with Python 3.11
+    lf = tmp_path / "lf.json"
+    dump_group(dihedral_group(3), lf)
+    text = lf.read_bytes()
+    assert text.count(b"\n") > 1 and b"\r" not in text
+    G = load_group(lf)
+    path = tmp_path / "g.json"
+    for newline in (b"\r\n", b"\r"):
+        path.write_bytes(text.replace(b"\n", newline))
+        H = load_group(path)
+        assert H is not G and (H.table, H.names, H.name) == (G.table, G.names, G.name)
+        path.write_bytes(b'{\n "table":\n  [[0]],\n {not json\n}'.replace(b"\n", newline))
+        with pytest.raises(InvalidGroupError) as err:
+            load_group(path)
+        assert str(err.value) == (f"group JSON: {path}: Expecting property name enclosed "
+                                  "in double quotes: line 4 column 2 (char 22)")
+    for content, message in (
+            ('{"table": [[0]]}'.encode("utf-16"),
+             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ('{"table": [[0]]}'.encode("utf-8-sig"),
+             "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            (b'{"table": [[0]], "name": "a\r\nb"}',
+             "Invalid control character at: line 1 column 28 (char 27)")):
+        path.write_bytes(content)
+        with pytest.raises(InvalidGroupError) as err:
+            load_group(path)
+        assert str(err.value) == f"group JSON: {path}: {message}"
 
 
 def test_associativity_diagnostic():

@@ -567,6 +567,47 @@ def test_powers_walk_matches_the_rotation_oracle(data):
         assert rotation_positions(H, seq) is None
 
 
+def _fresh_walks(G) -> list[tuple]:
+    """(sequence, pos) of every ordering of G, from a new walk of each
+    element's powers: the walks that cover G, in order of their second
+    entry."""
+    walks = (tuple(groups._powers(G, z)) for z in range(G.order))
+    return [(seq, tuple(seq.index(g) for g in range(G.order)))
+            for seq in walks if len(seq) == G.order]
+
+
+_LIBRARY_NON_CYCLIC = [G for G in library_groups() if not G.is_cyclic()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_group_keeps_its_orderings(data):
+    # the first enumeration keeps its views on the group; each call returns
+    # a new list of the same views, equal to fresh walks, and what a caller
+    # does to one list does not reach the next; the bound is checked on
+    # every call, and each view keeps one inhomogeneous view
+    cyclic = st.integers(1, 16).map(cyclic_group)
+    base = data.draw(st.one_of(cyclic, st.sampled_from(_LIBRARY_NON_CYCLIC)))
+    G = relabeled(base, [0] + data.draw(st.permutations(range(1, base.order))))
+    want = _fresh_walks(G)
+    first = enumerate_circular_orders(G, max_order=16)
+    second = enumerate_circular_orders(G, max_order=16)
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    assert [(a.sequence, a.pos) for a in first] == want
+    first.clear()
+    second.append(second[0] if second else None)
+    if G.order > 1:
+        with pytest.raises(BoundExceeded):
+            enumerate_circular_orders(G, max_order=G.order - 1)
+    third = enumerate_circular_orders(G, max_order=16)
+    assert third is not second and [(a.sequence, a.pos) for a in third] == want
+    for a in third:
+        f = arrangement_to_inhom(a)
+        assert f is arrangement_to_inhom(a) and type(f) is InhomCircularOrder
+        assert f.pos == a.pos and f.group is G
+
+
 def test_orderings_at_table_scale_within_the_time_budget():
     # one O(N) walk checks each ordering; the O(N^2) rotation check took
     # over a minute for these 512 on a 2-vCPU VM
