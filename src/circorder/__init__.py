@@ -14,23 +14,22 @@ from .groups import (FiniteGroup, GroupHom, closure, cyclic_group,
                      dihedral_group, direct_product, dump_group,
                      group_from_json, group_to_json, is_normal, is_subgroup,
                      load_group, quotient, subgroup_generated,
-                     symmetric_group, trivial_group)
+                     symmetric_group)
 from .orders import (Arrangement, InhomCircularOrder, LeftOrderOracle,
                      arrangement_from_sequence, arrangement_to_inhom,
                      enumerate_circular_orders, lexicographic_circular_order,
                      ordering_from_json, ordering_to_json, standard_order_zn,
                      validate_hom, validate_inhom)
-from .extensions import (CentralExtElement, CentralExtensionGroup,
-                         build_extension, hat_ordering, minimal_generator)
+from .extensions import (CentralExtElement, CentralExtensionGroup, hat_ordering,
+                         minimal_generator)
 from .cohomology import (CohomologyClass, H2Structure, IntMatrix, SNFResult,
                          class_of, coboundary_matrices, coboundary_matrix,
                          h2_structure, is_n_divisible, is_trivial_mod_n,
                          smith_normal_form)
 from .obstruction import (MAPPING_CLASS_GROUP_SPECTRUM, ObstructionSpectrum,
-                          TorsionProfile, bico_product_decision,
-                          cyclic_quotient_stats, exponent_facts,
-                          iterated_nonco_bound, spectrum_finite,
-                          spectrum_torsion_part)
+                          bico_product_decision, cyclic_quotient_stats,
+                          exponent_facts, iterated_nonco_bound,
+                          spectrum_finite, spectrum_torsion_part)
 from .promislow import (GEN_A, GEN_B, IDENTITY, PROMISLOW_SPECTRUM,
                         abelianization_image, ball, evaluate_word,
                         kernel_is_positive, phi, prom_inv, prom_mul,

@@ -370,7 +370,7 @@ class _Schreier(NamedTuple):
     free: IntMatrix   # U_B of U_B B V_B = diag(a_j), B = (V^-1 rho) on the free block
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 class _Complex:
     """Cached per-group data: the checked group it was built from, one free
     presentation of it, the Smith data of a relation matrix A of G^ab, the
@@ -395,8 +395,9 @@ class _Complex:
     build it.  A Z/n question with n prime to |G| constructs no complex
     (`h2_structure`).  Cached by multiplication table (the group kept is
     the first one asked about, already checked; its names are never read)
-    and unbounded by design: one entry per distinct table, released by
-    `cache_clear()`."""
+    for the 32 most recently asked tables.  An entry count is not a byte
+    budget: with H2_ORDER_LIMIT raised toward groups.MAX_TABLE_ORDER, each
+    entry grows with its table."""
 
     def __init__(self, G: FiniteGroup):
         self.group, table = G, G.table

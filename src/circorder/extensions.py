@@ -31,13 +31,15 @@ class CentralExtElement(NamedTuple):
 class CentralExtensionGroup:
     """The set A x G with law (a,g)(b,h) = (a + b + f(g,h), gh).
 
-    `modulus` is None for A = Z and n >= 2 for A = Z/n.  The constructor
-    checks it and the cocycle (orders.cocycle_values), so the law is a group.
+    `modulus` is None (the default) for A = Z and n >= 2 for A = Z/n.  The
+    cocycle may be an ordering view on the base or any integer matrix
+    satisfying the normalized cocycle identity.  The constructor checks both
+    (orders.cocycle_values), so the law is a group.
     """
 
     __slots__ = ("base", "cocycle", "modulus")
 
-    def __init__(self, base: FiniteGroup, cocycle, modulus: Optional[int]):
+    def __init__(self, base: FiniteGroup, cocycle, modulus: Optional[int] = None):
         if modulus is not None and (type(modulus) is not int or modulus < 2):
             raise InvalidGroupError(f"extension modulus {modulus!r} is not an int >= 2")
         self.base = base
@@ -93,15 +95,6 @@ class CentralExtensionGroup:
         return FiniteGroup(table, names=names, name=f"ext({self.base.name},Z/{n})")
 
 
-def build_extension(G: FiniteGroup, f, modulus: Optional[int] = None) -> CentralExtensionGroup:
-    """Central extension of G by Z (modulus None) or Z/modulus from cocycle f.
-
-    f may be an ordering view on G or any integer matrix satisfying the
-    normalized cocycle identity; the constructor checks both arguments.
-    """
-    return CentralExtensionGroup(G, f, modulus)
-
-
 # -- minimal generators ------------------------------------------------------
 
 def minimal_generator(G: FiniteGroup, f) -> int:
@@ -145,7 +138,7 @@ def hat_ordering(G: FiniteGroup, f, n: int) -> InhomCircularOrder:
     if type(n) is not int or n < 2:
         raise InvalidGroupError(f"hat_ordering: n = {n!r} is not an int >= 2")
     f = as_ordering(G, f)
-    group = build_extension(G, f, modulus=n).materialize()  # BoundExceeded before O(N^2)
+    group = CentralExtensionGroup(G, f, n).materialize()  # BoundExceeded before O(N^2)
     m, circle = G.order, _inverted(f.pos)
     fhat = arrangement_to_inhom(arrangement_from_sequence(
         group, tuple(a * m + g for a in range(n) for g in circle)))

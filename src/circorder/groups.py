@@ -210,10 +210,6 @@ def cyclic_group(k: int) -> FiniteGroup:
     return FiniteGroup(table, name=f"Z/{k}")
 
 
-def trivial_group() -> FiniteGroup:
-    return cyclic_group(1)
-
-
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """G x H with (g,h) at index g*|H| + h."""
     n, m = G.order, H.order
@@ -448,14 +444,14 @@ def load_group(path) -> FiniteGroup:
         raise InvalidGroupError(f"group JSON: {path}: {exc}") from exc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _group_from_bytes(data: bytes) -> FiniteGroup:
-    """The group of a group file's bytes, kept per distinct bytes.  Only
-    new bytes are decoded: as UTF-8, with CRLF and CR read as LF, as text
-    mode reads a file, and never by `json.loads`, which would also take
-    UTF-16 and UTF-32.  Errors raise and are not kept.  Unbounded by
-    design, like the cohomology cache: `_group_from_bytes.cache_clear()`
-    releases it."""
+    """The group of a group file's bytes, kept for the 32 most recently
+    read distinct contents.  Only new bytes are decoded: as UTF-8, with CRLF
+    and CR read as LF, as text mode reads a file, and never by
+    `json.loads`, which would also take UTF-16 and UTF-32.  Errors raise and
+    are not kept.  An entry count is not a byte budget: one table near
+    MAX_TABLE_ORDER can take hundreds of megabytes."""
     text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return group_from_json(json.loads(text))
 

@@ -92,14 +92,6 @@ class ObstructionSpectrum:
                 kept.append(m)
         return cls(tuple(kept))
 
-    @classmethod
-    def all_naturals(cls) -> "ObstructionSpectrum":
-        return cls(is_all=True)
-
-    @classmethod
-    def empty(cls) -> "ObstructionSpectrum":
-        return cls()
-
     @property
     def is_empty(self) -> bool:
         return not self.is_all and not self.minimal
@@ -125,31 +117,15 @@ class ObstructionSpectrum:
 # surface is everything: by the Mann-Wolff rigidity theorem every circular
 # ordering of it represents the (primitive) Euler class, which is never
 # divisible.  Shipped as data, not computed.
-MAPPING_CLASS_GROUP_SPECTRUM = ObstructionSpectrum.all_naturals()
+MAPPING_CLASS_GROUP_SPECTRUM = ObstructionSpectrum(is_all=True)
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
-    """Multiset of torsion-element orders of a group (all >= 2)."""
-    orders: tuple
-
-    def __post_init__(self):
-        _check_ge_2("torsion order", self.orders)
-        object.__setattr__(self, "orders", tuple(self.orders))   # a caller's list, frozen
-
-    @classmethod
-    def of_group(cls, G: FiniteGroup) -> "TorsionProfile":
-        return cls(tuple(sorted(G.element_order(g) for g in range(1, G.order))))
-
-
-def spectrum_torsion_part(profile) -> ObstructionSpectrum:
-    """Torsion part of a spectrum: n belongs iff it shares a prime with the
-    order of some torsion element, so the minimal elements are those primes."""
-    if isinstance(profile, TorsionProfile):
-        orders = profile.orders
-    else:
-        orders = tuple(profile)
-        TorsionProfile(orders)  # reuse the validation
+def spectrum_torsion_part(orders: Iterable[int]) -> ObstructionSpectrum:
+    """Torsion part of a spectrum from the orders of a group's torsion
+    elements: n belongs iff it shares a prime with one of those orders, so
+    the minimal elements are their primes."""
+    orders = list(orders)
+    _check_ge_2("torsion order", orders)
     primes = sorted({p for k in orders for p in prime_factors(k)})
     return ObstructionSpectrum.from_elements(primes)
 
@@ -165,9 +141,9 @@ def spectrum_finite(G: FiniteGroup) -> ObstructionSpectrum:
     n-divisible class) and any disagreement raises.
     """
     if G.order == 1:
-        return ObstructionSpectrum.empty()
+        return ObstructionSpectrum()
     if not G.is_cyclic():
-        return ObstructionSpectrum.all_naturals()
+        return ObstructionSpectrum(is_all=True)
     k = G.order
     primes = prime_factors(k)
     spectrum = ObstructionSpectrum.from_elements(primes)

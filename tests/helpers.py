@@ -33,11 +33,10 @@ from circorder import promislow
 from circorder.cohomology import (IntMatrix, SNFResult, _Complex, _gcdext, coboundary_matrices,
                                   coboundary_matrix, smith_normal_form)
 from circorder.errors import AxiomError, BoundExceeded, InvalidGroupError, require
-from circorder.extensions import CentralExtElement, build_extension, minimal_generator
+from circorder.extensions import CentralExtElement, CentralExtensionGroup, minimal_generator
 from circorder.groups import (FiniteGroup, GroupHom, _greedy_generators, _spanning_tree, closure,
                               cyclic_group, dihedral_group,
-                              direct_product, quotient, subgroup_generated, symmetric_group,
-                              trivial_group)
+                              direct_product, quotient, subgroup_generated, symmetric_group)
 from circorder.orders import (InhomCircularOrder, LeftOrderOracle,
                               as_ordering, cocycle_failure, cocycle_values,
                               lexicographic_circular_order,
@@ -47,7 +46,7 @@ ISOMORPHISM_ORDER_LIMIT = 24
 
 
 def library_groups() -> list[FiniteGroup]:
-    groups = [trivial_group()]
+    groups = [cyclic_group(1)]
     groups += [cyclic_group(k) for k in range(2, 13)]
     c2, c3, c4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
     groups.append(direct_product(c2, c2))          # Klein
@@ -1240,7 +1239,7 @@ def cone_compare(f: InhomCircularOrder, x: CentralExtElement,
     """-1, 0, +1 for x < y, x = y, x > y in the left order x < y iff x^-1 y in P."""
     if x == y:
         return 0
-    E = build_extension(f.group, f)
+    E = CentralExtensionGroup(f.group, f)
     return -1 if cone_positive(f, E.multiply(E.inverse(x), y)) else 1
 
 
@@ -1258,7 +1257,7 @@ def is_cofinal_central(f: InhomCircularOrder, z: CentralExtElement,
         raise InvalidGroupError(f"is_cofinal_central: negative probe_bound {probe_bound}")
     if not cone_positive(f, z):
         raise InvalidGroupError(f"z = {z} is not positive")
-    E = build_extension(f.group, f)
+    E = CentralExtensionGroup(f.group, f)
     for h in range(E.base.order):
         other = CentralExtElement(0, h)
         if E.multiply(z, other) != E.multiply(other, z):
@@ -1293,7 +1292,7 @@ def _cone_quotient(f: InhomCircularOrder, c: CentralExtElement, candidates,
     multiplies representatives, and its cocycle at (i1, i2) is the j with
     r_i1 r_i2 = c^j r_(i1 i2).  Returns (reps, table, cocycle).
     """
-    E = build_extension(f.group, f)
+    E = CentralExtensionGroup(f.group, f)
     reps = []
     for i, coset in enumerate(candidates):
         found = [x for x in coset if cone_compare(f, E.identity, x) <= 0
@@ -1386,7 +1385,7 @@ def quotient_by_cyclic_central(G: FiniteGroup, f, K) -> CentralQuotientResult:
     z_sub = minimal_generator(sub.group, f_restricted)
     z = sub.embedding(z_sub)
 
-    E = build_extension(G, f)
+    E = CentralExtensionGroup(G, f)
     z_lift = CentralExtElement(0, z)
     for h in range(G.order):
         if E.multiply(z_lift, CentralExtElement(0, h)) != \

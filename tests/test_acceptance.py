@@ -11,7 +11,7 @@ from math import gcd
 from circorder.groups import cyclic_group, direct_product, symmetric_group
 from circorder.orders import (arrangement_to_inhom, enumerate_circular_orders,
                               validate_hom, validate_inhom)
-from circorder.extensions import (CentralExtElement, build_extension,
+from circorder.extensions import (CentralExtElement, CentralExtensionGroup,
                                   hat_ordering, minimal_generator)
 from circorder.cohomology import (coboundary_matrices, h2_structure,
                                   is_n_divisible, is_trivial_mod_n,
@@ -143,7 +143,7 @@ def test_criterion_6_extension_constructions():
         G = cyclic_group(k)
         for f in orderings_of(G):
             # the Z-extension is infinite cyclic on the minimal generator lift
-            E = build_extension(G, f)
+            E = CentralExtensionGroup(G, f)
             w = CentralExtElement(0, minimal_generator(G, f))
             assert E.power(w, k) == E.iota(1)
             powers = set()

@@ -24,7 +24,7 @@ from circorder import (cli, cohomology, extensions, groups, obstruction, orders,
 from circorder.cli import main
 from circorder.cohomology import _Complex, class_of, h2_structure, is_n_divisible
 from circorder.errors import BoundExceeded
-from circorder.groups import cyclic_group, direct_product, dump_group
+from circorder.groups import cyclic_group, direct_product, dump_group, symmetric_group
 from circorder.orders import (arrangement_from_sequence, arrangement_to_inhom,
                               enumerate_circular_orders, ordering_from_json,
                               ordering_to_json, standard_order_zn)
@@ -525,6 +525,18 @@ def test_product_co_witness_is_checkable(capsys, group_file):
     mu = payload["witness"]["mu"]
     assert class_of(G, mu).scale(3).coords == class_of(G, f).coords
 
+
+def test_product_co_max_order_answers_non_cyclic_groups_past_the_limit(capsys, group_file):
+    # a finite group with a circular ordering is cyclic, so a non-cyclic group
+    # past the enumeration limit is answered "no" under --max-order without a
+    # divisibility question, whose lower bound would refuse it
+    s4 = group_file(symmetric_group(4))
+    assert main(["product-co", "--group", s4, "--n", "2"]) == 3
+    assert "limit 12" in capsys.readouterr().err
+    rc, payload = run_json(capsys, ["product-co", "--group", s4, "--n", "2",
+                                    "--max-order", "24"])
+    assert rc == 0 and payload["circularly_orderable"] is False
+    assert payload["witness"] is None and payload["cross_check"] == "skipped"
 
 def test_obstruction_group_mode(capsys, group_file):
     rc, payload = run_json(capsys, ["obstruction", "--group", group_file(cyclic_group(6))])

@@ -12,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 from circorder import cohomology
 from circorder.errors import AxiomError, BoundExceeded, CheckFailed, InvalidGroupError
 from circorder.groups import (FiniteGroup, _greedy_generators, closure, cyclic_group,
-                              dihedral_group, direct_product, subgroup_generated, symmetric_group,
-                              trivial_group)
+                              dihedral_group, direct_product, subgroup_generated, symmetric_group)
 from circorder.orders import (InhomCircularOrder, arrangement_to_inhom, cocycle_failure,
                               enumerate_circular_orders, standard_order_zn, validate_inhom)
-from circorder.extensions import build_extension, hat_ordering, minimal_generator
+from circorder.extensions import CentralExtensionGroup, hat_ordering, minimal_generator
 from circorder.cohomology import (IntMatrix, _Complex, class_of, coboundary_matrices,
                                   coboundary_matrix, h2_structure, is_n_divisible,
                                   is_trivial_mod_n, smith_normal_form)
@@ -281,10 +280,10 @@ def test_d1_for_z2_is_doubling():
 
 
 def test_trivial_group_spaces_are_zero_dimensional():
-    d1, d2 = coboundary_matrices(trivial_group())
+    d1, d2 = coboundary_matrices(cyclic_group(1))
     assert d1.rows == d1.cols == 0
     assert d2.rows == d2.cols == 0
-    assert h2_structure(trivial_group()).invariant_factors == ()
+    assert h2_structure(cyclic_group(1)).invariant_factors == ()
 
 
 def test_coboundary_bound():
@@ -412,6 +411,19 @@ def test_cache_is_keyed_by_table_and_carries_no_names():
     assert class_of(B, mu).scale(3).coords == class_of(A, standard_order_zn(4)).coords
     _Complex.cache_clear()
     assert _Complex.cache_info().currsize == 0
+
+
+def test_complex_cache_keeps_the_32_most_recent_tables():
+    # one entry per table asked about, evicted least recently used first:
+    # 100 relabelings of Z/8 through class_of leave at most 32 complexes
+    _Complex.cache_clear()
+    rng = random.Random(8)
+    for _ in range(100):
+        G = relabeled(cyclic_group(8), [0, *rng.sample(range(1, 8), 7)])
+        class_of(G, enumerate_circular_orders(G)[0])
+    info = _Complex.cache_info()
+    assert info.currsize == 32 and info.misses > 32
+    _Complex.cache_clear()
 
 
 def test_integral_questions_never_reduce_d2(monkeypatch):
@@ -608,7 +620,8 @@ _GATES = (   # each gate that takes an ordering, and what it answers
     ("is_n_divisible", lambda G, f: [tuple(is_n_divisible(G, f, n)) for n in (2, 3, 4)]),
     ("is_trivial_mod_n", lambda G, f: [is_trivial_mod_n(G, f, n) for n in (2, 3, 4)]),
     ("project", lambda G, f: [h2_structure(G, n).project(f).coords for n in (2, 3, 4)]),
-    ("build_extension", lambda G, f: [build_extension(G, f, m).cocycle for m in (None, 3)]),
+    ("CentralExtensionGroup", lambda G, f: [CentralExtensionGroup(G, f, m).cocycle
+                                          for m in (None, 3)]),
     ("minimal_generator", lambda G, f: minimal_generator(G, f)),
     ("hat_ordering", lambda G, f: hat_ordering(G, f, 2)),
 )

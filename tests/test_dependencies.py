@@ -1,8 +1,11 @@
 """Static checks of the package source: it runs on the standard library
-alone, reads every name it imports and holds no assert statement."""
+alone, reads every name it imports, holds no assert statement, and exports
+exactly the names the README lists."""
 
 import ast
+import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,25 @@ def test_pyproject_declares_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == []
+
+
+def test_every_export_is_listed_in_the_readme():
+    # README's "Public names" section says, for each export, which CLI path,
+    # roadmap item, benchmark or library use reads it; a name it does not
+    # list has no stated reader.  The names are the head of each list item,
+    # before its colon, so code spans in the text after it are not names.
+    import circorder
+    exports = {name for name, value in vars(circorder).items()
+               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    readme = (ROOT / "README.md").read_text()
+    assert "\n## Public names\n" in readme
+    section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- (.*?)(?=\n- |\n\n|\Z)", section, re.M | re.S)
+    listed = []
+    for item in items:
+        head = item.split(":", 1)[0]
+        assert re.fullmatch(r"`\w+`(,\s+`\w+`)*", head), f"not a list of names: {head!r}"
+        listed += re.findall(r"`(\w+)`", head)
+    assert len(listed) == len(set(listed)), "a name is listed twice"
+    assert set(listed) == exports
+    assert f"exports {len(exports)} names" in section

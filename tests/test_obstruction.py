@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from circorder import obstruction
 from circorder.cohomology import DivisibilityWitness
 from circorder.errors import CheckFailed, InvalidGroupError
-from circorder.groups import cyclic_group, direct_product, symmetric_group, trivial_group
+from circorder.groups import cyclic_group, direct_product, symmetric_group
 from circorder.obstruction import (MAPPING_CLASS_GROUP_SPECTRUM,
-                                   ObstructionSpectrum, TorsionProfile,
+                                   ObstructionSpectrum,
                                    bico_product_decision, cyclic_quotient_stats,
                                    exponent_facts, is_prime,
                                    iterated_nonco_bound, prime_factors,
@@ -36,11 +36,11 @@ def test_spectrum_rejects_repeated_minimal_elements():
 
 
 def test_spectrum_flags():
-    assert ObstructionSpectrum.all_naturals().membership(17)
-    assert ObstructionSpectrum.empty().is_empty
-    assert not ObstructionSpectrum.empty().membership(5)
+    assert ObstructionSpectrum(is_all=True).membership(17)
+    assert ObstructionSpectrum().is_empty
+    assert not ObstructionSpectrum().membership(5)
     assert ObstructionSpectrum.from_elements([2]).describe() == "2N"
-    assert ObstructionSpectrum.all_naturals().describe() == "N>=2"
+    assert ObstructionSpectrum(is_all=True).describe() == "N>=2"
 
 
 def test_upward_closure_property():
@@ -80,7 +80,7 @@ def test_spectrum_verification_bound_is_the_module_constant(monkeypatch):
 
 
 def test_spectrum_finite_special_cases():
-    assert spectrum_finite(trivial_group()).is_empty
+    assert spectrum_finite(cyclic_group(1)).is_empty
     klein = direct_product(cyclic_group(2), cyclic_group(2))
     assert spectrum_finite(klein).is_all
     assert spectrum_finite(symmetric_group(3)).is_all
@@ -98,18 +98,18 @@ def test_torsion_part():
     assert spectrum_torsion_part([4]).minimal == (2,)
     assert spectrum_torsion_part([6, 35]).minimal == (2, 3, 5, 7)
     assert spectrum_torsion_part([]).is_empty
-    profile = TorsionProfile.of_group(cyclic_group(12))
-    assert spectrum_torsion_part(profile).minimal == (2, 3)
-    with pytest.raises(ValueError):
-        TorsionProfile((1,))
+    G = cyclic_group(12)
+    assert spectrum_torsion_part(G.element_order(g) for g in range(1, G.order)).minimal == (2, 3)
+    with pytest.raises(ValueError, match="torsion order 1 is not an int >= 2"):
+        spectrum_torsion_part((1,))
 
 
 def test_torsion_part_matches_full_spectrum_for_cyclic():
     # for finite cyclic groups every obstruction comes from torsion
     for k in range(2, 13):
         G = cyclic_group(k)
-        assert spectrum_torsion_part(TorsionProfile.of_group(G)).minimal == \
-            spectrum_finite(G).minimal
+        orders = (G.element_order(g) for g in range(1, G.order))
+        assert spectrum_torsion_part(orders).minimal == spectrum_finite(G).minimal
 
 
 def test_exponent_facts_examples():
@@ -135,9 +135,6 @@ def test_frozen_values_store_tuples():
     # a caller's list was kept: unhashable, and unequal to the tuple's value
     assert ObstructionSpectrum(minimal=[2, 3]) == ObstructionSpectrum((2, 3))
     assert hash(ObstructionSpectrum(minimal=[2, 3])) == hash(ObstructionSpectrum((2, 3)))
-    assert TorsionProfile([2, 3]) == TorsionProfile((2, 3))
-    assert hash(TorsionProfile([2, 3])) == hash(TorsionProfile((2, 3)))
-    assert TorsionProfile([2, 3]).orders == (2, 3)
 
 
 def test_exponent_facts_table():
@@ -190,11 +187,11 @@ def test_spectrum_elements_and_membership_are_exact_ints(n):
     # 2.0 and True compare equal to ints, so without the type check 2.0 was
     # in 2N and 2.5 in the full spectrum, while exponent_facts refused both
     for call in (lambda: n in ObstructionSpectrum.from_elements([2]),
-                 lambda: ObstructionSpectrum.all_naturals().membership(n),
-                 lambda: ObstructionSpectrum.empty().membership(n),
+                 lambda: ObstructionSpectrum(is_all=True).membership(n),
+                 lambda: ObstructionSpectrum().membership(n),
                  lambda: ObstructionSpectrum.from_elements([3, n]),
                  lambda: ObstructionSpectrum((n,)),
-                 lambda: TorsionProfile((4, n)),
+                 lambda: spectrum_torsion_part((4, n)),
                  lambda: exponent_facts(n, 3, True)):
         with pytest.raises(ValueError, match="is not an int >= 2") as err:
             call()
@@ -216,7 +213,7 @@ def test_bico_decision_consistent_with_cyclic_products():
 
 def test_iterated_bound_examples():
     assert iterated_nonco_bound(cyclic_group(2)) == 4
-    assert iterated_nonco_bound(trivial_group()) == 1
+    assert iterated_nonco_bound(cyclic_group(1)) == 1
     z44 = direct_product(cyclic_group(4), cyclic_group(4))
     m, e = cyclic_quotient_stats(z44)
     assert e == 4
