@@ -21,8 +21,9 @@ circle at the identity leaves a linear order on the other elements (the
 positive kernel cone, then the coset aK, then the negative cone), so
 c(g1, g2, g3) compares g1^-1 g2 with g1^-1 g3 in that order.  It branches
 once on the parity of m1, which fixes the sign of y in g1^-1 g: each half
-decides the bands (the coset, or the cones) from the parity of m and
-compares raw y fields, the odd half with every order comparison mirrored.
+decides the bands (the coset, or the cones) from the parity of m, looked
+up in a tuple, and compares raw y fields, the odd half with every order
+comparison mirrored.
 Both halves read x and z differences only on a tie in y, in one place.
 That is the lexicographic comparison of the keys (class, +-y, sigma_x x,
 sigma_z z) without building the keys.  It compares no tuples for equality
@@ -38,7 +39,9 @@ one map over columns of the product table per triple.
 The sampled axioms call the oracle for every value; they draw indices into
 the sampling ball, from the stream rng.choice would use, in batches of a
 few thousand quadruples, and read each translated element h g from one
-product table of the ball.
+product table of the ball.  On a ball of at most 255 elements (radius 6 or
+less) each refill of a batch is one getrandbits call, cut into indices by
+bytes.translate; on a larger ball each index is one getrandbits call.
 The module also provides word evaluation, balls and the abelianization onto
 Z/4 x Z/4.
 """
@@ -54,6 +57,9 @@ from .obstruction import ObstructionSpectrum
 from .orders import LeftOrderOracle, lexicographic_circular_order
 
 BALL_RADIUS_LIMIT = 8
+# the demo's sampled quadruples: 10^7 took 22 s of process time at radius 5
+# (24 s at radius 8) on a 2-vCPU Xeon VM, with a flat 17-19 MB peak
+SAMPLES_LIMIT = 10_000_000
 DEFAULT_SEED = 1729
 # quadruples of index draws the sampled pass holds at once
 _DRAW_BATCH = 2048
@@ -62,6 +68,8 @@ _DRAW_BATCH = 2048
 SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 # required parity of the (doubled) translation for each point-group part
 PARITY = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+# whether each point-group index is odd: the oracle's band tests
+_ODD = (False, True, False, True)
 
 
 # (m, x, y, z) as in the module docstring.  An exact tuple, not a NamedTuple:
@@ -153,16 +161,21 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
     the sign of its y.  That y is sigma_y (y - y1), with sigma_y = -1
     exactly when m1 is odd.
 
-    So the oracle branches once, on m1 & 1, into two halves that compare
-    raw y fields: y2 or y3 against y1 (which cone) or y2 against y3 (the
-    order in one band), with no difference taken and no SIGNS read.  For an
-    even m1, g1^-1 g is in aK exactly when m & 1, and sigma_y = 1.  For an
-    odd m1, it is in aK exactly when not m & 1, and every y of g1^-1 g is
-    the negated raw difference: the half reads the order as it would after
-    negating y1, y2 and y3, and -a < -b exactly when a > b while -a == -b
-    exactly when a == b.  So the odd half is the even half with each band
-    test negated and each < or > between y fields swapped, and each
-    equality test kept.
+    So the oracle branches once, on the parity of m1, into two halves that
+    compare raw y fields: y2 or y3 against y1 (which cone) or y2 against y3
+    (the order in one band), with no difference taken and no SIGNS read.
+    For an even m1, g1^-1 g is in aK exactly when m is odd, and
+    sigma_y = 1.  For an odd m1, it is in aK exactly when m is even, and
+    every y of g1^-1 g is the negated raw difference: the half reads the
+    order as it would after negating y1, y2 and y3, and -a < -b exactly
+    when a > b while -a == -b exactly when a == b.  So the odd half is the
+    even half with each band test negated and each < or > between y fields
+    swapped, and each equality test kept.
+
+    Each band test, and the branch on m1, looks the parity up as _ODD[m]
+    rather than testing m & 1: CPython 3.11 specialises a tuple subscript
+    by an int but not the `&`.  The lookup needs m in 0..3, which every
+    group element has (m indexes SIGNS); another m may raise IndexError.
 
     A tie in y is read after the halves, in one place for both, and only
     there is SIGNS read.  Two elements in one band with equal y have the
@@ -186,9 +199,9 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
     m1, x1, y1, z1 = g1
     m2, x2, y2, z2 = g2
     m3, x3, y3, z3 = g3
-    if not m1 & 1:                        # even m1: aK is odd m
-        if m2 & 1:                        # g1^-1 g2 in aK
-            if m3 & 1:                    # both in aK: the larger y comes first
+    if not _ODD[m1]:                      # even m1: aK is odd m
+        if _ODD[m2]:                      # g1^-1 g2 in aK
+            if _ODD[m3]:                  # both in aK: the larger y comes first
                 if y2 > y3:
                     return 1
                 if y2 < y3:
@@ -198,7 +211,7 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
             elif y3 < y1:
                 return 1
         elif y2 != y1:                    # g1^-1 g2 in a cone
-            if m3 & 1:                    # g1^-1 g3 in aK
+            if _ODD[m3]:                  # g1^-1 g3 in aK
                 return 1 if y2 > y1 else -1
             if y3 != y1:                  # both in the cones
                 if y2 > y1:
@@ -211,8 +224,8 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
                 if y2 > y3:
                     return -1
     else:                                 # odd m1, the mirror: aK is even m
-        if not m2 & 1:                    # g1^-1 g2 in aK
-            if not m3 & 1:                # both in aK: the smaller raw y first
+        if not _ODD[m2]:                  # g1^-1 g2 in aK
+            if not _ODD[m3]:              # both in aK: the smaller raw y first
                 if y2 < y3:
                     return 1
                 if y2 > y3:
@@ -222,7 +235,7 @@ def promislow_circular_order(g1: _Element, g2: _Element, g3: _Element) -> int:
             elif y3 > y1:
                 return 1
         elif y2 != y1:                    # g1^-1 g2 in a cone
-            if not m3 & 1:                # g1^-1 g3 in aK
+            if not _ODD[m3]:              # g1^-1 g3 in aK
                 return 1 if y2 < y1 else -1
             if y3 != y1:                  # both in the cones
                 if y2 < y1:
@@ -351,39 +364,70 @@ def _exhaustive_axiom_counts(c, mul, small, table) -> dict:
             "ok": not any(failures.values())}
 
 
+def _draw_indices(rng, n: int, count: int):
+    """The `count` indices into a sequence of n >= 1 elements that `count`
+    calls of rng.choice draw on CPython, leaving rng where they leave it:
+    getrandbits(k) with k = n.bit_length(), drawn again while >= n.  Each
+    refill draws exactly the shortfall.
+
+    For k <= 8 (n <= 255, every ball up to radius 6) a refill of `short`
+    indices is one getrandbits(32 * short) call, which holds `short`
+    32-bit generator words, least significant first, the words that
+    `short` getrandbits(k) calls read; each of those calls returns the top
+    k bits of its word.  So the top byte of each word, shifted right by
+    8 - k by `translate`, is that call's draw, and `translate` deletes the
+    bytes whose draw is >= n.  The indices come back as `bytes`.  For
+    k > 8 each index is one getrandbits(k) call, filtered in Python, and
+    they come back as a list."""
+    k = n.bit_length()
+    if k > 8:
+        bits = rng.getrandbits
+        draws = []
+        while len(draws) < count:
+            draws += [r for r in map(bits, repeat(k, count - len(draws))) if r < n]
+        return draws
+    shift = bytes(b >> (8 - k) for b in range(256))
+    drop = bytes(range(n << (8 - k), 256))
+    draws = b""
+    while len(draws) < count:
+        short = count - len(draws)
+        words = rng.getrandbits(32 * short).to_bytes(4 * short, "little")
+        draws += words[3::4].translate(shift, drop)
+    return draws
+
+
 def _sampled_axiom_counts(c, mul, big, rng, samples) -> dict:
     """The four circular-ordering axioms on `samples` quadruples
     (g1, g2, g3, h) drawn from `big` by `rng`, calling the oracle `c` for
     every value: 10 calls per nondegenerate quadruple.  The draws are the
-    indices rng.choice would draw on CPython: getrandbits(k) with
-    k = len(big).bit_length(), drawn again while >= len(big).  They come in
-    batches of at most _DRAW_BATCH quadruples, each refilled by exactly its
-    shortfall, so no raw draw is made past the last quadruple and rng is
-    left where `samples` quadruples of rng.choice draws leave it.
+    indices rng.choice would draw on CPython, from `_draw_indices` in
+    batches of at most _DRAW_BATCH quadruples, so no raw draw is made past
+    the last quadruple and rng is left where `samples` quadruples of
+    rng.choice draws leave it.  On a ball of at most 255 elements (k <= 8
+    bits an index) each refill is one getrandbits call, whose words' top
+    bytes `translate` shifts to indices and filters; on a larger ball
+    (k > 8) each index is its own getrandbits(k) call.
     Degeneracy compares indices (the elements of `big` are distinct) and h g
     is read from `_product_table(mul, big)`, built only when samples > 0:
     its len(big)^2 products (21,609 on ball(5)) replace the 3 per quadruple,
     300,000 at the default 100,000 samples."""
     hg = _product_table(mul, big) if samples else []
     n = len(big)
-    bits, k = rng.getrandbits, n.bit_length()
     vanishing = antisymmetry = invariance = cocycle = 0
     left = samples
     while left:
         batch = min(left, _DRAW_BATCH)
         left -= batch
-        want = 4 * batch
-        draws = []
-        while len(draws) < want:
-            draws += [r for r in map(bits, repeat(k, want - len(draws))) if r < n]
-        it = iter(draws)
+        it = iter(_draw_indices(rng, n, 4 * batch))
         for i1, i2, i3, ih in zip(it, it, it, it):
             g1, g2, g3, h = big[i1], big[i2], big[i3], big[ih]
             v = c(g1, g2, g3)
-            degenerate = i1 == i2 or i2 == i3 or i1 == i3
-            if (v == 0) != degenerate:
-                vanishing += 1
-            if not degenerate:
+            if i1 == i2 or i2 == i3 or i1 == i3:    # degenerate: v must be 0
+                if v:
+                    vanishing += 1
+            else:                                   # distinct: v must not be 0
+                if not v:
+                    vanishing += 1
                 w = -v
                 if c(g2, g1, g3) != w or c(g1, g3, g2) != w or c(g3, g2, g1) != w \
                         or c(g2, g3, g1) != v or c(g3, g1, g2) != v:
@@ -391,7 +435,7 @@ def _sampled_axiom_counts(c, mul, big, rng, samples) -> dict:
             row = hg[ih]
             if c(row[i1], row[i2], row[i3]) != v:
                 invariance += 1
-            if c(g2, g3, h) - c(g1, g3, h) + c(g1, g2, h) - v != 0:
+            if c(g2, g3, h) - c(g1, g3, h) + c(g1, g2, h) != v:
                 cocycle += 1
     failures = {"vanishing": vanishing, "antisymmetry": antisymmetry,
                 "invariance": invariance, "cocycle": cocycle}
@@ -418,12 +462,15 @@ def demo(seed: int = DEFAULT_SEED, radius: int = 5, samples: int = 100_000) -> d
     trichotomy check runs on ball(5) and its closure check on ball(4) at
     every radius.  Each argument must be an int (not a bool or None), and
     `samples` and `radius` must not be negative; otherwise InvalidGroupError.
+    `samples` past SAMPLES_LIMIT raises BoundExceeded before any draw.
     """
     for name, value in (("seed", seed), ("radius", radius), ("samples", samples)):
         if type(value) is not int:
             raise InvalidGroupError(f"demo: {name} {value!r} is not an int")
     if samples < 0:
         raise InvalidGroupError(f"demo: negative sample count {samples}")
+    if samples > SAMPLES_LIMIT:
+        raise BoundExceeded(f"demo: samples {samples} > limit {SAMPLES_LIMIT}")
     c = promislow_circular_order
     report: dict = {"seed": seed, "radius": radius, "samples": samples}
     report["relators"] = {

@@ -479,7 +479,7 @@ def test_readme_bounds_table_matches_the_constants():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Bounds and performance notes")[1]
     rows = [line.split("|")[1:4] for line in section.splitlines() if line.startswith("| `")]
-    assert len(rows) == 7
+    assert len(rows) == 8
     for constant, module, default in rows:
         value = getattr(importlib.import_module(module.strip(" `")), constant.strip(" `"))
         assert value == int(default), constant
@@ -608,6 +608,31 @@ def test_max_n_is_bounded_in_every_obstruction_mode(capsys, group_file, mode, ke
             out, err = capsys.readouterr()
             assert out == "" and err == (f"error: obstruction: --max-n {max_n} "
                                          f"exceeds the limit {limit}\n")
+
+
+def test_samples_are_bounded(capsys, monkeypatch):
+    # --samples 1000000000 would run for some 40 minutes, so past
+    # SAMPLES_LIMIT the demo exits 3 before it draws, whether the option
+    # table or argparse reads the argv (--samples=...)
+    limit = promislow.SAMPLES_LIMIT
+    assert limit == 10_000_000
+
+    def no_draws(*args):
+        raise AssertionError("drew past SAMPLES_LIMIT")
+    monkeypatch.setattr(promislow, "_draw_indices", no_draws)
+    for samples in (limit + 1, 10 ** 9):
+        for option in (["--samples", str(samples)], [f"--samples={samples}"]):
+            with helpers.time_budget(5):
+                assert main(["promislow", *option, "--json"]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err == (f"error: demo: samples {samples} "
+                                         f"> limit {limit}\n")
+    # the demo reads the constant on every call
+    monkeypatch.undo()
+    monkeypatch.setattr(promislow, "SAMPLES_LIMIT", 50)
+    assert main(["promislow", "--samples", "50"]) == 0
+    assert main(["promislow", "--samples", "51"]) == 3
+    assert "error: demo: samples 51 > limit 50" in capsys.readouterr().err
 
 
 def test_not_lo_needs_the_exponent_mode(capsys, group_file):

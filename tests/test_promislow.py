@@ -335,7 +335,7 @@ def _choice_quadruples(seed, radius, samples):
     return [tuple(rng.choice(big) for _ in range(4)) for _ in range(samples)], rng
 
 
-@pytest.mark.parametrize("radius", [0, 2, 5, 8])
+@pytest.mark.parametrize("radius", [0, 2, 5, 6, 7, 8])
 @pytest.mark.parametrize("seed", [1729, 7, 8])
 def test_sampled_draws_are_those_of_rng_choice(monkeypatch, seed, radius):
     # the sampler draws indices from the stream rng.choice reads, so it must
@@ -344,7 +344,10 @@ def test_sampled_draws_are_those_of_rng_choice(monkeypatch, seed, radius):
     # Python whose choice draws differently fails here, not in the reports.
     # The draws come in batches: 3,000 samples span two at the module's
     # batch size, and batches of 7 quadruples split 500 into 72, the last
-    # one short, so a refill that draws past its shortfall fails too
+    # one short, so a refill that draws past its shortfall fails too.
+    # Radius 6 (239 elements, bytes 240-255 dropped) is the largest ball
+    # whose refills cut one getrandbits call into bytes, and radius 7 (351
+    # elements) the smallest whose indices take one getrandbits call each
     calls = []
 
     def recording(g1, g2, g3):
@@ -367,6 +370,18 @@ def test_sampled_draws_are_those_of_rng_choice(monkeypatch, seed, radius):
         # every call, so also each quadruple's first call c(g1, g2, g3)
         assert sampled == calls and len(calls) >= 5 * samples
         assert rng.getstate() == after.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 64), st.integers(1, 525), st.integers(0, 3000))
+def test_draw_indices_are_those_of_rng_choice(seed, n, count):
+    # both routes of _draw_indices, the bytes of one getrandbits call per
+    # refill for n < 256 and one call an index above, against rng.choice
+    rng, reference = random.Random(seed), random.Random(seed)
+    population = range(n)
+    assert list(promislow._draw_indices(rng, n, count)) == \
+        [reference.choice(population) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()
 
 
 def test_corrupted_oracles_are_counted_per_sampled_quadruple(monkeypatch):
